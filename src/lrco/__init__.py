@@ -19,17 +19,12 @@ from .errors import (
 )
 from .gradcheck import run_gradient_suite
 from .losses import (
-    MixDraw, MixPair, PseudoLabel, build_mix_pair, confidence_split,
-    contrastive_batch, cross_entropy, draw_mix, entropy_alignment, fixmatch_loss,
-    kld_reg, lrco_loss, make_pseudo_label, mixlrco_loss, naive_contrastive,
-    re_represent,
+    MixDraw, PseudoLabel, contrastive_batch, draw_mix, entropy_alignment,
+    make_pseudo_label,
 )
 from .membank import MemoryBank
-from .model import (
-    ModelConfig, ModelState, classify_probs, clone_state, ema_update,
-    forward_features, init_model,
-)
-from .numerics import SeededRng, l2_normalize, log_sum_exp, sample_beta, softmax_t
+from .model import ModelConfig, ModelState, clone_state, ema_update, init_model
+from .numerics import SeededRng, sample_beta
 from .trainer import (
     EvalMetrics, FitResult, StepReport, TrainConfig, evaluate, fit,
     load_checkpoint, save_checkpoint,
@@ -40,18 +35,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentSpec", "BenchmarkSpec", "ConfigError", "DatasetFormatError",
     "DegenerateFeatureError", "EvalMetrics", "FitResult", "LrcoError",
-    "MemoryBank", "MixDraw", "MixPair", "ModelConfig", "ModelSection",
-    "ModelState", "OutputSection", "PseudoLabel", "RunConfig", "Sample",
-    "SeededRng", "ShapeMismatchError", "ShiftBenchmark", "SimilarityReport",
-    "StepReport", "TrainConfig", "TrainingDivergedError", "apply_overrides",
-    "build_mix_pair", "canonical_text", "classify_probs", "clone_state",
-    "config_hash", "confidence_split", "contrastive_batch", "cross_entropy",
+    "MemoryBank", "MixDraw", "ModelConfig", "ModelSection", "ModelState",
+    "OutputSection", "PseudoLabel", "RunConfig", "Sample", "SeededRng",
+    "ShapeMismatchError", "ShiftBenchmark", "SimilarityReport", "StepReport",
+    "TrainConfig", "TrainingDivergedError", "apply_overrides",
+    "canonical_text", "clone_state", "config_hash", "contrastive_batch",
     "default_run_config", "draw_mix", "ema_update", "entropy_alignment",
-    "evaluate", "fit", "fixmatch_loss", "forward_features",
-    "generate_shift_benchmark", "init_model", "kld_reg", "l2_normalize",
-    "load_checkpoint", "load_config", "load_dataset", "log_sum_exp",
-    "lrco_loss", "make_pseudo_label", "mixlrco_loss", "naive_contrastive",
-    "parse_config_text", "project_2d", "re_represent", "run_gradient_suite",
-    "sample_beta", "save_checkpoint", "save_dataset", "similarity_stats",
-    "softmax_t", "strong_augment", "topk_accumulation", "weak_augment",
+    "evaluate", "fit", "generate_shift_benchmark", "init_model",
+    "load_checkpoint", "load_config", "load_dataset", "make_pseudo_label",
+    "parse_config_text", "project_2d", "run_gradient_suite", "sample_beta",
+    "save_checkpoint", "save_dataset", "similarity_stats", "strong_augment",
+    "topk_accumulation", "weak_augment",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .data import AugmentSpec, BenchmarkSpec
 from .errors import ConfigError
@@ -132,60 +133,33 @@ def _parse_float_pair(text: str) -> tuple[float, float]:
     return (values[0], values[1])
 
 
+# Parser per field annotation. Every section module postpones the evaluation
+# of annotations, so dataclasses.fields reports them as these strings.
+_PARSERS_BY_ANNOTATION = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_opt_float,
+    "str": _parse_str,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_float_tuple,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[float, float]": _parse_float_pair,
+}
+
+
+def _section_parsers(section_type) -> dict[str, object]:
+    parsers = {}
+    for f in fields(section_type):
+        if f.type not in _PARSERS_BY_ANNOTATION:
+            raise TypeError(f"no config parser for {section_type.__name__}.{f.name}: "
+                            f"{f.type!r}")
+        parsers[f.name] = _PARSERS_BY_ANNOTATION[f.type]
+    return parsers
+
+
 FIELD_PARSERS: dict[str, dict[str, object]] = {
-    "data": {
-        "n_classes": _parse_int,
-        "input_dim": _parse_int,
-        "n_per_class_source": _parse_int,
-        "n_per_class_target": _parse_int,
-        "n_labeled_target_per_class": _parse_int,
-        "radius": _parse_float,
-        "noise_sigma": _parse_float,
-        "shift_angle_deg": _parse_float,
-        "shift_translation": _parse_float_tuple,
-        "seed": _parse_int,
-    },
-    "model": {
-        "hidden_dims": _parse_int_tuple,
-        "feature_dim": _parse_int,
-    },
-    "train": {
-        "method": _parse_str,
-        "tau": _parse_float,
-        "t_ce": _parse_float,
-        "t_re": _parse_opt_float,
-        "t_co": _parse_float,
-        "bank_capacity": _parse_int,
-        "lambda_co": _parse_float,
-        "lambda_kld": _parse_float,
-        "lambda_align": _parse_float,
-        "alpha": _parse_float,
-        "ema_decay": _parse_float,
-        "learning_rate": _parse_float,
-        "momentum": _parse_float,
-        "batch_labeled": _parse_int,
-        "batch_unlabeled": _parse_int,
-        "total_steps": _parse_int,
-        "eval_interval": _parse_int,
-        "checkpoint_interval": _parse_int,
-        "seed": _parse_int,
-        "sample_selection": _parse_str,
-        "rerep_mode": _parse_str,
-        "mixup_mode": _parse_str,
-        "dynamic_tau": _parse_bool,
-        "tau_band": _parse_float_pair,
-        "tau_step": _parse_float,
-        "tau_bounds": _parse_float_pair,
-    },
-    "augment": {
-        "sigma_weak": _parse_float,
-        "sigma_strong": _parse_float,
-        "mask_prob": _parse_float,
-        "scale_jitter": _parse_float,
-    },
-    "output": {
-        "run_id": _parse_str,
-    },
+    section: _section_parsers(section_type)
+    for section, section_type in get_type_hints(RunConfig).items()
 }
 
 

@@ -1,4 +1,4 @@
-"""Synthetic covariate-shift benchmark, augmentations, batching, and dataset files.
+"""Synthetic covariate-shift benchmark, augmentations, sample packing, and dataset files.
 
 Source data is K Gaussian clusters; the target domain is the same clusters
 pushed through a rotation in the first two coordinates plus a translation.
@@ -213,18 +213,6 @@ def strong_augment(x, spec: AugmentSpec, rng: SeededRng) -> np.ndarray:
     else:
         factor = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter)
     return out * factor
-
-
-# Batching --------------------------------------------------------------------
-
-def batch_iter(samples: list[Sample], batch_size: int, rng: SeededRng):
-    """Yield shuffled batches covering every sample exactly once; the final
-    short batch is kept."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(len(samples))
-    for start in range(0, len(samples), batch_size):
-        yield [samples[i] for i in order[start : start + batch_size]]
 
 
 # Dataset files ----------------------------------------------------------------

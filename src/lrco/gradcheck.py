@@ -69,6 +69,12 @@ def _build_instance(index: int, seed: int):
     )
     student = init_model(model_cfg, rng.substream("student"))
     teacher = init_model(model_cfg, rng.substream("teacher"))
+    # init_model zeroes the biases; a fully masked strong view would then have
+    # a zero feature, which cannot be normalized.
+    bias_rng = rng.substream("bias")
+    for model in (student, teacher):
+        for b in model.biases:
+            b[...] = 0.1 * bias_rng.normal(size=b.shape)
 
     n_lab, n_unl = 4, 6
     lab_x = np.asarray(rng.normal(size=(n_lab, 3)))
@@ -210,7 +216,8 @@ def check_instance(index: int, seed: int = 0, h: float = 1e-5) -> InstanceResult
     base_vec = get_param_vector(student)
     errors: dict[str, float] = {}
     for name, loss_fn in _term_functions(inst).items():
-        analytic = compute_gradients(student, loss_fn).flatten()
+        grads = compute_gradients(student, loss_fn)
+        analytic = np.concatenate([g.ravel() for g in grads.values()])
 
         def scalar_at(vec: np.ndarray) -> float:
             value = loss_fn(with_param_vector(student, vec))

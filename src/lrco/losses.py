@@ -7,7 +7,7 @@ evaluated in the log domain via log-sum-exp; probabilities entering a log are
 clamped below at 1e-12.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
--log(h_pos / sum(h)) is computed as log_sum_exp(sims / T) - pos / T.
+-log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ def make_pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabel:
                        confident=max_prob > tau)
 
 
-def confidence_split(pseudo_labels) -> tuple[list[PseudoLabel], list[PseudoLabel]]:
-    """Partition into (high, low) by the confidence gate; order preserved."""
-    high = [pl for pl in pseudo_labels if pl.confident]
-    low = [pl for pl in pseudo_labels if not pl.confident]
-    return high, low
-
-
 def _check_unit_rows(x, name: str) -> None:
     v = ad.value_of(x)
     norms = np.linalg.norm(v, axis=-1)
@@ -60,11 +53,6 @@ def _check_unit_rows(x, name: str) -> None:
 
 
 # Supervised and consistency terms ------------------------------------------
-
-def cross_entropy(p, label: int):
-    """Negative log probability of the true class."""
-    return cross_entropy_batch(ad.reshape(p, (1, -1)), np.array([label]))
-
 
 def cross_entropy_batch(p_rows, labels):
     """Mean negative log probability over a batch of probability rows."""
@@ -78,20 +66,6 @@ def entropy_alignment(p_rows):
     it sharpens predictions on both domains.
     """
     return ad.neg(ad.mean_all(ad.rowwise_dot(p_rows, ad.log_clamped(p_rows))))
-
-
-def fixmatch_loss(pseudo: PseudoLabel, p_strong, tau: float):
-    """Pseudo-label cross-entropy on the strong view, gated by teacher confidence."""
-    if not pseudo.max_prob > tau:
-        return 0.0
-    return cross_entropy(p_strong, pseudo.label)
-
-
-def kld_reg(pseudo: PseudoLabel, p_strong, n_classes: int):
-    """Uniform-target regularizer on confident samples: -(1/K) sum_j log p_j."""
-    if not pseudo.confident:
-        return 0.0
-    return kld_uniform_batch(ad.reshape(p_strong, (1, -1)), n_classes)
 
 
 def kld_uniform_batch(p_rows, n_classes: int):
@@ -122,13 +96,6 @@ def re_represent_batch(f_rows, classifier, t_re: float, detach_weights: bool = T
     return ad.normalize_rows(ad.matmul(attention, w))
 
 
-def re_represent(f, classifier, t_re: float, detach_weights: bool = True):
-    """Single-vector wrapper around re_represent_batch (1-D in, 1-D out)."""
-    rows = re_represent_batch(ad.reshape(f, (1, -1)), classifier, t_re,
-                              detach_weights=detach_weights)
-    return ad.reshape(rows, (-1,))
-
-
 # Contrastive family ----------------------------------------------------------
 
 def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
@@ -147,29 +114,6 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     sims = ad.scale(ad.hstack_cols([pos, neg]), 1.0 / t_co)
     per_row = ad.sub(ad.logsumexp_rows(sims), ad.scale(pos, 1.0 / t_co))
     return ad.mean_all(per_row)
-
-
-def naive_contrastive(q, k_pos, bank_snapshot, t_co: float):
-    """Single-query InfoNCE against a positive key and a bank of negatives."""
-    return contrastive_batch(
-        ad.reshape(q, (1, -1)), ad.reshape(k_pos, (1, -1)),
-        _bank_as_matrix(bank_snapshot), t_co,
-    )
-
-
-def lrco_loss(q_rerep, k_rerep, bank_snapshot, t_co: float):
-    """Low-confidence contrastive term; identical in form to naive_contrastive,
-    applied to re-represented features."""
-    return naive_contrastive(q_rerep, k_rerep, bank_snapshot, t_co)
-
-
-def _bank_as_matrix(bank_snapshot) -> np.ndarray:
-    bank = np.asarray(bank_snapshot, dtype=np.float64)
-    if bank.size == 0:
-        return bank.reshape(0, 0) if bank.ndim != 2 else bank
-    if bank.ndim == 1:
-        return bank.reshape(1, -1)
-    return bank
 
 
 def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
@@ -198,40 +142,6 @@ def draw_mix(alpha: float, rng: SeededRng, dominant: bool = True) -> MixDraw:
     lam = sample_beta(alpha, rng)
     lam_prime = max(lam, 1.0 - lam) if dominant else lam
     return MixDraw(lam=lam, lam_prime=lam_prime)
-
-
-@dataclass(frozen=True)
-class MixPair:
-    """Mixed student input and the teacher-side keys that describe it."""
-
-    x_mix: np.ndarray
-    k_mix: np.ndarray
-    k_target: np.ndarray
-    k_source: np.ndarray
-
-
-def build_mix_pair(x_target, x_source, f_teacher_target, f_teacher_source,
-                   draw: MixDraw, teacher_classifier, t_re: float) -> MixPair:
-    """Blend one target view with one source view, and blend their teacher keys.
-
-    The inputs x_* are the student-side views; f_teacher_* are the teacher's
-    raw features of the corresponding other views. The blended key is NOT
-    re-normalized, so its norm is at most 1.
-    """
-    x_target = np.asarray(x_target, dtype=np.float64)
-    x_source = np.asarray(x_source, dtype=np.float64)
-    if x_target.shape != x_source.shape:
-        raise ValueError("mixed views must share a shape")
-    lam = draw.lam_prime
-    x_mix = lam * x_target + (1.0 - lam) * x_source
-    k_target = np.asarray(
-        re_represent(f_teacher_target, teacher_classifier, t_re), dtype=np.float64
-    )
-    k_source = np.asarray(
-        re_represent(f_teacher_source, teacher_classifier, t_re), dtype=np.float64
-    )
-    k_mix = lam * k_target + (1.0 - lam) * k_source
-    return MixPair(x_mix=x_mix, k_mix=k_mix, k_target=k_target, k_source=k_source)
 
 
 def mixlrco_batch(q_rows, k_mix_rows, k_target_rows, k_source_rows,
@@ -263,11 +173,3 @@ def mixlrco_batch(q_rows, k_mix_rows, k_target_rows, k_source_rows,
     )
     return ad.mean_all(ad.sub(ad.logsumexp_rows(den), num))
 
-
-def mixlrco_loss(q_mix, k_mix, k_target, k_source, bank_snapshot, t_co: float):
-    """Single-pair wrapper around mixlrco_batch."""
-    return mixlrco_batch(
-        ad.reshape(q_mix, (1, -1)), ad.reshape(k_mix, (1, -1)),
-        ad.reshape(k_target, (1, -1)), ad.reshape(k_source, (1, -1)),
-        _bank_as_matrix(bank_snapshot), t_co,
-    )

@@ -88,31 +88,6 @@ class ParamTensors:
     t_re: float
 
 
-@dataclass
-class GradientTape:
-    """Gradients keyed like the state arrays; zero-filled for untouched parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    classifier: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"layer{i}.weight"] = w
-            out[f"layer{i}.bias"] = b
-        out["classifier"] = self.classifier
-        return out
-
-    def flatten(self) -> np.ndarray:
-        pieces = []
-        for w, b in zip(self.weights, self.biases):
-            pieces.append(w.ravel())
-            pieces.append(b.ravel())
-        pieces.append(self.classifier.ravel())
-        return np.concatenate(pieces)
-
-
 def _xavier_uniform(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
@@ -167,30 +142,6 @@ def probs_of(model_like, feature_rows):
     return ad.softmax_rows(logits, model_like.t_ce)
 
 
-def forward_features(m: ModelState, x) -> np.ndarray:
-    """Feature vector for one input (1-D in, 1-D out)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeMismatchError("forward_features expects a single 1-D input")
-    if x.shape[0] != m.input_dim:
-        raise ShapeMismatchError(
-            f"input has dim {x.shape[0]}, model expects {m.input_dim}"
-        )
-    return features_of(m, x.reshape(1, -1))[0]
-
-
-def classify_probs(m: ModelState, f) -> np.ndarray:
-    """Class probabilities for one raw feature vector (1-D in, 1-D out)."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise ShapeMismatchError("classify_probs expects a single 1-D feature")
-    if f.shape[0] != m.feature_dim:
-        raise ShapeMismatchError(
-            f"feature has dim {f.shape[0]}, model expects {m.feature_dim}"
-        )
-    return probs_of(m, f.reshape(1, -1))[0]
-
-
 def lift_params(m: ModelState) -> ParamTensors:
     """Wrap every state array in a gradient-requiring tensor."""
     return ParamTensors(
@@ -202,22 +153,17 @@ def lift_params(m: ModelState) -> ParamTensors:
     )
 
 
-def tape_from(params: ParamTensors) -> GradientTape:
-    def grad_or_zero(t: ad.Tensor) -> np.ndarray:
-        return t.grad if t.grad is not None else np.zeros_like(t.value)
-
-    return GradientTape(
-        weights=[grad_or_zero(w) for w in params.weights],
-        biases=[grad_or_zero(b) for b in params.biases],
-        classifier=grad_or_zero(params.classifier),
-    )
+def tape_from(params: ParamTensors) -> dict[str, np.ndarray]:
+    """Gradients keyed like state_arrays; zero-filled for untouched parameters."""
+    return {name: t.grad if t.grad is not None else np.zeros_like(t.value)
+            for name, t in state_arrays(params).items()}
 
 
-def compute_gradients(m: ModelState, loss_fn) -> GradientTape:
+def compute_gradients(m: ModelState, loss_fn) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of loss_fn(params) with respect to m.
 
     loss_fn receives a ParamTensors view and must return a scalar. A loss
-    that never touches the parameters (a plain number) yields a zero tape.
+    that never touches the parameters (a plain number) yields zero gradients.
     """
     params = lift_params(m)
     loss = loss_fn(params)
@@ -270,7 +216,8 @@ def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
 
 
 def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
-    """Named array view used by checkpoint serialization."""
+    """Named view of the arrays (or a ParamTensors' tensors), in
+    get_param_vector order; checkpoints and gradients are keyed by it."""
     out: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         out[f"{prefix}layer{i}.weight"] = w
@@ -312,9 +259,9 @@ def states_allclose(a: ModelState, b: ModelState, atol: float = 0.0) -> bool:
 
 
 __all__ = [
-    "ModelConfig", "ModelState", "ParamTensors", "GradientTape",
+    "ModelConfig", "ModelState", "ParamTensors",
     "init_model", "clone_state", "features_of", "probs_of",
-    "forward_features", "classify_probs", "lift_params", "tape_from",
-    "compute_gradients", "ema_update", "get_param_vector", "with_param_vector",
-    "state_arrays", "state_from_arrays", "states_allclose",
+    "lift_params", "tape_from", "compute_gradients", "ema_update",
+    "get_param_vector", "with_param_vector", "state_arrays",
+    "state_from_arrays", "states_allclose",
 ]

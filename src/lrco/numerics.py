@@ -1,9 +1,9 @@
 """Float64 vector primitives, seeded randomness, and the finite-difference gradient oracle.
 
-Everything here is deliberately small and boring: temperature softmax, l2
-normalization, log-sum-exp, a Beta sampler built from Gamma draws, plus a
-central-difference gradient used as the independent check on every analytic
-gradient in the package.
+Everything here is deliberately small and boring: row-wise temperature
+softmax, l2 normalization and log-sum-exp, a Beta sampler built from Gamma
+draws, plus a central-difference gradient used as the independent check on
+every analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -20,19 +20,12 @@ from .errors import DegenerateFeatureError
 NORM_EPS = 1e-12
 
 
-def _as_finite_array(v, name: str = "v") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
-    return arr
-
-
 # Row-wise workhorses shared with the autodiff layer. They operate along the
 # last axis, accept 1-D or 2-D input, and skip argument validation.
 
 def softmax_last(v: np.ndarray, temperature: float) -> np.ndarray:
+    """Divides by the temperature before the max shift, so
+    softmax_last(v, T) equals softmax_last(v / T, 1) bit for bit."""
     z = v / temperature
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -51,36 +44,6 @@ def normalize_last(v: np.ndarray) -> np.ndarray:
 def logsumexp_last(v: np.ndarray) -> np.ndarray:
     m = np.max(v, axis=-1, keepdims=True)
     return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1))
-
-
-def softmax_t(v, temperature: float) -> np.ndarray:
-    """Temperature softmax of a vector.
-
-    The input is divided by the temperature first and max-shifted afterwards,
-    so softmax_t(v, T) equals softmax_t(v / T, 1) bit for bit.
-    """
-    arr = _as_finite_array(v)
-    if arr.ndim != 1:
-        raise ValueError("softmax_t expects a 1-D vector")
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    return softmax_last(arr, float(temperature))
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; degenerate input is an error."""
-    arr = _as_finite_array(v)
-    if arr.ndim != 1:
-        raise ValueError("l2_normalize expects a 1-D vector")
-    return normalize_last(arr)
-
-
-def log_sum_exp(v) -> float:
-    """Numerically stable log(sum(exp(v))) of a vector."""
-    arr = _as_finite_array(v)
-    if arr.ndim != 1:
-        raise ValueError("log_sum_exp expects a 1-D vector")
-    return float(logsumexp_last(arr))
 
 
 class SeededRng:
@@ -122,14 +85,6 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    @property
-    def state(self) -> dict:
-        return self._gen.bit_generator.state
-
-    @state.setter
-    def state(self, value: dict) -> None:
-        self._gen.bit_generator.state = value
 
 
 def sample_beta(alpha: float, rng: SeededRng) -> float:

@@ -54,10 +54,3 @@ ABLATION_TARGET_MEDIANS = {
     # folded toward the target domain
     "no_dominance_mixup": 94.0,
 }
-
-# How hard the library-default 2-D data spec (five classes, 50-degree
-# rotation, noise 0.1) actually is: median over seeds of the source-only
-# model's (source accuracy - target accuracy) gap, in points.  A 50-degree
-# rotation of a five-class ring moves nearly every target point into the
-# cell of the neighbouring class, so the gap is close to total.
-SOURCE_ONLY_SHIFT_DROP_PTS = 99.33333333333333

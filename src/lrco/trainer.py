@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,8 +400,7 @@ def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
     if isinstance(total, ad.Tensor):
         total.backward()
-    tape = tape_from(params)
-    sgd_step(student, tape.as_dict(), velocities, cfg.learning_rate, cfg.momentum)
+    sgd_step(student, tape_from(params), velocities, cfg.learning_rate, cfg.momentum)
     ema_update(teacher, student, cfg.ema_decay)
     if cfg.method in ("lrco", "mixlrco") and sb.keys_sel.shape[0] > 0:
         bank.push_batch(sb.keys_sel)
@@ -528,10 +528,20 @@ def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
         "dynamics_hash": dynamics_hash,
         "t_ce": student.t_ce,
         "t_re": student.t_re,
-        "rng": {"seed": int(seed), "scheme": "per-step-substreams"},
     }
     arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
-    np.savez(path, **arrays)
+    # Write a temporary file next to the target and rename it into place, so
+    # an interrupted write never leaves a truncated checkpoint under `path`.
+    # np.savez gets a file handle because it appends ".npz" to a bare name.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -563,7 +573,9 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
 
     ``config_hash`` is an opaque stamp copied into metrics and checkpoints;
     ``dynamics_hash`` guards resume: a checkpoint carrying a different
-    dynamics hash cannot continue this run.
+    dynamics hash, or none, cannot continue this run. Neither can a
+    checkpoint whose model has another input dimension or class count than
+    the benchmark.
     """
     cfg.validate()
     augment.validate()
@@ -577,10 +589,17 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        if dynamics_hash and ckpt.dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
+        shape = (ckpt.student.input_dim, ckpt.student.n_classes)
+        if shape != (benchmark.spec.input_dim, n_classes):
+            raise ConfigError(
+                f"checkpoint model has input_dim={shape[0]} n_classes={shape[1]}, "
+                f"the benchmark has input_dim={benchmark.spec.input_dim} "
+                f"n_classes={n_classes}"
+            )
+        if dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
             raise ConfigError(
                 "checkpoint was written by a different config "
-                f"({ckpt.dynamics_hash} != {dynamics_hash})"
+                f"({ckpt.dynamics_hash or 'no dynamics hash'} != {dynamics_hash})"
             )
         student, teacher = ckpt.student, ckpt.teacher
         velocities, bank = ckpt.velocities, ckpt.bank

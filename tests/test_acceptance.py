@@ -140,15 +140,17 @@ def test_02_losses_match_logsumexp_oracle():
         k = _unit(rng, d)
         sims = np.concatenate(([q @ k], bank @ q)) / t
         oracle = _lse(sims) - sims[0]
-        worst_single = max(worst_single, abs(float(L.lrco_loss(q, k, bank, t)) - oracle))
+        value = float(L.contrastive_batch(q.reshape(1, -1), k.reshape(1, -1), bank, t))
+        worst_single = max(worst_single, abs(value - oracle))
 
         k_t, k_s = _unit(rng, d), _unit(rng, d)
         lam_prime = float(rng.uniform(0.5, 1.0))
         k_mix = lam_prime * k_t + (1.0 - lam_prime) * k_s  # blended, not renormalized
         den = np.concatenate(([q @ k_t], [q @ k_s], bank @ q)) / t
         oracle_mix = _lse(den) - (q @ k_mix) / t
-        worst_mix = max(worst_mix, abs(
-            float(L.mixlrco_loss(q, k_mix, k_t, k_s, bank, t)) - oracle_mix))
+        value_mix = float(L.mixlrco_batch(q.reshape(1, -1), k_mix.reshape(1, -1),
+                                          k_t.reshape(1, -1), k_s.reshape(1, -1), bank, t))
+        worst_mix = max(worst_mix, abs(value_mix - oracle_mix))
 
     assert worst_single < 1e-10
     assert worst_mix < 1e-10
@@ -167,7 +169,9 @@ def test_03_mix_loss_is_nonnegative():
         lam = float(rng.uniform(0.0, 1.0))
         lam_prime = max(lam, 1.0 - lam)
         k_mix = lam_prime * k_t + (1.0 - lam_prime) * k_s
-        value = float(L.mixlrco_loss(q, k_mix, k_t, k_s, _unit_rows(rng, n_bank, d), t))
+        value = float(L.mixlrco_batch(q.reshape(1, -1), k_mix.reshape(1, -1),
+                                      k_t.reshape(1, -1), k_s.reshape(1, -1),
+                                      _unit_rows(rng, n_bank, d), t))
         smallest = min(smallest, value)
         assert value >= 0.0
     print(f"ACCEPTANCE 03 mix-loss-nonnegative: PASS (10000 instances, "

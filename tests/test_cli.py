@@ -7,7 +7,7 @@ from lrco.cli import (
     main,
 )
 from lrco.data import load_dataset
-from lrco.trainer import load_checkpoint
+from lrco.trainer import load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
 FAST = [
@@ -126,6 +126,34 @@ def test_analyze_writes_three_tables(tmp_path, capsys):
     assert len(topk) == 2 + 3  # meta + header + k_max=min(10, K=3)
     sim = (adir / "similarity_run-run0_step-4_target.csv").read_text()
     assert "feature_mode=rerep" in sim
+
+
+def test_resume_refuses_checkpoint_without_dynamics_hash(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
+    ck = load_checkpoint(out / "checkpoint_final.npz")
+    unhashed = tmp_path / "unhashed.npz"
+    save_checkpoint(unhashed, student=ck.student, teacher=ck.teacher,
+                    velocities=ck.velocities, bank=ck.bank, step=ck.step, tau=ck.tau,
+                    seed=ck.seed, config_hash=ck.config_hash)
+    capsys.readouterr()
+    code = run_cli("train", "--out", str(tmp_path / "run2"), "--resume", str(unhashed),
+                   *FAST)
+    assert code == EXIT_INVALID_CONFIG
+    assert "no dynamics hash" in capsys.readouterr().err
+
+
+def test_resume_refuses_checkpoint_of_another_shape(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
+    capsys.readouterr()
+    for override in ("data.input_dim=4", "data.n_classes=2"):
+        code = run_cli("train", "--out", str(tmp_path / "run2"),
+                       "--resume", str(out / "checkpoint_final.npz"), *FAST,
+                       "--set", override)
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "checkpoint model has input_dim=3 n_classes=3" in err, override
 
 
 def test_missing_files_exit_3(tmp_path, capsys):

@@ -1,8 +1,10 @@
+from dataclasses import fields, make_dataclass
+
 import pytest
 
 from lrco.config import (
-    apply_overrides, canonical_text, config_hash, default_run_config,
-    dynamics_hash, load_config, parse_config_text,
+    FIELD_PARSERS, _section_parsers, apply_overrides, canonical_text, config_hash,
+    default_run_config, dynamics_hash, load_config, parse_config_text,
 )
 from lrco.errors import ConfigError
 
@@ -134,3 +136,12 @@ def test_float_rendering_roundtrips_exactly():
     reparsed = parse_config_text(text)
     assert reparsed.train.learning_rate == cfg.train.learning_rate
     assert "train.learning_rate=0.10000000000000001" in text
+
+
+def test_field_parsers_follow_the_dataclass_fields():
+    cfg = default_run_config()
+    for section, parsers in FIELD_PARSERS.items():
+        assert list(parsers) == [f.name for f in fields(getattr(cfg, section))]
+    assert sum(len(p) for p in FIELD_PARSERS.values()) == 43
+    with pytest.raises(TypeError, match="no config parser for Odd.when"):
+        _section_parsers(make_dataclass("Odd", [("when", "datetime")]))

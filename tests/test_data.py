@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrco.data import (
-    AugmentSpec, BenchmarkSpec, Sample, batch_iter, benchmark_spec_hash,
+    AugmentSpec, BenchmarkSpec, Sample, benchmark_spec_hash,
     generate_shift_benchmark, load_dataset, pack_inputs, pack_labels,
     save_dataset, strong_augment, weak_augment,
 )
@@ -210,30 +210,6 @@ def test_augment_spec_validation():
         AugmentSpec(sigma_weak=0.3, sigma_strong=0.1).validate()
     with pytest.raises(ValueError):
         AugmentSpec(mask_prob=1.0).validate()
-
-
-# --- batching ---------------------------------------------------------------------
-
-def test_batch_iter_covers_epoch_once():
-    samples = [Sample(x=np.array([float(i)]), label=0, domain="source")
-               for i in range(23)]
-    batches = list(batch_iter(samples, 5, SeededRng(0).substream("b")))
-    assert [len(b) for b in batches] == [5, 5, 5, 5, 3]
-    seen = sorted(float(s.x[0]) for b in batches for s in b)
-    assert seen == [float(i) for i in range(23)]
-
-
-def test_batch_iter_shuffles():
-    samples = [Sample(x=np.array([float(i)]), label=0, domain="source")
-               for i in range(40)]
-    flat = [s.x[0] for b in batch_iter(samples, 8, SeededRng(1).substream("b"))
-            for s in b]
-    assert flat != [float(i) for i in range(40)]
-
-
-def test_batch_iter_rejects_bad_size():
-    with pytest.raises(ValueError):
-        list(batch_iter([], 0, SeededRng(0)))
 
 
 # --- dataset files -----------------------------------------------------------------

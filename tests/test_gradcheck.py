@@ -81,3 +81,11 @@ def test_mix_instance_exercises_mix_branch():
         if inst["batches"]["mix"].mix is not None:
             built += 1
     assert built >= 3  # nearly always present; never all missing
+
+
+def test_masked_strong_view_instances_complete():
+    # with zero initial biases, these instances met a fully masked strong view
+    # whose zero feature could not be normalized
+    for index, seed in ((0, 24), (3, 5)):
+        result = check_instance(index, seed=seed)
+        assert max(result.errors.values()) < 1e-4

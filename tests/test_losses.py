@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrco import autodiff as ad
+from lrco.data import AugmentSpec
 from lrco.losses import (
-    MixDraw, build_mix_pair, confidence_split, contrastive_batch, cross_entropy,
-    cross_entropy_batch, draw_mix, entropy_alignment, fixmatch_loss, kld_reg,
-    kld_uniform_batch, lrco_loss, make_pseudo_label, mixlrco_batch, mixlrco_loss,
-    naive_contrastive, re_represent, re_represent_batch,
+    MixDraw, contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
+    kld_uniform_batch, make_pseudo_label, mixlrco_batch, re_represent_batch,
 )
-from lrco.numerics import SeededRng, l2_normalize
+from lrco.membank import MemoryBank
+from lrco.model import ModelConfig, features_of, init_model, probs_of
+from lrco.numerics import SeededRng
+from lrco.trainer import TrainConfig, prepare_step, step_objective
 
 
 def unit_rows(rng, n, d):
@@ -21,6 +23,20 @@ def unit_rows(rng, n, d):
 def logsumexp_direct(v):
     m = np.max(v)
     return m + np.log(np.sum(np.exp(v - m)))
+
+
+def row(v):
+    return np.asarray(v, dtype=np.float64).reshape(1, -1)
+
+
+def contrastive_one(q, k, bank, t_co):
+    """InfoNCE of one query: a one-row contrastive_batch."""
+    return contrastive_batch(row(q), row(k), bank, t_co)
+
+
+def mixlrco_one(q, k_mix, k_t, k_s, bank, t_co):
+    """Mixed-pair loss of one query: a one-row mixlrco_batch."""
+    return mixlrco_batch(row(q), row(k_mix), row(k_t), row(k_s), bank, t_co)
 
 
 # --- pseudo labels and the confidence split --------------------------------------
@@ -40,39 +56,56 @@ def test_pseudo_label_validates_probs():
         make_pseudo_label(np.array([-0.1, 1.1]), tau=0.5)
 
 
+def _split_step(n, seed, tau):
+    """prepare_step on n random target rows with a freshly initialized teacher,
+    the teacher's max probability per row computed independently, and the
+    teacher."""
+    cfg = TrainConfig(method="strong", seed=seed)
+    mc = ModelConfig(input_dim=2, hidden_dims=(6,), feature_dim=5, n_classes=3,
+                     t_ce=cfg.t_ce, t_re=cfg.resolved_t_re())
+    teacher = init_model(mc, SeededRng(seed).substream("init"))
+    rng = SeededRng(seed + 100)
+    lab_x = np.asarray(rng.normal(size=(4, 2)))
+    unl_x = np.asarray(rng.normal(size=(n, 2)))
+    sb = prepare_step(teacher, teacher, MemoryBank(4), lab_x,
+                      np.zeros(4, dtype=np.int64), np.ones(4, dtype=bool), unl_x,
+                      cfg, AugmentSpec(), tau, step=1)
+    maxp = np.max(probs_of(teacher, features_of(teacher, sb.unlabeled_weak)), axis=1)
+    return sb, maxp, teacher
+
+
 def test_confidence_split_all_high_all_low():
-    high = [make_pseudo_label(np.array([1.0, 0.0]), 0.9) for _ in range(4)]
-    hi, lo = confidence_split(high)
-    assert len(hi) == 4 and len(lo) == 0
-    low = [make_pseudo_label(np.array([0.5, 0.5]), 0.9) for _ in range(3)]
-    hi, lo = confidence_split(low)
-    assert len(hi) == 0 and len(lo) == 3
+    sb, _, _ = _split_step(4, seed=0, tau=0.0)
+    assert len(sb.high_idx) == 4 and len(sb.low_idx) == 0
+    sb, _, _ = _split_step(3, seed=0, tau=1.0)  # the gate is strict: p > tau
+    assert len(sb.high_idx) == 0 and len(sb.low_idx) == 3
 
 
-@given(st.lists(st.floats(min_value=0.34, max_value=1.0), min_size=1, max_size=30),
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6),
        st.floats(min_value=0.35, max_value=0.99))
 @settings(max_examples=40, deadline=None)
-def test_confidence_split_partitions(maxps, tau):
-    batch = []
-    for mp in maxps:
-        rest = (1.0 - mp) / 2.0
-        batch.append(make_pseudo_label(np.array([mp, rest, rest]), tau))
-    hi, lo = confidence_split(batch)
-    assert len(hi) + len(lo) == len(batch)
-    assert all(pl.confident for pl in hi)
-    assert all(not pl.confident for pl in lo)
+def test_confidence_split_partitions(n, seed, tau):
+    sb, maxp, _ = _split_step(n, seed, tau)
+    assert len(sb.high_idx) + len(sb.low_idx) == n
+    assert all(maxp[i] > tau for i in sb.high_idx)
+    assert all(not maxp[i] > tau for i in sb.low_idx)
     # order preserved within groups
-    assert [id(p) for p in hi] == [id(p) for p in batch if p.confident]
+    assert sb.high_idx.tolist() == [i for i in range(n) if maxp[i] > tau]
+    assert sb.low_idx.tolist() == [i for i in range(n) if not maxp[i] > tau]
 
 
 # --- cross entropy / entropy / fixmatch / kld ------------------------------------
 
+def cross_entropy_one(p, label):
+    return float(cross_entropy_batch(row(p), np.array([label])))
+
+
 def test_cross_entropy_values():
     one_hot = np.array([0.0, 1.0, 0.0])
-    assert cross_entropy(one_hot, 1) == 0.0
+    assert cross_entropy_one(one_hot, 1) == 0.0
     uniform4 = np.full(4, 0.25)
-    assert abs(cross_entropy(uniform4, 2) - 1.3862943611198906) < 1e-12
-    assert abs(cross_entropy(np.array([0.7, 0.3]), 0) - 0.35667494393873245) < 1e-12
+    assert abs(cross_entropy_one(uniform4, 2) - 1.3862943611198906) < 1e-12
+    assert abs(cross_entropy_one(np.array([0.7, 0.3]), 0) - 0.35667494393873245) < 1e-12
 
 
 def test_cross_entropy_batch_is_mean():
@@ -88,22 +121,34 @@ def test_entropy_alignment_values():
     assert abs(float(entropy_alignment(np.array([[0.9, 0.1]]))) - 0.3250829733914482) < 1e-12
 
 
+# The pseudo-label's confidence flag is the gate of both consistency terms: it
+# decides whether a row is in high_idx, the rows the trainer passes to them.
+
+def _terms_without_confident_rows():
+    sb, _, teacher = _split_step(4, seed=0, tau=1.0)
+    assert len(sb.high_idx) == 0
+    return step_objective(teacher, sb, TrainConfig(method="strong"))[1]
+
+
 def test_fixmatch_gate_and_values():
+    assert _terms_without_confident_rows()["fixmatch"] == 0.0
     low = make_pseudo_label(np.array([0.6, 0.4]), tau=0.9)
-    assert fixmatch_loss(low, np.array([0.01, 0.99]), 0.9) == 0.0
+    assert not low.confident
     high = make_pseudo_label(np.array([0.95, 0.05]), tau=0.9)
-    assert float(fixmatch_loss(high, np.array([1.0, 0.0]), 0.9)) == 0.0
-    assert abs(float(fixmatch_loss(high, np.array([0.5, 0.5]), 0.9))
+    assert high.confident
+    assert cross_entropy_one(np.array([1.0, 0.0]), high.label) == 0.0
+    assert abs(cross_entropy_one(np.array([0.5, 0.5]), high.label)
                - 0.6931471805599453) < 1e-12
 
 
 def test_kld_reg_gate_and_values():
     high = make_pseudo_label(np.array([0.95, 0.05]), tau=0.9)
     low = make_pseudo_label(np.array([0.6, 0.4]), tau=0.9)
-    assert kld_reg(low, np.array([0.9, 0.1]), 2) == 0.0
-    assert abs(float(kld_reg(high, np.array([0.9, 0.1]), 2)) - 1.203972804325936) < 1e-12
+    assert high.confident and not low.confident
+    assert _terms_without_confident_rows()["kld"] == 0.0
+    assert abs(float(kld_uniform_batch(row([0.9, 0.1]), 2)) - 1.203972804325936) < 1e-12
     # uniform output is the global minimum: ln K
-    assert abs(float(kld_reg(high, np.array([0.5, 0.5]), 2)) - 0.6931471805599453) < 1e-12
+    assert abs(float(kld_uniform_batch(row([0.5, 0.5]), 2)) - 0.6931471805599453) < 1e-12
 
 
 def test_kld_uniform_is_minimized_at_uniform():
@@ -120,7 +165,7 @@ def test_kld_uniform_is_minimized_at_uniform():
 def test_re_represent_identity_classifier():
     w = np.eye(3)
     f = np.array([1.0, 0.0, 0.0])
-    r = np.asarray(re_represent(f, w, t_re=1.0))
+    r = np.asarray(re_represent_batch(row(f), w, t_re=1.0))[0]
     # attention = softmax([1,0,0]) and rows are unit axes -> r = l2(softmax)
     att = np.exp([1.0, 0.0, 0.0])
     att = att / att.sum()
@@ -130,7 +175,7 @@ def test_re_represent_identity_classifier():
 def test_re_represent_symmetric_fixed_point():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     f = np.array([1.0, 1.0]) / np.sqrt(2)
-    r = np.asarray(re_represent(f, w, t_re=1.0))
+    r = np.asarray(re_represent_batch(row(f), w, t_re=1.0))[0]
     np.testing.assert_allclose(r, f, atol=1e-12)
 
 
@@ -138,7 +183,7 @@ def test_re_represent_lies_in_row_span():
     rng = SeededRng(3)
     w = np.asarray(rng.normal(size=(5, 8)))
     f = np.asarray(rng.normal(size=8))
-    r = np.asarray(re_represent(f, w, t_re=0.5))
+    r = np.asarray(re_represent_batch(row(f), w, t_re=0.5))[0]
     assert abs(np.linalg.norm(r) - 1.0) < 1e-9
     # residual after projecting onto the row space must vanish
     q, _ = np.linalg.qr(w.T)  # columns span row space of w
@@ -177,7 +222,7 @@ def test_re_represent_nodetach_reaches_classifier():
 
 def test_naive_contrastive_empty_bank_zero():
     q = np.array([1.0, 0.0])
-    assert naive_contrastive(q, q, np.zeros((0, 2)), 0.3) == 0.0
+    assert contrastive_one(q, q, np.zeros((0, 2)), 0.3) == 0.0
 
 
 def test_naive_contrastive_symmetric_ln4():
@@ -185,7 +230,7 @@ def test_naive_contrastive_symmetric_ln4():
     q = np.array([1.0, 0.0])
     k = np.array([1.0, 0.0])
     bank = np.stack([k, k, k])
-    v = float(naive_contrastive(q, k, bank, 0.3))
+    v = float(contrastive_one(q, k, bank, 0.3))
     assert abs(v - np.log(4.0)) < 1e-12
 
 
@@ -196,7 +241,7 @@ def test_naive_contrastive_frozen_value():
     k = np.array([0.9, np.sqrt(1 - 0.81), 0.0])
     n1 = np.array([0.1, 0.0, np.sqrt(1 - 0.01)])
     n2 = np.array([0.2, 0.0, np.sqrt(1 - 0.04)])
-    v = float(naive_contrastive(q, k, np.stack([n1, n2]), 0.3))
+    v = float(contrastive_one(q, k, np.stack([n1, n2]), 0.3))
     assert abs(v - 0.15396959407840075) < 1e-12
     assert abs(v - 0.15395) < 2e-5
 
@@ -204,20 +249,12 @@ def test_naive_contrastive_frozen_value():
 def test_contrastive_rejects_non_unit():
     q = np.array([2.0, 0.0])
     with pytest.raises(ValueError):
-        naive_contrastive(q, np.array([1.0, 0.0]), np.zeros((0, 2)), 0.3)
-
-
-def test_lrco_equals_naive_on_same_vectors():
-    rng = SeededRng(7)
-    q = unit_rows(rng, 1, 5)[0]
-    k = unit_rows(rng, 1, 5)[0]
-    bank = unit_rows(rng, 6, 5)
-    assert float(lrco_loss(q, k, bank, 0.3)) == float(naive_contrastive(q, k, bank, 0.3))
+        contrastive_one(q, np.array([1.0, 0.0]), np.zeros((0, 2)), 0.3)
 
 
 def test_lrco_symmetric_ln2():
     q = np.array([0.0, 1.0])
-    assert abs(float(lrco_loss(q, q, q[None, :], 0.3)) - np.log(2.0)) < 1e-12
+    assert abs(float(contrastive_one(q, q, q[None, :], 0.3)) - np.log(2.0)) < 1e-12
 
 
 def test_contrastive_matches_independent_oracle():
@@ -228,7 +265,7 @@ def test_contrastive_matches_independent_oracle():
         k = unit_rows(rng, 1, d)[0]
         bank = unit_rows(rng, 1 + trial % 7, d)
         t = 0.1 + 0.4 * float(rng.uniform())
-        mine = float(lrco_loss(q, k, bank, t))
+        mine = float(contrastive_one(q, k, bank, t))
         sims = np.concatenate([[q @ k], bank @ q]) / t
         oracle = logsumexp_direct(sims) - sims[0]
         assert abs(mine - oracle) < 1e-10
@@ -240,7 +277,7 @@ def test_contrastive_batch_is_rowwise_mean():
     k = unit_rows(rng, 4, 6)
     bank = unit_rows(rng, 5, 6)
     batch = float(contrastive_batch(q, k, bank, 0.3))
-    singles = [float(lrco_loss(q[i], k[i], bank, 0.3)) for i in range(4)]
+    singles = [float(contrastive_one(q[i], k[i], bank, 0.3)) for i in range(4)]
     assert abs(batch - np.mean(singles)) < 1e-12
 
 
@@ -278,35 +315,49 @@ def test_draw_mix_no_dominance_keeps_raw_lambda():
     assert d.lam_prime == d.lam
 
 
-def test_build_mix_pair_endpoint_and_midpoint():
-    rng = SeededRng(15)
-    w = np.asarray(rng.normal(size=(3, 4)))
-    f_t = np.asarray(rng.normal(size=4))
-    f_s = np.asarray(rng.normal(size=4))
-    x_t = np.array([1.0, 0.0])
-    x_s = np.array([0.0, 1.0])
+def _mix_step(n_rows, seed):
+    """A mixlrco prepare_step whose n_rows target rows are all low-confidence.
 
-    pair = build_mix_pair(x_t, x_s, f_t, f_s, MixDraw(1.0, 1.0), w, t_re=0.5)
-    np.testing.assert_allclose(pair.x_mix, x_t, atol=1e-15)
-    np.testing.assert_allclose(pair.k_mix, pair.k_target, atol=1e-15)
+    The augmentations are switched off, so the mixed rows blend the raw target
+    rows with the raw rows of their source partners.
+    """
+    cfg = TrainConfig(method="mixlrco", seed=seed)
+    mc = ModelConfig(input_dim=2, hidden_dims=(6,), feature_dim=5, n_classes=4,
+                     t_ce=0.4, t_re=0.4)
+    teacher = init_model(mc, SeededRng(seed).substream("init"))
+    rng = SeededRng(seed + 100)
+    lab_x = np.asarray(rng.normal(size=(8, 2)))
+    unl_x = np.asarray(rng.normal(size=(n_rows, 2)))
+    bank = MemoryBank(8)
+    bank.push_batch(np.eye(5)[:3])
+    no_noise = AugmentSpec(sigma_weak=0.0, sigma_strong=0.0, mask_prob=0.0,
+                           scale_jitter=0.0)
+    sb = prepare_step(teacher, teacher, bank, lab_x, np.zeros(8, dtype=np.int64),
+                      np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1)
+    assert sb.mix is not None and len(sb.mix.target_rows) == n_rows
+    return sb.mix, unl_x[sb.mix.target_rows], lab_x[sb.mix.source_rows]
 
-    pair_half = build_mix_pair(x_t, x_s, f_t, f_s, MixDraw(0.5, 0.5), w, t_re=0.5)
-    np.testing.assert_allclose(pair_half.x_mix, [0.5, 0.5], atol=1e-15)
+
+def test_build_mix_pair_endpoint_and_midpoint(monkeypatch):
+    # MixSelection built by the trainer, with the mixing weight pinned
+    from lrco import losses
+    for lam_p in (1.0, 0.5):
+        monkeypatch.setattr(losses, "draw_mix",
+                            lambda alpha, rng, dominant=True: MixDraw(lam_p, lam_p))
+        mix, x_t, x_s = _mix_step(3, seed=15)
+        if lam_p == 1.0:
+            np.testing.assert_allclose(mix.x_mix, x_t, atol=1e-15)
+            np.testing.assert_allclose(mix.k_mix, mix.k_target, atol=1e-15)
+        else:
+            np.testing.assert_allclose(mix.x_mix, 0.5 * (x_t + x_s), atol=1e-15)
 
 
 def test_k_mix_norm_at_most_one_not_renormalized():
-    rng = SeededRng(16)
-    w = np.asarray(rng.normal(size=(4, 5)))
-    for _ in range(50):
-        f_t = np.asarray(rng.normal(size=5))
-        f_s = np.asarray(rng.normal(size=5))
-        lam = float(rng.uniform())
-        lam_p = max(lam, 1 - lam)
-        pair = build_mix_pair(np.ones(2), np.zeros(2), f_t, f_s,
-                              MixDraw(lam, lam_p), w, t_re=0.4)
-        norm = np.linalg.norm(pair.k_mix)
+    mix, _, _ = _mix_step(50, seed=16)
+    for k_mix, k_t, k_s, lam_p in zip(mix.k_mix, mix.k_target, mix.k_source, mix.lam_prime):
+        norm = np.linalg.norm(k_mix)
         assert norm <= 1.0 + 1e-12
-        same_key = np.allclose(pair.k_target, pair.k_source, atol=1e-12)
+        same_key = np.allclose(k_t, k_s, atol=1e-12)
         if not same_key and 1e-9 < lam_p < 1 - 1e-9:
             assert norm < 1.0  # strict unless endpoints coincide
 
@@ -318,7 +369,7 @@ def test_mixlrco_endpoint_reduction():
     k_t = unit_rows(rng, 1, 4)[0]
     k_s = unit_rows(rng, 1, 4)[0]
     t = 0.3
-    v = float(mixlrco_loss(q, k_t, k_t, k_s, np.zeros((0, 4)), t))
+    v = float(mixlrco_one(q, k_t, k_t, k_s, np.zeros((0, 4)), t))
     h = lambda a, b: np.exp(a @ b / t)
     direct = -np.log(h(q, k_t) / (h(q, k_t) + h(q, k_s)))
     assert abs(v - direct) < 1e-10
@@ -330,7 +381,7 @@ def test_mixlrco_symmetric_ln4():
     q = np.array([1.0, 0.0])
     k = np.array([1.0, 0.0])
     bank = np.stack([k, k])
-    v = float(mixlrco_loss(q, k, k, k, bank, 0.3))
+    v = float(mixlrco_one(q, k, k, k, bank, 0.3))
     assert abs(v - np.log(4.0)) < 1e-12
 
 
@@ -345,7 +396,7 @@ def test_mixlrco_matches_independent_oracle():
         k_mix = lam_p * k_t + (1 - lam_p) * k_s
         bank = unit_rows(rng, 1 + trial % 5, d)
         t = 0.15 + 0.4 * float(rng.uniform())
-        mine = float(mixlrco_loss(q, k_mix, k_t, k_s, bank, t))
+        mine = float(mixlrco_one(q, k_mix, k_t, k_s, bank, t))
         den = np.concatenate([[q @ k_t], [q @ k_s], bank @ q]) / t
         oracle = logsumexp_direct(den) - (q @ k_mix) / t
         assert abs(mine - oracle) < 1e-10
@@ -361,7 +412,7 @@ def test_mixlrco_batch_is_rowwise_mean():
     k_mix = lam_p[:, None] * k_t + (1 - lam_p)[:, None] * k_s
     bank = unit_rows(rng, 6, 5)
     batch = float(mixlrco_batch(q, k_mix, k_t, k_s, bank, 0.3))
-    singles = [float(mixlrco_loss(q[i], k_mix[i], k_t[i], k_s[i], bank, 0.3))
+    singles = [float(mixlrco_one(q[i], k_mix[i], k_t[i], k_s[i], bank, 0.3))
                for i in range(3)]
     assert abs(batch - np.mean(singles)) < 1e-12
 

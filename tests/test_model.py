@@ -3,11 +3,21 @@ import pytest
 
 from lrco.errors import ShapeMismatchError
 from lrco.model import (
-    ModelConfig, ModelState, classify_probs, clone_state, compute_gradients,
-    ema_update, features_of, forward_features, get_param_vector, init_model,
-    probs_of, state_arrays, state_from_arrays, states_allclose, with_param_vector,
+    ModelConfig, ModelState, clone_state, compute_gradients, ema_update,
+    features_of, get_param_vector, init_model, probs_of, state_arrays,
+    state_from_arrays, states_allclose, with_param_vector,
 )
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
+
+
+def forward_one(m, x):
+    """Feature of one input: a one-row features_of."""
+    return np.asarray(features_of(m, np.asarray(x, dtype=np.float64).reshape(1, -1)))[0]
+
+
+def classify_one(m, f):
+    """Class probabilities of one raw feature: a one-row probs_of."""
+    return np.asarray(probs_of(m, np.asarray(f, dtype=np.float64).reshape(1, -1)))[0]
 
 
 def small_config(**kw):
@@ -66,7 +76,7 @@ def test_forward_zero_weights_gives_zero_feature():
     m = init_model(small_config(), SeededRng(0))
     for w in m.weights:
         w[...] = 0.0
-    out = forward_features(m, np.array([1.0, -2.0, 0.5]))
+    out = forward_one(m, np.array([1.0, -2.0, 0.5]))
     np.testing.assert_allclose(out, np.zeros(5))
 
 
@@ -77,7 +87,7 @@ def test_forward_identity_single_layer():
     m.weights[0][...] = np.eye(4)
     m.biases[0][...] = 0.0
     x = np.array([0.3, -1.2, 2.0, 0.0])
-    np.testing.assert_allclose(forward_features(m, x), x, atol=1e-15)
+    np.testing.assert_allclose(forward_one(m, x), x, atol=1e-15)
 
 
 def test_forward_matches_manual_composition():
@@ -86,19 +96,13 @@ def test_forward_matches_manual_composition():
     h = np.tanh(x @ m.weights[0] + m.biases[0])
     h = np.tanh(h @ m.weights[1] + m.biases[1])
     manual = h @ m.weights[2] + m.biases[2]
-    np.testing.assert_allclose(forward_features(m, x), manual, atol=1e-15)
-
-
-def test_forward_shape_mismatch():
-    m = init_model(small_config(), SeededRng(0))
-    with pytest.raises(ShapeMismatchError):
-        forward_features(m, np.ones(7))
+    np.testing.assert_allclose(forward_one(m, x), manual, atol=1e-15)
 
 
 def test_classify_orthogonal_feature_uniform():
     m = init_model(small_config(feature_dim=3, n_classes=2), SeededRng(0))
     m.classifier[...] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    p = classify_probs(m, np.array([0.0, 0.0, 2.0]))
+    p = classify_one(m, np.array([0.0, 0.0, 2.0]))
     np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
 
@@ -106,20 +110,20 @@ def test_classify_parallel_row_value():
     # sims (1, 0) at T=1 -> e/(e+1)
     m = init_model(small_config(feature_dim=3, n_classes=2, t_ce=1.0), SeededRng(0))
     m.classifier[...] = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-    p = classify_probs(m, np.array([5.0, 0.0, 0.0]))
+    p = classify_one(m, np.array([5.0, 0.0, 0.0]))
     np.testing.assert_allclose(p, [0.7310585786300049, 0.2689414213699951], atol=1e-12)
 
 
 def test_classify_scale_invariance():
     m = init_model(small_config(), SeededRng(2))
     f = np.array([0.4, -0.2, 0.9, 0.1, -0.6])
-    p1 = classify_probs(m, f)
-    p2 = classify_probs(m, 37.5 * f)
+    p1 = classify_one(m, f)
+    p2 = classify_one(m, 37.5 * f)
     np.testing.assert_allclose(p1, p2, atol=1e-12)
     # scaling classifier rows positively also leaves probabilities unchanged
     m2 = clone_state(m)
     m2.classifier[...] *= np.array([[2.0], [9.0]])
-    np.testing.assert_allclose(classify_probs(m2, f), p1, atol=1e-12)
+    np.testing.assert_allclose(classify_one(m2, f), p1, atol=1e-12)
 
 
 def test_probs_rows_sum_to_one():
@@ -195,8 +199,9 @@ def test_state_arrays_roundtrip():
 
 def test_compute_gradients_constant_loss_zero_tape():
     m = init_model(small_config(), SeededRng(0))
-    tape = compute_gradients(m, lambda params: 1.25)
-    assert np.all(tape.flatten() == 0.0)
+    grads = compute_gradients(m, lambda params: 1.25)
+    assert list(grads) == list(state_arrays(m))
+    assert all(np.all(g == 0.0) for g in grads.values())
 
 
 def test_compute_gradients_vs_finite_difference():
@@ -208,7 +213,8 @@ def test_compute_gradients_vs_finite_difference():
         from lrco.losses import cross_entropy_batch
         return cross_entropy_batch(probs_of(params, features_of(params, x)), y)
 
-    analytic = compute_gradients(m, loss_fn).flatten()
+    grads = compute_gradients(m, loss_fn)
+    analytic = np.concatenate([g.ravel() for g in grads.values()])
 
     def scalar(vec):
         from lrco.autodiff import value_of

@@ -366,6 +366,25 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         np.testing.assert_array_equal(ck.velocities[name], arr)
 
 
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
+    state = dict(student=student, teacher=teacher, velocities=init_velocities(student),
+                 bank=bank, tau=0.7, seed=cfg.seed)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, step=1, **state)
+    before = path.read_bytes()
+
+    def interrupted(file, *args, **kwds):
+        file.write(b"PK\x03\x04 partial")
+        raise OSError("write interrupted")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(OSError, match="write interrupted"):
+        save_checkpoint(path, step=2, **state)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+
+
 def test_resume_reproduces_straight_run(tmp_path):
     bench = small_benchmark(seed=2)
     kw = dict(hidden_dims=(6,), feature_dim=5)
