@@ -23,7 +23,7 @@ class Tensor:
 
     def __init__(self, value, parents=(), backward_fn=None, requires_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(p for p in parents if isinstance(p, Tensor))
+        self.parents = parents  # every op passes a tuple of Tensors
         self.backward_fn = backward_fn
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p in self.parents)
@@ -34,6 +34,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
+            if type(g) is np.ndarray and g.ndim and g.shape == self.value.shape:
+                # A fresh array; + 0.0 maps -0.0 to +0.0 exactly as zeros + g
+                # does. (For a 0-d g it would give a numpy scalar instead.)
+                self.grad = g + 0.0
+                return
             self.grad = np.zeros_like(self.value)
         self.grad += g
 
@@ -166,12 +171,10 @@ def matmul(a, b, transpose_b: bool = False):
     out = Tensor(a.value @ bv, parents=(a, b))
 
     def backward_fn(g):
-        if transpose_b:
-            a.accumulate(g @ b.value)
-            b.accumulate(g.T @ a.value)
-        else:
-            a.accumulate(g @ b.value.T)
-            b.accumulate(a.value.T @ g)
+        if a.requires_grad:
+            a.accumulate(g @ b.value if transpose_b else g @ b.value.T)
+        if b.requires_grad:
+            b.accumulate(g.T @ a.value if transpose_b else a.value.T @ g)
 
     out.backward_fn = backward_fn
     return out
@@ -245,7 +248,7 @@ def normalize_rows(a):
     """l2-normalize along the last axis; degenerate rows raise."""
     if not is_tensor(a):
         return numerics.normalize_last(value_of(a))
-    norms = np.linalg.norm(a.value, axis=-1, keepdims=True)
+    norms = numerics.norm_last(a.value)
     if np.any(norms < numerics.NORM_EPS):
         raise DegenerateFeatureError(
             f"cannot normalize vector with norm below {numerics.NORM_EPS}"
@@ -284,8 +287,10 @@ def rowwise_dot(a, b):
 
     def backward_fn(g):
         ge = np.expand_dims(g, -1) if a.value.ndim == 2 else g
-        a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
-        b.accumulate(_unbroadcast(ge * a.value, b.value.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(ge * a.value, b.value.shape))
 
     out.backward_fn = backward_fn
     return out
@@ -333,10 +338,11 @@ def hstack_cols(parts):
     def backward_fn(g):
         offset = 0
         for tensor, width in zip(tensors, widths):
-            piece = g[:, offset : offset + width]
-            if tensor.value.ndim == 1:
-                piece = piece.reshape(-1)
-            tensor.accumulate(piece)
+            if tensor.requires_grad:
+                piece = g[:, offset : offset + width]
+                if tensor.value.ndim == 1:
+                    piece = piece.reshape(-1)
+                tensor.accumulate(piece)
             offset += width
 
     out.backward_fn = backward_fn

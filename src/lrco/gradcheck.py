@@ -146,9 +146,7 @@ def _term_functions(inst) -> dict[str, object]:
             return 0.0
         probs = probs_of(m, features_of(m, sb_rerep.unlabeled_strong))
         picked = ad.take_rows(probs, sb_rerep.high_idx)
-        hard = np.array([sb_rerep.pseudo[i].label for i in sb_rerep.high_idx],
-                        dtype=np.int64)
-        return L.cross_entropy_batch(picked, hard)
+        return L.cross_entropy_batch(picked, sb_rerep.pseudo[sb_rerep.high_idx])
 
     def uniform_kld(m):
         if len(sb_rerep.high_idx) == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .numerics import SeededRng, sample_beta
+from .numerics import SeededRng, norm_last, sample_beta
 
 UNIT_NORM_TOL = 1e-6
 
@@ -32,22 +32,32 @@ class PseudoLabel:
     confident: bool
 
 
+def _check_probability_rows(probs: np.ndarray) -> None:
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6) or np.any(probs < 0):
+        raise ValueError("probs must be a valid probability vector")
+
+
 def make_pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabel:
     """Hard pseudo-label with a confidence gate at threshold tau."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("probs must be a 1-D probability vector")
-    if abs(float(probs.sum()) - 1.0) > 1e-6 or np.any(probs < 0):
-        raise ValueError("probs must be a valid probability vector")
+    _check_probability_rows(probs)
     label = int(np.argmax(probs))
     max_prob = float(probs[label])
     return PseudoLabel(probs=probs, label=label, max_prob=max_prob,
                        confident=max_prob > tau)
 
 
+def pseudo_labels(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """make_pseudo_label for every row of a probability matrix at once:
+    the int64 hard labels and the boolean confidence flags."""
+    _check_probability_rows(probs)
+    return np.argmax(probs, axis=1), probs.max(axis=1) > tau
+
+
 def _check_unit_rows(x, name: str) -> None:
-    v = ad.value_of(x)
-    norms = np.linalg.norm(v, axis=-1)
+    norms = norm_last(ad.value_of(x))
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ValueError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
 
@@ -159,7 +169,7 @@ def mixlrco_batch(q_rows, k_mix_rows, k_target_rows, k_source_rows,
     _check_unit_rows(k_target_rows, "target keys")
     _check_unit_rows(k_source_rows, "source keys")
     k_mix_v = ad.value_of(k_mix_rows)
-    if np.any(np.linalg.norm(k_mix_v, axis=-1) > 1.0 + UNIT_NORM_TOL):
+    if np.any(norm_last(k_mix_v) > 1.0 + UNIT_NORM_TOL):
         raise ValueError("blended keys must have norm <= 1")
     bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
     num = ad.scale(ad.rowwise_dot(q_rows, k_mix_rows), 1.0 / t_co)

@@ -2,28 +2,32 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .losses import UNIT_NORM_TOL
+from .numerics import norm_last
 
 
 class MemoryBank:
     """Queue of teacher keys; oldest entries fall out once capacity is reached.
 
-    The bank is never flushed during a run; it only ever evolves by pushes.
+    The keys live in a ring buffer of ``capacity`` rows, like MoCo's key
+    queue: ``_start`` is the row of the oldest key and ``_size`` the number
+    of keys held. The bank is never flushed during a run; it only ever
+    evolves by pushes.
     """
 
     def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._entries: deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._rows: np.ndarray | None = None  # (capacity, dim) once dim is known
+        self._start = 0
+        self._size = 0
         self._dim: int | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     @property
     def dim(self) -> int | None:
@@ -44,33 +48,45 @@ class MemoryBank:
             raise ValueError(
                 f"key dim {keys.shape[1]} does not match bank dim {self._dim}"
             )
-        norms = np.linalg.norm(keys, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if np.any(np.abs(norm_last(keys) - 1.0) > UNIT_NORM_TOL):
             raise ValueError(
                 f"bank keys must be unit-normalized (tolerance {UNIT_NORM_TOL})"
             )
-        for row in keys:
-            self._entries.append(row.copy())
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, self._dim))
+        cap = self.capacity
+        keys = keys[-cap:]
+        n = keys.shape[0]
+        end = (self._start + self._size) % cap
+        first = min(n, cap - end)
+        self._rows[end:end + first] = keys[:first]
+        self._rows[:n - first] = keys[first:]
+        evicted = max(0, self._size + n - cap)
+        self._start = (self._start + evicted) % cap
+        self._size += n - evicted
+
+    def _contents(self) -> np.ndarray:
+        """A fresh array of the keys, oldest row first."""
+        if self._size == 0:
+            return np.zeros((0, self._dim if self._dim is not None else 0))
+        stop = self._start + self._size
+        if stop <= self.capacity:
+            return self._rows[self._start:stop].copy()
+        return np.concatenate(
+            (self._rows[self._start:], self._rows[:stop - self.capacity])
+        )
 
     def snapshot(self) -> np.ndarray:
         """Immutable copy of the current contents, oldest row first."""
-        if not self._entries:
-            out = np.zeros((0, self._dim if self._dim is not None else 0))
-        else:
-            out = np.stack(list(self._entries))
+        out = self._contents()
         out.flags.writeable = False
         return out
 
     # Checkpoint support -----------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        contents = (
-            np.stack(list(self._entries))
-            if self._entries
-            else np.zeros((0, self._dim if self._dim is not None else 0))
-        )
         return {
-            "bank.contents": contents,
+            "bank.contents": self._contents(),
             "bank.capacity": np.array(self.capacity, dtype=np.int64),
         }
 

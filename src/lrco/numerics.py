@@ -32,8 +32,17 @@ def softmax_last(v: np.ndarray, temperature: float) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def norm_last(v: np.ndarray) -> np.ndarray:
+    """l2 norm along the last axis, kept as a length-1 axis.
+
+    This is the formula np.linalg.norm applies to real input with axis=-1,
+    so it gives the same bits, without that function's argument dispatch.
+    """
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
 def normalize_last(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = norm_last(v)
     if np.any(n < NORM_EPS):
         raise DegenerateFeatureError(
             f"cannot normalize vector with norm below {NORM_EPS}"
@@ -57,10 +66,18 @@ class SeededRng:
     def __init__(self, seed: int, _lineage: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._lineage = tuple(int(x) for x in _lineage)
-        entropy = (self.seed,) + self._lineage
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy))
-        )
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        """Built on the first draw, so a stream used only to derive
+        substreams never seeds a generator of its own."""
+        if self._generator is None:
+            entropy = (self.seed,) + self._lineage
+            self._generator = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy))
+            )
+        return self._generator
 
     def substream(self, label: str) -> "SeededRng":
         """Derive an independent child stream keyed by a stable label hash."""

@@ -181,7 +181,7 @@ class StepBatch:
     labeled_y: np.ndarray
     unlabeled_weak: np.ndarray
     unlabeled_strong: np.ndarray
-    pseudo: list[L.PseudoLabel]
+    pseudo: np.ndarray  # int64 hard label of each unlabeled row
     high_idx: np.ndarray
     low_idx: np.ndarray
     sel_idx: np.ndarray
@@ -228,8 +228,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
     teacher_feats = np.asarray(features_of(teacher, unl_weak), dtype=np.float64)
     teacher_probs = np.asarray(probs_of(teacher, teacher_feats), dtype=np.float64)
-    pseudo = [L.make_pseudo_label(row, tau) for row in teacher_probs]
-    flags = np.array([pl.confident for pl in pseudo], dtype=bool)
+    pseudo, flags = L.pseudo_labels(teacher_probs, tau)
     high_idx = np.flatnonzero(flags)
     low_idx = np.flatnonzero(~flags)
     if cfg.sample_selection == "low":
@@ -268,7 +267,10 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
             partner_feats = np.asarray(
                 features_of(teacher, labeled_weak[partners]), dtype=np.float64
             )
-            k_target = _teacher_keys(teacher_feats[target_rows], teacher, cfg)
+            if target_rows is sel_idx:  # the same rows: keys_sel holds their keys
+                k_target = keys_sel
+            else:
+                k_target = _teacher_keys(teacher_feats[target_rows], teacher, cfg)
             k_source = _teacher_keys(partner_feats, teacher, cfg)
             k_mix = lam_prime[:, None] * k_target + (1.0 - lam_prime)[:, None] * k_source
             mix = MixSelection(
@@ -329,8 +331,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     probs_unl_s = probs_of(model_like, feats_unl_s)
     if len(sb.high_idx) > 0:
         probs_high = ad.take_rows(probs_unl_s, sb.high_idx)
-        hard = np.array([sb.pseudo[i].label for i in sb.high_idx], dtype=np.int64)
-        terms["fixmatch"] = L.cross_entropy_batch(probs_high, hard)
+        terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
         terms["kld"] = L.kld_uniform_batch(probs_high, _n_classes_of(model_like))
         total = ad.add(total, terms["fixmatch"])
         if cfg.lambda_kld > 0:
@@ -563,6 +564,26 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
+def _rows_before_resume(path, columns: str, last_step: int, evaluates_at) -> list[str]:
+    """The rows of an earlier run's metrics file that a resumed run keeps:
+    those up to the checkpoint step that a straight run would have written,
+    so the resumed file equals the straight run's. A missing file, or one
+    with other columns, keeps nothing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return []
+    if lines[1:2] != [columns]:
+        return []
+    kept = []
+    for line in lines[2:]:
+        step = line.split(",", 1)[0]
+        if step.isdigit() and int(step) <= last_step and evaluates_at(int(step)):
+            kept.append(line)
+    return kept
+
+
 # Full fit ---------------------------------------------------------------------------------
 
 def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
@@ -624,11 +645,17 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     source_eval = benchmark.source
     target_eval = benchmark.target_eval_samples()
 
+    def evaluates_at(step: int) -> bool:
+        return step % cfg.eval_interval == 0 or step == cfg.total_steps
+
     history: list[MetricRecord] = []
     metrics_file = None
     if metrics_path is not None:
+        header = metrics_header_lines(n_classes, config_hash, cfg.seed)
+        kept = (_rows_before_resume(metrics_path, header[1], start_step, evaluates_at)
+                if resume_from is not None else [])
         metrics_file = open(metrics_path, "w", encoding="utf-8", newline="\n")
-        for line in metrics_header_lines(n_classes, config_hash, cfg.seed):
+        for line in header + kept:
             metrics_file.write(line + "\n")
 
     def write_record(rec: MetricRecord) -> None:
@@ -660,7 +687,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             n_u = len(sb.pseudo)
             tau = adjust_tau(report.n_high / n_u if n_u else 0.0, tau, cfg)
 
-            if step % cfg.eval_interval == 0 or step == cfg.total_steps:
+            if evaluates_at(step):
                 eval_both(step, report.losses)
             if (checkpoint_dir is not None and cfg.checkpoint_interval > 0
                     and step % cfg.checkpoint_interval == 0 and step < cfg.total_steps):

@@ -26,12 +26,14 @@ from lrco.analysis import (
 )
 from lrco.cli import EXIT_OK, main as cli_main
 from lrco.config import default_run_config, dynamics_hash
-from lrco.data import AugmentSpec, generate_shift_benchmark, pack_inputs, pack_labels
+from lrco.data import (
+    AugmentSpec, generate_shift_benchmark, pack_inputs, pack_labels, weak_augment,
+)
 from lrco.gradcheck import check_instance
 from lrco.membank import MemoryBank
 from lrco.model import (
-    ModelConfig, clone_state, ema_update, init_model, lift_params,
-    state_arrays, states_allclose,
+    ModelConfig, clone_state, ema_update, features_of, init_model, lift_params,
+    probs_of, state_arrays, states_allclose,
 )
 from lrco.numerics import SeededRng, normalize_last, softmax_last
 from lrco.trainer import (
@@ -220,14 +222,20 @@ def test_04_contrastive_gradient_skips_classifier():
 # --- 05: structural invariants -------------------------------------------------
 
 def test_05_structural_invariants():
-    # (a) confidence split partitions the unlabeled batch
+    # (a) confidence split partitions the unlabeled batch; the hard labels and
+    # the flags follow the teacher's probabilities on the weak view, drawn
+    # again from the same substream
     cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = _tiny_parts("lrco", seed=3)
+    weak = weak_augment(unl_x, AugmentSpec(),
+                        SeededRng(cfg.seed).substream("augment-unlabeled-weak-1"))
+    probs = np.asarray(probs_of(teacher, features_of(teacher, weak)))
     for tau in (0.4, 0.6, 0.9):
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                           cfg, AugmentSpec(), tau=tau, step=1)
         merged = np.sort(np.concatenate([sb.high_idx, sb.low_idx]))
         assert np.array_equal(merged, np.arange(len(sb.pseudo)))
-        flags = np.array([p.confident for p in sb.pseudo], dtype=bool)
+        assert np.array_equal(sb.pseudo, np.argmax(probs, axis=1))
+        flags = probs.max(axis=1) > tau
         assert np.array_equal(np.flatnonzero(flags), np.sort(sb.high_idx))
 
     # (b) bank behaves exactly like a capped reference list, oldest first

@@ -149,6 +149,28 @@ def test_diamond_graph_accumulates():
     np.testing.assert_allclose(t.grad, [10.0])
 
 
+def test_first_gradient_is_a_fresh_array():
+    t = ad.Tensor(np.zeros(3), requires_grad=True)
+    g = np.array([1.0, -0.0, 2.0])
+    t.accumulate(g)
+    assert not np.shares_memory(t.grad, g)
+    assert not np.signbit(t.grad[1])  # -0.0 becomes +0.0, as zeros + g gives
+    g[0] = 5.0
+    t.accumulate(np.ones(3))
+    np.testing.assert_array_equal(t.grad, [2.0, 1.0, 3.0])
+    np.testing.assert_array_equal(g, [5.0, -0.0, 2.0])
+
+
+def test_constant_operands_get_no_gradient():
+    w = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    bank = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
+    keys = np.array([[1.0, 0.0], [0.0, 1.0]])
+    sims = ad.hstack_cols([ad.rowwise_dot(w, keys), ad.matmul(w, bank, transpose_b=True)])
+    ad.sum_all(sims).backward()
+    # d/dw of sum(w . keys) + sum(w @ bank.T): keys + the bank's column sums
+    np.testing.assert_array_equal(w.grad, keys + bank.sum(axis=0))
+
+
 def test_backward_requires_scalar():
     t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     out = ad.mul(t, 2.0)

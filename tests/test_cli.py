@@ -1,7 +1,5 @@
 import os
 
-import pytest
-
 from lrco.cli import (
     EXIT_INVALID_CONFIG, EXIT_MISSING_FILE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     main,
@@ -105,6 +103,26 @@ def test_train_resume_from_checkpoint(tmp_path, capsys):
                    "--resume", str(out / "checkpoint_final.npz"), *longer)
     assert code == EXIT_OK
     assert "steps=2" in capsys.readouterr().out
+
+
+def test_resumed_metrics_equal_straight_run_bytes(tmp_path, capsys):
+    keep = [kv for kv in FAST[1::2] if not kv.startswith(("train.total_steps", "train.eval_"))]
+    base = [arg for kv in keep + ["train.eval_interval=50", "train.checkpoint_interval=100"]
+            for arg in ("--set", kv)]
+
+    def train(out, steps, *resume):
+        return run_cli("train", "--out", str(out), *base,
+                       "--set", f"train.total_steps={steps}", *resume)
+
+    assert train(tmp_path / "straight", 400) == EXIT_OK
+    straight = (tmp_path / "straight" / "metrics.csv").read_bytes()
+    assert len(straight.splitlines()) == 2 + 2 * 8
+    for resume_name in ("checkpoint_final.npz", "checkpoint_step100.npz"):
+        out = tmp_path / resume_name
+        assert train(out, 200) == EXIT_OK
+        assert train(out, 400, "--resume", str(out / resume_name)) == EXIT_OK
+        assert (out / "metrics.csv").read_bytes() == straight, resume_name
+    capsys.readouterr()
 
 
 def test_analyze_writes_three_tables(tmp_path, capsys):

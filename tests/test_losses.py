@@ -7,7 +7,8 @@ from lrco import autodiff as ad
 from lrco.data import AugmentSpec
 from lrco.losses import (
     MixDraw, contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
-    kld_uniform_batch, make_pseudo_label, mixlrco_batch, re_represent_batch,
+    kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels,
+    re_represent_batch,
 )
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
@@ -54,6 +55,26 @@ def test_pseudo_label_validates_probs():
         make_pseudo_label(np.array([0.2, 0.3]), tau=0.5)  # doesn't sum to 1
     with pytest.raises(ValueError):
         make_pseudo_label(np.array([-0.1, 1.1]), tau=0.5)
+
+
+def test_pseudo_labels_match_make_pseudo_label_row_by_row():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(4), size=50)
+    probs[7] = [0.25, 0.25, 0.25, 0.25]  # a tie goes to the first class
+    for tau in (0.25, 0.5, 0.8):
+        labels, confident = pseudo_labels(probs, tau)
+        assert labels.dtype == np.int64
+        rows = [make_pseudo_label(p, tau) for p in probs]
+        assert labels.tolist() == [pl.label for pl in rows]
+        assert confident.tolist() == [pl.confident for pl in rows]
+
+
+def test_pseudo_labels_validate_every_row():
+    good = np.array([[0.2, 0.8], [0.5, 0.5]])
+    for bad_row in ([0.2, 0.3], [-0.1, 1.1]):
+        probs = np.vstack([good, bad_row])
+        with pytest.raises(ValueError, match="valid probability vector"):
+            pseudo_labels(probs, 0.5)
 
 
 def _split_step(n, seed, tau):

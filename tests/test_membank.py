@@ -134,3 +134,38 @@ def test_state_roundtrip_empty():
 
 def test_default_capacity_is_512():
     assert MemoryBank().capacity == 512
+
+
+def test_ring_matches_capped_list_through_wraps_and_restore():
+    # pushes that wrap around the end of the ring, one longer than the
+    # capacity, and a checkpoint round trip while the contents wrap
+    cap = 5
+    bank = MemoryBank(capacity=cap)
+    rng = SeededRng(7)
+    reference = []
+    for n in (3, 4, 2, 7, 1, 3, 4):
+        rows = unit_rows(rng, n, 3)
+        bank.push_batch(rows)
+        reference = (reference + list(rows))[-cap:]
+        np.testing.assert_array_equal(bank.snapshot(), np.asarray(reference))
+        assert len(bank) == len(reference)
+    assert 0 < bank._start and bank._start + len(bank) > cap  # wrapped now
+    arrays = bank.state_arrays()
+    np.testing.assert_array_equal(arrays["bank.contents"], np.asarray(reference))
+    clone = MemoryBank.from_state_arrays(arrays)
+    for n in (2, 6, 3):
+        rows = unit_rows(rng, n, 3)
+        bank.push_batch(rows)
+        clone.push_batch(rows)
+        reference = (reference + list(rows))[-cap:]
+        np.testing.assert_array_equal(clone.snapshot(), np.asarray(reference))
+        np.testing.assert_array_equal(bank.snapshot(), np.asarray(reference))
+
+
+def test_state_contents_are_a_copy():
+    bank = MemoryBank(capacity=4)
+    bank.push_batch(unit_rows(SeededRng(8), 3, 2))
+    contents = bank.state_arrays()["bank.contents"]
+    before = bank.snapshot().copy()
+    contents[...] = 0.0
+    np.testing.assert_array_equal(bank.snapshot(), before)

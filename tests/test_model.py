@@ -3,7 +3,7 @@ import pytest
 
 from lrco.errors import ShapeMismatchError
 from lrco.model import (
-    ModelConfig, ModelState, clone_state, compute_gradients, ema_update,
+    ModelConfig, clone_state, compute_gradients, ema_update,
     features_of, get_param_vector, init_model, probs_of, state_arrays,
     state_from_arrays, states_allclose, with_param_vector,
 )

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from lrco.errors import DegenerateFeatureError
 from lrco.numerics import (
-    SeededRng, finite_diff_grad, logsumexp_last, normalize_last, relative_grad_error,
-    sample_beta, softmax_last,
+    SeededRng, finite_diff_grad, logsumexp_last, norm_last, normalize_last,
+    relative_grad_error, sample_beta, softmax_last,
 )
 
 finite_vectors = st.lists(
@@ -208,3 +208,19 @@ def test_finite_diff_softmax_cross_entropy():
 
 def test_relative_grad_error_zero_pair():
     assert relative_grad_error(np.zeros(4), np.zeros(4)) == 0.0
+
+
+# --- norm_last ---------------------------------------------------------------------
+
+def test_norm_last_matches_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    rows = [rng.normal(size=(64, 8)), rng.normal(size=(3, 5)) * 1e150,
+            rng.normal(size=(7,)),
+            np.zeros((2, 4)), np.full((2, 4), -0.0), np.full((2, 4), 1e-300),
+            np.full((2, 4), 1e300), np.array([[1e300, 1.0], [-0.0, 1e-300]])]
+    for v in rows:
+        with np.errstate(over="ignore"):  # 1e300 squared is inf on both sides
+            ours = norm_last(v)
+            theirs = np.linalg.norm(v, axis=-1, keepdims=True)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from lrco import autodiff as ad
-from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, pack_inputs, pack_labels
+from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
-    ModelConfig, clone_state, init_model, state_arrays, states_allclose,
+    ModelConfig, clone_state, features_of, init_model, probs_of, states_allclose,
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
@@ -97,29 +97,37 @@ def test_prepare_step_deterministic():
     assert not np.array_equal(a.labeled_weak, c.labeled_weak)
 
 
+def teacher_probs_at_step_1(cfg, teacher, unl_x):
+    """The teacher's probabilities on step 1's weak view, drawn again from
+    the same substream: the oracle of the pseudo-labels and the split."""
+    weak = weak_augment(unl_x, AUG,
+                        SeededRng(cfg.seed).substream("augment-unlabeled-weak-1"))
+    return np.asarray(probs_of(teacher, features_of(teacher, weak)))
+
+
 def test_prepare_step_confidence_partition():
     cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup()
-    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                      cfg, AUG, cfg.tau, step=1)
+    probs = teacher_probs_at_step_1(cfg, teacher, unl_x)
     n = unl_x.shape[0]
-    assert len(sb.pseudo) == n
-    assert len(sb.high_idx) + len(sb.low_idx) == n
-    assert set(sb.high_idx.tolist()).isdisjoint(sb.low_idx.tolist())
-    for i in sb.high_idx:
-        assert sb.pseudo[i].confident
-    for i in sb.low_idx:
-        assert not sb.pseudo[i].confident
-    np.testing.assert_array_equal(sb.sel_idx, sb.low_idx)  # default selection
+    for tau in (cfg.tau, float(np.median(probs.max(axis=1)))):
+        sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
+                          cfg, AUG, tau, step=1)
+        assert sb.pseudo.dtype == np.int64 and sb.pseudo.shape == (n,)
+        np.testing.assert_array_equal(sb.pseudo, np.argmax(probs, axis=1))
+        confident = probs.max(axis=1) > tau
+        np.testing.assert_array_equal(sb.high_idx, np.flatnonzero(confident))
+        np.testing.assert_array_equal(sb.low_idx, np.flatnonzero(~confident))
+        np.testing.assert_array_equal(sb.sel_idx, sb.low_idx)  # default selection
 
 
 def test_prepare_step_selection_modes():
-    for mode, pick in (("high", "high_idx"), ("all", None), ("low", "low_idx")):
+    for mode in ("high", "all", "low"):
         cfg, student, teacher, bank, *rest = tiny_setup(sample_selection=mode)
+        confident = teacher_probs_at_step_1(cfg, teacher, rest[-1]).max(axis=1) > 0.5
+        expected = {"high": np.flatnonzero(confident), "low": np.flatnonzero(~confident),
+                    "all": np.arange(len(confident))}[mode]
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
-        if pick is None:
-            np.testing.assert_array_equal(sb.sel_idx, np.arange(len(sb.pseudo)))
-        else:
-            np.testing.assert_array_equal(sb.sel_idx, getattr(sb, pick))
+        np.testing.assert_array_equal(sb.sel_idx, expected)
 
 
 def test_prepare_step_keys_only_for_contrastive_methods():
