@@ -34,13 +34,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            if type(g) is np.ndarray and g.ndim and g.shape == self.value.shape:
-                # A fresh array; + 0.0 maps -0.0 to +0.0 exactly as zeros + g
-                # does. (For a 0-d g it would give a numpy scalar instead.)
-                self.grad = g + 0.0
-                return
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # the bits of zeros + g, -0.0 -> +0.0 included, in a fresh array
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output, filling .grad on reachable leaves."""

@@ -11,27 +11,23 @@ from .numerics import norm_last
 class MemoryBank:
     """Queue of teacher keys; oldest entries fall out once capacity is reached.
 
-    The keys live in a ring buffer of ``capacity`` rows, like MoCo's key
-    queue: ``_start`` is the row of the oldest key and ``_size`` the number
-    of keys held. The bank is never flushed during a run; it only ever
-    evolves by pushes.
+    Every push replaces the key array and nothing ever writes into it, so
+    ``snapshot`` hands it out read-only without a copy. The bank is never
+    flushed during a run; it only ever evolves by pushes.
     """
 
     def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._rows: np.ndarray | None = None  # (capacity, dim) once dim is known
-        self._start = 0
-        self._size = 0
-        self._dim: int | None = None
+        self._rows = np.zeros((0, 0))  # (n, dim), oldest row first
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._rows)
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return self._rows.shape[1] or None
 
     def push_batch(self, keys) -> None:
         """Append rows in order; earlier rows are evicted first when full."""
@@ -42,51 +38,27 @@ class MemoryBank:
             keys = keys.reshape(1, -1)
         if keys.ndim != 2:
             raise ValueError("keys must be a vector or a matrix of row vectors")
-        if self._dim is None:
-            self._dim = keys.shape[1]
-        elif keys.shape[1] != self._dim:
+        if self.dim is not None and keys.shape[1] != self.dim:
             raise ValueError(
-                f"key dim {keys.shape[1]} does not match bank dim {self._dim}"
+                f"key dim {keys.shape[1]} does not match bank dim {self.dim}"
             )
         if np.any(np.abs(norm_last(keys) - 1.0) > UNIT_NORM_TOL):
             raise ValueError(
                 f"bank keys must be unit-normalized (tolerance {UNIT_NORM_TOL})"
             )
-        if self._rows is None:
-            self._rows = np.empty((self.capacity, self._dim))
-        cap = self.capacity
-        keys = keys[-cap:]
-        n = keys.shape[0]
-        end = (self._start + self._size) % cap
-        first = min(n, cap - end)
-        self._rows[end:end + first] = keys[:first]
-        self._rows[:n - first] = keys[first:]
-        evicted = max(0, self._size + n - cap)
-        self._start = (self._start + evicted) % cap
-        self._size += n - evicted
-
-    def _contents(self) -> np.ndarray:
-        """A fresh array of the keys, oldest row first."""
-        if self._size == 0:
-            return np.zeros((0, self._dim if self._dim is not None else 0))
-        stop = self._start + self._size
-        if stop <= self.capacity:
-            return self._rows[self._start:stop].copy()
-        return np.concatenate(
-            (self._rows[self._start:], self._rows[:stop - self.capacity])
-        )
+        held = self._rows.reshape(-1, keys.shape[1])  # an empty bank is (0, 0)
+        self._rows = np.concatenate((held, keys))[-self.capacity:]
 
     def snapshot(self) -> np.ndarray:
-        """Immutable copy of the current contents, oldest row first."""
-        out = self._contents()
-        out.flags.writeable = False
-        return out
+        """Immutable view of the current contents, oldest row first."""
+        self._rows.flags.writeable = False
+        return self._rows
 
     # Checkpoint support -----------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "bank.contents": self._contents(),
+            "bank.contents": self._rows.copy(),
             "bank.capacity": np.array(self.capacity, dtype=np.int64),
         }
 
@@ -96,6 +68,6 @@ class MemoryBank:
         contents = np.asarray(arrays["bank.contents"], dtype=np.float64)
         if contents.size:
             bank.push_batch(contents)
-        elif contents.ndim == 2 and contents.shape[1] > 0:
-            bank._dim = contents.shape[1]
+        elif contents.ndim == 2:
+            bank._rows = np.zeros(contents.shape)
         return bank

@@ -564,17 +564,18 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _rows_before_resume(path, columns: str, last_step: int, evaluates_at) -> list[str]:
-    """The rows of an earlier run's metrics file that a resumed run keeps:
-    those up to the checkpoint step that a straight run would have written,
-    so the resumed file equals the straight run's. A missing file, or one
-    with other columns, keeps nothing."""
+def _rows_before_resume(path, header: list[str], last_step: int, evaluates_at) -> list[str]:
+    """The rows of the checkpoint's run that a resumed run keeps: those up to
+    the checkpoint step that a straight run would have written, so the
+    resumed file equals the straight run's. ``header`` is the metrics header
+    of the run that wrote the checkpoint; a missing file, or one that
+    another run wrote, keeps nothing."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         return []
-    if lines[1:2] != [columns]:
+    if lines[:2] != header:
         return []
     kept = []
     for line in lines[2:]:
@@ -625,6 +626,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
         student, teacher = ckpt.student, ckpt.teacher
         velocities, bank = ckpt.velocities, ckpt.bank
         tau, start_step = ckpt.tau, ckpt.step
+        resumed_header = metrics_header_lines(n_classes, ckpt.config_hash, ckpt.seed)
     else:
         init_rng = SeededRng(cfg.seed).substream("init")
         model_cfg = ModelConfig(
@@ -652,7 +654,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     metrics_file = None
     if metrics_path is not None:
         header = metrics_header_lines(n_classes, config_hash, cfg.seed)
-        kept = (_rows_before_resume(metrics_path, header[1], start_step, evaluates_at)
+        kept = (_rows_before_resume(metrics_path, resumed_header, start_step, evaluates_at)
                 if resume_from is not None else [])
         metrics_file = open(metrics_path, "w", encoding="utf-8", newline="\n")
         for line in header + kept:

@@ -125,6 +125,23 @@ def test_resumed_metrics_equal_straight_run_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resume_into_another_runs_directory_keeps_none_of_its_rows(tmp_path, capsys):
+    every2 = [*FAST, "--set", "train.checkpoint_interval=2"]
+    straight, other = tmp_path / "straight", tmp_path / "other"
+    assert run_cli("train", "--out", str(straight), *every2) == EXIT_OK
+    assert run_cli("train", "--out", str(other), *every2,
+                   "--set", "train.seed=5") == EXIT_OK
+    # the other run has the same columns but another seed and config hash
+    code = run_cli("train", "--out", str(other), *every2,
+                   "--resume", str(straight / "checkpoint_step2.npz"))
+    assert code == EXIT_OK
+    capsys.readouterr()
+    lines = (straight / "metrics.csv").read_text().splitlines()
+    assert [line.split(",", 1)[0] for line in lines[2:]] == ["2", "2", "4", "4"]
+    # the straight run's header and its step-4 rows; no row of the other run
+    assert (other / "metrics.csv").read_text().splitlines() == lines[:2] + lines[4:]
+
+
 def test_analyze_writes_three_tables(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK

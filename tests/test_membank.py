@@ -136,9 +136,9 @@ def test_default_capacity_is_512():
     assert MemoryBank().capacity == 512
 
 
-def test_ring_matches_capped_list_through_wraps_and_restore():
-    # pushes that wrap around the end of the ring, one longer than the
-    # capacity, and a checkpoint round trip while the contents wrap
+def test_bank_matches_capped_list_through_evictions_and_restore():
+    # pushes that evict, one longer than the capacity, and a checkpoint
+    # round trip of a full bank
     cap = 5
     bank = MemoryBank(capacity=cap)
     rng = SeededRng(7)
@@ -149,7 +149,7 @@ def test_ring_matches_capped_list_through_wraps_and_restore():
         reference = (reference + list(rows))[-cap:]
         np.testing.assert_array_equal(bank.snapshot(), np.asarray(reference))
         assert len(bank) == len(reference)
-    assert 0 < bank._start and bank._start + len(bank) > cap  # wrapped now
+    assert len(bank) == cap
     arrays = bank.state_arrays()
     np.testing.assert_array_equal(arrays["bank.contents"], np.asarray(reference))
     clone = MemoryBank.from_state_arrays(arrays)
@@ -169,3 +169,11 @@ def test_state_contents_are_a_copy():
     before = bank.snapshot().copy()
     contents[...] = 0.0
     np.testing.assert_array_equal(bank.snapshot(), before)
+
+
+def test_push_copies_the_keys():
+    bank = MemoryBank(capacity=4)
+    rows = unit_rows(SeededRng(9), 3, 2)
+    bank.push_batch(rows)
+    rows[...] = 0.0
+    assert np.all(bank.snapshot() != 0.0)
