@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 from lrco.cli import (
@@ -48,6 +49,28 @@ def test_gen_data_writes_four_files(tmp_path, capsys):
     assert all(s.label is None for s in unl)
     ev, _ = load_dataset(out / "target_eval.txt")
     assert all(s.label is not None for s in ev)
+
+
+# sha256 of each file `gen-data` writes for the default spec with two labeled
+# target points per class. Recorded with Python 3.11.7, numpy 2.4.6,
+# scipy-openblas 0.3.31 (x86-64); the class frame comes from a QR
+# factorization, so another numpy or BLAS build may give other bytes.
+GEN_DATA_SHA256 = {
+    "source.txt": "bd74c38f529cebd6d905afab2af78137fd8974c67491b291da597eb5db486a48",
+    "target_eval.txt": "9000e8605125f3f9714e9f9aca7c18de1924549a1790a5c7ce562ed21794efe5",
+    "target_labeled.txt": "0cf3543494f9ef2b3b672cfd3a754e95b6b5658ef9af75bf19364a09da74f12a",
+    "target_unlabeled.txt": "87bd5b9bee0622cdf955fcb0f7506662fe41b102dacc99d4e1f31003c721af84",
+}
+
+
+def test_gen_data_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli("gen-data", "--out", str(out),
+                   "--set", "data.n_labeled_target_per_class=2") == EXIT_OK
+    capsys.readouterr()
+    written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert written == GEN_DATA_SHA256
 
 
 def test_gen_data_byte_identical_across_runs(tmp_path, capsys):
