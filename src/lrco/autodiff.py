@@ -362,15 +362,6 @@ def take_rows(a, idx):
     return out
 
 
-def reshape(a, shape):
-    if not is_tensor(a):
-        return value_of(a).reshape(shape)
-    orig = a.value.shape
-    out = Tensor(a.value.reshape(shape), parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(g.reshape(orig))
-    return out
-
-
 def detach(a):
     """Stop gradients: the value flows forward, nothing flows back."""
     if not is_tensor(a):

@@ -5,7 +5,8 @@ single process driven by a config file (defaults used when none is given),
 with individual keys overridable via repeated --set section.key=value flags.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 invalid config or data
-format, 5 numeric/runtime failure.
+format (a corrupt checkpoint, or one trained on another benchmark, included),
+5 numeric/runtime failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .config import (
     RunConfig, apply_overrides, canonical_text, config_hash, default_run_config,
     dynamics_hash, load_config,
 )
-from .data import benchmark_spec_hash, generate_shift_benchmark, pack_inputs, save_dataset
+from .data import benchmark_spec_hash, generate_shift_benchmark, save_dataset
+from .data import pack_inputs  # noqa: F401 (unused; perfbench patches it here)
 from .errors import (
     ConfigError, DatasetFormatError, DegenerateFeatureError, LrcoError,
     ShapeMismatchError, TrainingDivergedError,
@@ -108,15 +110,14 @@ def _cmd_gen_data(args) -> int:
     bench = generate_shift_benchmark(cfg.data)
     spec_hash = benchmark_spec_hash(cfg.data)
     blocks = (
-        ("source.txt", bench.source),
-        ("target_unlabeled.txt", bench.target_unlabeled),
-        ("target_labeled.txt", bench.target_labeled),
-        ("target_eval.txt", bench.target_eval_samples()),
+        ("source.txt", "source", bench.source_x, bench.source_y),
+        ("target_unlabeled.txt", "target", bench.target_unlabeled_x, None),
+        ("target_labeled.txt", "target", bench.target_labeled_x, bench.target_labeled_y),
+        ("target_eval.txt", "target", *bench.target_eval_samples()),
     )
-    for name, samples in blocks:
-        save_dataset(os.path.join(out, name), samples,
-                     input_dim=cfg.data.input_dim, n_classes=cfg.data.n_classes,
-                     spec_hash=spec_hash)
+    for name, domain, x, y in blocks:
+        save_dataset(os.path.join(out, name), domain, x, y,
+                     n_classes=cfg.data.n_classes, spec_hash=spec_hash)
     print(f"wrote {len(blocks)} dataset files to {out} (spec_hash={spec_hash})")
     return EXIT_OK
 
@@ -142,17 +143,27 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_and_benchmark(path: str, cfg: RunConfig):
+    """Load a checkpoint and build the benchmark from the config; refuse a
+    checkpoint that was trained on another benchmark or names none."""
+    ckpt = load_checkpoint(path)
+    spec_hash = benchmark_spec_hash(cfg.data)
+    if ckpt.spec_hash != spec_hash:
+        raise ConfigError(
+            f"checkpoint {path} was trained on benchmark spec_hash="
+            f"{ckpt.spec_hash or '(none recorded)'}, the config gives spec_hash={spec_hash}")
+    return ckpt, generate_shift_benchmark(cfg.data)
+
+
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    bench = generate_shift_benchmark(cfg.data)
-    splits = []
-    if args.split in ("source", "both"):
-        splits.append(("source", bench.source))
-    if args.split in ("target", "both"):
-        splits.append(("target", bench.target_eval_samples()))
-    for name, samples in splits:
-        m = evaluate(ckpt.student, samples)
+    ckpt, bench = _checkpoint_and_benchmark(args.checkpoint, cfg)
+    splits = {"source": (bench.source_x, bench.source_y),
+              "target": bench.target_eval_samples()}
+    for name, (x, y) in splits.items():
+        if args.split not in (name, "both"):
+            continue
+        m = evaluate(ckpt.student, x, y)
         per_class = " ".join(
             f"class{c}={v:.6f}" for c, v in sorted(m.per_class.items())
         )
@@ -163,18 +174,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
+    ckpt, bench = _checkpoint_and_benchmark(args.checkpoint, cfg)
     out = _resolve_out(args.out)
-    ckpt = load_checkpoint(args.checkpoint)
-    bench = generate_shift_benchmark(cfg.data)
     chash = config_hash(cfg)
     meta = f"config_hash={chash} seed={cfg.train.seed} checkpoint_step={ckpt.step}"
     run_id, step = cfg.output.run_id, ckpt.step
 
-    eval_samples = bench.target_eval_samples()
-    x_target = pack_inputs(eval_samples)
-    labels = np.array([s.label for s in eval_samples], dtype=np.int64)
+    x_target, labels = bench.target_eval_samples()
     high_idx, low_idx, _, _ = split_by_confidence(ckpt.teacher, x_target, ckpt.tau)
-    confident = np.zeros(len(eval_samples), dtype=bool)
+    confident = np.zeros(len(labels), dtype=bool)
     confident[high_idx] = True
 
     vectors = confidence_feature_vectors(ckpt.teacher, x_target, args.feature_mode)
@@ -185,9 +193,8 @@ def _cmd_analyze(args) -> int:
     )
 
     k_max = min(10, cfg.data.n_classes)
-    x_source = pack_inputs(bench.source)
     curves = mixed_topk_curves(
-        ckpt.student, x_target[high_idx], x_target[low_idx], x_source,
+        ckpt.student, x_target[high_idx], x_target[low_idx], bench.source_x,
         alpha=cfg.train.alpha, k_max=k_max, seed=cfg.train.seed,
     )
     write_topk_csv(

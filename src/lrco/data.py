@@ -1,4 +1,4 @@
-"""Synthetic covariate-shift benchmark, augmentations, sample packing, and dataset files.
+"""Synthetic covariate-shift benchmark, augmentations, and dataset files.
 
 Source data is K Gaussian clusters; the target domain is the same clusters
 pushed through a rotation in the first two coordinates plus a translation.
@@ -15,15 +15,6 @@ import numpy as np
 
 from .errors import DatasetFormatError
 from .numerics import SeededRng
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One point: input vector, optional label, and its domain tag."""
-
-    x: np.ndarray
-    label: int | None
-    domain: str  # "source" or "target"
 
 
 @dataclass(frozen=True)
@@ -82,26 +73,28 @@ def benchmark_spec_hash(spec: BenchmarkSpec) -> str:
 
 @dataclass
 class ShiftBenchmark:
-    """Generated splits plus the ground truth kept aside for evaluation."""
+    """Generated splits as (n, d) inputs and int64 labels, rows in class
+    order, plus the target labels kept aside for evaluation."""
 
     spec: BenchmarkSpec
-    source: list[Sample]
-    target_unlabeled: list[Sample]
-    target_labeled: list[Sample]
+    source_x: np.ndarray
+    source_y: np.ndarray
+    target_unlabeled_x: np.ndarray
+    target_labeled_x: np.ndarray
+    target_labeled_y: np.ndarray
     source_centers: np.ndarray
     target_centers: np.ndarray
     eval_labels_hidden: np.ndarray = field(repr=False)
 
-    def target_eval_samples(self) -> list[Sample]:
-        """Evaluation-only channel: the unlabeled target points with labels restored."""
-        return [
-            Sample(x=s.x, label=int(lbl), domain="target")
-            for s, lbl in zip(self.target_unlabeled, self.eval_labels_hidden)
-        ]
+    def target_eval_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation-only channel: the unlabeled target inputs and their labels."""
+        return self.target_unlabeled_x, self.eval_labels_hidden
 
-    def labeled_pool(self) -> list[Sample]:
-        """Everything trainable with a label: source plus any few-shot target."""
-        return list(self.source) + list(self.target_labeled)
+    def labeled_pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Everything trainable with a label, source rows first: (x, y, is_source)."""
+        x = np.concatenate((self.source_x, self.target_labeled_x))
+        y = np.concatenate((self.source_y, self.target_labeled_y))
+        return x, y, np.arange(len(y)) < len(self.source_y)
 
 
 def _class_centers(spec: BenchmarkSpec, rng: SeededRng) -> np.ndarray:
@@ -136,41 +129,30 @@ def generate_shift_benchmark(spec: BenchmarkSpec) -> ShiftBenchmark:
     translation = spec.translation_vector()
     target_centers = centers @ rot.T + translation
 
-    def draw_cluster(stream: SeededRng, label: int, count: int) -> np.ndarray:
-        noise = stream.normal(size=(count, spec.input_dim))
-        return centers[label] + spec.noise_sigma * noise
+    def draw_split(stream: str, per_class: int) -> tuple[np.ndarray, np.ndarray]:
+        y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), per_class)
+        noise = root.substream(stream).normal(size=(len(y), spec.input_dim))
+        return centers[y] + spec.noise_sigma * noise, y
 
-    source: list[Sample] = []
-    src_stream = root.substream("source")
-    for label in range(spec.n_classes):
-        for x in draw_cluster(src_stream, label, spec.n_per_class_source):
-            source.append(Sample(x=x, label=label, domain="source"))
+    source_x, source_y = draw_split("source", spec.n_per_class_source)
+    target_x, target_y = draw_split("target", spec.n_per_class_target)
+    labeled_x, labeled_y = draw_split("target-labeled", spec.n_labeled_target_per_class)
 
-    target_unlabeled: list[Sample] = []
-    eval_labels: list[int] = []
-    tgt_stream = root.substream("target")
-    for label in range(spec.n_classes):
-        cluster = draw_cluster(tgt_stream, label, spec.n_per_class_target)
-        for x in cluster @ rot.T + translation:
-            target_unlabeled.append(Sample(x=x, label=None, domain="target"))
-            eval_labels.append(label)
-
-    target_labeled: list[Sample] = []
-    if spec.n_labeled_target_per_class > 0:
-        few_stream = root.substream("target-labeled")
-        for label in range(spec.n_classes):
-            cluster = draw_cluster(few_stream, label, spec.n_labeled_target_per_class)
-            for x in cluster @ rot.T + translation:
-                target_labeled.append(Sample(x=x, label=label, domain="target"))
+    def shift(x: np.ndarray) -> np.ndarray:
+        # One product per class: a BLAS product's bits can depend on its row
+        # count, and the recorded files and golden digests use per-class products.
+        return np.concatenate([c @ rot.T for c in np.split(x, spec.n_classes)]) + translation
 
     return ShiftBenchmark(
         spec=spec,
-        source=source,
-        target_unlabeled=target_unlabeled,
-        target_labeled=target_labeled,
+        source_x=source_x,
+        source_y=source_y,
+        target_unlabeled_x=shift(target_x),
+        target_labeled_x=shift(labeled_x),
+        target_labeled_y=labeled_y,
         source_centers=centers,
         target_centers=target_centers,
-        eval_labels_hidden=np.asarray(eval_labels, dtype=np.int64),
+        eval_labels_hidden=target_y,
     )
 
 
@@ -220,18 +202,28 @@ def strong_augment(x, spec: AugmentSpec, rng: SeededRng) -> np.ndarray:
 _DOMAINS = ("source", "target")
 
 
-def save_dataset(path, samples: list[Sample], *, input_dim: int, n_classes: int,
-                 spec_hash: str = "") -> None:
-    """Write one sample per line: domain, label or '-', then the coordinates.
+@dataclass(frozen=True)
+class Sample:
+    """One row of a dataset file: input vector, optional label, domain tag."""
+
+    x: np.ndarray
+    label: int | None
+    domain: str  # "source" or "target"
+
+
+def save_dataset(path, domain: str, x: np.ndarray, labels: np.ndarray | None, *,
+                 n_classes: int, spec_hash: str = "") -> None:
+    """Write one split, a row per line: domain, label ('-' for every row
+    when ``labels`` is None), then the coordinates.
 
     Floats are printed with 17 significant digits so the values round-trip
     exactly.
     """
-    lines = [f"input_dim={input_dim},K={n_classes},spec_hash={spec_hash}"]
-    for s in samples:
-        label = "-" if s.label is None else str(int(s.label))
-        coords = ",".join(f"{v:.17g}" for v in np.asarray(s.x, dtype=np.float64))
-        lines.append(f"{s.domain},{label},{coords}")
+    x = np.asarray(x, dtype=np.float64)
+    tags = ["-"] * len(x) if labels is None else [str(int(v)) for v in labels]
+    lines = [f"input_dim={x.shape[1]},K={n_classes},spec_hash={spec_hash}"]
+    for tag, row in zip(tags, x.tolist()):
+        lines.append(f"{domain},{tag}," + ",".join(f"{v:.17g}" for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -297,7 +289,7 @@ def load_dataset(path) -> tuple[list[Sample], dict]:
 
 
 def pack_inputs(samples: list[Sample]) -> np.ndarray:
-    """Stack sample inputs into a (n, d) matrix."""
+    """Stack the inputs of rows read from a dataset file into a (n, d) matrix."""
     return np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
 
 

@@ -14,7 +14,7 @@ class ShapeMismatchError(LrcoError):
 
 
 class DatasetFormatError(LrcoError):
-    """A dataset file is malformed; message carries the offending line number."""
+    """A dataset file (message names the line) or a checkpoint file is malformed."""
 
 
 class ConfigError(LrcoError):

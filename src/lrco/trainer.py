@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .data import AugmentSpec, ShiftBenchmark, pack_inputs, pack_labels, strong_augment, weak_augment
-from .errors import ConfigError, TrainingDivergedError
+from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augment, weak_augment
+from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
+from .errors import ConfigError, DatasetFormatError, LrcoError, TrainingDivergedError
 from .membank import MemoryBank
 from .model import (
     ModelConfig, ModelState, clone_state, ema_update, features_of, init_model,
@@ -429,19 +431,14 @@ def adjust_tau(high_fraction: float, tau: float, cfg: TrainConfig) -> float:
 
 # Evaluation ----------------------------------------------------------------------
 
-def evaluate(state: ModelState, samples) -> EvalMetrics:
-    """Accuracy, per-class accuracy, and mean max-probability on labeled samples."""
-    if not samples:
-        raise ValueError("cannot evaluate on an empty sample list")
-    x = pack_inputs(samples)
-    y = pack_labels(samples)
+def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
+    """Accuracy, per-class accuracy, and mean max-probability on inputs x, labels y."""
+    if len(y) == 0:
+        raise ValueError("cannot evaluate on an empty split")
     probs = np.asarray(probs_of(state, features_of(state, x)), dtype=np.float64)
     preds = np.argmax(probs, axis=1)
     accuracy = float(np.mean(preds == y))
-    per_class: dict[int, float] = {}
-    for c in sorted(set(int(v) for v in y)):
-        mask = y == c
-        per_class[c] = float(np.mean(preds[mask] == c))
+    per_class = {c: float(np.mean(preds[y == c] == c)) for c in sorted(set(y.tolist()))}
     mean_confidence = float(np.mean(np.max(probs, axis=1)))
     return EvalMetrics(accuracy=accuracy, per_class=per_class,
                        mean_confidence=mean_confidence)
@@ -506,12 +503,13 @@ class Checkpoint:
     seed: int
     config_hash: str
     dynamics_hash: str = ""
+    spec_hash: str = ""
 
 
 def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
                     velocities: dict[str, np.ndarray], bank: MemoryBank,
                     step: int, tau: float, seed: int, config_hash: str = "",
-                    dynamics_hash: str = "") -> None:
+                    dynamics_hash: str = "", spec_hash: str = "") -> None:
     """Self-describing binary dump; round-trips bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
     arrays.update(state_arrays(student, prefix="student/"))
@@ -527,6 +525,7 @@ def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
         "seed": int(seed),
         "config_hash": config_hash,
         "dynamics_hash": dynamics_hash,
+        "spec_hash": spec_hash,
         "t_ce": student.t_ce,
         "t_re": student.t_re,
     }
@@ -546,22 +545,32 @@ def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(str(arrays.pop("meta")))
-    student = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="student/")
-    teacher = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="teacher/")
-    velocities = {
-        name[len("velocity/"):]: np.array(arr, dtype=np.float64)
-        for name, arr in arrays.items() if name.startswith("velocity/")
-    }
-    bank = MemoryBank.from_state_arrays(arrays)
-    return Checkpoint(
-        student=student, teacher=teacher, velocities=velocities, bank=bank,
-        step=int(meta["step"]), tau=float(meta["tau"]), seed=int(meta["seed"]),
-        config_hash=str(meta["config_hash"]),
-        dynamics_hash=str(meta.get("dynamics_hash", "")),
-    )
+    """Read a checkpoint; a file that is not one raises DatasetFormatError."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        student = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="student/")
+        teacher = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="teacher/")
+        velocities = {
+            name[len("velocity/"):]: np.array(arr, dtype=np.float64)
+            for name, arr in arrays.items() if name.startswith("velocity/")
+        }
+        bank = MemoryBank.from_state_arrays(arrays)
+        return Checkpoint(
+            student=student, teacher=teacher, velocities=velocities, bank=bank,
+            step=int(meta["step"]), tau=float(meta["tau"]), seed=int(meta["seed"]),
+            config_hash=str(meta["config_hash"]),
+            dynamics_hash=str(meta.get("dynamics_hash", "")),
+            spec_hash=str(meta.get("spec_hash", "")),
+        )
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile,
+            LrcoError) as exc:
+        raise DatasetFormatError(
+            f"{path} is not a readable checkpoint ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _rows_before_resume(path, header: list[str], last_step: int, evaluates_at) -> list[str]:
@@ -602,12 +611,10 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     cfg.validate()
     augment.validate()
 
-    labeled = benchmark.labeled_pool()
-    lab_x = pack_inputs(labeled)
-    lab_y = pack_labels(labeled)
-    lab_is_source = np.array([s.domain == "source" for s in labeled], dtype=bool)
-    unl_x = pack_inputs(benchmark.target_unlabeled)
+    lab_x, lab_y, lab_is_source = benchmark.labeled_pool()
+    unl_x = benchmark.target_unlabeled_x
     n_classes = benchmark.spec.n_classes
+    spec_hash = benchmark_spec_hash(benchmark.spec)
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -640,12 +647,10 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
         bank = MemoryBank(cfg.bank_capacity)
         tau, start_step = cfg.tau, 0
 
-    lab_cycler = _EpochCycler(len(labeled), cfg.batch_labeled, cfg.seed, "labeled")
-    unl_cycler = _EpochCycler(len(benchmark.target_unlabeled), cfg.batch_unlabeled,
-                              cfg.seed, "unlabeled")
-
-    source_eval = benchmark.source
-    target_eval = benchmark.target_eval_samples()
+    lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, cfg.seed, "labeled")
+    unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, cfg.seed, "unlabeled")
+    eval_splits = (("source", (benchmark.source_x, benchmark.source_y)),
+                   ("target", benchmark.target_eval_samples()))
 
     def evaluates_at(step: int) -> bool:
         return step % cfg.eval_interval == 0 or step == cfg.total_steps
@@ -666,8 +671,8 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             metrics_file.write(metric_record_line(rec) + "\n")
 
     def eval_both(step: int, losses: dict[str, float]) -> None:
-        for split, samples in (("source", source_eval), ("target", target_eval)):
-            m = evaluate(student, samples)
+        for split, (x, y) in eval_splits:
+            m = evaluate(student, x, y)
             per_class = tuple(m.per_class.get(c, 0.0) for c in range(n_classes))
             write_record(MetricRecord(
                 step=step, split=split, accuracy=m.accuracy,
@@ -675,7 +680,6 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 losses=dict(losses),
             ))
 
-    last_report: StepReport | None = None
     try:
         for step in range(start_step + 1, cfg.total_steps + 1):
             lab_idx = lab_cycler.batch_for_step(step)
@@ -685,7 +689,6 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
             )
             report = train_step(student, teacher, bank, velocities, sb, cfg, tau, step)
-            last_report = report
             n_u = len(sb.pseudo)
             tau = adjust_tau(report.n_high / n_u if n_u else 0.0, tau, cfg)
 
@@ -698,6 +701,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                     student=student, teacher=teacher, velocities=velocities,
                     bank=bank, step=step, tau=tau, seed=cfg.seed,
                     config_hash=config_hash, dynamics_hash=dynamics_hash,
+                    spec_hash=spec_hash,
                 )
     finally:
         if metrics_file is not None:
@@ -708,7 +712,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             f"{checkpoint_dir}/checkpoint_final.npz",
             student=student, teacher=teacher, velocities=velocities, bank=bank,
             step=max(start_step, cfg.total_steps), tau=tau, seed=cfg.seed,
-            config_hash=config_hash, dynamics_hash=dynamics_hash,
+            config_hash=config_hash, dynamics_hash=dynamics_hash, spec_hash=spec_hash,
         )
 
     return FitResult(

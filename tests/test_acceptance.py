@@ -27,7 +27,7 @@ from lrco.analysis import (
 from lrco.cli import EXIT_OK, main as cli_main
 from lrco.config import default_run_config, dynamics_hash
 from lrco.data import (
-    AugmentSpec, generate_shift_benchmark, pack_inputs, pack_labels, weak_augment,
+    AugmentSpec, generate_shift_benchmark, weak_augment,
 )
 from lrco.gradcheck import check_instance
 from lrco.membank import MemoryBank
@@ -310,9 +310,7 @@ def test_07_confidence_similarity_direction(benchmark_runs):
     gaps = []
     for seed in SEEDS:
         bench, res, _ = benchmark_runs[("strong", seed)]
-        eval_samples = bench.target_eval_samples()
-        x = pack_inputs(eval_samples)
-        y = pack_labels(eval_samples)
+        x, y = bench.target_eval_samples()
         hi, lo, _, _ = split_by_confidence(res.student, x, res.final_tau)
         assert len(hi) >= 2 and len(lo) >= 2
         conf = np.zeros(len(x), dtype=bool)
@@ -337,11 +335,11 @@ def test_08_mixed_topk_direction(wide_benchmark_runs):
     min_gap = np.inf
     for seed in SEEDS:
         bench, res = wide_benchmark_runs[seed]
-        x_unl = pack_inputs(bench.target_unlabeled)
+        x_unl = bench.target_unlabeled_x
         hi, lo, _, _ = split_by_confidence(res.student, x_unl, res.final_tau)
         assert len(hi) >= 1 and len(lo) >= 1
         curves = mixed_topk_curves(res.student, x_unl[hi], x_unl[lo],
-                                   pack_inputs(bench.source),
+                                   bench.source_x,
                                    alpha=BASE.train.alpha, k_max=10, seed=seed)
         high, low = curves["high_mix"], curves["low_mix"]
         assert high.shape == (10,) and np.all(np.isfinite(high))

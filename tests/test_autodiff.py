@@ -124,10 +124,6 @@ def test_hstack_cols():
     check_op_gradient(build, (4,), (4, 3))
 
 
-def test_reshape():
-    check_op_gradient(lambda a: ad.reshape(a, (2, 6)), (3, 4))
-
-
 def test_detach_blocks_gradient():
     t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     out = ad.sum_all(ad.mul(ad.detach(t), t))

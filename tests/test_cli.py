@@ -1,11 +1,14 @@
 import hashlib
 import os
 
+import numpy as np
+
 from lrco.cli import (
     EXIT_INVALID_CONFIG, EXIT_MISSING_FILE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     main,
 )
-from lrco.data import load_dataset
+from lrco.config import apply_overrides, default_run_config
+from lrco.data import benchmark_spec_hash, load_dataset
 from lrco.trainer import load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
@@ -212,6 +215,91 @@ def test_resume_refuses_checkpoint_of_another_shape(tmp_path, capsys):
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert "checkpoint model has input_dim=3 n_classes=3" in err, override
+
+
+# What `eval` prints for the final checkpoint of a FAST run, recorded before
+# checkpoints named their benchmark (same platform as GEN_DATA_SHA256).
+FAST_EVAL_LINES = [
+    "split=source accuracy=0.733333 mean_confidence=0.915336 "
+    "class0=1.000000 class1=0.900000 class2=0.300000",
+    "split=target accuracy=0.566667 mean_confidence=0.990433 "
+    "class0=1.000000 class1=0.700000 class2=0.000000",
+]
+
+
+def train_fast(tmp_path, capsys) -> str:
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
+    capsys.readouterr()
+    return str(out / "checkpoint_final.npz")
+
+
+def test_eval_on_the_training_benchmark_prints_recorded_lines(tmp_path, capsys):
+    ckpt = train_fast(tmp_path, capsys)
+    spec = apply_overrides(default_run_config(), FAST[1::2]).data
+    assert load_checkpoint(ckpt).spec_hash == benchmark_spec_hash(spec)
+    assert run_cli("eval", "--checkpoint", ckpt, *FAST) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == FAST_EVAL_LINES
+
+
+def test_eval_and_analyze_refuse_checkpoint_of_another_benchmark(tmp_path, capsys):
+    ckpt = train_fast(tmp_path, capsys)
+    ck = load_checkpoint(ckpt)
+    unnamed = str(tmp_path / "unnamed.npz")  # the same model, naming no benchmark
+    save_checkpoint(unnamed, student=ck.student, teacher=ck.teacher,
+                    velocities=ck.velocities, bank=ck.bank, step=ck.step, tau=ck.tau,
+                    seed=ck.seed, config_hash=ck.config_hash,
+                    dynamics_hash=ck.dynamics_hash)
+    cases = ((ckpt, "data.seed=7", ck.spec_hash), (ckpt, "data.input_dim=6", ck.spec_hash),
+             (unnamed, "data.seed=0", "(none recorded)"))
+    for path, override, trained_on in cases:
+        for command in (["eval"], ["analyze", "--out", str(tmp_path / "analysis")]):
+            code = run_cli(*command, "--checkpoint", path, *FAST, "--set", override)
+            err = capsys.readouterr().err
+            assert code == EXIT_INVALID_CONFIG, (command, override)
+            assert err.startswith(f"error: invalid-config: checkpoint {path} was trained "
+                                  f"on benchmark spec_hash={trained_on}, "), err
+            assert "Traceback" not in err
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_corrupt_checkpoint_exits_4_naming_the_path(tmp_path, capsys):
+    good = train_fast(tmp_path, capsys)
+    text = tmp_path / "text.npz"
+    text.write_text("not a checkpoint\n")
+    truncated = tmp_path / "truncated.npz"
+    with open(good, "rb") as fh:
+        truncated.write_bytes(fh.read(200))
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    no_meta = tmp_path / "no_meta.npz"
+    with open(no_meta, "wb") as fh:
+        np.savez(fh, x=np.zeros(3))
+    for bad in (text, truncated, empty, no_meta):
+        for argv in (["eval", "--checkpoint", str(bad)],
+                     ["train", "--out", str(tmp_path / "resumed"), "--resume", str(bad)]):
+            assert run_cli(*argv, *FAST) == EXIT_INVALID_CONFIG, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid-config: {bad} is not a readable "
+                                  "checkpoint"), err
+
+
+def test_every_documented_exit_code(tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.npz"
+    corrupt.write_text("not a checkpoint\n")
+    cases = [
+        (EXIT_OK, ["gradcheck", "--instances", "1"], ""),
+        (EXIT_USAGE, ["eval"], "required: --checkpoint"),
+        (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
+         "error: missing-file:"),
+        (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
+         "error: invalid-config:"),
+        (EXIT_NUMERIC, ["gradcheck", "--instances", "1", "--tolerance", "1e-30"], ""),
+    ]
+    for expected, argv, err_part in cases:
+        assert run_cli(*argv) == expected, argv
+        err = capsys.readouterr().err
+        assert err_part in err and "Traceback" not in err, (argv, err)
 
 
 def test_missing_files_exit_3(tmp_path, capsys):

@@ -16,8 +16,7 @@ NEAREST_CENTROID_SHIFT_DROP_PTS = 99.33333333333333
 
 
 def nearest_centroid_accuracy(train, test):
-    train_x, train_y = pack_inputs(train), pack_labels(train)
-    test_x, test_y = pack_inputs(test), pack_labels(test)
+    (train_x, train_y), (test_x, test_y) = train, test
     k = int(train_y.max()) + 1
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in range(k)])
     d2 = ((test_x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -89,43 +88,44 @@ def test_split_sizes_and_domains():
     spec = BenchmarkSpec(n_classes=3, n_per_class_source=10, n_per_class_target=8,
                          n_labeled_target_per_class=2)
     bench = generate_shift_benchmark(spec)
-    assert len(bench.source) == 30
-    assert len(bench.target_unlabeled) == 24
-    assert len(bench.target_labeled) == 6
-    assert all(s.domain == "source" and s.label is not None for s in bench.source)
-    assert all(s.label is None for s in bench.target_unlabeled)
-    assert all(s.domain == "target" and s.label is not None
-               for s in bench.target_labeled)
-    assert len(bench.labeled_pool()) == 36
+    assert bench.source_x.shape == (30, 2)
+    assert bench.target_unlabeled_x.shape == (24, 2)
+    assert bench.target_labeled_x.shape == (6, 2)
+    # labels in class order, every class equally often
+    np.testing.assert_array_equal(bench.source_y, np.repeat([0, 1, 2], 10))
+    np.testing.assert_array_equal(bench.target_labeled_y, np.repeat([0, 1, 2], 2))
+    assert bench.source_y.dtype == bench.target_labeled_y.dtype == np.int64
+    x, y, is_source = bench.labeled_pool()
+    np.testing.assert_array_equal(x, np.concatenate((bench.source_x, bench.target_labeled_x)))
+    np.testing.assert_array_equal(y, np.concatenate((bench.source_y, bench.target_labeled_y)))
+    np.testing.assert_array_equal(is_source, np.arange(36) < 30)
 
 
 def test_eval_channel_restores_labels():
     bench = generate_shift_benchmark(BenchmarkSpec(n_classes=3, n_per_class_target=5))
-    eval_samples = bench.target_eval_samples()
-    assert len(eval_samples) == len(bench.target_unlabeled)
-    labels = pack_labels(eval_samples)
+    x, labels = bench.target_eval_samples()
+    assert len(labels) == len(bench.target_unlabeled_x)
     assert set(labels.tolist()) == {0, 1, 2}
     # same points, same order
-    np.testing.assert_array_equal(pack_inputs(eval_samples),
-                                  pack_inputs(bench.target_unlabeled))
+    np.testing.assert_array_equal(x, bench.target_unlabeled_x)
 
 
 def test_generation_is_deterministic():
     a = generate_shift_benchmark(BenchmarkSpec(seed=7))
     b = generate_shift_benchmark(BenchmarkSpec(seed=7))
-    np.testing.assert_array_equal(pack_inputs(a.source), pack_inputs(b.source))
-    np.testing.assert_array_equal(pack_inputs(a.target_unlabeled),
-                                  pack_inputs(b.target_unlabeled))
+    np.testing.assert_array_equal(a.source_x, b.source_x)
+    np.testing.assert_array_equal(a.target_unlabeled_x, b.target_unlabeled_x)
     c = generate_shift_benchmark(BenchmarkSpec(seed=8))
-    assert not np.array_equal(pack_inputs(a.source), pack_inputs(c.source))
+    assert not np.array_equal(a.source_x, c.source_x)
 
 
 def test_zero_shift_means_matched_domains():
     spec = BenchmarkSpec(shift_angle_deg=0.0)
     bench = generate_shift_benchmark(spec)
     np.testing.assert_allclose(bench.target_centers, bench.source_centers, atol=1e-12)
-    acc_src = nearest_centroid_accuracy(bench.source, bench.source)
-    acc_tgt = nearest_centroid_accuracy(bench.source, bench.target_eval_samples())
+    source = (bench.source_x, bench.source_y)
+    acc_src = nearest_centroid_accuracy(source, source)
+    acc_tgt = nearest_centroid_accuracy(source, bench.target_eval_samples())
     assert abs(acc_src - acc_tgt) < 0.02  # within 2 points when nothing shifted
 
 
@@ -134,8 +134,9 @@ def test_shift_hurts_source_fit_classifier():
     drops = []
     for seed in range(5):
         bench = generate_shift_benchmark(BenchmarkSpec(seed=seed))
-        acc_src = nearest_centroid_accuracy(bench.source, bench.source)
-        acc_tgt = nearest_centroid_accuracy(bench.source, bench.target_eval_samples())
+        source = (bench.source_x, bench.source_y)
+        acc_src = nearest_centroid_accuracy(source, source)
+        acc_tgt = nearest_centroid_accuracy(source, bench.target_eval_samples())
         drops.append(100.0 * (acc_src - acc_tgt))
     median_drop = float(np.median(drops))
     assert median_drop >= 10.0
@@ -217,23 +218,30 @@ def test_augment_spec_validation():
 def test_save_load_roundtrip_exact(tmp_path):
     bench = generate_shift_benchmark(BenchmarkSpec(n_classes=3, n_per_class_source=4,
                                                    n_per_class_target=4))
+    src, unl = tmp_path / "source.txt", tmp_path / "unlabeled.txt"
+    save_dataset(src, "source", bench.source_x, bench.source_y, n_classes=3,
+                 spec_hash="abc123")
+    save_dataset(unl, "target", bench.target_unlabeled_x, None, n_classes=3,
+                 spec_hash="abc123")
+    # one file may mix domains and labeled/unlabeled rows: join the two splits
     path = tmp_path / "mixed.txt"
-    samples = bench.source + bench.target_unlabeled
-    save_dataset(path, samples, input_dim=2, n_classes=3, spec_hash="abc123")
+    path.write_text(src.read_text() + "".join(unl.read_text().splitlines(True)[1:]))
     loaded, meta = load_dataset(path)
     assert meta == {"input_dim": 2, "n_classes": 3, "spec_hash": "abc123"}
-    assert len(loaded) == len(samples)
-    for orig, back in zip(samples, loaded):
-        assert back.domain == orig.domain
-        assert back.label == orig.label
-        np.testing.assert_array_equal(back.x, orig.x)  # 17 digits: bit-exact
+    expected = ([("source", int(y), x) for x, y in zip(bench.source_x, bench.source_y)]
+                + [("target", None, x) for x in bench.target_unlabeled_x])
+    assert len(loaded) == len(expected) == 24
+    for (domain, label, x), back in zip(expected, loaded):
+        assert back.domain == domain
+        assert back.label == label
+        np.testing.assert_array_equal(back.x, x)  # 17 digits: bit-exact
 
 
 def test_empty_sample_list_roundtrips(tmp_path):
     # A header-only file is a legitimate dataset with zero samples; only a
     # file with no header at all is malformed.
     path = tmp_path / "none.txt"
-    save_dataset(path, [], input_dim=3, n_classes=2)
+    save_dataset(path, "target", np.zeros((0, 3)), None, n_classes=2)
     loaded, meta = load_dataset(path)
     assert loaded == []
     assert meta["input_dim"] == 3 and meta["n_classes"] == 2
@@ -243,8 +251,8 @@ def test_save_is_byte_deterministic(tmp_path):
     bench = generate_shift_benchmark(BenchmarkSpec(n_per_class_source=2,
                                                    n_per_class_target=2))
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    save_dataset(p1, bench.source, input_dim=2, n_classes=5)
-    save_dataset(p2, bench.source, input_dim=2, n_classes=5)
+    save_dataset(p1, "source", bench.source_x, bench.source_y, n_classes=5)
+    save_dataset(p2, "source", bench.source_x, bench.source_y, n_classes=5)
     assert p1.read_bytes() == p2.read_bytes()
 
 

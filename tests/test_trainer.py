@@ -298,7 +298,7 @@ def test_evaluate_on_separable_data():
     cfg = TrainConfig(method="source_only", total_steps=60, batch_labeled=12,
                       batch_unlabeled=12, learning_rate=0.05)
     result = fit(bench, AUG, cfg, hidden_dims=(8,), feature_dim=6)
-    m = evaluate(result.student, bench.source)
+    m = evaluate(result.student, bench.source_x, bench.source_y)
     assert m.accuracy > 0.9  # source fit is easy
     assert set(m.per_class) == {0, 1, 2}
     assert 1.0 / 3.0 <= m.mean_confidence <= 1.0
@@ -309,7 +309,7 @@ def test_evaluate_on_separable_data():
 def test_evaluate_rejects_empty():
     cfg, student, *_ = tiny_setup()
     with pytest.raises(ValueError):
-        evaluate(student, [])
+        evaluate(student, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
 # --- epoch cycling ------------------------------------------------------------------------
