@@ -1,11 +1,11 @@
 """Finite-difference verification of every loss term and training objective.
 
 Each randomized instance builds a tiny model pair (student + independent
-teacher), a prepared step batch, and compares reverse-mode gradients against
-central finite differences over the full parameter vector. Terms whose
-re-representation weights are stop-gradients are checked against the function
-with those weights frozen — the function the analytic gradient actually
-differentiates.
+teacher) and prepared step batches, and compares reverse-mode gradients of
+the terms ``trainer.step_objective`` returns against central finite
+differences over the full parameter vector. Terms whose re-representation
+weights are stop-gradients are checked against the function with those
+weights frozen — the function the analytic gradient actually differentiates.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from . import losses as L
 from .data import AugmentSpec, weak_augment
 from .membank import MemoryBank
 from .model import (
@@ -125,106 +123,47 @@ def _build_instance(index: int, seed: int):
     }
 
 
-def _term_functions(inst) -> dict[str, object]:
-    """Map term name -> loss_fn(model_like) -> scalar (array or tensor)."""
-    sb_rerep = inst["batches"]["rerep"]
-    sb_raw = inst["batches"]["raw"]
-    sb_mix = inst["batches"]["mix"]
-    cfgs = inst["cfgs"]
-    frozen = inst["frozen_classifier"]
-    n_classes = inst["n_classes"]
-
-    def labeled_ce(m):
-        return L.cross_entropy_batch(probs_of(m, features_of(m, sb_rerep.labeled_weak)),
-                                     sb_rerep.labeled_y)
-
-    def alignment_entropy(m):
-        return L.entropy_alignment(probs_of(m, features_of(m, sb_rerep.unlabeled_weak)))
-
-    def fixmatch(m):
-        if len(sb_rerep.high_idx) == 0:
-            return 0.0
-        probs = probs_of(m, features_of(m, sb_rerep.unlabeled_strong))
-        picked = ad.take_rows(probs, sb_rerep.high_idx)
-        return L.cross_entropy_batch(picked, sb_rerep.pseudo[sb_rerep.high_idx])
-
-    def uniform_kld(m):
-        if len(sb_rerep.high_idx) == 0:
-            return 0.0
-        probs = probs_of(m, features_of(m, sb_rerep.unlabeled_strong))
-        return L.kld_uniform_batch(ad.take_rows(probs, sb_rerep.high_idx), n_classes)
-
-    def contrastive_rerep(m):
-        if len(sb_rerep.sel_idx) == 0:
-            return 0.0
-        feats = features_of(m, sb_rerep.unlabeled_strong)
-        q = L.re_represent_batch(ad.take_rows(feats, sb_rerep.sel_idx), frozen,
-                                 cfgs["rerep"].resolved_t_re())
-        return L.contrastive_batch(q, sb_rerep.keys_sel, sb_rerep.bank_snapshot,
-                                   cfgs["rerep"].t_co)
-
-    def contrastive_raw(m):
-        if len(sb_raw.sel_idx) == 0:
-            return 0.0
-        feats = features_of(m, sb_raw.unlabeled_strong)
-        q = ad.normalize_rows(ad.take_rows(feats, sb_raw.sel_idx))
-        return L.contrastive_batch(q, sb_raw.keys_sel, sb_raw.bank_snapshot,
-                                   cfgs["raw"].t_co)
-
-    def contrastive_mix(m):
-        mix = sb_mix.mix
-        if mix is None:
-            return 0.0
-        feats = features_of(m, mix.x_mix)
-        q = L.re_represent_batch(feats, frozen, cfgs["mix"].resolved_t_re())
-        return L.mixlrco_batch(q, mix.k_mix, mix.k_target, mix.k_source,
-                               sb_mix.bank_snapshot, cfgs["mix"].t_co)
-
-    def objective_strong(m):
-        total, _ = step_objective(m, sb_rerep, cfgs["strong"])
-        return total
-
-    def objective_lrco(m):
-        total, _ = step_objective(m, sb_rerep, cfgs["rerep"],
-                                  frozen_classifier=frozen)
-        return total
-
-    def objective_mixlrco(m):
-        total, _ = step_objective(m, sb_mix, cfgs["mix"],
-                                  frozen_classifier=frozen)
-        return total
-
-    return {
-        "labeled_ce": labeled_ce,
-        "alignment_entropy": alignment_entropy,
-        "fixmatch": fixmatch,
-        "uniform_kld": uniform_kld,
-        "contrastive_rerep": contrastive_rerep,
-        "contrastive_raw": contrastive_raw,
-        "contrastive_mix": contrastive_mix,
-        "objective_strong": objective_strong,
-        "objective_lrco": objective_lrco,
-        "objective_mixlrco": objective_mixlrco,
-    }
+# (config, prepared batch, ((check, key of its term in step_objective), ...)):
+# every check differentiates a term of the trainer's own objective, and the
+# checks on one prepared step share one finite-difference pass.
+_CHECKS = (
+    ("strong", "rerep", (("labeled_ce", "ce"), ("alignment_entropy", "align"),
+                         ("fixmatch", "fixmatch"), ("uniform_kld", "kld"),
+                         ("objective_strong", "total"))),
+    ("rerep", "rerep", (("contrastive_rerep", "contrastive"),
+                        ("objective_lrco", "total"))),
+    ("raw", "raw", (("contrastive_raw", "contrastive"),)),
+    ("mix", "mix", (("contrastive_mix", "contrastive"),
+                    ("objective_mixlrco", "total"))),
+)
 
 
 def check_instance(index: int, seed: int = 0, h: float = 1e-5) -> InstanceResult:
     inst = _build_instance(index, seed)
     student = inst["student"]
+    frozen = inst["frozen_classifier"]
     base_vec = get_param_vector(student)
     errors: dict[str, float] = {}
-    for name, loss_fn in _term_functions(inst).items():
-        grads = compute_gradients(student, loss_fn)
-        analytic = np.concatenate([g.ravel() for g in grads.values()])
+    for cfg_key, batch_key, checks in _CHECKS:
+        cfg, sb = inst["cfgs"][cfg_key], inst["batches"][batch_key]
+        keys = [key for _, key in checks]
 
-        def scalar_at(vec: np.ndarray) -> float:
-            value = loss_fn(with_param_vector(student, vec))
-            return float(ad.value_of(value))
+        def terms_of(m):
+            total, terms = step_objective(m, sb, cfg, frozen_classifier=frozen)
+            return {**terms, "total": total}
 
-        numeric = finite_diff_grad(scalar_at, base_vec, h=h)
-        errors[name] = relative_grad_error(analytic, numeric)
+        def values_at(vec: np.ndarray) -> np.ndarray:
+            terms = terms_of(with_param_vector(student, vec))
+            return np.array([float(terms[key]) for key in keys])
+
+        numeric = finite_diff_grad(values_at, base_vec, h=h)
+        for column, (name, key) in enumerate(checks):
+            grads = compute_gradients(student, lambda m: terms_of(m)[key])
+            analytic = np.concatenate([g.ravel() for g in grads.values()])
+            errors[name] = relative_grad_error(analytic, numeric[:, column])
     return InstanceResult(index=index, n_classes=inst["n_classes"],
-                          feature_dim=inst["feature_dim"], errors=errors)
+                          feature_dim=inst["feature_dim"],
+                          errors={name: errors[name] for name in TERM_NAMES})
 
 
 def run_gradient_suite(seed: int = 0, n_instances: int = 20,

@@ -241,8 +241,8 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
                       t_ce=float(t_ce), t_re=float(t_re))
 
 
-def states_allclose(a: ModelState, b: ModelState, atol: float = 0.0) -> bool:
-    """Bitwise (atol=0) or tolerant comparison of two states."""
+def states_allclose(a: ModelState, b: ModelState) -> bool:
+    """Whether two states have equal shapes and equal values."""
     if len(a.weights) != len(b.weights):
         return False
     arrays = list(zip(a.weights, b.weights)) + list(zip(a.biases, b.biases))
@@ -250,10 +250,7 @@ def states_allclose(a: ModelState, b: ModelState, atol: float = 0.0) -> bool:
     for x, y in arrays:
         if x.shape != y.shape:
             return False
-        if atol == 0.0:
-            if not np.array_equal(x, y):
-                return False
-        elif not np.allclose(x, y, atol=atol, rtol=0.0):
+        if not np.array_equal(x, y):
             return False
     return True
 

@@ -124,8 +124,13 @@ def sample_beta(alpha: float, rng: SeededRng) -> float:
     return float(min(max(lam, 1e-12), 1.0 - 1e-12))
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], p, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at a parameter vector.
+def finite_diff_grad(f: Callable[[np.ndarray], object], p, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a function at a parameter vector.
+
+    ``f`` returns a scalar, giving a gradient of shape (P,), or a vector of
+    K values, giving a (P, K) Jacobian whose column k equals, bit for bit,
+    the gradient of the k-th value alone. So several functions of the same
+    parameters share one pass over the perturbed vectors.
 
     This is the oracle side of every gradient check in the package; it must
     stay independent of the autodiff layer.
@@ -135,14 +140,15 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], p, h: float = 1e-5) -> np
         raise ValueError("finite_diff_grad expects a 1-D parameter vector")
     if not h > 0:
         raise ValueError("step size h must be positive")
-    grad = np.empty_like(p)
+    rows = []
     for i in range(p.size):
         forward = p.copy()
         backward = p.copy()
         forward[i] += h
         backward[i] -= h
-        grad[i] = (float(f(forward)) - float(f(backward))) / (2.0 * h)
-    return grad
+        rows.append((np.asarray(f(forward), dtype=np.float64)
+                     - np.asarray(f(backward), dtype=np.float64)) / (2.0 * h))
+    return np.array(rows, dtype=np.float64)
 
 
 def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

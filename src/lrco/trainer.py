@@ -606,7 +606,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     ``dynamics_hash`` guards resume: a checkpoint carrying a different
     dynamics hash, or none, cannot continue this run. Neither can a
     checkpoint whose model has another input dimension or class count than
-    the benchmark.
+    the benchmark, or one that records another benchmark's spec hash.
     """
     cfg.validate()
     augment.validate()
@@ -624,6 +624,11 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 f"checkpoint model has input_dim={shape[0]} n_classes={shape[1]}, "
                 f"the benchmark has input_dim={benchmark.spec.input_dim} "
                 f"n_classes={n_classes}"
+            )
+        if ckpt.spec_hash and ckpt.spec_hash != spec_hash:
+            raise ConfigError(
+                f"checkpoint was trained on benchmark spec_hash={ckpt.spec_hash}, "
+                f"this benchmark has spec_hash={spec_hash}"
             )
         if dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
             raise ConfigError(

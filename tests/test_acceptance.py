@@ -381,8 +381,8 @@ def test_10_determinism_and_resume(tmp_path):
     assert (out_a / "config_used.txt").read_bytes() == (out_b / "config_used.txt").read_bytes()
     ck_a = load_checkpoint(out_a / "checkpoint_final.npz")
     ck_b = load_checkpoint(out_b / "checkpoint_final.npz")
-    assert states_allclose(ck_a.student, ck_b.student, atol=0.0)
-    assert states_allclose(ck_a.teacher, ck_b.teacher, atol=0.0)
+    assert states_allclose(ck_a.student, ck_b.student)
+    assert states_allclose(ck_a.teacher, ck_b.teacher)
     assert np.array_equal(ck_a.bank.snapshot(), ck_b.bank.snapshot())
 
     # (b) stopping at the midpoint and resuming equals the uninterrupted run
@@ -399,8 +399,8 @@ def test_10_determinism_and_resume(tmp_path):
     resumed = fit(bench, BASE.augment, BASE.train,
                   resume_from=str(ckpt_dir / "checkpoint_final.npz"), **kwargs)
 
-    assert states_allclose(resumed.student, straight.student, atol=0.0)
-    assert states_allclose(resumed.teacher, straight.teacher, atol=0.0)
+    assert states_allclose(resumed.student, straight.student)
+    assert states_allclose(resumed.teacher, straight.teacher)
     assert np.array_equal(resumed.bank.snapshot(), straight.bank.snapshot())
     assert resumed.final_tau == straight.final_tau
     resumed_lines = {(r.step, r.split): metric_record_line(r) for r in resumed.history}

@@ -41,6 +41,21 @@ def test_suite_reports_worst_errors():
     assert all(v < 1e-4 for v in worst.values())
 
 
+def test_alignment_check_sees_the_trainers_weighting(monkeypatch):
+    # the alignment term the trainer optimizes is a weighted sum built with
+    # ad.scale; a backward that drops the weight must fail its check
+    scale = ad.scale
+
+    def scale_with_unweighted_backward(a, c):
+        out = scale(a, c)
+        if ad.is_tensor(out):
+            out.backward_fn = a.accumulate
+        return out
+
+    monkeypatch.setattr(ad, "scale", scale_with_unweighted_backward)
+    assert check_instance(0, seed=0).errors["alignment_entropy"] > 1e-4
+
+
 def test_frozen_classifier_objective_matches_production_at_base_point():
     # the finite-difference harness swaps in a frozen classifier copy; at the
     # unperturbed parameters that function must equal the production objective

@@ -30,7 +30,7 @@ def small_config(**kw):
 def test_init_deterministic():
     a = init_model(small_config(), SeededRng(0))
     b = init_model(small_config(), SeededRng(0))
-    assert states_allclose(a, b, atol=0.0)
+    assert states_allclose(a, b)
 
 
 def test_init_param_count_linear_only():
@@ -139,7 +139,7 @@ def test_ema_fixed_point_and_basic_value():
     student = init_model(cfg, SeededRng(0))
     teacher = clone_state(student)
     ema_update(teacher, student, 0.99)
-    assert states_allclose(teacher, student, atol=0.0)
+    assert states_allclose(teacher, student)
 
     teacher2 = clone_state(student)
     for arr in state_arrays(teacher2).values():
@@ -184,9 +184,9 @@ def test_param_vector_roundtrip():
     m = init_model(small_config(hidden_dims=(4, 3)), SeededRng(4))
     vec = get_param_vector(m)
     rebuilt = with_param_vector(m, vec)
-    assert states_allclose(m, rebuilt, atol=0.0)
+    assert states_allclose(m, rebuilt)
     bumped = with_param_vector(m, vec + 1.0)
-    assert not states_allclose(m, bumped, atol=0.0)
+    assert not states_allclose(m, bumped)
     np.testing.assert_allclose(get_param_vector(bumped), vec + 1.0)
 
 
@@ -194,7 +194,7 @@ def test_state_arrays_roundtrip():
     m = init_model(small_config(), SeededRng(6))
     arrays = {k: v.copy() for k, v in state_arrays(m, prefix="s/").items()}
     rebuilt = state_from_arrays(arrays, m.t_ce, m.t_re, prefix="s/")
-    assert states_allclose(m, rebuilt, atol=0.0)
+    assert states_allclose(m, rebuilt)
 
 
 def test_compute_gradients_constant_loss_zero_tape():

@@ -190,6 +190,21 @@ def test_finite_diff_constant_zero():
     np.testing.assert_allclose(grad, np.zeros(3), atol=1e-12)
 
 
+def test_finite_diff_vector_columns_equal_scalar_calls():
+    p = np.array([0.3, -0.7, 1.1, 0.05])
+    components = (
+        lambda v: float(v @ v),
+        lambda v: float(np.sin(v).sum() * v[0]),
+        lambda v: float(logsumexp_last(3.0 * v)),
+    )
+    jac = finite_diff_grad(lambda v: np.array([c(v) for c in components]), p)
+    assert jac.shape == (4, 3)
+    for k, component in enumerate(components):
+        scalar = finite_diff_grad(component, p)
+        assert scalar.shape == (4,)
+        assert jac[:, k].tobytes() == scalar.tobytes()
+
+
 def test_finite_diff_softmax_cross_entropy():
     # analytic softmax-CE gradient: p - onehot(y)
     logits = np.array([0.2, -1.3, 0.8])

@@ -350,8 +350,8 @@ def test_lambda_zero_matches_strong_bitwise():
     for method in ("lrco", "mixlrco"):
         got = fit(bench, AUG, TrainConfig(method=method, lambda_co=0.0, **base),
                   hidden_dims=(6,), feature_dim=5)
-        assert states_allclose(got.student, ref.student, atol=0.0)
-        assert states_allclose(got.teacher, ref.teacher, atol=0.0)
+        assert states_allclose(got.student, ref.student)
+        assert states_allclose(got.teacher, ref.teacher)
 
 
 # --- checkpointing and resume ---------------------------------------------------------------
@@ -366,8 +366,8 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     save_checkpoint(path, student=student, teacher=teacher, velocities=velocities,
                     bank=bank, step=2, tau=0.7, seed=cfg.seed, config_hash="h123")
     ck = load_checkpoint(path)
-    assert states_allclose(ck.student, student, atol=0.0)
-    assert states_allclose(ck.teacher, teacher, atol=0.0)
+    assert states_allclose(ck.student, student)
+    assert states_allclose(ck.teacher, teacher)
     assert ck.step == 2 and ck.tau == 0.7 and ck.config_hash == "h123"
     np.testing.assert_array_equal(ck.bank.snapshot(), bank.snapshot())
     for name, arr in velocities.items():
@@ -407,8 +407,8 @@ def test_resume_reproduces_straight_run(tmp_path):
     resumed = fit(bench, AUG, cfg6,
                   resume_from=str(ck_dir / "checkpoint_final.npz"), **kw)
 
-    assert states_allclose(resumed.student, straight.student, atol=0.0)
-    assert states_allclose(resumed.teacher, straight.teacher, atol=0.0)
+    assert states_allclose(resumed.student, straight.student)
+    assert states_allclose(resumed.teacher, straight.teacher)
     assert resumed.final_tau == straight.final_tau
     np.testing.assert_array_equal(resumed.bank.snapshot(), straight.bank.snapshot())
     assert resumed.steps_run == 3
@@ -430,6 +430,24 @@ def test_resume_rejects_dynamics_mismatch(tmp_path):
     result = fit(bench, AUG, longer, hidden_dims=(6,), feature_dim=5,
                  resume_from=str(ck_dir / "checkpoint_final.npz"),
                  config_hash="different-stamp", dynamics_hash="aaa")
+    assert result.steps_run == 2
+
+
+def test_resume_refuses_checkpoint_of_another_benchmark(tmp_path):
+    cfg = TrainConfig(method="baseline", total_steps=2, batch_labeled=12,
+                      batch_unlabeled=12)
+    ck_dir = tmp_path / "run"
+    ck_dir.mkdir()
+    fit(small_benchmark(seed=0), AUG, cfg, hidden_dims=(6,), feature_dim=5,
+        checkpoint_dir=str(ck_dir))
+    ckpt = str(ck_dir / "checkpoint_final.npz")
+    longer = dataclasses.replace(cfg, total_steps=4)
+    # same shapes and dynamics, another data seed
+    with pytest.raises(ConfigError, match="spec_hash"):
+        fit(small_benchmark(seed=7), AUG, longer, hidden_dims=(6,), feature_dim=5,
+            resume_from=ckpt)
+    result = fit(small_benchmark(seed=0), AUG, longer, hidden_dims=(6,),
+                 feature_dim=5, resume_from=ckpt)
     assert result.steps_run == 2
 
 
@@ -470,7 +488,7 @@ def test_fit_zero_steps_returns_initial_model(tmp_path):
                  checkpoint_dir=str(tmp_path))
     assert result.steps_run == 0
     assert result.history == []
-    assert states_allclose(result.student, result.teacher, atol=0.0)
+    assert states_allclose(result.student, result.teacher)
     ck = load_checkpoint(tmp_path / "checkpoint_final.npz")
     assert ck.step == 0
 
