@@ -1,19 +1,23 @@
 """Golden trajectory digests: a refactor is neutral only if these stay equal.
 
-Each method trains on the default run config (seed 0, the default 600 steps)
+Each case trains on the default run config (seed 0, the default 600 steps)
 and the run is reduced to the first 16 hex characters of a sha256 over the
 final student arrays, the final teacher arrays, the bank snapshot and the
 metric lines. Any change to a floating-point expression, a random draw or
 the order of either moves the digest.
+
+A case is named by its ``train.*`` settings, comma-separated: first the
+method, then any ablation value that differs from the default. Each method
+runs with the defaults; the other cases pin the non-default values of the
+ablation switches and the dynamic threshold.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from lrco.config import default_run_config
+from lrco.config import apply_overrides, default_run_config
 from lrco.data import generate_shift_benchmark
 from lrco.model import state_arrays
 from lrco.trainer import fit, metric_record_line
@@ -27,7 +31,20 @@ GOLDEN_DIGESTS = {
     "strong": "ffbf06578c16d728",
     "lrco": "fc074f35eabe00c8",
     "mixlrco": "abc34c9b88830cca",
+    "lrco,sample_selection=high": "7e28ba82d1f9bd4a",
+    "lrco,sample_selection=all": "c71bc6fef047515c",
+    "lrco,rerep_mode=raw": "251f5a18ab39c0cf",
+    "mixlrco,sample_selection=high": "0c80a36a8c849cbc",
+    "mixlrco,mixup_mode=no_dominance": "96931cba3b751147",
+    "mixlrco,dynamic_tau=true": "167bd8438efff5b4",
 }
+
+
+def golden_config(case: str):
+    """The default run config with the case's ``train.*`` settings applied."""
+    method, *settings = case.split(",")
+    return apply_overrides(default_run_config(),
+                           [f"train.method={method}", *(f"train.{s}" for s in settings)])
 
 
 def trajectory_digest(result) -> str:
@@ -48,11 +65,10 @@ def default_benchmark():
     return generate_shift_benchmark(default_run_config().data)
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN_DIGESTS))
-def test_trajectory_digest_unchanged(method, default_benchmark):
-    base = default_run_config()
-    cfg = dataclasses.replace(base.train, method=method)
-    result = fit(default_benchmark, base.augment, cfg,
-                 hidden_dims=base.model.hidden_dims, feature_dim=base.model.feature_dim)
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_trajectory_digest_unchanged(case, default_benchmark):
+    cfg = golden_config(case)
+    result = fit(default_benchmark, cfg.augment, cfg.train,
+                 hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim)
     assert result.steps_run == 600
-    assert trajectory_digest(result) == GOLDEN_DIGESTS[method]
+    assert trajectory_digest(result) == GOLDEN_DIGESTS[case]
