@@ -11,7 +11,7 @@ from .config import (
 )
 from .data import (
     AugmentSpec, BenchmarkSpec, Sample, ShiftBenchmark, generate_shift_benchmark,
-    load_dataset, save_dataset, strong_augment, weak_augment,
+    save_dataset, strong_augment, weak_augment,
 )
 from .errors import (
     ConfigError, DatasetFormatError, DegenerateFeatureError, LrcoError,
@@ -42,7 +42,7 @@ __all__ = [
     "canonical_text", "clone_state", "config_hash", "contrastive_batch",
     "default_run_config", "draw_mix", "ema_update", "entropy_alignment",
     "evaluate", "fit", "generate_shift_benchmark", "init_model",
-    "load_checkpoint", "load_config", "load_dataset", "make_pseudo_label",
+    "load_checkpoint", "load_config", "make_pseudo_label",
     "parse_config_text", "project_2d", "run_gradient_suite", "sample_beta",
     "save_checkpoint", "save_dataset", "similarity_stats", "strong_augment",
     "topk_accumulation", "weak_augment",

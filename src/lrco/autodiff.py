@@ -262,28 +262,29 @@ def normalize_rows(a):
 
 
 def logsumexp_rows(a):
-    """log(sum(exp(.))) along the last axis: 1-D gives a scalar, 2-D gives (n,)."""
+    """log(sum(exp(.))) along the last axis: (n, d) gives (n,)."""
     if not is_tensor(a):
         return numerics.logsumexp_last(value_of(a))
     out = Tensor(numerics.logsumexp_last(a.value), parents=(a,))
 
     def backward_fn(g):
         soft = numerics.softmax_last(a.value, 1.0)
-        a.accumulate(soft * np.expand_dims(g, -1) if a.value.ndim == 2 else soft * g)
+        a.accumulate(soft * np.expand_dims(g, -1))
 
     out.backward_fn = backward_fn
     return out
 
 
 def rowwise_dot(a, b):
-    """Dot product along the last axis: two 1-D vectors give a scalar, (n,d) gives (n,)."""
+    """Dot product along the last axis: (n, d) rows give (n,); a 1-D operand
+    broadcasts against every row."""
     if not (is_tensor(a) or is_tensor(b)):
         return np.sum(value_of(a) * value_of(b), axis=-1)
     a, b = _lift(a), _lift(b)
     out = Tensor(np.sum(a.value * b.value, axis=-1), parents=(a, b))
 
     def backward_fn(g):
-        ge = np.expand_dims(g, -1) if a.value.ndim == 2 else g
+        ge = np.expand_dims(g, -1)
         if a.requires_grad:
             a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
         if b.requires_grad:
@@ -296,25 +297,15 @@ def rowwise_dot(a, b):
 def pick_per_row(p, idx):
     """Gather one entry per row: (n,K) with (n,) int labels gives (n,)."""
     idx = np.asarray(idx, dtype=np.int64)
+    rows = np.arange(value_of(p).shape[0])
     if not is_tensor(p):
-        pv = value_of(p)
-        return pv[np.arange(pv.shape[0]), idx] if pv.ndim == 2 else pv[int(idx)]
-    if p.value.ndim == 2:
-        rows = np.arange(p.value.shape[0])
-        out = Tensor(p.value[rows, idx], parents=(p,))
+        return value_of(p)[rows, idx]
+    out = Tensor(p.value[rows, idx], parents=(p,))
 
-        def backward_fn(g):
-            z = np.zeros_like(p.value)
-            np.add.at(z, (rows, idx), g)
-            p.accumulate(z)
-
-    else:
-        out = Tensor(p.value[int(idx)], parents=(p,))
-
-        def backward_fn(g):
-            z = np.zeros_like(p.value)
-            z[int(idx)] = g
-            p.accumulate(z)
+    def backward_fn(g):
+        z = np.zeros_like(p.value)
+        np.add.at(z, (rows, idx), g)
+        p.accumulate(z)
 
     out.backward_fn = backward_fn
     return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DatasetFormatError
 from .numerics import SeededRng
 
 
@@ -185,22 +184,17 @@ def weak_augment(x, spec: AugmentSpec, rng: SeededRng) -> np.ndarray:
 
 
 def strong_augment(x, spec: AugmentSpec, rng: SeededRng) -> np.ndarray:
-    """Heavy view: Gaussian noise, then coordinate masking, then global scale jitter."""
+    """Heavy view: Gaussian noise, then coordinate masking, then a scale jitter
+    drawn once per row."""
     x = np.asarray(x, dtype=np.float64)
     out = x + spec.sigma_strong * rng.normal(size=x.shape)
     keep = rng.uniform(size=x.shape) >= spec.mask_prob
     out = out * keep
-    if x.ndim == 2:
-        factor = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
-    else:
-        factor = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter)
+    factor = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(*x.shape[:-1], 1))
     return out * factor
 
 
 # Dataset files ----------------------------------------------------------------
-
-_DOMAINS = ("source", "target")
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -228,68 +222,8 @@ def save_dataset(path, domain: str, x: np.ndarray, labels: np.ndarray | None, *,
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path) -> tuple[list[Sample], dict]:
-    """Read a dataset file back; malformed content reports the line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines:
-        raise DatasetFormatError("line 1: empty dataset file")
-
-    header: dict[str, str] = {}
-    for piece in raw_lines[0].split(","):
-        if "=" not in piece:
-            raise DatasetFormatError(f"line 1: malformed header field {piece!r}")
-        key, value = piece.split("=", 1)
-        header[key] = value
-    try:
-        input_dim = int(header["input_dim"])
-        n_classes = int(header["K"])
-    except (KeyError, ValueError) as exc:
-        raise DatasetFormatError(f"line 1: bad header ({exc})") from exc
-    meta = {"input_dim": input_dim, "n_classes": n_classes,
-            "spec_hash": header.get("spec_hash", "")}
-
-    samples: list[Sample] = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 + input_dim:
-            raise DatasetFormatError(
-                f"line {lineno}: expected {2 + input_dim} fields, got {len(parts)}"
-            )
-        domain = parts[0]
-        if domain not in _DOMAINS:
-            raise DatasetFormatError(
-                f"line {lineno}: field 1: unknown domain tag {domain!r}"
-            )
-        if parts[1] == "-":
-            label: int | None = None
-        else:
-            try:
-                label = int(parts[1])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: field 2: bad label {parts[1]!r}"
-                ) from None
-            if not 0 <= label < n_classes:
-                raise DatasetFormatError(
-                    f"line {lineno}: field 2: label {label} outside 0..{n_classes - 1}"
-                )
-        coords = np.empty(input_dim)
-        for j, piece in enumerate(parts[2:]):
-            try:
-                coords[j] = float(piece)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: field {3 + j}: bad float {piece!r}"
-                ) from None
-        samples.append(Sample(x=coords, label=label, domain=domain))
-    return samples, meta
-
-
 def pack_inputs(samples: list[Sample]) -> np.ndarray:
-    """Stack the inputs of rows read from a dataset file into a (n, d) matrix."""
+    """Stack the inputs of Sample rows into a (n, d) matrix."""
     return np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
 
 

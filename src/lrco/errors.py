@@ -14,7 +14,7 @@ class ShapeMismatchError(LrcoError):
 
 
 class DatasetFormatError(LrcoError):
-    """A dataset file (message names the line) or a checkpoint file is malformed."""
+    """A checkpoint file is malformed or unreadable (message names the path)."""
 
 
 class ConfigError(LrcoError):

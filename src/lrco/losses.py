@@ -85,20 +85,20 @@ def kld_uniform_batch(p_rows, n_classes: int):
 
 # Classifier-weight re-representation ----------------------------------------
 
-def re_represent_batch(f_rows, classifier, t_re: float, detach_weights: bool = True):
+def re_represent_batch(f_rows, classifier, t_re: float):
     """Attention over classifier rows, then their weighted combination, renormalized.
 
     Args:
         f_rows: raw feature rows (batch or single row matrix).
-        classifier: classifier weight matrix, one raw row per class.
+        classifier: classifier weight matrix, one raw row per class. It is
+            detached: no gradient flows into the classifier through this
+            path; only the feature side learns.
         t_re: attention temperature.
-        detach_weights: when True (the default) no gradient flows into the
-            classifier through this path; only the feature side learns.
 
     Returns unit-normalized re-represented rows living in the row space of
     the classifier matrix.
     """
-    w = ad.detach(classifier) if detach_weights else classifier
+    w = ad.detach(classifier)
     attention = ad.softmax_rows(
         ad.matmul(ad.normalize_rows(f_rows), ad.normalize_rows(w), transpose_b=True),
         t_re,

@@ -34,10 +34,8 @@ class MemoryBank:
         keys = np.asarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
-        if keys.ndim == 1:
-            keys = keys.reshape(1, -1)
         if keys.ndim != 2:
-            raise ValueError("keys must be a vector or a matrix of row vectors")
+            raise ValueError("keys must be a matrix of row vectors")
         if self.dim is not None and keys.shape[1] != self.dim:
             raise ValueError(
                 f"key dim {keys.shape[1]} does not match bank dim {self.dim}"

@@ -32,8 +32,8 @@ from .numerics import SeededRng, normalize_last
 
 METHODS = ("source_only", "baseline", "strong", "lrco", "mixlrco")
 SAMPLE_SELECTIONS = ("low", "high", "all")
-REREP_MODES = ("rerep", "raw", "rerep_nodetach")
-MIXUP_MODES = ("dominant", "no_dominance", "high_confidence")
+REREP_MODES = ("rerep", "raw")
+MIXUP_MODES = ("dominant", "no_dominance")
 LOSS_KEYS = ("total", "ce", "align", "fixmatch", "kld", "contrastive")
 
 _FMT = "{:.17g}".format
@@ -75,14 +75,11 @@ class TrainConfig:
         return self.t_ce if self.t_re is None else self.t_re
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.sample_selection not in SAMPLE_SELECTIONS:
-            raise ConfigError(f"unknown sample_selection {self.sample_selection!r}")
-        if self.rerep_mode not in REREP_MODES:
-            raise ConfigError(f"unknown rerep_mode {self.rerep_mode!r}")
-        if self.mixup_mode not in MIXUP_MODES:
-            raise ConfigError(f"unknown mixup_mode {self.mixup_mode!r}")
+        for name, allowed in (("method", METHODS), ("sample_selection", SAMPLE_SELECTIONS),
+                              ("rerep_mode", REREP_MODES), ("mixup_mode", MIXUP_MODES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}; choose from {allowed}")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie in (0, 1)")
         for name in ("t_ce", "t_co"):
@@ -167,7 +164,6 @@ class FitResult:
 class MixSelection:
     target_rows: np.ndarray
     source_rows: np.ndarray
-    lam: np.ndarray
     lam_prime: np.ndarray
     x_mix: np.ndarray
     k_mix: np.ndarray
@@ -212,9 +208,7 @@ def _student_queries(f_rows, model_like, cfg: TrainConfig, frozen_classifier=Non
     if cfg.rerep_mode == "raw":
         return ad.normalize_rows(f_rows)
     weight = model_like.classifier if frozen_classifier is None else frozen_classifier
-    detach = cfg.rerep_mode != "rerep_nodetach"
-    return L.re_represent_batch(f_rows, weight, model_like.t_re,
-                                detach_weights=detach)
+    return L.re_represent_batch(f_rows, weight, model_like.t_re)
 
 
 def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
@@ -249,34 +243,31 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
     mix: MixSelection | None = None
     if (cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0):
-        target_rows = high_idx if cfg.mixup_mode == "high_confidence" else low_idx
         source_pool = np.flatnonzero(lab_is_source)
-        if len(target_rows) > 0 and len(source_pool) > 0:
+        if len(low_idx) > 0 and len(source_pool) > 0:
             mix_rng = base.substream(f"mix-{step}")
             partners = source_pool[
-                np.asarray(mix_rng.integers(0, len(source_pool), size=len(target_rows)))
+                np.asarray(mix_rng.integers(0, len(source_pool), size=len(low_idx)))
             ]
             dominant = cfg.mixup_mode != "no_dominance"
-            draws = [L.draw_mix(cfg.alpha, mix_rng, dominant=dominant)
-                     for _ in range(len(target_rows))]
-            lam = np.array([d.lam for d in draws])
-            lam_prime = np.array([d.lam_prime for d in draws])
+            lam_prime = np.array([L.draw_mix(cfg.alpha, mix_rng, dominant=dominant).lam_prime
+                                  for _ in range(len(low_idx))])
             partner_strong = strong_augment(
                 lab_x[partners], augment, base.substream(f"augment-mix-source-{step}")
             )
-            x_mix = lam_prime[:, None] * unl_strong[target_rows] \
+            x_mix = lam_prime[:, None] * unl_strong[low_idx] \
                 + (1.0 - lam_prime)[:, None] * partner_strong
             partner_feats = np.asarray(
                 features_of(teacher, labeled_weak[partners]), dtype=np.float64
             )
-            if target_rows is sel_idx:  # the same rows: keys_sel holds their keys
+            if sel_idx is low_idx:  # the same rows: keys_sel holds their keys
                 k_target = keys_sel
             else:
-                k_target = _teacher_keys(teacher_feats[target_rows], teacher, cfg)
+                k_target = _teacher_keys(teacher_feats[low_idx], teacher, cfg)
             k_source = _teacher_keys(partner_feats, teacher, cfg)
             k_mix = lam_prime[:, None] * k_target + (1.0 - lam_prime)[:, None] * k_source
             mix = MixSelection(
-                target_rows=target_rows, source_rows=partners, lam=lam,
+                target_rows=low_idx, source_rows=partners,
                 lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
                 k_target=k_target, k_source=k_source,
             )

@@ -100,6 +100,9 @@ def test_logsumexp_rows():
 
 def test_rowwise_dot():
     check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (5, 4))
+    # a vector operand broadcasts against every row, on either side
+    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (4,), (5, 4))
+    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (4,))
 
 
 def test_pick_per_row():

@@ -8,7 +8,7 @@ from lrco.cli import (
     main,
 )
 from lrco.config import apply_overrides, default_run_config
-from lrco.data import benchmark_spec_hash, load_dataset
+from lrco.data import benchmark_spec_hash
 from lrco.trainer import load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
@@ -45,13 +45,6 @@ def test_gen_data_writes_four_files(tmp_path, capsys):
     names = sorted(os.listdir(out))
     assert names == ["source.txt", "target_eval.txt", "target_labeled.txt",
                      "target_unlabeled.txt"]
-    samples, meta = load_dataset(out / "source.txt")
-    assert len(samples) == 30
-    assert meta["n_classes"] == 3
-    unl, _ = load_dataset(out / "target_unlabeled.txt")
-    assert all(s.label is None for s in unl)
-    ev, _ = load_dataset(out / "target_eval.txt")
-    assert all(s.label is not None for s in ev)
 
 
 # sha256 of each file `gen-data` writes for the default spec with two labeled
@@ -322,6 +315,18 @@ def test_invalid_config_exits_4(tmp_path, capsys):
                    "--set", "data.n_classes=1")
     assert code == EXIT_INVALID_CONFIG
     capsys.readouterr()
+
+
+def test_removed_config_values_exit_4(tmp_path, capsys):
+    for setting, allowed in (("train.rerep_mode=rerep_nodetach", "('rerep', 'raw')"),
+                             ("train.mixup_mode=high_confidence",
+                              "('dominant', 'no_dominance')")):
+        out = tmp_path / setting
+        assert run_cli("train", "--out", str(out), "--set", setting, *FAST) \
+            == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "error: invalid-config:" in err and f"choose from {allowed}" in err
+        assert not out.exists()
 
 
 def test_output_root_env_var(tmp_path, capsys, monkeypatch):

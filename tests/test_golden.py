@@ -20,7 +20,9 @@ import pytest
 from lrco.config import apply_overrides, default_run_config
 from lrco.data import generate_shift_benchmark
 from lrco.model import state_arrays
-from lrco.trainer import fit, metric_record_line
+from lrco.trainer import (
+    METHODS, MIXUP_MODES, REREP_MODES, SAMPLE_SELECTIONS, fit, metric_record_line,
+)
 
 # Recorded with Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31 (x86-64).
 # The digests depend on the numpy and BLAS build; on another platform they
@@ -72,3 +74,22 @@ def test_trajectory_digest_unchanged(case, default_benchmark):
                  hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim)
     assert result.steps_run == 600
     assert trajectory_digest(result) == GOLDEN_DIGESTS[case]
+
+
+def test_every_config_value_is_pinned():
+    # switch -> (its values, the methods that read it). A value counts only
+    # in cases whose method reads the switch, so it is pinned by a run where
+    # it changes the trajectory.
+    contrastive = ("lrco", "mixlrco")
+    switches = {
+        "method": (METHODS, METHODS),
+        "sample_selection": (SAMPLE_SELECTIONS, contrastive),
+        "rerep_mode": (REREP_MODES, contrastive),
+        "mixup_mode": (MIXUP_MODES, ("mixlrco",)),
+        "dynamic_tau": ((False, True), ("strong", *contrastive)),
+    }
+    cfgs = [golden_config(case).train for case in GOLDEN_DIGESTS]
+    for name, (values, methods) in switches.items():
+        pinned = {getattr(c, name) for c in cfgs if c.method in methods}
+        missing = set(values) - pinned
+        assert not missing, f"train.{name}: no golden case for {missing}"

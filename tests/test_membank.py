@@ -91,17 +91,12 @@ def test_push_rejects_non_unit_rows():
         bank.push_batch(np.array([[2.0, 0.0]]))
 
 
-def test_push_accepts_single_vector():
-    bank = MemoryBank(capacity=4)
-    bank.push_batch(np.array([1.0, 0.0]))  # vector treated as one row
-    assert len(bank) == 1
-    assert bank.dim == 2
-
-
 def test_push_rejects_bad_shapes():
     bank = MemoryBank(capacity=4)
     with pytest.raises(ValueError):
         bank.push_batch(np.ones((2, 2, 2)))  # 3-D is never valid
+    with pytest.raises(ValueError):
+        bank.push_batch(np.array([1.0, 0.0]))  # nor is a single vector
 
 
 def test_capacity_validation():
