@@ -69,6 +69,51 @@ def test_gen_data_bytes_are_pinned(tmp_path, capsys):
     assert written == GEN_DATA_SHA256
 
 
+# sha256 of the three tables `analyze` writes for the final checkpoint of a
+# FAST run, per method and --feature-mode (same platform as GEN_DATA_SHA256).
+# The projection and top-k tables do not depend on the feature mode.
+_PROJECTION = "projection_run-run0_step-4_target.csv"
+_SIMILARITY = "similarity_run-run0_step-4_target.csv"
+_TOPK = "topk_run-run0_step-4_target.csv"
+ANALYZE_SHA256 = {
+    ("lrco", "rerep"): {
+        _PROJECTION: "b8605d9e86b2f66e09aca2f02a6fdc3ed8ea9206a35c3c2227f80fe6d5da5b66",
+        _SIMILARITY: "8edb0ab709cb86d60f7ad877a3866eb30f7ecf27b6787e032cccb660df4ff2ba",
+        _TOPK: "5c7e72de21937d9a24dd92fa812526da7394ac665b3e77e8ecb7d59da73ec481",
+    },
+    ("lrco", "raw"): {
+        _PROJECTION: "b8605d9e86b2f66e09aca2f02a6fdc3ed8ea9206a35c3c2227f80fe6d5da5b66",
+        _SIMILARITY: "e9594c3821650e02155a83201ac6d6caf08fd6bfe287addc45dd0b37d8aaa846",
+        _TOPK: "5c7e72de21937d9a24dd92fa812526da7394ac665b3e77e8ecb7d59da73ec481",
+    },
+    ("mixlrco", "rerep"): {
+        _PROJECTION: "b6c8211a11217f30741be1dc2bc5b056329364ffc02921c8e15729ac04e3fb59",
+        _SIMILARITY: "3a4c9fa3c56f35bc4786500da94fc780dc28eb8d01138894582d3a7115c2bf95",
+        _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
+    },
+    ("mixlrco", "raw"): {
+        _PROJECTION: "b6c8211a11217f30741be1dc2bc5b056329364ffc02921c8e15729ac04e3fb59",
+        _SIMILARITY: "efcc3e302fe38ffae8831cf9f5bdc3c66c1a54677f2f79eabcc843b0bb80c77b",
+        _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
+    },
+}
+
+
+def test_analyze_bytes_are_pinned(tmp_path, capsys):
+    for method in ("lrco", "mixlrco"):
+        settings = [*FAST, "--set", f"train.method={method}"]
+        run = tmp_path / method
+        assert run_cli("train", "--out", str(run), *settings) == EXIT_OK
+        for mode in ("rerep", "raw"):
+            adir = tmp_path / f"analysis-{method}-{mode}"
+            assert run_cli("analyze", "--checkpoint", str(run / "checkpoint_final.npz"),
+                           "--out", str(adir), "--feature-mode", mode, *settings) == EXIT_OK
+            written = {name: hashlib.sha256((adir / name).read_bytes()).hexdigest()
+                       for name in sorted(os.listdir(adir))}
+            assert written == ANALYZE_SHA256[method, mode], (method, mode)
+    capsys.readouterr()
+
+
 def test_gen_data_byte_identical_across_runs(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("gen-data", "--out", str(out1), *FAST) == EXIT_OK
