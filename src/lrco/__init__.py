@@ -19,7 +19,7 @@ from .errors import (
 )
 from .gradcheck import run_gradient_suite
 from .losses import (
-    MixDraw, PseudoLabel, contrastive_batch, draw_mix, entropy_alignment,
+    PseudoLabel, contrastive_batch, draw_mix, entropy_alignment,
     make_pseudo_label,
 )
 from .membank import MemoryBank
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentSpec", "BenchmarkSpec", "ConfigError", "DatasetFormatError",
     "DegenerateFeatureError", "EvalMetrics", "FitResult", "LrcoError",
-    "MemoryBank", "MixDraw", "ModelConfig", "ModelSection", "ModelState",
+    "MemoryBank", "ModelConfig", "ModelSection", "ModelState",
     "OutputSection", "PseudoLabel", "RunConfig", "Sample", "SeededRng",
     "ShapeMismatchError", "ShiftBenchmark", "SimilarityReport", "StepReport",
     "TrainConfig", "TrainingDivergedError", "apply_overrides",

@@ -9,13 +9,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import UNIT_NORM_TOL, draw_mix, re_represent_batch
+from .losses import (
+    blend, check_probability_rows, check_unit_rows, contrast_rows, draw_mix,
+    pseudo_labels,
+)
+from .losses import re_represent_batch  # noqa: F401 (unused; perfbench patches it here)
 from .model import ModelState, features_of, probs_of
-from .numerics import SeededRng, normalize_last
+from .numerics import SeededRng
+from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 _FMT = "{:.17g}".format
 
 GROUPS = ("high", "low", "all")
+MIN_PROJECTION_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -57,9 +63,7 @@ def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityRepor
     vecs = np.asarray(features, dtype=np.float64)
     if vecs.ndim != 2:
         raise ValueError("features must be a 2-D array of unit row vectors")
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        raise ValueError("similarity_stats expects unit-normalized feature rows")
+    check_unit_rows(vecs, "similarity_stats features")
     y = np.asarray(labels, dtype=np.int64)
     conf = np.asarray(confident, dtype=bool)
     if y.shape[0] != vecs.shape[0] or conf.shape[0] != vecs.shape[0]:
@@ -114,8 +118,7 @@ def topk_accumulation(prob_rows: np.ndarray, k_max: int = 10) -> np.ndarray:
         raise ValueError("k_max must be >= 1")
     if n_classes < k_max:
         raise ValueError(f"k_max={k_max} exceeds the number of classes {n_classes}")
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("rows must be valid probability vectors")
+    check_probability_rows(p)
     ordered = np.sort(p, axis=1)[:, ::-1]
     cumulative = np.cumsum(ordered[:, :k_max], axis=1)
     return cumulative.mean(axis=0)
@@ -132,8 +135,8 @@ def pca_top2(features: np.ndarray):
     if x.ndim != 2:
         raise ValueError("features must be 2-D")
     n, d = x.shape
-    if n < 3:
-        raise ValueError("need at least 3 samples to project")
+    if n < MIN_PROJECTION_ROWS:
+        raise ValueError(f"need at least {MIN_PROJECTION_ROWS} samples to project")
     centered = x - x.mean(axis=0, keepdims=True)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     n_comp = min(2, vt.shape[0])
@@ -166,25 +169,16 @@ def split_by_confidence(state: ModelState, x_rows: np.ndarray, tau: float):
     """
     feats = np.asarray(features_of(state, x_rows), dtype=np.float64)
     probs = np.asarray(probs_of(state, feats), dtype=np.float64)
-    conf = probs.max(axis=1) > tau
+    _, conf = pseudo_labels(probs, tau)
     return np.flatnonzero(conf), np.flatnonzero(~conf), probs, feats
 
 
 def confidence_feature_vectors(state: ModelState, x_rows: np.ndarray,
                                feature_mode: str = "rerep") -> np.ndarray:
-    """Unit vectors the similarity statistics are computed on.
-
-    "rerep" uses the classifier-weight re-representation (what the
-    contrastive loss compares); "raw" uses plain normalized features.
-    """
+    """Unit vectors the similarity statistics are computed on: the rows the
+    contrastive loss compares under ``train.rerep_mode=feature_mode``."""
     feats = np.asarray(features_of(state, x_rows), dtype=np.float64)
-    if feature_mode == "raw":
-        return normalize_last(feats)
-    if feature_mode == "rerep":
-        return np.asarray(
-            re_represent_batch(feats, state.classifier, state.t_re), dtype=np.float64
-        )
-    raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    return contrast_rows(feats, state.classifier, state.t_re, feature_mode)
 
 
 def mixed_topk_curves(state: ModelState, x_target_high: np.ndarray,
@@ -201,10 +195,7 @@ def mixed_topk_curves(state: ModelState, x_target_high: np.ndarray,
             curves[name] = np.full(k_max, np.nan)
             continue
         partners = np.asarray(rng.integers(0, x_source.shape[0], size=block.shape[0]))
-        lam_prime = np.array(
-            [draw_mix(alpha, rng, dominant=True).lam_prime for _ in range(block.shape[0])]
-        )
-        x_mix = lam_prime[:, None] * block + (1.0 - lam_prime)[:, None] * x_source[partners]
+        x_mix = blend(draw_mix(alpha, rng, block.shape[0]), block, x_source[partners])
         probs = np.asarray(probs_of(state, features_of(state, x_mix)), dtype=np.float64)
         curves[name] = topk_accumulation(probs, k_max)
     return curves

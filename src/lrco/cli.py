@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from .analysis import (
-    analysis_filename, confidence_feature_vectors, mixed_topk_curves, project_2d,
-    similarity_stats, split_by_confidence, write_projection_csv,
-    write_similarity_csv, write_topk_csv,
+    MIN_PROJECTION_ROWS, analysis_filename, confidence_feature_vectors,
+    mixed_topk_curves, project_2d, similarity_stats, split_by_confidence,
+    write_projection_csv, write_similarity_csv, write_topk_csv,
 )
 from .config import (
     RunConfig, apply_overrides, canonical_text, config_hash, default_run_config,
@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError, TrainingDivergedError,
 )
 from .gradcheck import run_gradient_suite
-from .trainer import evaluate, fit, load_checkpoint
+from .trainer import REREP_MODES, evaluate, fit, load_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +68,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override one config key (repeatable)")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrco",
@@ -93,11 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-mode", choices=("rerep", "raw"), default="rerep")
+    p.add_argument("--feature-mode", choices=REREP_MODES, default="rerep",
+                   help="vectors of the similarity table, as train.rerep_mode")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
 
@@ -175,12 +183,16 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
     ckpt, bench = _checkpoint_and_benchmark(args.checkpoint, cfg)
+    x_target, labels = bench.target_eval_samples()
+    if len(labels) < MIN_PROJECTION_ROWS:
+        raise ConfigError(
+            f"analyze needs at least {MIN_PROJECTION_ROWS} target rows to project, "
+            f"the benchmark has {len(labels)}")
     out = _resolve_out(args.out)
     chash = config_hash(cfg)
     meta = f"config_hash={chash} seed={cfg.train.seed} checkpoint_step={ckpt.step}"
     run_id, step = cfg.output.run_id, ckpt.step
 
-    x_target, labels = bench.target_eval_samples()
     high_idx, low_idx, _, _ = split_by_confidence(ckpt.teacher, x_target, ckpt.tau)
     confident = np.zeros(len(labels), dtype=bool)
     confident[high_idx] = True

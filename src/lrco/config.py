@@ -25,8 +25,8 @@ class ModelSection:
     def validate(self) -> None:
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("model.hidden_dims must be a nonempty tuple of sizes >= 1")
-        if self.feature_dim < 1:
-            raise ConfigError("model.feature_dim must be >= 1")
+        if self.feature_dim < 2:
+            raise ConfigError("model.feature_dim must be >= 2")
 
 
 @dataclass(frozen=True)

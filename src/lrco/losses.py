@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .numerics import SeededRng, norm_last, sample_beta
 
 UNIT_NORM_TOL = 1e-6
+REREP_MODES = ("rerep", "raw")
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class PseudoLabel:
     confident: bool
 
 
-def _check_probability_rows(probs: np.ndarray) -> None:
+def check_probability_rows(probs: np.ndarray) -> None:
+    """Raise ValueError unless every row is nonnegative and sums to 1 within 1e-6."""
     if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6) or np.any(probs < 0):
         raise ValueError("probs must be a valid probability vector")
 
@@ -42,7 +44,7 @@ def make_pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabel:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("probs must be a 1-D probability vector")
-    _check_probability_rows(probs)
+    check_probability_rows(probs)
     label = int(np.argmax(probs))
     max_prob = float(probs[label])
     return PseudoLabel(probs=probs, label=label, max_prob=max_prob,
@@ -50,13 +52,14 @@ def make_pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabel:
 
 
 def pseudo_labels(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """make_pseudo_label for every row of a probability matrix at once:
-    the int64 hard labels and the boolean confidence flags."""
-    _check_probability_rows(probs)
+    """The confidence gate, for every row of a probability matrix at once:
+    the int64 hard labels and the boolean flags max p > tau."""
+    check_probability_rows(probs)
     return np.argmax(probs, axis=1), probs.max(axis=1) > tau
 
 
-def _check_unit_rows(x, name: str) -> None:
+def check_unit_rows(x, name: str) -> None:
+    """Raise ValueError unless every row of x has norm 1 within UNIT_NORM_TOL."""
     norms = norm_last(ad.value_of(x))
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ValueError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
@@ -106,6 +109,17 @@ def re_represent_batch(f_rows, classifier, t_re: float):
     return ad.normalize_rows(ad.matmul(attention, w))
 
 
+def contrast_rows(f_rows, classifier, t_re: float, mode: str):
+    """The unit vectors the contrastive losses compare: teacher keys, student
+    queries and the analysis vectors. "rerep" re-represents the feature rows
+    through the classifier rows, "raw" only normalizes them."""
+    if mode == "rerep":
+        return re_represent_batch(f_rows, classifier, t_re)
+    if mode == "raw":
+        return ad.normalize_rows(f_rows)
+    raise ValueError(f"unknown rerep mode {mode!r}; choose from {REREP_MODES}")
+
+
 # Contrastive family ----------------------------------------------------------
 
 def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
@@ -116,8 +130,8 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     """
     if not t_co > 0:
         raise ValueError("t_co must be positive")
-    _check_unit_rows(q_rows, "queries")
-    _check_unit_rows(k_rows, "keys")
+    check_unit_rows(q_rows, "queries")
+    check_unit_rows(k_rows, "keys")
     bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
     pos = ad.rowwise_dot(q_rows, k_rows)
     neg = ad.matmul(q_rows, bank_matrix, transpose_b=True)
@@ -133,28 +147,25 @@ def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
         return np.zeros((0, dim))
     if bank.ndim != 2 or bank.shape[1] != dim:
         raise ValueError("bank entries must match the query dimension")
-    _check_unit_rows(bank, "bank entries")
+    check_unit_rows(bank, "bank entries")
     return bank
 
 
 # Cross-domain mixing ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixDraw:
-    """One mixing draw: lam is the raw Beta sample, lam_prime the dominant weight."""
-
-    lam: float
-    lam_prime: float
-
-
-def draw_mix(alpha: float, rng: SeededRng, dominant: bool = True) -> MixDraw:
-    """Sample mixing weights; with dominance the target side always gets >= 0.5."""
-    lam = sample_beta(alpha, rng)
-    lam_prime = max(lam, 1.0 - lam) if dominant else lam
-    return MixDraw(lam=lam, lam_prime=lam_prime)
+def draw_mix(alpha: float, rng: SeededRng, n: int, dominant: bool = True) -> np.ndarray:
+    """n target-side mixing weights; with dominance each is max(lam, 1 - lam),
+    so the target side always gets >= 0.5."""
+    lam = sample_beta(alpha, rng, n)
+    return np.maximum(lam, 1.0 - lam) if dominant else lam
 
 
-def mixlrco_batch(q_rows, k_mix_rows, k_target_rows, k_source_rows,
+def blend(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is lam[i] * a[i] + (1 - lam[i]) * b[i]."""
+    return lam[:, None] * a + (1.0 - lam)[:, None] * b
+
+
+def mixlrco_batch(q_rows, k_mix, k_target, k_source,
                   bank_matrix, t_co: float):
     """Mean mixed-pair contrastive loss over rows.
 
@@ -165,18 +176,18 @@ def mixlrco_batch(q_rows, k_mix_rows, k_target_rows, k_source_rows,
     """
     if not t_co > 0:
         raise ValueError("t_co must be positive")
-    _check_unit_rows(q_rows, "queries")
-    _check_unit_rows(k_target_rows, "target keys")
-    _check_unit_rows(k_source_rows, "source keys")
-    k_mix_v = ad.value_of(k_mix_rows)
+    check_unit_rows(q_rows, "queries")
+    check_unit_rows(k_target, "target keys")
+    check_unit_rows(k_source, "source keys")
+    k_mix_v = ad.value_of(k_mix)
     if np.any(norm_last(k_mix_v) > 1.0 + UNIT_NORM_TOL):
         raise ValueError("blended keys must have norm <= 1")
     bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
-    num = ad.scale(ad.rowwise_dot(q_rows, k_mix_rows), 1.0 / t_co)
+    num = ad.scale(ad.rowwise_dot(q_rows, k_mix), 1.0 / t_co)
     den = ad.scale(
         ad.hstack_cols([
-            ad.rowwise_dot(q_rows, k_target_rows),
-            ad.rowwise_dot(q_rows, k_source_rows),
+            ad.rowwise_dot(q_rows, k_target),
+            ad.rowwise_dot(q_rows, k_source),
             ad.matmul(q_rows, bank_matrix, transpose_b=True),
         ]),
         1.0 / t_co,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import UNIT_NORM_TOL
-from .numerics import norm_last
+from .losses import check_unit_rows
 
 
 class MemoryBank:
@@ -40,10 +39,7 @@ class MemoryBank:
             raise ValueError(
                 f"key dim {keys.shape[1]} does not match bank dim {self.dim}"
             )
-        if np.any(np.abs(norm_last(keys) - 1.0) > UNIT_NORM_TOL):
-            raise ValueError(
-                f"bank keys must be unit-normalized (tolerance {UNIT_NORM_TOL})"
-            )
+        check_unit_rows(keys, "bank keys")
         held = self._rows.reshape(-1, keys.shape[1])  # an empty bank is (0, 0)
         self._rows = np.concatenate((held, keys))[-self.capacity:]
 

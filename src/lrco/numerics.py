@@ -104,24 +104,27 @@ class SeededRng:
         return self._gen.permutation(n)
 
 
-def sample_beta(alpha: float, rng: SeededRng) -> float:
-    """Draw from Beta(alpha, alpha), clamped to the open interval (0, 1).
+def sample_beta(alpha: float, rng: SeededRng, n: int) -> np.ndarray:
+    """Draw n values from Beta(alpha, alpha), clamped to the open interval (0, 1).
 
-    Uses the ratio of two Gamma(alpha) draws; alpha = 1 short-circuits to a
-    single uniform draw since Beta(1, 1) is uniform.
+    Value i is x_i / (x_i + y_i) of two Gamma(alpha) draws, taken from the
+    stream as x_0, y_0, x_1, y_1, ...; alpha = 1 short-circuits to one uniform
+    draw per value since Beta(1, 1) is uniform. Rows whose two Gamma draws
+    both underflow to 0 (only possible for tiny alpha) are redrawn after the
+    batch, in row order.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
-        lam = float(rng.uniform())
+        lam = rng.uniform(size=n)
     else:
-        x = float(rng.standard_gamma(alpha))
-        y = float(rng.standard_gamma(alpha))
-        while x + y == 0.0:  # both underflowed; only possible for tiny alpha
-            x = float(rng.standard_gamma(alpha))
-            y = float(rng.standard_gamma(alpha))
-        lam = x / (x + y)
-    return float(min(max(lam, 1e-12), 1.0 - 1e-12))
+        xy = rng.standard_gamma(alpha, size=(n, 2))
+        bad = np.flatnonzero(xy.sum(axis=1) == 0.0)
+        while bad.size:
+            xy[bad] = rng.standard_gamma(alpha, size=(bad.size, 2))
+            bad = bad[xy[bad].sum(axis=1) == 0.0]
+        lam = xy[:, 0] / (xy[:, 0] + xy[:, 1])
+    return np.minimum(np.maximum(lam, 1e-12), 1.0 - 1e-12)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], object], p, h: float = 1e-5) -> np.ndarray:

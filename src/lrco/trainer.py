@@ -28,11 +28,12 @@ from .model import (
     ModelConfig, ModelState, clone_state, ema_update, features_of, init_model,
     lift_params, probs_of, state_arrays, state_from_arrays, tape_from,
 )
-from .numerics import SeededRng, normalize_last
+from .numerics import SeededRng
+from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 METHODS = ("source_only", "baseline", "strong", "lrco", "mixlrco")
 SAMPLE_SELECTIONS = ("low", "high", "all")
-REREP_MODES = ("rerep", "raw")
+REREP_MODES = L.REREP_MODES
 MIXUP_MODES = ("dominant", "no_dominance")
 LOSS_KEYS = ("total", "ce", "align", "fixmatch", "kld", "contrastive")
 
@@ -162,7 +163,8 @@ class FitResult:
 
 @dataclass
 class MixSelection:
-    target_rows: np.ndarray
+    """Mixes of the step's low-confidence rows: row i blends low_idx[i] with source_rows[i]."""
+
     source_rows: np.ndarray
     lam_prime: np.ndarray
     x_mix: np.ndarray
@@ -188,29 +190,6 @@ class StepBatch:
     mix: MixSelection | None
 
 
-def _teacher_keys(feats: np.ndarray, teacher: ModelState, cfg: TrainConfig) -> np.ndarray:
-    if feats.shape[0] == 0:
-        return np.zeros((0, teacher.feature_dim))
-    if cfg.rerep_mode == "raw":
-        return normalize_last(feats)
-    return np.asarray(
-        L.re_represent_batch(feats, teacher.classifier, teacher.t_re), dtype=np.float64
-    )
-
-
-def _student_queries(f_rows, model_like, cfg: TrainConfig, frozen_classifier=None):
-    """Query vectors for the contrastive branch.
-
-    ``frozen_classifier`` substitutes a fixed weight array for the detached
-    classifier; the finite-difference harness uses it so the numeric check
-    differentiates the same function the stop-gradient defines.
-    """
-    if cfg.rerep_mode == "raw":
-        return ad.normalize_rows(f_rows)
-    weight = model_like.classifier if frozen_classifier is None else frozen_classifier
-    return L.re_represent_batch(f_rows, weight, model_like.t_re)
-
-
 def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                  lab_x: np.ndarray, lab_y: np.ndarray, lab_is_source: np.ndarray,
                  unl_x: np.ndarray, cfg: TrainConfig, augment: AugmentSpec,
@@ -234,9 +213,11 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     else:
         sel_idx = np.arange(len(pseudo))
 
-    contrastive_method = cfg.method in ("lrco", "mixlrco")
-    if contrastive_method:
-        keys_sel = _teacher_keys(teacher_feats[sel_idx], teacher, cfg)
+    def teacher_keys(feats: np.ndarray) -> np.ndarray:
+        return L.contrast_rows(feats, teacher.classifier, teacher.t_re, cfg.rerep_mode)
+
+    if cfg.method in ("lrco", "mixlrco"):
+        keys_sel = teacher_keys(teacher_feats[sel_idx])
     else:
         keys_sel = np.zeros((0, teacher.feature_dim))
     bank_snapshot = bank.snapshot()
@@ -249,26 +230,23 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
             partners = source_pool[
                 np.asarray(mix_rng.integers(0, len(source_pool), size=len(low_idx)))
             ]
-            dominant = cfg.mixup_mode != "no_dominance"
-            lam_prime = np.array([L.draw_mix(cfg.alpha, mix_rng, dominant=dominant).lam_prime
-                                  for _ in range(len(low_idx))])
+            lam_prime = L.draw_mix(cfg.alpha, mix_rng, len(low_idx),
+                                   dominant=cfg.mixup_mode != "no_dominance")
             partner_strong = strong_augment(
                 lab_x[partners], augment, base.substream(f"augment-mix-source-{step}")
             )
-            x_mix = lam_prime[:, None] * unl_strong[low_idx] \
-                + (1.0 - lam_prime)[:, None] * partner_strong
+            x_mix = L.blend(lam_prime, unl_strong[low_idx], partner_strong)
             partner_feats = np.asarray(
                 features_of(teacher, labeled_weak[partners]), dtype=np.float64
             )
             if sel_idx is low_idx:  # the same rows: keys_sel holds their keys
                 k_target = keys_sel
             else:
-                k_target = _teacher_keys(teacher_feats[low_idx], teacher, cfg)
-            k_source = _teacher_keys(partner_feats, teacher, cfg)
-            k_mix = lam_prime[:, None] * k_target + (1.0 - lam_prime)[:, None] * k_source
+                k_target = teacher_keys(teacher_feats[low_idx])
+            k_source = teacher_keys(partner_feats)
+            k_mix = L.blend(lam_prime, k_target, k_source)
             mix = MixSelection(
-                target_rows=low_idx, source_rows=partners,
-                lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
+                source_rows=partners, lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
                 k_target=k_target, k_source=k_source,
             )
 
@@ -333,12 +311,17 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     if cfg.method == "strong" or cfg.lambda_co == 0:
         return total, terms
 
+    # Queries go through the detached classifier; the finite-difference
+    # harness substitutes a fixed weight array for it, so the numeric check
+    # differentiates the same function the stop-gradient defines.
+    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
+
+    def student_queries(f_rows):
+        return L.contrast_rows(f_rows, classifier, model_like.t_re, cfg.rerep_mode)
+
     if cfg.method == "lrco":
         if len(sb.sel_idx) > 0 and len(sb.bank_snapshot) > 0:
-            queries = _student_queries(
-                ad.take_rows(feats_unl_s, sb.sel_idx), model_like, cfg,
-                frozen_classifier,
-            )
+            queries = student_queries(ad.take_rows(feats_unl_s, sb.sel_idx))
             terms["contrastive"] = L.contrastive_batch(
                 queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
             )
@@ -348,7 +331,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     # mixlrco
     if sb.mix is not None:
         feats_mix = features_of(model_like, sb.mix.x_mix)
-        queries = _student_queries(feats_mix, model_like, cfg, frozen_classifier)
+        queries = student_queries(feats_mix)
         terms["contrastive"] = L.mixlrco_batch(
             queries, sb.mix.k_mix, sb.mix.k_target, sb.mix.k_source,
             sb.bank_snapshot, cfg.t_co,

@@ -328,6 +328,8 @@ def test_every_documented_exit_code(tmp_path, capsys):
     cases = [
         (EXIT_OK, ["gradcheck", "--instances", "1"], ""),
         (EXIT_USAGE, ["eval"], "required: --checkpoint"),
+        (EXIT_USAGE, ["gradcheck", "--instances", "0"], "argument --instances: must be >= 1"),
+        (EXIT_USAGE, ["gradcheck", "--instances", "-3"], "argument --instances: must be >= 1"),
         (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
          "error: missing-file:"),
         (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
@@ -363,15 +365,33 @@ def test_invalid_config_exits_4(tmp_path, capsys):
 
 
 def test_removed_config_values_exit_4(tmp_path, capsys):
-    for setting, allowed in (("train.rerep_mode=rerep_nodetach", "('rerep', 'raw')"),
+    for setting, message in (("train.rerep_mode=rerep_nodetach",
+                              "choose from ('rerep', 'raw')"),
                              ("train.mixup_mode=high_confidence",
-                              "('dominant', 'no_dominance')")):
+                              "choose from ('dominant', 'no_dominance')"),
+                             ("model.feature_dim=1", "model.feature_dim must be >= 2")):
         out = tmp_path / setting
-        assert run_cli("train", "--out", str(out), "--set", setting, *FAST) \
+        assert run_cli("train", "--out", str(out), *FAST, "--set", setting) \
             == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
-        assert "error: invalid-config:" in err and f"choose from {allowed}" in err
+        assert err.startswith("error: invalid-config:") and message in err, err
+        assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_analyze_refuses_fewer_than_three_target_rows(tmp_path, capsys):
+    small = [*FAST, "--set", "data.n_classes=2", "--set", "data.n_per_class_target=1"]
+    assert run_cli("train", "--out", str(tmp_path / "run"), *small) == EXIT_OK
+    capsys.readouterr()
+    adir = tmp_path / "analysis"
+    code = run_cli("analyze", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.npz"),
+                   "--out", str(adir), *small)
+    assert code == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: invalid-config: analyze needs at least 3 target rows to project, "
+        "the benchmark has 2"], err
+    assert not adir.exists()
 
 
 def test_output_root_env_var(tmp_path, capsys, monkeypatch):

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from lrco import autodiff as ad
 from lrco.data import AugmentSpec
 from lrco.losses import (
-    MixDraw, contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
+    contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
     kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels,
     re_represent_batch,
 )
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
-from lrco.numerics import SeededRng
+from lrco.numerics import SeededRng, sample_beta
 from lrco.trainer import TrainConfig, prepare_step, step_objective
 
 
@@ -307,24 +307,51 @@ def test_contrastive_bank_permutation_invariant():
 # --- mixup --------------------------------------------------------------------------
 
 def test_mixdraw_dominance():
-    assert MixDraw(lam=0.3, lam_prime=0.7).lam_prime == 0.7
-    rng = SeededRng(12)
-    for _ in range(500):
-        d = draw_mix(1.0, rng)
-        assert 0.5 <= d.lam_prime < 1.0 or d.lam_prime == 0.5
-        assert d.lam_prime == max(d.lam, 1.0 - d.lam)
+    lam = draw_mix(1.0, SeededRng(12), 500, dominant=False)
+    lam_prime = draw_mix(1.0, SeededRng(12), 500)
+    assert np.all((0.5 <= lam_prime) & (lam_prime < 1.0))
+    assert lam_prime.tolist() == [max(v, 1.0 - v) for v in lam.tolist()]
 
 
 def test_draw_mix_mean_three_quarters():
-    rng = SeededRng(13)
-    vals = np.array([draw_mix(1.0, rng).lam_prime for _ in range(100_000)])
+    vals = draw_mix(1.0, SeededRng(13), 100_000)
     assert abs(vals.mean() - 0.75) < 0.005
 
 
 def test_draw_mix_no_dominance_keeps_raw_lambda():
-    rng = SeededRng(14)
-    d = draw_mix(1.0, rng, dominant=False)
-    assert d.lam_prime == d.lam
+    lam = draw_mix(1.0, SeededRng(14), 5, dominant=False)
+    assert lam.tobytes() == sample_beta(1.0, SeededRng(14), 5).tobytes()
+
+
+def scalar_mix_draws(alpha, rng, n, dominant):
+    """The per-row draw as one scalar loop: a uniform for alpha = 1, else a
+    Gamma pair, clamped to (0, 1), then max(lam, 1 - lam) with dominance."""
+    draws = []
+    for _ in range(n):
+        if alpha == 1.0:
+            lam = float(rng.uniform())
+        else:
+            x = float(rng.standard_gamma(alpha))
+            y = float(rng.standard_gamma(alpha))
+            lam = x / (x + y)
+        lam = min(max(lam, 1e-12), 1.0 - 1e-12)
+        draws.append(max(lam, 1.0 - lam) if dominant else lam)
+    return np.array(draws, dtype=np.float64)
+
+
+def test_draw_mix_equals_the_scalar_loop_bit_for_bit():
+    for alpha in (1.0, 0.3, 0.75, 2.0):
+        for dominant in (True, False):
+            for n in (0, 1, 37):
+                label = f"mix-{alpha}-{dominant}-{n}"
+                mine = SeededRng(21).substream(label)
+                oracle = SeededRng(21).substream(label)
+                got = draw_mix(alpha, mine, n, dominant=dominant)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                want = scalar_mix_draws(alpha, oracle, n, dominant)
+                assert got.tobytes() == want.tobytes(), (alpha, dominant, n)
+                # the stream is left at the same position
+                assert float(mine.uniform()) == float(oracle.uniform())
 
 
 def _mix_step(n_rows, seed):
@@ -346,8 +373,8 @@ def _mix_step(n_rows, seed):
                            scale_jitter=0.0)
     sb = prepare_step(teacher, teacher, bank, lab_x, np.zeros(8, dtype=np.int64),
                       np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1)
-    assert sb.mix is not None and len(sb.mix.target_rows) == n_rows
-    return sb.mix, unl_x[sb.mix.target_rows], lab_x[sb.mix.source_rows]
+    assert sb.mix is not None and len(sb.low_idx) == n_rows
+    return sb.mix, unl_x[sb.low_idx], lab_x[sb.mix.source_rows]
 
 
 def test_build_mix_pair_endpoint_and_midpoint(monkeypatch):
@@ -355,7 +382,7 @@ def test_build_mix_pair_endpoint_and_midpoint(monkeypatch):
     from lrco import losses
     for lam_p in (1.0, 0.5):
         monkeypatch.setattr(losses, "draw_mix",
-                            lambda alpha, rng, dominant=True: MixDraw(lam_p, lam_p))
+                            lambda alpha, rng, n, dominant=True: np.full(n, lam_p))
         mix, x_t, x_s = _mix_step(3, seed=15)
         if lam_p == 1.0:
             np.testing.assert_allclose(mix.x_mix, x_t, atol=1e-15)

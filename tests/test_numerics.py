@@ -152,30 +152,47 @@ def test_rng_nested_substreams_reproducible():
 # --- sample_beta -------------------------------------------------------------
 
 def test_sample_beta_alpha_one_is_uniform():
-    rng = SeededRng(123)
-    draws = np.array([sample_beta(1.0, rng) for _ in range(100_000)])
+    draws = sample_beta(1.0, SeededRng(123), 100_000)
     assert np.all((draws > 0) & (draws < 1))
     assert abs(draws.mean() - 0.5) < 0.005
     assert abs(draws.var() - 1.0 / 12.0) < 0.003
 
 
 def test_sample_beta_symmetric_mean_half_alpha():
-    rng = SeededRng(9)
-    draws = np.array([sample_beta(0.5, rng) for _ in range(100_000)])
+    draws = sample_beta(0.5, SeededRng(9), 100_000)
     assert abs(draws.mean() - 0.5) < 0.005
 
 
 def test_sample_beta_reproducible():
-    a = [sample_beta(0.7, SeededRng(42).substream("mix")) for _ in range(1)]
-    b = [sample_beta(0.7, SeededRng(42).substream("mix")) for _ in range(1)]
-    assert a == b
+    a = sample_beta(0.7, SeededRng(42).substream("mix"), 8)
+    b = sample_beta(0.7, SeededRng(42).substream("mix"), 8)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_sample_beta_redraws_underflowed_rows_after_the_batch():
+    # At alpha = 1e-3 a Gamma draw underflows to 0.0 about half the time, so
+    # some rows have x + y == 0. Those rows are redrawn, in row order, once the
+    # whole batch has been drawn: not in place, as a scalar loop would.
+    alpha, n = 1e-3, 64
+    got = sample_beta(alpha, SeededRng(5), n)
+    oracle = SeededRng(5)
+    xy = [[float(oracle.standard_gamma(alpha)) for _ in range(2)] for _ in range(n)]
+    assert any(x + y == 0.0 for x, y in xy)
+    bad = [i for i, (x, y) in enumerate(xy) if x + y == 0.0]
+    while bad:
+        for i in bad:
+            xy[i] = [float(oracle.standard_gamma(alpha)) for _ in range(2)]
+        bad = [i for i in bad if sum(xy[i]) == 0.0]
+    want = [min(max(x / (x + y), 1e-12), 1.0 - 1e-12) for x, y in xy]
+    assert got.tolist() == want
+    assert np.all((got > 0) & (got < 1))
 
 
 def test_sample_beta_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        sample_beta(0.0, SeededRng(0))
+        sample_beta(0.0, SeededRng(0), 1)
     with pytest.raises(ValueError):
-        sample_beta(-1.0, SeededRng(0))
+        sample_beta(-1.0, SeededRng(0), 1)
 
 
 # --- finite differences ----------------------------------------------------------

@@ -1,0 +1,36 @@
+"""The benchmark's tracer patches lrco from outside, by attribute name; every
+name it patches must exist, and restoring must put every original back."""
+
+import importlib
+import pathlib
+
+from lrco import (
+    analysis, autodiff, cli, data, gradcheck, losses, membank, model, numerics,
+    trainer,
+)
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+PATCHED = (analysis, autodiff, cli, data, gradcheck, losses, membank, model, numerics,
+           trainer, numerics.SeededRng, autodiff.Tensor, membank.MemoryBank,
+           data.ShiftBenchmark)
+
+
+def test_perfbench_patches_existing_names_and_restores_them(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    before = [dict(vars(owner)) for owner in PATCHED]
+
+    patcher = spans.Patcher()
+    try:
+        spans.StepClock().install(patcher)
+        spans.install_tracing(spans.Tracer(), patcher)
+        assert trainer.prepare_step is not before[PATCHED.index(trainer)]["prepare_step"]
+        assert losses.draw_mix is not before[PATCHED.index(losses)]["draw_mix"]
+    finally:
+        patcher.restore()
+
+    for owner, saved in zip(PATCHED, before):
+        now = vars(owner)
+        assert set(now) == set(saved), owner
+        changed = [name for name in saved if now[name] is not saved[name]]
+        assert not changed, (owner, changed)

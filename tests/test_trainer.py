@@ -153,7 +153,7 @@ def test_prepare_step_mix_needs_bank_and_low_samples():
     if len(sb2.low_idx) > 0:
         assert sb2.mix is not None
         m = sb2.mix
-        np.testing.assert_array_equal(m.target_rows, sb2.low_idx)
+        assert len(m.lam_prime) == len(m.source_rows) == len(sb2.low_idx)
         assert np.all(m.lam_prime >= 0.5)
         np.testing.assert_allclose(
             m.k_mix,
