@@ -32,6 +32,9 @@ from .numerics import SeededRng
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 METHODS = ("source_only", "baseline", "strong", "lrco", "mixlrco")
+# The methods whose objective reads the teacher's pseudo-labels or the
+# confidence split built from them, and so tau; the others skip the teacher.
+PSEUDO_LABEL_METHODS = ("strong", "lrco", "mixlrco")
 SAMPLE_SELECTIONS = ("low", "high", "all")
 REREP_MODES = L.REREP_MODES
 MIXUP_MODES = ("dominant", "no_dominance")
@@ -117,6 +120,9 @@ class TrainConfig:
             raise ConfigError("tau_bounds must satisfy 0 < min < max < 1")
         if not self.tau_step > 0:
             raise ConfigError("tau_step must be positive")
+        if self.dynamic_tau and self.method not in PSEUDO_LABEL_METHODS:
+            raise ConfigError(f"dynamic_tau needs a method that reads tau, one of "
+                              f"{PSEUDO_LABEL_METHODS}; {self.method!r} does not")
 
 
 @dataclass(frozen=True)
@@ -163,9 +169,9 @@ class FitResult:
 
 @dataclass
 class MixSelection:
-    """Mixes of the step's low-confidence rows: row i blends low_idx[i] with source_rows[i]."""
+    """Mixes of the step's low-confidence rows: row i blends low_idx[i] with
+    a source row drawn for it, with target weight lam_prime[i]."""
 
-    source_rows: np.ndarray
     lam_prime: np.ndarray
     x_mix: np.ndarray
     k_mix: np.ndarray
@@ -195,15 +201,30 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                  unl_x: np.ndarray, cfg: TrainConfig, augment: AugmentSpec,
                  tau: float, step: int) -> StepBatch:
     """Draw views, pseudo-label with the teacher, split by confidence, and
-    stage the contrastive inputs for one step."""
-    base = SeededRng(cfg.seed)
-    labeled_weak = weak_augment(lab_x, augment, base.substream(f"augment-labeled-{step}"))
-    unl_weak = weak_augment(unl_x, augment, base.substream(f"augment-unlabeled-weak-{step}"))
-    unl_strong = strong_augment(unl_x, augment, base.substream(f"augment-unlabeled-strong-{step}"))
+    stage the contrastive inputs for one step.
 
-    teacher_feats = np.asarray(features_of(teacher, unl_weak), dtype=np.float64)
-    teacher_probs = np.asarray(probs_of(teacher, teacher_feats), dtype=np.float64)
-    pseudo, flags = L.pseudo_labels(teacher_probs, tau)
+    Only what the method's objective reads is built: ``source_only`` gets the
+    labeled weak view alone, ``baseline`` also the unlabeled weak view, and
+    only PSEUDO_LABEL_METHODS draw the strong view and run the teacher. A
+    skipped view has no rows and a skipped index array is empty int64."""
+    base = SeededRng(cfg.seed)
+
+    def view(augment_fn, x: np.ndarray, purpose: str) -> np.ndarray:
+        return augment_fn(x, augment, base.substream(f"augment-{purpose}-{step}"))
+
+    reads_split = cfg.method in PSEUDO_LABEL_METHODS
+    no_rows = np.zeros((0, unl_x.shape[1]))
+    labeled_weak = view(weak_augment, lab_x, "labeled")
+    unl_weak = (no_rows if cfg.method == "source_only"
+                else view(weak_augment, unl_x, "unlabeled-weak"))
+    unl_strong = view(strong_augment, unl_x, "unlabeled-strong") if reads_split else no_rows
+
+    if reads_split:
+        teacher_feats = np.asarray(features_of(teacher, unl_weak), dtype=np.float64)
+        teacher_probs = np.asarray(probs_of(teacher, teacher_feats), dtype=np.float64)
+        pseudo, flags = L.pseudo_labels(teacher_probs, tau)
+    else:
+        pseudo, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     high_idx = np.flatnonzero(flags)
     low_idx = np.flatnonzero(~flags)
     if cfg.sample_selection == "low":
@@ -232,9 +253,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
             ]
             lam_prime = L.draw_mix(cfg.alpha, mix_rng, len(low_idx),
                                    dominant=cfg.mixup_mode != "no_dominance")
-            partner_strong = strong_augment(
-                lab_x[partners], augment, base.substream(f"augment-mix-source-{step}")
-            )
+            partner_strong = view(strong_augment, lab_x[partners], "mix-source")
             x_mix = L.blend(lam_prime, unl_strong[low_idx], partner_strong)
             partner_feats = np.asarray(
                 features_of(teacher, labeled_weak[partners]), dtype=np.float64
@@ -245,10 +264,8 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                 k_target = teacher_keys(teacher_feats[low_idx])
             k_source = teacher_keys(partner_feats)
             k_mix = L.blend(lam_prime, k_target, k_source)
-            mix = MixSelection(
-                source_rows=partners, lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
-                k_target=k_target, k_source=k_source,
-            )
+            mix = MixSelection(lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
+                               k_target=k_target, k_source=k_source)
 
     return StepBatch(
         labeled_weak=labeled_weak, labeled_y=lab_y, unlabeled_weak=unl_weak,

@@ -379,6 +379,19 @@ def test_removed_config_values_exit_4(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_dynamic_tau_refused_for_methods_that_ignore_tau(tmp_path, capsys):
+    for method in ("source_only", "baseline"):
+        out = tmp_path / method
+        code = run_cli("train", "--out", str(out), *FAST, "--set", f"train.method={method}",
+                       "--set", "train.dynamic_tau=true")
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: invalid-config: dynamic_tau needs a method that reads tau, "
+            f"one of ('strong', 'lrco', 'mixlrco'); {method!r} does not"], err
+        assert not out.exists()
+
+
 def test_analyze_refuses_fewer_than_three_target_rows(tmp_path, capsys):
     small = [*FAST, "--set", "data.n_classes=2", "--set", "data.n_per_class_target=1"]
     assert run_cli("train", "--out", str(tmp_path / "run"), *small) == EXIT_OK

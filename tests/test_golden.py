@@ -21,7 +21,8 @@ from lrco.config import apply_overrides, default_run_config
 from lrco.data import generate_shift_benchmark
 from lrco.model import state_arrays
 from lrco.trainer import (
-    METHODS, MIXUP_MODES, REREP_MODES, SAMPLE_SELECTIONS, fit, metric_record_line,
+    METHODS, MIXUP_MODES, PSEUDO_LABEL_METHODS, REREP_MODES, SAMPLE_SELECTIONS, fit,
+    metric_record_line,
 )
 
 # Recorded with Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31 (x86-64).
@@ -86,7 +87,7 @@ def test_every_config_value_is_pinned():
         "sample_selection": (SAMPLE_SELECTIONS, contrastive),
         "rerep_mode": (REREP_MODES, contrastive),
         "mixup_mode": (MIXUP_MODES, ("mixlrco",)),
-        "dynamic_tau": ((False, True), ("strong", *contrastive)),
+        "dynamic_tau": ((False, True), PSEUDO_LABEL_METHODS),
     }
     cfgs = [golden_config(case).train for case in GOLDEN_DIGESTS]
     for name, (values, methods) in switches.items():

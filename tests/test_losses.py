@@ -358,7 +358,8 @@ def _mix_step(n_rows, seed):
     """A mixlrco prepare_step whose n_rows target rows are all low-confidence.
 
     The augmentations are switched off, so the mixed rows blend the raw target
-    rows with the raw rows of their source partners.
+    rows with the raw rows of their source partners. The partners are drawn
+    again here from the step's mix substream, as an independent oracle.
     """
     cfg = TrainConfig(method="mixlrco", seed=seed)
     mc = ModelConfig(input_dim=2, hidden_dims=(6,), feature_dim=5, n_classes=4,
@@ -374,7 +375,8 @@ def _mix_step(n_rows, seed):
     sb = prepare_step(teacher, teacher, bank, lab_x, np.zeros(8, dtype=np.int64),
                       np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1)
     assert sb.mix is not None and len(sb.low_idx) == n_rows
-    return sb.mix, unl_x[sb.low_idx], lab_x[sb.mix.source_rows]
+    partners = SeededRng(seed).substream("mix-1").integers(0, len(lab_x), size=n_rows)
+    return sb.mix, unl_x[sb.low_idx], lab_x[np.asarray(partners)]
 
 
 def test_build_mix_pair_endpoint_and_midpoint(monkeypatch):

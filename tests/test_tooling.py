@@ -34,3 +34,11 @@ def test_perfbench_patches_existing_names_and_restores_them(monkeypatch):
         assert set(now) == set(saved), owner
         changed = [name for name in saved if now[name] is not saved[name]]
         assert not changed, (owner, changed)
+
+
+def test_perfbench_pseudo_label_readers_match_the_trainer(monkeypatch):
+    # trainer.teacher_use_ratio counts a teacher pass as used when its
+    # method is one the benchmark lists; the trainer runs it for exactly those
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    assert spans.PSEUDO_LABEL_READERS == set(trainer.PSEUDO_LABEL_METHODS)

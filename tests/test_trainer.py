@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrco import autodiff as ad
+from lrco import trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
@@ -12,8 +13,8 @@ from lrco.model import (
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
-    LOSS_KEYS, TrainConfig, _EpochCycler, adjust_tau, evaluate, fit,
-    init_velocities, lift_params, load_checkpoint, metric_record_line,
+    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, TrainConfig, _EpochCycler, adjust_tau,
+    evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
     metrics_header_lines, prepare_step, save_checkpoint, step_objective,
     train_step,
 )
@@ -75,6 +76,9 @@ def test_config_validation_rejects_bad_values():
         TrainConfig(sample_selection="medium").validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_labeled=0).validate()
+    for method in ("source_only", "baseline"):  # they read no tau
+        with pytest.raises(ConfigError, match="dynamic_tau needs a method"):
+            TrainConfig(method=method, dynamic_tau=True).validate()
 
 
 def test_t_re_override():
@@ -153,7 +157,7 @@ def test_prepare_step_mix_needs_bank_and_low_samples():
     if len(sb2.low_idx) > 0:
         assert sb2.mix is not None
         m = sb2.mix
-        assert len(m.lam_prime) == len(m.source_rows) == len(sb2.low_idx)
+        assert len(m.lam_prime) == len(sb2.low_idx)
         assert np.all(m.lam_prime >= 0.5)
         np.testing.assert_allclose(
             m.k_mix,
@@ -162,6 +166,54 @@ def test_prepare_step_mix_needs_bank_and_low_samples():
         )
         # mixed keys are not renormalized
         assert np.all(np.linalg.norm(m.k_mix, axis=1) <= 1.0 + 1e-12)
+
+
+def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
+    # count the views and the teacher's forward calls prepare_step makes, by
+    # the array or model each call receives first
+    for method in METHODS:
+        cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(method=method)
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+            return counted
+
+        with monkeypatch.context() as m:
+            for name in ("features_of", "probs_of", "weak_augment", "strong_augment"):
+                m.setattr(trainer, name, counting(name, getattr(trainer, name)))
+            sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
+                              cfg, AUG, cfg.tau, step=1)
+
+        def n(name, first):
+            return sum(1 for c, a in calls if c == name and a is first)
+
+        reads_unlabeled = method != "source_only"
+        reads_split = method in PSEUDO_LABEL_METHODS
+        assert n("weak_augment", lab_x) == 1, method
+        assert n("weak_augment", unl_x) == reads_unlabeled, method
+        assert n("strong_augment", unl_x) == reads_split, method
+        assert n("features_of", teacher) == n("probs_of", teacher) == reads_split, method
+        assert len(calls) == 1 + reads_unlabeled + 3 * reads_split, (method, calls)
+
+        # a view that is drawn comes from its own substream, as before
+        np.testing.assert_array_equal(sb.labeled_weak, weak_augment(
+            lab_x, AUG, SeededRng(cfg.seed).substream("augment-labeled-1")))
+        if reads_unlabeled:
+            np.testing.assert_array_equal(sb.unlabeled_weak, weak_augment(
+                unl_x, AUG, SeededRng(cfg.seed).substream("augment-unlabeled-weak-1")))
+        else:
+            assert sb.unlabeled_weak.dtype == np.float64
+            assert sb.unlabeled_weak.shape == (0, unl_x.shape[1])
+        if not reads_split:
+            assert sb.unlabeled_strong.dtype == np.float64
+            assert sb.unlabeled_strong.shape == (0, unl_x.shape[1])
+            for idx in (sb.pseudo, sb.high_idx, sb.low_idx, sb.sel_idx):
+                assert idx.dtype == np.int64 and idx.shape == (0,), method
+            assert sb.keys_sel.shape == (0, teacher.feature_dim)
+            assert sb.mix is None
 
 
 def test_prepare_step_mix_skipped_when_lambda_co_zero():
