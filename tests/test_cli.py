@@ -437,3 +437,53 @@ def test_train_zero_steps_still_checkpoints(tmp_path, capsys):
     capsys.readouterr()
     ck = load_checkpoint(out / "checkpoint_final.npz")
     assert ck.step == 0
+
+
+def _checkpoint_digest(path) -> str:
+    """sha256 over each array's name, dtype, shape and bytes, meta included.
+    The file's own bytes are not stable: np.savez stamps its zip entries
+    with the time of writing."""
+    h = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as npz:
+        for name in sorted(npz.files):
+            arr = npz[name]
+            h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# The contents of every checkpoint a FAST mixlrco run with a checkpoint at
+# each step writes, and of those a resume of its step-2 checkpoint to six
+# steps writes into a new directory (same platform as GEN_DATA_SHA256).
+CHECKPOINT_SHA256 = {
+    "run/checkpoint_step1.npz":
+        "fd0f1cfe469cdd85d246c559de9f0a8124e614418a8fc9553e0fe1b0f9cc918b",
+    "run/checkpoint_step2.npz":
+        "fe8ee3f95dd89df3eefdf7fc03049d1ab84e4f6c3eb7192e56af2fb86478e922",
+    "run/checkpoint_step3.npz":
+        "3a73ac81a0fd3d83e3e5f73d2609f63c1475b38f60197675db3e60aa66004674",
+    "run/checkpoint_final.npz":
+        "3939d01279b919dc855866935a2acd0e51ac2d4ad2eb2ca33b4ca23a9c2f3488",
+    "resumed/checkpoint_step3.npz":
+        "b87085c2a38d7670db3646f62adff3be4f741709cbd7b6f21b7be25d3b3a9adc",
+    "resumed/checkpoint_step4.npz":
+        "dd2855c2efc0d5b1efa3a44ba00a4e0969543f804166be0d2badb52218550ef8",
+    "resumed/checkpoint_step5.npz":
+        "950ec09fc920474f4d6f519afa8640a3c5cabf84cc80b4a7ef73fc38360f4514",
+    "resumed/checkpoint_final.npz":
+        "c43c6162b3b33c7ced2b9065df577ead9928c271725a8634efebf0ca00f2af73",
+}
+
+
+def test_checkpoint_contents_are_pinned(tmp_path, capsys):
+    every1 = [*FAST, "--set", "train.checkpoint_interval=1"]
+    run, resumed = tmp_path / "run", tmp_path / "resumed"
+    assert run_cli("train", "--out", str(run), *every1) == EXIT_OK
+    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in every1]
+    assert run_cli("train", "--out", str(resumed), "--resume",
+                   str(run / "checkpoint_step2.npz"), *longer) == EXIT_OK
+    capsys.readouterr()
+    written = {f"{out.name}/{name}": _checkpoint_digest(out / name)
+               for out in (run, resumed) for name in sorted(os.listdir(out))
+               if name.endswith(".npz")}
+    assert written == CHECKPOINT_SHA256
