@@ -173,12 +173,12 @@ def split_by_confidence(state: ModelState, x_rows: np.ndarray, tau: float):
     return np.flatnonzero(conf), np.flatnonzero(~conf), probs, feats
 
 
-def confidence_feature_vectors(state: ModelState, x_rows: np.ndarray,
+def confidence_feature_vectors(state: ModelState, features: np.ndarray,
                                feature_mode: str = "rerep") -> np.ndarray:
     """Unit vectors the similarity statistics are computed on: the rows the
-    contrastive loss compares under ``train.rerep_mode=feature_mode``."""
-    feats = np.asarray(features_of(state, x_rows), dtype=np.float64)
-    return contrast_rows(feats, state.classifier, state.t_re, feature_mode)
+    contrastive loss compares under ``train.rerep_mode=feature_mode``, from
+    ``state``'s features (as split_by_confidence returns them)."""
+    return contrast_rows(features, state.classifier, state.t_re, feature_mode)
 
 
 def mixed_topk_curves(state: ModelState, x_target_high: np.ndarray,

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError, TrainingDivergedError,
 )
 from .gradcheck import run_gradient_suite
-from .trainer import REREP_MODES, evaluate, fit, load_checkpoint
+from .trainer import REREP_MODES, evaluate, fit, load_checkpoint, resume_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,17 +132,18 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
+    chash, dhash = config_hash(cfg), dynamics_hash(cfg)
+    bench = generate_shift_benchmark(cfg.data)
+    # A refused resume must leave --out as it was, so check it before writing.
+    resume = None if args.resume is None else resume_checkpoint(args.resume, bench, dhash)
     out = _resolve_out(args.out)
-    chash = config_hash(cfg)
     with open(os.path.join(out, "config_used.txt"), "w", encoding="utf-8") as fh:
         fh.write(canonical_text(cfg))
-    bench = generate_shift_benchmark(cfg.data)
     result = fit(
         bench, cfg.augment, cfg.train,
         hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim,
         metrics_path=os.path.join(out, "metrics.csv"),
-        checkpoint_dir=out, resume_from=args.resume, config_hash=chash,
-        dynamics_hash=dynamics_hash(cfg),
+        checkpoint_dir=out, resume_from=resume, config_hash=chash, dynamics_hash=dhash,
     )
     print(f"run_id={cfg.output.run_id} config_hash={chash} steps={result.steps_run}")
     for rec in result.history[-2:]:
@@ -193,11 +194,11 @@ def _cmd_analyze(args) -> int:
     meta = f"config_hash={chash} seed={cfg.train.seed} checkpoint_step={ckpt.step}"
     run_id, step = cfg.output.run_id, ckpt.step
 
-    high_idx, low_idx, _, _ = split_by_confidence(ckpt.teacher, x_target, ckpt.tau)
+    high_idx, low_idx, _, feats = split_by_confidence(ckpt.teacher, x_target, ckpt.tau)
     confident = np.zeros(len(labels), dtype=bool)
     confident[high_idx] = True
 
-    vectors = confidence_feature_vectors(ckpt.teacher, x_target, args.feature_mode)
+    vectors = confidence_feature_vectors(ckpt.teacher, feats, args.feature_mode)
     report = similarity_stats(vectors, labels, confident)
     write_similarity_csv(
         os.path.join(out, analysis_filename("similarity", run_id, step, "target")),
@@ -214,9 +215,7 @@ def _cmd_analyze(args) -> int:
         curves, meta=meta + f" k_max={k_max}",
     )
 
-    coords = project_2d(np.asarray(
-        confidence_feature_vectors(ckpt.teacher, x_target, "raw")
-    ))
+    coords = project_2d(confidence_feature_vectors(ckpt.teacher, feats, "raw"))
     write_projection_csv(
         os.path.join(out, analysis_filename("projection", run_id, step, "target")),
         coords, labels=labels, confident=confident, meta=meta,

@@ -70,12 +70,6 @@ class ModelState:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def param_count(self) -> int:
-        total = self.classifier.size
-        for w, b in zip(self.weights, self.biases):
-            total += w.size + b.size
-        return total
-
 
 @dataclass
 class ParamTensors:
@@ -115,13 +109,7 @@ def init_model(config: ModelConfig, rng: SeededRng) -> ModelState:
 
 def clone_state(m: ModelState) -> ModelState:
     """Deep copy; used to spawn the teacher as an exact student copy."""
-    return ModelState(
-        weights=[w.copy() for w in m.weights],
-        biases=[b.copy() for b in m.biases],
-        classifier=m.classifier.copy(),
-        t_ce=m.t_ce,
-        t_re=m.t_re,
-    )
+    return state_from_arrays(state_arrays(m), m.t_ce, m.t_re)
 
 
 def features_of(model_like, x_rows):
@@ -179,45 +167,19 @@ def ema_update(teacher: ModelState, student: ModelState, decay: float) -> ModelS
     """
     if not 0.0 <= decay < 1.0:
         raise ValueError("decay must lie in [0, 1)")
-    pairs = list(zip(teacher.weights, student.weights))
-    pairs += list(zip(teacher.biases, student.biases))
-    pairs.append((teacher.classifier, student.classifier))
-    for t_arr, s_arr in pairs:
-        if t_arr.shape != s_arr.shape:
-            raise ShapeMismatchError("teacher and student shapes differ")
-        t_arr[...] = decay * t_arr + (1.0 - decay) * s_arr
+    t_arrays, s_arrays = state_arrays(teacher), state_arrays(student)
+    if t_arrays.keys() != s_arrays.keys() or any(
+            arr.shape != s_arrays[name].shape for name, arr in t_arrays.items()):
+        raise ShapeMismatchError("teacher and student shapes differ")
+    for name, t_arr in t_arrays.items():
+        t_arr[...] = decay * t_arr + (1.0 - decay) * s_arrays[name]
     return teacher
 
 
-# Flat parameter-vector helpers for the finite-difference oracle.
-
-def get_param_vector(m: ModelState) -> np.ndarray:
-    pieces = []
-    for w, b in zip(m.weights, m.biases):
-        pieces.append(w.ravel())
-        pieces.append(b.ravel())
-    pieces.append(m.classifier.ravel())
-    return np.concatenate(pieces)
-
-
-def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (m.param_count(),):
-        raise ShapeMismatchError("parameter vector length mismatch")
-    out = clone_state(m)
-    offset = 0
-    for w, b in zip(out.weights, out.biases):
-        w[...] = vec[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        b[...] = vec[offset : offset + b.size].reshape(b.shape)
-        offset += b.size
-    out.classifier[...] = vec[offset:].reshape(out.classifier.shape)
-    return out
-
-
 def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
-    """Named view of the arrays (or a ParamTensors' tensors), in
-    get_param_vector order; checkpoints and gradients are keyed by it."""
+    """Named view of the arrays (or a ParamTensors' tensors): the one place
+    that lists and orders them. Clones, the EMA, the flat parameter vector,
+    gradients and checkpoints all follow it."""
     out: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         out[f"{prefix}layer{i}.weight"] = w
@@ -241,18 +203,28 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
                       t_ce=float(t_ce), t_re=float(t_re))
 
 
+# Flat parameter-vector helpers for the finite-difference oracle.
+
+def get_param_vector(m: ModelState) -> np.ndarray:
+    return np.concatenate([arr.ravel() for arr in state_arrays(m).values()])
+
+
+def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
+    vec = np.asarray(vec, dtype=np.float64)
+    out = clone_state(m)
+    arrays = list(state_arrays(out).values())
+    sizes = [arr.size for arr in arrays]
+    if vec.shape != (sum(sizes),):
+        raise ShapeMismatchError("parameter vector length mismatch")
+    for arr, piece in zip(arrays, np.split(vec, np.cumsum(sizes)[:-1])):
+        arr[...] = piece.reshape(arr.shape)
+    return out
+
+
 def states_allclose(a: ModelState, b: ModelState) -> bool:
     """Whether two states have equal shapes and equal values."""
-    if len(a.weights) != len(b.weights):
-        return False
-    arrays = list(zip(a.weights, b.weights)) + list(zip(a.biases, b.biases))
-    arrays.append((a.classifier, b.classifier))
-    for x, y in arrays:
-        if x.shape != y.shape:
-            return False
-        if not np.array_equal(x, y):
-            return False
-    return True
+    x, y = state_arrays(a), state_arrays(b)
+    return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
 
 
 __all__ = [

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -485,6 +485,8 @@ def metric_record_line(rec: MetricRecord) -> str:
 
 @dataclass
 class Checkpoint:
+    """Everything a run continues from; fit trains its arrays in place."""
+
     student: ModelState
     teacher: ModelState
     velocities: dict[str, np.ndarray]
@@ -497,29 +499,21 @@ class Checkpoint:
     spec_hash: str = ""
 
 
-def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
-                    velocities: dict[str, np.ndarray], bank: MemoryBank,
-                    step: int, tau: float, seed: int, config_hash: str = "",
-                    dynamics_hash: str = "", spec_hash: str = "") -> None:
+# The record's scalar fields, kept in the checkpoint's JSON "meta" entry.
+_META_FIELDS = {"step": int, "tau": float, "seed": int, "config_hash": str,
+                "dynamics_hash": str, "spec_hash": str}
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Self-describing binary dump; round-trips bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
-    arrays.update(state_arrays(student, prefix="student/"))
-    arrays.update(state_arrays(teacher, prefix="teacher/"))
-    for name, arr in velocities.items():
+    arrays.update(state_arrays(ckpt.student, prefix="student/"))
+    arrays.update(state_arrays(ckpt.teacher, prefix="teacher/"))
+    for name, arr in ckpt.velocities.items():
         arrays[f"velocity/{name}"] = arr
-    for name, arr in bank.state_arrays().items():
-        arrays[name] = arr
-    meta = {
-        "format": 1,
-        "step": int(step),
-        "tau": float(tau),
-        "seed": int(seed),
-        "config_hash": config_hash,
-        "dynamics_hash": dynamics_hash,
-        "spec_hash": spec_hash,
-        "t_ce": student.t_ce,
-        "t_re": student.t_re,
-    }
+    arrays.update(ckpt.bank.state_arrays())
+    meta = {name: cast(getattr(ckpt, name)) for name, cast in _META_FIELDS.items()}
+    meta.update(format=1, t_ce=ckpt.student.t_ce, t_re=ckpt.student.t_re)
     arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
     # Write a temporary file next to the target and rename it into place, so
     # an interrupted write never leaves a truncated checkpoint under `path`.
@@ -536,24 +530,19 @@ def save_checkpoint(path, *, student: ModelState, teacher: ModelState,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one raises DatasetFormatError."""
+    """Read a checkpoint; a file that is not one raises DatasetFormatError.
+    A hash the file does not record loads as the field's default."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
-        student = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="student/")
-        teacher = state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="teacher/")
-        velocities = {
-            name[len("velocity/"):]: np.array(arr, dtype=np.float64)
-            for name, arr in arrays.items() if name.startswith("velocity/")
-        }
-        bank = MemoryBank.from_state_arrays(arrays)
         return Checkpoint(
-            student=student, teacher=teacher, velocities=velocities, bank=bank,
-            step=int(meta["step"]), tau=float(meta["tau"]), seed=int(meta["seed"]),
-            config_hash=str(meta["config_hash"]),
-            dynamics_hash=str(meta.get("dynamics_hash", "")),
-            spec_hash=str(meta.get("spec_hash", "")),
+            student=state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="student/"),
+            teacher=state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="teacher/"),
+            velocities={name[len("velocity/"):]: np.array(arr, dtype=np.float64)
+                        for name, arr in arrays.items() if name.startswith("velocity/")},
+            bank=MemoryBank.from_state_arrays(arrays),
+            **{name: cast(meta[name]) for name, cast in _META_FIELDS.items() if name in meta},
         )
     except FileNotFoundError:
         raise
@@ -562,6 +551,35 @@ def load_checkpoint(path) -> Checkpoint:
         raise DatasetFormatError(
             f"{path} is not a readable checkpoint ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def resume_checkpoint(source, benchmark: ShiftBenchmark,
+                      dynamics_hash: str = "") -> Checkpoint:
+    """The checkpoint at path ``source`` (or ``source`` itself, a Checkpoint
+    already loaded), refused with ConfigError when it cannot continue a run
+    on ``benchmark``: its model has another input dimension or class count,
+    it records another benchmark's spec hash, or, when ``dynamics_hash`` is
+    given, it carries a different dynamics hash or none."""
+    ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
+    spec = benchmark.spec
+    shape = (ckpt.student.input_dim, ckpt.student.n_classes)
+    if shape != (spec.input_dim, spec.n_classes):
+        raise ConfigError(
+            f"checkpoint model has input_dim={shape[0]} n_classes={shape[1]}, "
+            f"the benchmark has input_dim={spec.input_dim} n_classes={spec.n_classes}"
+        )
+    spec_hash = benchmark_spec_hash(spec)
+    if ckpt.spec_hash and ckpt.spec_hash != spec_hash:
+        raise ConfigError(
+            f"checkpoint was trained on benchmark spec_hash={ckpt.spec_hash}, "
+            f"this benchmark has spec_hash={spec_hash}"
+        )
+    if dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
+        raise ConfigError(
+            "checkpoint was written by a different config "
+            f"({ckpt.dynamics_hash or 'no dynamics hash'} != {dynamics_hash})"
+        )
+    return ckpt
 
 
 def _rows_before_resume(path, header: list[str], last_step: int, evaluates_at) -> list[str]:
@@ -593,11 +611,9 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
         config_hash: str = "", dynamics_hash: str = "") -> FitResult:
     """Run the full training loop for one config over one benchmark.
 
-    ``config_hash`` is an opaque stamp copied into metrics and checkpoints;
-    ``dynamics_hash`` guards resume: a checkpoint carrying a different
-    dynamics hash, or none, cannot continue this run. Neither can a
-    checkpoint whose model has another input dimension or class count than
-    the benchmark, or one that records another benchmark's spec hash.
+    ``config_hash`` is an opaque stamp copied into metrics and checkpoints.
+    ``resume_from`` is a checkpoint path or a Checkpoint; resume_checkpoint
+    decides whether it can continue this run (``dynamics_hash`` guards it).
     """
     cfg.validate()
     augment.validate()
@@ -605,31 +621,13 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     lab_x, lab_y, lab_is_source = benchmark.labeled_pool()
     unl_x = benchmark.target_unlabeled_x
     n_classes = benchmark.spec.n_classes
-    spec_hash = benchmark_spec_hash(benchmark.spec)
+    stamp = dict(seed=cfg.seed, config_hash=config_hash, dynamics_hash=dynamics_hash,
+                 spec_hash=benchmark_spec_hash(benchmark.spec))
 
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        shape = (ckpt.student.input_dim, ckpt.student.n_classes)
-        if shape != (benchmark.spec.input_dim, n_classes):
-            raise ConfigError(
-                f"checkpoint model has input_dim={shape[0]} n_classes={shape[1]}, "
-                f"the benchmark has input_dim={benchmark.spec.input_dim} "
-                f"n_classes={n_classes}"
-            )
-        if ckpt.spec_hash and ckpt.spec_hash != spec_hash:
-            raise ConfigError(
-                f"checkpoint was trained on benchmark spec_hash={ckpt.spec_hash}, "
-                f"this benchmark has spec_hash={spec_hash}"
-            )
-        if dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
-            raise ConfigError(
-                "checkpoint was written by a different config "
-                f"({ckpt.dynamics_hash or 'no dynamics hash'} != {dynamics_hash})"
-            )
-        student, teacher = ckpt.student, ckpt.teacher
-        velocities, bank = ckpt.velocities, ckpt.bank
-        tau, start_step = ckpt.tau, ckpt.step
-        resumed_header = metrics_header_lines(n_classes, ckpt.config_hash, ckpt.seed)
+        run = resume_checkpoint(resume_from, benchmark, dynamics_hash)
+        resumed_header = metrics_header_lines(n_classes, run.config_hash, run.seed)
+        run = replace(run, **stamp)
     else:
         init_rng = SeededRng(cfg.seed).substream("init")
         model_cfg = ModelConfig(
@@ -638,10 +636,10 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             t_ce=cfg.t_ce, t_re=cfg.resolved_t_re(),
         )
         student = init_model(model_cfg, init_rng)
-        teacher = clone_state(student)
-        velocities = init_velocities(student)
-        bank = MemoryBank(cfg.bank_capacity)
-        tau, start_step = cfg.tau, 0
+        run = Checkpoint(student=student, teacher=clone_state(student),
+                         velocities=init_velocities(student),
+                         bank=MemoryBank(cfg.bank_capacity), step=0, tau=cfg.tau, **stamp)
+    tau, start_step = run.tau, run.step
 
     lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, cfg.seed, "labeled")
     unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, cfg.seed, "unlabeled")
@@ -668,7 +666,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
 
     def eval_both(step: int, losses: dict[str, float]) -> None:
         for split, (x, y) in eval_splits:
-            m = evaluate(student, x, y)
+            m = evaluate(run.student, x, y)
             per_class = tuple(m.per_class.get(c, 0.0) for c in range(n_classes))
             write_record(MetricRecord(
                 step=step, split=split, accuracy=m.accuracy,
@@ -681,10 +679,11 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             lab_idx = lab_cycler.batch_for_step(step)
             unl_idx = unl_cycler.batch_for_step(step)
             sb = prepare_step(
-                student, teacher, bank, lab_x[lab_idx], lab_y[lab_idx],
+                run.student, run.teacher, run.bank, lab_x[lab_idx], lab_y[lab_idx],
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
             )
-            report = train_step(student, teacher, bank, velocities, sb, cfg, tau, step)
+            report = train_step(run.student, run.teacher, run.bank, run.velocities, sb, cfg,
+                                tau, step)
             n_u = len(sb.pseudo)
             tau = adjust_tau(report.n_high / n_u if n_u else 0.0, tau, cfg)
 
@@ -692,26 +691,17 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 eval_both(step, report.losses)
             if (checkpoint_dir is not None and cfg.checkpoint_interval > 0
                     and step % cfg.checkpoint_interval == 0 and step < cfg.total_steps):
-                save_checkpoint(
-                    f"{checkpoint_dir}/checkpoint_step{step}.npz",
-                    student=student, teacher=teacher, velocities=velocities,
-                    bank=bank, step=step, tau=tau, seed=cfg.seed,
-                    config_hash=config_hash, dynamics_hash=dynamics_hash,
-                    spec_hash=spec_hash,
-                )
+                save_checkpoint(f"{checkpoint_dir}/checkpoint_step{step}.npz",
+                                replace(run, step=step, tau=tau))
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
     if checkpoint_dir is not None:
-        save_checkpoint(
-            f"{checkpoint_dir}/checkpoint_final.npz",
-            student=student, teacher=teacher, velocities=velocities, bank=bank,
-            step=max(start_step, cfg.total_steps), tau=tau, seed=cfg.seed,
-            config_hash=config_hash, dynamics_hash=dynamics_hash, spec_hash=spec_hash,
-        )
+        save_checkpoint(f"{checkpoint_dir}/checkpoint_final.npz",
+                        replace(run, step=max(start_step, cfg.total_steps), tau=tau))
 
     return FitResult(
-        student=student, teacher=teacher, bank=bank, history=history,
+        student=run.student, teacher=run.teacher, bank=run.bank, history=history,
         final_tau=tau, steps_run=max(0, cfg.total_steps - start_step),
     )

@@ -311,11 +311,11 @@ def test_07_confidence_similarity_direction(benchmark_runs):
     for seed in SEEDS:
         bench, res, _ = benchmark_runs[("strong", seed)]
         x, y = bench.target_eval_samples()
-        hi, lo, _, _ = split_by_confidence(res.student, x, res.final_tau)
+        hi, lo, _, feats = split_by_confidence(res.student, x, res.final_tau)
         assert len(hi) >= 2 and len(lo) >= 2
         conf = np.zeros(len(x), dtype=bool)
         conf[hi] = True
-        vecs = confidence_feature_vectors(res.student, x, "rerep")
+        vecs = confidence_feature_vectors(res.student, feats, "rerep")
         rep = similarity_stats(vecs, y, conf)
         assert "high" not in rep.degenerate and "low" not in rep.degenerate
         assert rep.within["low"] < rep.within["high"]

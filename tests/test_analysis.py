@@ -7,7 +7,7 @@ from lrco.analysis import (
     topk_accumulation, write_projection_csv, write_similarity_csv,
     write_topk_csv,
 )
-from lrco.model import ModelConfig, init_model
+from lrco.model import ModelConfig, features_of, init_model
 from lrco.numerics import SeededRng
 
 
@@ -203,15 +203,15 @@ def test_split_by_confidence_partition():
 def test_confidence_feature_vectors_modes():
     state = make_state()
     rng = SeededRng(10)
-    x = np.asarray(rng.normal(size=(8, 3)))
-    rerep = confidence_feature_vectors(state, x, "rerep")
-    raw = confidence_feature_vectors(state, x, "raw")
+    feats = np.asarray(features_of(state, np.asarray(rng.normal(size=(8, 3)))))
+    rerep = confidence_feature_vectors(state, feats, "rerep")
+    raw = confidence_feature_vectors(state, feats, "raw")
     for block in (rerep, raw):
         np.testing.assert_allclose(np.linalg.norm(block, axis=1), np.ones(8),
                                    atol=1e-9)
     assert not np.allclose(rerep, raw)
     with pytest.raises(ValueError):
-        confidence_feature_vectors(state, x, "fancy")
+        confidence_feature_vectors(state, feats, "fancy")
 
 
 def test_mixed_topk_curves_shapes_and_determinism():

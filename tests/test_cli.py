@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -232,9 +233,7 @@ def test_resume_refuses_checkpoint_without_dynamics_hash(tmp_path, capsys):
     assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
     ck = load_checkpoint(out / "checkpoint_final.npz")
     unhashed = tmp_path / "unhashed.npz"
-    save_checkpoint(unhashed, student=ck.student, teacher=ck.teacher,
-                    velocities=ck.velocities, bank=ck.bank, step=ck.step, tau=ck.tau,
-                    seed=ck.seed, config_hash=ck.config_hash)
+    save_checkpoint(unhashed, dataclasses.replace(ck, dynamics_hash=""))
     capsys.readouterr()
     code = run_cli("train", "--out", str(tmp_path / "run2"), "--resume", str(unhashed),
                    *FAST)
@@ -253,6 +252,29 @@ def test_resume_refuses_checkpoint_of_another_shape(tmp_path, capsys):
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert "checkpoint model has input_dim=3 n_classes=3" in err, override
+
+
+def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
+
+    def contents(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+    before = contents(run)
+    refusals = ((EXIT_INVALID_CONFIG, run / "checkpoint_final.npz"),
+                (EXIT_MISSING_FILE, run / "no_such_checkpoint.npz"))
+    for expected, ckpt in refusals:
+        code = run_cli("train", "--out", str(run), "--resume", str(ckpt), *FAST,
+                       "--set", "train.lambda_co=0.7")
+        assert code == expected, ckpt
+        assert contents(run) == before, ckpt
+    # a refused resume into a new directory does not create it
+    fresh = tmp_path / "fresh"
+    assert run_cli("train", "--out", str(fresh), "--resume", str(run / "nope.npz"),
+                   *FAST) == EXIT_MISSING_FILE
+    assert not fresh.exists()
+    capsys.readouterr()
 
 
 # What `eval` prints for the final checkpoint of a FAST run, recorded before
@@ -284,10 +306,7 @@ def test_eval_and_analyze_refuse_checkpoint_of_another_benchmark(tmp_path, capsy
     ckpt = train_fast(tmp_path, capsys)
     ck = load_checkpoint(ckpt)
     unnamed = str(tmp_path / "unnamed.npz")  # the same model, naming no benchmark
-    save_checkpoint(unnamed, student=ck.student, teacher=ck.teacher,
-                    velocities=ck.velocities, bank=ck.bank, step=ck.step, tau=ck.tau,
-                    seed=ck.seed, config_hash=ck.config_hash,
-                    dynamics_hash=ck.dynamics_hash)
+    save_checkpoint(unnamed, dataclasses.replace(ck, spec_hash=""))
     cases = ((ckpt, "data.seed=7", ck.spec_hash), (ckpt, "data.input_dim=6", ck.spec_hash),
              (unnamed, "data.seed=0", "(none recorded)"))
     for path, override, trained_on in cases:

@@ -37,7 +37,7 @@ def test_init_param_count_linear_only():
     cfg = small_config(hidden_dims=())
     m = init_model(cfg, SeededRng(1))
     expected = 3 * 5 + 5 + 2 * 5  # W + b + classifier
-    assert m.param_count() == expected
+    assert get_param_vector(m).shape == (expected,)
 
 
 def test_init_xavier_bounds_and_zero_bias():

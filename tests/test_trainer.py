@@ -13,7 +13,8 @@ from lrco.model import (
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
-    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, TrainConfig, _EpochCycler, adjust_tau,
+    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, Checkpoint, TrainConfig, _EpochCycler,
+    adjust_tau,
     evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
     metrics_header_lines, prepare_step, save_checkpoint, step_objective,
     train_step,
@@ -415,8 +416,9 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step)
         train_step(student, teacher, bank, velocities, sb, cfg, tau=0.7, step=step)
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, student=student, teacher=teacher, velocities=velocities,
-                    bank=bank, step=2, tau=0.7, seed=cfg.seed, config_hash="h123")
+    save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
+                                     bank=bank, step=2, tau=0.7, seed=cfg.seed,
+                                     config_hash="h123"))
     ck = load_checkpoint(path)
     assert states_allclose(ck.student, student)
     assert states_allclose(ck.teacher, teacher)
@@ -426,12 +428,46 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         np.testing.assert_array_equal(ck.velocities[name], arr)
 
 
+def test_every_checkpoint_field_survives_save_and_load(tmp_path):
+    cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
+    velocities = init_velocities(student)
+    for step in (1, 2):
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step)
+        train_step(student, teacher, bank, velocities, sb, cfg, tau=0.99, step=step)
+    assert len(bank) > 0 and not states_allclose(student, teacher)
+    base = Checkpoint(student=teacher, teacher=teacher,
+                      velocities=init_velocities(student), bank=MemoryBank(cfg.bank_capacity),
+                      step=0, tau=0.5, seed=0, config_hash="")
+    # one value per field that differs from its value in base (and any default)
+    changed = {"student": student, "teacher": student, "velocities": velocities,
+               "bank": bank, "step": 7, "tau": 0.7312, "seed": 11, "config_hash": "c1",
+               "dynamics_hash": "d2", "spec_hash": "s3"}
+    assert set(changed) == {f.name for f in dataclasses.fields(Checkpoint)}
+
+    def same(a, b) -> bool:
+        if isinstance(a, MemoryBank):
+            return (a.capacity == b.capacity
+                    and np.array_equal(a.snapshot(), b.snapshot()))
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+        if isinstance(a, type(student)):
+            return states_allclose(a, b) and (a.t_ce, a.t_re) == (b.t_ce, b.t_re)
+        return type(a) is type(b) and a == b
+
+    for name, value in changed.items():
+        path = tmp_path / f"{name}.npz"
+        save_checkpoint(path, dataclasses.replace(base, **{name: value}))
+        ck = load_checkpoint(path)
+        assert same(getattr(ck, name), value), name
+        assert not same(getattr(base, name), value), name
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
-    state = dict(student=student, teacher=teacher, velocities=init_velocities(student),
-                 bank=bank, tau=0.7, seed=cfg.seed)
+    ckpt = Checkpoint(student=student, teacher=teacher, velocities=init_velocities(student),
+                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash="")
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, step=1, **state)
+    save_checkpoint(path, ckpt)
     before = path.read_bytes()
 
     def interrupted(file, *args, **kwds):
@@ -440,7 +476,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "savez", interrupted)
     with pytest.raises(OSError, match="write interrupted"):
-        save_checkpoint(path, step=2, **state)
+        save_checkpoint(path, dataclasses.replace(ckpt, step=2))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
 
