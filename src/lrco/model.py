@@ -211,14 +211,14 @@ def get_param_vector(m: ModelState) -> np.ndarray:
 
 def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
     vec = np.asarray(vec, dtype=np.float64)
-    out = clone_state(m)
-    arrays = list(state_arrays(out).values())
-    sizes = [arr.size for arr in arrays]
-    if vec.shape != (sum(sizes),):
+    arrays = state_arrays(m)
+    if vec.shape != (sum(arr.size for arr in arrays.values()),):
         raise ShapeMismatchError("parameter vector length mismatch")
-    for arr, piece in zip(arrays, np.split(vec, np.cumsum(sizes)[:-1])):
-        arr[...] = piece.reshape(arr.shape)
-    return out
+    pieces, offset = {}, 0
+    for name, arr in arrays.items():
+        pieces[name] = vec[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return state_from_arrays(pieces, m.t_ce, m.t_re)
 
 
 def states_allclose(a: ModelState, b: ModelState) -> bool:
