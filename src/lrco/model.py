@@ -176,6 +176,24 @@ def ema_update(teacher: ModelState, student: ModelState, decay: float) -> ModelS
     return teacher
 
 
+# Flat parameter-vector helpers for the finite-difference oracle.
+
+def get_param_vector(m: ModelState) -> np.ndarray:
+    return np.concatenate([arr.ravel() for arr in state_arrays(m).values()])
+
+
+def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
+    vec = np.asarray(vec, dtype=np.float64)
+    arrays = state_arrays(m)
+    if vec.shape != (sum(arr.size for arr in arrays.values()),):
+        raise ShapeMismatchError("parameter vector length mismatch")
+    pieces, offset = {}, 0
+    for name, arr in arrays.items():
+        pieces[name] = vec[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return state_from_arrays(pieces, m.t_ce, m.t_re)
+
+
 def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
     """Named view of the arrays (or a ParamTensors' tensors): the one place
     that lists and orders them. Clones, the EMA, the flat parameter vector,
@@ -201,24 +219,6 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
     classifier = np.array(arrays[f"{prefix}classifier"], dtype=np.float64)
     return ModelState(weights=weights, biases=biases, classifier=classifier,
                       t_ce=float(t_ce), t_re=float(t_re))
-
-
-# Flat parameter-vector helpers for the finite-difference oracle.
-
-def get_param_vector(m: ModelState) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in state_arrays(m).values()])
-
-
-def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
-    vec = np.asarray(vec, dtype=np.float64)
-    arrays = state_arrays(m)
-    if vec.shape != (sum(arr.size for arr in arrays.values()),):
-        raise ShapeMismatchError("parameter vector length mismatch")
-    pieces, offset = {}, 0
-    for name, arr in arrays.items():
-        pieces[name] = vec[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return state_from_arrays(pieces, m.t_ce, m.t_re)
 
 
 def states_allclose(a: ModelState, b: ModelState) -> bool:
