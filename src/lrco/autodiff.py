@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-Every op in this module is dual-dispatch: called on plain numpy inputs it
-returns plain numpy (so evaluation code pays no graph overhead), called with
-at least one Tensor it builds a graph node. Forward formulas are shared with
-numerics.py where they exist, so the two paths cannot drift apart.
+Every op in this module is dual-dispatch and computes its output value once,
+from the values of its inputs. Called on plain numpy inputs it returns that
+value (so evaluation code pays no graph overhead); called with at least one
+Tensor it wraps the same value in a graph node. The numpy path, which the
+finite-difference oracle runs, and the graph path, which training
+differentiates, therefore share one forward formula.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateFeatureError
 
 LOG_FLOOR = 1e-12
 
@@ -100,72 +101,53 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b):
+    y = value_of(a) + value_of(b)
     if not (is_tensor(a) or is_tensor(b)):
-        return value_of(a) + value_of(b)
+        return y
     a, b = _lift(a), _lift(b)
-    out = Tensor(a.value + b.value, parents=(a, b))
 
     def backward_fn(g):
         a.accumulate(_unbroadcast(g, a.value.shape))
         b.accumulate(_unbroadcast(g, b.value.shape))
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a, b), backward_fn)
 
 
 def sub(a, b):
+    y = value_of(a) - value_of(b)
     if not (is_tensor(a) or is_tensor(b)):
-        return value_of(a) - value_of(b)
+        return y
     a, b = _lift(a), _lift(b)
-    out = Tensor(a.value - b.value, parents=(a, b))
 
     def backward_fn(g):
         a.accumulate(_unbroadcast(g, a.value.shape))
         b.accumulate(_unbroadcast(-g, b.value.shape))
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a, b), backward_fn)
 
 
 def neg(a):
+    y = -value_of(a)
     if not is_tensor(a):
-        return -value_of(a)
-    out = Tensor(-a.value, parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(-g)
-    return out
-
-
-def mul(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return value_of(a) * value_of(b)
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.value * b.value, parents=(a, b))
-
-    def backward_fn(g):
-        a.accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b.accumulate(_unbroadcast(g * a.value, b.value.shape))
-
-    out.backward_fn = backward_fn
-    return out
+        return y
+    return Tensor(y, (a,), lambda g: a.accumulate(-g))
 
 
 def scale(a, c: float):
     """Multiply by a plain python constant."""
     c = float(c)
+    y = value_of(a) * c
     if not is_tensor(a):
-        return value_of(a) * c
-    out = Tensor(a.value * c, parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(g * c)
-    return out
+        return y
+    return Tensor(y, (a,), lambda g: a.accumulate(g * c))
 
 
 def matmul(a, b, transpose_b: bool = False):
+    bv = value_of(b)
+    y = value_of(a) @ (bv.T if transpose_b else bv)
     if not (is_tensor(a) or is_tensor(b)):
-        bv = value_of(b)
-        return value_of(a) @ (bv.T if transpose_b else bv)
+        return y
     a, b = _lift(a), _lift(b)
-    bv = b.value.T if transpose_b else b.value
-    out = Tensor(a.value @ bv, parents=(a, b))
 
     def backward_fn(g):
         if a.requires_grad:
@@ -173,17 +155,14 @@ def matmul(a, b, transpose_b: bool = False):
         if b.requires_grad:
             b.accumulate(g.T @ a.value if transpose_b else a.value.T @ g)
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a, b), backward_fn)
 
 
 def tanh(a):
+    y = np.tanh(value_of(a))
     if not is_tensor(a):
-        return np.tanh(value_of(a))
-    y = np.tanh(a.value)
-    out = Tensor(y, parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(g * (1.0 - y * y))
-    return out
+        return y
+    return Tensor(y, (a,), lambda g: a.accumulate(g * (1.0 - y * y)))
 
 
 def log_clamped(a, floor: float = LOG_FLOOR):
@@ -192,35 +171,24 @@ def log_clamped(a, floor: float = LOG_FLOOR):
     The derivative is zero wherever the clamp is active, matching the locally
     constant forward value there.
     """
+    y = np.log(np.maximum(value_of(a), floor))
     if not is_tensor(a):
-        return np.log(np.maximum(value_of(a), floor))
-    out = Tensor(np.log(np.maximum(a.value, floor)), parents=(a,))
+        return y
 
     def backward_fn(g):
         active = a.value > floor
         a.accumulate(g * np.where(active, 1.0 / np.maximum(a.value, floor), 0.0))
 
-    out.backward_fn = backward_fn
-    return out
-
-
-def sum_all(a):
-    if not is_tensor(a):
-        return np.asarray(value_of(a).sum())
-    out = Tensor(a.value.sum(), parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(np.broadcast_to(g, a.value.shape).copy())
-    return out
+    return Tensor(y, (a,), backward_fn)
 
 
 def mean_all(a):
+    y = np.asarray(value_of(a).mean())
     if not is_tensor(a):
-        return np.asarray(value_of(a).mean())
+        return y
     n = a.value.size
-    out = Tensor(a.value.mean(), parents=(a,))
-    out.backward_fn = lambda g: a.accumulate(
-        np.broadcast_to(g / n, a.value.shape).copy()
-    )
-    return out
+    return Tensor(y, (a,),
+                  lambda g: a.accumulate(np.broadcast_to(g / n, a.value.shape).copy()))
 
 
 def softmax_rows(a, temperature: float):
@@ -228,60 +196,50 @@ def softmax_rows(a, temperature: float):
     t = float(temperature)
     if not t > 0:
         raise ValueError("temperature must be positive")
+    y = numerics.softmax_last(value_of(a), t)
     if not is_tensor(a):
-        return numerics.softmax_last(value_of(a), t)
-    y = numerics.softmax_last(a.value, t)
-    out = Tensor(y, parents=(a,))
+        return y
 
     def backward_fn(g):
         inner = np.sum(g * y, axis=-1, keepdims=True)
         a.accumulate(y * (g - inner) / t)
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a,), backward_fn)
 
 
 def normalize_rows(a):
     """l2-normalize along the last axis; degenerate rows raise."""
+    y, norms = numerics.unit_last(value_of(a))
     if not is_tensor(a):
-        return numerics.normalize_last(value_of(a))
-    norms = numerics.norm_last(a.value)
-    if np.any(norms < numerics.NORM_EPS):
-        raise DegenerateFeatureError(
-            f"cannot normalize vector with norm below {numerics.NORM_EPS}"
-        )
-    y = a.value / norms
-    out = Tensor(y, parents=(a,))
+        return y
 
     def backward_fn(g):
         inner = np.sum(g * y, axis=-1, keepdims=True)
         a.accumulate((g - inner * y) / norms)
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a,), backward_fn)
 
 
 def logsumexp_rows(a):
     """log(sum(exp(.))) along the last axis: (n, d) gives (n,)."""
+    y = numerics.logsumexp_last(value_of(a))
     if not is_tensor(a):
-        return numerics.logsumexp_last(value_of(a))
-    out = Tensor(numerics.logsumexp_last(a.value), parents=(a,))
+        return y
 
     def backward_fn(g):
         soft = numerics.softmax_last(a.value, 1.0)
         a.accumulate(soft * np.expand_dims(g, -1))
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a,), backward_fn)
 
 
 def rowwise_dot(a, b):
     """Dot product along the last axis: (n, d) rows give (n,); a 1-D operand
     broadcasts against every row."""
+    y = np.sum(value_of(a) * value_of(b), axis=-1)
     if not (is_tensor(a) or is_tensor(b)):
-        return np.sum(value_of(a) * value_of(b), axis=-1)
+        return y
     a, b = _lift(a), _lift(b)
-    out = Tensor(np.sum(a.value * b.value, axis=-1), parents=(a, b))
 
     def backward_fn(g):
         ge = np.expand_dims(g, -1)
@@ -290,25 +248,24 @@ def rowwise_dot(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(ge * a.value, b.value.shape))
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a, b), backward_fn)
 
 
 def pick_per_row(p, idx):
     """Gather one entry per row: (n,K) with (n,) int labels gives (n,)."""
     idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(value_of(p).shape[0])
+    pv = value_of(p)
+    rows = np.arange(pv.shape[0])
+    y = pv[rows, idx]
     if not is_tensor(p):
-        return value_of(p)[rows, idx]
-    out = Tensor(p.value[rows, idx], parents=(p,))
+        return y
 
     def backward_fn(g):
         z = np.zeros_like(p.value)
         np.add.at(z, (rows, idx), g)
         p.accumulate(z)
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (p,), backward_fn)
 
 
 def hstack_cols(parts):
@@ -317,11 +274,11 @@ def hstack_cols(parts):
     for part in parts:
         v = value_of(part)
         promoted.append(v.reshape(-1, 1) if v.ndim == 1 else v)
+    y = np.concatenate(promoted, axis=1)
     if not any(is_tensor(p) for p in parts):
-        return np.concatenate(promoted, axis=1)
+        return y
     tensors = [_lift(p) for p in parts]
     widths = [p.shape[1] for p in promoted]
-    out = Tensor(np.concatenate(promoted, axis=1), parents=tuple(tensors))
 
     def backward_fn(g):
         offset = 0
@@ -333,24 +290,22 @@ def hstack_cols(parts):
                 tensor.accumulate(piece)
             offset += width
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, tuple(tensors), backward_fn)
 
 
 def take_rows(a, idx):
     """Select rows by index (repeats allowed; gradients accumulate)."""
     idx = np.asarray(idx, dtype=np.int64)
+    y = value_of(a)[idx]
     if not is_tensor(a):
-        return value_of(a)[idx]
-    out = Tensor(a.value[idx], parents=(a,))
+        return y
 
     def backward_fn(g):
         z = np.zeros_like(a.value)
         np.add.at(z, idx, g)
         a.accumulate(z)
 
-    out.backward_fn = backward_fn
-    return out
+    return Tensor(y, (a,), backward_fn)
 
 
 def detach(a):

@@ -81,7 +81,10 @@ def entropy_alignment(p_rows):
     return ad.neg(ad.mean_all(ad.rowwise_dot(p_rows, ad.log_clamped(p_rows))))
 
 
-def kld_uniform_batch(p_rows, n_classes: int):
+def kld_uniform_batch(p_rows):
+    """Mean cross-entropy of the uniform distribution against each probability
+    row, KL(uniform || p) + log K, where K is the width of p_rows."""
+    n_classes = ad.value_of(p_rows).shape[-1]
     uniform = np.full(n_classes, 1.0 / n_classes)
     return ad.neg(ad.mean_all(ad.rowwise_dot(ad.log_clamped(p_rows), uniform)))
 

@@ -25,11 +25,8 @@ class ModelConfig:
     hidden_dims: tuple[int, ...]
     feature_dim: int
     n_classes: int
-    t_ce: float = 0.05
-    t_re: float | None = None
-
-    def resolved_t_re(self) -> float:
-        return self.t_ce if self.t_re is None else self.t_re
+    t_ce: float
+    t_re: float
 
     def validate(self) -> None:
         if self.input_dim < 1:
@@ -40,7 +37,7 @@ class ModelConfig:
             raise ValueError("feature_dim must be >= 2")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if not self.t_ce > 0 or not self.resolved_t_re() > 0:
+        if not self.t_ce > 0 or not self.t_re > 0:
             raise ValueError("temperatures must be positive")
 
 
@@ -103,7 +100,7 @@ def init_model(config: ModelConfig, rng: SeededRng) -> ModelState:
         biases=biases,
         classifier=classifier,
         t_ce=float(config.t_ce),
-        t_re=float(config.resolved_t_re()),
+        t_re=float(config.t_re),
     )
 
 

@@ -41,13 +41,19 @@ def norm_last(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
-def normalize_last(v: np.ndarray) -> np.ndarray:
+def unit_last(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v / norms, norms) with norm_last's norms; a row whose norm is below
+    NORM_EPS raises DegenerateFeatureError."""
     n = norm_last(v)
     if np.any(n < NORM_EPS):
         raise DegenerateFeatureError(
             f"cannot normalize vector with norm below {NORM_EPS}"
         )
-    return v / n
+    return v / n, n
+
+
+def normalize_last(v: np.ndarray) -> np.ndarray:
+    return unit_last(v)[0]
 
 
 def logsumexp_last(v: np.ndarray) -> np.ndarray:

@@ -275,10 +275,6 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     )
 
 
-def _n_classes_of(model_like) -> int:
-    return int(ad.value_of(model_like.classifier).shape[0])
-
-
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
                    frozen_classifier=None):
     """Assemble the method's total objective for a prepared step.
@@ -320,7 +316,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     if len(sb.high_idx) > 0:
         probs_high = ad.take_rows(probs_unl_s, sb.high_idx)
         terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
-        terms["kld"] = L.kld_uniform_batch(probs_high, _n_classes_of(model_like))
+        terms["kld"] = L.kld_uniform_batch(probs_high)
         total = ad.add(total, terms["fixmatch"])
         if cfg.lambda_kld > 0:
             total = ad.add(total, ad.scale(terms["kld"], cfg.lambda_kld))
@@ -396,7 +392,7 @@ def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         total.backward()
     sgd_step(student, tape_from(params), velocities, cfg.learning_rate, cfg.momentum)
     ema_update(teacher, student, cfg.ema_decay)
-    if cfg.method in ("lrco", "mixlrco") and sb.keys_sel.shape[0] > 0:
+    if sb.keys_sel.shape[0] > 0:  # prepare_step stages keys only for the bank's methods
         bank.push_batch(sb.keys_sel)
 
     return StepReport(

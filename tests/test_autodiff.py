@@ -7,20 +7,21 @@ from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
 
 def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
-    """Generic probe: scalar = sum(weights * op(inputs)); FD each input."""
+    """Generic probe: scalar = mean_all(rowwise_dot(op(inputs), weights)), or a
+    0-d op output as it is; FD each input."""
     rng = SeededRng(seed)
     inputs = [np.asarray(rng.normal(size=s)) * 0.7 for s in shapes]
     probe_shape = np.shape(ad.value_of(build(*inputs)))
-    weights = np.asarray(rng.normal(size=probe_shape)) if probe_shape else 1.0
+    weights = np.asarray(rng.normal(size=probe_shape)) if probe_shape else None
+
+    def probe(out):
+        return out if weights is None else ad.mean_all(ad.rowwise_dot(out, weights))
 
     def scalar_of(arrays):
-        out = build(*arrays)
-        return float(np.sum(ad.value_of(out) * weights))
+        return float(probe(build(*arrays)))
 
     tensors = [ad.Tensor(x.copy(), requires_grad=True) for x in inputs]
-    out = build(*tensors)
-    total = ad.sum_all(ad.mul(out, weights)) if probe_shape else ad.mul(out, weights)
-    total.backward()
+    probe(build(*tensors)).backward()
 
     for i, t in enumerate(tensors):
         def f(flat, i=i):
@@ -41,10 +42,6 @@ def test_add_broadcast_bias():
 def test_sub_and_neg():
     check_op_gradient(lambda a, b: ad.sub(a, b), (2, 5), (2, 5))
     check_op_gradient(lambda a: ad.neg(a), (7,))
-
-
-def test_mul_elementwise():
-    check_op_gradient(lambda a, b: ad.mul(a, b), (4, 3), (4, 3))
 
 
 def test_scale_constant():
@@ -68,14 +65,13 @@ def test_log_clamped_smooth_region():
 
 def test_log_clamped_at_floor_has_zero_grad():
     t = ad.Tensor(np.array([1e-15, 0.5]), requires_grad=True)
-    out = ad.sum_all(ad.log_clamped(t))
+    out = ad.mean_all(ad.log_clamped(t))
     out.backward()
     assert t.grad[0] == 0.0  # clamped coordinate: locally constant
-    assert abs(t.grad[1] - 2.0) < 1e-12
+    assert abs(t.grad[1] - 1.0) < 1e-12  # (1/2) * (1/0.5)
 
 
-def test_sum_and_mean():
-    check_op_gradient(lambda a: ad.sum_all(a), (3, 5))
+def test_mean_all():
     check_op_gradient(lambda a: ad.mean_all(a), (3, 5))
 
 
@@ -114,9 +110,10 @@ def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
     t = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
-    out = ad.sum_all(ad.take_rows(t, idx))
+    out = ad.mean_all(ad.take_rows(t, idx))
     out.backward()
-    np.testing.assert_allclose(t.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    # each of the 6 selected entries carries 1/6
+    np.testing.assert_allclose(t.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]) / 6)
     check_op_gradient(lambda a: ad.take_rows(a, idx), (3, 4))
 
 
@@ -129,9 +126,9 @@ def test_hstack_cols():
 
 def test_detach_blocks_gradient():
     t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    out = ad.sum_all(ad.mul(ad.detach(t), t))
+    out = ad.rowwise_dot(ad.detach(t), t)
     out.backward()
-    # d/dt sum(c * t) with c = detach(t) frozen at [1, 2]
+    # d/dt (c . t) with c = detach(t) frozen at [1, 2]
     np.testing.assert_allclose(t.grad, [1.0, 2.0])
 
 
@@ -143,8 +140,8 @@ def test_array_inputs_stay_plain_numpy():
 
 def test_diamond_graph_accumulates():
     t = ad.Tensor(np.array([3.0]), requires_grad=True)
-    y = ad.add(ad.mul(t, t), ad.scale(t, 4.0))  # t^2 + 4t -> grad 2t+4 = 10
-    ad.sum_all(y).backward()
+    y = ad.add(ad.rowwise_dot(t, t), ad.scale(t, 4.0))  # t^2 + 4t -> grad 2t+4 = 10
+    ad.mean_all(y).backward()
     np.testing.assert_allclose(t.grad, [10.0])
 
 
@@ -165,14 +162,15 @@ def test_constant_operands_get_no_gradient():
     bank = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
     keys = np.array([[1.0, 0.0], [0.0, 1.0]])
     sims = ad.hstack_cols([ad.rowwise_dot(w, keys), ad.matmul(w, bank, transpose_b=True)])
-    ad.sum_all(sims).backward()
-    # d/dw of sum(w . keys) + sum(w @ bank.T): keys + the bank's column sums
-    np.testing.assert_array_equal(w.grad, keys + bank.sum(axis=0))
+    ad.mean_all(sims).backward()
+    # d/dw of the mean of (w . keys) and (w @ bank.T): keys + the bank's
+    # column sums, over the 8 entries of sims
+    np.testing.assert_array_equal(w.grad, (keys + bank.sum(axis=0)) / 8)
 
 
 def test_backward_requires_scalar():
     t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ad.mul(t, 2.0)
+    out = ad.scale(t, 2.0)
     with pytest.raises(ValueError):
         out.backward()
 
@@ -181,8 +179,8 @@ def test_second_backward_on_fresh_graph_matches():
     # building the same graph twice gives identical gradients (no state leak)
     def run():
         t = ad.Tensor(np.array([[0.3, -0.2], [0.1, 0.9]]), requires_grad=True)
-        loss = ad.mean_all(ad.softmax_rows(t, 0.5))
-        loss = ad.sum_all(ad.mul(ad.softmax_rows(t, 0.5), np.array([[1.0, -1.0], [2.0, 0.5]])))
+        weights = np.array([[1.0, -1.0], [2.0, 0.5]])
+        loss = ad.mean_all(ad.rowwise_dot(ad.softmax_rows(t, 0.5), weights))
         loss.backward()
         return t.grad.copy()
 
@@ -201,3 +199,45 @@ def test_composite_network_gradient():
         return ad.mean_all(ad.log_clamped(probs))
 
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
+
+
+# Every op, called on arrays and on Tensors, with the variants of each: the
+# numpy path must return a plain array with exactly the bits of the graph
+# node's value.
+DUAL_DISPATCH_CASES = {
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (2, 5), (2, 5)),
+    "neg": (ad.neg, (7,)),
+    "scale": (lambda a: ad.scale(a, -2.5), (6,)),
+    "matmul": (ad.matmul, (3, 4), (4, 5)),
+    "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
+    "tanh": (ad.tanh, (4, 4)),
+    "log_clamped": (ad.log_clamped, (3, 3)),
+    "mean_all": (ad.mean_all, (3, 5)),
+    "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
+    "normalize_rows": (ad.normalize_rows, (5, 3)),
+    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
+    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
+    "rowwise_dot-1d_left": (ad.rowwise_dot, (4,), (5, 4)),
+    "rowwise_dot-1d_right": (ad.rowwise_dot, (5, 4), (4,)),
+    "pick_per_row-repeated": (lambda a: ad.pick_per_row(a, [2, 2, 0, 2]), (4, 3)),
+    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
+    "take_rows-repeated": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
+    "detach": (ad.detach, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_DISPATCH_CASES))
+def test_numpy_call_equals_graph_value(case):
+    build, *shapes = DUAL_DISPATCH_CASES[case]
+    rng = SeededRng(11)
+    inputs = [np.asarray(rng.normal(size=s)) for s in shapes]
+    plain = build(*inputs)
+    assert isinstance(plain, np.ndarray)  # a Tensor is no ndarray
+    all_lifted = [ad.Tensor(x, requires_grad=True) for x in inputs]
+    first_lifted = all_lifted[:1] + inputs[1:]
+    for args in (all_lifted, first_lifted):
+        node = build(*args)
+        assert isinstance(node, ad.Tensor)
+        assert plain.shape == node.value.shape and plain.dtype == node.value.dtype
+        assert np.array_equal(plain, node.value)

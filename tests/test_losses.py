@@ -167,9 +167,9 @@ def test_kld_reg_gate_and_values():
     low = make_pseudo_label(np.array([0.6, 0.4]), tau=0.9)
     assert high.confident and not low.confident
     assert _terms_without_confident_rows()["kld"] == 0.0
-    assert abs(float(kld_uniform_batch(row([0.9, 0.1]), 2)) - 1.203972804325936) < 1e-12
+    assert abs(float(kld_uniform_batch(row([0.9, 0.1]))) - 1.203972804325936) < 1e-12
     # uniform output is the global minimum: ln K
-    assert abs(float(kld_uniform_batch(row([0.5, 0.5]), 2)) - 0.6931471805599453) < 1e-12
+    assert abs(float(kld_uniform_batch(row([0.5, 0.5]))) - 0.6931471805599453) < 1e-12
 
 
 def test_kld_uniform_is_minimized_at_uniform():
@@ -177,7 +177,7 @@ def test_kld_uniform_is_minimized_at_uniform():
     for _ in range(20):
         p = np.asarray(rng.uniform(size=4)) + 0.05
         p = p / p.sum()
-        v = float(kld_uniform_batch(p[None, :], 4))
+        v = float(kld_uniform_batch(p[None, :]))
         assert v >= np.log(4.0) - 1e-12
 
 
@@ -224,7 +224,7 @@ def test_re_represent_detach_blocks_classifier_gradient():
     rng = SeededRng(5)
     w = ad.Tensor(np.asarray(rng.normal(size=(3, 4))), requires_grad=True)
     f = ad.Tensor(np.asarray(rng.normal(size=(2, 4))), requires_grad=True)
-    out = ad.sum_all(re_represent_batch(f, w, t_re=0.5))
+    out = ad.mean_all(re_represent_batch(f, w, t_re=0.5))
     out.backward()
     assert w.grad is None or np.all(w.grad == 0.0)
     assert f.grad is not None and np.any(f.grad != 0.0)
