@@ -8,6 +8,7 @@ classifier rows are stored raw and normalized at use time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,15 +192,25 @@ def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
     return state_from_arrays(pieces, m.t_ce, m.t_re)
 
 
+@functools.cache
+def _array_names(prefix: str, n_layers: int) -> tuple[tuple[tuple[str, str], ...], str]:
+    """The state_arrays keys, built once per (prefix, layer count): a
+    (weight, bias) name pair per layer, then the classifier's name."""
+    layers = tuple((f"{prefix}layer{i}.weight", f"{prefix}layer{i}.bias")
+                   for i in range(n_layers))
+    return layers, f"{prefix}classifier"
+
+
 def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
     """Named view of the arrays (or a ParamTensors' tensors): the one place
     that lists and orders them. Clones, the EMA, the flat parameter vector,
     gradients and checkpoints all follow it."""
+    layer_names, classifier_name = _array_names(prefix, len(m.weights))
     out: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        out[f"{prefix}layer{i}.weight"] = w
-        out[f"{prefix}layer{i}.bias"] = b
-    out[f"{prefix}classifier"] = m.classifier
+    for (w_name, b_name), w, b in zip(layer_names, m.weights, m.biases):
+        out[w_name] = w
+        out[b_name] = b
+    out[classifier_name] = m.classifier
     return out
 
 

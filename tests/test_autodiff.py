@@ -8,9 +8,11 @@ from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
 def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
     """Generic probe: scalar = mean_all(rowwise_dot(op(inputs), weights)), or a
-    0-d op output as it is; FD each input."""
+    0-d op output as it is; FD each input. Each of ``shapes`` is a shape to
+    draw a normal input of, or an array to use as the input."""
     rng = SeededRng(seed)
-    inputs = [np.asarray(rng.normal(size=s)) * 0.7 for s in shapes]
+    inputs = [np.array(s, dtype=np.float64) if isinstance(s, np.ndarray)
+              else np.asarray(rng.normal(size=s)) * 0.7 for s in shapes]
     probe_shape = np.shape(ad.value_of(build(*inputs)))
     weights = np.asarray(rng.normal(size=probe_shape)) if probe_shape else None
 
@@ -60,7 +62,8 @@ def test_tanh():
 def test_log_clamped_smooth_region():
     rng = SeededRng(1)
     x = np.asarray(rng.uniform(size=(3, 3))) + 0.5  # well above the clamp
-    check_op_gradient(lambda a: ad.log_clamped(a), x.shape, seed=2)
+    assert np.all(x - 1e-6 > ad.LOG_FLOOR)  # every finite-difference point too
+    check_op_gradient(lambda a: ad.log_clamped(a), x, seed=2)
 
 
 def test_log_clamped_at_floor_has_zero_grad():
