@@ -275,20 +275,56 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     )
 
 
+def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig):
+    """The student's one forward pass for a prepared step.
+
+    The views the method reads are stacked in this order: labeled weak,
+    unlabeled weak, unlabeled strong, and the mixes. They go through
+    features_of once, and every row but the mixes through probs_of once, so
+    the classifier is normalized once. Returns (feats, probs, rows), where
+    rows maps each stacked view ("labeled", "unlabeled_weak",
+    "unlabeled_strong", "mix") to the int64 indices of its rows in feats;
+    probs holds the same rows up to the mixes. A method with one view
+    (source_only) feeds that view in as it is. The other methods' results
+    depend on how the batch is stacked, to the last bit: a BLAS product's
+    rounding depends on its row count.
+    """
+    views = {"labeled": sb.labeled_weak}
+    if cfg.method != "source_only":
+        views["unlabeled_weak"] = sb.unlabeled_weak
+    if cfg.method in PSEUDO_LABEL_METHODS:
+        views["unlabeled_strong"] = sb.unlabeled_strong
+    if cfg.method == "mixlrco" and cfg.lambda_co > 0 and sb.mix is not None:
+        views["mix"] = sb.mix.x_mix
+    rows, start = {}, 0
+    for name, x in views.items():
+        rows[name] = np.arange(start, start + len(x))
+        start += len(x)
+    if len(views) == 1:
+        feats = features_of(model_like, sb.labeled_weak)
+        return feats, probs_of(model_like, feats), rows
+    feats = features_of(model_like, np.concatenate(list(views.values())))
+    read = feats
+    if "mix" in views:  # no probability of a mix row is read
+        read = ad.take_rows(feats, np.arange(start - len(views["mix"])))
+    return feats, probs_of(model_like, read), rows
+
+
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
                    frozen_classifier=None):
     """Assemble the method's total objective for a prepared step.
 
     Works on a ModelState (plain evaluation) or ParamTensors (training graph).
     Returns (total, terms) where terms maps LOSS_KEYS minus "total" to scalars.
+    Every term takes its rows of the one stacked_forward pass by offset.
     ``frozen_classifier`` is only for the finite-difference harness.
     """
     zero = 0.0
     terms = {"ce": zero, "align": zero, "fixmatch": zero, "kld": zero,
              "contrastive": zero}
 
-    feats_lab = features_of(model_like, sb.labeled_weak)
-    probs_lab = probs_of(model_like, feats_lab)
+    feats, probs, rows = stacked_forward(model_like, sb, cfg)
+    probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
     terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
     total = terms["ce"]
 
@@ -297,8 +333,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
 
     # Alignment entropy over the union of labeled and unlabeled weak views,
     # computed as a sample-count weighted average of the two batch means.
-    feats_unl_w = features_of(model_like, sb.unlabeled_weak)
-    probs_unl_w = probs_of(model_like, feats_unl_w)
+    probs_unl_w = ad.take_rows(probs, rows["unlabeled_weak"])
     n_l = sb.labeled_weak.shape[0]
     n_u = sb.unlabeled_weak.shape[0]
     ent_l = L.entropy_alignment(probs_lab)
@@ -311,10 +346,9 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     if cfg.method == "baseline":
         return total, terms
 
-    feats_unl_s = features_of(model_like, sb.unlabeled_strong)
-    probs_unl_s = probs_of(model_like, feats_unl_s)
+    strong = rows["unlabeled_strong"]  # strong[i]: the stacked row of strong-view row i
     if len(sb.high_idx) > 0:
-        probs_high = ad.take_rows(probs_unl_s, sb.high_idx)
+        probs_high = ad.take_rows(probs, strong[sb.high_idx])
         terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
         terms["kld"] = L.kld_uniform_batch(probs_high)
         total = ad.add(total, terms["fixmatch"])
@@ -334,7 +368,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
 
     if cfg.method == "lrco":
         if len(sb.sel_idx) > 0 and len(sb.bank_snapshot) > 0:
-            queries = student_queries(ad.take_rows(feats_unl_s, sb.sel_idx))
+            queries = student_queries(ad.take_rows(feats, strong[sb.sel_idx]))
             terms["contrastive"] = L.contrastive_batch(
                 queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
             )
@@ -342,9 +376,8 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
         return total, terms
 
     # mixlrco
-    if sb.mix is not None:
-        feats_mix = features_of(model_like, sb.mix.x_mix)
-        queries = student_queries(feats_mix)
+    if "mix" in rows:
+        queries = student_queries(ad.take_rows(feats, rows["mix"]))
         terms["contrastive"] = L.mixlrco_batch(
             queries, sb.mix.k_mix, sb.mix.k_target, sb.mix.k_source,
             sb.bank_snapshot, cfg.t_co,

@@ -78,23 +78,23 @@ _SIMILARITY = "similarity_run-run0_step-4_target.csv"
 _TOPK = "topk_run-run0_step-4_target.csv"
 ANALYZE_SHA256 = {
     ("lrco", "rerep"): {
-        _PROJECTION: "b8605d9e86b2f66e09aca2f02a6fdc3ed8ea9206a35c3c2227f80fe6d5da5b66",
-        _SIMILARITY: "8edb0ab709cb86d60f7ad877a3866eb30f7ecf27b6787e032cccb660df4ff2ba",
-        _TOPK: "5c7e72de21937d9a24dd92fa812526da7394ac665b3e77e8ecb7d59da73ec481",
+        _PROJECTION: "6935400c6ffcc0232c880cb051e38c291c57c9ee0065762aea85bc398b9b9b26",
+        _SIMILARITY: "fe206602750898133b398e922e218a8a73728d8ba64f0aafe542862a8b916f1d",
+        _TOPK: "c8d5c0f72ce9ffe93765adf8578e43c6c2587f75e606441a0fb864439210087c",
     },
     ("lrco", "raw"): {
-        _PROJECTION: "b8605d9e86b2f66e09aca2f02a6fdc3ed8ea9206a35c3c2227f80fe6d5da5b66",
-        _SIMILARITY: "e9594c3821650e02155a83201ac6d6caf08fd6bfe287addc45dd0b37d8aaa846",
-        _TOPK: "5c7e72de21937d9a24dd92fa812526da7394ac665b3e77e8ecb7d59da73ec481",
+        _PROJECTION: "6935400c6ffcc0232c880cb051e38c291c57c9ee0065762aea85bc398b9b9b26",
+        _SIMILARITY: "e7bcde7a99e46f8126cce253355ae753cd003e9bb2b70fd49085e8dae5ec102b",
+        _TOPK: "c8d5c0f72ce9ffe93765adf8578e43c6c2587f75e606441a0fb864439210087c",
     },
     ("mixlrco", "rerep"): {
-        _PROJECTION: "b6c8211a11217f30741be1dc2bc5b056329364ffc02921c8e15729ac04e3fb59",
-        _SIMILARITY: "3a4c9fa3c56f35bc4786500da94fc780dc28eb8d01138894582d3a7115c2bf95",
+        _PROJECTION: "a34e9515f71f61dc11f98225eee6866374b5c07d352992ba276ba8f1f1e6ff9d",
+        _SIMILARITY: "0b484dccd7869b538fd49d5d9caa5b504a68d9533431b8db68e8bbfcb1b1d928",
         _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
     },
     ("mixlrco", "raw"): {
-        _PROJECTION: "b6c8211a11217f30741be1dc2bc5b056329364ffc02921c8e15729ac04e3fb59",
-        _SIMILARITY: "efcc3e302fe38ffae8831cf9f5bdc3c66c1a54677f2f79eabcc843b0bb80c77b",
+        _PROJECTION: "a34e9515f71f61dc11f98225eee6866374b5c07d352992ba276ba8f1f1e6ff9d",
+        _SIMILARITY: "14142a77ee4e4578132e5814313a42fc2d25e59fae1e88f630e589e60a872423",
         _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
     },
 }
@@ -476,21 +476,21 @@ def _checkpoint_digest(path) -> str:
 # steps writes into a new directory (same platform as GEN_DATA_SHA256).
 CHECKPOINT_SHA256 = {
     "run/checkpoint_step1.npz":
-        "fd0f1cfe469cdd85d246c559de9f0a8124e614418a8fc9553e0fe1b0f9cc918b",
+        "d5e5f65eee18fdde99b61a0aab4b1b02923a21b8da85c5cfa18a8d0d8fd222ef",
     "run/checkpoint_step2.npz":
-        "fe8ee3f95dd89df3eefdf7fc03049d1ab84e4f6c3eb7192e56af2fb86478e922",
+        "4a5c1271ab11a9a7e372c01d9c37ae01b033dc34aba3dbe0091abd8995b1c224",
     "run/checkpoint_step3.npz":
-        "3a73ac81a0fd3d83e3e5f73d2609f63c1475b38f60197675db3e60aa66004674",
+        "935d6f131e1ffb8a3fd7186df528d15ed8b319aeb3d9683b30171f91de9d0b0a",
     "run/checkpoint_final.npz":
-        "3939d01279b919dc855866935a2acd0e51ac2d4ad2eb2ca33b4ca23a9c2f3488",
+        "2ccb5a1d898059d858a786f51302fd2b62f36b795cf13da3537c92f4a8360e46",
     "resumed/checkpoint_step3.npz":
-        "b87085c2a38d7670db3646f62adff3be4f741709cbd7b6f21b7be25d3b3a9adc",
+        "bfd787ab69b053e8994b9e88ebd709c13eb51c629d8638bfa95e2d12f63a3d70",
     "resumed/checkpoint_step4.npz":
-        "dd2855c2efc0d5b1efa3a44ba00a4e0969543f804166be0d2badb52218550ef8",
+        "a7db9faba5c5ded078f38605b3f0cee14b7d6043333140d6ec12a15e0b7994cd",
     "resumed/checkpoint_step5.npz":
-        "950ec09fc920474f4d6f519afa8640a3c5cabf84cc80b4a7ef73fc38360f4514",
+        "c502790547fbd610a8c6eee10d36d481e9a4b124e4d9595a46aba8de27d82215",
     "resumed/checkpoint_final.npz":
-        "c43c6162b3b33c7ced2b9065df577ead9928c271725a8634efebf0ca00f2af73",
+        "4ad1bee3ef99105ab910b6a20b0fc266982af505cc49069b57ab5cc92a58e073",
 }
 
 

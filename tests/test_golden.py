@@ -30,16 +30,16 @@ from lrco.trainer import (
 # may differ without any change to the code.
 GOLDEN_DIGESTS = {
     "source_only": "5507ed935dbe97ef",
-    "baseline": "b7193a84db722b9b",
-    "strong": "ffbf06578c16d728",
-    "lrco": "fc074f35eabe00c8",
-    "mixlrco": "abc34c9b88830cca",
-    "lrco,sample_selection=high": "7e28ba82d1f9bd4a",
-    "lrco,sample_selection=all": "c71bc6fef047515c",
-    "lrco,rerep_mode=raw": "251f5a18ab39c0cf",
-    "mixlrco,sample_selection=high": "0c80a36a8c849cbc",
-    "mixlrco,mixup_mode=no_dominance": "96931cba3b751147",
-    "mixlrco,dynamic_tau=true": "167bd8438efff5b4",
+    "baseline": "e20fff17a375550c",
+    "strong": "cc6284d03c866457",
+    "lrco": "bd1ad7d945619d08",
+    "mixlrco": "4d49afac178ba380",
+    "lrco,sample_selection=high": "fd8b431ba4625388",
+    "lrco,sample_selection=all": "b8e1bd7e5d1915b0",
+    "lrco,rerep_mode=raw": "489d93323fb2e133",
+    "mixlrco,sample_selection=high": "3ee48e442d062bb5",
+    "mixlrco,mixup_mode=no_dominance": "33fd34d249af3626",
+    "mixlrco,dynamic_tau=true": "c7dd27f6972e911d",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrco import autodiff as ad
+from lrco import losses as L
 from lrco import trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
 from lrco.errors import ConfigError, TrainingDivergedError
@@ -242,6 +243,89 @@ def test_objective_terms_by_method():
             # kld/fixmatch may legitimately be nonzero only when gated samples exist
             if key == "contrastive":
                 assert float(terms[key]) == 0.0
+
+
+def split_step(method):
+    """Step 1 of tiny_setup with a bank holding rows and tau at the median
+    teacher confidence, so the high and low groups and the mixes are built."""
+    cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(method=method)
+    bank.push_batch(np.eye(5)[:3])
+    tau = float(np.median(teacher_probs_at_step_1(cfg, teacher, unl_x).max(axis=1)))
+    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
+                      cfg, AUG, tau, step=1)
+    if method in PSEUDO_LABEL_METHODS:
+        assert len(sb.high_idx) > 0 and len(sb.low_idx) > 0
+    assert (sb.mix is not None) == (method == "mixlrco")
+    return cfg, student, sb
+
+
+def test_stacked_forward_rows_match_per_view_passes():
+    views = {"labeled": lambda sb: sb.labeled_weak,
+             "unlabeled_weak": lambda sb: sb.unlabeled_weak,
+             "unlabeled_strong": lambda sb: sb.unlabeled_strong,
+             "mix": lambda sb: sb.mix.x_mix}
+    for method, n_views in (("baseline", 2), ("strong", 3), ("lrco", 3), ("mixlrco", 4)):
+        cfg, student, sb = split_step(method)
+        feats, probs, rows = trainer.stacked_forward(student, sb, cfg)
+        assert list(rows) == list(views)[:n_views], method
+        np.testing.assert_array_equal(np.concatenate(list(rows.values())),
+                                      np.arange(len(feats)))
+        for name, idx in rows.items():
+            per_view = features_of(student, views[name](sb))
+            np.testing.assert_allclose(feats[idx], per_view, rtol=0, atol=1e-12)
+            if name != "mix":
+                np.testing.assert_allclose(probs[idx], probs_of(student, per_view),
+                                           rtol=0, atol=1e-12)
+        assert len(probs) == len(feats) - len(rows.get("mix", ())), method
+
+
+def test_objective_terms_match_one_pass_per_view():
+    # the reference: each view through its own forward pass, each group of
+    # rows taken from its view, as the terms are defined
+    for method in ("baseline", "strong", "lrco", "mixlrco"):
+        cfg, m, sb = split_step(method)
+
+        def probs_on(x):
+            return probs_of(m, features_of(m, x))
+
+        def queries_on(x):
+            return L.contrast_rows(features_of(m, x), m.classifier, m.t_re, cfg.rerep_mode)
+
+        p_lab, p_unl = probs_on(sb.labeled_weak), probs_on(sb.unlabeled_weak)
+        n_l, n_u = len(p_lab), len(p_unl)
+        expected = {"ce": L.cross_entropy_batch(p_lab, sb.labeled_y),
+                    "align": (n_l * L.entropy_alignment(p_lab)
+                              + n_u * L.entropy_alignment(p_unl)) / (n_l + n_u)}
+        if method != "baseline":
+            p_high = probs_on(sb.unlabeled_strong)[sb.high_idx]
+            expected["fixmatch"] = L.cross_entropy_batch(p_high, sb.pseudo[sb.high_idx])
+            expected["kld"] = L.kld_uniform_batch(p_high)
+        if method == "lrco":
+            expected["contrastive"] = L.contrastive_batch(
+                queries_on(sb.unlabeled_strong[sb.sel_idx]), sb.keys_sel,
+                sb.bank_snapshot, cfg.t_co)
+        if method == "mixlrco":
+            expected["contrastive"] = L.mixlrco_batch(
+                queries_on(sb.mix.x_mix), sb.mix.k_mix, sb.mix.k_target,
+                sb.mix.k_source, sb.bank_snapshot, cfg.t_co)
+        _, terms = step_objective(m, sb, cfg)
+        for key in terms:
+            assert abs(float(terms[key]) - float(expected.get(key, 0.0))) <= 1e-12, (method, key)
+
+
+def test_objective_terms_equal_on_both_dispatch_paths():
+    # the stacked pass and its row offsets run on plain arrays and on the
+    # training graph alike, so the two give the same bits
+    for method in METHODS:
+        cfg, student, sb = split_step(method)
+        total, terms = step_objective(student, sb, cfg)
+        graph_total, graph_terms = step_objective(lift_params(student), sb, cfg)
+        assert isinstance(graph_total, ad.Tensor)
+        for key in terms:
+            assert float(graph_terms[key]) == float(terms[key]), (method, key)
+        assert float(graph_total) == float(total), method
+        if method in ("lrco", "mixlrco"):
+            assert float(terms["contrastive"]) > 0.0, method
 
 
 def test_objective_decreases_after_one_sgd_step():
