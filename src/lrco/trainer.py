@@ -278,16 +278,14 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig):
     """The student's one forward pass for a prepared step.
 
-    The views the method reads are stacked in this order: labeled weak,
-    unlabeled weak, unlabeled strong, and the mixes. They go through
-    features_of once, and every row but the mixes through probs_of once, so
-    the classifier is normalized once. Returns (feats, probs, rows), where
-    rows maps each stacked view ("labeled", "unlabeled_weak",
-    "unlabeled_strong", "mix") to the int64 indices of its rows in feats;
-    probs holds the same rows up to the mixes. A method with one view
-    (source_only) feeds that view in as it is. The other methods' results
-    depend on how the batch is stacked, to the last bit: a BLAS product's
-    rounding depends on its row count.
+    The views the method reads are stacked (labeled weak, unlabeled weak,
+    unlabeled strong, then the mixes) and go through features_of once;
+    every row but the mixes goes through probs_of once, so the classifier is
+    normalized once. Returns (feats, probs, rows): rows maps each stacked
+    view to the int64 indices of its rows in feats, and probs holds the same
+    rows up to the mixes. source_only's one view goes in as it is. The other
+    methods' bits depend on the stacking, since a BLAS product's rounding
+    depends on its row count.
     """
     views = {"labeled": sb.labeled_weak}
     if cfg.method != "source_only":
