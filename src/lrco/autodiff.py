@@ -6,6 +6,13 @@ value (so evaluation code pays no graph overhead); called with at least one
 Tensor it wraps the same value in a graph node. The numpy path, which the
 finite-difference oracle runs, and the graph path, which training
 differentiates, therefore share one forward formula.
+
+The numpy path also takes a leading stack axis: when an input is a (B, ...)
+stack of its usual values (a vector that broadcasts against every row is
+stacked as (B, 1, d)), entry b of the result has the bits of the call on
+entry b alone, and an input without the axis is shared by every entry. The
+finite-difference oracle uses it to evaluate every perturbed parameter
+vector in one call. The graph path takes unstacked values only.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ def scale(a, c: float):
 
 def matmul(a, b, transpose_b: bool = False):
     bv = value_of(b)
-    y = value_of(a) @ (bv.T if transpose_b else bv)
+    y = value_of(a) @ (bv.mT if transpose_b else bv)
     if not (is_tensor(a) or is_tensor(b)):
         return y
     a, b = _lift(a), _lift(b)
@@ -182,13 +189,14 @@ def log_clamped(a, floor: float = LOG_FLOOR):
     return Tensor(y, (a,), backward_fn)
 
 
-def mean_all(a):
-    y = np.asarray(value_of(a).mean())
+def mean_last(a):
+    """Mean along the last axis: (n,) gives a scalar, (B, n) gives (B,)."""
+    y = np.asarray(value_of(a).mean(axis=-1))
     if not is_tensor(a):
         return y
-    n = a.value.size
-    return Tensor(y, (a,),
-                  lambda g: a.accumulate(np.broadcast_to(g / n, a.value.shape).copy()))
+    n = a.value.shape[-1]
+    return Tensor(y, (a,), lambda g: a.accumulate(
+        np.broadcast_to((g / n)[..., None], a.value.shape).copy()))
 
 
 def softmax_rows(a, temperature: float):
@@ -255,8 +263,8 @@ def pick_per_row(p, idx):
     """Gather one entry per row: (n,K) with (n,) int labels gives (n,)."""
     idx = np.asarray(idx, dtype=np.int64)
     pv = value_of(p)
-    rows = np.arange(pv.shape[0])
-    y = pv[rows, idx]
+    rows = np.arange(pv.shape[-2])
+    y = pv[..., rows, idx]
     if not is_tensor(p):
         return y
 
@@ -269,16 +277,16 @@ def pick_per_row(p, idx):
 
 
 def hstack_cols(parts):
-    """Concatenate along the last axis; 1-D parts of shape (n,) become (n,1) columns."""
-    promoted = []
-    for part in parts:
-        v = value_of(part)
-        promoted.append(v.reshape(-1, 1) if v.ndim == 1 else v)
-    y = np.concatenate(promoted, axis=1)
+    """Concatenate along the last axis; a part one axis short of the widest,
+    such as (n,) beside (n, m), becomes a column of width 1."""
+    values = [value_of(part) for part in parts]
+    ndim = max(v.ndim for v in values)
+    promoted = [v[..., None] if v.ndim < ndim else v for v in values]
+    y = np.concatenate(promoted, axis=-1)
     if not any(is_tensor(p) for p in parts):
         return y
     tensors = [_lift(p) for p in parts]
-    widths = [p.shape[1] for p in promoted]
+    widths = [p.shape[-1] for p in promoted]
 
     def backward_fn(g):
         offset = 0
@@ -296,7 +304,7 @@ def hstack_cols(parts):
 def take_rows(a, idx):
     """Select rows by index (repeats allowed; gradients accumulate)."""
     idx = np.asarray(idx, dtype=np.int64)
-    y = value_of(a)[idx]
+    y = value_of(a)[..., idx, :]
     if not is_tensor(a):
         return y
 

@@ -10,6 +10,7 @@ weights frozen — the function the analytic gradient actually differentiates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,7 +126,8 @@ def _build_instance(index: int, seed: int):
 
 # (config, prepared batch, ((check, key of its term in step_objective), ...)):
 # every check differentiates a term of the trainer's own objective, and the
-# checks on one prepared step share one finite-difference pass.
+# checks on one prepared step share one finite-difference pass, which
+# evaluates every perturbed parameter vector in one stacked call.
 _CHECKS = (
     ("strong", "rerep", (("labeled_ce", "ce"), ("alignment_entropy", "align"),
                          ("fixmatch", "fixmatch"), ("uniform_kld", "kld"),
@@ -138,27 +140,34 @@ _CHECKS = (
 )
 
 
+def _objective_terms(m, inst, check) -> dict:
+    """step_objective's terms and total for one _CHECKS entry, with the
+    instance's frozen classifier."""
+    cfg_key, batch_key, _ = check
+    total, terms = step_objective(m, inst["batches"][batch_key], inst["cfgs"][cfg_key],
+                                  frozen_classifier=inst["frozen_classifier"])
+    return {**terms, "total": total}
+
+
+def values_at(inst, check, vecs: np.ndarray) -> np.ndarray:
+    """The checked terms of one _CHECKS entry at student parameter vectors:
+    a (P,) vector gives (K,) values, a (B, P) stack gives (B, K), and row b
+    has the bits of vector b alone. A term the step leaves at zero is zero
+    in every row."""
+    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, check)
+    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for _, key in check[2]],
+                    axis=-1)
+
+
 def check_instance(index: int, seed: int = 0, h: float = 1e-5) -> InstanceResult:
     inst = _build_instance(index, seed)
     student = inst["student"]
-    frozen = inst["frozen_classifier"]
     base_vec = get_param_vector(student)
     errors: dict[str, float] = {}
-    for cfg_key, batch_key, checks in _CHECKS:
-        cfg, sb = inst["cfgs"][cfg_key], inst["batches"][batch_key]
-        keys = [key for _, key in checks]
-
-        def terms_of(m):
-            total, terms = step_objective(m, sb, cfg, frozen_classifier=frozen)
-            return {**terms, "total": total}
-
-        def values_at(vec: np.ndarray) -> np.ndarray:
-            terms = terms_of(with_param_vector(student, vec))
-            return np.array([float(terms[key]) for key in keys])
-
-        numeric = finite_diff_grad(values_at, base_vec, h=h)
-        for column, (name, key) in enumerate(checks):
-            grads = compute_gradients(student, lambda m: terms_of(m)[key])
+    for check in _CHECKS:
+        numeric = finite_diff_grad(functools.partial(values_at, inst, check), base_vec, h=h)
+        for column, (name, key) in enumerate(check[2]):
+            grads = compute_gradients(student, lambda m: _objective_terms(m, inst, check)[key])
             analytic = np.concatenate([g.ravel() for g in grads.values()])
             errors[name] = relative_grad_error(analytic, numeric[:, column])
     return InstanceResult(index=index, n_classes=inst["n_classes"],

@@ -69,7 +69,7 @@ def check_unit_rows(x, name: str) -> None:
 
 def cross_entropy_batch(p_rows, labels):
     """Mean negative log probability over a batch of probability rows."""
-    return ad.neg(ad.mean_all(ad.log_clamped(ad.pick_per_row(p_rows, labels))))
+    return ad.neg(ad.mean_last(ad.log_clamped(ad.pick_per_row(p_rows, labels))))
 
 
 def entropy_alignment(p_rows):
@@ -78,7 +78,7 @@ def entropy_alignment(p_rows):
     This is the default alignment term of the inherited baseline: minimizing
     it sharpens predictions on both domains.
     """
-    return ad.neg(ad.mean_all(ad.rowwise_dot(p_rows, ad.log_clamped(p_rows))))
+    return ad.neg(ad.mean_last(ad.rowwise_dot(p_rows, ad.log_clamped(p_rows))))
 
 
 def kld_uniform_batch(p_rows):
@@ -86,7 +86,7 @@ def kld_uniform_batch(p_rows):
     row, KL(uniform || p) + log K, where K is the width of p_rows."""
     n_classes = ad.value_of(p_rows).shape[-1]
     uniform = np.full(n_classes, 1.0 / n_classes)
-    return ad.neg(ad.mean_all(ad.rowwise_dot(ad.log_clamped(p_rows), uniform)))
+    return ad.neg(ad.mean_last(ad.rowwise_dot(ad.log_clamped(p_rows), uniform)))
 
 
 # Classifier-weight re-representation ----------------------------------------
@@ -140,7 +140,7 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     neg = ad.matmul(q_rows, bank_matrix, transpose_b=True)
     sims = ad.scale(ad.hstack_cols([pos, neg]), 1.0 / t_co)
     per_row = ad.sub(ad.logsumexp_rows(sims), ad.scale(pos, 1.0 / t_co))
-    return ad.mean_all(per_row)
+    return ad.mean_last(per_row)
 
 
 def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
@@ -195,5 +195,5 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
         ]),
         1.0 / t_co,
     )
-    return ad.mean_all(ad.sub(ad.logsumexp_rows(den), num))
+    return ad.mean_last(ad.sub(ad.logsumexp_rows(den), num))
 

@@ -181,13 +181,21 @@ def get_param_vector(m: ModelState) -> np.ndarray:
 
 
 def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
+    """m's layout and temperatures with the parameters of vec.
+
+    A (B, P) stack of vectors gives a stacked state, for the numpy forward
+    path only: each array gets a leading axis of B, and each bias is stored
+    as a (B, 1, d) stack of rows, so x @ W + b broadcasts per vector.
+    """
     vec = np.asarray(vec, dtype=np.float64)
     arrays = state_arrays(m)
-    if vec.shape != (sum(arr.size for arr in arrays.values()),):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != sum(arr.size for arr in arrays.values()):
         raise ShapeMismatchError("parameter vector length mismatch")
+    lead = vec.shape[:-1]
     pieces, offset = {}, 0
     for name, arr in arrays.items():
-        pieces[name] = vec[offset : offset + arr.size].reshape(arr.shape)
+        shape = arr.shape if arr.ndim == 2 or not lead else (1,) + arr.shape
+        pieces[name] = vec[..., offset : offset + arr.size].reshape(lead + shape)
         offset += arr.size
     return state_from_arrays(pieces, m.t_ce, m.t_re)
 

@@ -136,10 +136,13 @@ def sample_beta(alpha: float, rng: SeededRng, n: int) -> np.ndarray:
 def finite_diff_grad(f: Callable[[np.ndarray], object], p, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a function at a parameter vector.
 
-    ``f`` returns a scalar, giving a gradient of shape (P,), or a vector of
-    K values, giving a (P, K) Jacobian whose column k equals, bit for bit,
-    the gradient of the k-th value alone. So several functions of the same
-    parameters share one pass over the perturbed vectors.
+    ``f`` is called once, on the (2P, P) stack of perturbed vectors: row i
+    is p with h added to entry i, row P + i is p with h subtracted from it.
+    It returns one value per row, shape (2P,), giving a gradient of shape
+    (P,), or K values per row, shape (2P, K), giving a (P, K) Jacobian whose
+    column k equals, bit for bit, the gradient of the k-th value alone. So
+    several functions of the same parameters share one pass over the
+    perturbed vectors. Any other shape raises ValueError.
 
     This is the oracle side of every gradient check in the package; it must
     stay independent of the autodiff layer.
@@ -149,15 +152,19 @@ def finite_diff_grad(f: Callable[[np.ndarray], object], p, h: float = 1e-5) -> n
         raise ValueError("finite_diff_grad expects a 1-D parameter vector")
     if not h > 0:
         raise ValueError("step size h must be positive")
-    rows = []
-    for i in range(p.size):
-        forward = p.copy()
-        backward = p.copy()
-        forward[i] += h
-        backward[i] -= h
-        rows.append((np.asarray(f(forward), dtype=np.float64)
-                     - np.asarray(f(backward), dtype=np.float64)) / (2.0 * h))
-    return np.array(rows, dtype=np.float64)
+    n = p.size
+    # In place on the diagonal, so every other entry keeps p's bits (-0.0 too).
+    stack = np.tile(p, (2 * n, 1))
+    diag = np.arange(n)
+    stack[diag, diag] += h
+    stack[n + diag, diag] -= h
+    values = np.asarray(f(stack), dtype=np.float64)
+    if values.ndim not in (1, 2) or values.shape[0] != 2 * n:
+        raise ValueError(
+            f"f must return one value or one row of values per perturbed vector, "
+            f"shape ({2 * n},) or ({2 * n}, K); got {values.shape}"
+        )
+    return (values[:n] - values[n:]) / (2.0 * h)
 
 
 def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -435,7 +435,13 @@ def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
 def adjust_tau(high_fraction: float, tau: float, cfg: TrainConfig) -> float:
     """Dynamic threshold policy: keep the high-confidence fraction inside the
-    band by nudging tau, always clamped to the configured bounds."""
+    band by nudging tau, always clamped to the configured bounds.
+
+    The clamp wins over the band. With the defaults, tau=0.9 lies below
+    tau_bounds=(0.93, 0.98), so the first call, after step 1, returns 0.93
+    whatever the high fraction is, and step 2 on gates at 0.93 or above.
+    No validation relates tau to tau_bounds.
+    """
     if not cfg.dynamic_tau:
         return tau
     lo, hi = cfg.tau_band

@@ -7,7 +7,8 @@ from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
 
 def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
-    """Generic probe: scalar = mean_all(rowwise_dot(op(inputs), weights)), or a
+    """Generic probe: scalar = mean_last(rowwise_dot(op(inputs), weights)) for
+    a matrix output, rowwise_dot(op(inputs), weights) for a vector output, or a
     0-d op output as it is; FD each input. Each of ``shapes`` is a shape to
     draw a normal input of, or an array to use as the input."""
     rng = SeededRng(seed)
@@ -17,7 +18,10 @@ def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
     weights = np.asarray(rng.normal(size=probe_shape)) if probe_shape else None
 
     def probe(out):
-        return out if weights is None else ad.mean_all(ad.rowwise_dot(out, weights))
+        if weights is None:
+            return out
+        dots = ad.rowwise_dot(out, weights)
+        return ad.mean_last(dots) if len(probe_shape) == 2 else dots
 
     def scalar_of(arrays):
         return float(probe(build(*arrays)))
@@ -26,10 +30,13 @@ def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
     probe(build(*tensors)).backward()
 
     for i, t in enumerate(tensors):
-        def f(flat, i=i):
-            arrays = [x.copy() for x in inputs]
-            arrays[i] = flat.reshape(inputs[i].shape)
-            return scalar_of(arrays)
+        def f(stack, i=i):
+            values = []
+            for flat in stack:  # scalar_of takes one input set at a time
+                arrays = [x.copy() for x in inputs]
+                arrays[i] = flat.reshape(inputs[i].shape)
+                values.append(scalar_of(arrays))
+            return np.array(values)
 
         numeric = finite_diff_grad(f, inputs[i].ravel(), h=1e-6)
         analytic = t.grad.ravel()
@@ -68,14 +75,15 @@ def test_log_clamped_smooth_region():
 
 def test_log_clamped_at_floor_has_zero_grad():
     t = ad.Tensor(np.array([1e-15, 0.5]), requires_grad=True)
-    out = ad.mean_all(ad.log_clamped(t))
+    out = ad.mean_last(ad.log_clamped(t))
     out.backward()
     assert t.grad[0] == 0.0  # clamped coordinate: locally constant
     assert abs(t.grad[1] - 1.0) < 1e-12  # (1/2) * (1/0.5)
 
 
-def test_mean_all():
-    check_op_gradient(lambda a: ad.mean_all(a), (3, 5))
+def test_mean_last():
+    check_op_gradient(lambda a: ad.mean_last(a), (3, 5))
+    check_op_gradient(lambda a: ad.mean_last(a), (5,))
 
 
 def test_softmax_rows_with_temperature():
@@ -113,7 +121,7 @@ def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
     t = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
-    out = ad.mean_all(ad.take_rows(t, idx))
+    out = ad.mean_last(ad.mean_last(ad.take_rows(t, idx)))
     out.backward()
     # each of the 6 selected entries carries 1/6
     np.testing.assert_allclose(t.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]) / 6)
@@ -144,7 +152,7 @@ def test_array_inputs_stay_plain_numpy():
 def test_diamond_graph_accumulates():
     t = ad.Tensor(np.array([3.0]), requires_grad=True)
     y = ad.add(ad.rowwise_dot(t, t), ad.scale(t, 4.0))  # t^2 + 4t -> grad 2t+4 = 10
-    ad.mean_all(y).backward()
+    ad.mean_last(y).backward()
     np.testing.assert_allclose(t.grad, [10.0])
 
 
@@ -165,7 +173,7 @@ def test_constant_operands_get_no_gradient():
     bank = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
     keys = np.array([[1.0, 0.0], [0.0, 1.0]])
     sims = ad.hstack_cols([ad.rowwise_dot(w, keys), ad.matmul(w, bank, transpose_b=True)])
-    ad.mean_all(sims).backward()
+    ad.mean_last(ad.mean_last(sims)).backward()
     # d/dw of the mean of (w . keys) and (w @ bank.T): keys + the bank's
     # column sums, over the 8 entries of sims
     np.testing.assert_array_equal(w.grad, (keys + bank.sum(axis=0)) / 8)
@@ -183,7 +191,7 @@ def test_second_backward_on_fresh_graph_matches():
     def run():
         t = ad.Tensor(np.array([[0.3, -0.2], [0.1, 0.9]]), requires_grad=True)
         weights = np.array([[1.0, -1.0], [2.0, 0.5]])
-        loss = ad.mean_all(ad.rowwise_dot(ad.softmax_rows(t, 0.5), weights))
+        loss = ad.mean_last(ad.rowwise_dot(ad.softmax_rows(t, 0.5), weights))
         loss.backward()
         return t.grad.copy()
 
@@ -199,7 +207,7 @@ def test_composite_network_gradient():
         h = ad.tanh(ad.add(ad.matmul(x, w1), b1))
         logits = ad.matmul(ad.normalize_rows(h), ad.normalize_rows(w2), transpose_b=True)
         probs = ad.softmax_rows(logits, 0.4)
-        return ad.mean_all(ad.log_clamped(probs))
+        return ad.mean_last(ad.mean_last(ad.log_clamped(probs)))
 
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
@@ -216,7 +224,7 @@ DUAL_DISPATCH_CASES = {
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
     "tanh": (ad.tanh, (4, 4)),
     "log_clamped": (ad.log_clamped, (3, 3)),
-    "mean_all": (ad.mean_all, (3, 5)),
+    "mean_last": (ad.mean_last, (3, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
     "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
@@ -244,3 +252,46 @@ def test_numpy_call_equals_graph_value(case):
         assert isinstance(node, ad.Tensor)
         assert plain.shape == node.value.shape and plain.dtype == node.value.dtype
         assert np.array_equal(plain, node.value)
+
+
+# The numpy path with a leading stack axis of 3 on every input: entry b of
+# the stacked call must have the bits of the call on entry b alone.
+STACKED_CASES = {
+    "add-bias_row": (ad.add, (4, 5), (1, 5)),
+    "matmul": (ad.matmul, (4, 3), (3, 5)),
+    "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
+    "tanh": (ad.tanh, (4, 4)),
+    "log_clamped": (ad.log_clamped, (3, 3)),
+    "mean_last": (ad.mean_last, (6,)),
+    "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
+    "normalize_rows": (ad.normalize_rows, (5, 3)),
+    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
+    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
+    "pick_per_row": (lambda a: ad.pick_per_row(a, [2, 2, 0, 2]), (4, 3)),
+    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
+    "take_rows": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_numpy_path_accepts_a_stack_axis(case):
+    build, *shapes = STACKED_CASES[case]
+    rng = SeededRng(13)
+    stacks = [np.asarray(rng.normal(size=(3,) + s)) for s in shapes]
+    stacked = build(*stacks)
+    for b in range(3):
+        single = build(*[s[b] for s in stacks])
+        assert stacked[b].shape == single.shape
+        assert stacked[b].tobytes() == single.tobytes()
+
+
+def test_stacked_operand_meets_an_unstacked_one():
+    # the stacked finite-difference pass multiplies fixed inputs by stacked
+    # weights, and stacked queries by a fixed bank
+    rng = SeededRng(14)
+    x, w = np.asarray(rng.normal(size=(4, 3))), np.asarray(rng.normal(size=(2, 3, 5)))
+    q, bank = np.asarray(rng.normal(size=(2, 4, 3))), np.asarray(rng.normal(size=(6, 3)))
+    for b in range(2):
+        assert ad.matmul(x, w)[b].tobytes() == ad.matmul(x, w[b]).tobytes()
+        assert (ad.matmul(q, bank, transpose_b=True)[b].tobytes()
+                == ad.matmul(q[b], bank, transpose_b=True).tobytes())

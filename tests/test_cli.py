@@ -442,6 +442,18 @@ def test_gradcheck_reports_terms(capsys):
     assert "max_rel_error=" in msg
 
 
+# sha256 of the stdout of `lrco gradcheck --seed 0 --instances 4`, recorded
+# when finite_diff_grad still evaluated one perturbed vector per call.
+GRADCHECK_STDOUT_SHA256 = "9901b3eb0d1b9477b159f9f8915baea5fada5b01f07d3d20d30a802d059285db"
+
+
+def test_gradcheck_stdout_is_pinned(capsys):
+    capsys.readouterr()
+    assert run_cli("gradcheck", "--seed", "0", "--instances", "4") == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_STDOUT_SHA256
+
+
 def test_gradcheck_impossible_tolerance_fails(capsys):
     code = run_cli("gradcheck", "--instances", "1", "--tolerance", "1e-300")
     assert code == EXIT_NUMERIC

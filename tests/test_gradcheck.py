@@ -2,9 +2,10 @@ import numpy as np
 
 from lrco import autodiff as ad
 from lrco.gradcheck import (
-    TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
+    _CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
+    values_at,
 )
-from lrco.model import lift_params
+from lrco.model import get_param_vector, lift_params
 from lrco.trainer import step_objective
 
 
@@ -104,3 +105,21 @@ def test_masked_strong_view_instances_complete():
     for index, seed in ((0, 24), (3, 5)):
         result = check_instance(index, seed=seed)
         assert max(result.errors.values()) < 1e-4
+
+
+def test_stacked_values_equal_a_per_vector_loop():
+    # the one stacked call finite_diff_grad makes must give, row by row, the
+    # bits of evaluating each perturbed vector on its own
+    h = 1e-5
+    for index in range(4):
+        inst = _build_instance(index, seed=0)
+        base = get_param_vector(inst["student"])
+        n = base.size
+        stack = np.tile(base, (2 * n, 1))
+        stack[np.arange(n), np.arange(n)] += h
+        stack[n + np.arange(n), np.arange(n)] -= h
+        for check in _CHECKS:
+            stacked = values_at(inst, check, stack)
+            loop = np.array([values_at(inst, check, vec) for vec in stack])
+            assert stacked.shape == loop.shape == (2 * n, len(check[2]))
+            assert stacked.tobytes() == loop.tobytes(), (index, check[:2])

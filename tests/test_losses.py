@@ -224,7 +224,7 @@ def test_re_represent_detach_blocks_classifier_gradient():
     rng = SeededRng(5)
     w = ad.Tensor(np.asarray(rng.normal(size=(3, 4))), requires_grad=True)
     f = ad.Tensor(np.asarray(rng.normal(size=(2, 4))), requires_grad=True)
-    out = ad.mean_all(re_represent_batch(f, w, t_re=0.5))
+    out = ad.mean_last(ad.mean_last(re_represent_batch(f, w, t_re=0.5)))
     out.backward()
     assert w.grad is None or np.all(w.grad == 0.0)
     assert f.grad is not None and np.any(f.grad != 0.0)

@@ -190,6 +190,25 @@ def test_param_vector_roundtrip():
     np.testing.assert_allclose(get_param_vector(bumped), vec + 1.0)
 
 
+def test_with_param_vector_stack_rows_are_per_vector_states():
+    m = init_model(small_config(hidden_dims=(4, 3)), SeededRng(4))
+    base = get_param_vector(m)
+    stack = base + np.asarray(SeededRng(5).normal(size=(3, base.size)))
+    stacked = state_arrays(with_param_vector(m, stack))
+    for b, vec in enumerate(stack):
+        single = state_arrays(with_param_vector(m, vec))
+        assert stacked.keys() == single.keys()
+        for name, arr in single.items():
+            # a bias is stored as a one-row matrix per vector
+            row = stacked[name][b]
+            assert row.shape == (arr.shape if arr.ndim == 2 else (1,) + arr.shape)
+            assert row.tobytes() == arr.tobytes(), name
+    with pytest.raises(ShapeMismatchError):
+        with_param_vector(m, stack[:, 1:])
+    with pytest.raises(ShapeMismatchError):
+        with_param_vector(m, stack[None])
+
+
 def test_state_arrays_roundtrip():
     m = init_model(small_config(), SeededRng(6))
     arrays = {k: v.copy() for k, v in state_arrays(m, prefix="s/").items()}
@@ -216,11 +235,11 @@ def test_compute_gradients_vs_finite_difference():
     grads = compute_gradients(m, loss_fn)
     analytic = np.concatenate([g.ravel() for g in grads.values()])
 
-    def scalar(vec):
+    def values(stack):
         from lrco.autodiff import value_of
-        return float(value_of(loss_fn(with_param_vector(m, vec))))
+        return value_of(loss_fn(with_param_vector(m, stack)))
 
-    numeric = finite_diff_grad(scalar, get_param_vector(m), h=1e-5)
+    numeric = finite_diff_grad(values, get_param_vector(m), h=1e-5)
     assert relative_grad_error(analytic, numeric) < 1e-6
 
 
@@ -232,8 +251,8 @@ def test_teacher_untouched_without_ema():
     x = np.asarray(SeededRng(1).normal(size=(3, 3)))
 
     def loss_fn(params):
-        from lrco.autodiff import mean_all
-        return mean_all(features_of(params, x))
+        from lrco.autodiff import mean_last
+        return mean_last(mean_last(features_of(params, x)))
 
     compute_gradients(m, loss_fn)
     assert np.array_equal(get_param_vector(teacher), before)

@@ -197,13 +197,18 @@ def test_sample_beta_rejects_bad_alpha():
 
 # --- finite differences ----------------------------------------------------------
 
+def per_row(f):
+    """finite_diff_grad's stacked contract for a function of one vector."""
+    return lambda stack: np.array([f(v) for v in stack])
+
+
 def test_finite_diff_quadratic():
-    grad = finite_diff_grad(lambda p: float(p @ p), np.array([1.0, 2.0]), h=1e-5)
+    grad = finite_diff_grad(per_row(lambda p: float(p @ p)), np.array([1.0, 2.0]), h=1e-5)
     np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-6)
 
 
 def test_finite_diff_constant_zero():
-    grad = finite_diff_grad(lambda p: 3.25, np.array([0.3, -0.7, 1.1]))
+    grad = finite_diff_grad(lambda stack: np.full(len(stack), 3.25), np.array([0.3, -0.7, 1.1]))
     np.testing.assert_allclose(grad, np.zeros(3), atol=1e-12)
 
 
@@ -214,12 +219,41 @@ def test_finite_diff_vector_columns_equal_scalar_calls():
         lambda v: float(np.sin(v).sum() * v[0]),
         lambda v: float(logsumexp_last(3.0 * v)),
     )
-    jac = finite_diff_grad(lambda v: np.array([c(v) for c in components]), p)
+    jac = finite_diff_grad(per_row(lambda v: np.array([c(v) for c in components])), p)
     assert jac.shape == (4, 3)
     for k, component in enumerate(components):
-        scalar = finite_diff_grad(component, p)
+        scalar = finite_diff_grad(per_row(component), p)
         assert scalar.shape == (4,)
         assert jac[:, k].tobytes() == scalar.tobytes()
+
+
+def test_finite_diff_evaluates_the_perturbed_stack_once():
+    p = np.array([-0.0, 0.5, -1.25])
+    h = 0.25
+    calls = []
+
+    def f(stack):
+        calls.append(stack.copy())
+        return stack.sum(axis=1)
+
+    finite_diff_grad(f, p, h=h)
+    assert len(calls) == 1
+    expected = [p.copy() for _ in range(6)]
+    for i in range(3):
+        expected[i][i] += h
+        expected[3 + i][i] -= h
+    # the bits of per-vector copies, -0.0 off the diagonal included
+    assert calls[0].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("result", [
+    lambda stack: 1.0,                              # scalar-only function
+    lambda stack: np.zeros(len(stack) // 2),        # one value per parameter
+    lambda stack: np.zeros((len(stack), 2, 2)),     # more than one value axis
+], ids=["scalar", "per-parameter", "3-d"])
+def test_finite_diff_rejects_values_not_one_per_perturbed_vector(result):
+    with pytest.raises(ValueError, match="per perturbed vector"):
+        finite_diff_grad(result, np.array([0.3, -0.7, 1.1]))
 
 
 def test_finite_diff_softmax_cross_entropy():
@@ -231,7 +265,7 @@ def test_finite_diff_softmax_cross_entropy():
         p = softmax_last(z, 1.0)
         return float(-np.log(p[y]))
 
-    numeric = finite_diff_grad(loss, logits, h=1e-5)
+    numeric = finite_diff_grad(per_row(loss), logits, h=1e-5)
     p = softmax_last(logits, 1.0)
     analytic = p.copy()
     analytic[y] -= 1.0
