@@ -34,7 +34,11 @@ class Tensor:
         self.parents = parents  # every op passes a tuple of Tensors
         self.backward_fn = backward_fn
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self.parents)
+            requires_grad = False
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -42,8 +46,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            # the bits of zeros + g, -0.0 -> +0.0 included, in a fresh array
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+            # the bits of zeros + g, -0.0 -> +0.0 included, in a fresh array of
+            # the value's shape (g may broadcast to it)
+            self.grad = np.add(g, 0.0, out=np.empty(self.value.shape))
         else:
             self.grad += g
 
@@ -52,7 +57,7 @@ class Tensor:
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
-        self.grad = np.ones_like(self.value)
+        self.grad = np.array(1.0)
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
@@ -67,20 +72,24 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """Depth-first post-order over the nodes that require a gradient. A
+    parameter with several consumers sums its gradients in this order, so
+    the order is part of every result's bits."""
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)] if root.requires_grad else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            stack.append((parent, False))
+            if parent.requires_grad:
+                stack.append((parent, False))
     return order
 
 
@@ -100,10 +109,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape of the operand it belongs to."""
     g = np.asarray(g)
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, n in enumerate(shape):
         if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
 
 
@@ -191,12 +200,13 @@ def log_clamped(a, floor: float = LOG_FLOOR):
 
 def mean_last(a):
     """Mean along the last axis: (n,) gives a scalar, (B, n) gives (B,)."""
-    y = np.asarray(value_of(a).mean(axis=-1))
+    v = value_of(a)
+    n = v.shape[-1]
+    # the ufunc loop and the division ndarray.mean runs, without its wrapper
+    y = np.asarray(np.add.reduce(v, axis=-1) / n)
     if not is_tensor(a):
         return y
-    n = a.value.shape[-1]
-    return Tensor(y, (a,), lambda g: a.accumulate(
-        np.broadcast_to((g / n)[..., None], a.value.shape).copy()))
+    return Tensor(y, (a,), lambda g: a.accumulate((g / n)[..., None]))
 
 
 def softmax_rows(a, temperature: float):
@@ -209,7 +219,7 @@ def softmax_rows(a, temperature: float):
         return y
 
     def backward_fn(g):
-        inner = np.sum(g * y, axis=-1, keepdims=True)
+        inner = np.add.reduce(g * y, axis=-1, keepdims=True)
         a.accumulate(y * (g - inner) / t)
 
     return Tensor(y, (a,), backward_fn)
@@ -222,7 +232,7 @@ def normalize_rows(a):
         return y
 
     def backward_fn(g):
-        inner = np.sum(g * y, axis=-1, keepdims=True)
+        inner = np.add.reduce(g * y, axis=-1, keepdims=True)
         a.accumulate((g - inner * y) / norms)
 
     return Tensor(y, (a,), backward_fn)
@@ -236,7 +246,7 @@ def logsumexp_rows(a):
 
     def backward_fn(g):
         soft = numerics.softmax_last(a.value, 1.0)
-        a.accumulate(soft * np.expand_dims(g, -1))
+        a.accumulate(soft * g[..., None])
 
     return Tensor(y, (a,), backward_fn)
 
@@ -244,13 +254,13 @@ def logsumexp_rows(a):
 def rowwise_dot(a, b):
     """Dot product along the last axis: (n, d) rows give (n,); a 1-D operand
     broadcasts against every row."""
-    y = np.sum(value_of(a) * value_of(b), axis=-1)
+    y = np.add.reduce(value_of(a) * value_of(b), axis=-1)
     if not (is_tensor(a) or is_tensor(b)):
         return y
     a, b = _lift(a), _lift(b)
 
     def backward_fn(g):
-        ge = np.expand_dims(g, -1)
+        ge = g[..., None]
         if a.requires_grad:
             a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
         if b.requires_grad:
@@ -269,7 +279,7 @@ def pick_per_row(p, idx):
         return y
 
     def backward_fn(g):
-        z = np.zeros_like(p.value)
+        z = np.zeros(p.value.shape)
         np.add.at(z, (rows, idx), g)
         p.accumulate(z)
 
@@ -309,7 +319,7 @@ def take_rows(a, idx):
         return y
 
     def backward_fn(g):
-        z = np.zeros_like(a.value)
+        z = np.zeros(a.value.shape)
         np.add.at(z, idx, g)
         a.accumulate(z)
 

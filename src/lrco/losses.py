@@ -35,7 +35,8 @@ class PseudoLabel:
 
 def check_probability_rows(probs: np.ndarray) -> None:
     """Raise ValueError unless every row is nonnegative and sums to 1 within 1e-6."""
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6) or np.any(probs < 0):
+    if (np.logical_or.reduce(np.abs(np.add.reduce(probs, axis=-1) - 1.0) > 1e-6, axis=None)
+            or np.logical_or.reduce(probs < 0, axis=None)):
         raise ValueError("probs must be a valid probability vector")
 
 
@@ -55,13 +56,13 @@ def pseudo_labels(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
     """The confidence gate, for every row of a probability matrix at once:
     the int64 hard labels and the boolean flags max p > tau."""
     check_probability_rows(probs)
-    return np.argmax(probs, axis=1), probs.max(axis=1) > tau
+    return probs.argmax(axis=1), np.maximum.reduce(probs, axis=1) > tau
 
 
 def check_unit_rows(x, name: str) -> None:
     """Raise ValueError unless every row of x has norm 1 within UNIT_NORM_TOL."""
     norms = norm_last(ad.value_of(x))
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+    if np.logical_or.reduce(np.abs(norms - 1.0) > UNIT_NORM_TOL, axis=None):
         raise ValueError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
 
 
@@ -85,7 +86,8 @@ def kld_uniform_batch(p_rows):
     """Mean cross-entropy of the uniform distribution against each probability
     row, KL(uniform || p) + log K, where K is the width of p_rows."""
     n_classes = ad.value_of(p_rows).shape[-1]
-    uniform = np.full(n_classes, 1.0 / n_classes)
+    uniform = np.empty(n_classes)
+    uniform.fill(1.0 / n_classes)
     return ad.neg(ad.mean_last(ad.rowwise_dot(ad.log_clamped(p_rows), uniform)))
 
 
@@ -183,7 +185,7 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
     check_unit_rows(k_target, "target keys")
     check_unit_rows(k_source, "source keys")
     k_mix_v = ad.value_of(k_mix)
-    if np.any(norm_last(k_mix_v) > 1.0 + UNIT_NORM_TOL):
+    if np.logical_or.reduce(norm_last(k_mix_v) > 1.0 + UNIT_NORM_TOL, axis=None):
         raise ValueError("blended keys must have norm <= 1")
     bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
     num = ad.scale(ad.rowwise_dot(q_rows, k_mix), 1.0 / t_co)

@@ -141,7 +141,7 @@ def lift_params(m: ModelState) -> ParamTensors:
 
 def tape_from(params: ParamTensors) -> dict[str, np.ndarray]:
     """Gradients keyed like state_arrays; zero-filled for untouched parameters."""
-    return {name: t.grad if t.grad is not None else np.zeros_like(t.value)
+    return {name: t.grad if t.grad is not None else np.zeros(t.value.shape)
             for name, t in state_arrays(params).items()}
 
 

@@ -21,15 +21,17 @@ NORM_EPS = 1e-12
 
 
 # Row-wise workhorses shared with the autodiff layer. They operate along the
-# last axis, accept 1-D or 2-D input, and skip argument validation.
+# last axis, accept 1-D or 2-D input, and skip argument validation. They call
+# the ufuncs' reduce directly: np.sum, np.max and np.any run the same loop on
+# the same operands after a layer of Python argument handling.
 
 def softmax_last(v: np.ndarray, temperature: float) -> np.ndarray:
     """Divides by the temperature before the max shift, so
     softmax_last(v, T) equals softmax_last(v / T, 1) bit for bit."""
     z = v / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def norm_last(v: np.ndarray) -> np.ndarray:
@@ -43,12 +45,16 @@ def norm_last(v: np.ndarray) -> np.ndarray:
 
 def unit_last(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v / norms, norms) with norm_last's norms; a row whose norm is below
-    NORM_EPS raises DegenerateFeatureError."""
+    NORM_EPS, or whose norm overflows to inf (v / inf would be a zero row),
+    raises DegenerateFeatureError. A NaN row passes, and its NaN reaches
+    whatever reads the result."""
     n = norm_last(v)
-    if np.any(n < NORM_EPS):
+    if np.logical_or.reduce(n < NORM_EPS, axis=None):
         raise DegenerateFeatureError(
             f"cannot normalize vector with norm below {NORM_EPS}"
         )
+    if np.logical_or.reduce(n == np.inf, axis=None):
+        raise DegenerateFeatureError("cannot normalize vector whose norm overflows to inf")
     return v / n, n
 
 
@@ -57,8 +63,8 @@ def normalize_last(v: np.ndarray) -> np.ndarray:
 
 
 def logsumexp_last(v: np.ndarray) -> np.ndarray:
-    m = np.max(v, axis=-1, keepdims=True)
-    return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1))
+    m = np.maximum.reduce(v, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.add.reduce(np.exp(v - m), axis=-1))
 
 
 class SeededRng:
@@ -125,10 +131,10 @@ def sample_beta(alpha: float, rng: SeededRng, n: int) -> np.ndarray:
         lam = rng.uniform(size=n)
     else:
         xy = rng.standard_gamma(alpha, size=(n, 2))
-        bad = np.flatnonzero(xy.sum(axis=1) == 0.0)
+        bad = (np.add.reduce(xy, axis=1) == 0.0).nonzero()[0]
         while bad.size:
             xy[bad] = rng.standard_gamma(alpha, size=(bad.size, 2))
-            bad = bad[xy[bad].sum(axis=1) == 0.0]
+            bad = bad[np.add.reduce(xy[bad], axis=1) == 0.0]
         lam = xy[:, 0] / (xy[:, 0] + xy[:, 1])
     return np.minimum(np.maximum(lam, 1e-12), 1.0 - 1e-12)
 

@@ -225,8 +225,8 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         pseudo, flags = L.pseudo_labels(teacher_probs, tau)
     else:
         pseudo, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    high_idx = np.flatnonzero(flags)
-    low_idx = np.flatnonzero(~flags)
+    high_idx = flags.nonzero()[0]
+    low_idx = (~flags).nonzero()[0]
     if cfg.sample_selection == "low":
         sel_idx = low_idx
     elif cfg.sample_selection == "high":
@@ -245,7 +245,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
     mix: MixSelection | None = None
     if (cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0):
-        source_pool = np.flatnonzero(lab_is_source)
+        source_pool = lab_is_source.nonzero()[0]
         if len(low_idx) > 0 and len(source_pool) > 0:
             mix_rng = base.substream(f"mix-{step}")
             partners = source_pool[
@@ -455,15 +455,21 @@ def adjust_tau(high_fraction: float, tau: float, cfg: TrainConfig) -> float:
 
 # Evaluation ----------------------------------------------------------------------
 
+def _mean_of(v: np.ndarray) -> float:
+    """float(np.mean(v)) for a 1-D bool or float64 array: the float64 sum
+    np.mean takes, divided by the length."""
+    return float(np.add.reduce(v, dtype=np.float64) / len(v))
+
+
 def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
     """Accuracy, per-class accuracy, and mean max-probability on inputs x, labels y."""
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty split")
     probs = np.asarray(probs_of(state, features_of(state, x)), dtype=np.float64)
-    preds = np.argmax(probs, axis=1)
-    accuracy = float(np.mean(preds == y))
-    per_class = {c: float(np.mean(preds[y == c] == c)) for c in sorted(set(y.tolist()))}
-    mean_confidence = float(np.mean(np.max(probs, axis=1)))
+    preds = probs.argmax(axis=1)
+    accuracy = _mean_of(preds == y)
+    per_class = {c: _mean_of(preds[y == c] == c) for c in sorted(set(y.tolist()))}
+    mean_confidence = _mean_of(np.maximum.reduce(probs, axis=1))
     return EvalMetrics(accuracy=accuracy, per_class=per_class,
                        mean_confidence=mean_confidence)
 

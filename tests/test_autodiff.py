@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lrco import autodiff as ad
+from lrco import numerics
 from lrco.errors import DegenerateFeatureError
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
@@ -295,3 +296,103 @@ def test_stacked_operand_meets_an_unstacked_one():
         assert ad.matmul(x, w)[b].tobytes() == ad.matmul(x, w[b]).tobytes()
         assert (ad.matmul(q, bank, transpose_b=True)[b].tobytes()
                 == ad.matmul(q[b], bank, transpose_b=True).tobytes())
+
+
+# The row functions and backward closures call numpy's ufunc loops directly
+# (np.add.reduce for np.sum and ndarray.mean, np.maximum.reduce for np.max,
+# an index for np.expand_dims and np.squeeze). Each must keep the bits of the
+# wrapper formula it replaced, written out here, on 1-D, (n, K) and stacked
+# (B, n, K) input; the stacked case is the finite-difference path.
+
+def _wrapper_inputs(seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(6, 13)) * rng.choice([1e-3, 1.0, 40.0], size=(6, 1))
+    rows[1, :4] = -0.0
+    rows[2] = rows[2, 0]  # a row of ties
+    stacked = rng.normal(size=(3, 6, 13)) * 7.0
+    return {"1d": rows[0], "2d": rows, "2d-fortran": np.asfortranarray(rows),
+            "stacked": stacked}
+
+
+def _old_unbroadcast(g, shape):
+    g = np.asarray(g)
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def _same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            and ours.tobytes() == theirs.tobytes())
+
+
+def _grad_through(op, x, g, *rest):
+    """The gradient the leaf x receives when op's node gets g."""
+    leaf = ad.Tensor(x, requires_grad=True)
+    op(leaf, *rest).backward_fn(g)
+    return leaf.grad
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
+def test_row_functions_keep_the_wrapper_formula_bits(kind):
+    v = _wrapper_inputs(21)[kind]
+    z = v / 0.3
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    assert _same_bits(numerics.softmax_last(v, 0.3), e / np.sum(e, axis=-1, keepdims=True))
+    m = np.max(v, axis=-1, keepdims=True)
+    assert _same_bits(numerics.logsumexp_last(v),
+                      np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
+    assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
+    assert _same_bits(ad.mean_last(v), np.asarray(v.mean(axis=-1)))
+    w = _wrapper_inputs(22)[kind]
+    assert _same_bits(ad.rowwise_dot(v, w), np.sum(v * w, axis=-1))
+    row = w.reshape(-1, w.shape[-1])[0]  # a 1-D operand meets every row
+    assert _same_bits(ad.rowwise_dot(v, row), np.sum(v * row, axis=-1))
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
+def test_backward_closures_keep_the_wrapper_formula_bits(kind):
+    v, w = _wrapper_inputs(23)[kind], _wrapper_inputs(24)[kind]
+    rng = np.random.default_rng(25)
+    g_row = rng.normal(size=v.shape[:-1])  # the gradient of a per-row output
+    g_full = rng.normal(size=v.shape)
+    n = v.shape[-1]
+
+    old_mean = np.broadcast_to((g_row / n)[..., None], v.shape).copy()
+    assert _same_bits(_grad_through(ad.mean_last, v, g_row), old_mean + 0.0)
+
+    ge = np.expand_dims(g_row, -1)
+    assert _same_bits(_grad_through(ad.rowwise_dot, v, g_row, w),
+                      _old_unbroadcast(ge * w, v.shape) + 0.0)
+    row = w.reshape(-1, w.shape[-1])[0]
+    leaf = ad.Tensor(row, requires_grad=True)
+    ad.rowwise_dot(v, leaf).backward_fn(g_row)
+    assert _same_bits(leaf.grad, _old_unbroadcast(ge * v, row.shape) + 0.0)
+
+    soft = numerics.softmax_last(v, 1.0)
+    assert _same_bits(_grad_through(ad.logsumexp_rows, v, g_row), soft * ge + 0.0)
+
+    y = numerics.softmax_last(v, 0.3)
+    inner = np.sum(g_full * y, axis=-1, keepdims=True)
+    assert _same_bits(_grad_through(ad.softmax_rows, v, g_full, 0.3),
+                      y * (g_full - inner) / 0.3 + 0.0)
+
+    unit, norms = numerics.unit_last(v)
+    inner = np.sum(g_full * unit, axis=-1, keepdims=True)
+    assert _same_bits(_grad_through(ad.normalize_rows, v, g_full),
+                      (g_full - inner * unit) / norms + 0.0)
+
+
+@pytest.mark.parametrize("g_shape,shape", [
+    ((4, 5), (5,)), ((4, 5), (1, 5)), ((4, 5), (4, 1)), ((4, 5), (1, 1)),
+    ((3, 4, 5), (5,)), ((3, 4, 5), (4, 1)), ((3, 4, 5), (3, 1, 5)), ((4, 5), (4, 5)),
+    ((), ()),
+])
+def test_unbroadcast_keeps_the_wrapper_formula_bits(g_shape, shape):
+    g = np.random.default_rng(26).normal(size=g_shape) * 1e3
+    assert _same_bits(ad._unbroadcast(g, shape), _old_unbroadcast(g, shape))

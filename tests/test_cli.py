@@ -3,6 +3,7 @@ import hashlib
 import os
 
 import numpy as np
+import pytest
 
 from lrco.cli import (
     EXIT_INVALID_CONFIG, EXIT_MISSING_FILE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
@@ -10,7 +11,7 @@ from lrco.cli import (
 )
 from lrco.config import apply_overrides, default_run_config
 from lrco.data import benchmark_spec_hash
-from lrco.trainer import load_checkpoint, save_checkpoint
+from lrco.trainer import METHODS, load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
 FAST = [
@@ -360,6 +361,21 @@ def test_every_documented_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err_part in err and "Traceback" not in err, (argv, err)
 
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS)
+def test_diverging_run_exits_numeric(tmp_path, capsys, method):
+    # at this learning rate the features overflow after one step: their
+    # norm is inf, and normalizing by it would give zero rows, which read as
+    # uniform predictions (or fail the unit-norm check as a ValueError)
+    code = run_cli("train", "--out", str(tmp_path / "o"), *FAST,
+                   "--set", f"train.method={method}",
+                   "--set", "train.learning_rate=1e200")
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC, err
+    assert "error: numeric: cannot normalize vector whose norm overflows to inf" in err
+    assert "Traceback" not in err
 
 def test_missing_files_exit_3(tmp_path, capsys):
     code = run_cli("eval", "--checkpoint", str(tmp_path / "nope.npz"))

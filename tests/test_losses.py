@@ -69,6 +69,22 @@ def test_pseudo_labels_match_make_pseudo_label_row_by_row():
         assert confident.tolist() == [pl.confident for pl in rows]
 
 
+
+def test_pseudo_labels_keep_the_wrapper_formula_bits():
+    # the gate calls ndarray.argmax and np.maximum.reduce, not np.argmax and
+    # ndarray.max; the results must be the wrapper formula's
+    rng = np.random.default_rng(4)
+    probs = rng.dirichlet(np.ones(5) * 0.3, size=40)
+    probs[3] = 0.2  # ties
+    probs[4] = [0.0, 1.0, 0.0, -0.0, 0.0]
+    for rows in (probs, probs[:1], probs[:0], np.asfortranarray(probs)):
+        for tau in (0.2, 0.9):
+            labels, confident = pseudo_labels(rows, tau)
+            old_labels, old_confident = np.argmax(rows, axis=1), rows.max(axis=1) > tau
+            assert labels.dtype == old_labels.dtype and confident.dtype == old_confident.dtype
+            assert labels.tobytes() == old_labels.tobytes()
+            assert confident.tobytes() == old_confident.tobytes()
+
 def test_pseudo_labels_validate_every_row():
     good = np.array([[0.2, 0.8], [0.5, 0.5]])
     for bad_row in ([0.2, 0.3], [-0.1, 1.1]):

@@ -84,6 +84,22 @@ def test_l2_normalize_rejects_near_zero():
         normalize_last(np.array([1e-13, 0.0]))
 
 
+def test_l2_normalize_rejects_a_norm_that_overflows():
+    # v * v overflows to inf, and v / inf would be a zero row
+    with np.errstate(over="ignore"):
+        for v in (np.array([1e200, 1.0]), np.array([[0.6, 0.8], [np.inf, 0.0]])):
+            with pytest.raises(DegenerateFeatureError, match="overflows to inf"):
+                normalize_last(v)
+
+
+def test_l2_normalize_passes_nan_rows_through():
+    # a NaN norm is no degenerate direction: the NaN reaches the loss, where
+    # the trainer reports the step as diverged
+    out = normalize_last(np.array([[np.nan, 1.0], [3.0, 4.0]]))
+    assert np.isnan(out[0]).all()
+    np.testing.assert_array_equal(out[1], [0.6, 0.8])
+
+
 @given(finite_vectors.filter(lambda v: np.linalg.norm(v) > 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_l2_normalize_idempotent_and_parallel(v):

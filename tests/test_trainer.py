@@ -1,4 +1,7 @@
 import dataclasses
+import inspect
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -405,6 +408,78 @@ def test_diverged_run_raises_with_diagnostics():
         train_step(student, teacher, bank, init_velocities(student), sb, cfg,
                    cfg.tau, step=1)
 
+
+
+# --- the step's hot path -----------------------------------------------------------------
+
+# numpy's Python wrappers (np.sum, ndarray.mean, np.expand_dims, zeros_like, ...)
+# run Python code before the ufunc loop they forward to; a step calls the loop
+_NUMPY_WRAPPER_FILES = {inspect.unwrap(f).__code__.co_filename
+                        for f in (np.sum, np.zeros_like, np.broadcast_to, np.expand_dims)}
+_NUMPY_WRAPPER_FILES.add(os.path.join(
+    os.path.dirname(inspect.unwrap(np.sum).__code__.co_filename), "_methods.py"))
+_LRCO_DIR = os.path.dirname(trainer.__file__) + os.sep
+# SeededRng's generators are numpy's own, and what they call is left alone
+_RNG_CODES = {member.fget.__code__ if isinstance(member, property) else member.__code__
+              for member in vars(SeededRng).values()
+              if isinstance(member, property) or inspect.isfunction(member)}
+
+
+@pytest.mark.parametrize("method,overrides", [(m, {}) for m in METHODS]
+                         + [("mixlrco", {"alpha": 0.5})])
+def test_step_calls_no_numpy_python_wrapper(method, overrides):
+    cfg, student, teacher, bank, *rest = tiny_setup(method=method, **overrides)
+    velocities = init_velocities(student)
+    tau = 0.999  # both confidence groups are non-empty on every step
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in _NUMPY_WRAPPER_FILES:
+            caller = frame.f_back
+            if (caller is not None and caller.f_code.co_filename.startswith(_LRCO_DIR)
+                    and caller.f_code not in _RNG_CODES):
+                calls.append(f"{caller.f_code.co_name}:{caller.f_lineno} -> "
+                             f"{frame.f_code.co_name}")
+
+    mixed = 0
+    sys.setprofile(watch)
+    try:
+        for step in (1, 2, 3):
+            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step)
+            train_step(student, teacher, bank, velocities, sb, cfg, tau, step)
+            mixed += sb.mix is not None
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert mixed == (2 if method == "mixlrco" else 0)  # the mix path ran
+
+
+def _all_nodes_topo_order(root):
+    """The traversal that pushes every parent and skips those without a
+    gradient when popped: the order the golden digests were recorded with."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node.parents)
+    return order
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
+    # a parameter with several consumers sums its gradients in this order
+    cfg, student, teacher, bank, *rest = tiny_setup(method=method)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1)
+    train_step(student, teacher, bank, init_velocities(student), sb, cfg, 0.999, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2)
+    total, _ = step_objective(lift_params(student), sb, cfg)
+    order = ad._topo_order(total)
+    assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
+    assert len(order) > 10
 
 # --- dynamic threshold -----------------------------------------------------------------
 
