@@ -362,7 +362,6 @@ def test_every_documented_exit_code(tmp_path, capsys):
         assert err_part in err and "Traceback" not in err, (argv, err)
 
 
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("method", METHODS)
 def test_diverging_run_exits_numeric(tmp_path, capsys, method):
@@ -376,6 +375,7 @@ def test_diverging_run_exits_numeric(tmp_path, capsys, method):
     assert code == EXIT_NUMERIC, err
     assert "error: numeric: cannot normalize vector whose norm overflows to inf" in err
     assert "Traceback" not in err
+
 
 def test_missing_files_exit_3(tmp_path, capsys):
     code = run_cli("eval", "--checkpoint", str(tmp_path / "nope.npz"))

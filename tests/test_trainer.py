@@ -409,7 +409,6 @@ def test_diverged_run_raises_with_diagnostics():
                    cfg.tau, step=1)
 
 
-
 # --- the step's hot path -----------------------------------------------------------------
 
 # numpy's Python wrappers (np.sum, ndarray.mean, np.expand_dims, zeros_like, ...)
@@ -480,6 +479,7 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     order = ad._topo_order(total)
     assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
     assert len(order) > 10
+
 
 # --- dynamic threshold -----------------------------------------------------------------
 
