@@ -158,6 +158,24 @@ def scale(a, c: float):
     return Tensor(y, (a,), lambda g: a.accumulate(g * c))
 
 
+def weighted_sum(pairs):
+    """Sum of w * x over (x, w) pairs, x a term and w a plain python
+    constant, accumulated left to right; x gets g * w."""
+    pairs = [(x, float(w)) for x, w in pairs]
+    y = value_of(pairs[0][0]) * pairs[0][1]
+    for x, w in pairs[1:]:
+        y = y + value_of(x) * w
+    if not any(is_tensor(x) for x, _ in pairs):
+        return y
+    pairs = [(_lift(x), w) for x, w in pairs]
+
+    def backward_fn(g):
+        for x, w in pairs:
+            x.accumulate(g * w)
+
+    return Tensor(y, tuple(x for x, _ in pairs), backward_fn)
+
+
 def matmul(a, b, transpose_b: bool = False):
     bv = value_of(b)
     y = value_of(a) @ (bv.mT if transpose_b else bv)

@@ -324,10 +324,14 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     feats, probs, rows = stacked_forward(model_like, sb, cfg)
     probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
     terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
-    total = terms["ce"]
+    # (term, weight) pairs of the total, in the order it adds them up
+    weighted = [(terms["ce"], 1.0)]
+
+    def total_of():
+        return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted)
 
     if cfg.method == "source_only":
-        return total, terms
+        return total_of(), terms
 
     # Alignment entropy over the union of labeled and unlabeled weak views,
     # computed as a sample-count weighted average of the two batch means.
@@ -336,25 +340,25 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     n_u = sb.unlabeled_weak.shape[0]
     ent_l = L.entropy_alignment(probs_lab)
     ent_u = L.entropy_alignment(probs_unl_w)
-    terms["align"] = ad.add(ad.scale(ent_l, n_l / (n_l + n_u)),
-                            ad.scale(ent_u, n_u / (n_l + n_u)))
+    terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
+                                      (ent_u, n_u / (n_l + n_u))))
     if cfg.lambda_align > 0:
-        total = ad.add(total, ad.scale(terms["align"], cfg.lambda_align))
+        weighted.append((terms["align"], cfg.lambda_align))
 
     if cfg.method == "baseline":
-        return total, terms
+        return total_of(), terms
 
     strong = rows["unlabeled_strong"]  # strong[i]: the stacked row of strong-view row i
     if len(sb.high_idx) > 0:
         probs_high = ad.take_rows(probs, strong[sb.high_idx])
         terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
         terms["kld"] = L.kld_uniform_batch(probs_high)
-        total = ad.add(total, terms["fixmatch"])
+        weighted.append((terms["fixmatch"], 1.0))
         if cfg.lambda_kld > 0:
-            total = ad.add(total, ad.scale(terms["kld"], cfg.lambda_kld))
+            weighted.append((terms["kld"], cfg.lambda_kld))
 
     if cfg.method == "strong" or cfg.lambda_co == 0:
-        return total, terms
+        return total_of(), terms
 
     # Queries go through the detached classifier; the finite-difference
     # harness substitutes a fixed weight array for it, so the numeric check
@@ -370,8 +374,8 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
             terms["contrastive"] = L.contrastive_batch(
                 queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
             )
-            total = ad.add(total, ad.scale(terms["contrastive"], cfg.lambda_co))
-        return total, terms
+            weighted.append((terms["contrastive"], cfg.lambda_co))
+        return total_of(), terms
 
     # mixlrco
     if "mix" in rows:
@@ -380,8 +384,8 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
             queries, sb.mix.k_mix, sb.mix.k_target, sb.mix.k_source,
             sb.bank_snapshot, cfg.t_co,
         )
-        total = ad.add(total, ad.scale(terms["contrastive"], cfg.lambda_co))
-    return total, terms
+        weighted.append((terms["contrastive"], cfg.lambda_co))
+    return total_of(), terms
 
 
 # Optimizer ---------------------------------------------------------------------

@@ -44,16 +44,17 @@ def test_suite_reports_worst_errors():
 
 def test_alignment_check_sees_the_trainers_weighting(monkeypatch):
     # the alignment term the trainer optimizes is a weighted sum built with
-    # ad.scale; a backward that drops the weight must fail its check
-    scale = ad.scale
+    # ad.weighted_sum; a backward that drops the weights must fail its check
+    weighted_sum = ad.weighted_sum
 
-    def scale_with_unweighted_backward(a, c):
-        out = scale(a, c)
+    def weighted_sum_with_unweighted_backward(pairs):
+        out = weighted_sum(pairs)
         if ad.is_tensor(out):
-            out.backward_fn = a.accumulate
+            parents = out.parents
+            out.backward_fn = lambda g: [x.accumulate(g) for x in parents]
         return out
 
-    monkeypatch.setattr(ad, "scale", scale_with_unweighted_backward)
+    monkeypatch.setattr(ad, "weighted_sum", weighted_sum_with_unweighted_backward)
     assert check_instance(0, seed=0).errors["alignment_entropy"] > 1e-4
 
 
