@@ -67,6 +67,19 @@ def logsumexp_last(v: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.add.reduce(np.exp(v - m), axis=-1))
 
 
+def _uint32_words(n: int) -> tuple[int, ...]:
+    """n's little-endian uint32 words, as numpy's SeedSequence splits an int
+    of its entropy: 0 gives (0,); a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return tuple(words)
+
+
 class SeededRng:
     """Deterministic random stream with labeled sub-stream derivation.
 
@@ -75,9 +88,12 @@ class SeededRng:
     never interleave and the whole run is reproducible from one 64-bit seed.
     """
 
-    def __init__(self, seed: int, _lineage: tuple[int, ...] = ()):
+    def __init__(self, seed: int, _words: tuple[int, ...] | None = None):
         self.seed = int(seed)
-        self._lineage = tuple(int(x) for x in _lineage)
+        # numpy's SeedSequence((seed, *keys)) seeds from each int's
+        # little-endian uint32 words, joined; keeping them lets a substream
+        # append its key's words and the generator skip that conversion.
+        self._words = _uint32_words(self.seed) if _words is None else _words
         self._generator: np.random.Generator | None = None
 
     @property
@@ -85,7 +101,7 @@ class SeededRng:
         """Built on the first draw, so a stream used only to derive
         substreams never seeds a generator of its own."""
         if self._generator is None:
-            entropy = (self.seed,) + self._lineage
+            entropy = np.array(self._words, dtype=np.uint32)
             self._generator = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy))
             )
@@ -96,7 +112,7 @@ class SeededRng:
         key = int.from_bytes(
             hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little"
         )
-        return SeededRng(self.seed, self._lineage + (key,))
+        return SeededRng(self.seed, self._words + _uint32_words(key))
 
     # Draw helpers; all delegate to the underlying generator.
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from lrco.errors import DegenerateFeatureError
 from lrco.numerics import (
-    SeededRng, finite_diff_grad, logsumexp_last, norm_last, normalize_last,
+    SeededRng, _uint32_words, finite_diff_grad, logsumexp_last, norm_last, normalize_last,
     relative_grad_error, sample_beta, softmax_last,
 )
 
@@ -163,6 +165,45 @@ def test_rng_nested_substreams_reproducible():
     a = SeededRng(11).substream("x").substream("y").normal(size=4)
     b = SeededRng(11).substream("x").substream("y").normal(size=4)
     assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def _pcg_state(rng: SeededRng) -> dict:
+    return rng._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_rng_words_seed_the_generator_seedsequence_of_the_tuple_seeds(seed):
+    # SeedSequence((seed, *keys)) joins each int's little-endian uint32 words
+    # (0 gives one zero word); seeding from the kept words gives its state
+    root = SeededRng(seed)
+    assert _pcg_state(root) == np.random.PCG64(np.random.SeedSequence((seed,))).state
+    keys = []
+    stream = root
+    for label in ("augment", "mix-3"):
+        stream = stream.substream(label)
+        keys.append(int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(),
+                                   "little"))
+        expected = np.random.PCG64(np.random.SeedSequence((seed, *keys))).state
+        assert _pcg_state(stream) == expected, label
+    # keys below 2**32 are one word; no label of a test hashes to one
+    for lineage in ((5,), (0, 2**32 + 3), (2**32 - 1, 7, 2**63)):
+        words = _uint32_words(seed) + sum((_uint32_words(k) for k in lineage), ())
+        expected = np.random.PCG64(np.random.SeedSequence((seed, *lineage))).state
+        assert _pcg_state(SeededRng(seed, words)) == expected, lineage
+
+
+def test_rng_words_split_an_int_as_seedsequence_does():
+    assert _uint32_words(0) == (0,)
+    assert _uint32_words(2**32 - 1) == (2**32 - 1,)
+    assert _uint32_words(2**32) == (0, 1)
+    assert _uint32_words(2**64 - 1) == (2**32 - 1, 2**32 - 1)
+
+
+def test_rng_negative_seed_raises_at_construction():
+    with pytest.raises(ValueError, match="non-negative"):
+        SeededRng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        SeededRng(-(2**70))
 
 
 # --- sample_beta -------------------------------------------------------------
