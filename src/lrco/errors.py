@@ -23,3 +23,9 @@ class ConfigError(LrcoError):
 
 class TrainingDivergedError(LrcoError):
     """A training step produced a non-finite loss; message carries diagnostics."""
+
+
+class InvalidRowsError(LrcoError, ValueError):
+    """Rows break a loss or memory-bank input contract: a probability row is
+    not a distribution, or a row is not unit-norm; a row holding NaN breaks
+    either. A ValueError too, as the checks raised before this class."""

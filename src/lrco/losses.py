@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import InvalidRowsError
 from .numerics import SeededRng, norm_last, sample_beta
 
 UNIT_NORM_TOL = 1e-6
@@ -34,10 +35,12 @@ class PseudoLabel:
 
 
 def check_probability_rows(probs: np.ndarray) -> None:
-    """Raise ValueError unless every row is nonnegative and sums to 1 within 1e-6."""
-    if (np.logical_or.reduce(np.abs(np.add.reduce(probs, axis=-1) - 1.0) > 1e-6, axis=None)
-            or np.logical_or.reduce(probs < 0, axis=None)):
-        raise ValueError("probs must be a valid probability vector")
+    """Raise InvalidRowsError (a ValueError) unless every row is nonnegative
+    and sums to 1 within 1e-6; a row holding NaN fails."""
+    if not (np.logical_and.reduce(np.abs(np.add.reduce(probs, axis=-1) - 1.0) <= 1e-6,
+                                  axis=None)
+            and np.logical_and.reduce(probs >= 0, axis=None)):
+        raise InvalidRowsError("probs must be a valid probability vector")
 
 
 def make_pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabel:
@@ -60,10 +63,11 @@ def pseudo_labels(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
 
 
 def check_unit_rows(x, name: str) -> None:
-    """Raise ValueError unless every row of x has norm 1 within UNIT_NORM_TOL."""
+    """Raise InvalidRowsError (a ValueError) unless every row of x has norm 1
+    within UNIT_NORM_TOL; a row holding NaN fails."""
     norms = norm_last(ad.value_of(x))
-    if np.logical_or.reduce(np.abs(norms - 1.0) > UNIT_NORM_TOL, axis=None):
-        raise ValueError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
+    if not np.logical_and.reduce(np.abs(norms - 1.0) <= UNIT_NORM_TOL, axis=None):
+        raise InvalidRowsError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
 
 
 # Supervised and consistency terms ------------------------------------------

@@ -278,6 +278,41 @@ def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resume_refuses_a_checkpoint_whose_bank_holds_nan(tmp_path, capsys):
+    ckpt = train_fast(tmp_path, capsys)
+    ck = load_checkpoint(ckpt)
+    contents = ck.bank.snapshot().copy()
+    assert len(contents) > 0
+    contents[0, 0] = np.nan
+    ck.bank._rows = contents
+    bad = tmp_path / "nan_bank.npz"
+    save_checkpoint(bad, ck)
+    out = tmp_path / "resumed"
+    code = run_cli("train", "--out", str(out), "--resume", str(bad), *FAST)
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID_CONFIG, err
+    assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
+                          "(InvalidRowsError: bank keys must be unit-normalized"), err
+    assert not out.exists()
+
+
+def test_nan_teacher_probabilities_exit_numeric(tmp_path, capsys):
+    # a NaN teacher weight gives NaN probability rows, which the pseudo-label
+    # check refuses as an LrcoError
+    ckpt = train_fast(tmp_path, capsys)
+    ck = load_checkpoint(ckpt)
+    ck.teacher.weights[0][0, 0] = np.nan
+    bad = tmp_path / "nan_teacher.npz"
+    save_checkpoint(bad, ck)
+    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
+    code = run_cli("train", "--out", str(tmp_path / "resumed"), "--resume", str(bad),
+                   *longer)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC, err
+    assert "error: runtime: probs must be a valid probability vector" in err
+    assert "Traceback" not in err
+
+
 # What `eval` prints for the final checkpoint of a FAST run, recorded before
 # checkpoints named their benchmark (same platform as GEN_DATA_SHA256).
 FAST_EVAL_LINES = [

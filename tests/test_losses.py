@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lrco import autodiff as ad
 from lrco.data import AugmentSpec
+from lrco.errors import InvalidRowsError, LrcoError
 from lrco.losses import (
     contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
     kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels,
@@ -91,6 +92,25 @@ def test_pseudo_labels_validate_every_row():
         probs = np.vstack([good, bad_row])
         with pytest.raises(ValueError, match="valid probability vector"):
             pseudo_labels(probs, 0.5)
+
+
+def test_row_checks_reject_nan_rows():
+    probs = np.array([[0.2, 0.8], [np.nan, 0.5]])
+    with pytest.raises(InvalidRowsError, match="valid probability vector"):
+        pseudo_labels(probs, 0.5)
+    with pytest.raises(InvalidRowsError, match="valid probability vector"):
+        make_pseudo_label(np.array([np.nan, np.nan]), tau=0.5)
+    unit = np.array([[1.0, 0.0], [0.0, 1.0]])
+    nan_row = np.array([[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(InvalidRowsError, match="queries must be unit-normalized"):
+        contrastive_batch(nan_row, unit, unit, 0.3)
+    with pytest.raises(InvalidRowsError, match="bank entries must be unit-normalized"):
+        contrastive_batch(unit, unit, nan_row, 0.3)
+    with pytest.raises(InvalidRowsError, match="bank keys must be unit-normalized"):
+        MemoryBank(4).push_batch(nan_row)
+    # both a package error, which the CLI maps to an exit code, and the
+    # ValueError the checks raised before
+    assert issubclass(InvalidRowsError, LrcoError) and issubclass(InvalidRowsError, ValueError)
 
 
 def _split_step(n, seed, tau):
