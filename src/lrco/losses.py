@@ -4,7 +4,16 @@ All functions are pure and dual-dispatch. Called with plain numpy they return
 plain values; called with autodiff tensors they return graph nodes, so the
 trainer differentiates through them directly. Contrastive quantities are
 evaluated in the log domain via log-sum-exp; probabilities entering a log are
-clamped below at 1e-12.
+clamped below at LOG_FLOOR = 1e-12, and the gradient is 0 where the clamp
+is active.
+
+Each loss head (cross_entropy_batch, entropy_alignment, kld_uniform_batch,
+contrastive_batch, mixlrco_batch) is one graph node with a closed-form
+gradient. It computes its value once, from plain values, for both dispatch
+paths; the numpy path also takes a leading stack axis, as the autodiff ops
+do. Its backward writes only into its one differentiable input, the
+probability rows or the queries: keys, blended keys and bank rows are
+constants.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
 -log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
@@ -18,8 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidRowsError
-from .numerics import SeededRng, norm_last, sample_beta
+from .numerics import SeededRng, logsumexp_last, norm_last, sample_beta, softmax_last
 
+LOG_FLOOR = 1e-12
 UNIT_NORM_TOL = 1e-6
 REREP_MODES = ("rerep", "raw")
 
@@ -73,26 +83,58 @@ def check_unit_rows(x, name: str) -> None:
 # Supervised and consistency terms ------------------------------------------
 
 def cross_entropy_batch(p_rows, labels):
-    """Mean negative log probability over a batch of probability rows."""
-    return ad.neg(ad.mean_last(ad.log_clamped(ad.pick_per_row(p_rows, labels))))
+    """Mean negative log probability over a batch of probability rows.
+
+    The gradient of p[i, y_i] is -g / (n p[i, y_i]), 0 at or below LOG_FLOOR;
+    every other entry gets 0.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    p = ad.value_of(p_rows)
+    n = p.shape[-2]
+    rows = np.arange(n)
+    picked = p[..., rows, labels]
+    y = -(np.add.reduce(np.log(np.maximum(picked, LOG_FLOOR)), axis=-1) / n)
+    if not ad.is_tensor(p_rows):
+        return y
+
+    def backward_fn(g):
+        grad = np.zeros(p.shape)
+        grad[rows, labels] = -(g / n) * ((picked > LOG_FLOOR)
+                                         / np.maximum(picked, LOG_FLOOR))
+        p_rows.accumulate(grad)
+
+    return ad.Tensor(y, (p_rows,), backward_fn)
 
 
 def entropy_alignment(p_rows):
     """Mean Shannon entropy of a batch of probability rows.
 
     This is the default alignment term of the inherited baseline: minimizing
-    it sharpens predictions on both domains.
+    it sharpens predictions on both domains. The gradient is
+    -(g / n) (log max(p, LOG_FLOOR) + [p > LOG_FLOOR]).
     """
-    return ad.neg(ad.mean_last(ad.rowwise_dot(p_rows, ad.log_clamped(p_rows))))
+    p = ad.value_of(p_rows)
+    n = p.shape[-2]
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
+    y = -(np.add.reduce(np.add.reduce(p * log_p, axis=-1), axis=-1) / n)
+    if not ad.is_tensor(p_rows):
+        return y
+    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(
+        -(g / n) * (log_p + (p > LOG_FLOOR))))
 
 
 def kld_uniform_batch(p_rows):
     """Mean cross-entropy of the uniform distribution against each probability
-    row, KL(uniform || p) + log K, where K is the width of p_rows."""
-    n_classes = ad.value_of(p_rows).shape[-1]
-    uniform = np.empty(n_classes)
-    uniform.fill(1.0 / n_classes)
-    return ad.neg(ad.mean_last(ad.rowwise_dot(ad.log_clamped(p_rows), uniform)))
+    row, KL(uniform || p) + log K, where K is the width of p_rows. The
+    gradient is -(g / (n K)) [p > LOG_FLOOR] / p."""
+    p = ad.value_of(p_rows)
+    n, n_classes = p.shape[-2:]
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
+    y = -(np.add.reduce(np.add.reduce(log_p * (1.0 / n_classes), axis=-1), axis=-1) / n)
+    if not ad.is_tensor(p_rows):
+        return y
+    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(
+        -(g / (n * n_classes)) * ((p > LOG_FLOOR) / np.maximum(p, LOG_FLOOR))))
 
 
 # Classifier-weight re-representation ----------------------------------------
@@ -135,18 +177,29 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     """Mean InfoNCE over rows: positives on the diagonal pairing, bank rows negative.
 
     An empty bank makes every per-row loss exactly zero (the positive term is
-    the entire partition function).
+    the entire partition function), and so its gradient. With w the row
+    softmax of the scaled similarities, query i gets
+    (g / (n T)) (w_i0 k_i + sum_j w_ij b_j - k_i).
     """
     if not t_co > 0:
         raise ValueError("t_co must be positive")
     check_unit_rows(q_rows, "queries")
     check_unit_rows(k_rows, "keys")
-    bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
-    pos = ad.rowwise_dot(q_rows, k_rows)
-    neg = ad.matmul(q_rows, bank_matrix, transpose_b=True)
-    sims = ad.scale(ad.hstack_cols([pos, neg]), 1.0 / t_co)
-    per_row = ad.sub(ad.logsumexp_rows(sims), ad.scale(pos, 1.0 / t_co))
-    return ad.mean_last(per_row)
+    q, k = ad.value_of(q_rows), ad.value_of(k_rows)
+    bank = _conform_bank(bank_matrix, q.shape[-1])
+    inv_t = 1.0 / t_co
+    pos = np.add.reduce(q * k, axis=-1)
+    sims = np.concatenate((pos[..., None], q @ bank.mT), axis=-1) * inv_t
+    n = q.shape[-2]
+    y = np.add.reduce(logsumexp_last(sims) - pos * inv_t, axis=-1) / n
+    if not ad.is_tensor(q_rows):
+        return y
+
+    def backward_fn(g):
+        w = softmax_last(sims, 1.0)
+        q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k + w[:, 1:] @ bank - k))
+
+    return ad.Tensor(y, (q_rows,), backward_fn)
 
 
 def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
@@ -181,25 +234,35 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
     The numerator similarity uses the blended key; the denominator holds the
     two endpoint keys plus the bank, and deliberately not the blended key
     itself, which is what makes the loss non-negative (the blended similarity
-    is a log-convex combination of the endpoint similarities).
+    is a log-convex combination of the endpoint similarities). With w the row
+    softmax of the scaled denominator similarities, query i gets
+    (g / (n T)) (w_t k_target_i + w_s k_source_i + sum_j w_j b_j - k_mix_i).
     """
     if not t_co > 0:
         raise ValueError("t_co must be positive")
     check_unit_rows(q_rows, "queries")
     check_unit_rows(k_target, "target keys")
     check_unit_rows(k_source, "source keys")
-    k_mix_v = ad.value_of(k_mix)
-    if np.logical_or.reduce(norm_last(k_mix_v) > 1.0 + UNIT_NORM_TOL, axis=None):
-        raise ValueError("blended keys must have norm <= 1")
-    bank_matrix = _conform_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
-    num = ad.scale(ad.rowwise_dot(q_rows, k_mix), 1.0 / t_co)
-    den = ad.scale(
-        ad.hstack_cols([
-            ad.rowwise_dot(q_rows, k_target),
-            ad.rowwise_dot(q_rows, k_source),
-            ad.matmul(q_rows, bank_matrix, transpose_b=True),
-        ]),
-        1.0 / t_co,
-    )
-    return ad.mean_last(ad.sub(ad.logsumexp_rows(den), num))
+    q = ad.value_of(q_rows)
+    k_mix, k_target, k_source = (ad.value_of(k) for k in (k_mix, k_target, k_source))
+    if not np.logical_and.reduce(norm_last(k_mix) <= 1.0 + UNIT_NORM_TOL, axis=None):
+        raise InvalidRowsError("blended keys must have norm <= 1")
+    bank = _conform_bank(bank_matrix, q.shape[-1])
+    inv_t = 1.0 / t_co
+    num = np.add.reduce(q * k_mix, axis=-1) * inv_t
+    den = np.concatenate((
+        np.add.reduce(q * k_target, axis=-1)[..., None],
+        np.add.reduce(q * k_source, axis=-1)[..., None],
+        q @ bank.mT,
+    ), axis=-1) * inv_t
+    n = q.shape[-2]
+    y = np.add.reduce(logsumexp_last(den) - num, axis=-1) / n
+    if not ad.is_tensor(q_rows):
+        return y
 
+    def backward_fn(g):
+        w = softmax_last(den, 1.0)
+        q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k_target + w[:, 1:2] * k_source
+                                              + w[:, 2:] @ bank - k_mix))
+
+    return ad.Tensor(y, (q_rows,), backward_fn)

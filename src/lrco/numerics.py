@@ -20,7 +20,7 @@ from .errors import DegenerateFeatureError
 NORM_EPS = 1e-12
 
 
-# Row-wise workhorses shared with the autodiff layer. They operate along the
+# Row-wise workhorses shared with the autodiff and loss layers. They operate along the
 # last axis, accept 1-D or 2-D input, and skip argument validation. They call
 # the ufuncs' reduce directly: np.sum, np.max and np.any run the same loop on
 # the same operands after a layer of Python argument handling.

@@ -4,14 +4,24 @@ import pytest
 from lrco import autodiff as ad
 from lrco import numerics
 from lrco.errors import DegenerateFeatureError
+from lrco.losses import entropy_alignment
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
 
+def probe_sum(x, weights):
+    """A test-local scalar node: the sum of x * weights over every entry, so
+    x gets g * weights."""
+    w = np.asarray(weights, dtype=np.float64)
+    y = np.add.reduce((ad.value_of(x) * w).ravel())
+    if not ad.is_tensor(x):
+        return y
+    return ad.Tensor(y, (x,), lambda g: x.accumulate(g * w))
+
+
 def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
-    """Generic probe: scalar = mean_last(rowwise_dot(op(inputs), weights)) for
-    a matrix output, rowwise_dot(op(inputs), weights) for a vector output, or a
-    0-d op output as it is; FD each input. Each of ``shapes`` is a shape to
-    draw a normal input of, or an array to use as the input."""
+    """Generic probe: scalar = probe_sum(op(inputs), weights) with normal
+    weights, or a 0-d op output as it is; FD each input. Each of ``shapes``
+    is a shape to draw a normal input of, or an array to use as the input."""
     rng = SeededRng(seed)
     inputs = [np.array(s, dtype=np.float64) if isinstance(s, np.ndarray)
               else np.asarray(rng.normal(size=s)) * 0.7 for s in shapes]
@@ -19,10 +29,7 @@ def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
     weights = np.asarray(rng.normal(size=probe_shape)) if probe_shape else None
 
     def probe(out):
-        if weights is None:
-            return out
-        dots = ad.rowwise_dot(out, weights)
-        return ad.mean_last(dots) if len(probe_shape) == 2 else dots
+        return out if weights is None else probe_sum(out, weights)
 
     def scalar_of(arrays):
         return float(probe(build(*arrays)))
@@ -49,13 +56,17 @@ def test_add_broadcast_bias():
     check_op_gradient(lambda a, b: ad.add(a, b), (3, 4), (4,))
 
 
-def test_sub_and_neg():
-    check_op_gradient(lambda a, b: ad.sub(a, b), (2, 5), (2, 5))
-    check_op_gradient(lambda a: ad.neg(a), (7,))
+def test_weighted_sum():
+    check_op_gradient(lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5))
+    check_op_gradient(lambda a, b, c: ad.weighted_sum(((a, 1.0), (b, 0.5), (c, 4.0))),
+                      (), (), ())
 
 
-def test_scale_constant():
-    check_op_gradient(lambda a: ad.scale(a, -2.5), (6,))
+def test_weighted_sum_adds_left_to_right():
+    # the bits of (x0 w0 + x1 w1) + x2 w2; another grouping rounds otherwise
+    x = [np.float64(0.1), np.float64(1e16), np.float64(-1e16)]
+    w = [1.0, 0.3, 0.3]
+    assert ad.weighted_sum(zip(x, w)) == (x[0] * w[0] + x[1] * w[1]) + x[2] * w[2]
 
 
 def test_matmul_plain_and_transposed():
@@ -65,26 +76,6 @@ def test_matmul_plain_and_transposed():
 
 def test_tanh():
     check_op_gradient(lambda a: ad.tanh(a), (4, 4))
-
-
-def test_log_clamped_smooth_region():
-    rng = SeededRng(1)
-    x = np.asarray(rng.uniform(size=(3, 3))) + 0.5  # well above the clamp
-    assert np.all(x - 1e-6 > ad.LOG_FLOOR)  # every finite-difference point too
-    check_op_gradient(lambda a: ad.log_clamped(a), x, seed=2)
-
-
-def test_log_clamped_at_floor_has_zero_grad():
-    t = ad.Tensor(np.array([1e-15, 0.5]), requires_grad=True)
-    out = ad.mean_last(ad.log_clamped(t))
-    out.backward()
-    assert t.grad[0] == 0.0  # clamped coordinate: locally constant
-    assert abs(t.grad[1] - 1.0) < 1e-12  # (1/2) * (1/0.5)
-
-
-def test_mean_last():
-    check_op_gradient(lambda a: ad.mean_last(a), (3, 5))
-    check_op_gradient(lambda a: ad.mean_last(a), (5,))
 
 
 def test_softmax_rows_with_temperature():
@@ -102,46 +93,23 @@ def test_normalize_rows_rejects_zero_row():
         ad.normalize_rows(bad)
 
 
-def test_logsumexp_rows():
-    check_op_gradient(lambda a: ad.logsumexp_rows(a), (4, 7))
-
-
-def test_rowwise_dot():
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (5, 4))
-    # a vector operand broadcasts against every row, on either side
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (4,), (5, 4))
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (4,))
-
-
-def test_pick_per_row():
-    idx = np.array([2, 0, 1, 2])
-    check_op_gradient(lambda a: ad.pick_per_row(a, idx), (4, 3))
-
-
 def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
     t = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
-    out = ad.mean_last(ad.mean_last(ad.take_rows(t, idx)))
+    out = probe_sum(ad.take_rows(t, idx), 1.0 / 6)
     out.backward()
     # each of the 6 selected entries carries 1/6
     np.testing.assert_allclose(t.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]) / 6)
     check_op_gradient(lambda a: ad.take_rows(a, idx), (3, 4))
 
 
-def test_hstack_cols():
-    def build(a, b):
-        return ad.hstack_cols([a, b])
-
-    check_op_gradient(build, (4,), (4, 3))
-
-
 def test_detach_blocks_gradient():
-    t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    out = ad.rowwise_dot(ad.detach(t), t)
+    t = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    out = probe_sum(ad.matmul(ad.detach(t), t, transpose_b=True), 1.0)
     out.backward()
     # d/dt (c . t) with c = detach(t) frozen at [1, 2]
-    np.testing.assert_allclose(t.grad, [1.0, 2.0])
+    np.testing.assert_allclose(t.grad, [[1.0, 2.0]])
 
 
 def test_array_inputs_stay_plain_numpy():
@@ -151,10 +119,11 @@ def test_array_inputs_stay_plain_numpy():
 
 
 def test_diamond_graph_accumulates():
-    t = ad.Tensor(np.array([3.0]), requires_grad=True)
-    y = ad.add(ad.rowwise_dot(t, t), ad.scale(t, 4.0))  # t^2 + 4t -> grad 2t+4 = 10
-    ad.mean_last(y).backward()
-    np.testing.assert_allclose(t.grad, [10.0])
+    t = ad.Tensor(np.array([[3.0]]), requires_grad=True)
+    four = np.array([[4.0]])
+    y = ad.add(ad.matmul(t, t, transpose_b=True), ad.matmul(t, four))  # t^2 + 4t
+    probe_sum(y, 1.0).backward()
+    np.testing.assert_allclose(t.grad, [[10.0]])  # 2t + 4
 
 
 def test_first_gradient_is_a_fresh_array():
@@ -171,18 +140,18 @@ def test_first_gradient_is_a_fresh_array():
 
 def test_constant_operands_get_no_gradient():
     w = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    bank = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
-    keys = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sims = ad.hstack_cols([ad.rowwise_dot(w, keys), ad.matmul(w, bank, transpose_b=True)])
-    ad.mean_last(ad.mean_last(sims)).backward()
-    # d/dw of the mean of (w . keys) and (w @ bank.T): keys + the bank's
-    # column sums, over the 8 entries of sims
-    np.testing.assert_array_equal(w.grad, (keys + bank.sum(axis=0)) / 8)
+    bank = ad.Tensor(np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]), requires_grad=False)
+    sims = ad.matmul(w, bank, transpose_b=True)
+    probe_sum(sims, 0.125).backward()
+    # d/dw of (w @ bank.T) summed and weighted by 1/8: the bank's column
+    # sums over 8 in every row
+    np.testing.assert_array_equal(w.grad, np.tile(bank.value.sum(axis=0) / 8, (2, 1)))
+    assert bank.grad is None
 
 
 def test_backward_requires_scalar():
     t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ad.scale(t, 2.0)
+    out = ad.tanh(t)
     with pytest.raises(ValueError):
         out.backward()
 
@@ -192,7 +161,7 @@ def test_second_backward_on_fresh_graph_matches():
     def run():
         t = ad.Tensor(np.array([[0.3, -0.2], [0.1, 0.9]]), requires_grad=True)
         weights = np.array([[1.0, -1.0], [2.0, 0.5]])
-        loss = ad.mean_last(ad.rowwise_dot(ad.softmax_rows(t, 0.5), weights))
+        loss = probe_sum(ad.softmax_rows(t, 0.5), weights)
         loss.backward()
         return t.grad.copy()
 
@@ -208,7 +177,7 @@ def test_composite_network_gradient():
         h = ad.tanh(ad.add(ad.matmul(x, w1), b1))
         logits = ad.matmul(ad.normalize_rows(h), ad.normalize_rows(w2), transpose_b=True)
         probs = ad.softmax_rows(logits, 0.4)
-        return ad.mean_last(ad.mean_last(ad.log_clamped(probs)))
+        return entropy_alignment(probs)
 
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
@@ -218,22 +187,12 @@ def test_composite_network_gradient():
 # node's value.
 DUAL_DISPATCH_CASES = {
     "add": (ad.add, (3, 4), (4,)),
-    "sub": (ad.sub, (2, 5), (2, 5)),
-    "neg": (ad.neg, (7,)),
-    "scale": (lambda a: ad.scale(a, -2.5), (6,)),
+    "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "matmul": (ad.matmul, (3, 4), (4, 5)),
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
     "tanh": (ad.tanh, (4, 4)),
-    "log_clamped": (ad.log_clamped, (3, 3)),
-    "mean_last": (ad.mean_last, (3, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
-    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
-    "rowwise_dot-1d_left": (ad.rowwise_dot, (4,), (5, 4)),
-    "rowwise_dot-1d_right": (ad.rowwise_dot, (5, 4), (4,)),
-    "pick_per_row-repeated": (lambda a: ad.pick_per_row(a, [2, 2, 0, 2]), (4, 3)),
-    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows-repeated": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
     "detach": (ad.detach, (2, 3)),
 }
@@ -262,14 +221,9 @@ STACKED_CASES = {
     "matmul": (ad.matmul, (4, 3), (3, 5)),
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
     "tanh": (ad.tanh, (4, 4)),
-    "log_clamped": (ad.log_clamped, (3, 3)),
-    "mean_last": (ad.mean_last, (6,)),
+    "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
-    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
-    "pick_per_row": (lambda a: ad.pick_per_row(a, [2, 2, 0, 2]), (4, 3)),
-    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
 }
 
@@ -348,34 +302,12 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
     assert _same_bits(numerics.logsumexp_last(v),
                       np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
     assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
-    assert _same_bits(ad.mean_last(v), np.asarray(v.mean(axis=-1)))
-    w = _wrapper_inputs(22)[kind]
-    assert _same_bits(ad.rowwise_dot(v, w), np.sum(v * w, axis=-1))
-    row = w.reshape(-1, w.shape[-1])[0]  # a 1-D operand meets every row
-    assert _same_bits(ad.rowwise_dot(v, row), np.sum(v * row, axis=-1))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
 def test_backward_closures_keep_the_wrapper_formula_bits(kind):
-    v, w = _wrapper_inputs(23)[kind], _wrapper_inputs(24)[kind]
-    rng = np.random.default_rng(25)
-    g_row = rng.normal(size=v.shape[:-1])  # the gradient of a per-row output
-    g_full = rng.normal(size=v.shape)
-    n = v.shape[-1]
-
-    old_mean = np.broadcast_to((g_row / n)[..., None], v.shape).copy()
-    assert _same_bits(_grad_through(ad.mean_last, v, g_row), old_mean + 0.0)
-
-    ge = np.expand_dims(g_row, -1)
-    assert _same_bits(_grad_through(ad.rowwise_dot, v, g_row, w),
-                      _old_unbroadcast(ge * w, v.shape) + 0.0)
-    row = w.reshape(-1, w.shape[-1])[0]
-    leaf = ad.Tensor(row, requires_grad=True)
-    ad.rowwise_dot(v, leaf).backward_fn(g_row)
-    assert _same_bits(leaf.grad, _old_unbroadcast(ge * v, row.shape) + 0.0)
-
-    soft = numerics.softmax_last(v, 1.0)
-    assert _same_bits(_grad_through(ad.logsumexp_rows, v, g_row), soft * ge + 0.0)
+    v = _wrapper_inputs(23)[kind]
+    g_full = np.random.default_rng(25).normal(size=v.shape)
 
     y = numerics.softmax_last(v, 0.3)
     inner = np.sum(g_full * y, axis=-1, keepdims=True)

@@ -79,24 +79,24 @@ _SIMILARITY = "similarity_run-run0_step-4_target.csv"
 _TOPK = "topk_run-run0_step-4_target.csv"
 ANALYZE_SHA256 = {
     ("lrco", "rerep"): {
-        _PROJECTION: "6935400c6ffcc0232c880cb051e38c291c57c9ee0065762aea85bc398b9b9b26",
+        _PROJECTION: "6c09f9d9f117905abb8e092006ba4138ec181a182d4da7a23161f48568b6982d",
         _SIMILARITY: "fe206602750898133b398e922e218a8a73728d8ba64f0aafe542862a8b916f1d",
         _TOPK: "c8d5c0f72ce9ffe93765adf8578e43c6c2587f75e606441a0fb864439210087c",
     },
     ("lrco", "raw"): {
-        _PROJECTION: "6935400c6ffcc0232c880cb051e38c291c57c9ee0065762aea85bc398b9b9b26",
+        _PROJECTION: "6c09f9d9f117905abb8e092006ba4138ec181a182d4da7a23161f48568b6982d",
         _SIMILARITY: "e7bcde7a99e46f8126cce253355ae753cd003e9bb2b70fd49085e8dae5ec102b",
         _TOPK: "c8d5c0f72ce9ffe93765adf8578e43c6c2587f75e606441a0fb864439210087c",
     },
     ("mixlrco", "rerep"): {
-        _PROJECTION: "a34e9515f71f61dc11f98225eee6866374b5c07d352992ba276ba8f1f1e6ff9d",
-        _SIMILARITY: "0b484dccd7869b538fd49d5d9caa5b504a68d9533431b8db68e8bbfcb1b1d928",
-        _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
+        _PROJECTION: "467c0b0bb9131de718e01e73781ddbfdbca750709cf73ad784843814d531fdf5",
+        _SIMILARITY: "2be9be7a687d82c95f40b8f6616ad3506c693f0f30aa17ad8233086fd09f86c7",
+        _TOPK: "c3212432ab3744849b9c062a6919b74ae2e7f5ab7cff7b7b35c2f8d84dc370da",
     },
     ("mixlrco", "raw"): {
-        _PROJECTION: "a34e9515f71f61dc11f98225eee6866374b5c07d352992ba276ba8f1f1e6ff9d",
-        _SIMILARITY: "14142a77ee4e4578132e5814313a42fc2d25e59fae1e88f630e589e60a872423",
-        _TOPK: "9efbe07410ab315d58c74506d79793cba2f127a6b5551ecd418ed6d25ebcb2ff",
+        _PROJECTION: "467c0b0bb9131de718e01e73781ddbfdbca750709cf73ad784843814d531fdf5",
+        _SIMILARITY: "1a98df5650fb166e7a36828c634cc900484af52a4241302956be990a7cc19e65",
+        _TOPK: "c3212432ab3744849b9c062a6919b74ae2e7f5ab7cff7b7b35c2f8d84dc370da",
     },
 }
 
@@ -539,21 +539,21 @@ def _checkpoint_digest(path) -> str:
 # steps writes into a new directory (same platform as GEN_DATA_SHA256).
 CHECKPOINT_SHA256 = {
     "run/checkpoint_step1.npz":
-        "d5e5f65eee18fdde99b61a0aab4b1b02923a21b8da85c5cfa18a8d0d8fd222ef",
+        "a61c16ce4c654b10c9ad9b2ec349500e8e4dc1cd11a48183a9271d917be647f1",
     "run/checkpoint_step2.npz":
-        "4a5c1271ab11a9a7e372c01d9c37ae01b033dc34aba3dbe0091abd8995b1c224",
+        "2f2655d3cba971b522bd104fd0e1deddd5addd7f5b11cf1f2a62c47b3424b38f",
     "run/checkpoint_step3.npz":
-        "935d6f131e1ffb8a3fd7186df528d15ed8b319aeb3d9683b30171f91de9d0b0a",
+        "2f482ce101c55a859140ef45f202b63f5a650c460537e91a53985ede8b2a1384",
     "run/checkpoint_final.npz":
-        "2ccb5a1d898059d858a786f51302fd2b62f36b795cf13da3537c92f4a8360e46",
+        "582db3b93c9cc76261feb98356ac4c9b41e9b525397e15ce40e4a1c7aa41f104",
     "resumed/checkpoint_step3.npz":
-        "bfd787ab69b053e8994b9e88ebd709c13eb51c629d8638bfa95e2d12f63a3d70",
+        "6d4e31cea6797d57c7ddb3919a3a74896f846836025dd37813e9d42bfdfd8667",
     "resumed/checkpoint_step4.npz":
-        "a7db9faba5c5ded078f38605b3f0cee14b7d6043333140d6ec12a15e0b7994cd",
+        "afbd69250962fac771880d00491c17f310ed7060e1cffd83e62251be03c6c268",
     "resumed/checkpoint_step5.npz":
-        "c502790547fbd610a8c6eee10d36d481e9a4b124e4d9595a46aba8de27d82215",
+        "704e8932db6bd25b579503906223e4c5c595757c200152384e9335970febcc35",
     "resumed/checkpoint_final.npz":
-        "4ad1bee3ef99105ab910b6a20b0fc266982af505cc49069b57ab5cc92a58e073",
+        "ce988293c9988e18e982e544e6067a3faab11d88e3aad946c83c96230654babc",
 }
 
 

@@ -30,16 +30,16 @@ from lrco.trainer import (
 # may differ without any change to the code.
 GOLDEN_DIGESTS = {
     "source_only": "5507ed935dbe97ef",
-    "baseline": "e20fff17a375550c",
-    "strong": "cc6284d03c866457",
-    "lrco": "bd1ad7d945619d08",
-    "mixlrco": "4d49afac178ba380",
-    "lrco,sample_selection=high": "fd8b431ba4625388",
-    "lrco,sample_selection=all": "b8e1bd7e5d1915b0",
-    "lrco,rerep_mode=raw": "489d93323fb2e133",
-    "mixlrco,sample_selection=high": "3ee48e442d062bb5",
-    "mixlrco,mixup_mode=no_dominance": "33fd34d249af3626",
-    "mixlrco,dynamic_tau=true": "c7dd27f6972e911d",
+    "baseline": "39a01c13e2536b7d",
+    "strong": "7e919a78788628b0",
+    "lrco": "5897b9317144a46c",
+    "mixlrco": "de77947a63a3402a",
+    "lrco,sample_selection=high": "6ecb78f553b6de56",
+    "lrco,sample_selection=all": "fe9804ad9bc889ee",
+    "lrco,rerep_mode=raw": "275897210d4f0298",
+    "mixlrco,sample_selection=high": "d0d9444cb21e222e",
+    "mixlrco,mixup_mode=no_dominance": "78dbf10fa82ced14",
+    "mixlrco,dynamic_tau=true": "abcb0488da7b56c2",
 }
 
 

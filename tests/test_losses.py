@@ -13,7 +13,7 @@ from lrco.losses import (
 )
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
-from lrco.numerics import SeededRng, sample_beta
+from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error, sample_beta
 from lrco.trainer import TrainConfig, prepare_step, step_objective
 
 
@@ -260,7 +260,8 @@ def test_re_represent_detach_blocks_classifier_gradient():
     rng = SeededRng(5)
     w = ad.Tensor(np.asarray(rng.normal(size=(3, 4))), requires_grad=True)
     f = ad.Tensor(np.asarray(rng.normal(size=(2, 4))), requires_grad=True)
-    out = ad.mean_last(ad.mean_last(re_represent_batch(f, w, t_re=0.5)))
+    keys, bank = unit_rows(rng, 2, 4), unit_rows(rng, 3, 4)
+    out = contrastive_batch(re_represent_batch(f, w, t_re=0.5), keys, bank, 0.3)
     out.backward()
     assert w.grad is None or np.all(w.grad == 0.0)
     assert f.grad is not None and np.any(f.grad != 0.0)
@@ -504,3 +505,133 @@ def test_losses_differentiable_through_tensors():
     loss = contrastive_batch(q, k, bank, 0.3)
     loss.backward()
     assert raw.grad is not None and np.all(np.isfinite(raw.grad))
+
+
+# --- the loss heads as graph nodes ---------------------------------------------------
+#
+# Each head is one node whose backward writes a closed-form gradient into its
+# one differentiable input: the probability rows, or the queries.
+
+def _probability_rows(rng, n, k):
+    logits = np.asarray(rng.normal(size=(n, k))) * 1.5
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _head_cases(seed=30, bank_rows=5):
+    """head name -> (build, x): build maps the head's differentiable input
+    (plain, a Tensor, or a (B, ...) stack) to the head's value; x is a
+    point to evaluate it at."""
+    rng = SeededRng(seed)
+    n, k, d = 4, 3, 5
+    p = _probability_rows(rng, n, k)
+    labels = np.array([2, 0, 0, 1])
+    q, keys, k_t, k_s = (unit_rows(rng, n, d) for _ in range(4))
+    lam = 0.5 + 0.5 * np.asarray(rng.uniform(size=n))
+    k_mix = lam[:, None] * k_t + (1.0 - lam)[:, None] * k_s
+    bank = unit_rows(rng, bank_rows, d) if bank_rows else np.zeros((0, d))
+    return {
+        "cross_entropy_batch": (lambda x: cross_entropy_batch(x, labels), p),
+        "entropy_alignment": (entropy_alignment, p),
+        "kld_uniform_batch": (kld_uniform_batch, p),
+        "contrastive_batch": (lambda x: contrastive_batch(x, keys, bank, 0.3), q),
+        "mixlrco_batch": (lambda x: mixlrco_batch(x, k_mix, k_t, k_s, bank, 0.3), q),
+    }
+
+
+CONTRASTIVE_HEADS = ("contrastive_batch", "mixlrco_batch")
+
+
+def _head_gradients(build, x, free):
+    """The head's gradient at x from its backward, and central differences
+    over the entries where free is True. A query head is differentiated
+    through normalize_rows, so every perturbed query stays a unit row."""
+    def f(stack):  # one stacked call over the 2P perturbed points
+        points = np.broadcast_to(x, (len(stack),) + x.shape).copy()
+        points[:, free] = stack
+        return build(points)
+
+    leaf = ad.Tensor(x.copy(), requires_grad=True)
+    build(leaf).backward()
+    return leaf.grad, finite_diff_grad(f, x[free])
+
+
+def _through_unit_rows(head, build):
+    return (lambda x: build(ad.normalize_rows(x))) if head in CONTRASTIVE_HEADS else build
+
+
+@pytest.mark.parametrize("head", sorted(_head_cases()))
+def test_head_gradient_in_the_smooth_region(head):
+    build, x = _head_cases()[head]
+    assert np.all(x > 1e-3) or head in CONTRASTIVE_HEADS  # far above LOG_FLOOR
+    analytic, numeric = _head_gradients(_through_unit_rows(head, build), x,
+                                        np.ones(x.shape, dtype=bool))
+    assert relative_grad_error(analytic, numeric) < 1e-7
+
+
+@pytest.mark.parametrize("head", ["cross_entropy_batch", "entropy_alignment",
+                                  "kld_uniform_batch"])
+def test_head_gradient_at_the_log_floor(head):
+    build, p = _head_cases()[head]
+    p = p.copy()
+    floored = np.zeros(p.shape, dtype=bool)
+    floored[0, 2] = floored[1, 0] = floored[3, 2] = True  # two of them labeled
+    p[floored] = [1e-15, 0.0, 1e-12]
+    grad, numeric = _head_gradients(build, p, ~floored)
+    assert relative_grad_error(grad[~floored], numeric) < 1e-7
+    if head == "entropy_alignment":
+        # p log max(p, floor) is p log(floor) there: the clamp's part is 0
+        np.testing.assert_array_equal(grad[floored], np.full(3, -np.log(1e-12) / 4))
+    else:
+        np.testing.assert_array_equal(grad[floored], np.zeros(3))
+
+
+def test_head_with_an_empty_bank():
+    cases = _head_cases(bank_rows=0)
+    # InfoNCE: the positive is the whole partition function
+    build, q = cases["contrastive_batch"]
+    leaf = ad.Tensor(q.copy(), requires_grad=True)
+    value = build(leaf)
+    value.backward()
+    assert float(value) == 0.0 and float(build(q)) == 0.0
+    np.testing.assert_array_equal(leaf.grad, np.zeros(q.shape))
+    # the mixed loss keeps its two endpoint keys in the denominator
+    build, q = cases["mixlrco_batch"]
+    analytic, numeric = _head_gradients(_through_unit_rows("mixlrco_batch", build), q,
+                                        np.ones(q.shape, dtype=bool))
+    assert relative_grad_error(analytic, numeric) < 1e-7
+
+
+@pytest.mark.parametrize("head", sorted(_head_cases()))
+def test_head_numpy_call_equals_graph_value(head):
+    build, x = _head_cases()[head]
+    plain = np.asarray(build(x))
+    node = build(ad.Tensor(x, requires_grad=True))
+    assert isinstance(node, ad.Tensor)
+    assert plain.shape == node.value.shape == ()
+    assert plain.tobytes() == node.value.tobytes()
+
+
+@pytest.mark.parametrize("head", sorted(_head_cases()))
+def test_head_numpy_path_accepts_a_stack_axis(head):
+    build, x = _head_cases()[head]
+    rng = SeededRng(31)
+    if head in CONTRASTIVE_HEADS:
+        stack = np.stack([unit_rows(rng, *x.shape) for _ in range(3)])
+    else:
+        stack = np.stack([_probability_rows(rng, *x.shape) for _ in range(3)])
+    stacked = build(stack)
+    assert stacked.shape == (3,)
+    for b in range(3):
+        assert stacked[b].tobytes() == np.asarray(build(stack[b])).tobytes()
+
+
+def test_contrastive_heads_write_only_into_the_queries():
+    rng = SeededRng(32)
+    q, keys, k_t, k_s, bank = (ad.Tensor(unit_rows(rng, 3, 4), requires_grad=True)
+                               for _ in range(5))
+    k_mix = ad.Tensor(0.5 * (k_t.value + k_s.value), requires_grad=True)
+    contrastive_batch(q, keys, bank.value, 0.3).backward()
+    mixlrco_batch(q, k_mix, k_t, k_s, bank.value, 0.3).backward()
+    assert q.grad is not None and np.any(q.grad != 0.0)
+    assert all(t.grad is None for t in (keys, k_t, k_s, k_mix))

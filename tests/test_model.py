@@ -251,8 +251,8 @@ def test_teacher_untouched_without_ema():
     x = np.asarray(SeededRng(1).normal(size=(3, 3)))
 
     def loss_fn(params):
-        from lrco.autodiff import mean_last
-        return mean_last(mean_last(features_of(params, x)))
+        from lrco.losses import entropy_alignment
+        return entropy_alignment(probs_of(params, features_of(params, x)))
 
     compute_gradients(m, loss_fn)
     assert np.array_equal(get_param_vector(teacher), before)

@@ -453,6 +453,39 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
     assert mixed == (2 if method == "mixlrco" else 0)  # the mix path ran
 
 
+# Graph nodes a training step builds (Tensor constructions, the parameter
+# leaves included) over three steps of tiny_setup at tau 0.999. Step 1 has an
+# empty bank, so no contrastive term is built on it. Each loss head and each
+# weighted sum of terms is one node; a new node per step shows up here.
+NODES_PER_STEP = {
+    "source_only": [16, 16, 16],
+    "baseline": [22, 22, 22],
+    "strong": [25, 25, 25],
+    "lrco": [25, 34, 34],
+    "mixlrco": [25, 35, 35],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_nodes_per_step_are_pinned(method, monkeypatch):
+    cfg, student, teacher, bank, *rest = tiny_setup(method=method)
+    velocities = init_velocities(student)
+    counts = []
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    for step in (1, 2, 3):
+        counts.append(0)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
+        train_step(student, teacher, bank, velocities, sb, cfg, 0.999, step)
+    assert counts == NODES_PER_STEP[method]
+    assert max(NODES_PER_STEP["mixlrco"]) <= 36
+
+
 def _all_nodes_topo_order(root):
     """The traversal that pushes every parent and skips those without a
     gradient when popped: the order the golden digests were recorded with."""
