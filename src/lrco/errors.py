@@ -28,4 +28,4 @@ class TrainingDivergedError(LrcoError):
 class InvalidRowsError(LrcoError, ValueError):
     """Rows break a loss or memory-bank input contract: a probability row is
     not a distribution, or a row is not unit-norm; a row holding NaN breaks
-    either. A ValueError too, as the checks raised before this class."""
+    either. It is also a ValueError, the type callers catch for bad input."""

@@ -4,8 +4,7 @@ All functions are pure and dual-dispatch. Called with plain numpy they return
 plain values; called with autodiff tensors they return graph nodes, so the
 trainer differentiates through them directly. Contrastive quantities are
 evaluated in the log domain via log-sum-exp; probabilities entering a log are
-clamped below at LOG_FLOOR = 1e-12, and the gradient is 0 where the clamp
-is active.
+clamped below at LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
 
 Each loss head (cross_entropy_batch, entropy_alignment, kld_uniform_batch,
 contrastive_batch, mixlrco_batch) is one graph node with a closed-form
