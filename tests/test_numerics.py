@@ -172,7 +172,7 @@ def _pcg_state(rng: SeededRng) -> dict:
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-def test_rng_words_seed_the_generator_seedsequence_of_the_tuple_seeds(seed):
+def test_rng_state_equals_seedsequence_of_the_entropy_tuple(seed):
     # SeedSequence((seed, *keys)) joins each int's little-endian uint32 words
     # (0 gives one zero word); seeding from the kept words gives its state
     root = SeededRng(seed)
