@@ -21,6 +21,8 @@ import numpy as np
 
 from . import numerics
 
+LOG_FLOOR = 1e-12
+
 
 class Tensor:
     """A value in the computation graph. Leaves with requires_grad accumulate grads."""
@@ -168,6 +170,34 @@ def tanh(a):
     return Tensor(y, (a,), lambda g: a.accumulate(g * (1.0 - y * y)))
 
 
+def log_clamped(a, floor: float = LOG_FLOOR):
+    """Elementwise log with the argument clamped below at floor.
+
+    The derivative is zero wherever the clamp is active, matching the locally
+    constant forward value there.
+    """
+    y = np.log(np.maximum(value_of(a), floor))
+    if not is_tensor(a):
+        return y
+
+    def backward_fn(g):
+        active = a.value > floor
+        a.accumulate(g * np.where(active, 1.0 / np.maximum(a.value, floor), 0.0))
+
+    return Tensor(y, (a,), backward_fn)
+
+
+def mean_last(a):
+    """Mean along the last axis: (n,) gives a scalar, (B, n) gives (B,)."""
+    v = value_of(a)
+    n = v.shape[-1]
+    # the ufunc loop and the division ndarray.mean runs, without its wrapper
+    y = np.asarray(np.add.reduce(v, axis=-1) / n)
+    if not is_tensor(a):
+        return y
+    return Tensor(y, (a,), lambda g: a.accumulate((g / n)[..., None]))
+
+
 def softmax_rows(a, temperature: float):
     """Temperature softmax along the last axis (1-D vector or rows of a matrix)."""
     t = float(temperature)
@@ -195,6 +225,62 @@ def normalize_rows(a):
         a.accumulate((g - inner * y) / norms)
 
     return Tensor(y, (a,), backward_fn)
+
+
+def logsumexp_rows(a):
+    """log(sum(exp(.))) along the last axis: (n, d) gives (n,)."""
+    y = numerics.logsumexp_last(value_of(a))
+    if not is_tensor(a):
+        return y
+
+    def backward_fn(g):
+        soft = numerics.softmax_last(a.value, 1.0)
+        a.accumulate(soft * g[..., None])
+
+    return Tensor(y, (a,), backward_fn)
+
+
+def rowwise_dot(a, b):
+    """Dot product along the last axis: (n, d) rows give (n,); a 1-D operand
+    broadcasts against every row."""
+    y = np.add.reduce(value_of(a) * value_of(b), axis=-1)
+    if not (is_tensor(a) or is_tensor(b)):
+        return y
+    a, b = _lift(a), _lift(b)
+
+    def backward_fn(g):
+        ge = g[..., None]
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(ge * a.value, b.value.shape))
+
+    return Tensor(y, (a, b), backward_fn)
+
+
+def hstack_cols(parts):
+    """Concatenate along the last axis; a part one axis short of the widest,
+    such as (n,) beside (n, m), becomes a column of width 1."""
+    values = [value_of(part) for part in parts]
+    ndim = max(v.ndim for v in values)
+    promoted = [v[..., None] if v.ndim < ndim else v for v in values]
+    y = np.concatenate(promoted, axis=-1)
+    if not any(is_tensor(p) for p in parts):
+        return y
+    tensors = [_lift(p) for p in parts]
+    widths = [p.shape[-1] for p in promoted]
+
+    def backward_fn(g):
+        offset = 0
+        for tensor, width in zip(tensors, widths):
+            if tensor.requires_grad:
+                piece = g[:, offset : offset + width]
+                if tensor.value.ndim == 1:
+                    piece = piece.reshape(-1)
+                tensor.accumulate(piece)
+            offset += width
+
+    return Tensor(y, tuple(tensors), backward_fn)
 
 
 def take_rows(a, idx):

@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .errors import InvalidRowsError
 from .numerics import SeededRng, logsumexp_last, norm_last, sample_beta, softmax_last
 
-LOG_FLOOR = 1e-12
+LOG_FLOOR = ad.LOG_FLOOR
 UNIT_NORM_TOL = 1e-6
 REREP_MODES = ("rerep", "raw")
 

@@ -78,6 +78,26 @@ def test_tanh():
     check_op_gradient(lambda a: ad.tanh(a), (4, 4))
 
 
+def test_log_clamped_smooth_region():
+    rng = SeededRng(1)
+    x = np.asarray(rng.uniform(size=(3, 3))) + 0.5  # well above the clamp
+    assert np.all(x - 1e-6 > ad.LOG_FLOOR)  # every finite-difference point too
+    check_op_gradient(lambda a: ad.log_clamped(a), x, seed=2)
+
+
+def test_log_clamped_at_floor_has_zero_grad():
+    t = ad.Tensor(np.array([1e-15, 0.5]), requires_grad=True)
+    out = ad.mean_last(ad.log_clamped(t))
+    out.backward()
+    assert t.grad[0] == 0.0  # clamped coordinate: locally constant
+    assert abs(t.grad[1] - 1.0) < 1e-12  # (1/2) * (1/0.5)
+
+
+def test_mean_last():
+    check_op_gradient(lambda a: ad.mean_last(a), (3, 5))
+    check_op_gradient(lambda a: ad.mean_last(a), (5,))
+
+
 def test_softmax_rows_with_temperature():
     check_op_gradient(lambda a: ad.softmax_rows(a, 0.7), (4, 6))
 
@@ -93,6 +113,17 @@ def test_normalize_rows_rejects_zero_row():
         ad.normalize_rows(bad)
 
 
+def test_logsumexp_rows():
+    check_op_gradient(lambda a: ad.logsumexp_rows(a), (4, 7))
+
+
+def test_rowwise_dot():
+    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (5, 4))
+    # a vector operand broadcasts against every row, on either side
+    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (4,), (5, 4))
+    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (4,))
+
+
 def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
@@ -102,6 +133,13 @@ def test_take_rows_repeated_indices_accumulate():
     # each of the 6 selected entries carries 1/6
     np.testing.assert_allclose(t.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]) / 6)
     check_op_gradient(lambda a: ad.take_rows(a, idx), (3, 4))
+
+
+def test_hstack_cols():
+    def build(a, b):
+        return ad.hstack_cols([a, b])
+
+    check_op_gradient(build, (4,), (4, 3))
 
 
 def test_detach_blocks_gradient():
@@ -191,8 +229,15 @@ DUAL_DISPATCH_CASES = {
     "matmul": (ad.matmul, (3, 4), (4, 5)),
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
     "tanh": (ad.tanh, (4, 4)),
+    "log_clamped": (ad.log_clamped, (3, 3)),
+    "mean_last": (ad.mean_last, (3, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
+    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
+    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
+    "rowwise_dot-1d_left": (ad.rowwise_dot, (4,), (5, 4)),
+    "rowwise_dot-1d_right": (ad.rowwise_dot, (5, 4), (4,)),
+    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows-repeated": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
     "detach": (ad.detach, (2, 3)),
 }
@@ -221,9 +266,14 @@ STACKED_CASES = {
     "matmul": (ad.matmul, (4, 3), (3, 5)),
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
     "tanh": (ad.tanh, (4, 4)),
+    "log_clamped": (ad.log_clamped, (3, 3)),
+    "mean_last": (ad.mean_last, (6,)),
     "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
+    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
+    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
+    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
 }
 
@@ -302,12 +352,34 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
     assert _same_bits(numerics.logsumexp_last(v),
                       np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
     assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
+    assert _same_bits(ad.mean_last(v), np.asarray(v.mean(axis=-1)))
+    w = _wrapper_inputs(22)[kind]
+    assert _same_bits(ad.rowwise_dot(v, w), np.sum(v * w, axis=-1))
+    row = w.reshape(-1, w.shape[-1])[0]  # a 1-D operand meets every row
+    assert _same_bits(ad.rowwise_dot(v, row), np.sum(v * row, axis=-1))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
 def test_backward_closures_keep_the_wrapper_formula_bits(kind):
-    v = _wrapper_inputs(23)[kind]
-    g_full = np.random.default_rng(25).normal(size=v.shape)
+    v, w = _wrapper_inputs(23)[kind], _wrapper_inputs(24)[kind]
+    rng = np.random.default_rng(25)
+    g_row = rng.normal(size=v.shape[:-1])  # the gradient of a per-row output
+    g_full = rng.normal(size=v.shape)
+    n = v.shape[-1]
+
+    old_mean = np.broadcast_to((g_row / n)[..., None], v.shape).copy()
+    assert _same_bits(_grad_through(ad.mean_last, v, g_row), old_mean + 0.0)
+
+    ge = np.expand_dims(g_row, -1)
+    assert _same_bits(_grad_through(ad.rowwise_dot, v, g_row, w),
+                      _old_unbroadcast(ge * w, v.shape) + 0.0)
+    row = w.reshape(-1, w.shape[-1])[0]
+    leaf = ad.Tensor(row, requires_grad=True)
+    ad.rowwise_dot(v, leaf).backward_fn(g_row)
+    assert _same_bits(leaf.grad, _old_unbroadcast(ge * v, row.shape) + 0.0)
+
+    soft = numerics.softmax_last(v, 1.0)
+    assert _same_bits(_grad_through(ad.logsumexp_rows, v, g_row), soft * ge + 0.0)
 
     y = numerics.softmax_last(v, 0.3)
     inner = np.sum(g_full * y, axis=-1, keepdims=True)
