@@ -240,49 +240,6 @@ def logsumexp_rows(a):
     return Tensor(y, (a,), backward_fn)
 
 
-def rowwise_dot(a, b):
-    """Dot product along the last axis: (n, d) rows give (n,); a 1-D operand
-    broadcasts against every row."""
-    y = np.add.reduce(value_of(a) * value_of(b), axis=-1)
-    if not (is_tensor(a) or is_tensor(b)):
-        return y
-    a, b = _lift(a), _lift(b)
-
-    def backward_fn(g):
-        ge = g[..., None]
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(ge * b.value, a.value.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(ge * a.value, b.value.shape))
-
-    return Tensor(y, (a, b), backward_fn)
-
-
-def hstack_cols(parts):
-    """Concatenate along the last axis; a part one axis short of the widest,
-    such as (n,) beside (n, m), becomes a column of width 1."""
-    values = [value_of(part) for part in parts]
-    ndim = max(v.ndim for v in values)
-    promoted = [v[..., None] if v.ndim < ndim else v for v in values]
-    y = np.concatenate(promoted, axis=-1)
-    if not any(is_tensor(p) for p in parts):
-        return y
-    tensors = [_lift(p) for p in parts]
-    widths = [p.shape[-1] for p in promoted]
-
-    def backward_fn(g):
-        offset = 0
-        for tensor, width in zip(tensors, widths):
-            if tensor.requires_grad:
-                piece = g[:, offset : offset + width]
-                if tensor.value.ndim == 1:
-                    piece = piece.reshape(-1)
-                tensor.accumulate(piece)
-            offset += width
-
-    return Tensor(y, tuple(tensors), backward_fn)
-
-
 def take_rows(a, idx):
     """Select rows by index (repeats allowed; gradients accumulate)."""
     idx = np.asarray(idx, dtype=np.int64)

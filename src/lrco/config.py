@@ -13,27 +13,27 @@ from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 from .data import AugmentSpec, BenchmarkSpec
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, within
 from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
 class ModelSection:
-    hidden_dims: tuple[int, ...] = (16,)
-    feature_dim: int = 8
+    hidden_dims: tuple[int, ...] = within("[1, inf)", (16,))
+    feature_dim: int = within("[2, inf)", 8)
 
-    def validate(self) -> None:
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
+    def validate(self, prefix: str = "") -> None:
+        check_domains(self, prefix)
+        if not self.hidden_dims:
             raise ConfigError("model.hidden_dims must be a nonempty tuple of sizes >= 1")
-        if self.feature_dim < 2:
-            raise ConfigError("model.feature_dim must be >= 2")
 
 
 @dataclass(frozen=True)
 class OutputSection:
     run_id: str = "run0"
 
-    def validate(self) -> None:
+    def validate(self, prefix: str = "") -> None:
+        check_domains(self, prefix)
         if not self.run_id or any(c in self.run_id for c in " ,/\\"):
             raise ConfigError("output.run_id must be nonempty without spaces or slashes")
 
@@ -47,13 +47,8 @@ class RunConfig:
     output: OutputSection
 
     def validate(self) -> None:
-        for section in ("data", "model", "train", "augment", "output"):
-            try:
-                getattr(self, section).validate()
-            except ValueError as exc:
-                # section dataclasses raise plain ValueError; at the config
-                # boundary everything surfaces as a ConfigError
-                raise ConfigError(f"{section}: {exc}") from exc
+        for f in fields(self):
+            getattr(self, f.name).validate(f"{f.name}.")
 
 
 def default_run_config() -> RunConfig:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import ConfigError, check_domains, within
 from .numerics import SeededRng
 
 
@@ -20,37 +21,26 @@ from .numerics import SeededRng
 class BenchmarkSpec:
     """Everything needed to regenerate a benchmark deterministically."""
 
-    n_classes: int = 5
-    input_dim: int = 2
-    n_per_class_source: int = 60
-    n_per_class_target: int = 60
-    n_labeled_target_per_class: int = 0
-    radius: float = 1.0
-    noise_sigma: float = 0.1
-    shift_angle_deg: float = 50.0
-    shift_translation: tuple[float, ...] = ()
-    seed: int = 0
+    n_classes: int = within("[2, inf)", 5)
+    input_dim: int = within("[2, inf)", 2)
+    n_per_class_source: int = within("[1, inf)", 60)
+    n_per_class_target: int = within("[1, inf)", 60)
+    n_labeled_target_per_class: int = within("[0, inf)", 0)
+    radius: float = within("(0, inf)", 1.0)
+    noise_sigma: float = within("(0, inf)", 0.1)
+    shift_angle_deg: float = within("(-inf, inf)", 50.0)
+    shift_translation: tuple[float, ...] = within("(-inf, inf)", ())
+    seed: int = within("[0, inf)", 0)
 
-    def validate(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.input_dim < 2:
-            raise ValueError("input_dim must be >= 2")
+    def validate(self, prefix: str = "") -> None:
+        check_domains(self, prefix)
         if self.input_dim > 2 and self.n_classes > self.input_dim:
-            raise ValueError(
+            raise ConfigError(
                 "above two dimensions the class centers form an orthonormal set, "
                 "which needs n_classes <= input_dim"
             )
-        if self.n_per_class_source < 1 or self.n_per_class_target < 1:
-            raise ValueError("per-class sample counts must be >= 1")
-        if self.n_labeled_target_per_class < 0:
-            raise ValueError("n_labeled_target_per_class must be >= 0")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not self.noise_sigma > 0:
-            raise ValueError("noise_sigma must be positive")
         if self.shift_translation and len(self.shift_translation) != self.input_dim:
-            raise ValueError("shift_translation must be empty or input_dim long")
+            raise ConfigError("shift_translation must be empty or input_dim long")
 
     def translation_vector(self) -> np.ndarray:
         if not self.shift_translation:
@@ -161,20 +151,15 @@ def generate_shift_benchmark(spec: BenchmarkSpec) -> ShiftBenchmark:
 class AugmentSpec:
     """Weak and strong view parameters."""
 
-    sigma_weak: float = 0.05
-    sigma_strong: float = 0.2
-    mask_prob: float = 0.1
-    scale_jitter: float = 0.1
+    sigma_weak: float = within("[0, inf)", 0.05)
+    sigma_strong: float = within("[0, inf)", 0.2)
+    mask_prob: float = within("[0, 1)", 0.1)
+    scale_jitter: float = within("[0, inf)", 0.1)
 
-    def validate(self) -> None:
-        if self.sigma_weak < 0:
-            raise ValueError("sigma_weak must be >= 0")
+    def validate(self, prefix: str = "") -> None:
+        check_domains(self, prefix)
         if self.sigma_strong < self.sigma_weak:
-            raise ValueError("sigma_strong must be >= sigma_weak")
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise ValueError("mask_prob must lie in [0, 1)")
-        if self.scale_jitter < 0:
-            raise ValueError("scale_jitter must be >= 0")
+            raise ConfigError("sigma_strong must be >= sigma_weak")
 
 
 def weak_augment(x, spec: AugmentSpec, rng: SeededRng) -> np.ndarray:

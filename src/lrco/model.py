@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, check_domains, within
 from .numerics import SeededRng
 
 
@@ -22,24 +22,15 @@ from .numerics import SeededRng
 class ModelConfig:
     """Architecture description used by init_model."""
 
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    feature_dim: int
-    n_classes: int
-    t_ce: float
-    t_re: float
+    input_dim: int = within("[1, inf)")
+    hidden_dims: tuple[int, ...] = within("[1, inf)")
+    feature_dim: int = within("[2, inf)")
+    n_classes: int = within("[2, inf)")
+    t_ce: float = within("(0, inf)")
+    t_re: float = within("(0, inf)")
 
     def validate(self) -> None:
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if not self.t_ce > 0 or not self.t_re > 0:
-            raise ValueError("temperatures must be positive")
+        check_domains(self)
 
 
 @dataclass

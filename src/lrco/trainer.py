@@ -22,7 +22,9 @@ from . import autodiff as ad
 from . import losses as L
 from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augment, weak_augment
 from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
-from .errors import ConfigError, DatasetFormatError, LrcoError, TrainingDivergedError
+from .errors import (
+    ConfigError, DatasetFormatError, LrcoError, TrainingDivergedError, check_domains, within,
+)
 from .membank import MemoryBank
 from .model import (
     ModelConfig, ModelState, clone_state, ema_update, features_of, init_model,
@@ -48,78 +50,42 @@ class TrainConfig:
     """Hyperparameters of one run. Defaults are the settings the recorded
     benchmark numbers were measured with."""
 
-    method: str = "mixlrco"
-    tau: float = 0.9
-    t_ce: float = 0.05
-    t_re: float | None = None
-    t_co: float = 0.3
-    bank_capacity: int = 512
-    lambda_co: float = 0.5
-    lambda_kld: float = 0.1
-    lambda_align: float = 0.1
-    alpha: float = 1.0
-    ema_decay: float = 0.99
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_labeled: int = 32
-    batch_unlabeled: int = 32
-    total_steps: int = 600
-    eval_interval: int = 100
-    checkpoint_interval: int = 0
-    seed: int = 0
-    sample_selection: str = "low"
-    rerep_mode: str = "rerep"
-    mixup_mode: str = "dominant"
+    method: str = within(METHODS, "mixlrco")
+    tau: float = within("(0, 1)", 0.9)
+    t_ce: float = within("(0, inf)", 0.05)
+    t_re: float | None = within("(0, inf)", None)
+    t_co: float = within("(0, inf)", 0.3)
+    bank_capacity: int = within("[1, inf)", 512)
+    lambda_co: float = within("[0, inf)", 0.5)
+    lambda_kld: float = within("[0, inf)", 0.1)
+    lambda_align: float = within("[0, inf)", 0.1)
+    alpha: float = within("(0, inf)", 1.0)
+    ema_decay: float = within("[0, 1)", 0.99)
+    learning_rate: float = within("(0, inf)", 0.01)
+    momentum: float = within("[0, 1)", 0.9)
+    batch_labeled: int = within("[1, inf)", 32)
+    batch_unlabeled: int = within("[1, inf)", 32)
+    total_steps: int = within("[0, inf)", 600)
+    eval_interval: int = within("[1, inf)", 100)
+    checkpoint_interval: int = within("[0, inf)", 0)
+    seed: int = within("[0, inf)", 0)
+    sample_selection: str = within(SAMPLE_SELECTIONS, "low")
+    rerep_mode: str = within(REREP_MODES, "rerep")
+    mixup_mode: str = within(MIXUP_MODES, "dominant")
     dynamic_tau: bool = False
-    tau_band: tuple[float, float] = (0.6, 0.8)
-    tau_step: float = 0.005
-    tau_bounds: tuple[float, float] = (0.93, 0.98)
+    tau_band: tuple[float, float] = within("[0, 1]", (0.6, 0.8))
+    tau_step: float = within("(0, inf)", 0.005)
+    tau_bounds: tuple[float, float] = within("(0, 1)", (0.93, 0.98))
 
     def resolved_t_re(self) -> float:
         return self.t_ce if self.t_re is None else self.t_re
 
-    def validate(self) -> None:
-        for name, allowed in (("method", METHODS), ("sample_selection", SAMPLE_SELECTIONS),
-                              ("rerep_mode", REREP_MODES), ("mixup_mode", MIXUP_MODES)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"unknown {name} {value!r}; choose from {allowed}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError("tau must lie in (0, 1)")
-        for name in ("t_ce", "t_co"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.resolved_t_re() > 0:
-            raise ConfigError("t_re must be positive")
-        if self.bank_capacity < 1:
-            raise ConfigError("bank_capacity must be >= 1")
-        for name in ("lambda_co", "lambda_kld", "lambda_align"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ConfigError("ema_decay must lie in [0, 1)")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.batch_labeled < 1 or self.batch_unlabeled < 1:
-            raise ConfigError("batch sizes must be >= 1")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps must be >= 0")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be >= 0")
-        lo, hi = self.tau_band
-        if not 0.0 <= lo < hi <= 1.0:
+    def validate(self, prefix: str = "") -> None:
+        check_domains(self, prefix)
+        if not self.tau_band[0] < self.tau_band[1]:
             raise ConfigError("tau_band must satisfy 0 <= low < high <= 1")
-        bmin, bmax = self.tau_bounds
-        if not 0.0 < bmin < bmax < 1.0:
+        if not self.tau_bounds[0] < self.tau_bounds[1]:
             raise ConfigError("tau_bounds must satisfy 0 < min < max < 1")
-        if not self.tau_step > 0:
-            raise ConfigError("tau_step must be positive")
         if self.dynamic_tau and self.method not in PSEUDO_LABEL_METHODS:
             raise ConfigError(f"dynamic_tau needs a method that reads tau, one of "
                               f"{PSEUDO_LABEL_METHODS}; {self.method!r} does not")

@@ -117,13 +117,6 @@ def test_logsumexp_rows():
     check_op_gradient(lambda a: ad.logsumexp_rows(a), (4, 7))
 
 
-def test_rowwise_dot():
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (5, 4))
-    # a vector operand broadcasts against every row, on either side
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (4,), (5, 4))
-    check_op_gradient(lambda a, b: ad.rowwise_dot(a, b), (5, 4), (4,))
-
-
 def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
@@ -133,13 +126,6 @@ def test_take_rows_repeated_indices_accumulate():
     # each of the 6 selected entries carries 1/6
     np.testing.assert_allclose(t.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]) / 6)
     check_op_gradient(lambda a: ad.take_rows(a, idx), (3, 4))
-
-
-def test_hstack_cols():
-    def build(a, b):
-        return ad.hstack_cols([a, b])
-
-    check_op_gradient(build, (4,), (4, 3))
 
 
 def test_detach_blocks_gradient():
@@ -234,10 +220,6 @@ DUAL_DISPATCH_CASES = {
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
     "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
-    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
-    "rowwise_dot-1d_left": (ad.rowwise_dot, (4,), (5, 4)),
-    "rowwise_dot-1d_right": (ad.rowwise_dot, (5, 4), (4,)),
-    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows-repeated": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
     "detach": (ad.detach, (2, 3)),
 }
@@ -272,8 +254,6 @@ STACKED_CASES = {
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
     "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
-    "rowwise_dot": (ad.rowwise_dot, (5, 4), (5, 4)),
-    "hstack_cols-1d_part": (lambda a, b: ad.hstack_cols([a, b]), (4,), (4, 3)),
     "take_rows": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
 }
 
@@ -353,15 +333,11 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
                       np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
     assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
     assert _same_bits(ad.mean_last(v), np.asarray(v.mean(axis=-1)))
-    w = _wrapper_inputs(22)[kind]
-    assert _same_bits(ad.rowwise_dot(v, w), np.sum(v * w, axis=-1))
-    row = w.reshape(-1, w.shape[-1])[0]  # a 1-D operand meets every row
-    assert _same_bits(ad.rowwise_dot(v, row), np.sum(v * row, axis=-1))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
 def test_backward_closures_keep_the_wrapper_formula_bits(kind):
-    v, w = _wrapper_inputs(23)[kind], _wrapper_inputs(24)[kind]
+    v = _wrapper_inputs(23)[kind]
     rng = np.random.default_rng(25)
     g_row = rng.normal(size=v.shape[:-1])  # the gradient of a per-row output
     g_full = rng.normal(size=v.shape)
@@ -370,15 +346,8 @@ def test_backward_closures_keep_the_wrapper_formula_bits(kind):
     old_mean = np.broadcast_to((g_row / n)[..., None], v.shape).copy()
     assert _same_bits(_grad_through(ad.mean_last, v, g_row), old_mean + 0.0)
 
-    ge = np.expand_dims(g_row, -1)
-    assert _same_bits(_grad_through(ad.rowwise_dot, v, g_row, w),
-                      _old_unbroadcast(ge * w, v.shape) + 0.0)
-    row = w.reshape(-1, w.shape[-1])[0]
-    leaf = ad.Tensor(row, requires_grad=True)
-    ad.rowwise_dot(v, leaf).backward_fn(g_row)
-    assert _same_bits(leaf.grad, _old_unbroadcast(ge * v, row.shape) + 0.0)
-
     soft = numerics.softmax_last(v, 1.0)
+    ge = np.expand_dims(g_row, -1)
     assert _same_bits(_grad_through(ad.logsumexp_rows, v, g_row), soft * ge + 0.0)
 
     y = numerics.softmax_last(v, 0.3)

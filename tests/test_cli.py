@@ -385,6 +385,7 @@ def test_every_documented_exit_code(tmp_path, capsys):
         (EXIT_USAGE, ["eval"], "required: --checkpoint"),
         (EXIT_USAGE, ["gradcheck", "--instances", "0"], "argument --instances: must be >= 1"),
         (EXIT_USAGE, ["gradcheck", "--instances", "-3"], "argument --instances: must be >= 1"),
+        (EXIT_USAGE, ["gradcheck", "--seed", "-1"], "argument --seed: must be >= 0"),
         (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
          "error: missing-file:"),
         (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
@@ -428,18 +429,23 @@ def test_invalid_config_exits_4(tmp_path, capsys):
     code = run_cli("train", "--out", str(tmp_path / "o"), "--config", str(bad))
     assert code == EXIT_INVALID_CONFIG
     assert "error: invalid-config:" in capsys.readouterr().err
-    code = run_cli("gen-data", "--out", str(tmp_path / "d"),
-                   "--set", "data.n_classes=1")
-    assert code == EXIT_INVALID_CONFIG
-    capsys.readouterr()
+    for setting in ("data.n_classes=1", "data.seed=-1"):
+        out = tmp_path / setting
+        assert run_cli("gen-data", "--out", str(out), "--set", setting) == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-config: {setting.split('=')[0]} must lie in ")
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_removed_config_values_exit_4(tmp_path, capsys):
     for setting, message in (("train.rerep_mode=rerep_nodetach",
-                              "choose from ('rerep', 'raw')"),
+                              "train.rerep_mode must be one of ('rerep', 'raw'), "
+                              "got 'rerep_nodetach'"),
                              ("train.mixup_mode=high_confidence",
-                              "choose from ('dominant', 'no_dominance')"),
-                             ("model.feature_dim=1", "model.feature_dim must be >= 2")):
+                              "train.mixup_mode must be one of ('dominant', 'no_dominance'), "
+                              "got 'high_confidence'"),
+                             ("model.feature_dim=1",
+                              "model.feature_dim must lie in [2, inf), got 1")):
         out = tmp_path / setting
         assert run_cli("train", "--out", str(out), *FAST, "--set", setting) \
             == EXIT_INVALID_CONFIG

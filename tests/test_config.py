@@ -1,10 +1,17 @@
+import math
+import re
+import string
 from dataclasses import fields, make_dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lrco.cli import EXIT_INVALID_CONFIG, main
 from lrco.config import (
-    FIELD_PARSERS, _section_parsers, apply_overrides, canonical_text, config_hash,
-    default_run_config, dynamics_hash, load_config, parse_config_text,
+    FIELD_PARSERS, _render_value, _section_parsers, apply_overrides, canonical_text,
+    config_hash, default_run_config, dynamics_hash, load_config, parse_config_text,
 )
 from lrco.errors import ConfigError
 
@@ -123,10 +130,11 @@ def test_dynamics_hash_ignores_run_length_only():
 
 def test_invalid_section_values_surface_as_config_errors():
     bad = apply_overrides(default_run_config(), ["data.n_classes=1"])
-    with pytest.raises(ConfigError, match="data:"):
+    with pytest.raises(ConfigError, match=re.escape("data.n_classes must lie in [2, inf), got 1")):
         bad.validate()
     bad = apply_overrides(default_run_config(), ["augment.mask_prob=1.5"])
-    with pytest.raises(ConfigError, match="augment:"):
+    with pytest.raises(ConfigError,
+                       match=re.escape("augment.mask_prob must lie in [0, 1), got 1.5")):
         bad.validate()
 
 
@@ -145,3 +153,124 @@ def test_field_parsers_follow_the_dataclass_fields():
     assert sum(len(p) for p in FIELD_PARSERS.values()) == 43
     with pytest.raises(TypeError, match="no config parser for Odd.when"):
         _section_parsers(make_dataclass("Odd", [("when", "datetime")]))
+
+
+# Field domains ---------------------------------------------------------------------
+
+KEYS = [f"{section}.{name}" for section, parsers in FIELD_PARSERS.items() for name in parsers]
+# The keys with no declared domain: a switch, and a name with its own
+# character rule (OutputSection.validate).
+UNCONSTRAINED = {"train.dynamic_tau", "output.run_id"}
+# Overrides that keep the cross-field rules satisfied while one key takes
+# any value inside its domain.
+PARTNERS = {
+    "augment.sigma_weak": lambda text: [f"augment.sigma_strong={text}"],
+    "augment.sigma_strong": lambda text: ["augment.sigma_weak=0"],
+    "data.n_classes": lambda text: [f"data.input_dim={text}"],
+    "data.input_dim": lambda text: ["data.n_classes=2"],
+}
+
+
+def _entry_cases(domain, annotation):
+    """For one entry of a field: the values just inside its domain, the values
+    just outside it, and strategies for any value inside and outside."""
+    if isinstance(domain, tuple):
+        unknown = st.text(string.ascii_lowercase + "_", min_size=1, max_size=12)
+        return (list(domain), [domain[0] + "x", domain[0].upper()], st.sampled_from(domain),
+                unknown.filter(lambda text: text not in domain))
+    low, high = (float(end) for end in domain[1:-1].split(","))
+    closed_low, closed_high = domain[0] == "[", domain[-1] == "]"
+    if "int" in annotation:  # every int domain is [k, inf)
+        assert closed_low and high == math.inf, domain
+        return ([int(low)], [int(low) - 1], st.integers(min_value=int(low)),
+                st.integers(max_value=int(low) - 1))
+    up, down = math.inf, -math.inf
+    inside_low = low if closed_low else math.nextafter(low, up)
+    inside_high = high if closed_high else math.nextafter(high, down)
+    outside_low = math.nextafter(low, down) if closed_low else low
+    outside_high = math.nextafter(high, up) if closed_high else high
+    outside = [outside_low, outside_high, math.nan]
+    return ([inside_low, inside_high], outside, st.floats(inside_low, inside_high),
+            st.sampled_from(outside) | st.floats(max_value=outside_low)
+            | st.floats(min_value=outside_high))
+
+
+@pytest.mark.parametrize("key", [key for key in KEYS if key not in UNCONSTRAINED])
+def test_every_field_takes_its_domain_and_refuses_the_rest(key, tmp_path, capsys):
+    section, name = key.split(".")
+    obj = getattr(default_run_config(), section)
+    f = next(f for f in fields(obj) if f.name == name)
+    default = getattr(obj, name)
+    inside, outside, any_inside, any_outside = _entry_cases(f.metadata["domain"], f.type)
+    out = tmp_path / "out"
+
+    def accepts(value):
+        text = _render_value(value)
+        partners = PARTNERS[key](text) if key in PARTNERS else []
+        apply_overrides(default_run_config(), [f"{key}={text}", *partners]).validate()
+
+    def refuses(value):
+        code = main(["train", "--out", str(out), "--set", f"{key}={_render_value(value)}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID_CONFIG, err
+        assert err.startswith(f"error: invalid-config: {key} must ") and "Traceback" not in err
+        assert not out.exists()
+
+    if isinstance(default, tuple):
+        base = default or (0.0,) * default_run_config().data.input_dim
+        n = len(base)
+        inside = [(v,) for v in inside] if n == 1 else [(inside[0], *base[1:-1], inside[-1])]
+        outside = [(v, *base[1:]) for v in outside]
+        # distinct sorted entries keep a pair increasing
+        any_inside = st.lists(any_inside, min_size=n, max_size=n, unique=True).map(
+            lambda entries: tuple(sorted(entries)))
+        any_outside = st.tuples(any_outside, st.integers(0, n - 1)).map(
+            lambda bad: base[:bad[1]] + (bad[0],) + base[bad[1] + 1:])
+    elif "None" in f.type:
+        inside = [*inside, None]
+
+    for value in inside:
+        accepts(value)
+    for value in outside:
+        refuses(value)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def anywhere(data):
+        accepts(data.draw(any_inside, label="inside"))
+        refuses(data.draw(any_outside, label="outside"))
+
+    anywhere()
+
+
+def _readme_cell(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_readme_cell(v) for v in value)
+    return str(value)
+
+
+def _readme_domain(f) -> str:
+    domain = f.metadata.get("domain")
+    if domain is None:
+        return "any"
+    text = (", ".join(f"`{choice}`" for choice in domain) if isinstance(domain, tuple)
+            else f"`{domain}`")
+    if f.type.startswith("tuple"):
+        text = f"each entry in {text}"
+    return text + " or `none`" if "None" in f.type else text
+
+
+def test_readme_config_table_follows_the_field_domains():
+    cfg = default_run_config()
+    rows = ["| key | default | domain |", "|---|---|---|"]
+    for section in FIELD_PARSERS:
+        for f in fields(getattr(cfg, section)):
+            default = _readme_cell(getattr(getattr(cfg, section), f.name))
+            rows.append(f"| `{section}.{f.name}` | {f'`{default}`' if default else 'empty'} "
+                        f"| {_readme_domain(f)} |")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert "\n".join(rows) + "\n" in readme, "\n".join(rows)
