@@ -101,8 +101,39 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _lift(x) -> Tensor:
+def lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
+
+
+# Backward formulas of softmax_rows and normalize_rows. The fused nodes of the
+# cosine heads (model.probs_of, losses.re_represent_batch) replay those ops'
+# chains with them, so a fused node keeps the chain's bits.
+
+def positive_temperature(temperature) -> float:
+    t = float(temperature)
+    if not t > 0:
+        raise ValueError("temperature must be positive")
+    return t
+
+
+def softmax_grad(g, y, t: float) -> np.ndarray:
+    """What softmax_rows passes to its input when its output y gets g."""
+    inner = np.add.reduce(g * y, axis=-1, keepdims=True)
+    return y * (g - inner) / t
+
+
+def normalize_grad(g, y, norms) -> np.ndarray:
+    """What normalize_rows passes to its input when its output y, the rows
+    divided by norms, gets g."""
+    inner = np.add.reduce(g * y, axis=-1, keepdims=True)
+    return (g - inner * y) / norms
+
+
+def first_grad(g: np.ndarray) -> np.ndarray:
+    """g + 0.0, in place: the bits of a node's gradient after its first
+    accumulate (-0.0 becomes +0.0). g must be a fresh array of the node's
+    shape."""
+    return np.add(g, 0.0, out=g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -120,7 +151,7 @@ def add(a, b):
     y = value_of(a) + value_of(b)
     if not (is_tensor(a) or is_tensor(b)):
         return y
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
 
     def backward_fn(g):
         a.accumulate(_unbroadcast(g, a.value.shape))
@@ -138,7 +169,7 @@ def weighted_sum(pairs):
         y = y + value_of(x) * w
     if not any(is_tensor(x) for x, _ in pairs):
         return y
-    pairs = [(_lift(x), w) for x, w in pairs]
+    pairs = [(lift(x), w) for x, w in pairs]
 
     def backward_fn(g):
         for x, w in pairs:
@@ -152,7 +183,7 @@ def matmul(a, b, transpose_b: bool = False):
     y = value_of(a) @ (bv.mT if transpose_b else bv)
     if not (is_tensor(a) or is_tensor(b)):
         return y
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -187,31 +218,13 @@ def log_clamped(a, floor: float = LOG_FLOOR):
     return Tensor(y, (a,), backward_fn)
 
 
-def mean_last(a):
-    """Mean along the last axis: (n,) gives a scalar, (B, n) gives (B,)."""
-    v = value_of(a)
-    n = v.shape[-1]
-    # the ufunc loop and the division ndarray.mean runs, without its wrapper
-    y = np.asarray(np.add.reduce(v, axis=-1) / n)
-    if not is_tensor(a):
-        return y
-    return Tensor(y, (a,), lambda g: a.accumulate((g / n)[..., None]))
-
-
 def softmax_rows(a, temperature: float):
     """Temperature softmax along the last axis (1-D vector or rows of a matrix)."""
-    t = float(temperature)
-    if not t > 0:
-        raise ValueError("temperature must be positive")
+    t = positive_temperature(temperature)
     y = numerics.softmax_last(value_of(a), t)
     if not is_tensor(a):
         return y
-
-    def backward_fn(g):
-        inner = np.add.reduce(g * y, axis=-1, keepdims=True)
-        a.accumulate(y * (g - inner) / t)
-
-    return Tensor(y, (a,), backward_fn)
+    return Tensor(y, (a,), lambda g: a.accumulate(softmax_grad(g, y, t)))
 
 
 def normalize_rows(a):
@@ -219,25 +232,7 @@ def normalize_rows(a):
     y, norms = numerics.unit_last(value_of(a))
     if not is_tensor(a):
         return y
-
-    def backward_fn(g):
-        inner = np.add.reduce(g * y, axis=-1, keepdims=True)
-        a.accumulate((g - inner * y) / norms)
-
-    return Tensor(y, (a,), backward_fn)
-
-
-def logsumexp_rows(a):
-    """log(sum(exp(.))) along the last axis: (n, d) gives (n,)."""
-    y = numerics.logsumexp_last(value_of(a))
-    if not is_tensor(a):
-        return y
-
-    def backward_fn(g):
-        soft = numerics.softmax_last(a.value, 1.0)
-        a.accumulate(soft * g[..., None])
-
-    return Tensor(y, (a,), backward_fn)
+    return Tensor(y, (a,), lambda g: a.accumulate(normalize_grad(g, y, norms)))
 
 
 def take_rows(a, idx):

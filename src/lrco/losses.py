@@ -26,7 +26,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidRowsError
-from .numerics import SeededRng, logsumexp_last, norm_last, sample_beta, softmax_last
+from .numerics import (
+    SeededRng, logsumexp_last, norm_last, sample_beta, softmax_last, unit_last,
+)
 
 LOG_FLOOR = ad.LOG_FLOOR
 UNIT_NORM_TOL = 1e-6
@@ -143,20 +145,31 @@ def re_represent_batch(f_rows, classifier, t_re: float):
 
     Args:
         f_rows: raw feature rows (batch or single row matrix).
-        classifier: classifier weight matrix, one raw row per class. It is
-            detached: no gradient flows into the classifier through this
+        classifier: classifier weight matrix, one raw row per class. It is a
+            constant: no gradient flows into the classifier through this
             path; only the feature side learns.
         t_re: attention temperature.
 
     Returns unit-normalized re-represented rows living in the row space of
-    the classifier matrix.
+    the classifier matrix. One graph node whose only parent is f_rows; its
+    backward replays the op chain normalize_rows, matmul(transpose_b),
+    softmax_rows, matmul, normalize_rows with the same expressions.
     """
-    w = ad.detach(classifier)
-    attention = ad.softmax_rows(
-        ad.matmul(ad.normalize_rows(f_rows), ad.normalize_rows(w), transpose_b=True),
-        t_re,
-    )
-    return ad.normalize_rows(ad.matmul(attention, w))
+    w = ad.value_of(classifier)
+    f_unit, f_norms = unit_last(ad.value_of(f_rows))
+    w_unit = unit_last(w)[0]
+    t = ad.positive_temperature(t_re)
+    attention = softmax_last(f_unit @ w_unit.mT, t)
+    y, r_norms = unit_last(attention @ w)
+    if not ad.is_tensor(f_rows):
+        return y
+
+    def backward_fn(g):
+        g_att = ad.first_grad(ad.first_grad(ad.normalize_grad(g, y, r_norms)) @ w.T)
+        g_cos = ad.first_grad(ad.softmax_grad(g_att, attention, t))
+        f_rows.accumulate(ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms))
+
+    return ad.Tensor(y, (f_rows,), backward_fn)
 
 
 def contrast_rows(f_rows, classifier, t_re: float, mode: str):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeMismatchError, check_domains, within
-from .numerics import SeededRng
+from .numerics import SeededRng, softmax_last, unit_last
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,32 @@ def features_of(model_like, x_rows):
 
 
 def probs_of(model_like, feature_rows):
-    """Cosine-head class probabilities for a batch of raw features."""
-    w_norm = ad.normalize_rows(model_like.classifier)
-    logits = ad.matmul(ad.normalize_rows(feature_rows), w_norm, transpose_b=True)
-    return ad.softmax_rows(logits, model_like.t_ce)
+    """Cosine-head class probabilities for a batch of raw features: the
+    temperature-t_ce softmax of the cosines between each feature row and each
+    classifier row.
+
+    One graph node, whose value serves both dispatch paths and the numpy
+    stack axis. Its backward replays the op chain normalize_rows (classifier
+    and features), matmul(transpose_b), softmax_rows with the same
+    expressions, into the feature rows and the classifier.
+    """
+    classifier = model_like.classifier
+    w_unit, w_norms = unit_last(ad.value_of(classifier))
+    f_unit, f_norms = unit_last(ad.value_of(feature_rows))
+    t = ad.positive_temperature(model_like.t_ce)
+    y = softmax_last(f_unit @ w_unit.mT, t)
+    if not (ad.is_tensor(feature_rows) or ad.is_tensor(classifier)):
+        return y
+    f, w = ad.lift(feature_rows), ad.lift(classifier)
+
+    def backward_fn(g):
+        g_cos = ad.first_grad(ad.softmax_grad(g, y, t))
+        if f.requires_grad:
+            f.accumulate(ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms))
+        if w.requires_grad:
+            w.accumulate(ad.normalize_grad(ad.first_grad(g_cos.T @ f_unit), w_unit, w_norms))
+
+    return ad.Tensor(y, (f, w), backward_fn)
 
 
 def lift_params(m: ModelState) -> ParamTensors:
@@ -229,7 +251,8 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
 
 
 def states_allclose(a: ModelState, b: ModelState) -> bool:
-    """Whether two states have equal shapes and equal values."""
+    """Whether two states have equal shapes and equal values. Only tests
+    call it; the acceptance suite imports it from this module."""
     x, y = state_arrays(a), state_arrays(b)
     return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
 
@@ -239,5 +262,5 @@ __all__ = [
     "init_model", "clone_state", "features_of", "probs_of",
     "lift_params", "tape_from", "compute_gradients", "ema_update",
     "get_param_vector", "with_param_vector", "state_arrays",
-    "state_from_arrays", "states_allclose",
+    "state_from_arrays",
 ]

@@ -4,7 +4,11 @@ import pytest
 from lrco import autodiff as ad
 from lrco import numerics
 from lrco.errors import DegenerateFeatureError
-from lrco.losses import entropy_alignment
+from lrco.losses import entropy_alignment, re_represent_batch
+from lrco.model import (
+    ModelConfig, ParamTensors, features_of, get_param_vector, init_model, lift_params,
+    probs_of, tape_from, with_param_vector,
+)
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
 
@@ -87,15 +91,10 @@ def test_log_clamped_smooth_region():
 
 def test_log_clamped_at_floor_has_zero_grad():
     t = ad.Tensor(np.array([1e-15, 0.5]), requires_grad=True)
-    out = ad.mean_last(ad.log_clamped(t))
+    out = probe_sum(ad.log_clamped(t), 0.5)
     out.backward()
     assert t.grad[0] == 0.0  # clamped coordinate: locally constant
     assert abs(t.grad[1] - 1.0) < 1e-12  # (1/2) * (1/0.5)
-
-
-def test_mean_last():
-    check_op_gradient(lambda a: ad.mean_last(a), (3, 5))
-    check_op_gradient(lambda a: ad.mean_last(a), (5,))
 
 
 def test_softmax_rows_with_temperature():
@@ -111,10 +110,6 @@ def test_normalize_rows_rejects_zero_row():
     bad[0] = [1.0, 0.0, 0.0]
     with pytest.raises(DegenerateFeatureError):
         ad.normalize_rows(bad)
-
-
-def test_logsumexp_rows():
-    check_op_gradient(lambda a: ad.logsumexp_rows(a), (4, 7))
 
 
 def test_take_rows_repeated_indices_accumulate():
@@ -206,6 +201,107 @@ def test_composite_network_gradient():
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
 
+# The cosine heads are one node each. Each must equal, bit for bit, the op
+# chain it replaces: its value on plain arrays, on the numpy stack axis and in
+# the graph, and the gradient of every leaf behind it.
+
+def probs_chain(model_like, feature_rows):
+    w_norm = ad.normalize_rows(model_like.classifier)
+    logits = ad.matmul(ad.normalize_rows(feature_rows), w_norm, transpose_b=True)
+    return ad.softmax_rows(logits, model_like.t_ce)
+
+
+def re_represent_chain(f_rows, classifier, t_re):
+    w = ad.detach(classifier)
+    attention = ad.softmax_rows(
+        ad.matmul(ad.normalize_rows(f_rows), ad.normalize_rows(w), transpose_b=True), t_re)
+    return ad.normalize_rows(ad.matmul(attention, w))
+
+
+HEADS = {
+    "probs_of": (probs_of, probs_chain),
+    "re_represent_batch": (lambda m, f: re_represent_batch(f, m.classifier, m.t_re),
+                           lambda m, f: re_represent_chain(f, m.classifier, m.t_re)),
+}
+
+
+def _head_setup(seed):
+    cfg = ModelConfig(input_dim=3, hidden_dims=(6,), feature_dim=5, n_classes=4,
+                      t_ce=0.05, t_re=0.3)
+    m = init_model(cfg, SeededRng(seed))
+    x = np.asarray(SeededRng(seed + 1).normal(size=(7, 3)))
+    return m, x
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_fused_head_equals_its_op_chain_on_plain_arrays(head):
+    fused, chain = HEADS[head]
+    m, x = _head_setup(30)
+    feats = features_of(m, x)
+    assert _same_bits(fused(m, feats), chain(m, feats))
+    # the numpy stack axis: stacked parameters, and stacked rows against a
+    # shared classifier
+    stack = get_param_vector(m) + np.asarray(SeededRng(31).normal(size=(3, 1))) * 0.1
+    stacked = with_param_vector(m, stack)
+    stacked_feats = features_of(stacked, x)
+    assert _same_bits(fused(stacked, stacked_feats), chain(stacked, stacked_feats))
+    assert _same_bits(fused(m, stacked_feats), chain(m, stacked_feats))
+    for b in range(3):
+        single = with_param_vector(m, stack[b])
+        assert _same_bits(fused(stacked, stacked_feats)[b],
+                          fused(single, features_of(single, x)))
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_fused_head_equals_its_op_chain_in_the_graph(head):
+    # the feature rows feed the head twice, through two row selections, and a
+    # third consumer, so their gradient sums in the order the chain gave it
+    fused, chain = HEADS[head]
+    m, x = _head_setup(32)
+    idx = np.array([0, 2, 3, 3, 6])
+    weights = np.asarray(SeededRng(33).normal(size=(12, 4 if head == "probs_of" else 5)))
+
+    def run(build):
+        params = lift_params(m)
+        feats = features_of(params, x)
+        out = build(params, feats)
+        picked = build(params, ad.take_rows(feats, idx))
+        loss = ad.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
+                                (probe_sum(picked, weights[7:]), 0.5),
+                                (probe_sum(feats, 0.01), 1.0)))
+        loss.backward()
+        return out, tape_from(params)
+
+    out_f, grads_f = run(fused)
+    out_c, grads_c = run(chain)
+    assert _same_bits(out_f.value, out_c.value)
+    assert list(grads_f) == list(grads_c)
+    for name in grads_f:
+        assert _same_bits(grads_f[name], grads_c[name]), name
+    if head == "re_represent_batch":
+        assert not np.any(grads_f["classifier"])
+
+
+def _head_params(classifier, t):
+    return ParamTensors(weights=[], biases=[], classifier=classifier, t_ce=t, t_re=t)
+
+
+def test_probs_of_gradient_reaches_features_and_classifier():
+    check_op_gradient(lambda f, w: probs_of(_head_params(w, 0.4), f), (6, 5), (4, 5),
+                      seed=34)
+
+
+def test_re_represent_gradient_reaches_the_features_only():
+    w = np.asarray(SeededRng(35).normal(size=(4, 5)))
+    check_op_gradient(lambda f: re_represent_batch(f, w, 0.3), (6, 5), seed=36)
+    f = ad.Tensor(np.asarray(SeededRng(37).normal(size=(6, 5))), requires_grad=True)
+    w_leaf = ad.Tensor(w, requires_grad=True)
+    node = re_represent_batch(f, w_leaf, 0.3)
+    assert node.parents == (f,)
+    probe_sum(node, 1.0).backward()
+    assert w_leaf.grad is None and np.any(f.grad != 0.0)
+
+
 # Every op, called on arrays and on Tensors, with the variants of each: the
 # numpy path must return a plain array with exactly the bits of the graph
 # node's value.
@@ -216,10 +312,8 @@ DUAL_DISPATCH_CASES = {
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
     "tanh": (ad.tanh, (4, 4)),
     "log_clamped": (ad.log_clamped, (3, 3)),
-    "mean_last": (ad.mean_last, (3, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
     "take_rows-repeated": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
     "detach": (ad.detach, (2, 3)),
 }
@@ -249,11 +343,9 @@ STACKED_CASES = {
     "matmul-transpose_b": (lambda a, b: ad.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
     "tanh": (ad.tanh, (4, 4)),
     "log_clamped": (ad.log_clamped, (3, 3)),
-    "mean_last": (ad.mean_last, (6,)),
     "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "softmax_rows": (lambda a: ad.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "logsumexp_rows": (ad.logsumexp_rows, (4, 7)),
     "take_rows": (lambda a: ad.take_rows(a, [1, 1, 0, 1]), (3, 4)),
 }
 
@@ -332,23 +424,13 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
     assert _same_bits(numerics.logsumexp_last(v),
                       np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
     assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
-    assert _same_bits(ad.mean_last(v), np.asarray(v.mean(axis=-1)))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
 def test_backward_closures_keep_the_wrapper_formula_bits(kind):
     v = _wrapper_inputs(23)[kind]
     rng = np.random.default_rng(25)
-    g_row = rng.normal(size=v.shape[:-1])  # the gradient of a per-row output
     g_full = rng.normal(size=v.shape)
-    n = v.shape[-1]
-
-    old_mean = np.broadcast_to((g_row / n)[..., None], v.shape).copy()
-    assert _same_bits(_grad_through(ad.mean_last, v, g_row), old_mean + 0.0)
-
-    soft = numerics.softmax_last(v, 1.0)
-    ge = np.expand_dims(g_row, -1)
-    assert _same_bits(_grad_through(ad.logsumexp_rows, v, g_row), soft * ge + 0.0)
 
     y = numerics.softmax_last(v, 0.3)
     inner = np.sum(g_full * y, axis=-1, keepdims=True)
