@@ -185,9 +185,15 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                 else view(weak_augment, unl_x, "unlabeled-weak"))
     unl_strong = view(strong_augment, unl_x, "unlabeled-strong") if reads_split else no_rows
 
+    bank_snapshot = bank.snapshot()
+    # A mix can happen: the teacher sees the unlabeled weak view stacked with
+    # the labeled weak view, once, and mix partners take their rows from it.
+    can_mix = cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0
+    n_u = len(unl_weak)
     if reads_split:
-        teacher_feats = np.asarray(features_of(teacher, unl_weak), dtype=np.float64)
-        teacher_probs = np.asarray(probs_of(teacher, teacher_feats), dtype=np.float64)
+        teacher_in = np.concatenate((unl_weak, labeled_weak)) if can_mix else unl_weak
+        teacher_feats = np.asarray(features_of(teacher, teacher_in), dtype=np.float64)
+        teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u]), dtype=np.float64)
         pseudo, flags = L.pseudo_labels(teacher_probs, tau)
     else:
         pseudo, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
@@ -200,38 +206,36 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     else:
         sel_idx = np.arange(len(pseudo))
 
-    def teacher_keys(feats: np.ndarray) -> np.ndarray:
-        return L.contrast_rows(feats, teacher.classifier, teacher.t_re, cfg.rerep_mode)
-
-    if cfg.method in ("lrco", "mixlrco"):
-        keys_sel = teacher_keys(teacher_feats[sel_idx])
+    # Teacher feature rows to key, in one contrast_rows call: the selected
+    # rows, then for a mix the low rows (unless they are the selected ones)
+    # and the partners' labeled rows.
+    key_rows = [sel_idx] if cfg.method in ("lrco", "mixlrco") else []
+    mix = partners = None
+    source_pool = lab_is_source.nonzero()[0] if can_mix else ()
+    if len(low_idx) > 0 and len(source_pool) > 0:
+        mix_rng = base.substream(f"mix-{step}")
+        partners = source_pool[
+            np.asarray(mix_rng.integers(0, len(source_pool), size=len(low_idx)))
+        ]
+        lam_prime = L.draw_mix(cfg.alpha, mix_rng, len(low_idx),
+                               dominant=cfg.mixup_mode != "no_dominance")
+        partner_strong = view(strong_augment, lab_x[partners], "mix-source")
+        x_mix = L.blend(lam_prime, unl_strong[low_idx], partner_strong)
+        if sel_idx is not low_idx:
+            key_rows.append(low_idx)
+        key_rows.append(n_u + partners)
+    if key_rows:
+        keys = L.contrast_rows(teacher_feats[np.concatenate(key_rows)], teacher.classifier,
+                               teacher.t_re, cfg.rerep_mode)
+        keys_sel = keys[:len(sel_idx)]
     else:
         keys_sel = np.zeros((0, teacher.feature_dim))
-    bank_snapshot = bank.snapshot()
-
-    mix: MixSelection | None = None
-    if (cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0):
-        source_pool = lab_is_source.nonzero()[0]
-        if len(low_idx) > 0 and len(source_pool) > 0:
-            mix_rng = base.substream(f"mix-{step}")
-            partners = source_pool[
-                np.asarray(mix_rng.integers(0, len(source_pool), size=len(low_idx)))
-            ]
-            lam_prime = L.draw_mix(cfg.alpha, mix_rng, len(low_idx),
-                                   dominant=cfg.mixup_mode != "no_dominance")
-            partner_strong = view(strong_augment, lab_x[partners], "mix-source")
-            x_mix = L.blend(lam_prime, unl_strong[low_idx], partner_strong)
-            partner_feats = np.asarray(
-                features_of(teacher, labeled_weak[partners]), dtype=np.float64
-            )
-            if sel_idx is low_idx:  # the same rows: keys_sel holds their keys
-                k_target = keys_sel
-            else:
-                k_target = teacher_keys(teacher_feats[low_idx])
-            k_source = teacher_keys(partner_feats)
-            k_mix = L.blend(lam_prime, k_target, k_source)
-            mix = MixSelection(lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
-                               k_target=k_target, k_source=k_source)
+    if partners is not None:  # the low rows' keys come just before the partners'
+        k_target = keys[len(keys) - 2 * len(low_idx):len(keys) - len(low_idx)]
+        k_source = keys[len(keys) - len(low_idx):]
+        k_mix = L.blend(lam_prime, k_target, k_source)
+        mix = MixSelection(lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
+                           k_target=k_target, k_source=k_source)
 
     return StepBatch(
         labeled_weak=labeled_weak, labeled_y=lab_y, unlabeled_weak=unl_weak,

@@ -547,19 +547,19 @@ CHECKPOINT_SHA256 = {
     "run/checkpoint_step1.npz":
         "a61c16ce4c654b10c9ad9b2ec349500e8e4dc1cd11a48183a9271d917be647f1",
     "run/checkpoint_step2.npz":
-        "2f2655d3cba971b522bd104fd0e1deddd5addd7f5b11cf1f2a62c47b3424b38f",
+        "f3172ed8d89d43a996628a9d077c40152de7f2963136fe351a161197773ecfc0",
     "run/checkpoint_step3.npz":
-        "2f482ce101c55a859140ef45f202b63f5a650c460537e91a53985ede8b2a1384",
+        "568f02ac1799e1118ee465ad40edd0859282582c40db5e0a18732aaacc7cac9d",
     "run/checkpoint_final.npz":
-        "582db3b93c9cc76261feb98356ac4c9b41e9b525397e15ce40e4a1c7aa41f104",
+        "48576a9c74ea9e8f9660adab0ad072406c071c0cf3d7a86607e1b3cbfc29a605",
     "resumed/checkpoint_step3.npz":
-        "6d4e31cea6797d57c7ddb3919a3a74896f846836025dd37813e9d42bfdfd8667",
+        "001fb973cf36821c2516b53353243e991ebd0ee1bf20ff78889cda93488ca4e5",
     "resumed/checkpoint_step4.npz":
-        "afbd69250962fac771880d00491c17f310ed7060e1cffd83e62251be03c6c268",
+        "e67d0268c24910d873d5dccdc0331777cc5e6d49a260127f63a6ac6efdf4feaa",
     "resumed/checkpoint_step5.npz":
-        "704e8932db6bd25b579503906223e4c5c595757c200152384e9335970febcc35",
+        "ddb9421d215410b1f30050b57a4a2842fb08e2f02d672be535b3320e370d2a21",
     "resumed/checkpoint_final.npz":
-        "ce988293c9988e18e982e544e6067a3faab11d88e3aad946c83c96230654babc",
+        "8ef156d859662cbeda17fa14b48b04da4d975e8cb44b0034c7af40b0081be3ca",
 }
 
 

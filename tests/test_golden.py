@@ -33,13 +33,13 @@ GOLDEN_DIGESTS = {
     "baseline": "39a01c13e2536b7d",
     "strong": "7e919a78788628b0",
     "lrco": "5897b9317144a46c",
-    "mixlrco": "de77947a63a3402a",
+    "mixlrco": "843cdad5c56c4572",
     "lrco,sample_selection=high": "6ecb78f553b6de56",
     "lrco,sample_selection=all": "fe9804ad9bc889ee",
     "lrco,rerep_mode=raw": "275897210d4f0298",
-    "mixlrco,sample_selection=high": "d0d9444cb21e222e",
-    "mixlrco,mixup_mode=no_dominance": "78dbf10fa82ced14",
-    "mixlrco,dynamic_tau=true": "abcb0488da7b56c2",
+    "mixlrco,sample_selection=high": "49de367aa8e8bfc7",
+    "mixlrco,mixup_mode=no_dominance": "da32a2299ca43759",
+    "mixlrco,dynamic_tau=true": "0d55a593b94918d1",
 }
 
 

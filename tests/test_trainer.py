@@ -17,7 +17,7 @@ from lrco.model import (
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
-    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, Checkpoint, TrainConfig, _EpochCycler,
+    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, TrainConfig, _EpochCycler,
     adjust_tau,
     evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
     metrics_header_lines, prepare_step, save_checkpoint, step_objective,
@@ -175,9 +175,12 @@ def test_prepare_step_mix_needs_bank_and_low_samples():
 
 def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
     # count the views and the teacher's forward calls prepare_step makes, by
-    # the array or model each call receives first
-    for method in METHODS:
+    # the array or model each call receives first; the last case is a mixlrco
+    # step that mixes, which still runs the teacher once
+    for method, banked in [(method, False) for method in METHODS] + [("mixlrco", True)]:
         cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(method=method)
+        if banked:
+            bank.push_batch(np.eye(5)[:2])
         calls = []
 
         def counting(name, fn):
@@ -190,7 +193,7 @@ def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
             for name in ("features_of", "probs_of", "weak_augment", "strong_augment"):
                 m.setattr(trainer, name, counting(name, getattr(trainer, name)))
             sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                              cfg, AUG, cfg.tau, step=1)
+                              cfg, AUG, 0.999, step=1)
 
         def n(name, first):
             return sum(1 for c, a in calls if c == name and a is first)
@@ -201,7 +204,9 @@ def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
         assert n("weak_augment", unl_x) == reads_unlabeled, method
         assert n("strong_augment", unl_x) == reads_split, method
         assert n("features_of", teacher) == n("probs_of", teacher) == reads_split, method
-        assert len(calls) == 1 + reads_unlabeled + 3 * reads_split, (method, calls)
+        assert (sb.mix is not None) == banked, method
+        # a mix also draws the partners' strong view
+        assert len(calls) == 1 + reads_unlabeled + 3 * reads_split + banked, (method, calls)
 
         # a view that is drawn comes from its own substream, as before
         np.testing.assert_array_equal(sb.labeled_weak, weak_augment(
@@ -219,6 +224,34 @@ def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
                 assert idx.dtype == np.int64 and idx.shape == (0,), method
             assert sb.keys_sel.shape == (0, teacher.feature_dim)
             assert sb.mix is None
+
+
+@pytest.mark.parametrize("rerep_mode", REREP_MODES)
+@pytest.mark.parametrize("selection", ["low", "high"])
+def test_one_teacher_pass_keys_match_per_pass_references(rerep_mode, selection):
+    # the teacher's one pass over the stacked weak views gives the keys of
+    # a pass over each view alone, up to the rounding of the row count
+    cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(
+        method="mixlrco", rerep_mode=rerep_mode, sample_selection=selection)
+    bank.push_batch(np.eye(5)[:2])
+    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
+                      cfg, AUG, 0.999, step=1)
+    assert len(sb.low_idx) > 0 and len(sb.high_idx) > 0 and sb.mix is not None
+    mix_rng = SeededRng(cfg.seed).substream("mix-1")
+    pool = lab_src.nonzero()[0]
+    partners = pool[np.asarray(mix_rng.integers(0, len(pool), size=len(sb.low_idx)))]
+
+    def keys(x, idx):
+        return L.contrast_rows(features_of(teacher, x)[idx], teacher.classifier,
+                               teacher.t_re, rerep_mode)
+
+    for got, want in ((sb.keys_sel, keys(sb.unlabeled_weak, sb.sel_idx)),
+                      (sb.mix.k_target, keys(sb.unlabeled_weak, sb.low_idx)),
+                      (sb.mix.k_source, keys(sb.labeled_weak, partners))):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(
+        sb.mix.k_mix, L.blend(sb.mix.lam_prime, sb.mix.k_target, sb.mix.k_source))
 
 
 def test_prepare_step_mix_skipped_when_lambda_co_zero():
