@@ -132,14 +132,22 @@ class SeededRng:
         return self._gen.permutation(n)
 
 
+# Redraw rounds sample_beta allows a row whose two Gamma draws underflowed.
+BETA_REDRAWS = 1000
+
+
 def sample_beta(alpha: float, rng: SeededRng, n: int) -> np.ndarray:
     """Draw n values from Beta(alpha, alpha), clamped to the open interval (0, 1).
 
     Value i is x_i / (x_i + y_i) of two Gamma(alpha) draws, taken from the
     stream as x_0, y_0, x_1, y_1, ...; alpha = 1 short-circuits to one uniform
     draw per value since Beta(1, 1) is uniform. Rows whose two Gamma draws
-    both underflow to 0 (only possible for tiny alpha) are redrawn after the
-    batch, in row order.
+    both underflow to 0 are redrawn after the batch, in row order, for at
+    most BETA_REDRAWS rounds; a row still at 0 then raises
+    FloatingPointError. A Gamma(alpha) draw underflows with chance about
+    exp(-744 alpha), so a row reaches the bound with chance about
+    exp(-1489 alpha * (BETA_REDRAWS + 1)): below 1e-12 for alpha above 2e-5,
+    and above 0.2 for alpha below 1e-6. The default alpha = 1 never redraws.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -148,9 +156,16 @@ def sample_beta(alpha: float, rng: SeededRng, n: int) -> np.ndarray:
     else:
         xy = rng.standard_gamma(alpha, size=(n, 2))
         bad = (np.add.reduce(xy, axis=1) == 0.0).nonzero()[0]
-        while bad.size:
+        for _ in range(BETA_REDRAWS):
+            if not bad.size:
+                break
             xy[bad] = rng.standard_gamma(alpha, size=(bad.size, 2))
             bad = bad[np.add.reduce(xy[bad], axis=1) == 0.0]
+        if bad.size:
+            raise FloatingPointError(
+                f"sample_beta: alpha={alpha!r} is too small to draw from: both Gamma "
+                f"draws of a row underflowed to 0 on {BETA_REDRAWS} redraws"
+            )
         lam = xy[:, 0] / (xy[:, 0] + xy[:, 1])
     return np.minimum(np.maximum(lam, 1e-12), 1.0 - 1e-12)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -396,6 +397,27 @@ def test_every_documented_exit_code(tmp_path, capsys):
         assert run_cli(*argv) == expected, argv
         err = capsys.readouterr().err
         assert err_part in err and "Traceback" not in err, (argv, err)
+
+
+def test_tiny_mix_alpha_exits_numeric(tmp_path, capsys):
+    # Beta(1e-300, 1e-300) has no float64 draw: both Gamma draws of every row
+    # underflow to 0. The mix draw gives up after its bounded redraws, well
+    # inside the alarm, instead of spinning.
+    def timed_out(signum, frame):
+        raise AssertionError("lrco train did not end within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        code = run_cli("train", "--out", str(tmp_path / "o"), *FAST,
+                       "--set", "train.method=mixlrco", "--set", "train.alpha=1e-300")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC, err
+    assert "error: numeric: sample_beta: alpha=1e-300 is too small" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

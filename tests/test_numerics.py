@@ -245,6 +245,15 @@ def test_sample_beta_redraws_underflowed_rows_after_the_batch():
     assert np.all((got > 0) & (got < 1))
 
 
+def test_sample_beta_bounds_its_redraws():
+    # at alpha = 1e-300 every Gamma draw underflows to 0, so no row ever
+    # gets a value; the bounded redraws end in an error that names alpha
+    with pytest.raises(FloatingPointError, match=r"alpha=1e-300 .*1000 redraws"):
+        sample_beta(1e-300, SeededRng(0), 4)
+    # at alpha = 1e-3 rows do redraw, well inside the bound
+    assert np.all(sample_beta(1e-3, SeededRng(0), 10_000) > 0)
+
+
 def test_sample_beta_rejects_bad_alpha():
     with pytest.raises(ValueError):
         sample_beta(0.0, SeededRng(0), 1)
