@@ -186,8 +186,8 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     unl_strong = view(strong_augment, unl_x, "unlabeled-strong") if reads_split else no_rows
 
     bank_snapshot = bank.snapshot()
-    # A mix can happen: the teacher sees the unlabeled weak view stacked with
-    # the labeled weak view, once, and mix partners take their rows from it.
+    # When a mix can happen, the teacher sees the unlabeled weak view stacked
+    # with the labeled weak view, once, and mix partners take their rows from it.
     can_mix = cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0
     n_u = len(unl_weak)
     if reads_split:
