@@ -165,7 +165,8 @@ def re_represent_batch(f_rows, classifier, t_re: float):
         return y
 
     def backward_fn(g):
-        g_att = ad.first_grad(ad.first_grad(ad.normalize_grad(g, y, r_norms)) @ w.T)
+        g_combined = ad.first_grad(ad.normalize_grad(g, y, r_norms))
+        g_att = ad.first_grad(g_combined @ w.T)
         g_cos = ad.first_grad(ad.softmax_grad(g_att, attention, t))
         f_rows.accumulate(ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms))
 
