@@ -6,10 +6,12 @@ final student arrays, the final teacher arrays, the bank snapshot and the
 metric lines. Any change to a floating-point expression, a random draw or
 the order of either moves the digest.
 
-A case is named by its ``train.*`` settings, comma-separated: first the
-method, then any ablation value that differs from the default. Each method
-runs with the defaults; the other cases pin the non-default values of the
-ablation switches and the dynamic threshold.
+A case is named by its settings, comma-separated: first the method, then
+any value that differs from the default. A setting is a ``train.*`` key
+unless it names its section. Each method runs with the defaults; the other
+cases pin the non-default values of the ablation switches, the dynamic
+threshold, and the semi-supervised setting (labeled target rows in the
+labeled pool). Each case trains on the benchmark of its own data config.
 """
 
 import hashlib
@@ -40,14 +42,19 @@ GOLDEN_DIGESTS = {
     "mixlrco,sample_selection=high": "49de367aa8e8bfc7",
     "mixlrco,mixup_mode=no_dominance": "da32a2299ca43759",
     "mixlrco,dynamic_tau=true": "0d55a593b94918d1",
+    "lrco,data.n_labeled_target_per_class=3": "791c4df589bcd35c",
+    "mixlrco,data.n_labeled_target_per_class=3": "c913cc9ff3be724d",
 }
 
 
 def golden_config(case: str):
-    """The default run config with the case's ``train.*`` settings applied."""
+    """The default run config with the case's settings applied; a setting
+    whose key names no section is a ``train.*`` one."""
     method, *settings = case.split(",")
-    return apply_overrides(default_run_config(),
-                           [f"train.method={method}", *(f"train.{s}" for s in settings)])
+    return apply_overrides(default_run_config(), [
+        f"train.method={method}",
+        *(s if "." in s.partition("=")[0] else f"train.{s}" for s in settings),
+    ])
 
 
 def trajectory_digest(result) -> str:
@@ -64,14 +71,22 @@ def trajectory_digest(result) -> str:
 
 
 @pytest.fixture(scope="module")
-def default_benchmark():
-    return generate_shift_benchmark(default_run_config().data)
+def benchmark_of():
+    """The benchmark of a data config, generated once per config."""
+    cache = {}
+
+    def get(spec):
+        if spec not in cache:
+            cache[spec] = generate_shift_benchmark(spec)
+        return cache[spec]
+
+    return get
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
-def test_trajectory_digest_unchanged(case, default_benchmark):
+def test_trajectory_digest_unchanged(case, benchmark_of):
     cfg = golden_config(case)
-    result = fit(default_benchmark, cfg.augment, cfg.train,
+    result = fit(benchmark_of(cfg.data), cfg.augment, cfg.train,
                  hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim)
     assert result.steps_run == 600
     assert trajectory_digest(result) == GOLDEN_DIGESTS[case]
@@ -89,8 +104,10 @@ def test_every_config_value_is_pinned():
         "mixup_mode": (MIXUP_MODES, ("mixlrco",)),
         "dynamic_tau": ((False, True), PSEUDO_LABEL_METHODS),
     }
-    cfgs = [golden_config(case).train for case in GOLDEN_DIGESTS]
+    cfgs = [golden_config(case) for case in GOLDEN_DIGESTS]
     for name, (values, methods) in switches.items():
-        pinned = {getattr(c, name) for c in cfgs if c.method in methods}
+        pinned = {getattr(c.train, name) for c in cfgs if c.train.method in methods}
         missing = set(values) - pinned
         assert not missing, f"train.{name}: no golden case for {missing}"
+    assert any(c.data.n_labeled_target_per_class > 0 for c in cfgs), \
+        "no golden case with labeled target rows"
