@@ -33,10 +33,20 @@ from .model import (
 from .numerics import SeededRng
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
-METHODS = ("source_only", "baseline", "strong", "lrco", "mixlrco")
+# The terms each method adds to its objective, in the order the total adds
+# them: the one place that says what a method reads. "fixmatch" adds the KLD
+# too; "bank" and "mix" add the contrastive term, the latter over the mixes.
+METHOD_TERMS = {
+    "source_only": ("ce",),
+    "baseline": ("ce", "align"),
+    "strong": ("ce", "align", "fixmatch"),
+    "lrco": ("ce", "align", "fixmatch", "bank"),
+    "mixlrco": ("ce", "align", "fixmatch", "mix"),
+}
+METHODS = tuple(METHOD_TERMS)
 # The methods whose objective reads the teacher's pseudo-labels or the
 # confidence split built from them, and so tau; the others skip the teacher.
-PSEUDO_LABEL_METHODS = ("strong", "lrco", "mixlrco")
+PSEUDO_LABEL_METHODS = tuple(m for m, terms in METHOD_TERMS.items() if "fixmatch" in terms)
 SAMPLE_SELECTIONS = ("low", "high", "all")
 REREP_MODES = L.REREP_MODES
 MIXUP_MODES = ("dominant", "no_dominance")
@@ -86,7 +96,7 @@ class TrainConfig:
             raise ConfigError("tau_band must satisfy 0 <= low < high <= 1")
         if not self.tau_bounds[0] < self.tau_bounds[1]:
             raise ConfigError("tau_bounds must satisfy 0 < min < max < 1")
-        if self.dynamic_tau and self.method not in PSEUDO_LABEL_METHODS:
+        if self.dynamic_tau and "fixmatch" not in METHOD_TERMS[self.method]:
             raise ConfigError(f"dynamic_tau needs a method that reads tau, one of "
                               f"{PSEUDO_LABEL_METHODS}; {self.method!r} does not")
 
@@ -169,28 +179,28 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     """Draw views, pseudo-label with the teacher, split by confidence, and
     stage the contrastive inputs for one step.
 
-    Only what the method's objective reads is built: ``source_only`` gets the
-    labeled weak view alone, ``baseline`` also the unlabeled weak view, and
-    only PSEUDO_LABEL_METHODS draw the strong view and run the teacher. A
-    skipped view has no rows and a skipped index array is empty int64."""
+    Only what the method's METHOD_TERMS read is built: "align" draws the
+    unlabeled weak view, "fixmatch" the strong view and the teacher pass,
+    "bank" or "mix" stages keys, and "mix" builds the mixes. A skipped view
+    has no rows and a skipped index array is empty int64."""
     base = SeededRng(cfg.seed)
 
     def view(augment_fn, x: np.ndarray, purpose: str) -> np.ndarray:
         return augment_fn(x, augment, base.substream(f"augment-{purpose}-{step}"))
 
-    reads_split = cfg.method in PSEUDO_LABEL_METHODS
+    reads = METHOD_TERMS[cfg.method]
     no_rows = np.zeros((0, unl_x.shape[1]))
     labeled_weak = view(weak_augment, lab_x, "labeled")
-    unl_weak = (no_rows if cfg.method == "source_only"
-                else view(weak_augment, unl_x, "unlabeled-weak"))
-    unl_strong = view(strong_augment, unl_x, "unlabeled-strong") if reads_split else no_rows
+    unl_weak = view(weak_augment, unl_x, "unlabeled-weak") if "align" in reads else no_rows
+    unl_strong = (view(strong_augment, unl_x, "unlabeled-strong") if "fixmatch" in reads
+                  else no_rows)
 
     bank_snapshot = bank.snapshot()
     # When a mix can happen, the teacher sees the unlabeled weak view stacked
     # with the labeled weak view, once, and mix partners take their rows from it.
-    can_mix = cfg.method == "mixlrco" and cfg.lambda_co > 0 and len(bank_snapshot) > 0
+    can_mix = "mix" in reads and cfg.lambda_co > 0 and len(bank_snapshot) > 0
     n_u = len(unl_weak)
-    if reads_split:
+    if "fixmatch" in reads:
         teacher_in = np.concatenate((unl_weak, labeled_weak)) if can_mix else unl_weak
         teacher_feats = np.asarray(features_of(teacher, teacher_in), dtype=np.float64)
         teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u]), dtype=np.float64)
@@ -209,7 +219,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     # Teacher feature rows to key, in one contrast_rows call: the selected
     # rows, then for a mix the low rows (unless they are the selected ones)
     # and the partners' labeled rows.
-    key_rows = [sel_idx] if cfg.method in ("lrco", "mixlrco") else []
+    key_rows = [sel_idx] if "bank" in reads or "mix" in reads else []
     mix = partners = None
     source_pool = lab_is_source.nonzero()[0] if can_mix else ()
     if len(low_idx) > 0 and len(source_pool) > 0:
@@ -253,16 +263,17 @@ def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig):
     every row but the mixes goes through probs_of once, so the classifier is
     normalized once. Returns (feats, probs, rows): rows maps each stacked
     view to the int64 indices of its rows in feats, and probs holds the same
-    rows up to the mixes. source_only's one view goes in as it is. The other
-    methods' bits depend on the stacking, since a BLAS product's rounding
-    depends on its row count.
+    rows up to the mixes. A method without "align" reads the labeled view
+    alone, which goes in as it is. The others' bits depend on the stacking,
+    since a BLAS product's rounding depends on its row count.
     """
+    reads = METHOD_TERMS[cfg.method]
     views = {"labeled": sb.labeled_weak}
-    if cfg.method != "source_only":
+    if "align" in reads:
         views["unlabeled_weak"] = sb.unlabeled_weak
-    if cfg.method in PSEUDO_LABEL_METHODS:
+    if "fixmatch" in reads:
         views["unlabeled_strong"] = sb.unlabeled_strong
-    if cfg.method == "mixlrco" and cfg.lambda_co > 0 and sb.mix is not None:
+    if "mix" in reads and cfg.lambda_co > 0 and sb.mix is not None:
         views["mix"] = sb.mix.x_mix
     rows, start = {}, 0
     for name, x in views.items():
@@ -287,9 +298,8 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     Every term takes its rows of the one stacked_forward pass by offset.
     ``frozen_classifier`` is only for the finite-difference harness.
     """
-    zero = 0.0
-    terms = {"ce": zero, "align": zero, "fixmatch": zero, "kld": zero,
-             "contrastive": zero}
+    reads = METHOD_TERMS[cfg.method]
+    terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
 
     feats, probs, rows = stacked_forward(model_like, sb, cfg)
     probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
@@ -297,38 +307,27 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     # (term, weight) pairs of the total, in the order it adds them up
     weighted = [(terms["ce"], 1.0)]
 
-    def total_of():
-        return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted)
+    if "align" in reads:
+        # Alignment entropy over the union of labeled and unlabeled weak views,
+        # computed as a sample-count weighted average of the two batch means.
+        probs_unl_w = ad.take_rows(probs, rows["unlabeled_weak"])
+        n_l = sb.labeled_weak.shape[0]
+        n_u = sb.unlabeled_weak.shape[0]
+        ent_l = L.entropy_alignment(probs_lab)
+        ent_u = L.entropy_alignment(probs_unl_w)
+        terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
+                                          (ent_u, n_u / (n_l + n_u))))
+        if cfg.lambda_align > 0:
+            weighted.append((terms["align"], cfg.lambda_align))
 
-    if cfg.method == "source_only":
-        return total_of(), terms
-
-    # Alignment entropy over the union of labeled and unlabeled weak views,
-    # computed as a sample-count weighted average of the two batch means.
-    probs_unl_w = ad.take_rows(probs, rows["unlabeled_weak"])
-    n_l = sb.labeled_weak.shape[0]
-    n_u = sb.unlabeled_weak.shape[0]
-    ent_l = L.entropy_alignment(probs_lab)
-    ent_u = L.entropy_alignment(probs_unl_w)
-    terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
-                                      (ent_u, n_u / (n_l + n_u))))
-    if cfg.lambda_align > 0:
-        weighted.append((terms["align"], cfg.lambda_align))
-
-    if cfg.method == "baseline":
-        return total_of(), terms
-
-    strong = rows["unlabeled_strong"]  # strong[i]: the stacked row of strong-view row i
-    if len(sb.high_idx) > 0:
+    strong = rows.get("unlabeled_strong")  # strong[i]: the stacked row of strong-view row i
+    if "fixmatch" in reads and len(sb.high_idx) > 0:
         probs_high = ad.take_rows(probs, strong[sb.high_idx])
         terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
         terms["kld"] = L.kld_uniform_batch(probs_high)
         weighted.append((terms["fixmatch"], 1.0))
         if cfg.lambda_kld > 0:
             weighted.append((terms["kld"], cfg.lambda_kld))
-
-    if cfg.method == "strong" or cfg.lambda_co == 0:
-        return total_of(), terms
 
     # Queries go through the detached classifier; the finite-difference
     # harness substitutes a fixed weight array for it, so the numeric check
@@ -338,24 +337,21 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     def student_queries(f_rows):
         return L.contrast_rows(f_rows, classifier, model_like.t_re, cfg.rerep_mode)
 
-    if cfg.method == "lrco":
-        if len(sb.sel_idx) > 0 and len(sb.bank_snapshot) > 0:
-            queries = student_queries(ad.take_rows(feats, strong[sb.sel_idx]))
-            terms["contrastive"] = L.contrastive_batch(
-                queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
-            )
-            weighted.append((terms["contrastive"], cfg.lambda_co))
-        return total_of(), terms
-
-    # mixlrco
-    if "mix" in rows:
+    if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
+            and len(sb.bank_snapshot) > 0):
+        queries = student_queries(ad.take_rows(feats, strong[sb.sel_idx]))
+        terms["contrastive"] = L.contrastive_batch(
+            queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
+        )
+        weighted.append((terms["contrastive"], cfg.lambda_co))
+    if "mix" in rows:  # stacked only for "mix" with lambda_co > 0 and a mix staged
         queries = student_queries(ad.take_rows(feats, rows["mix"]))
         terms["contrastive"] = L.mixlrco_batch(
             queries, sb.mix.k_mix, sb.mix.k_target, sb.mix.k_source,
             sb.bank_snapshot, cfg.t_co,
         )
         weighted.append((terms["contrastive"], cfg.lambda_co))
-    return total_of(), terms
+    return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted), terms
 
 
 # Optimizer ---------------------------------------------------------------------

@@ -23,8 +23,8 @@ from lrco.config import apply_overrides, default_run_config
 from lrco.data import generate_shift_benchmark
 from lrco.model import state_arrays
 from lrco.trainer import (
-    METHODS, MIXUP_MODES, PSEUDO_LABEL_METHODS, REREP_MODES, SAMPLE_SELECTIONS, fit,
-    metric_record_line,
+    METHOD_TERMS, METHODS, MIXUP_MODES, PSEUDO_LABEL_METHODS, REREP_MODES, SAMPLE_SELECTIONS,
+    fit, metric_record_line,
 )
 
 # Recorded with Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31 (x86-64).
@@ -96,12 +96,14 @@ def test_every_config_value_is_pinned():
     # switch -> (its values, the methods that read it). A value counts only
     # in cases whose method reads the switch, so it is pinned by a run where
     # it changes the trajectory.
-    contrastive = ("lrco", "mixlrco")
+    contrastive = tuple(m for m, terms in METHOD_TERMS.items()
+                        if "bank" in terms or "mix" in terms)
+    mixing = tuple(m for m, terms in METHOD_TERMS.items() if "mix" in terms)
     switches = {
         "method": (METHODS, METHODS),
         "sample_selection": (SAMPLE_SELECTIONS, contrastive),
         "rerep_mode": (REREP_MODES, contrastive),
-        "mixup_mode": (MIXUP_MODES, ("mixlrco",)),
+        "mixup_mode": (MIXUP_MODES, mixing),
         "dynamic_tau": ((False, True), PSEUDO_LABEL_METHODS),
     }
     cfgs = [golden_config(case) for case in GOLDEN_DIGESTS]

@@ -1,6 +1,8 @@
 """The benchmark's tracer patches lrco from outside, by attribute name; every
-name it patches must exist, and restoring must put every original back."""
+name it patches must exist, and restoring must put every original back. And
+the package decides what a method does from trainer.METHOD_TERMS alone."""
 
+import ast
 import importlib
 import pathlib
 
@@ -9,7 +11,8 @@ from lrco import (
     trainer,
 )
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 PATCHED = (analysis, autodiff, cli, data, gradcheck, losses, membank, model, numerics,
            trainer, numerics.SeededRng, autodiff.Tensor, membank.MemoryBank,
            data.ShiftBenchmark)
@@ -42,3 +45,26 @@ def test_perfbench_pseudo_label_readers_match_the_trainer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     assert spans.PSEUDO_LABEL_READERS == set(trainer.PSEUDO_LABEL_METHODS)
+
+
+def _method_name_compares(source: str) -> list[int]:
+    """Line numbers of the comparisons with a method name as an operand, as
+    a string constant or inside a tuple, list or set display."""
+    def names_a_method(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_method, node.elts))
+        return isinstance(node, ast.Constant) and node.value in trainer.METHODS
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(map(names_a_method, [node.left, *node.comparators]))]
+
+
+def test_no_method_name_is_compared_outside_the_terms_table():
+    # a method's behaviour is read from METHOD_TERMS; a comparison with a
+    # method's name would decide it a second time
+    found = {path.name: lines for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
+             if (lines := _method_name_compares(path.read_text(encoding="utf-8")))}
+    assert not found, found
+    sample = 'a = m in ("x", "lrco")\nb = m < 2\nc = "strong" != m\nd = {"lrco"} == m\n'
+    assert _method_name_compares(sample) == [1, 3, 4]
