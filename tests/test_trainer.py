@@ -261,6 +261,43 @@ def test_prepare_step_mix_skipped_when_lambda_co_zero():
     assert sb.mix is None
 
 
+def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
+    # with labeled target rows in the pool (shots > 0), every labeled row is
+    # in the cross-entropy batch, but mix partners are drawn from source rows
+    cfg, student, teacher, bank, *_ = tiny_setup(method="mixlrco")
+    benchmark = small_benchmark(n_labeled_target_per_class=3)
+    lab_x, lab_y, lab_src = benchmark.labeled_pool()
+    unl_x = benchmark.target_unlabeled_x[:8]
+    assert 0 < np.count_nonzero(~lab_src) < len(lab_src)
+    bank.push_batch(np.eye(5)[:3])
+    partner_rows, n_low = [], 0
+    strong_augment = trainer.strong_augment
+
+    def recording(x, *args):
+        if x is not unl_x:  # the partners' strong view
+            partner_rows.append(x)
+        return strong_augment(x, *args)
+
+    monkeypatch.setattr(trainer, "strong_augment", recording)
+    velocities = init_velocities(student)
+    for step in range(1, 7):
+        sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
+                          cfg, AUG, 1.0, step)  # every row is low, so every row mixes
+        assert sb.mix is not None
+        n_low += len(sb.low_idx)
+        np.testing.assert_array_equal(sb.labeled_y, lab_y)
+        probs = probs_of(student, features_of(student, sb.labeled_weak))
+        ce = step_objective(student, sb, cfg)[1]["ce"]
+        np.testing.assert_allclose(ce, L.cross_entropy_batch(probs, lab_y), rtol=1e-12)
+        assert ce != L.cross_entropy_batch(probs[lab_src], lab_y[lab_src])
+        train_step(student, teacher, bank, velocities, sb, cfg, 1.0, step)
+
+    partners = [np.flatnonzero((lab_x == row).all(axis=1)) for row in np.concatenate(partner_rows)]
+    assert len(partners) == n_low > 0
+    assert all(len(p) == 1 for p in partners)
+    assert lab_src[np.concatenate(partners)].all()
+
+
 # --- step objective -------------------------------------------------------------------
 
 def test_objective_terms_by_method():
@@ -515,7 +552,7 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
     for step in (1, 2, 3):
         counts.append(0)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
-        train_step(student, teacher, bank, velocities, sb, cfg, 0.999, step)
+        train_step(student, teacher, bank, velocities, sb, cfg, 1.0, step)
     assert counts == NODES_PER_STEP[method]
     assert max(NODES_PER_STEP["mixlrco"]) <= 26  # a re-pin may not exceed this
 
