@@ -19,8 +19,8 @@ from .trainer import TrainConfig
 
 @dataclass(frozen=True)
 class ModelSection:
-    hidden_dims: tuple[int, ...] = within("[1, inf)", (16,))
-    feature_dim: int = within("[2, inf)", 8)
+    hidden_dims: tuple[int, ...] = within("[1, 2147483647]", (16,))
+    feature_dim: int = within("[2, 2147483647]", 8)
 
     def validate(self, prefix: str = "") -> None:
         check_domains(self, prefix)

@@ -22,10 +22,10 @@ class BenchmarkSpec:
     """Everything needed to regenerate a benchmark deterministically."""
 
     n_classes: int = within("[2, inf)", 5)
-    input_dim: int = within("[2, inf)", 2)
-    n_per_class_source: int = within("[1, inf)", 60)
-    n_per_class_target: int = within("[1, inf)", 60)
-    n_labeled_target_per_class: int = within("[0, inf)", 0)
+    input_dim: int = within("[2, 2147483647]", 2)
+    n_per_class_source: int = within("[1, 2147483647]", 60)
+    n_per_class_target: int = within("[1, 2147483647]", 60)
+    n_labeled_target_per_class: int = within("[0, 2147483647]", 0)
     radius: float = within("(0, inf)", 1.0)
     noise_sigma: float = within("(0, inf)", 0.1)
     shift_angle_deg: float = within("(-inf, inf)", 50.0)

@@ -22,9 +22,9 @@ from .numerics import SeededRng, softmax_last, unit_last
 class ModelConfig:
     """Architecture description used by init_model."""
 
-    input_dim: int = within("[1, inf)")
-    hidden_dims: tuple[int, ...] = within("[1, inf)")
-    feature_dim: int = within("[2, inf)")
+    input_dim: int = within("[1, 2147483647]")
+    hidden_dims: tuple[int, ...] = within("[1, 2147483647]")
+    feature_dim: int = within("[2, 2147483647]")
     n_classes: int = within("[2, inf)")
     t_ce: float = within("(0, inf)")
     t_re: float = within("(0, inf)")

@@ -65,7 +65,7 @@ class TrainConfig:
     t_ce: float = within("(0, inf)", 0.05)
     t_re: float | None = within("(0, inf)", None)
     t_co: float = within("(0, inf)", 0.3)
-    bank_capacity: int = within("[1, inf)", 512)
+    bank_capacity: int = within("[1, 2147483647]", 512)
     lambda_co: float = within("[0, inf)", 0.5)
     lambda_kld: float = within("[0, inf)", 0.1)
     lambda_align: float = within("[0, inf)", 0.1)

@@ -459,6 +459,22 @@ def test_invalid_config_exits_4(tmp_path, capsys):
         assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command,key", [
+    ("gen-data", "data.n_per_class_source"), ("train", "data.n_per_class_target"),
+    ("train", "data.n_labeled_target_per_class"), ("train", "data.input_dim"),
+    ("train", "model.hidden_dims"), ("train", "model.feature_dim"),
+    ("train", "train.bank_capacity"),
+])
+def test_huge_integer_sizes_exit_4(tmp_path, capsys, command, key):
+    # a size past 2**31 - 1 is refused before anything is allocated or written
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--set", f"{key}={10**30}") \
+        == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-config: {key} must lie in [") and "2147483647]" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_removed_config_values_exit_4(tmp_path, capsys):
     for setting, message in (("train.rerep_mode=rerep_nodetach",
                               "train.rerep_mode must be one of ('rerep', 'raw'), "
@@ -467,7 +483,7 @@ def test_removed_config_values_exit_4(tmp_path, capsys):
                               "train.mixup_mode must be one of ('dominant', 'no_dominance'), "
                               "got 'high_confidence'"),
                              ("model.feature_dim=1",
-                              "model.feature_dim must lie in [2, inf), got 1")):
+                              "model.feature_dim must lie in [2, 2147483647], got 1")):
         out = tmp_path / setting
         assert run_cli("train", "--out", str(out), *FAST, "--set", setting) \
             == EXIT_INVALID_CONFIG

@@ -166,7 +166,7 @@ UNCONSTRAINED = {"train.dynamic_tau", "output.run_id"}
 PARTNERS = {
     "augment.sigma_weak": lambda text: [f"augment.sigma_strong={text}"],
     "augment.sigma_strong": lambda text: ["augment.sigma_weak=0"],
-    "data.n_classes": lambda text: [f"data.input_dim={text}"],
+    "data.n_classes": lambda text: ["data.input_dim=2"],  # a circle holds any class count
     "data.input_dim": lambda text: ["data.n_classes=2"],
 }
 
@@ -180,10 +180,14 @@ def _entry_cases(domain, annotation):
                 unknown.filter(lambda text: text not in domain))
     low, high = (float(end) for end in domain[1:-1].split(","))
     closed_low, closed_high = domain[0] == "[", domain[-1] == "]"
-    if "int" in annotation:  # every int domain is [k, inf)
-        assert closed_low and high == math.inf, domain
-        return ([int(low)], [int(low) - 1], st.integers(min_value=int(low)),
-                st.integers(max_value=int(low) - 1))
+    if "int" in annotation:  # every int domain is [k, inf) or [k, m]
+        assert closed_low and (closed_high or high == math.inf), domain
+        if high == math.inf:
+            return ([int(low)], [int(low) - 1], st.integers(min_value=int(low)),
+                    st.integers(max_value=int(low) - 1))
+        low, high = int(low), int(high)
+        return ([low, high], [low - 1, high + 1], st.integers(low, high),
+                st.integers(max_value=low - 1) | st.integers(min_value=high + 1))
     up, down = math.inf, -math.inf
     inside_low = low if closed_low else math.nextafter(low, up)
     inside_high = high if closed_high else math.nextafter(high, down)
