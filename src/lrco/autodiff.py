@@ -21,8 +21,6 @@ import numpy as np
 
 from . import numerics
 
-LOG_FLOOR = 1e-12
-
 
 class Tensor:
     """A value in the computation graph. Leaves with requires_grad accumulate grads."""
@@ -199,23 +197,6 @@ def tanh(a):
     if not is_tensor(a):
         return y
     return Tensor(y, (a,), lambda g: a.accumulate(g * (1.0 - y * y)))
-
-
-def log_clamped(a, floor: float = LOG_FLOOR):
-    """Elementwise log with the argument clamped below at floor.
-
-    The derivative is zero wherever the clamp is active, matching the locally
-    constant forward value there.
-    """
-    y = np.log(np.maximum(value_of(a), floor))
-    if not is_tensor(a):
-        return y
-
-    def backward_fn(g):
-        active = a.value > floor
-        a.accumulate(g * np.where(active, 1.0 / np.maximum(a.value, floor), 0.0))
-
-    return Tensor(y, (a,), backward_fn)
 
 
 def softmax_rows(a, temperature: float):

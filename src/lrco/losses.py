@@ -30,7 +30,7 @@ from .numerics import (
     SeededRng, logsumexp_last, norm_last, sample_beta, softmax_last, unit_last,
 )
 
-LOG_FLOOR = ad.LOG_FLOOR
+LOG_FLOOR = 1e-12
 UNIT_NORM_TOL = 1e-6
 REREP_MODES = ("rerep", "raw")
 
