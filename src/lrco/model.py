@@ -9,7 +9,9 @@ classifier rows are stored raw and normalized at use time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,29 +37,41 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """All learnable arrays plus the two temperatures.
+    """All learnable arrays, as views of one float64 vector params cut by
+    layout (each array's shape, in state_arrays order), plus the two
+    temperatures. weights[i] has shape (d_in, d_out) so a batch forward is
+    x @ W + b; classifier has shape (n_classes, feature_dim). A (B, P) params
+    is a stack of B states for the numpy forward path (see _cut)."""
 
-    weights[i] has shape (d_in, d_out) so a batch forward is x @ W + b;
-    classifier has one row per class, shape (n_classes, feature_dim).
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    classifier: np.ndarray
+    params: np.ndarray
+    layout: tuple[tuple[int, ...], ...]
     t_ce: float
     t_re: float
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+    classifier: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        self.t_ce, self.t_re = float(self.t_ce), float(self.t_re)
+        views = _cut(self.params, self.layout)
+        self.weights, self.biases, self.classifier = views[:-1:2], views[1:-1:2], views[-1]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views from params, so they stay views
+        return ModelState, (self.params, self.layout, self.t_ce, self.t_re)
 
     @property
     def n_classes(self) -> int:
-        return self.classifier.shape[0]
+        return self.layout[-1][0]
 
     @property
     def feature_dim(self) -> int:
-        return self.classifier.shape[1]
+        return self.layout[-1][1]
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layout[0][0]
 
 
 @dataclass
@@ -69,6 +83,40 @@ class ParamTensors:
     classifier: ad.Tensor
     t_ce: float
     t_re: float
+    grad: np.ndarray | None = None  # the flat vector the leaves' grads are views of
+
+
+def _mlp_layout(dims: tuple[int, ...], n_classes: int) -> tuple[tuple[int, ...], ...]:
+    """The array shapes, in state_arrays order, of an MLP through widths dims."""
+    layers = (((d_in, d_out), (d_out,)) for d_in, d_out in zip(dims, dims[1:]))
+    return (*itertools.chain(*layers), (n_classes, dims[-1]))
+
+
+@functools.cache
+def _spans(layout: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple, tuple], ...]:
+    """(start, stop, shape, stacked shape) of each array of layout in the flat
+    vector; a layout that is not one model's raises ShapeMismatchError."""
+    weights, classifier = layout[:-1:2], layout[-1]
+    if not (len(layout) % 2 and len(layout) > 1
+            and all(len(shape) == 2 for shape in (*weights, classifier))
+            and layout == _mlp_layout((weights[0][0], *(w[1] for w in weights)),
+                                      classifier[0])):
+        raise ShapeMismatchError(f"arrays of shapes {list(layout)} do not form one model")
+    stops = tuple(itertools.accumulate(math.prod(shape) for shape in layout))
+    stacked = ((-1, 1, *shape) if len(shape) == 1 else (-1, *shape) for shape in layout)
+    return tuple(zip((0,) + stops, stops, layout, stacked))
+
+
+def _cut(vec: np.ndarray, layout) -> list[np.ndarray]:
+    """Views of vec's last axis, one per array of layout: the one place that
+    lays a state's arrays out in its flat vector. A (B, P) vec stacks each
+    array on a leading axis of B, a bias as (B, 1, d)."""
+    spans = _spans(layout)
+    if vec.shape[-1:] != (spans[-1][1],) or vec.ndim > 2:
+        raise ShapeMismatchError("parameter vector length mismatch")
+    if vec.ndim == 1:
+        return [vec[start:stop].reshape(shape) for start, stop, shape, _ in spans]
+    return [vec[:, start:stop].reshape(stacked) for start, stop, _, stacked in spans]
 
 
 def _xavier_uniform(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -80,25 +128,17 @@ def init_model(config: ModelConfig, rng: SeededRng) -> ModelState:
     """Build a fresh state: scaled symmetric uniform weights, zero biases."""
     config.validate()
     dims = (config.input_dim,) + tuple(config.hidden_dims) + (config.feature_dim,)
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(_xavier_uniform(rng, d_in, d_out, (d_in, d_out)))
-        biases.append(np.zeros(d_out))
-    classifier = _xavier_uniform(
-        rng, config.feature_dim, config.n_classes, (config.n_classes, config.feature_dim)
-    )
-    return ModelState(
-        weights=weights,
-        biases=biases,
-        classifier=classifier,
-        t_ce=float(config.t_ce),
-        t_re=float(config.t_re),
-    )
+    layout = _mlp_layout(dims, config.n_classes)
+    m = ModelState(np.zeros(sum(map(math.prod, layout))), layout, config.t_ce, config.t_re)
+    for w in m.weights:
+        w[...] = _xavier_uniform(rng, *w.shape, w.shape)
+    m.classifier[...] = _xavier_uniform(rng, *m.classifier.shape[::-1], m.classifier.shape)
+    return m
 
 
 def clone_state(m: ModelState) -> ModelState:
     """Deep copy; used to spawn the teacher as an exact student copy."""
-    return state_from_arrays(state_arrays(m), m.t_ce, m.t_re)
+    return ModelState(m.params.copy(), m.layout, m.t_ce, m.t_re)
 
 
 def features_of(model_like, x_rows):
@@ -142,24 +182,25 @@ def probs_of(model_like, feature_rows):
 
 
 def lift_params(m: ModelState) -> ParamTensors:
-    """Wrap every state array in a gradient-requiring tensor."""
-    return ParamTensors(
-        weights=[ad.Tensor(w, requires_grad=True) for w in m.weights],
-        biases=[ad.Tensor(b, requires_grad=True) for b in m.biases],
-        classifier=ad.Tensor(m.classifier, requires_grad=True),
-        t_ce=m.t_ce,
-        t_re=m.t_re,
-    )
+    """Wrap every state array in a gradient-requiring tensor. Each leaf's
+    grad starts as a zero view of one flat vector, so backward sums the
+    gradients into it (0.0 + g has the bits of g + 0.0, -0.0 included)."""
+    grad = np.zeros(m.params.shape)
+    leaves = [ad.Tensor(value, requires_grad=True) for value in state_arrays(m).values()]
+    for leaf, grad_view in zip(leaves, _cut(grad, m.layout)):
+        leaf.grad = grad_view
+    return ParamTensors(weights=leaves[:-1:2], biases=leaves[1:-1:2], classifier=leaves[-1],
+                        t_ce=m.t_ce, t_re=m.t_re, grad=grad)
 
 
-def tape_from(params: ParamTensors) -> dict[str, np.ndarray]:
-    """Gradients keyed like state_arrays; zero-filled for untouched parameters."""
-    return {name: t.grad if t.grad is not None else np.zeros(t.value.shape)
-            for name, t in state_arrays(params).items()}
+def tape_from(params: ParamTensors) -> np.ndarray:
+    """The flat gradient vector, laid out like params; zero where no gradient came."""
+    return params.grad
 
 
-def compute_gradients(m: ModelState, loss_fn) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of loss_fn(params) with respect to m.
+def compute_gradients(m: ModelState, loss_fn) -> np.ndarray:
+    """Exact reverse-mode gradients of loss_fn(params) with respect to m, as
+    one vector laid out like m.params.
 
     loss_fn receives a ParamTensors view and must return a scalar. A loss
     that never touches the parameters (a plain number) yields zero gradients.
@@ -174,43 +215,26 @@ def compute_gradients(m: ModelState, loss_fn) -> dict[str, np.ndarray]:
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> ModelState:
     """Exponential moving average update of the teacher, in place.
 
-    Every teacher array moves to decay * teacher + (1 - decay) * student.
+    The teacher's parameters move to decay * teacher + (1 - decay) * student.
     """
     if not 0.0 <= decay < 1.0:
         raise ValueError("decay must lie in [0, 1)")
-    t_arrays, s_arrays = state_arrays(teacher), state_arrays(student)
-    if t_arrays.keys() != s_arrays.keys() or any(
-            arr.shape != s_arrays[name].shape for name, arr in t_arrays.items()):
+    if teacher.layout != student.layout:
         raise ShapeMismatchError("teacher and student shapes differ")
-    for name, t_arr in t_arrays.items():
-        t_arr[...] = decay * t_arr + (1.0 - decay) * s_arrays[name]
+    teacher.params *= decay
+    teacher.params += (1.0 - decay) * student.params
     return teacher
 
 
-# Flat parameter-vector helpers for the finite-difference oracle.
-
 def get_param_vector(m: ModelState) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in state_arrays(m).values()])
+    return m.params.copy()
 
 
 def with_param_vector(m: ModelState, vec: np.ndarray) -> ModelState:
-    """m's layout and temperatures with the parameters of vec.
-
-    A (B, P) stack of vectors gives a stacked state, for the numpy forward
-    path only: each array gets a leading axis of B, and each bias is stored
-    as a (B, 1, d) stack of rows, so x @ W + b broadcasts per vector.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    arrays = state_arrays(m)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != sum(arr.size for arr in arrays.values()):
-        raise ShapeMismatchError("parameter vector length mismatch")
-    lead = vec.shape[:-1]
-    pieces, offset = {}, 0
-    for name, arr in arrays.items():
-        shape = arr.shape if arr.ndim == 2 or not lead else (1,) + arr.shape
-        pieces[name] = vec[..., offset : offset + arr.size].reshape(lead + shape)
-        offset += arr.size
-    return state_from_arrays(pieces, m.t_ce, m.t_re)
+    """m's layout and temperatures with the parameters of vec, whose memory
+    the state shares when vec is a contiguous float64 array. A (B, P) stack
+    of vectors gives a stacked state, for the numpy forward path only."""
+    return ModelState(vec, m.layout, m.t_ce, m.t_re)
 
 
 @functools.cache
@@ -224,8 +248,8 @@ def _array_names(prefix: str, n_layers: int) -> tuple[tuple[tuple[str, str], ...
 
 def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
     """Named view of the arrays (or a ParamTensors' tensors): the one place
-    that lists and orders them. Clones, the EMA, the flat parameter vector,
-    gradients and checkpoints all follow it."""
+    that names them, in the order the flat vector lays them out. Checkpoints
+    follow it."""
     layer_names, classifier_name = _array_names(prefix, len(m.weights))
     out: dict[str, np.ndarray] = {}
     for (w_name, b_name), w, b in zip(layer_names, m.weights, m.biases):
@@ -237,24 +261,14 @@ def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
 
 def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
                       prefix: str = "") -> ModelState:
-    weights, biases = [], []
-    i = 0
-    while f"{prefix}layer{i}.weight" in arrays:
-        weights.append(np.array(arrays[f"{prefix}layer{i}.weight"], dtype=np.float64))
-        biases.append(np.array(arrays[f"{prefix}layer{i}.bias"], dtype=np.float64))
-        i += 1
-    if not weights:
-        raise ShapeMismatchError("no layer arrays found for prefix " + repr(prefix))
-    classifier = np.array(arrays[f"{prefix}classifier"], dtype=np.float64)
-    return ModelState(weights=weights, biases=biases, classifier=classifier,
-                      t_ce=float(t_ce), t_re=float(t_re))
-
-
-def states_allclose(a: ModelState, b: ModelState) -> bool:
-    """Whether two states have equal shapes and equal values. Only tests
-    call it; the acceptance suite imports it from this module."""
-    x, y = state_arrays(a), state_arrays(b)
-    return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+    """A state holding a copy of the arrays named like state_arrays(_, prefix);
+    arrays that do not form one model raise ShapeMismatchError."""
+    n_layers = next(i for i in itertools.count() if f"{prefix}layer{i}.weight" not in arrays)
+    layer_names, classifier_name = _array_names(prefix, n_layers)
+    picked = [np.asarray(arrays[name], dtype=np.float64)
+              for name in (*itertools.chain(*layer_names), classifier_name)]
+    return ModelState(np.concatenate([arr.ravel() for arr in picked]),
+                      tuple(arr.shape for arr in picked), t_ce, t_re)
 
 
 __all__ = [

@@ -23,12 +23,13 @@ from . import losses as L
 from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augment, weak_augment
 from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
 from .errors import (
-    ConfigError, DatasetFormatError, LrcoError, TrainingDivergedError, check_domains, within,
+    ConfigError, DatasetFormatError, LrcoError, ShapeMismatchError, TrainingDivergedError,
+    check_domains, within,
 )
 from .membank import MemoryBank
 from .model import (
     ModelConfig, ModelState, clone_state, ema_update, features_of, init_model,
-    lift_params, probs_of, state_arrays, state_from_arrays, tape_from,
+    lift_params, probs_of, state_arrays, state_from_arrays, tape_from, with_param_vector,
 )
 from .numerics import SeededRng
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
@@ -356,24 +357,22 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
 
 # Optimizer ---------------------------------------------------------------------
 
-def init_velocities(state: ModelState) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in state_arrays(state).items()}
+def init_velocities(state: ModelState) -> np.ndarray:
+    return np.zeros(state.params.shape)
 
 
-def sgd_step(state: ModelState, grads: dict[str, np.ndarray],
-             velocities: dict[str, np.ndarray], lr: float, momentum: float) -> None:
-    """Classic momentum SGD, in place: v <- mu v + g; p <- p - lr v."""
-    arrays = state_arrays(state)
-    for name, arr in arrays.items():
-        v = velocities[name]
-        v[...] = momentum * v + grads[name]
-        arr -= lr * v
+def sgd_step(state: ModelState, grads: np.ndarray, velocities: np.ndarray,
+             lr: float, momentum: float) -> None:
+    """Classic momentum SGD, in place on the flat vectors: v <- mu v + g; p <- p - lr v."""
+    velocities *= momentum
+    velocities += grads
+    state.params -= lr * velocities
 
 
 # Single training step ------------------------------------------------------------
 
 def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
-               velocities: dict[str, np.ndarray], sb: StepBatch,
+               velocities: np.ndarray, sb: StepBatch,
                cfg: TrainConfig, tau: float, step: int) -> StepReport:
     """One optimizer step: backprop, SGD update, EMA update, bank push."""
     params = lift_params(student)
@@ -498,7 +497,7 @@ class Checkpoint:
 
     student: ModelState
     teacher: ModelState
-    velocities: dict[str, np.ndarray]
+    velocities: np.ndarray  # laid out like student.params
     bank: MemoryBank
     step: int
     tau: float
@@ -518,8 +517,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     arrays: dict[str, np.ndarray] = {}
     arrays.update(state_arrays(ckpt.student, prefix="student/"))
     arrays.update(state_arrays(ckpt.teacher, prefix="teacher/"))
-    for name, arr in ckpt.velocities.items():
-        arrays[f"velocity/{name}"] = arr
+    arrays.update(state_arrays(with_param_vector(ckpt.student, ckpt.velocities),
+                               prefix="velocity/"))
     arrays.update(ckpt.bank.state_arrays())
     meta = {name: cast(getattr(ckpt, name)) for name, cast in _META_FIELDS.items()}
     meta.update(format=1, t_ce=ckpt.student.t_ce, t_re=ckpt.student.t_re)
@@ -545,11 +544,13 @@ def load_checkpoint(path) -> Checkpoint:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
+        student, teacher, velocity = (
+            state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix=prefix)
+            for prefix in ("student/", "teacher/", "velocity/"))
+        if not student.layout == teacher.layout == velocity.layout:
+            raise ShapeMismatchError("student, teacher and velocity arrays differ in shape")
         return Checkpoint(
-            student=state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="student/"),
-            teacher=state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix="teacher/"),
-            velocities={name[len("velocity/"):]: np.array(arr, dtype=np.float64)
-                        for name, arr in arrays.items() if name.startswith("velocity/")},
+            student=student, teacher=teacher, velocities=velocity.params,
             bank=MemoryBank.from_state_arrays(arrays),
             **{name: cast(meta[name]) for name, cast in _META_FIELDS.items() if name in meta},
         )

@@ -33,13 +33,14 @@ from lrco.gradcheck import check_instance
 from lrco.membank import MemoryBank
 from lrco.model import (
     ModelConfig, clone_state, ema_update, features_of, init_model, lift_params,
-    probs_of, state_arrays, states_allclose,
+    probs_of, state_arrays,
 )
 from lrco.numerics import SeededRng, normalize_last, softmax_last
 from lrco.trainer import (
     TrainConfig, fit, load_checkpoint, metric_record_line, prepare_step,
     step_objective,
 )
+from test_trainer import states_allclose
 
 BASE = default_run_config()
 SEEDS = ref.BENCHMARK_SEEDS

@@ -7,7 +7,7 @@ from lrco.errors import DegenerateFeatureError
 from lrco.losses import entropy_alignment, re_represent_batch
 from lrco.model import (
     ModelConfig, ParamTensors, features_of, get_param_vector, init_model, lift_params,
-    probs_of, tape_from, with_param_vector,
+    probs_of, state_arrays, tape_from, with_param_vector,
 )
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
@@ -254,7 +254,7 @@ def test_fused_head_equals_its_op_chain_in_the_graph(head):
                                 (probe_sum(picked, weights[7:]), 0.5),
                                 (probe_sum(feats, 0.01), 1.0)))
         loss.backward()
-        return out, tape_from(params)
+        return out, state_arrays(with_param_vector(m, tape_from(params)))
 
     out_f, grads_f = run(fused)
     out_c, grads_c = run(chain)

@@ -378,6 +378,44 @@ def test_corrupt_checkpoint_exits_4_naming_the_path(tmp_path, capsys):
                                   "checkpoint"), err
 
 
+# Checkpoint arrays that do not form one model, each written over a good
+# checkpoint as (name, shape, the error named), a shape of None deleting the
+# entry. Before the student, teacher and velocity entries had to follow one
+# layout, each of them made `train --resume`, `eval` or both exit 1 with a
+# traceback.
+MISSHAPEN_ENTRIES = {
+    "no_velocity_classifier": ("velocity/classifier", None, "KeyError"),
+    "velocity_layer0_weight_3x3": ("velocity/layer0.weight", (3, 3), "ShapeMismatchError"),
+    "teacher_classifier_5x7": ("teacher/classifier", (5, 7), "ShapeMismatchError"),
+    "student_layer1_weight_16x7": ("student/layer1.weight", (16, 7), "ShapeMismatchError"),
+}
+
+
+@pytest.mark.parametrize("name, shape, error", MISSHAPEN_ENTRIES.values(),
+                         ids=list(MISSHAPEN_ENTRIES))
+def test_checkpoint_arrays_that_form_no_model_exit_4(tmp_path, capsys, name, shape, error):
+    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    if shape is None:
+        del arrays[name]
+    else:
+        arrays[name] = np.ones(shape)
+    bad = tmp_path / "bad.npz"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **arrays)
+    out = tmp_path / "resumed"
+    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
+    for argv in (["train", "--out", str(out), "--resume", str(bad), *longer],
+                 ["eval", "--checkpoint", str(bad), *FAST]):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID_CONFIG, (argv, err)
+        assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
+                              f"({error}: "), err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_every_documented_exit_code(tmp_path, capsys):
     corrupt = tmp_path / "corrupt.npz"
     corrupt.write_text("not a checkpoint\n")

@@ -1,6 +1,7 @@
 """The benchmark's tracer patches lrco from outside, by attribute name; every
-name it patches must exist, and restoring must put every original back. And
-the package decides what a method does from trainer.METHOD_TERMS alone."""
+name it patches must exist, and restoring must put every original back. The
+package decides what a method does from trainer.METHOD_TERMS alone, and only
+model.py builds a state's arrays."""
 
 import ast
 import importlib
@@ -68,3 +69,44 @@ def test_no_method_name_is_compared_outside_the_terms_table():
     assert not found, found
     sample = 'a = m in ("x", "lrco")\nb = m < 2\nc = "strong" != m\nd = {"lrco"} == m\n'
     assert _method_name_compares(sample) == [1, 3, 4]
+
+
+STATE_ARRAYS = ("weights", "biases", "classifier")
+
+
+def _state_array_rebinds(source: str, in_model: bool) -> list[int]:
+    """Line numbers of the calls of ModelState and of the assignments to an
+    attribute weights, biases or classifier. In model.py, ModelState setting
+    its own views (self.<name> = ...) and its constructor calls are allowed."""
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return [t for elt in node.elts for t in targets(elt)]
+        return [node.value if isinstance(node, ast.Starred) else node]
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and not in_model:
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "ModelState":
+                found.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in (t for each in assigned for t in targets(each)):
+                if (isinstance(target, ast.Attribute) and target.attr in STATE_ARRAYS
+                        and not (in_model and getattr(target.value, "id", None) == "self")):
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_state_arrays_stay_views_of_params():
+    # a state's weights, biases and classifier are views of its params, which
+    # SGD and the EMA update; rebinding one would detach it from params
+    found = {path.name: lines for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
+             if (lines := _state_array_rebinds(path.read_text(encoding="utf-8"),
+                                               path.name == "model.py"))}
+    assert not found, found
+    sample = ("s = model.ModelState(p, l, 1.0, 1.0)\nm.weights = w\n"
+              "a, m.classifier = c, d\nm.biases += b\nm.classifier[...] = c\n"
+              "self.weights = w\n")
+    assert _state_array_rebinds(sample, in_model=False) == [1, 2, 3, 4, 6]
+    assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]

@@ -13,18 +13,25 @@ from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
-    ModelConfig, clone_state, features_of, init_model, probs_of, states_allclose,
+    ModelConfig, clone_state, ema_update, features_of, init_model, probs_of, state_arrays,
+    state_from_arrays, with_param_vector,
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
     LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, TrainConfig, _EpochCycler,
     adjust_tau,
     evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
-    metrics_header_lines, prepare_step, save_checkpoint, step_objective,
+    metrics_header_lines, prepare_step, save_checkpoint, sgd_step, step_objective,
     train_step,
 )
 
 AUG = AugmentSpec()
+
+
+def states_allclose(a, b) -> bool:
+    """Whether two states have equal shapes and equal values."""
+    x, y = state_arrays(a), state_arrays(b)
+    return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
 
 
 def tiny_setup(method="mixlrco", seed=0, **overrides):
@@ -670,6 +677,65 @@ def test_lambda_zero_matches_strong_bitwise():
         assert states_allclose(got.teacher, ref.teacher)
 
 
+# --- the flat parameter vector -------------------------------------------------------------
+
+def sgd_step_per_array(state, grads, velocities, lr, momentum):
+    """The oracle of sgd_step: momentum SGD array by array, on named grads
+    and velocities."""
+    for name, arr in state_arrays(state).items():
+        v = velocities[name]
+        v[...] = momentum * v + grads[name]
+        arr -= lr * v
+
+
+def ema_update_per_array(teacher, student, decay):
+    """The oracle of ema_update, array by array."""
+    s_arrays = state_arrays(student)
+    for name, t_arr in state_arrays(teacher).items():
+        t_arr[...] = decay * t_arr + (1.0 - decay) * s_arrays[name]
+
+
+def test_flat_sgd_and_ema_equal_the_per_array_updates_bitwise():
+    _, student, teacher, *_ = tiny_setup()
+    ref_student, ref_teacher = clone_state(student), clone_state(teacher)
+    velocities = init_velocities(student)
+    ref_velocities = {name: np.zeros_like(arr) for name, arr in state_arrays(student).items()}
+    rng = SeededRng(7)
+    for step in range(5):
+        grads = np.asarray(rng.normal(size=student.params.shape))
+        grads[step::4] = (-0.0, 0.0)[step % 2]  # signed zeros on some entries
+        sgd_step(student, grads, velocities, 0.05, 0.9)
+        sgd_step_per_array(ref_student, state_arrays(with_param_vector(student, grads)),
+                           ref_velocities, 0.05, 0.9)
+        ema_update(teacher, student, 0.99)
+        ema_update_per_array(ref_teacher, ref_student, 0.99)
+        assert student.params.tobytes() == ref_student.params.tobytes()
+        assert teacher.params.tobytes() == ref_teacher.params.tobytes()
+        assert velocities.tobytes() == np.concatenate(
+            [v.ravel() for v in ref_velocities.values()]).tobytes()
+    assert not states_allclose(student, teacher)
+
+
+def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
+    cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
+    velocities = init_velocities(student)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1)
+    train_step(student, teacher, bank, velocities, sb, cfg, tau=0.7, step=1)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
+                                     bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash=""))
+    ck = load_checkpoint(path)
+    rebuilt = state_from_arrays(state_arrays(student), student.t_ce, student.t_re)
+    states = [student, teacher, rebuilt, ck.student, ck.teacher]  # init_model, clone_state, ...
+    vectors = [m.params for m in states] + [velocities, ck.velocities]
+    for m in states:
+        for arr in state_arrays(m).values():
+            assert arr.base is m.params
+            assert sum(np.shares_memory(arr, vec) for vec in vectors) == 1
+    assert all(vec.flags.owndata for vec in vectors)
+    assert not np.shares_memory(ck.velocities, ck.student.params)
+
+
 # --- checkpointing and resume ---------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
@@ -687,8 +753,7 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert states_allclose(ck.teacher, teacher)
     assert ck.step == 2 and ck.tau == 0.7 and ck.config_hash == "h123"
     np.testing.assert_array_equal(ck.bank.snapshot(), bank.snapshot())
-    for name, arr in velocities.items():
-        np.testing.assert_array_equal(ck.velocities[name], arr)
+    np.testing.assert_array_equal(ck.velocities, velocities)
 
 
 def test_every_checkpoint_field_survives_save_and_load(tmp_path):
@@ -711,8 +776,8 @@ def test_every_checkpoint_field_survives_save_and_load(tmp_path):
         if isinstance(a, MemoryBank):
             return (a.capacity == b.capacity
                     and np.array_equal(a.snapshot(), b.snapshot()))
-        if isinstance(a, dict):
-            return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+        if isinstance(a, np.ndarray):
+            return a.shape == b.shape and np.array_equal(a, b)
         if isinstance(a, type(student)):
             return states_allclose(a, b) and (a.t_ce, a.t_re) == (b.t_ce, b.t_re)
         return type(a) is type(b) and a == b
