@@ -726,7 +726,8 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
                                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash=""))
     ck = load_checkpoint(path)
     rebuilt = state_from_arrays(state_arrays(student), student.t_ce, student.t_re)
-    states = [student, teacher, rebuilt, ck.student, ck.teacher]  # init_model, clone_state, ...
+    # from init_model, clone_state, state_from_arrays and load_checkpoint
+    states = [student, teacher, rebuilt, ck.student, ck.teacher]
     vectors = [m.params for m in states] + [velocities, ck.velocities]
     for m in states:
         for arr in state_arrays(m).values():
