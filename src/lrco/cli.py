@@ -5,7 +5,8 @@ single process driven by a config file (defaults used when none is given),
 with individual keys overridable via repeated --set section.key=value flags.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 invalid config or data
-format (a corrupt checkpoint, or one trained on another benchmark, included),
+format (an unreadable --config, an unusable --out, a corrupt checkpoint, or
+one that trainer.checkpoint_for refuses for the benchmark, included),
 5 numeric/runtime failure.
 """
 
@@ -33,7 +34,8 @@ from .errors import (
     ShapeMismatchError, TrainingDivergedError,
 )
 from .gradcheck import run_gradient_suite
-from .trainer import REREP_MODES, evaluate, fit, load_checkpoint, resume_checkpoint
+from .trainer import REREP_MODES, checkpoint_for, evaluate, fit
+from .trainer import load_checkpoint  # noqa: F401 (unused; perfbench patches it here)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,7 +52,11 @@ def _resolve_out(path: str) -> str:
     root = os.environ.get("LRCO_OUTPUT_ROOT", "")
     if root and not os.path.isabs(path):
         path = os.path.join(root, path)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} is not a usable directory "
+                          f"({type(exc).__name__}: {exc})") from exc
     return path
 
 
@@ -79,6 +85,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -114,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--instances", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive_finite_float, default=1e-4)
 
     return parser
 
@@ -142,15 +155,14 @@ def _cmd_train(args) -> int:
     chash, dhash = config_hash(cfg), dynamics_hash(cfg)
     bench = generate_shift_benchmark(cfg.data)
     # A refused resume must leave --out as it was, so check it before writing.
-    resume = None if args.resume is None else resume_checkpoint(args.resume, bench, dhash)
+    resume = None if args.resume is None else checkpoint_for(args.resume, bench, dhash)
     out = _resolve_out(args.out)
     with open(os.path.join(out, "config_used.txt"), "w", encoding="utf-8") as fh:
         fh.write(canonical_text(cfg))
     result = fit(
         bench, cfg.augment, cfg.train,
         hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim,
-        metrics_path=os.path.join(out, "metrics.csv"),
-        checkpoint_dir=out, resume_from=resume, config_hash=chash, dynamics_hash=dhash,
+        out_dir=out, resume_from=resume, config_hash=chash, dynamics_hash=dhash,
     )
     print(f"run_id={cfg.output.run_id} config_hash={chash} steps={result.steps_run}")
     for rec in result.history[-2:]:
@@ -159,21 +171,10 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_and_benchmark(path: str, cfg: RunConfig):
-    """Load a checkpoint and build the benchmark from the config; refuse a
-    checkpoint that was trained on another benchmark or names none."""
-    ckpt = load_checkpoint(path)
-    spec_hash = benchmark_spec_hash(cfg.data)
-    if ckpt.spec_hash != spec_hash:
-        raise ConfigError(
-            f"checkpoint {path} was trained on benchmark spec_hash="
-            f"{ckpt.spec_hash or '(none recorded)'}, the config gives spec_hash={spec_hash}")
-    return ckpt, generate_shift_benchmark(cfg.data)
-
-
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    ckpt, bench = _checkpoint_and_benchmark(args.checkpoint, cfg)
+    bench = generate_shift_benchmark(cfg.data)
+    ckpt = checkpoint_for(args.checkpoint, bench)
     splits = {"source": (bench.source_x, bench.source_y),
               "target": bench.target_eval_samples()}
     for name, (x, y) in splits.items():
@@ -190,7 +191,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_run_config(args)
-    ckpt, bench = _checkpoint_and_benchmark(args.checkpoint, cfg)
+    bench = generate_shift_benchmark(cfg.data)
+    ckpt = checkpoint_for(args.checkpoint, bench)
     x_target, labels = bench.target_eval_samples()
     if len(labels) < MIN_PROJECTION_ROWS:
         raise ConfigError(

@@ -189,8 +189,17 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse the config file at ``path``; a missing file raises
+    FileNotFoundError, one that cannot be read as text ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not a readable config file "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return parse_config_text(text)
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:

@@ -563,26 +563,27 @@ def load_checkpoint(path) -> Checkpoint:
         ) from exc
 
 
-def resume_checkpoint(source, benchmark: ShiftBenchmark,
-                      dynamics_hash: str = "") -> Checkpoint:
+def checkpoint_for(source, benchmark: ShiftBenchmark,
+                   dynamics_hash: str = "") -> Checkpoint:
     """The checkpoint at path ``source`` (or ``source`` itself, a Checkpoint
-    already loaded), refused with ConfigError when it cannot continue a run
-    on ``benchmark``: its model has another input dimension or class count,
-    it records another benchmark's spec hash, or, when ``dynamics_hash`` is
-    given, it carries a different dynamics hash or none."""
+    already loaded), refused with ConfigError unless it belongs to
+    ``benchmark``: the same spec hash, then the same input dimension and
+    class count, then, when ``dynamics_hash`` is given, the same one. The
+    one gate for resuming, evaluating and analyzing a checkpoint."""
     ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
+    where = "" if ckpt is source else f" {source}"
     spec = benchmark.spec
+    spec_hash = benchmark_spec_hash(spec)
+    if ckpt.spec_hash != spec_hash:
+        raise ConfigError(
+            f"checkpoint{where} was trained on benchmark spec_hash="
+            f"{ckpt.spec_hash or '(none recorded)'}, the benchmark has spec_hash={spec_hash}"
+        )
     shape = (ckpt.student.input_dim, ckpt.student.n_classes)
     if shape != (spec.input_dim, spec.n_classes):
         raise ConfigError(
             f"checkpoint model has input_dim={shape[0]} n_classes={shape[1]}, "
             f"the benchmark has input_dim={spec.input_dim} n_classes={spec.n_classes}"
-        )
-    spec_hash = benchmark_spec_hash(spec)
-    if ckpt.spec_hash and ckpt.spec_hash != spec_hash:
-        raise ConfigError(
-            f"checkpoint was trained on benchmark spec_hash={ckpt.spec_hash}, "
-            f"this benchmark has spec_hash={spec_hash}"
         )
     if dynamics_hash and ckpt.dynamics_hash != dynamics_hash:
         raise ConfigError(
@@ -617,12 +618,13 @@ def _rows_before_resume(path, header: list[str], last_step: int, evaluates_at) -
 
 def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
         hidden_dims: tuple[int, ...] = (16,), feature_dim: int = 8,
-        metrics_path=None, checkpoint_dir=None, resume_from=None,
+        out_dir=None, resume_from=None,
         config_hash: str = "", dynamics_hash: str = "") -> FitResult:
     """Run the full training loop for one config over one benchmark.
 
+    ``out_dir``, when given, receives metrics.csv and the checkpoints.
     ``config_hash`` is an opaque stamp copied into metrics and checkpoints.
-    ``resume_from`` is a checkpoint path or a Checkpoint; resume_checkpoint
+    ``resume_from`` is a checkpoint path or a Checkpoint; checkpoint_for
     decides whether it can continue this run (``dynamics_hash`` guards it).
     """
     cfg.validate()
@@ -635,7 +637,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                  spec_hash=benchmark_spec_hash(benchmark.spec))
 
     if resume_from is not None:
-        run = resume_checkpoint(resume_from, benchmark, dynamics_hash)
+        run = checkpoint_for(resume_from, benchmark, dynamics_hash)
         resumed_header = metrics_header_lines(n_classes, run.config_hash, run.seed)
         run = replace(run, **stamp)
     else:
@@ -661,7 +663,8 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
 
     history: list[MetricRecord] = []
     metrics_file = None
-    if metrics_path is not None:
+    if out_dir is not None:
+        metrics_path = f"{out_dir}/metrics.csv"
         header = metrics_header_lines(n_classes, config_hash, cfg.seed)
         kept = (_rows_before_resume(metrics_path, resumed_header, start_step, evaluates_at)
                 if resume_from is not None else [])
@@ -699,16 +702,16 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
 
             if evaluates_at(step):
                 eval_both(step, report.losses)
-            if (checkpoint_dir is not None and cfg.checkpoint_interval > 0
+            if (out_dir is not None and cfg.checkpoint_interval > 0
                     and step % cfg.checkpoint_interval == 0 and step < cfg.total_steps):
-                save_checkpoint(f"{checkpoint_dir}/checkpoint_step{step}.npz",
+                save_checkpoint(f"{out_dir}/checkpoint_step{step}.npz",
                                 replace(run, step=step, tau=tau))
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
-    if checkpoint_dir is not None:
-        save_checkpoint(f"{checkpoint_dir}/checkpoint_final.npz",
+    if out_dir is not None:
+        save_checkpoint(f"{out_dir}/checkpoint_final.npz",
                         replace(run, step=max(start_step, cfg.total_steps), tau=tau))
 
     return FitResult(

@@ -396,7 +396,7 @@ def test_10_determinism_and_resume(tmp_path):
     half_cfg = dataclasses.replace(BASE.train, total_steps=BASE.train.total_steps // 2)
     ckpt_dir = tmp_path / "half"
     ckpt_dir.mkdir()
-    fit(bench, BASE.augment, half_cfg, checkpoint_dir=str(ckpt_dir), **kwargs)
+    fit(bench, BASE.augment, half_cfg, out_dir=str(ckpt_dir), **kwargs)
     resumed = fit(bench, BASE.augment, BASE.train,
                   resume_from=str(ckpt_dir / "checkpoint_final.npz"), **kwargs)
 

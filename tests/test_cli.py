@@ -247,13 +247,42 @@ def test_resume_refuses_checkpoint_of_another_shape(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
     capsys.readouterr()
+    ckpt = out / "checkpoint_final.npz"
+    # each override also changes the spec hash, which is checked first; the
+    # shape refusal of a checkpoint naming this benchmark is pinned below
     for override in ("data.input_dim=4", "data.n_classes=2"):
         code = run_cli("train", "--out", str(tmp_path / "run2"),
-                       "--resume", str(out / "checkpoint_final.npz"), *FAST,
-                       "--set", override)
+                       "--resume", str(ckpt), *FAST, "--set", override)
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
-        assert "checkpoint model has input_dim=3 n_classes=3" in err, override
+        assert err.startswith(f"error: invalid-config: checkpoint {ckpt} was trained on "
+                              f"benchmark spec_hash={load_checkpoint(ckpt).spec_hash}, "
+                              "the benchmark has spec_hash="), (override, err)
+
+
+def test_checkpoint_of_another_input_dim_exits_4_in_every_command(tmp_path, capsys):
+    # the spec hash is this benchmark's, but every layer0.weight has a 4th
+    # input row; eval and analyze once exited 1 with a matmul traceback, and
+    # analyze had created --out by then
+    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    for prefix in ("student/", "teacher/", "velocity/"):
+        weight = arrays[prefix + "layer0.weight"]
+        arrays[prefix + "layer0.weight"] = np.vstack([weight, weight[:1]])
+    wide = tmp_path / "wide.npz"
+    with open(wide, "wb") as fh:
+        np.savez(fh, **arrays)
+    out = tmp_path / "out"
+    for argv in (["train", "--out", str(out), "--resume", str(wide)],
+                 ["eval", "--checkpoint", str(wide)],
+                 ["analyze", "--checkpoint", str(wide), "--out", str(out)]):
+        code = run_cli(*argv, *FAST)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID_CONFIG, (argv, err)
+        assert err.splitlines() == [
+            "error: invalid-config: checkpoint model has input_dim=4 n_classes=3, "
+            "the benchmark has input_dim=3 n_classes=3"], (argv, err)
+        assert not out.exists(), argv
 
 
 def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
@@ -425,6 +454,9 @@ def test_every_documented_exit_code(tmp_path, capsys):
         (EXIT_USAGE, ["gradcheck", "--instances", "0"], "argument --instances: must be >= 1"),
         (EXIT_USAGE, ["gradcheck", "--instances", "-3"], "argument --instances: must be >= 1"),
         (EXIT_USAGE, ["gradcheck", "--seed", "-1"], "argument --seed: must be >= 0"),
+        *((EXIT_USAGE, ["gradcheck", "--tolerance", value],
+           "argument --tolerance: must be positive and finite")
+          for value in ("nan", "inf", "0", "-0.5")),
         (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
          "error: missing-file:"),
         (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
@@ -481,6 +513,44 @@ def test_missing_files_exit_3(tmp_path, capsys):
                    "--config", str(tmp_path / "ghost.txt"))
     assert code == EXIT_MISSING_FILE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, contents, error", [
+    ("a_directory", None, "IsADirectoryError"),
+    ("binary.txt", b"train.seed = \xff\n", "UnicodeDecodeError"),
+])
+def test_unreadable_config_exits_4(tmp_path, capsys, name, contents, error):
+    config = tmp_path / name
+    if contents is None:
+        config.mkdir()
+    else:
+        config.write_bytes(contents)
+    out = tmp_path / "out"
+    code = run_cli("train", "--out", str(out), "--config", str(config))
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID_CONFIG, err
+    assert err.startswith(f"error: invalid-config: {config} is not a readable config file "
+                          f"({error}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out, error", [
+    ("gen-data", "blocker/sub", "NotADirectoryError"),
+    ("train", "blocker", "FileExistsError"),
+    ("analyze", "blocker", "FileExistsError"),
+])
+def test_unusable_out_exits_4_before_writing(tmp_path, capsys, command, out, error):
+    rest = ["--checkpoint", train_fast(tmp_path, capsys)] if command == "analyze" else []
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli(command, "--out", str(tmp_path / out), *rest, *FAST)
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID_CONFIG, err
+    assert err.startswith(f"error: invalid-config: --out {tmp_path / out} is not a usable "
+                          f"directory ({error}: "), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "a file\n"
 
 
 def test_invalid_config_exits_4(tmp_path, capsys):

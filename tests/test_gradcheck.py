@@ -6,7 +6,7 @@ from lrco.gradcheck import (
     values_at,
 )
 from lrco.model import get_param_vector, lift_params
-from lrco.trainer import step_objective
+from lrco.trainer import METHOD_TERMS, PSEUDO_LABEL_METHODS, step_objective
 
 
 def test_split_tau_separates_groups():
@@ -25,6 +25,26 @@ def test_instances_cover_the_size_grid():
 def test_every_term_checked_per_instance():
     result = check_instance(0, seed=0)
     assert set(result.errors) == set(TERM_NAMES)
+
+
+# The step_objective keys that carry each METHOD_TERMS term.
+TERM_KEYS = {"ce": ("ce",), "align": ("align",), "fixmatch": ("fixmatch", "kld"),
+             "bank": ("contrastive",), "mix": ("contrastive",)}
+
+
+def test_checks_cover_every_method_term_and_pseudo_label_total():
+    # (method, key) for every key a _CHECKS entry differentiates, under the
+    # method of the entry's config
+    cfgs = _build_instance(0, seed=0)["cfgs"]
+    checked = {(cfgs[cfg_key].method, key) for cfg_key, _, terms in _CHECKS
+               for _, key in terms}
+    assert set(TERM_KEYS) == {t for terms in METHOD_TERMS.values() for t in terms}
+    for term, keys in TERM_KEYS.items():
+        for key in keys:
+            assert any((m, key) in checked for m, terms in METHOD_TERMS.items()
+                       if term in terms), (term, key)
+    for method in PSEUDO_LABEL_METHODS:
+        assert (method, "total") in checked, method
 
 
 def test_gradients_match_finite_differences():

@@ -820,7 +820,7 @@ def test_resume_reproduces_straight_run(tmp_path):
     ck_dir = tmp_path / "run"
     ck_dir.mkdir()
     fit(bench, AUG, dataclasses.replace(cfg6, total_steps=3),
-        checkpoint_dir=str(ck_dir), **kw)
+        out_dir=str(ck_dir), **kw)
     resumed = fit(bench, AUG, cfg6,
                   resume_from=str(ck_dir / "checkpoint_final.npz"), **kw)
 
@@ -838,7 +838,7 @@ def test_resume_rejects_dynamics_mismatch(tmp_path):
     ck_dir = tmp_path / "run"
     ck_dir.mkdir()
     fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5,
-        checkpoint_dir=str(ck_dir), dynamics_hash="aaa")
+        out_dir=str(ck_dir), dynamics_hash="aaa")
     with pytest.raises(ConfigError, match="different config"):
         fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5,
             resume_from=str(ck_dir / "checkpoint_final.npz"), dynamics_hash="bbb")
@@ -856,7 +856,7 @@ def test_resume_refuses_checkpoint_of_another_benchmark(tmp_path):
     ck_dir = tmp_path / "run"
     ck_dir.mkdir()
     fit(small_benchmark(seed=0), AUG, cfg, hidden_dims=(6,), feature_dim=5,
-        checkpoint_dir=str(ck_dir))
+        out_dir=str(ck_dir))
     ckpt = str(ck_dir / "checkpoint_final.npz")
     longer = dataclasses.replace(cfg, total_steps=4)
     # same shapes and dynamics, another data seed
@@ -868,15 +868,31 @@ def test_resume_refuses_checkpoint_of_another_benchmark(tmp_path):
     assert result.steps_run == 2
 
 
+def test_resume_refuses_checkpoint_that_records_no_benchmark(tmp_path):
+    cfg = TrainConfig(method="baseline", total_steps=2, batch_labeled=12,
+                      batch_unlabeled=12)
+    fit(small_benchmark(seed=0), AUG, cfg, hidden_dims=(6,), feature_dim=5,
+        out_dir=str(tmp_path))
+    unnamed = tmp_path / "unnamed.npz"
+    save_checkpoint(unnamed, dataclasses.replace(
+        load_checkpoint(tmp_path / "checkpoint_final.npz"), spec_hash=""))
+    longer = dataclasses.replace(cfg, total_steps=4)
+    # neither the benchmark it was trained on nor another one takes it
+    for seed in (0, 7):
+        with pytest.raises(ConfigError, match=r"spec_hash=\(none recorded\), "):
+            fit(small_benchmark(seed=seed), AUG, longer, hidden_dims=(6,), feature_dim=5,
+                resume_from=str(unnamed))
+
+
 def test_metrics_files_byte_identical(tmp_path):
     bench = small_benchmark(seed=3)
     cfg = TrainConfig(method="lrco", total_steps=6, eval_interval=2,
                       batch_labeled=12, batch_unlabeled=12, seed=3)
-    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5, metrics_path=str(p1),
-        config_hash="xyz")
-    fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5, metrics_path=str(p2),
-        config_hash="xyz")
+    p1, p2 = tmp_path / "a" / "metrics.csv", tmp_path / "b" / "metrics.csv"
+    for p in (p1, p2):
+        p.parent.mkdir()
+        fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5, out_dir=str(p.parent),
+            config_hash="xyz")
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == "# config_hash=xyz seed=3"
@@ -902,7 +918,7 @@ def test_fit_zero_steps_returns_initial_model(tmp_path):
     bench = small_benchmark()
     cfg = TrainConfig(method="mixlrco", total_steps=0)
     result = fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5,
-                 checkpoint_dir=str(tmp_path))
+                 out_dir=str(tmp_path))
     assert result.steps_run == 0
     assert result.history == []
     assert states_allclose(result.student, result.teacher)
