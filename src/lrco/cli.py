@@ -25,13 +25,13 @@ from .analysis import (
 )
 from .config import (
     RunConfig, apply_overrides, canonical_text, config_hash, default_run_config,
-    dynamics_hash, load_config,
+    dynamics_hash, load_config, parser_for,
 )
 from .data import benchmark_spec_hash, generate_shift_benchmark, save_dataset
 from .data import pack_inputs  # noqa: F401 (unused; perfbench patches it here)
 from .errors import (
     ConfigError, DatasetFormatError, DegenerateFeatureError, LrcoError,
-    ShapeMismatchError, TrainingDivergedError,
+    ShapeMismatchError, TrainingDivergedError, inside,
 )
 from .gradcheck import run_gradient_suite
 from .trainer import REREP_MODES, checkpoint_for, evaluate, fit
@@ -74,25 +74,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override one config key (repeatable)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _flag_type(annotation: str, domain: str):
+    """An argparse type that reads a flag as a config value of ``annotation``
+    and refuses it outside ``domain`` by the rule of the config fields."""
+    parse = parser_for(annotation)
 
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_finite_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
+    def read(text):
+        try:
+            value = parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not inside(value, domain):
+            raise argparse.ArgumentTypeError(f"must lie in {domain}, got {value!r}")
+        return value
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p)
-    p.add_argument("--instances", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--tolerance", type=_positive_finite_float, default=1e-4)
+    p.add_argument("--instances", type=_flag_type("int", "[1, inf)"), default=20)
+    p.add_argument("--seed", type=_flag_type("int", "[0, inf)"), default=0)
+    p.add_argument("--tolerance", type=_flag_type("float", "(0, inf)"), default=1e-4)
 
     return parser
 

@@ -73,82 +73,63 @@ def default_run_config() -> RunConfig:
 
 # Parsing ------------------------------------------------------------------------
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-def _parse_opt_float(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("none", ""):
+def parser_for(annotation: str):
+    """Build the parser of a config value from its annotation string: one of
+    the scalars int, float, str and bool, or, for a scalar X, ``X | None``
+    (``none`` or an empty value reads as None), ``tuple[X, ...]`` (an empty
+    value reads as ``()``) or ``tuple[X, X]``. Any other annotation gives None.
+    """
+    kind, shape = annotation, "scalar"
+    if annotation.endswith(" | None"):
+        kind, shape = annotation.removesuffix(" | None"), "optional"
+    elif annotation.startswith("tuple[") and annotation.endswith("]"):
+        kind, _, length = annotation[len("tuple["):-1].partition(", ")
+        shape = {"...": "tuple", kind: "pair"}.get(length)
+    if shape is None:
         return None
-    return _parse_float(text)
+    if kind == "str":
+        entry = str.strip
+    elif kind == "bool":
+        def entry(text):
+            value = _BOOLEANS.get(text.strip().lower())
+            if value is None:
+                raise ConfigError(f"expected a boolean, got {text!r}")
+            return value
+    elif kind in ("int", "float"):
+        cast, noun = (int, "an integer") if kind == "int" else (float, "a number")
 
+        def entry(text):
+            try:
+                return cast(text)
+            except ValueError as exc:
+                raise ConfigError(f"expected {noun}, got {text!r}") from exc
+    else:
+        return None
+    if shape == "scalar":
+        return entry
+    if shape == "optional":
+        return lambda text: None if text.strip().lower() in ("none", "") else entry(text)
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(_parse_float(p) for p in stripped.split(","))
-
-
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    return tuple(_parse_int(p) for p in stripped.split(","))
-
-
-def _parse_float_pair(text: str) -> tuple[float, float]:
-    values = _parse_float_tuple(text)
-    if len(values) != 2:
-        raise ConfigError(f"expected exactly two comma-separated numbers, got {text!r}")
-    return (values[0], values[1])
-
-
-# Parser per field annotation. Every section module postpones the evaluation
-# of annotations, so dataclasses.fields reports them as these strings.
-_PARSERS_BY_ANNOTATION = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "float | None": _parse_opt_float,
-    "str": _parse_str,
-    "bool": _parse_bool,
-    "tuple[float, ...]": _parse_float_tuple,
-    "tuple[int, ...]": _parse_int_tuple,
-    "tuple[float, float]": _parse_float_pair,
-}
+    def parse_tuple(text):
+        values = tuple(entry(p) for p in text.split(",")) if text.strip() else ()
+        if shape == "pair" and len(values) != 2:
+            raise ConfigError(f"expected exactly two comma-separated numbers, got {text!r}")
+        return values
+    return parse_tuple
 
 
 def _section_parsers(section_type) -> dict[str, object]:
+    # Every section module postpones the evaluation of annotations, so
+    # dataclasses.fields reports them as strings.
     parsers = {}
     for f in fields(section_type):
-        if f.type not in _PARSERS_BY_ANNOTATION:
+        parsers[f.name] = parser_for(f.type)
+        if parsers[f.name] is None:
             raise TypeError(f"no config parser for {section_type.__name__}.{f.name}: "
                             f"{f.type!r}")
-        parsers[f.name] = _PARSERS_BY_ANNOTATION[f.type]
     return parsers
 
 

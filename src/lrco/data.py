@@ -21,7 +21,7 @@ from .numerics import SeededRng
 class BenchmarkSpec:
     """Everything needed to regenerate a benchmark deterministically."""
 
-    n_classes: int = within("[2, inf)", 5)
+    n_classes: int = within("[2, 2147483647]", 5)
     input_dim: int = within("[2, 2147483647]", 2)
     n_per_class_source: int = within("[1, 2147483647]", 60)
     n_per_class_target: int = within("[1, 2147483647]", 60)

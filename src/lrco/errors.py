@@ -43,7 +43,8 @@ def within(domain, default=MISSING):
     return field(default=default, metadata={"domain": domain})
 
 
-def _inside(value, domain) -> bool:
+def inside(value, domain) -> bool:
+    """Whether ``value`` lies in ``domain``, the rule of ``within``."""
     if isinstance(domain, tuple):
         return value in domain
     low, high = (float(end) for end in domain[1:-1].split(","))
@@ -61,6 +62,6 @@ def check_domains(obj, prefix: str = "") -> None:
         if domain is None or value is None:
             continue
         entries = value if isinstance(value, tuple) else (value,)
-        if not all(_inside(v, domain) for v in entries):
+        if not all(inside(v, domain) for v in entries):
             verb = "be one of" if isinstance(domain, tuple) else "lie in"
             raise ConfigError(f"{prefix}{f.name} must {verb} {domain}, got {value!r}")

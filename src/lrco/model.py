@@ -27,7 +27,7 @@ class ModelConfig:
     input_dim: int = within("[1, 2147483647]")
     hidden_dims: tuple[int, ...] = within("[1, 2147483647]")
     feature_dim: int = within("[2, 2147483647]")
-    n_classes: int = within("[2, inf)")
+    n_classes: int = within("[2, 2147483647]")
     t_ce: float = within("(0, inf)")
     t_re: float = within("(0, inf)")
 

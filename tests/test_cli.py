@@ -451,12 +451,21 @@ def test_every_documented_exit_code(tmp_path, capsys):
     cases = [
         (EXIT_OK, ["gradcheck", "--instances", "1"], ""),
         (EXIT_USAGE, ["eval"], "required: --checkpoint"),
-        (EXIT_USAGE, ["gradcheck", "--instances", "0"], "argument --instances: must be >= 1"),
-        (EXIT_USAGE, ["gradcheck", "--instances", "-3"], "argument --instances: must be >= 1"),
-        (EXIT_USAGE, ["gradcheck", "--seed", "-1"], "argument --seed: must be >= 0"),
+        (EXIT_USAGE, ["gradcheck", "--instances", "0"],
+         "argument --instances: must lie in [1, inf), got 0"),
+        (EXIT_USAGE, ["gradcheck", "--instances", "-3"],
+         "argument --instances: must lie in [1, inf), got -3"),
+        (EXIT_USAGE, ["gradcheck", "--seed", "-1"],
+         "argument --seed: must lie in [0, inf), got -1"),
         *((EXIT_USAGE, ["gradcheck", "--tolerance", value],
-           "argument --tolerance: must be positive and finite")
-          for value in ("nan", "inf", "0", "-0.5")),
+           f"argument --tolerance: must lie in (0, inf), got {shown}")
+          for value, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-0.5", "-0.5"))),
+        (EXIT_USAGE, ["gradcheck", "--instances", "abc"],
+         "argument --instances: expected an integer, got 'abc'"),
+        (EXIT_USAGE, ["gradcheck", "--seed", "1.5"],
+         "argument --seed: expected an integer, got '1.5'"),
+        (EXIT_USAGE, ["gradcheck", "--tolerance", "x"],
+         "argument --tolerance: expected a number, got 'x'"),
         (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
          "error: missing-file:"),
         (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
@@ -467,6 +476,8 @@ def test_every_documented_exit_code(tmp_path, capsys):
         assert run_cli(*argv) == expected, argv
         err = capsys.readouterr().err
         assert err_part in err and "Traceback" not in err, (argv, err)
+        # argparse words a failing type as "invalid <function name> value: ..."
+        assert " value: " not in err, (argv, err)
 
 
 def test_tiny_mix_alpha_exits_numeric(tmp_path, capsys):
@@ -571,12 +582,14 @@ def test_invalid_config_exits_4(tmp_path, capsys):
     ("gen-data", "data.n_per_class_source"), ("train", "data.n_per_class_target"),
     ("train", "data.n_labeled_target_per_class"), ("train", "data.input_dim"),
     ("train", "model.hidden_dims"), ("train", "model.feature_dim"),
-    ("train", "train.bank_capacity"),
+    ("train", "train.bank_capacity"), ("gen-data", "data.n_classes"),
 ])
 def test_huge_integer_sizes_exit_4(tmp_path, capsys, command, key):
-    # a size past 2**31 - 1 is refused before anything is allocated or written
+    # a size past 2**31 - 1 is refused before anything is allocated or written;
+    # on a circle (input_dim=2) any class count meets the cross-field rule
     out = tmp_path / "out"
-    assert run_cli(command, "--out", str(out), "--set", f"{key}={10**30}") \
+    partner = ["--set", "data.input_dim=2"] if key == "data.n_classes" else []
+    assert run_cli(command, "--out", str(out), "--set", f"{key}={10**30}", *partner) \
         == EXIT_INVALID_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid-config: {key} must lie in [") and "2147483647]" in err

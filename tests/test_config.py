@@ -1,7 +1,7 @@
 import math
 import re
 import string
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from lrco.config import (
     FIELD_PARSERS, _render_value, _section_parsers, apply_overrides, canonical_text,
     config_hash, default_run_config, dynamics_hash, load_config, parse_config_text,
 )
-from lrco.errors import ConfigError
+from lrco.errors import ConfigError, inside
 
 
 def test_default_config_is_valid_and_stable():
@@ -130,7 +130,8 @@ def test_dynamics_hash_ignores_run_length_only():
 
 def test_invalid_section_values_surface_as_config_errors():
     bad = apply_overrides(default_run_config(), ["data.n_classes=1"])
-    with pytest.raises(ConfigError, match=re.escape("data.n_classes must lie in [2, inf), got 1")):
+    with pytest.raises(ConfigError,
+                       match=re.escape("data.n_classes must lie in [2, 2147483647], got 1")):
         bad.validate()
     bad = apply_overrides(default_run_config(), ["augment.mask_prob=1.5"])
     with pytest.raises(ConfigError,
@@ -151,8 +152,54 @@ def test_field_parsers_follow_the_dataclass_fields():
     for section, parsers in FIELD_PARSERS.items():
         assert list(parsers) == [f.name for f in fields(getattr(cfg, section))]
     assert sum(len(p) for p in FIELD_PARSERS.values()) == 43
-    with pytest.raises(TypeError, match="no config parser for Odd.when"):
-        _section_parsers(make_dataclass("Odd", [("when", "datetime")]))
+    for annotation in ("datetime", "tuple[datetime, ...]", "datetime | None"):
+        with pytest.raises(TypeError, match="no config parser for Odd.when"):
+            _section_parsers(make_dataclass("Odd", [("when", annotation)]))
+
+
+def _any_inside(f):
+    """A strategy for any value of field ``f`` inside its declared domain. It
+    draws often the closed ends, the smallest positive float and 1e300."""
+    if f.type == "bool":
+        return st.booleans()
+    if f.type == "str" and "domain" not in f.metadata:
+        # canonical_text writes one line per key, and parsing strips the value
+        return st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) < 2)
+    domain = f.metadata["domain"]
+    kind = f.type.removeprefix("tuple[").partition(",")[0].removesuffix(" | None")
+    if isinstance(domain, tuple):
+        entry = st.sampled_from(domain)
+    else:
+        low, high = (float(end) for end in domain[1:-1].split(","))
+        special = [v for v in (low, high, 5e-324, 1e300) if inside(v, domain)]
+        low, high = (None if math.isinf(end) else end for end in (low, high))
+        if kind == "int":
+            entry = st.sampled_from([int(v) for v in special if v.is_integer()]) | st.integers(
+                None if low is None else int(low), None if high is None else int(high))
+        else:
+            entry = st.sampled_from(special) | st.floats(
+                low, high, allow_nan=False, allow_infinity=False).filter(
+                lambda v: inside(v, domain))
+    if f.type.endswith(", ...]"):
+        return st.lists(entry, max_size=3).map(tuple)
+    if f.type.startswith("tuple["):
+        return st.tuples(entry, entry)
+    return st.none() | entry if f.type.endswith(" | None") else entry
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({
+    section: st.fixed_dictionaries({
+        f.name: _any_inside(f) for f in fields(getattr(default_run_config(), section))})
+    for section in FIELD_PARSERS
+}))
+def test_every_value_inside_the_domains_reads_back_from_canonical_text(values):
+    cfg = default_run_config()
+    for section, drawn in values.items():
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **drawn)})
+    read = parse_config_text(canonical_text(cfg))
+    assert repr(read) == repr(cfg)  # repr tells -0.0 from 0.0 and 1 from 1.0
+    assert config_hash(read) == config_hash(cfg)
 
 
 # Field domains ---------------------------------------------------------------------
