@@ -142,14 +142,41 @@ def clone_state(m: ModelState) -> ModelState:
 
 
 def features_of(model_like, x_rows):
-    """Batch feature forward pass; works on ModelState (numpy) or ParamTensors (graph)."""
-    h = x_rows
-    last = len(model_like.weights) - 1
-    for i, (w, b) in enumerate(zip(model_like.weights, model_like.biases)):
-        h = ad.add(ad.matmul(h, w), b)
+    """Batch feature forward pass: h @ W + b through each layer, with tanh
+    between layers and none after the last.
+
+    One graph node when the model holds tensors (ParamTensors), whose parents
+    are the weight and bias leaves; the input rows are a constant. On a
+    ModelState, stacked ones included, it returns the value as a plain array.
+    Its backward replays the op chain matmul, add, tanh layer by layer with
+    the same expressions, from the top layer down.
+    """
+    weights, biases = model_like.weights, model_like.biases
+    graph = ad.is_tensor(weights[0])
+    h = ad.value_of(x_rows)
+    hs = [h]  # each layer's input, then the features
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if graph:
+            w, b = w.value, b.value
+        h = h @ w + b
         if i < last:
-            h = ad.tanh(h)
-    return h
+            h = np.tanh(h)
+        hs.append(h)
+    if not graph:
+        return h
+
+    def backward_fn(g):
+        for i in range(last, -1, -1):
+            g_pre = g + 0.0  # the matmul node's first accumulate
+            biases[i].accumulate(np.add.reduce(g, axis=0))
+            if i:
+                g_t = ad.first_grad(g_pre @ weights[i].value.T)
+            weights[i].accumulate(hs[i].T @ g_pre)
+            if i:
+                g = ad.first_grad(g_t * (1.0 - hs[i] * hs[i]))
+
+    return ad.Tensor(h, (*weights, *biases), backward_fn)
 
 
 def probs_of(model_like, feature_rows):

@@ -185,9 +185,19 @@ def test_composite_network_gradient():
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
 
-# The cosine heads are one node each. Each must equal, bit for bit, the op
-# chain it replaces: its value on plain arrays, on the numpy stack axis and in
-# the graph, and the gradient of every leaf behind it.
+# The MLP forward and the cosine heads are one node each. Each must equal,
+# bit for bit, the op chain it replaces: its value on plain arrays, on the
+# numpy stack axis and in the graph, and the gradient of every leaf behind it.
+
+def features_chain(model_like, x_rows):
+    h = x_rows  # the first matmul lifts it into a constant node
+    last = len(model_like.weights) - 1
+    for i, (w, b) in enumerate(zip(model_like.weights, model_like.biases)):
+        h = ad.add(ad.matmul(h, w), b)
+        if i < last:
+            h = ad.tanh(h)
+    return h
+
 
 def probs_chain(model_like, feature_rows):
     w_norm = ad.normalize_rows(model_like.classifier)
@@ -203,67 +213,95 @@ def re_represent_chain(f_rows, classifier, t_re):
 
 
 HEADS = {
+    "features_of": (features_of, features_chain),
     "probs_of": (probs_of, probs_chain),
     "re_represent_batch": (lambda m, f: re_represent_batch(f, m.classifier, m.t_re),
                            lambda m, f: re_represent_chain(f, m.classifier, m.t_re)),
 }
+HEAD_HIDDEN_DIMS = ((), (6,), (6, 4))
 
 
-def _head_setup(seed):
-    cfg = ModelConfig(input_dim=3, hidden_dims=(6,), feature_dim=5, n_classes=4,
+def _head_setup(seed, hidden_dims):
+    cfg = ModelConfig(input_dim=3, hidden_dims=hidden_dims, feature_dim=5, n_classes=4,
                       t_ce=0.05, t_re=0.3)
     m = init_model(cfg, SeededRng(seed))
     x = np.asarray(SeededRng(seed + 1).normal(size=(7, 3)))
     return m, x
 
 
+def _head_input(head, m, x):
+    """What the head reads: the input rows for features_of, the features of
+    m for a cosine head."""
+    return x if head == "features_of" else features_of(m, x)
+
+
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_fused_head_equals_its_op_chain_on_plain_arrays(head):
     fused, chain = HEADS[head]
-    m, x = _head_setup(30)
-    feats = features_of(m, x)
-    assert _same_bits(fused(m, feats), chain(m, feats))
-    # the numpy stack axis: stacked parameters, and stacked rows against a
-    # shared classifier
-    stack = get_param_vector(m) + np.asarray(SeededRng(31).normal(size=(3, 1))) * 0.1
-    stacked = with_param_vector(m, stack)
-    stacked_feats = features_of(stacked, x)
-    assert _same_bits(fused(stacked, stacked_feats), chain(stacked, stacked_feats))
-    assert _same_bits(fused(m, stacked_feats), chain(m, stacked_feats))
-    for b in range(3):
-        single = with_param_vector(m, stack[b])
-        assert _same_bits(fused(stacked, stacked_feats)[b],
-                          fused(single, features_of(single, x)))
+    for hidden_dims in HEAD_HIDDEN_DIMS:
+        m, x = _head_setup(30, hidden_dims)
+        inputs = _head_input(head, m, x)
+        assert _same_bits(fused(m, inputs), chain(m, inputs)), hidden_dims
+        # the numpy stack axis: stacked parameters, and stacked inputs
+        # against shared parameters
+        stack = get_param_vector(m) + np.asarray(SeededRng(31).normal(size=(3, 1))) * 0.1
+        stacked = with_param_vector(m, stack)
+        stacked_in = _head_input(head, stacked, x)
+        if head == "features_of":  # the input rows are shared; stack them too
+            stacked_rows = x + np.asarray(SeededRng(32).normal(size=(3, 1, 1))) * 0.1
+        else:
+            stacked_rows = stacked_in
+        assert _same_bits(fused(stacked, stacked_in), chain(stacked, stacked_in)), hidden_dims
+        assert _same_bits(fused(m, stacked_rows), chain(m, stacked_rows)), hidden_dims
+        for b in range(3):
+            single = with_param_vector(m, stack[b])
+            assert _same_bits(fused(stacked, stacked_in)[b],
+                              fused(single, _head_input(head, single, x))), hidden_dims
+            assert _same_bits(fused(m, stacked_rows)[b], fused(m, stacked_rows[b])), hidden_dims
 
 
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_fused_head_equals_its_op_chain_in_the_graph(head):
-    # the feature rows feed the head twice, through two row selections, and a
-    # third consumer, so their gradient sums in the order the chain gave it
+    # the feature rows feed a cosine head twice, through two row selections,
+    # and a third consumer, so their gradient sums in the order the chain
+    # gave it; for features_of, the head under test makes those rows
     fused, chain = HEADS[head]
-    m, x = _head_setup(32)
     idx = np.array([0, 2, 3, 3, 6])
-    weights = np.asarray(SeededRng(33).normal(size=(12, 4 if head == "probs_of" else 5)))
+    weights = np.asarray(SeededRng(33).normal(size=(12, 5 if head == "re_represent_batch" else 4)))
+    for hidden_dims in HEAD_HIDDEN_DIMS:
+        m, x = _head_setup(32, hidden_dims)
 
-    def run(build):
-        params = lift_params(m)
-        feats = features_of(params, x)
-        out = build(params, feats)
-        picked = build(params, ad.take_rows(feats, idx))
-        loss = ad.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
-                                (probe_sum(picked, weights[7:]), 0.5),
-                                (probe_sum(feats, 0.01), 1.0)))
-        loss.backward()
-        return out, state_arrays(with_param_vector(m, tape_from(params)))
+        def run(build):
+            params = lift_params(m)
+            if head == "features_of":
+                feats, cosine_head = build(params, x), probs_of
+            else:
+                feats, cosine_head = features_of(params, x), build
+            out = cosine_head(params, feats)
+            picked = cosine_head(params, ad.take_rows(feats, idx))
+            loss = ad.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
+                                    (probe_sum(picked, weights[7:]), 0.5),
+                                    (probe_sum(feats, 0.01), 1.0)))
+            loss.backward()
+            return feats, out, state_arrays(with_param_vector(m, tape_from(params)))
 
-    out_f, grads_f = run(fused)
-    out_c, grads_c = run(chain)
-    assert _same_bits(out_f.value, out_c.value)
-    assert list(grads_f) == list(grads_c)
-    for name in grads_f:
-        assert _same_bits(grads_f[name], grads_c[name]), name
-    if head == "re_represent_batch":
-        assert not np.any(grads_f["classifier"])
+        feats_f, out_f, grads_f = run(fused)
+        feats_c, out_c, grads_c = run(chain)
+        assert _same_bits(feats_f.value, feats_c.value), hidden_dims
+        assert _same_bits(out_f.value, out_c.value), hidden_dims
+        assert list(grads_f) == list(grads_c)
+        for name in grads_f:
+            assert _same_bits(grads_f[name], grads_c[name]), (hidden_dims, name)
+        if head == "re_represent_batch":
+            assert not np.any(grads_f["classifier"])
+
+
+def test_features_of_is_one_node_on_the_parameter_leaves():
+    m, x = _head_setup(34, (6, 4))
+    params = lift_params(m)
+    node = features_of(params, x)
+    assert node.parents == (*params.weights, *params.biases)
+    assert isinstance(features_of(m, x), np.ndarray)
 
 
 def _head_params(classifier, t):

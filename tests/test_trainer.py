@@ -532,15 +532,16 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
 
 # Graph nodes a training step builds (Tensor constructions, the parameter
 # leaves included) over three steps of tiny_setup at tau 0.999. Step 1 has an
-# empty bank, so no contrastive term is built on it. Each loss head, each
-# cosine head (probs_of, re_represent_batch) and each weighted sum of terms is
-# one node; a new node per step shows up here.
+# empty bank, so no contrastive term is built on it. The MLP forward
+# (features_of), each loss head, each cosine head (probs_of,
+# re_represent_batch) and each weighted sum of terms is one node; a new node
+# per step shows up here.
 NODES_PER_STEP = {
-    "source_only": [13, 13, 13],
-    "baseline": [19, 19, 19],
-    "strong": [22, 22, 22],
-    "lrco": [22, 25, 25],
-    "mixlrco": [22, 26, 26],
+    "source_only": [8, 8, 8],
+    "baseline": [14, 14, 14],
+    "strong": [17, 17, 17],
+    "lrco": [17, 20, 20],
+    "mixlrco": [17, 21, 21],
 }
 
 
@@ -561,7 +562,7 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
         train_step(student, teacher, bank, velocities, sb, cfg, 1.0, step)
     assert counts == NODES_PER_STEP[method]
-    assert max(NODES_PER_STEP["mixlrco"]) <= 26  # a re-pin may not exceed this
+    assert max(NODES_PER_STEP["mixlrco"]) <= 21  # a re-pin may not exceed this
 
 
 def _all_nodes_topo_order(root):
@@ -589,7 +590,7 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     total, _ = step_objective(lift_params(student), sb, cfg)
     order = ad._topo_order(total)
     assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
-    assert len(order) > 10
+    assert len(order) == NODES_PER_STEP[method][1]
 
 
 # --- dynamic threshold -----------------------------------------------------------------
