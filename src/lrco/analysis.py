@@ -43,17 +43,18 @@ class SimilarityReport:
     degenerate: tuple[str, ...]
 
 
-def _mean_pair_cosine(vecs: np.ndarray, mask_same: np.ndarray) -> float:
-    """Mean of cos(v_i, v_j) over unordered pairs i<j selected by mask_same."""
+def _mean_pair_cosines(vecs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Mean of cos(v_i, v_j) over the unordered pairs i<j of the same label,
+    and over those of different labels; NaN where no pair is selected."""
     n = vecs.shape[0]
     if n < 2:
-        return float("nan")
+        return float("nan"), float("nan")
     sims = vecs @ vecs.T
-    iu = np.triu_indices(n, k=1)
-    selected = mask_same[iu]
-    if not np.any(selected):
-        return float("nan")
-    return float(np.mean(sims[iu][selected]))
+    upper = np.arange(n)[:, None] < np.arange(n)
+    same = labels[:, None] == labels[None, :]
+    # a mask selects in row-major order, as sims[np.triu_indices(n, 1)] does
+    pairs = (sims[upper & same], sims[upper & ~same])
+    return tuple(float(np.mean(p)) if p.size else float("nan") for p in pairs)
 
 
 def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityReport:
@@ -79,9 +80,7 @@ def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityRepor
     degenerate: list[str] = []
     for name, idx in group_index.items():
         gy = y[idx]
-        same = gy[:, None] == gy[None, :]
-        w = _mean_pair_cosine(vecs[idx], same)
-        c = _mean_pair_cosine(vecs[idx], ~same)
+        w, c = _mean_pair_cosines(vecs[idx], gy)
         within[name] = w
         cross[name] = c
         # The statistic needs at least two samples spread over at least two

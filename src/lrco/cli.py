@@ -7,7 +7,7 @@ with individual keys overridable via repeated --set section.key=value flags.
 Exit codes: 0 success, 2 usage, 3 missing file, 4 invalid config or data
 format (an unreadable --config, an unusable --out, a corrupt checkpoint, or
 one that trainer.checkpoint_for refuses for the benchmark, included),
-5 numeric/runtime failure.
+5 numeric/runtime failure (an allocation the machine cannot hold included).
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_run_config(args)
-    out = _resolve_out(args.out)
     bench = generate_shift_benchmark(cfg.data)
+    out = _resolve_out(args.out)
     spec_hash = benchmark_spec_hash(cfg.data)
     blocks = (
         ("source.txt", "source", bench.source_x, bench.source_y),
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except LrcoError as exc:
         _fail_line("runtime", str(exc))
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        _fail_line("runtime", str(exc) or "out of memory")
         return EXIT_NUMERIC
 
 

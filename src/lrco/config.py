@@ -9,12 +9,17 @@ exact configuration that produced it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 from .data import AugmentSpec, BenchmarkSpec
 from .errors import ConfigError, check_domains, within
+from .model import ModelConfig
 from .trainer import TrainConfig
+
+# The most entries of one array a config may ask for (a signed 32-bit count).
+MAX_ARRAY_ENTRIES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,13 @@ class OutputSection:
 
     def validate(self, prefix: str = "") -> None:
         check_domains(self, prefix)
-        if not self.run_id or any(c in self.run_id for c in " ,/\\"):
-            raise ConfigError("output.run_id must be nonempty without spaces or slashes")
+        # canonical_text writes the id on one line that parsing splits and
+        # strips, so no line break, other whitespace or control character
+        # could be read back
+        if not self.run_id or any(c in ",/\\" or c.isspace() or not c.isprintable()
+                                  for c in self.run_id):
+            raise ConfigError(f"output.run_id must be nonempty, of printable characters "
+                              f"without whitespace, commas or slashes, got {self.run_id!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,30 @@ class RunConfig:
     def validate(self) -> None:
         for f in fields(self):
             getattr(self, f.name).validate(f"{f.name}.")
+        for what, entries in self._array_sizes().items():
+            if entries > MAX_ARRAY_ENTRIES:
+                raise ConfigError(f"{what} would hold {entries} entries; an array holds "
+                                  f"at most {MAX_ARRAY_ENTRIES}")
+
+    def _array_sizes(self) -> dict[str, int]:
+        """The entry count of each array whose size the config sets alone,
+        as Python ints: nothing is allocated."""
+        data, model = self.data, self.model
+        layout = ModelConfig(input_dim=data.input_dim, hidden_dims=model.hidden_dims,
+                             feature_dim=model.feature_dim, n_classes=data.n_classes,
+                             t_ce=self.train.t_ce, t_re=self.train.resolved_t_re()).layout()
+        sizes = {
+            "the model's parameter vector": sum(map(math.prod, layout)),
+            "the (data.input_dim, data.input_dim) class frame and shift rotation":
+                data.input_dim ** 2,
+        }
+        for split, per_class in (("source", "n_per_class_source"),
+                                 ("target", "n_per_class_target"),
+                                 ("labeled target", "n_labeled_target_per_class")):
+            rows = data.n_classes * getattr(data, per_class)
+            sizes[f"the {split} split (data.n_classes * data.{per_class} rows of "
+                  f"data.input_dim)"] = rows * data.input_dim
+        return sizes
 
 
 def default_run_config() -> RunConfig:

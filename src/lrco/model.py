@@ -34,6 +34,11 @@ class ModelConfig:
     def validate(self) -> None:
         check_domains(self)
 
+    def layout(self) -> tuple[tuple[int, ...], ...]:
+        """The shape of each array of the model, in state_arrays order."""
+        dims = (self.input_dim, *self.hidden_dims, self.feature_dim)
+        return _mlp_layout(dims, self.n_classes)
+
 
 @dataclass
 class ModelState:
@@ -127,8 +132,7 @@ def _xavier_uniform(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndar
 def init_model(config: ModelConfig, rng: SeededRng) -> ModelState:
     """Build a fresh state: scaled symmetric uniform weights, zero biases."""
     config.validate()
-    dims = (config.input_dim,) + tuple(config.hidden_dims) + (config.feature_dim,)
-    layout = _mlp_layout(dims, config.n_classes)
+    layout = config.layout()
     m = ModelState(np.zeros(sum(map(math.prod, layout))), layout, config.t_ce, config.t_re)
     for w in m.weights:
         w[...] = _xavier_uniform(rng, *w.shape, w.shape)

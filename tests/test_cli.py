@@ -6,6 +6,7 @@ import signal
 import numpy as np
 import pytest
 
+from lrco import cli, trainer
 from lrco.cli import (
     EXIT_INVALID_CONFIG, EXIT_MISSING_FILE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     main,
@@ -594,6 +595,63 @@ def test_huge_integer_sizes_exit_4(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid-config: {key} must lie in [") and "2147483647]" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, what", [
+    ("train", "model.hidden_dims=2147483647", "the model's parameter vector"),
+    ("gen-data", "data.input_dim=2147483647", "the model's parameter vector"),
+    ("train", "data.n_per_class_source=2147483647", "the source split"),
+    ("gen-data", "data.input_dim=46341", "the (data.input_dim, data.input_dim) class frame"),
+])
+def test_sizes_no_array_can_hold_exit_4(tmp_path, capsys, command, setting, what):
+    # each size lies inside its key's domain, but the arrays it sets would
+    # not fit in one array; the rule refuses it before anything is allocated
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--set", setting) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-config: {what}"), err
+    assert err.endswith("an array holds at most 2147483647\n"), err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_an_allocation_the_machine_cannot_hold_exits_5(tmp_path, capsys, monkeypatch):
+    # a size inside every rule may still be more than the machine holds; the
+    # failing allocation is monkeypatched in, never made
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 272. GiB for an array with shape "
+                          "(36507222016,) and data type float64")
+
+    def bare(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(trainer, "init_model", unable)
+    assert run_cli("train", "--out", str(tmp_path / "train"), *FAST) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("error: runtime: Unable to allocate 272. GiB for an "
+                                       "array with shape (36507222016,) and data type "
+                                       "float64\n")
+    # gen-data builds the benchmark before it makes --out
+    monkeypatch.setattr(cli, "generate_shift_benchmark", bare)
+    out = tmp_path / "data"
+    assert run_cli("gen-data", "--out", str(out), *FAST) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: runtime: out of memory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["a\nb", "a\r\nb", "a\tb", "a\x0bb", "a\u2028b",
+                                    "a\x00b", "a b"],
+                         ids=["newline", "crlf", "tab", "vertical-tab", "line-separator",
+                              "nul", "space"])
+def test_run_id_that_config_used_cannot_give_back_exits_4(tmp_path, capsys, run_id):
+    # config_used.txt holds one key per line, stripped on reading, so such an
+    # id would write a file that --config cannot load
+    out = tmp_path / "out"
+    assert run_cli("train", "--out", str(out), *FAST, "--set", f"output.run_id={run_id}") \
+        == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: output.run_id must be nonempty, of "
+                          "printable characters without whitespace, commas or slashes, "
+                          f"got {run_id!r}"), err
+    assert not out.exists()
 
 
 def test_removed_config_values_exit_4(tmp_path, capsys):

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from lrco.cli import EXIT_INVALID_CONFIG, main
 from lrco.config import (
-    FIELD_PARSERS, _render_value, _section_parsers, apply_overrides, canonical_text,
-    config_hash, default_run_config, dynamics_hash, load_config, parse_config_text,
+    FIELD_PARSERS, MAX_ARRAY_ENTRIES, _render_value, _section_parsers, apply_overrides,
+    canonical_text, config_hash, default_run_config, dynamics_hash, load_config,
+    parse_config_text,
 )
 from lrco.errors import ConfigError, inside
+from lrco.model import ModelConfig, init_model
+from lrco.numerics import SeededRng
 
 
 def test_default_config_is_valid_and_stable():
@@ -157,14 +160,23 @@ def test_field_parsers_follow_the_dataclass_fields():
             _section_parsers(make_dataclass("Odd", [("when", annotation)]))
 
 
+# run_ids at the edges of what a config line gives back: line breaks
+# (splitlines), whitespace and control characters (strip), and a value that
+# looks like a comment, a key or an empty value.
+RUN_ID_EDGES = ["a\nb", "a\r\nb", "a\rb", "a\tb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
+                "a\u2028b", "a\u2029b", "a\x00b", "a\u200bb", " a", "a ", "a\u3000", "",
+                "#a", "a=b", "=", "none", "é", "a#b"]
+
+
 def _any_inside(f):
     """A strategy for any value of field ``f`` inside its declared domain. It
     draws often the closed ends, the smallest positive float and 1e300."""
     if f.type == "bool":
         return st.booleans()
     if f.type == "str" and "domain" not in f.metadata:
-        # canonical_text writes one line per key, and parsing strips the value
-        return st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) < 2)
+        # any text: the round trip checks that validate refuses each value
+        # that canonical_text could not give back
+        return st.sampled_from(RUN_ID_EDGES) | st.text()
     domain = f.metadata["domain"]
     kind = f.type.removeprefix("tuple[").partition(",")[0].removesuffix(" | None")
     if isinstance(domain, tuple):
@@ -197,9 +209,49 @@ def test_every_value_inside_the_domains_reads_back_from_canonical_text(values):
     cfg = default_run_config()
     for section, drawn in values.items():
         cfg = replace(cfg, **{section: replace(getattr(cfg, section), **drawn)})
+    try:
+        cfg.output.validate("output.")
+    except ConfigError:  # a refused run_id need not read back; the rest must
+        cfg = replace(cfg, output=default_run_config().output)
     read = parse_config_text(canonical_text(cfg))
     assert repr(read) == repr(cfg)  # repr tells -0.0 from 0.0 and 1 from 1.0
     assert config_hash(read) == config_hash(cfg)
+
+
+def test_sizes_past_an_array_are_refused():
+    # the size rule counts with Python ints, so it refuses sizes that no
+    # machine could allocate, and allocates nothing itself
+    def cfg_with(*pairs):
+        return apply_overrides(default_run_config(), pairs)
+
+    two_by_two = ("data.n_classes=2", "data.input_dim=2")
+    cases = [  # (settings at the limit, one more, the array named)
+        ((*two_by_two, f"data.n_per_class_source={MAX_ARRAY_ENTRIES // 4}"),
+         f"data.n_per_class_source={MAX_ARRAY_ENTRIES // 4 + 1}", "the source split"),
+        ((*two_by_two, f"data.n_per_class_target={MAX_ARRAY_ENTRIES // 4}"),
+         f"data.n_per_class_target={MAX_ARRAY_ENTRIES // 4 + 1}", "the target split"),
+        ((*two_by_two, f"data.n_labeled_target_per_class={MAX_ARRAY_ENTRIES // 4}"),
+         f"data.n_labeled_target_per_class={MAX_ARRAY_ENTRIES // 4 + 1}",
+         "the labeled target split"),
+        # 8 -> h -> 8 with 5 classes holds 17 h + 48 parameters
+        ((f"model.hidden_dims={(MAX_ARRAY_ENTRIES - 48) // 17}",),
+         f"model.hidden_dims={(MAX_ARRAY_ENTRIES - 48) // 17 + 1}",
+         "the model's parameter vector"),
+        (("data.input_dim=46340",), "data.input_dim=46341",
+         "the (data.input_dim, data.input_dim) class frame"),
+    ]
+    for at_limit, past, what in cases:
+        cfg_with(*at_limit).validate()
+        with pytest.raises(ConfigError, match=re.escape(what)) as info:
+            cfg_with(*at_limit, past).validate()
+        assert str(info.value).endswith(f"an array holds at most {MAX_ARRAY_ENTRIES}")
+    # the rule counts the layout init_model builds
+    cfg = default_run_config()
+    model_cfg = ModelConfig(input_dim=cfg.data.input_dim, hidden_dims=cfg.model.hidden_dims,
+                            feature_dim=cfg.model.feature_dim, n_classes=cfg.data.n_classes,
+                            t_ce=1.0, t_re=1.0)
+    assert (cfg._array_sizes()["the model's parameter vector"]
+            == init_model(model_cfg, SeededRng(0)).params.size)
 
 
 # Field domains ---------------------------------------------------------------------
@@ -256,9 +308,12 @@ def test_every_field_takes_its_domain_and_refuses_the_rest(key, tmp_path, capsys
     out = tmp_path / "out"
 
     def accepts(value):
+        # the section's rules; a size key's far end is refused by
+        # RunConfig's size rule, which test_sizes_past_an_array_are_refused checks
         text = _render_value(value)
         partners = PARTNERS[key](text) if key in PARTNERS else []
-        apply_overrides(default_run_config(), [f"{key}={text}", *partners]).validate()
+        cfg = apply_overrides(default_run_config(), [f"{key}={text}", *partners])
+        getattr(cfg, section).validate(f"{section}.")
 
     def refuses(value):
         code = main(["train", "--out", str(out), "--set", f"{key}={_render_value(value)}"])

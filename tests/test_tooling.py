@@ -1,7 +1,8 @@
 """The benchmark's tracer patches lrco from outside, by attribute name; every
 name it patches must exist, and restoring must put every original back. The
-package decides what a method does from trainer.METHOD_TERMS alone, and only
-model.py builds a state's arrays."""
+package decides what a method does from trainer.METHOD_TERMS alone, only
+model.py builds a state's arrays, and no autodiff op that a fused node
+replaced is called again."""
 
 import ast
 import importlib
@@ -110,3 +111,36 @@ def test_state_arrays_stay_views_of_params():
               "self.weights = w\n")
     assert _state_array_rebinds(sample, in_model=False) == [1, 2, 3, 4, 6]
     assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]
+
+
+# The autodiff ops that only the reference chains of tests/test_autodiff.py
+# call: the fused nodes (model.features_of, model.probs_of,
+# losses.re_represent_batch) replaced them in training, one node per head.
+REFERENCE_OPS = ("add", "matmul", "tanh", "softmax_rows", "detach")
+
+
+def _reference_op_uses(source: str) -> list[int]:
+    """Line numbers of the calls ad.<op>(...) or autodiff.<op>(...) and of
+    the imports of such an op from the autodiff module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (node.func.attr in REFERENCE_OPS and isinstance(owner, ast.Name)
+                    and owner.id in ("ad", "autodiff")):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            if any(alias.name in REFERENCE_OPS for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_reference_autodiff_op_is_called_in_the_package():
+    # each such call would add a node per op back to a training step
+    found = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
+             for line in _reference_op_uses(path.read_text(encoding="utf-8"))]
+    assert not found, found
+    sample = ("h = ad.add(ad.matmul(x, w), b)\ny = autodiff.tanh(h)\nz = ad.take_rows(y, i)\n"
+              "from .autodiff import detach\nfrom . import autodiff as ad\n"
+              "w = ad.value_of(np.add(a, b))\nq = other.softmax_rows(z, 1.0)\n")
+    assert _reference_op_uses(sample) == [1, 1, 2, 4]

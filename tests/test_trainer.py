@@ -2,9 +2,12 @@ import dataclasses
 import inspect
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrco import autodiff as ad
 from lrco import losses as L
@@ -830,6 +833,50 @@ def test_resume_reproduces_straight_run(tmp_path):
     assert resumed.final_tau == straight.final_tau
     np.testing.assert_array_equal(resumed.bank.snapshot(), straight.bank.snapshot())
     assert resumed.steps_run == 3
+
+
+RESUME_STEPS = 8
+_resume_benchmarks: dict[int, object] = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resume_at_any_step_equals_the_straight_run(data):
+    # bit-exact resume over the settings that change what a checkpoint holds:
+    # each method, the tau rule, labeled target rows, and a bank that wraps
+    method = data.draw(st.sampled_from(METHODS), label="method")
+    reads_tau = method in trainer.PSEUDO_LABEL_METHODS
+    dynamic_tau = data.draw(st.booleans(), label="dynamic_tau") if reads_tau else False
+    shots = data.draw(st.sampled_from([0, 2]), label="shots")
+    capacity = data.draw(st.sampled_from([5, 512]), label="bank_capacity")
+    resume_at = data.draw(st.integers(1, RESUME_STEPS - 1), label="resume_at")
+    if shots not in _resume_benchmarks:
+        _resume_benchmarks[shots] = small_benchmark(seed=4, n_labeled_target_per_class=shots)
+    bench = _resume_benchmarks[shots]
+    cfg = TrainConfig(method=method, dynamic_tau=dynamic_tau, bank_capacity=capacity,
+                      total_steps=RESUME_STEPS, batch_labeled=8, batch_unlabeled=8,
+                      eval_interval=2, seed=4)
+    kw = dict(hidden_dims=(6,), feature_dim=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        straight_dir, resumed_dir = os.path.join(tmp, "straight"), os.path.join(tmp, "resumed")
+        os.mkdir(straight_dir)
+        os.mkdir(resumed_dir)
+        straight = fit(bench, AUG, cfg, out_dir=straight_dir, **kw)
+        fit(bench, AUG, dataclasses.replace(cfg, total_steps=resume_at),
+            out_dir=resumed_dir, **kw)
+        resumed = fit(bench, AUG, cfg, out_dir=resumed_dir,
+                      resume_from=os.path.join(resumed_dir, "checkpoint_final.npz"), **kw)
+        with open(os.path.join(straight_dir, "metrics.csv"), "rb") as fh:
+            straight_metrics = fh.read()
+        with open(os.path.join(resumed_dir, "metrics.csv"), "rb") as fh:
+            assert fh.read() == straight_metrics
+    assert resumed.student.params.tobytes() == straight.student.params.tobytes()
+    assert resumed.teacher.params.tobytes() == straight.teacher.params.tobytes()
+    assert repr(resumed.final_tau) == repr(straight.final_tau)
+    assert resumed.bank.snapshot().tobytes() == straight.bank.snapshot().tobytes()
+    assert resumed.bank.snapshot().shape == straight.bank.snapshot().shape
+    if len(straight.bank):  # a method that keeps a bank: 5 keys wrap, 512 do not
+        assert (len(straight.bank) == capacity) == (capacity == 5)
 
 
 def test_resume_rejects_dynamics_mismatch(tmp_path):
