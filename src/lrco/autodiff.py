@@ -145,6 +145,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+# add, matmul, tanh, softmax_rows and detach: the fused nodes replay their
+# chains (model.features_of, model.probs_of, losses.re_represent_batch), and
+# only the tests' reference chains call them.
+
 def add(a, b):
     y = value_of(a) + value_of(b)
     if not (is_tensor(a) or is_tensor(b)):

@@ -174,10 +174,9 @@ def features_of(model_like, x_rows):
         for i in range(last, -1, -1):
             g_pre = g + 0.0  # the matmul node's first accumulate
             biases[i].accumulate(np.add.reduce(g, axis=0))
-            if i:
-                g_t = ad.first_grad(g_pre @ weights[i].value.T)
             weights[i].accumulate(hs[i].T @ g_pre)
-            if i:
+            if i:  # through the tanh node below, to the layer under it
+                g_t = ad.first_grad(g_pre @ weights[i].value.T)
                 g = ad.first_grad(g_t * (1.0 - hs[i] * hs[i]))
 
     return ad.Tensor(h, (*weights, *biases), backward_fn)
