@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
+from .analysis import analysis_filename
 from .data import AugmentSpec, BenchmarkSpec
 from .errors import ConfigError, check_domains, within
 from .model import ModelConfig
@@ -20,6 +21,9 @@ from .trainer import TrainConfig
 
 # The most entries of one array a config may ask for (a signed 32-bit count).
 MAX_ARRAY_ENTRIES = 2**31 - 1
+# The most UTF-8 bytes of output.run_id: analyze's longest table name, the
+# projection table's at a 19-digit step, must fit a 255-byte file name.
+MAX_RUN_ID_BYTES = 255 - len(analysis_filename("projection", "", 2**63 - 1, "target"))
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,11 @@ class OutputSection:
                                   for c in self.run_id):
             raise ConfigError(f"output.run_id must be nonempty, of printable characters "
                               f"without whitespace, commas or slashes, got {self.run_id!r}")
+        n_bytes = len(self.run_id.encode("utf-8"))
+        if n_bytes > MAX_RUN_ID_BYTES:
+            raise ConfigError(f"output.run_id must be at most {MAX_RUN_ID_BYTES} bytes in "
+                              f"UTF-8, to fit the file names of analyze's tables, "
+                              f"got {n_bytes} bytes")
 
 
 @dataclass(frozen=True)

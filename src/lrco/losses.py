@@ -204,12 +204,13 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     pos = np.add.reduce(q * k, axis=-1)
     sims = np.concatenate((pos[..., None], q @ bank.mT), axis=-1) * inv_t
     n = q.shape[-2]
-    y = np.add.reduce(logsumexp_last(sims) - pos * inv_t, axis=-1) / n
+    lse, e, s = logsumexp_last(sims)
+    y = np.add.reduce(lse - pos * inv_t, axis=-1) / n
     if not ad.is_tensor(q_rows):
         return y
 
     def backward_fn(g):
-        w = softmax_last(sims, 1.0)
+        w = e / s
         q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k + w[:, 1:] @ bank - k))
 
     return ad.Tensor(y, (q_rows,), backward_fn)
@@ -269,12 +270,13 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
         q @ bank.mT,
     ), axis=-1) * inv_t
     n = q.shape[-2]
-    y = np.add.reduce(logsumexp_last(den) - num, axis=-1) / n
+    lse, e, s = logsumexp_last(den)
+    y = np.add.reduce(lse - num, axis=-1) / n
     if not ad.is_tensor(q_rows):
         return y
 
     def backward_fn(g):
-        w = softmax_last(den, 1.0)
+        w = e / s
         q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k_target + w[:, 1:2] * k_source
                                               + w[:, 2:] @ bank - k_mix))
 

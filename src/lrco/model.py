@@ -89,6 +89,7 @@ class ParamTensors:
     t_ce: float
     t_re: float
     grad: np.ndarray | None = None  # the flat vector the leaves' grads are views of
+    state: ModelState | None = None  # the state whose params the leaves' values view
 
 
 def _mlp_layout(dims: tuple[int, ...], n_classes: int) -> tuple[tuple[int, ...], ...]:
@@ -214,13 +215,19 @@ def probs_of(model_like, feature_rows):
 def lift_params(m: ModelState) -> ParamTensors:
     """Wrap every state array in a gradient-requiring tensor. Each leaf's
     grad starts as a zero view of one flat vector, so backward sums the
-    gradients into it (0.0 + g has the bits of g + 0.0, -0.0 included)."""
+    gradients into it (0.0 + g has the bits of g + 0.0, -0.0 included).
+
+    Each call returns new leaves and a new gradient vector. The leaves'
+    values are views of m.params, so they follow in-place updates of m, and
+    one lift serves any number of backward passes when the gradient vector
+    is refilled with zeros before each (grad.fill(0.0) gives the bits of
+    np.zeros)."""
     grad = np.zeros(m.params.shape)
     leaves = [ad.Tensor(value, requires_grad=True) for value in state_arrays(m).values()]
     for leaf, grad_view in zip(leaves, _cut(grad, m.layout)):
         leaf.grad = grad_view
     return ParamTensors(weights=leaves[:-1:2], biases=leaves[1:-1:2], classifier=leaves[-1],
-                        t_ce=m.t_ce, t_re=m.t_re, grad=grad)
+                        t_ce=m.t_ce, t_re=m.t_re, grad=grad, state=m)
 
 
 def tape_from(params: ParamTensors) -> np.ndarray:

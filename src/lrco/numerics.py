@@ -62,9 +62,15 @@ def normalize_last(v: np.ndarray) -> np.ndarray:
     return unit_last(v)[0]
 
 
-def logsumexp_last(v: np.ndarray) -> np.ndarray:
+def logsumexp_last(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lse, e, s): the log-sum-exp of v along the last axis, with the
+    shifted exponentials e = exp(v - max) it sums and their sums s, kept as
+    a length-1 axis. e / s is softmax_last(v, 1.0) bit for bit: both take
+    the same max, exp and sum."""
     m = np.maximum.reduce(v, axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.add.reduce(np.exp(v - m), axis=-1))
+    e = np.exp(v - m)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    return (m + np.log(s))[..., 0], e, s
 
 
 def _uint32_words(n: int) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .membank import MemoryBank
 from .model import (
-    ModelConfig, ModelState, clone_state, ema_update, features_of, init_model,
+    ModelConfig, ModelState, ParamTensors, clone_state, ema_update, features_of, init_model,
     lift_params, probs_of, state_arrays, state_from_arrays, tape_from, with_param_vector,
 )
 from .numerics import SeededRng
@@ -371,11 +371,16 @@ def sgd_step(state: ModelState, grads: np.ndarray, velocities: np.ndarray,
 
 # Single training step ------------------------------------------------------------
 
-def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
+def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
                velocities: np.ndarray, sb: StepBatch,
                cfg: TrainConfig, tau: float, step: int) -> StepReport:
-    """One optimizer step: backprop, SGD update, EMA update, bank push."""
-    params = lift_params(student)
+    """One optimizer step: backprop, SGD update, EMA update, bank push.
+
+    ``params`` is the student lifted once by lift_params, before the first
+    step: its leaves view the student's params, which the update changes in
+    place, and its gradient vector is zeroed here before each backward."""
+    student = params.state
+    params.grad.fill(0.0)
     total, terms = step_objective(params, sb, cfg)
 
     loss_values = {k: float(v) for k, v in terms.items()}
@@ -652,6 +657,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                          velocities=init_velocities(student),
                          bank=MemoryBank(cfg.bank_capacity), step=0, tau=cfg.tau, **stamp)
     tau, start_step = run.tau, run.step
+    params = lift_params(run.student)  # once: every step trains these leaves
 
     lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, cfg.seed, "labeled")
     unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, cfg.seed, "unlabeled")
@@ -695,7 +701,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 run.student, run.teacher, run.bank, lab_x[lab_idx], lab_y[lab_idx],
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
             )
-            report = train_step(run.student, run.teacher, run.bank, run.velocities, sb, cfg,
+            report = train_step(params, run.teacher, run.bank, run.velocities, sb, cfg,
                                 tau, step)
             n_u = len(sb.pseudo)
             tau = adjust_tau(report.n_high / n_u if n_u else 0.0, tau, cfg)

@@ -441,8 +441,10 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
     e = np.exp(z)
     assert _same_bits(numerics.softmax_last(v, 0.3), e / np.sum(e, axis=-1, keepdims=True))
     m = np.max(v, axis=-1, keepdims=True)
-    assert _same_bits(numerics.logsumexp_last(v),
-                      np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
+    lse, e_lse, s_lse = numerics.logsumexp_last(v)
+    assert _same_bits(lse, np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
+    # the contrastive heads' backward reads its softmax from these parts
+    assert _same_bits(e_lse / s_lse, numerics.softmax_last(v, 1.0))
     assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
 
 

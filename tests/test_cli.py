@@ -654,6 +654,32 @@ def test_run_id_that_config_used_cannot_give_back_exits_4(tmp_path, capsys, run_
     assert not out.exists()
 
 
+def test_run_id_too_long_for_analyze_file_names_exits_4(tmp_path, capsys):
+    # analyze names each table {kind}_run-{id}_step-{step}_{split}.csv, and a
+    # file name holds at most 255 bytes; an id longer than 204 bytes once
+    # exited 1 with an OSError traceback, after making --out
+    ckpt = train_fast(tmp_path, capsys)
+    for run_id, n_bytes in (("a" * 300, 300), ("a" * 205, 205), ("\u00e9" * 103, 206)):
+        out = tmp_path / f"analysis-{n_bytes}"
+        code = run_cli("analyze", "--checkpoint", ckpt, "--out", str(out), *FAST,
+                       "--set", f"output.run_id={run_id}")
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: invalid-config: output.run_id must be at most 204 bytes in UTF-8, to "
+            f"fit the file names of analyze's tables, got {n_bytes} bytes"], err
+        assert "Traceback" not in err and not out.exists()
+    run_id = "\u00e9" * 102  # 204 bytes, at the step with the most digits
+    ckpt_far = tmp_path / "far.npz"
+    save_checkpoint(ckpt_far, dataclasses.replace(load_checkpoint(ckpt), step=2**63 - 1))
+    out = tmp_path / "analysis"
+    assert run_cli("analyze", "--checkpoint", str(ckpt_far), "--out", str(out), *FAST,
+                   "--set", f"output.run_id={run_id}") == EXIT_OK
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == [f"{kind}_run-{run_id}_step-{2**63 - 1}_target.csv"
+                                       for kind in ("projection", "similarity", "topk")]
+
+
 def test_removed_config_values_exit_4(tmp_path, capsys):
     for setting, message in (("train.rerep_mode=rerep_nodetach",
                               "train.rerep_mode must be one of ('rerep', 'raw'), "

@@ -290,6 +290,7 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
 
     monkeypatch.setattr(trainer, "strong_augment", recording)
     velocities = init_velocities(student)
+    params = lift_params(student)
     for step in range(1, 7):
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                           cfg, AUG, 1.0, step)  # every row is low, so every row mixes
@@ -300,7 +301,7 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
         ce = step_objective(student, sb, cfg)[1]["ce"]
         np.testing.assert_allclose(ce, L.cross_entropy_batch(probs, lab_y), rtol=1e-12)
         assert ce != L.cross_entropy_batch(probs[lab_src], lab_y[lab_src])
-        train_step(student, teacher, bank, velocities, sb, cfg, 1.0, step)
+        train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
 
     partners = [np.flatnonzero((lab_x == row).all(axis=1)) for row in np.concatenate(partner_rows)]
     assert len(partners) == n_low > 0
@@ -421,7 +422,7 @@ def test_objective_decreases_after_one_sgd_step():
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
         before = float(step_objective(student, sb, cfg)[0])
         velocities = init_velocities(student)
-        train_step(student, teacher, bank, velocities, sb, cfg, tau=0.5, step=1)
+        train_step(lift_params(student), teacher, bank, velocities, sb, cfg, tau=0.5, step=1)
         after = float(step_objective(student, sb, cfg)[0])
         assert after < before, f"{method}: {after} !< {before}"
 
@@ -447,7 +448,7 @@ def test_contrastive_gradient_never_touches_classifier():
 def test_report_counts_and_loss_keys():
     cfg, student, teacher, bank, *rest = tiny_setup(method="strong")
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
-    rep = train_step(student, teacher, bank, init_velocities(student), sb, cfg,
+    rep = train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                      tau=0.5, step=1)
     assert rep.n_high + rep.n_low == 8
     assert set(rep.losses) == set(LOSS_KEYS)
@@ -459,7 +460,7 @@ def test_ema_update_applied_after_sgd():
     cfg, student, teacher, bank, *rest = tiny_setup(method="baseline")
     teacher_before = clone_state(teacher)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
-    train_step(student, teacher, bank, init_velocities(student), sb, cfg,
+    train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                cfg.tau, step=1)
     # teacher must now be the EMA of its old self with the *updated* student
     expected_w0 = 0.99 * teacher_before.weights[0] + 0.01 * student.weights[0]
@@ -472,7 +473,7 @@ def test_bank_pushes_only_contrastive_methods():
                           ("strong", False), ("lrco", True), ("mixlrco", True)):
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
-        train_step(student, teacher, bank, init_velocities(student), sb, cfg,
+        train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                    tau=0.5, step=1)
         if grows:
             assert len(bank) == len(sb.sel_idx)
@@ -485,7 +486,7 @@ def test_diverged_run_raises_with_diagnostics():
     student.weights[0][0, 0] = np.nan
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
     with pytest.raises(TrainingDivergedError, match="step 1"):
-        train_step(student, teacher, bank, init_velocities(student), sb, cfg,
+        train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                    cfg.tau, step=1)
 
 
@@ -509,6 +510,7 @@ _RNG_CODES = {member.fget.__code__ if isinstance(member, property) else member._
 def test_step_calls_no_numpy_python_wrapper(method, overrides):
     cfg, student, teacher, bank, *rest = tiny_setup(method=method, **overrides)
     velocities = init_velocities(student)
+    params = lift_params(student)
     tau = 0.999  # both confidence groups are non-empty on every step
     calls = []
 
@@ -525,7 +527,7 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
     try:
         for step in (1, 2, 3):
             sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step)
-            train_step(student, teacher, bank, velocities, sb, cfg, tau, step)
+            train_step(params, teacher, bank, velocities, sb, cfg, tau, step)
             mixed += sb.mix is not None
     finally:
         sys.setprofile(None)
@@ -533,18 +535,18 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
     assert mixed == (2 if method == "mixlrco" else 0)  # the mix path ran
 
 
-# Graph nodes a training step builds (Tensor constructions, the parameter
-# leaves included) over three steps of tiny_setup at tau 0.999. Step 1 has an
-# empty bank, so no contrastive term is built on it. The MLP forward
-# (features_of), each loss head, each cosine head (probs_of,
-# re_represent_batch) and each weighted sum of terms is one node; a new node
-# per step shows up here.
+# Graph nodes a training step builds (Tensor constructions) over three steps
+# of tiny_setup at tau 0.999. The parameter leaves are lifted once, before the
+# first step, so they are not counted. Step 1 has an empty bank, so no
+# contrastive term is built on it. The MLP forward (features_of), each loss
+# head, each cosine head (probs_of, re_represent_batch) and each weighted sum
+# of terms is one node; a new node per step shows up here.
 NODES_PER_STEP = {
-    "source_only": [8, 8, 8],
-    "baseline": [14, 14, 14],
-    "strong": [17, 17, 17],
-    "lrco": [17, 20, 20],
-    "mixlrco": [17, 21, 21],
+    "source_only": [3, 3, 3],
+    "baseline": [9, 9, 9],
+    "strong": [12, 12, 12],
+    "lrco": [12, 15, 15],
+    "mixlrco": [12, 16, 16],
 }
 
 
@@ -552,6 +554,7 @@ NODES_PER_STEP = {
 def test_nodes_per_step_are_pinned(method, monkeypatch):
     cfg, student, teacher, bank, *rest = tiny_setup(method=method)
     velocities = init_velocities(student)
+    params = lift_params(student)
     counts = []
     init = ad.Tensor.__init__
 
@@ -563,9 +566,9 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
     for step in (1, 2, 3):
         counts.append(0)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
-        train_step(student, teacher, bank, velocities, sb, cfg, 1.0, step)
+        train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
     assert counts == NODES_PER_STEP[method]
-    assert max(NODES_PER_STEP["mixlrco"]) <= 21  # a re-pin may not exceed this
+    assert max(NODES_PER_STEP["mixlrco"]) <= 16  # a re-pin may not exceed this
 
 
 def _all_nodes_topo_order(root):
@@ -588,12 +591,47 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     # a parameter with several consumers sums its gradients in this order
     cfg, student, teacher, bank, *rest = tiny_setup(method=method)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1)
-    train_step(student, teacher, bank, init_velocities(student), sb, cfg, 0.999, step=1)
+    params = lift_params(student)
+    train_step(params, teacher, bank, init_velocities(student), sb, cfg, 0.999, step=1)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2)
-    total, _ = step_objective(lift_params(student), sb, cfg)
+    total, _ = step_objective(params, sb, cfg)
     order = ad._topo_order(total)
     assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
-    assert len(order) == NODES_PER_STEP[method][1]
+    # the step's nodes, then the leaves lifted before it
+    assert len(order) == NODES_PER_STEP[method][1] + len(state_arrays(student))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_steps_on_one_lift_equal_steps_that_each_lift_afresh(method):
+    # a gradient vector left unzeroed between steps, or a leaf that stopped
+    # viewing student.params, would move these bits on step 2 or 3
+    runs = []
+    for lift_each_step in (False, True):
+        cfg, student, teacher, bank, *rest = tiny_setup(method=method)
+        velocities = init_velocities(student)
+        params = lift_params(student)
+        for step in (1, 2, 3):
+            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
+            train_step(lift_params(student) if lift_each_step else params, teacher, bank,
+                       velocities, sb, cfg, 0.999, step)
+        runs.append((student.params, teacher.params, velocities, bank.snapshot()))
+    for once, afresh in zip(*runs):
+        assert once.shape == afresh.shape and once.tobytes() == afresh.tobytes()
+
+
+def test_fit_lifts_the_student_once_fresh_and_resumed(tmp_path, monkeypatch):
+    bench = small_benchmark()
+    cfg = TrainConfig(method="mixlrco", total_steps=4, batch_labeled=12, batch_unlabeled=12)
+    kw = dict(hidden_dims=(6,), feature_dim=5)
+    lifted = []
+    lift = trainer.lift_params
+    monkeypatch.setattr(trainer, "lift_params", lambda m: lifted.append(m) or lift(m))
+    fresh = fit(bench, AUG, dataclasses.replace(cfg, total_steps=2), out_dir=str(tmp_path),
+                **kw)
+    assert len(lifted) == 1 and lifted[0] is fresh.student
+    resumed = fit(bench, AUG, cfg, resume_from=str(tmp_path / "checkpoint_final.npz"), **kw)
+    assert resumed.steps_run == 2
+    assert len(lifted) == 2 and lifted[1] is resumed.student
 
 
 # --- dynamic threshold -----------------------------------------------------------------
@@ -724,7 +762,7 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1)
-    train_step(student, teacher, bank, velocities, sb, cfg, tau=0.7, step=1)
+    train_step(lift_params(student), teacher, bank, velocities, sb, cfg, tau=0.7, step=1)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash=""))
@@ -746,9 +784,10 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
+    params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step)
-        train_step(student, teacher, bank, velocities, sb, cfg, tau=0.7, step=step)
+        train_step(params, teacher, bank, velocities, sb, cfg, tau=0.7, step=step)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=2, tau=0.7, seed=cfg.seed,
@@ -764,9 +803,10 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
 def test_every_checkpoint_field_survives_save_and_load(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
+    params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step)
-        train_step(student, teacher, bank, velocities, sb, cfg, tau=0.99, step=step)
+        train_step(params, teacher, bank, velocities, sb, cfg, tau=0.99, step=step)
     assert len(bank) > 0 and not states_allclose(student, teacher)
     base = Checkpoint(student=teacher, teacher=teacher,
                       velocities=init_velocities(student), bank=MemoryBank(cfg.bank_capacity),
