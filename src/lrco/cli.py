@@ -254,7 +254,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        # A run that goes numerically wrong ends on its error line alone,
+        # without numpy's warnings about the values on the way there.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         _fail_line("missing-file", str(exc))
         return EXIT_MISSING_FILE

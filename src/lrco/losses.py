@@ -7,12 +7,13 @@ evaluated in the log domain via log-sum-exp; probabilities entering a log are
 clamped below at LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
 
 Each loss head (cross_entropy_batch, entropy_alignment, kld_uniform_batch,
-contrastive_batch, mixlrco_batch) is one graph node with a closed-form
-gradient. It computes its value once, from plain values, for both dispatch
-paths; the numpy path also takes a leading stack axis, as the autodiff ops
-do. Its backward writes only into its one differentiable input, the
-probability rows or the queries: keys, blended keys and bank rows are
-constants.
+class_terms_batch, contrastive_batch, mixlrco_batch) is one graph node with a
+closed-form gradient. It computes its value once, from plain values, for both
+dispatch paths; the numpy path also takes a leading stack axis, as the
+autodiff ops do. Its backward writes only into its one differentiable input,
+the probability rows or the queries: keys, blended keys and bank rows are
+constants. class_terms_batch fuses the supervised and consistency terms; the
+single heads share its value and gradient formulas and are its reference.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
 -log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
@@ -45,12 +46,24 @@ class PseudoLabel:
     confident: bool
 
 
+def _all_near_one(x: np.ndarray, tol: float) -> bool:
+    """Whether |x - 1| <= tol for every entry of x (tol < 0.5); NaN fails.
+
+    Two reductions decide it: x - 1 is exact for x in [0.5, 2] and at least
+    0.5 in size outside it, so the entries that pass form an interval, which
+    holds every entry iff it holds the smallest and the largest. minimum and
+    maximum propagate NaN, and the initial 1.0, inside the interval, lets an
+    empty x pass."""
+    lo = np.minimum.reduce(x, axis=None, initial=1.0)
+    hi = np.maximum.reduce(x, axis=None, initial=1.0)
+    return abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol
+
+
 def check_probability_rows(probs: np.ndarray) -> None:
     """Raise InvalidRowsError (a ValueError) unless every row is nonnegative
     and sums to 1 within 1e-6; a row holding NaN fails."""
-    if not (np.logical_and.reduce(np.abs(np.add.reduce(probs, axis=-1) - 1.0) <= 1e-6,
-                                  axis=None)
-            and np.logical_and.reduce(probs >= 0, axis=None)):
+    if not (_all_near_one(np.add.reduce(probs, axis=-1), 1e-6)
+            and np.minimum.reduce(probs, axis=None, initial=0.0) >= 0):
         raise InvalidRowsError("probs must be a valid probability vector")
 
 
@@ -76,12 +89,51 @@ def pseudo_labels(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
 def check_unit_rows(x, name: str) -> None:
     """Raise InvalidRowsError (a ValueError) unless every row of x has norm 1
     within UNIT_NORM_TOL; a row holding NaN fails."""
-    norms = norm_last(ad.value_of(x))
-    if not np.logical_and.reduce(np.abs(norms - 1.0) <= UNIT_NORM_TOL, axis=None):
+    if not _all_near_one(norm_last(ad.value_of(x)), UNIT_NORM_TOL):
         raise InvalidRowsError(f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})")
 
 
 # Supervised and consistency terms ------------------------------------------
+#
+# Each term's value and gradient formulas are plain functions of its
+# probability rows p, which its own head and class_terms_batch both call.
+
+def _ce_value(p, labels):
+    """(mean of -log max(p[i, labels[i]], LOG_FLOOR) over the rows i of p,
+    those entries)."""
+    n = p.shape[-2]
+    picked = p[..., np.arange(n), labels]
+    return -(np.add.reduce(np.log(np.maximum(picked, LOG_FLOOR)), axis=-1) / n), picked
+
+
+def _ce_grad(g, picked):
+    """The mean cross-entropy's gradient at its picked entries when it gets g."""
+    return -(g / len(picked)) * ((picked > LOG_FLOOR) / np.maximum(picked, LOG_FLOOR))
+
+
+def _entropy_value(p):
+    """(mean Shannon entropy of the rows of p, log max(p, LOG_FLOOR))."""
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
+    return -(np.add.reduce(np.add.reduce(p * log_p, axis=-1), axis=-1) / p.shape[-2]), log_p
+
+
+def _entropy_grad(g, p, log_p):
+    """The mean entropy's gradient on p when it gets g."""
+    return -(g / p.shape[-2]) * (log_p + (p > LOG_FLOOR))
+
+
+def _kld_value(p):
+    """Mean cross-entropy of the uniform distribution against the rows of p."""
+    n, n_classes = p.shape[-2:]
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
+    return -(np.add.reduce(np.add.reduce(log_p * (1.0 / n_classes), axis=-1), axis=-1) / n)
+
+
+def _kld_grad(g, p):
+    """The uniform cross-entropy's gradient on p when it gets g."""
+    n, n_classes = p.shape[-2:]
+    return -(g / (n * n_classes)) * ((p > LOG_FLOOR) / np.maximum(p, LOG_FLOOR))
+
 
 def cross_entropy_batch(p_rows, labels):
     """Mean negative log probability over a batch of probability rows.
@@ -91,17 +143,13 @@ def cross_entropy_batch(p_rows, labels):
     """
     labels = np.asarray(labels, dtype=np.int64)
     p = ad.value_of(p_rows)
-    n = p.shape[-2]
-    rows = np.arange(n)
-    picked = p[..., rows, labels]
-    y = -(np.add.reduce(np.log(np.maximum(picked, LOG_FLOOR)), axis=-1) / n)
+    y, picked = _ce_value(p, labels)
     if not ad.is_tensor(p_rows):
         return y
 
     def backward_fn(g):
         grad = np.zeros(p.shape)
-        grad[rows, labels] = -(g / n) * ((picked > LOG_FLOOR)
-                                         / np.maximum(picked, LOG_FLOOR))
+        grad[np.arange(len(labels)), labels] = _ce_grad(g, picked)
         p_rows.accumulate(grad)
 
     return ad.Tensor(y, (p_rows,), backward_fn)
@@ -115,13 +163,10 @@ def entropy_alignment(p_rows):
     -(g / n) (log max(p, LOG_FLOOR) + [p > LOG_FLOOR]).
     """
     p = ad.value_of(p_rows)
-    n = p.shape[-2]
-    log_p = np.log(np.maximum(p, LOG_FLOOR))
-    y = -(np.add.reduce(np.add.reduce(p * log_p, axis=-1), axis=-1) / n)
+    y, log_p = _entropy_value(p)
     if not ad.is_tensor(p_rows):
         return y
-    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(
-        -(g / n) * (log_p + (p > LOG_FLOOR))))
+    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(_entropy_grad(g, p, log_p)))
 
 
 def kld_uniform_batch(p_rows):
@@ -129,13 +174,79 @@ def kld_uniform_batch(p_rows):
     row, KL(uniform || p) + log K, where K is the width of p_rows. The
     gradient is -(g / (n K)) [p > LOG_FLOOR] / p."""
     p = ad.value_of(p_rows)
-    n, n_classes = p.shape[-2:]
-    log_p = np.log(np.maximum(p, LOG_FLOOR))
-    y = -(np.add.reduce(np.add.reduce(log_p * (1.0 / n_classes), axis=-1), axis=-1) / n)
+    y = _kld_value(p)
     if not ad.is_tensor(p_rows):
         return y
-    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(
-        -(g / (n * n_classes)) * ((p > LOG_FLOOR) / np.maximum(p, LOG_FLOOR))))
+    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(_kld_grad(g, p)))
+
+
+def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
+                      high, pseudo, weights: dict):
+    """The supervised and consistency terms of an objective, read from one
+    matrix of probability rows: (total, terms).
+
+    terms maps each term that is built to its value, in this order:
+    - "ce": cross_entropy_batch of the ``labeled`` rows against ``labels``;
+    - "align": the entropy_alignment of the labeled rows and of the
+      ``unlabeled`` rows, weighted by their shares of the rows of both;
+    - "fixmatch" and "kld", when the int64 row indices ``high`` are not
+      empty: cross_entropy_batch of those rows against ``pseudo``, and
+      kld_uniform_batch of them.
+    total is the sum of weights[term] * value over the built terms whose
+    weight is positive, added up in that order, as weighted_sum adds.
+
+    With a Tensor, total is one graph node on p_rows and every term is a node
+    of its own on p_rows, outside total's graph. Their backward writes each
+    row block once, in the order the single heads' chain gave their
+    gradients: the labeled rows (CE, then entropy), the unlabeled rows, the
+    high rows (CE, then KLD); a term's node does so with its weight alone.
+    The bits are those of the chain of take_rows, the single heads and
+    weighted_sum.
+    """
+    # Each block is taken by index, as take_rows took it: on a stack, the
+    # memory layout of the copy decides the order of the sums over its rows.
+    p = ad.value_of(p_rows)
+    lab_rows = np.arange(labeled.start, labeled.stop)
+    p_lab = p[..., lab_rows, :]
+    p_unl = p[..., np.arange(unlabeled.start, unlabeled.stop), :]
+    n_lab, n_unl = len(lab_rows), unlabeled.stop - unlabeled.start
+    share_lab, share_unl = n_lab / (n_lab + n_unl), n_unl / (n_lab + n_unl)
+    ce, picked_lab = _ce_value(p_lab, labels)
+    ent_lab, log_lab = _entropy_value(p_lab)
+    ent_unl, log_unl = _entropy_value(p_unl)
+    terms = {"ce": ce, "align": ent_lab * share_lab + ent_unl * share_unl}
+    if len(high) > 0:
+        p_high = p[..., high, :]
+        terms["fixmatch"], picked_high = _ce_value(p_high, pseudo)
+        terms["kld"] = _kld_value(p_high)
+    in_total = {t: float(weights[t]) for t in terms if weights[t] > 0}
+    total = None
+    for t, w in in_total.items():
+        total = terms[t] * w if total is None else total + terms[t] * w
+    if not ad.is_tensor(p_rows):
+        return total, terms
+
+    def backward(g, term_weights):
+        g = float(g)
+        grad = np.zeros(p.shape)
+        w = term_weights.get("ce")
+        if w:
+            grad[lab_rows, labels] = _ce_grad(g * w, picked_lab)
+        w = term_weights.get("align")
+        if w:
+            grad[labeled] += _entropy_grad(g * w * share_lab, p_lab, log_lab)
+            grad[unlabeled] = _entropy_grad(g * w * share_unl, p_unl, log_unl)
+        w = term_weights.get("fixmatch")
+        if w:
+            grad[high, pseudo] = _ce_grad(g * w, picked_high)
+        w = term_weights.get("kld")
+        if w:
+            grad[high] += _kld_grad(g * w, p_high)
+        p_rows.accumulate(grad)
+
+    return (ad.Tensor(total, (p_rows,), lambda g: backward(g, in_total)),
+            {t: ad.Tensor(v, (p_rows,), lambda g, t=t: backward(g, {t: 1.0}))
+             for t, v in terms.items()})
 
 
 # Classifier-weight re-representation ----------------------------------------
@@ -259,7 +370,7 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
     check_unit_rows(k_source, "source keys")
     q = ad.value_of(q_rows)
     k_mix, k_target, k_source = (ad.value_of(k) for k in (k_mix, k_target, k_source))
-    if not np.logical_and.reduce(norm_last(k_mix) <= 1.0 + UNIT_NORM_TOL, axis=None):
+    if not np.maximum.reduce(norm_last(k_mix), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
         raise InvalidRowsError("blended keys must have norm <= 1")
     bank = _conform_bank(bank_matrix, q.shape[-1])
     inv_t = 1.0 / t_co

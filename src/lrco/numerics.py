@@ -47,13 +47,13 @@ def unit_last(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v / norms, norms) with norm_last's norms; a row whose norm is below
     NORM_EPS, or whose norm overflows to inf (v / inf would be a zero row),
     raises DegenerateFeatureError. A NaN row passes, and its NaN reaches
-    whatever reads the result."""
+    whatever reads the result: fmin and fmax, which decide, skip NaN."""
     n = norm_last(v)
-    if np.logical_or.reduce(n < NORM_EPS, axis=None):
+    if np.fmin.reduce(n, axis=None, initial=np.inf) < NORM_EPS:
         raise DegenerateFeatureError(
             f"cannot normalize vector with norm below {NORM_EPS}"
         )
-    if np.logical_or.reduce(n == np.inf, axis=None):
+    if np.fmax.reduce(n, axis=None, initial=0.0) == np.inf:
         raise DegenerateFeatureError("cannot normalize vector whose norm overflows to inf")
     return v / n, n
 

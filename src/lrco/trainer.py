@@ -303,32 +303,21 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
 
     feats, probs, rows = stacked_forward(model_like, sb, cfg)
-    probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
-    terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
-    # (term, weight) pairs of the total, in the order it adds them up
-    weighted = [(terms["ce"], 1.0)]
-
-    if "align" in reads:
-        # Alignment entropy over the union of labeled and unlabeled weak views,
-        # computed as a sample-count weighted average of the two batch means.
-        probs_unl_w = ad.take_rows(probs, rows["unlabeled_weak"])
-        n_l = sb.labeled_weak.shape[0]
-        n_u = sb.unlabeled_weak.shape[0]
-        ent_l = L.entropy_alignment(probs_lab)
-        ent_u = L.entropy_alignment(probs_unl_w)
-        terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
-                                          (ent_u, n_u / (n_l + n_u))))
-        if cfg.lambda_align > 0:
-            weighted.append((terms["align"], cfg.lambda_align))
-
     strong = rows.get("unlabeled_strong")  # strong[i]: the stacked row of strong-view row i
-    if "fixmatch" in reads and len(sb.high_idx) > 0:
-        probs_high = ad.take_rows(probs, strong[sb.high_idx])
-        terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
-        terms["kld"] = L.kld_uniform_batch(probs_high)
-        weighted.append((terms["fixmatch"], 1.0))
-        if cfg.lambda_kld > 0:
-            weighted.append((terms["kld"], cfg.lambda_kld))
+    if "align" in reads:
+        # More than one class term: one node for them all. The labeled rows
+        # come first in the stack, the unlabeled weak rows next.
+        n_l, n_u = len(sb.labeled_weak), len(sb.unlabeled_weak)
+        high = strong[sb.high_idx] if "fixmatch" in reads else sb.high_idx
+        class_total, class_terms = L.class_terms_batch(
+            probs, slice(0, n_l), sb.labeled_y, slice(n_l, n_l + n_u),
+            high, sb.pseudo[sb.high_idx],
+            {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld})
+        terms.update(class_terms)
+    else:
+        class_total = terms["ce"] = L.cross_entropy_batch(probs, sb.labeled_y)
+    # (term, weight) pairs of the total, in the order it adds them up
+    weighted = [(class_total, 1.0)]
 
     # Queries go through the detached classifier; the finite-difference
     # harness substitutes a fixed weight array for it, so the numeric check
@@ -352,7 +341,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
             sb.bank_snapshot, cfg.t_co,
         )
         weighted.append((terms["contrastive"], cfg.lambda_co))
-    return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted), terms
+    return class_total if len(weighted) == 1 else ad.weighted_sum(weighted), terms
 
 
 # Optimizer ---------------------------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -818,3 +820,18 @@ def test_checkpoint_contents_are_pinned(tmp_path, capsys):
                for out in (run, resumed) for name in sorted(os.listdir(out))
                if name.endswith(".npz")}
     assert written == CHECKPOINT_SHA256
+
+
+def test_a_refused_run_prints_its_error_line_alone(tmp_path):
+    # t_ce at the smallest positive float overflows the softmax; numpy's
+    # RuntimeWarning lines used to come before the error line
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("LRCO_OUTPUT_ROOT", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "lrco.cli", "train", "--out", str(tmp_path / "run"), *FAST,
+         "--set", "train.t_ce=5e-324"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr == "error: runtime: probs must be a valid probability vector\n"

@@ -1,6 +1,7 @@
 import numpy as np
 
 from lrco import autodiff as ad
+from lrco import losses as L
 from lrco.gradcheck import (
     _CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
     values_at,
@@ -63,18 +64,20 @@ def test_suite_reports_worst_errors():
 
 
 def test_alignment_check_sees_the_trainers_weighting(monkeypatch):
-    # the alignment term the trainer optimizes is a weighted sum built with
-    # ad.weighted_sum; a backward that drops the weights must fail its check
-    weighted_sum = ad.weighted_sum
+    # the alignment term the trainer optimizes weights the labeled and the
+    # unlabeled rows' entropies by their shares of the rows (4 and 6 in the
+    # gradcheck instances); a backward that drops those weights must fail its
+    # check. class_terms_batch passes each block's share in the g it gives
+    # _entropy_grad, so dividing it back out drops it.
+    sb = _build_instance(0, seed=0)["batches"]["rerep"]
+    n_rows = len(sb.labeled_weak) + len(sb.unlabeled_weak)
+    assert len(sb.labeled_weak) != len(sb.unlabeled_weak)
+    entropy_grad = L._entropy_grad
 
-    def weighted_sum_with_unweighted_backward(pairs):
-        out = weighted_sum(pairs)
-        if ad.is_tensor(out):
-            parents = out.parents
-            out.backward_fn = lambda g: [x.accumulate(g) for x in parents]
-        return out
+    def entropy_grad_without_the_share(g, p, log_p):
+        return entropy_grad(g * n_rows / p.shape[-2], p, log_p)
 
-    monkeypatch.setattr(ad, "weighted_sum", weighted_sum_with_unweighted_backward)
+    monkeypatch.setattr(L, "_entropy_grad", entropy_grad_without_the_share)
     assert check_instance(0, seed=0).errors["alignment_entropy"] > 1e-4
 
 

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrco import autodiff as ad
 from lrco.data import AugmentSpec
 from lrco.errors import InvalidRowsError, LrcoError
 from lrco.losses import (
-    contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment,
-    kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels,
-    re_represent_batch,
+    UNIT_NORM_TOL, check_probability_rows, check_unit_rows, class_terms_batch,
+    contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment, kld_uniform_batch,
+    make_pseudo_label, mixlrco_batch, pseudo_labels, re_represent_batch,
 )
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
-from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error, sample_beta
+from lrco.numerics import (
+    NORM_EPS, SeededRng, finite_diff_grad, norm_last, relative_grad_error, sample_beta, unit_last,
+)
 from lrco.trainer import TrainConfig, prepare_step, step_objective
 
 
@@ -111,6 +113,106 @@ def test_row_checks_reject_nan_rows():
     # both a package error, which the CLI maps to an exit code, and the
     # ValueError the checks raised before
     assert issubclass(InvalidRowsError, LrcoError) and issubclass(InvalidRowsError, ValueError)
+
+
+# The row checks decide by a smallest and a largest value; these are the
+# elementwise formulas they replaced, which they must agree with everywhere:
+# each returns (error type, message), or None where the check passes.
+
+def _old_unit_last(v):
+    n = norm_last(v)
+    if np.logical_or.reduce(n < NORM_EPS, axis=None):
+        return "DegenerateFeatureError", f"cannot normalize vector with norm below {NORM_EPS}"
+    if np.logical_or.reduce(n == np.inf, axis=None):
+        return "DegenerateFeatureError", "cannot normalize vector whose norm overflows to inf"
+    return None
+
+
+def _old_check_unit_rows(x, name):
+    if not np.logical_and.reduce(np.abs(norm_last(x) - 1.0) <= UNIT_NORM_TOL, axis=None):
+        return "InvalidRowsError", f"{name} must be unit-normalized (tolerance {UNIT_NORM_TOL})"
+    return None
+
+
+def _old_check_probability_rows(probs):
+    if not (np.logical_and.reduce(np.abs(np.add.reduce(probs, axis=-1) - 1.0) <= 1e-6,
+                                  axis=None)
+            and np.logical_and.reduce(probs >= 0, axis=None)):
+        return "InvalidRowsError", "probs must be a valid probability vector"
+    return None
+
+
+def _old_blended_key_check(k_mix):
+    if not np.logical_and.reduce(norm_last(k_mix) <= 1.0 + UNIT_NORM_TOL, axis=None):
+        return "InvalidRowsError", "blended keys must have norm <= 1"
+    return None
+
+
+def _raised(check):
+    try:
+        check()
+    except (LrcoError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _around(x):
+    """x and the floats one ulp either side of it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Row sums and norms at each check's edges, and the special values.
+_ROW_EDGES = sorted({float(v) for tol in (1e-6, UNIT_NORM_TOL)
+                     for v in _around(1.0 - tol) + _around(1.0) + _around(1.0 + tol)
+                     + _around(NORM_EPS)}) + [
+    0.0, -0.0, -5e-324, np.nan, np.inf, -np.inf, 0.5, 2.0, -1.0, 1e-300, 1e300]
+# A row is a lead value and fill values: with zero fill its sum and norm are
+# the lead's size exactly.
+_ROW_VALUES = st.one_of(st.sampled_from(_ROW_EDGES),
+                        st.floats(allow_nan=True, allow_infinity=True))
+_FILL = st.one_of(st.sampled_from([0.0, -0.0]), _ROW_VALUES)
+
+
+@st.composite
+def _row_arrays(draw):
+    n_rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    rows = [[draw(_ROW_VALUES)] + [draw(_FILL) for _ in range(width - 1)] if width else []
+            for _ in range(n_rows)]
+    x = np.array(rows, dtype=np.float64).reshape(n_rows, width)
+    return x[0] if n_rows and draw(st.booleans()) else x  # a single 1-D row too
+
+
+_NEXT_TOL = float(np.nextafter(1.0 + UNIT_NORM_TOL, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_row_arrays())
+@example(x=np.array([[np.nan, 0.0], [0.0, 0.0]]))  # a NaN row beside a zero row
+@example(x=np.array([[np.nan, 0.0], [0.5, 0.0]]))  # a NaN row beside a passing row
+@example(x=np.array([[np.nan, 0.0], [np.inf, 0.0]]))
+@example(x=np.array([[1.0 + UNIT_NORM_TOL, 0.0], [_NEXT_TOL, 0.0]]))
+@example(x=np.array([[1.5, -0.5], [1.0, 0.0]]))  # a negative entry in a row summing to 1
+@example(x=np.array([[1.0, -5e-324], [1.0, -0.0]]))  # the smallest negative; -0.0 passes
+@example(x=np.zeros((0, 2)))
+@example(x=np.zeros((2, 0)))
+def test_row_checks_raise_where_the_elementwise_formulas_did(x):
+    with np.errstate(all="ignore"):
+        assert _raised(lambda: unit_last(x)) == _old_unit_last(x)
+        assert _raised(lambda: check_unit_rows(x, "keys")) == _old_check_unit_rows(x, "keys")
+        assert _raised(lambda: check_probability_rows(x)) == _old_check_probability_rows(x)
+        if x.ndim == 2 and x.shape[1] == 2:
+            unit = np.tile([[0.6, 0.8]], (len(x), 1))
+            blended = _raised(lambda: mixlrco_batch(unit, x, unit, unit, np.zeros((0, 2)), 0.3))
+            assert blended == _old_blended_key_check(x)
+
+
+def test_row_check_edges_are_drawn_exactly():
+    # the edges above are the values the checks compare, not roundings of them
+    assert 1.0 + 1e-6 in _ROW_EDGES and np.nextafter(1.0 - 1e-6, 0.0) in _ROW_EDGES
+    x = np.array([[1.0 + UNIT_NORM_TOL, 0.0], [np.nextafter(1.0 + UNIT_NORM_TOL, 2.0), 0.0]])
+    assert _old_check_unit_rows(x[:1], "q") is None and _old_check_unit_rows(x, "q")
+    assert _raised(lambda: check_unit_rows(x[:1], "q")) is None
+    assert _raised(lambda: check_unit_rows(x, "q"))
 
 
 def _split_step(n, seed, tau):
@@ -635,3 +737,124 @@ def test_contrastive_heads_write_only_into_the_queries():
     mixlrco_batch(q, k_mix, k_t, k_s, bank.value, 0.3).backward()
     assert q.grad is not None and np.any(q.grad != 0.0)
     assert all(t.grad is None for t in (keys, k_t, k_s, k_mix))
+
+
+# --- the fused class head ------------------------------------------------------------
+#
+# class_terms_batch must give the bits of the chain it replaced in the
+# trainer: take_rows of each row block, the single heads, and weighted_sum for
+# the alignment term and for the total.
+
+CLASS_TERMS = ("ce", "align", "fixmatch", "kld")  # in the order the total adds them
+
+
+def _class_chain(p, labeled, labels, unlabeled, high, pseudo, weights):
+    """(total, terms) of the chain on probability rows p (plain, a stack or a
+    Tensor): the reference class_terms_batch keeps the bits of."""
+    lab = ad.take_rows(p, np.arange(labeled.start, labeled.stop))
+    unl = ad.take_rows(p, np.arange(unlabeled.start, unlabeled.stop))
+    n_l, n_u = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
+    terms = {"ce": cross_entropy_batch(lab, labels),
+             "align": ad.weighted_sum(((entropy_alignment(lab), n_l / (n_l + n_u)),
+                                       (entropy_alignment(unl), n_u / (n_l + n_u))))}
+    if len(high) > 0:
+        rows = ad.take_rows(p, high)
+        terms["fixmatch"] = cross_entropy_batch(rows, pseudo)
+        terms["kld"] = kld_uniform_batch(rows)
+    pairs = [(terms[t], weights[t]) for t in CLASS_TERMS if t in terms and weights[t] > 0]
+    return (pairs[0][0] if len(pairs) == 1 else ad.weighted_sum(pairs)), terms
+
+
+def _class_case(seed=40, n_high=9, floor=False, sizes=(9, 10, 12), **weights):
+    """Probability rows stacked as the trainer stacks them (labeled, unlabeled
+    weak and strong rows, in ``sizes``) and the other arguments of
+    class_terms_batch. By default every block has 8 rows or more, where
+    numpy's sums depend on the memory layout of what they add."""
+    rng = SeededRng(seed)
+    (n_lab, n_unl, n_strong), k = sizes, 3
+    p = _probability_rows(rng, n_lab + n_unl + n_strong, k)
+    labels = np.asarray(rng.integers(0, k, size=n_lab), dtype=np.int64)
+    high = n_lab + n_unl + np.sort(np.asarray(rng.permutation(n_strong))[:n_high])
+    pseudo = p[high].argmax(axis=1)
+    if floor:  # a picked entry, an entropy entry and a high entry at or below LOG_FLOOR
+        p[[0, 5, high[0]], [labels[0], 1, pseudo[0]]] = [0.0, 1e-15, 1e-13]
+    w = {"ce": 1.0, "align": 0.1, "fixmatch": 1.0, "kld": 0.37, **weights}
+    return p, (slice(0, n_lab), labels, slice(n_lab, n_lab + n_unl), high, pseudo, w)
+
+
+CLASS_CASES = {
+    "every term": {},
+    "no high-confidence rows": {"n_high": 0},
+    "every strong row high": {"n_high": 12},
+    "lambda_align=0": {"align": 0.0},
+    "lambda_kld=0": {"kld": 0.0},
+    "ce alone in the total": {"n_high": 0, "align": 0.0},
+    "entries at the log floor": {"floor": True},
+}
+
+
+def _bits(x) -> bytes:
+    return np.asarray(ad.value_of(x)).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_CASES))
+def test_class_head_equals_the_chain_bit_for_bit(case):
+    p, args = _class_case(**CLASS_CASES[case])
+    fused_total, fused_terms = class_terms_batch(p, *args)
+    chain_total, chain_terms = _class_chain(p, *args)
+    assert list(fused_terms) == list(chain_terms)
+    assert _bits(fused_total) == _bits(chain_total)
+    for key in chain_terms:
+        assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
+
+    def grad_of(build, key):
+        leaf = ad.Tensor(p.copy(), requires_grad=True)
+        total, terms = build(leaf, *args)
+        node = total if key is None else terms[key]
+        assert isinstance(node, ad.Tensor)
+        node.backward()
+        return node.value, leaf.grad
+
+    # the total's gradient, then each term's on its own
+    for key in (None, *chain_terms):
+        (fused_value, fused_grad), (chain_value, chain_grad) = (
+            grad_of(build, key) for build in (class_terms_batch, _class_chain))
+        assert _bits(fused_value) == _bits(chain_value) == _bits(
+            fused_total if key is None else fused_terms[key]), key
+        assert fused_grad.tobytes() == chain_grad.tobytes(), key
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("case", sorted(CLASS_CASES))
+def test_class_head_numpy_path_takes_a_stack_axis(case, small):
+    # the stacked call finite differences make has the chain's bits on the
+    # stack; with blocks of fewer than 8 rows, as in the gradcheck instances,
+    # each entry also has the bits of the call on that entry alone (with 8 or
+    # more, take_rows's copy of a stack sums its rows in another order)
+    kw = dict(CLASS_CASES[case])
+    if small:
+        kw.update(sizes=(4, 6, 6), n_high=min(kw.get("n_high", 3), 6))
+    p, args = _class_case(**kw)
+    rng = SeededRng(41)
+    stack = np.stack([p, *(_probability_rows(rng, *p.shape) for _ in range(2))])
+    fused_total, fused_terms = class_terms_batch(stack, *args)
+    chain_total, chain_terms = _class_chain(stack, *args)
+    assert _bits(fused_total) == _bits(chain_total)
+    assert fused_total.shape == (3,)
+    for key in chain_terms:
+        assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
+    for b in range(3 if small else 0):
+        total, terms = class_terms_batch(stack[b], *args)
+        assert _bits(fused_total[b]) == _bits(total)
+        for key in terms:
+            assert _bits(fused_terms[key][b]) == _bits(terms[key]), key
+
+
+def test_class_head_is_one_node_and_its_terms_stay_outside_it():
+    p, args = _class_case()
+    leaf = ad.Tensor(p, requires_grad=True)
+    total, terms = class_terms_batch(leaf, *args)
+    assert list(terms) == list(CLASS_TERMS)
+    assert total.parents == (leaf,)
+    assert all(node.parents == (leaf,) for node in terms.values())
+    assert ad._topo_order(total) == [leaf, total]

@@ -16,8 +16,8 @@ from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
-    ModelConfig, clone_state, ema_update, features_of, init_model, probs_of, state_arrays,
-    state_from_arrays, with_param_vector,
+    ModelConfig, clone_state, compute_gradients, ema_update, features_of, init_model, probs_of,
+    state_arrays, state_from_arrays, with_param_vector,
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
@@ -412,6 +412,93 @@ def test_objective_terms_equal_on_both_dispatch_paths():
             assert float(terms["contrastive"]) > 0.0, method
 
 
+def chain_step_objective(model_like, sb, cfg):
+    """step_objective as it was before the fused class head: take_rows of each
+    row block, the single heads, and one weighted_sum over every term. The
+    reference the fused head keeps the bits of."""
+    reads = trainer.METHOD_TERMS[cfg.method]
+    terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
+    feats, probs, rows = trainer.stacked_forward(model_like, sb, cfg)
+    probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
+    terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
+    weighted = [(terms["ce"], 1.0)]
+    if "align" in reads:
+        n_l, n_u = len(sb.labeled_weak), len(sb.unlabeled_weak)
+        ent_l = L.entropy_alignment(probs_lab)
+        ent_u = L.entropy_alignment(ad.take_rows(probs, rows["unlabeled_weak"]))
+        terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
+                                          (ent_u, n_u / (n_l + n_u))))
+        if cfg.lambda_align > 0:
+            weighted.append((terms["align"], cfg.lambda_align))
+    strong = rows.get("unlabeled_strong")
+    if "fixmatch" in reads and len(sb.high_idx) > 0:
+        probs_high = ad.take_rows(probs, strong[sb.high_idx])
+        terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
+        terms["kld"] = L.kld_uniform_batch(probs_high)
+        weighted.append((terms["fixmatch"], 1.0))
+        if cfg.lambda_kld > 0:
+            weighted.append((terms["kld"], cfg.lambda_kld))
+
+    def queries(f_rows):
+        return L.contrast_rows(f_rows, model_like.classifier, model_like.t_re, cfg.rerep_mode)
+
+    if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
+            and len(sb.bank_snapshot) > 0):
+        terms["contrastive"] = L.contrastive_batch(
+            queries(ad.take_rows(feats, strong[sb.sel_idx])), sb.keys_sel,
+            sb.bank_snapshot, cfg.t_co)
+        weighted.append((terms["contrastive"], cfg.lambda_co))
+    if "mix" in rows:
+        terms["contrastive"] = L.mixlrco_batch(
+            queries(ad.take_rows(feats, rows["mix"])), sb.mix.k_mix, sb.mix.k_target,
+            sb.mix.k_source, sb.bank_snapshot, cfg.t_co)
+        weighted.append((terms["contrastive"], cfg.lambda_co))
+    return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted), terms
+
+
+# (tau, labeled rows from the target domain, TrainConfig overrides); tau None
+# is split_step's median teacher confidence
+CHAIN_CASES = {
+    "split": (None, False, {}),
+    "no high-confidence rows": (1.0, False, {}),
+    "every row high": (0.0, False, {}),
+    "lambda_align=0": (None, False, {"lambda_align": 0.0}),
+    "lambda_kld=0": (None, False, {"lambda_kld": 0.0}),
+    "labeled target rows": (None, True, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+@pytest.mark.parametrize("method", METHODS)
+def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
+    tau, target_rows, overrides = CHAIN_CASES[case]
+    cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(
+        method=method, **overrides)
+    bank.push_batch(np.eye(5)[:3])
+    if tau is None:
+        tau = float(np.median(teacher_probs_at_step_1(cfg, teacher, unl_x).max(axis=1)))
+    if target_rows:
+        lab_src = np.arange(len(lab_src)) % 2 == 0
+    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x, cfg, AUG, tau,
+                      step=1)
+
+    def bits(objective, model_like):
+        total, terms = objective(model_like, sb, cfg)
+        return [np.asarray(ad.value_of(v)).tobytes() for v in (total, *terms.values())]
+
+    # values on the graph and on the plain and stacked numpy paths
+    rng = SeededRng(7)
+    stack = student.params + 1e-3 * np.asarray(rng.normal(size=(3, student.params.size)))
+    for model_like in (student, lift_params(student), with_param_vector(student, stack)):
+        assert bits(step_objective, model_like) == bits(chain_step_objective, model_like)
+    # the total's gradient, then each term's
+    for key in ("total", *LOSS_KEYS[1:]):
+        grads = [compute_gradients(student, lambda m, objective=objective: (
+            objective(m, sb, cfg)[0] if key == "total" else objective(m, sb, cfg)[1][key]))
+            for objective in (step_objective, chain_step_objective)]
+        assert grads[0].tobytes() == grads[1].tobytes(), key
+
+
 def test_objective_decreases_after_one_sgd_step():
     # momentum term is empty on the first step, so a small-lr update must
     # reduce the same objective
@@ -540,14 +627,19 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
 # first step, so they are not counted. Step 1 has an empty bank, so no
 # contrastive term is built on it. The MLP forward (features_of), each loss
 # head, each cosine head (probs_of, re_represent_batch) and each weighted sum
-# of terms is one node; a new node per step shows up here.
+# of terms is one node; so is each class term that class_terms_batch returns
+# beside its total, outside the total's graph. A new node per step shows up
+# here.
 NODES_PER_STEP = {
     "source_only": [3, 3, 3],
-    "baseline": [9, 9, 9],
-    "strong": [12, 12, 12],
-    "lrco": [12, 15, 15],
-    "mixlrco": [12, 16, 16],
+    "baseline": [5, 5, 5],
+    "strong": [7, 7, 7],
+    "lrco": [7, 11, 11],
+    "mixlrco": [7, 12, 12],
 }
+# The nodes of step 2's backward graph, the leaves aside: what the backward
+# pass walks. Every class term is in the one class_terms_batch node.
+BACKWARD_NODES = {"source_only": 3, "baseline": 3, "strong": 3, "lrco": 7, "mixlrco": 8}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -568,7 +660,8 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
         train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
     assert counts == NODES_PER_STEP[method]
-    assert max(NODES_PER_STEP["mixlrco"]) <= 16  # a re-pin may not exceed this
+    assert max(NODES_PER_STEP["mixlrco"]) <= 12  # a re-pin may not exceed this
+    assert BACKWARD_NODES["mixlrco"] <= 8 and BACKWARD_NODES["lrco"] <= 7
 
 
 def _all_nodes_topo_order(root):
@@ -597,8 +690,8 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     total, _ = step_objective(params, sb, cfg)
     order = ad._topo_order(total)
     assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
-    # the step's nodes, then the leaves lifted before it
-    assert len(order) == NODES_PER_STEP[method][1] + len(state_arrays(student))
+    # the step's backward graph, then the leaves lifted before it
+    assert len(order) == BACKWARD_NODES[method] + len(state_arrays(student))
 
 
 @pytest.mark.parametrize("method", METHODS)
