@@ -134,6 +134,15 @@ def first_grad(g: np.ndarray) -> np.ndarray:
     return np.add(g, 0.0, out=g)
 
 
+def row_block(x: np.ndarray, idx) -> np.ndarray:
+    """The rows idx of x (an index array or a slice), contiguous. On a
+    (B, N, d) stack an index copy lays the row axis out outermost, and
+    numpy's sums over those rows then run in another order than on one entry;
+    the contiguous block gives entry b the bits of the unstacked call."""
+    rows = x[..., idx, :]
+    return rows if rows.ndim == 2 else np.ascontiguousarray(rows)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape of the operand it belongs to."""
     g = np.asarray(g)
@@ -145,9 +154,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-# add, matmul, tanh, softmax_rows and detach: the fused nodes replay their
-# chains (model.features_of, model.probs_of, losses.re_represent_batch), and
-# only the tests' reference chains call them.
+# add, matmul, tanh, softmax_rows, take_rows and detach: the fused nodes
+# replay their chains (model.features_of, model.probs_of,
+# losses.re_represent_batch, losses.contrastive_branch), and only the tests'
+# reference chains call them.
 
 def add(a, b):
     y = value_of(a) + value_of(b)
@@ -223,7 +233,7 @@ def normalize_rows(a):
 def take_rows(a, idx):
     """Select rows by index (repeats allowed; gradients accumulate)."""
     idx = np.asarray(idx, dtype=np.int64)
-    y = value_of(a)[..., idx, :]
+    y = row_block(value_of(a), idx)
     if not is_tensor(a):
         return y
 

@@ -142,10 +142,10 @@ _CHECKS = (
 
 def _objective_terms(m, inst, check) -> dict:
     """step_objective's terms and total for one _CHECKS entry, with the
-    instance's frozen classifier."""
+    instance's frozen classifier; on the graph each term is a node of its own."""
     cfg_key, batch_key, _ = check
     total, terms = step_objective(m, inst["batches"][batch_key], inst["cfgs"][cfg_key],
-                                  frozen_classifier=inst["frozen_classifier"])
+                                  frozen_classifier=inst["frozen_classifier"], term_nodes=True)
     return {**terms, "total": total}
 
 

@@ -7,13 +7,15 @@ evaluated in the log domain via log-sum-exp; probabilities entering a log are
 clamped below at LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
 
 Each loss head (cross_entropy_batch, entropy_alignment, kld_uniform_batch,
-class_terms_batch, contrastive_batch, mixlrco_batch) is one graph node with a
-closed-form gradient. It computes its value once, from plain values, for both
-dispatch paths; the numpy path also takes a leading stack axis, as the
-autodiff ops do. Its backward writes only into its one differentiable input,
-the probability rows or the queries: keys, blended keys and bank rows are
-constants. class_terms_batch fuses the supervised and consistency terms; the
-single heads share its value and gradient formulas and are its reference.
+class_terms_batch, contrastive_batch, mixlrco_batch, contrastive_branch) is
+one graph node with a closed-form gradient. It computes its value once, from
+plain values, for both dispatch paths; the numpy path also takes a leading
+stack axis, as the autodiff ops do. Its backward writes only into its one
+differentiable input, the probability rows, the queries or the feature rows
+the queries are made from: classifiers, keys, blended keys and bank rows are
+constants. class_terms_batch fuses the supervised and consistency terms, and
+contrastive_branch the student's queries and its contrastive loss; the single
+heads share their value and gradient formulas and are their reference.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
 -log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
@@ -103,6 +105,8 @@ def _ce_value(p, labels):
     those entries)."""
     n = p.shape[-2]
     picked = p[..., np.arange(n), labels]
+    if picked.ndim > 1:  # a stack's picks come out with the row axis outermost
+        picked = np.ascontiguousarray(picked)
     return -(np.add.reduce(np.log(np.maximum(picked, LOG_FLOOR)), axis=-1) / n), picked
 
 
@@ -181,7 +185,7 @@ def kld_uniform_batch(p_rows):
 
 
 def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
-                      high, pseudo, weights: dict):
+                      high, pseudo, weights: dict, term_nodes: bool = False):
     """The supervised and consistency terms of an objective, read from one
     matrix of probability rows: (total, terms).
 
@@ -195,28 +199,25 @@ def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
     total is the sum of weights[term] * value over the built terms whose
     weight is positive, added up in that order, as weighted_sum adds.
 
-    With a Tensor, total is one graph node on p_rows and every term is a node
-    of its own on p_rows, outside total's graph. Their backward writes each
-    row block once, in the order the single heads' chain gave their
+    With a Tensor, total is one graph node on p_rows. Its backward writes
+    each row block once, in the order the single heads' chain gave their
     gradients: the labeled rows (CE, then entropy), the unlabeled rows, the
-    high rows (CE, then KLD); a term's node does so with its weight alone.
-    The bits are those of the chain of take_rows, the single heads and
-    weighted_sum.
+    high rows (CE, then KLD). The terms are plain values, unless
+    ``term_nodes`` asks for each as a node of its own on p_rows, outside
+    total's graph, with the same backward and that term's weight alone, for
+    differentiating the terms one at a time. The bits are those of the
+    chain of take_rows, the single heads and weighted_sum.
     """
-    # Each block is taken by index, as take_rows took it: on a stack, the
-    # memory layout of the copy decides the order of the sums over its rows.
     p = ad.value_of(p_rows)
-    lab_rows = np.arange(labeled.start, labeled.stop)
-    p_lab = p[..., lab_rows, :]
-    p_unl = p[..., np.arange(unlabeled.start, unlabeled.stop), :]
-    n_lab, n_unl = len(lab_rows), unlabeled.stop - unlabeled.start
+    p_lab, p_unl = ad.row_block(p, labeled), ad.row_block(p, unlabeled)
+    n_lab, n_unl = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
     share_lab, share_unl = n_lab / (n_lab + n_unl), n_unl / (n_lab + n_unl)
     ce, picked_lab = _ce_value(p_lab, labels)
     ent_lab, log_lab = _entropy_value(p_lab)
     ent_unl, log_unl = _entropy_value(p_unl)
     terms = {"ce": ce, "align": ent_lab * share_lab + ent_unl * share_unl}
     if len(high) > 0:
-        p_high = p[..., high, :]
+        p_high = ad.row_block(p, high)
         terms["fixmatch"], picked_high = _ce_value(p_high, pseudo)
         terms["kld"] = _kld_value(p_high)
     in_total = {t: float(weights[t]) for t in terms if weights[t] > 0}
@@ -231,7 +232,7 @@ def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
         grad = np.zeros(p.shape)
         w = term_weights.get("ce")
         if w:
-            grad[lab_rows, labels] = _ce_grad(g * w, picked_lab)
+            grad[np.arange(labeled.start, labeled.stop), labels] = _ce_grad(g * w, picked_lab)
         w = term_weights.get("align")
         if w:
             grad[labeled] += _entropy_grad(g * w * share_lab, p_lab, log_lab)
@@ -244,14 +245,41 @@ def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
             grad[high] += _kld_grad(g * w, p_high)
         p_rows.accumulate(grad)
 
-    return (ad.Tensor(total, (p_rows,), lambda g: backward(g, in_total)),
-            {t: ad.Tensor(v, (p_rows,), lambda g, t=t: backward(g, {t: 1.0}))
-             for t, v in terms.items()})
+    if term_nodes:
+        terms = {t: ad.Tensor(v, (p_rows,), lambda g, t=t: backward(g, {t: 1.0}))
+                 for t, v in terms.items()}
+    return ad.Tensor(total, (p_rows,), lambda g: backward(g, in_total)), terms
 
 
 # Classifier-weight re-representation ----------------------------------------
+#
+# The value and gradient formulas of the re-represented rows are plain
+# functions, which re_represent_batch and contrastive_branch both call.
 
-def re_represent_batch(f_rows, classifier, t_re: float):
+def _rerep_value(f, w, t_re: float, w_unit=None):
+    """(the rows of f re-represented through the raw classifier rows w, what
+    _rerep_grad needs). w_unit is w's unit rows, when the caller has them."""
+    f_unit, f_norms = unit_last(f)
+    if w_unit is None:
+        w_unit = unit_last(w)[0]
+    t = ad.positive_temperature(t_re)
+    attention = softmax_last(f_unit @ w_unit.mT, t)
+    y, r_norms = unit_last(attention @ w)
+    return y, (w, w_unit, t, f_unit, f_norms, attention, y, r_norms)
+
+
+def _rerep_grad(g, parts):
+    """What the re-representation passes to its feature rows when its output
+    gets g: the chain normalize_rows, matmul(transpose_b), softmax_rows,
+    matmul, normalize_rows, replayed from the top."""
+    w, w_unit, t, f_unit, f_norms, attention, y, r_norms = parts
+    g_combined = ad.first_grad(ad.normalize_grad(g, y, r_norms))
+    g_att = ad.first_grad(g_combined @ w.T)
+    g_cos = ad.first_grad(ad.softmax_grad(g_att, attention, t))
+    return ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms)
+
+
+def re_represent_batch(f_rows, classifier, t_re: float, w_unit=None):
     """Attention over classifier rows, then their weighted combination, renormalized.
 
     Args:
@@ -260,42 +288,85 @@ def re_represent_batch(f_rows, classifier, t_re: float):
             constant: no gradient flows into the classifier through this
             path; only the feature side learns.
         t_re: attention temperature.
+        w_unit: the classifier's unit rows, when the caller normalized it
+            already; computed here otherwise.
 
     Returns unit-normalized re-represented rows living in the row space of
-    the classifier matrix. One graph node whose only parent is f_rows; its
-    backward replays the op chain normalize_rows, matmul(transpose_b),
-    softmax_rows, matmul, normalize_rows with the same expressions.
+    the classifier matrix. One graph node whose only parent is f_rows.
     """
-    w = ad.value_of(classifier)
-    f_unit, f_norms = unit_last(ad.value_of(f_rows))
-    w_unit = unit_last(w)[0]
-    t = ad.positive_temperature(t_re)
-    attention = softmax_last(f_unit @ w_unit.mT, t)
-    y, r_norms = unit_last(attention @ w)
+    y, parts = _rerep_value(ad.value_of(f_rows), ad.value_of(classifier), t_re, w_unit)
     if not ad.is_tensor(f_rows):
         return y
-
-    def backward_fn(g):
-        g_combined = ad.first_grad(ad.normalize_grad(g, y, r_norms))
-        g_att = ad.first_grad(g_combined @ w.T)
-        g_cos = ad.first_grad(ad.softmax_grad(g_att, attention, t))
-        f_rows.accumulate(ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms))
-
-    return ad.Tensor(y, (f_rows,), backward_fn)
+    return ad.Tensor(y, (f_rows,), lambda g: f_rows.accumulate(_rerep_grad(g, parts)))
 
 
-def contrast_rows(f_rows, classifier, t_re: float, mode: str):
+def contrast_rows(f_rows, classifier, t_re: float, mode: str, w_unit=None):
     """The unit vectors the contrastive losses compare: teacher keys, student
     queries and the analysis vectors. "rerep" re-represents the feature rows
-    through the classifier rows, "raw" only normalizes them."""
+    through the classifier rows (whose unit rows w_unit may pass in), "raw"
+    only normalizes them."""
     if mode == "rerep":
-        return re_represent_batch(f_rows, classifier, t_re)
+        return re_represent_batch(f_rows, classifier, t_re, w_unit)
     if mode == "raw":
         return ad.normalize_rows(f_rows)
     raise ValueError(f"unknown rerep mode {mode!r}; choose from {REREP_MODES}")
 
 
 # Contrastive family ----------------------------------------------------------
+#
+# Both losses are one formula: per query row, the log-sum-exp of the scaled
+# similarities to its denominator keys k_den (per-row key matrices) and to
+# the bank rows, minus the scaled similarity to its positive key k_pos.
+# InfoNCE has k_den = (k,) and k_pos = k; the mixed pair has the endpoint
+# keys (k_target, k_source) and the blended key. _contrast_value and
+# _contrast_grad are that formula, which contrastive_batch, mixlrco_batch
+# and contrastive_branch all call.
+
+def _contrast_value(q, k_pos, k_den: tuple, bank_matrix, t_co: float):
+    """(the mean loss of the unit query rows q, what _contrast_grad needs),
+    after checking the rows: the queries and the denominator keys unit, a
+    blended positive key of norm <= 1, the bank rows unit."""
+    if not t_co > 0:
+        raise ValueError("t_co must be positive")
+    check_unit_rows(q, "queries")
+    if len(k_den) == 1:
+        check_unit_rows(k_den[0], "keys")
+    else:
+        check_unit_rows(k_den[0], "target keys")
+        check_unit_rows(k_den[1], "source keys")
+        if not np.maximum.reduce(norm_last(k_pos), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
+            raise InvalidRowsError("blended keys must have norm <= 1")
+    bank = _conform_bank(bank_matrix, q.shape[-1])
+    inv_t = 1.0 / t_co
+    dots = [np.add.reduce(q * k, axis=-1) for k in k_den]
+    pos = dots[0] if len(k_den) == 1 else np.add.reduce(q * k_pos, axis=-1)
+    den = np.concatenate([*(d[..., None] for d in dots), q @ bank.mT], axis=-1) * inv_t
+    n = q.shape[-2]
+    lse, e, s = logsumexp_last(den)
+    return np.add.reduce(lse - pos * inv_t, axis=-1) / n, (bank, e, s)
+
+
+def _contrast_grad(g, k_pos, k_den: tuple, t_co: float, parts):
+    """What the loss passes to its query rows when it gets g: with w the row
+    softmax of the scaled denominator similarities, query i gets
+    (g / (n T)) (sum_m w_im k_den[m]_i + sum_j w_ij b_j - k_pos_i)."""
+    bank, e, s = parts
+    w = e / s
+    m = len(k_den)
+    weighted = w[:, :1] * k_den[0]
+    for j in range(1, m):
+        weighted = weighted + w[:, j:j + 1] * k_den[j]
+    return (g / (len(k_pos) * t_co)) * (weighted + w[:, m:] @ bank - k_pos)
+
+
+def _contrast_head(q_rows, k_pos, k_den: tuple, bank_matrix, t_co: float):
+    """The contrastive loss of query rows q_rows, one graph node on them."""
+    y, parts = _contrast_value(ad.value_of(q_rows), k_pos, k_den, bank_matrix, t_co)
+    if not ad.is_tensor(q_rows):
+        return y
+    return ad.Tensor(y, (q_rows,),
+                     lambda g: q_rows.accumulate(_contrast_grad(g, k_pos, k_den, t_co, parts)))
+
 
 def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     """Mean InfoNCE over rows: positives on the diagonal pairing, bank rows negative.
@@ -305,26 +376,8 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     softmax of the scaled similarities, query i gets
     (g / (n T)) (w_i0 k_i + sum_j w_ij b_j - k_i).
     """
-    if not t_co > 0:
-        raise ValueError("t_co must be positive")
-    check_unit_rows(q_rows, "queries")
-    check_unit_rows(k_rows, "keys")
-    q, k = ad.value_of(q_rows), ad.value_of(k_rows)
-    bank = _conform_bank(bank_matrix, q.shape[-1])
-    inv_t = 1.0 / t_co
-    pos = np.add.reduce(q * k, axis=-1)
-    sims = np.concatenate((pos[..., None], q @ bank.mT), axis=-1) * inv_t
-    n = q.shape[-2]
-    lse, e, s = logsumexp_last(sims)
-    y = np.add.reduce(lse - pos * inv_t, axis=-1) / n
-    if not ad.is_tensor(q_rows):
-        return y
-
-    def backward_fn(g):
-        w = e / s
-        q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k + w[:, 1:] @ bank - k))
-
-    return ad.Tensor(y, (q_rows,), backward_fn)
+    k = ad.value_of(k_rows)
+    return _contrast_head(q_rows, k, (k,), bank_matrix, t_co)
 
 
 def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
@@ -336,6 +389,46 @@ def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
         raise ValueError("bank entries must match the query dimension")
     check_unit_rows(bank, "bank entries")
     return bank
+
+
+def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
+                       k_pos, k_den: tuple, bank_matrix, t_co: float, w_unit=None):
+    """The student's contrastive branch as one graph node on the feature rows.
+
+    The queries are the rows ``rows`` (unique int64 indices) of f_rows, made
+    unit by contrast_rows(_, classifier, t_re, mode, w_unit). The loss is
+    contrastive_batch(queries, k, bank_matrix, t_co) when k_den is (k,),
+    with k_pos the same keys, and mixlrco_batch(queries, k_pos, *k_den,
+    bank_matrix, t_co) when k_den holds the target and source keys and
+    k_pos the blended ones. The classifier is a constant, as in
+    re_represent_batch.
+
+    Its value and gradient keep the bits of the chain take_rows,
+    contrast_rows and the loss head: the backward replays the head's
+    gradient, the query rows' first accumulate, their gradient formula, and
+    writes the result into the selected rows of a zero gradient by
+    assignment, as take_rows's add.at does when the indices are unique.
+    """
+    if mode not in REREP_MODES:
+        raise ValueError(f"unknown rerep mode {mode!r}; choose from {REREP_MODES}")
+    f_all = ad.value_of(f_rows)
+    f = ad.row_block(f_all, rows)
+    if mode == "rerep":
+        q, q_parts = _rerep_value(f, ad.value_of(classifier), t_re, w_unit)
+    else:
+        q, norms = unit_last(f)
+    y, parts = _contrast_value(q, k_pos, k_den, bank_matrix, t_co)
+    if not ad.is_tensor(f_rows):
+        return y
+
+    def backward_fn(g):
+        g_q = ad.first_grad(_contrast_grad(g, k_pos, k_den, t_co, parts))
+        grad = np.zeros(f_all.shape)
+        grad[rows] = (_rerep_grad(g_q, q_parts) if mode == "rerep"
+                      else ad.normalize_grad(g_q, q, norms))
+        f_rows.accumulate(grad)
+
+    return ad.Tensor(y, (f_rows,), backward_fn)
 
 
 # Cross-domain mixing ----------------------------------------------------------
@@ -363,32 +456,5 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
     softmax of the scaled denominator similarities, query i gets
     (g / (n T)) (w_t k_target_i + w_s k_source_i + sum_j w_j b_j - k_mix_i).
     """
-    if not t_co > 0:
-        raise ValueError("t_co must be positive")
-    check_unit_rows(q_rows, "queries")
-    check_unit_rows(k_target, "target keys")
-    check_unit_rows(k_source, "source keys")
-    q = ad.value_of(q_rows)
     k_mix, k_target, k_source = (ad.value_of(k) for k in (k_mix, k_target, k_source))
-    if not np.maximum.reduce(norm_last(k_mix), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
-        raise InvalidRowsError("blended keys must have norm <= 1")
-    bank = _conform_bank(bank_matrix, q.shape[-1])
-    inv_t = 1.0 / t_co
-    num = np.add.reduce(q * k_mix, axis=-1) * inv_t
-    den = np.concatenate((
-        np.add.reduce(q * k_target, axis=-1)[..., None],
-        np.add.reduce(q * k_source, axis=-1)[..., None],
-        q @ bank.mT,
-    ), axis=-1) * inv_t
-    n = q.shape[-2]
-    lse, e, s = logsumexp_last(den)
-    y = np.add.reduce(lse - num, axis=-1) / n
-    if not ad.is_tensor(q_rows):
-        return y
-
-    def backward_fn(g):
-        w = e / s
-        q_rows.accumulate((g / (n * t_co)) * (w[:, :1] * k_target + w[:, 1:2] * k_source
-                                              + w[:, 2:] @ bank - k_mix))
-
-    return ad.Tensor(y, (q_rows,), backward_fn)
+    return _contrast_head(q_rows, k_mix, (k_target, k_source), bank_matrix, t_co)

@@ -183,19 +183,32 @@ def features_of(model_like, x_rows):
     return ad.Tensor(h, (*weights, *biases), backward_fn)
 
 
-def probs_of(model_like, feature_rows):
+def unit_classifier(model_like) -> tuple[np.ndarray, np.ndarray]:
+    """(unit rows, norms) of the model's classifier, computed once a step for
+    every reader of it: probs_of and the re-represented rows."""
+    return unit_last(ad.value_of(model_like.classifier))
+
+
+def probs_of(model_like, feature_rows, rows: slice | None = None, classifier_unit=None):
     """Cosine-head class probabilities for a batch of raw features: the
     temperature-t_ce softmax of the cosines between each feature row and each
     classifier row.
 
+    ``rows`` reads only that range of the feature rows; their gradient goes
+    into that range of feature_rows, which the other rows leave at zero.
+    ``classifier_unit`` is unit_classifier(model_like) when the caller has it.
+
     One graph node, whose value serves both dispatch paths and the numpy
-    stack axis. Its backward replays the op chain normalize_rows (classifier
-    and features), matmul(transpose_b), softmax_rows with the same
-    expressions, into the feature rows and the classifier.
+    stack axis. Its backward replays the op chain (take_rows for a range),
+    normalize_rows (classifier and features), matmul(transpose_b),
+    softmax_rows with the same expressions, into the feature rows and the
+    classifier.
     """
     classifier = model_like.classifier
-    w_unit, w_norms = unit_last(ad.value_of(classifier))
-    f_unit, f_norms = unit_last(ad.value_of(feature_rows))
+    w_unit, w_norms = (unit_last(ad.value_of(classifier)) if classifier_unit is None
+                       else classifier_unit)
+    f_all = ad.value_of(feature_rows)
+    f_unit, f_norms = unit_last(f_all if rows is None else ad.row_block(f_all, rows))
     t = ad.positive_temperature(model_like.t_ce)
     y = softmax_last(f_unit @ w_unit.mT, t)
     if not (ad.is_tensor(feature_rows) or ad.is_tensor(classifier)):
@@ -205,7 +218,13 @@ def probs_of(model_like, feature_rows):
     def backward_fn(g):
         g_cos = ad.first_grad(ad.softmax_grad(g, y, t))
         if f.requires_grad:
-            f.accumulate(ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms))
+            g_f = ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms)
+            if rows is None:
+                f.accumulate(g_f)
+            else:
+                g_all = np.zeros(f_all.shape)
+                g_all[rows] = g_f
+                f.accumulate(g_all)
         if w.requires_grad:
             w.accumulate(ad.normalize_grad(ad.first_grad(g_cos.T @ f_unit), w_unit, w_norms))
 
@@ -310,7 +329,7 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
 
 __all__ = [
     "ModelConfig", "ModelState", "ParamTensors",
-    "init_model", "clone_state", "features_of", "probs_of",
+    "init_model", "clone_state", "features_of", "probs_of", "unit_classifier",
     "lift_params", "tape_from", "compute_gradients", "ema_update",
     "get_param_vector", "with_param_vector", "state_arrays",
     "state_from_arrays",

@@ -29,7 +29,8 @@ from .errors import (
 from .membank import MemoryBank
 from .model import (
     ModelConfig, ModelState, ParamTensors, clone_state, ema_update, features_of, init_model,
-    lift_params, probs_of, state_arrays, state_from_arrays, tape_from, with_param_vector,
+    lift_params, probs_of, state_arrays, state_from_arrays, tape_from, unit_classifier,
+    with_param_vector,
 )
 from .numerics import SeededRng
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
@@ -204,7 +205,9 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     if "fixmatch" in reads:
         teacher_in = np.concatenate((unl_weak, labeled_weak)) if can_mix else unl_weak
         teacher_feats = np.asarray(features_of(teacher, teacher_in), dtype=np.float64)
-        teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u]), dtype=np.float64)
+        teacher_unit = unit_classifier(teacher)  # for the pseudo-labels and the keys
+        teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u],
+                                            classifier_unit=teacher_unit), dtype=np.float64)
         pseudo, flags = L.pseudo_labels(teacher_probs, tau)
     else:
         pseudo, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
@@ -237,7 +240,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         key_rows.append(n_u + partners)
     if key_rows:
         keys = L.contrast_rows(teacher_feats[np.concatenate(key_rows)], teacher.classifier,
-                               teacher.t_re, cfg.rerep_mode)
+                               teacher.t_re, cfg.rerep_mode, teacher_unit[0])
         keys_sel = keys[:len(sel_idx)]
     else:
         keys_sel = np.zeros((0, teacher.feature_dim))
@@ -256,17 +259,18 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     )
 
 
-def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig):
+def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig, classifier_unit=None):
     """The student's one forward pass for a prepared step.
 
     The views the method reads are stacked (labeled weak, unlabeled weak,
     unlabeled strong, then the mixes) and go through features_of once;
-    every row but the mixes goes through probs_of once, so the classifier is
-    normalized once. Returns (feats, probs, rows): rows maps each stacked
-    view to the int64 indices of its rows in feats, and probs holds the same
-    rows up to the mixes. A method without "align" reads the labeled view
-    alone, which goes in as it is. The others' bits depend on the stacking,
-    since a BLAS product's rounding depends on its row count.
+    every row but the mixes goes through probs_of once, by row range, so the
+    classifier is normalized once (``classifier_unit`` passes to probs_of).
+    Returns (feats, probs, rows): rows maps each stacked view to the int64
+    indices of its rows in feats, and probs holds the same rows up to the
+    mixes. A method without "align" reads the labeled view alone, which goes
+    in as it is. The others' bits depend on the stacking, since a BLAS
+    product's rounding depends on its row count.
     """
     reads = METHOD_TERMS[cfg.method]
     views = {"labeled": sb.labeled_weak}
@@ -282,27 +286,40 @@ def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig):
         start += len(x)
     if len(views) == 1:
         feats = features_of(model_like, sb.labeled_weak)
-        return feats, probs_of(model_like, feats), rows
+        return feats, probs_of(model_like, feats, classifier_unit=classifier_unit), rows
     feats = features_of(model_like, np.concatenate(list(views.values())))
-    read = feats
+    read = None
     if "mix" in views:  # no probability of a mix row is read
-        read = ad.take_rows(feats, np.arange(start - len(views["mix"])))
-    return feats, probs_of(model_like, read), rows
+        read = slice(0, start - len(views["mix"]))
+    return feats, probs_of(model_like, feats, read, classifier_unit), rows
 
 
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
-                   frozen_classifier=None):
+                   frozen_classifier=None, term_nodes: bool = False):
     """Assemble the method's total objective for a prepared step.
 
     Works on a ModelState (plain evaluation) or ParamTensors (training graph).
     Returns (total, terms) where terms maps LOSS_KEYS minus "total" to scalars.
     Every term takes its rows of the one stacked_forward pass by offset.
+    On the graph, the contrastive term is a node of the total's graph and
+    the class terms are plain values, unless ``term_nodes`` asks for each
+    as a node of its own, to differentiate it alone (class_terms_batch).
     ``frozen_classifier`` is only for the finite-difference harness.
     """
     reads = METHOD_TERMS[cfg.method]
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
+    contrasts = "bank" in reads or "mix" in reads
 
-    feats, probs, rows = stacked_forward(model_like, sb, cfg)
+    # Queries go through the detached classifier; the finite-difference
+    # harness substitutes a fixed weight array for it, so the numeric check
+    # differentiates the same function the stop-gradient defines. The
+    # model's own classifier is normalized once, for the probabilities and
+    # the queries; a frozen one normalizes itself in the queries.
+    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
+    unit = (unit_classifier(model_like)
+            if contrasts and frozen_classifier is None and cfg.rerep_mode == "rerep" else None)
+
+    feats, probs, rows = stacked_forward(model_like, sb, cfg, unit)
     strong = rows.get("unlabeled_strong")  # strong[i]: the stacked row of strong-view row i
     if "align" in reads:
         # More than one class term: one node for them all. The labeled rows
@@ -312,36 +329,26 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
         class_total, class_terms = L.class_terms_batch(
             probs, slice(0, n_l), sb.labeled_y, slice(n_l, n_l + n_u),
             high, sb.pseudo[sb.high_idx],
-            {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld})
+            {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld},
+            term_nodes)
         terms.update(class_terms)
     else:
         class_total = terms["ce"] = L.cross_entropy_batch(probs, sb.labeled_y)
-    # (term, weight) pairs of the total, in the order it adds them up
-    weighted = [(class_total, 1.0)]
 
-    # Queries go through the detached classifier; the finite-difference
-    # harness substitutes a fixed weight array for it, so the numeric check
-    # differentiates the same function the stop-gradient defines.
-    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
-
-    def student_queries(f_rows):
-        return L.contrast_rows(f_rows, classifier, model_like.t_re, cfg.rerep_mode)
+    def contrastive(query_rows, k_pos, k_den):
+        return L.contrastive_branch(feats, query_rows, classifier, model_like.t_re,
+                                    cfg.rerep_mode, k_pos, k_den, sb.bank_snapshot, cfg.t_co,
+                                    None if unit is None else unit[0])
 
     if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
             and len(sb.bank_snapshot) > 0):
-        queries = student_queries(ad.take_rows(feats, strong[sb.sel_idx]))
-        terms["contrastive"] = L.contrastive_batch(
-            queries, sb.keys_sel, sb.bank_snapshot, cfg.t_co
-        )
-        weighted.append((terms["contrastive"], cfg.lambda_co))
-    if "mix" in rows:  # stacked only for "mix" with lambda_co > 0 and a mix staged
-        queries = student_queries(ad.take_rows(feats, rows["mix"]))
-        terms["contrastive"] = L.mixlrco_batch(
-            queries, sb.mix.k_mix, sb.mix.k_target, sb.mix.k_source,
-            sb.bank_snapshot, cfg.t_co,
-        )
-        weighted.append((terms["contrastive"], cfg.lambda_co))
-    return class_total if len(weighted) == 1 else ad.weighted_sum(weighted), terms
+        terms["contrastive"] = contrastive(strong[sb.sel_idx], sb.keys_sel, (sb.keys_sel,))
+    elif "mix" in rows:  # stacked only for "mix" with lambda_co > 0 and a mix staged
+        terms["contrastive"] = contrastive(rows["mix"], sb.mix.k_mix,
+                                           (sb.mix.k_target, sb.mix.k_source))
+    else:
+        return class_total, terms
+    return ad.weighted_sum(((class_total, 1.0), (terms["contrastive"], cfg.lambda_co))), terms
 
 
 # Optimizer ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,9 @@ from lrco import autodiff as ad
 from lrco.data import AugmentSpec
 from lrco.errors import InvalidRowsError, LrcoError
 from lrco.losses import (
-    UNIT_NORM_TOL, check_probability_rows, check_unit_rows, class_terms_batch,
-    contrastive_batch, cross_entropy_batch, draw_mix, entropy_alignment, kld_uniform_batch,
-    make_pseudo_label, mixlrco_batch, pseudo_labels, re_represent_batch,
+    UNIT_NORM_TOL, check_probability_rows, check_unit_rows, class_terms_batch, contrast_rows,
+    contrastive_batch, contrastive_branch, cross_entropy_batch, draw_mix, entropy_alignment,
+    kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels, re_represent_batch,
 )
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
@@ -816,9 +818,10 @@ def test_class_head_equals_the_chain_bit_for_bit(case):
         return node.value, leaf.grad
 
     # the total's gradient, then each term's on its own
+    with_term_nodes = functools.partial(class_terms_batch, term_nodes=True)
     for key in (None, *chain_terms):
         (fused_value, fused_grad), (chain_value, chain_grad) = (
-            grad_of(build, key) for build in (class_terms_batch, _class_chain))
+            grad_of(build, key) for build in (with_term_nodes, _class_chain))
         assert _bits(fused_value) == _bits(chain_value) == _bits(
             fused_total if key is None else fused_terms[key]), key
         assert fused_grad.tobytes() == chain_grad.tobytes(), key
@@ -828,9 +831,9 @@ def test_class_head_equals_the_chain_bit_for_bit(case):
 @pytest.mark.parametrize("case", sorted(CLASS_CASES))
 def test_class_head_numpy_path_takes_a_stack_axis(case, small):
     # the stacked call finite differences make has the chain's bits on the
-    # stack; with blocks of fewer than 8 rows, as in the gradcheck instances,
-    # each entry also has the bits of the call on that entry alone (with 8 or
-    # more, take_rows's copy of a stack sums its rows in another order)
+    # stack, and each entry has the bits of the call on that entry alone,
+    # with blocks of fewer than 8 rows, as in the gradcheck instances, and
+    # with more, where the sums over a block's rows depend on its layout
     kw = dict(CLASS_CASES[case])
     if small:
         kw.update(sizes=(4, 6, 6), n_high=min(kw.get("n_high", 3), 6))
@@ -843,7 +846,7 @@ def test_class_head_numpy_path_takes_a_stack_axis(case, small):
     assert fused_total.shape == (3,)
     for key in chain_terms:
         assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
-    for b in range(3 if small else 0):
+    for b in range(3):
         total, terms = class_terms_batch(stack[b], *args)
         assert _bits(fused_total[b]) == _bits(total)
         for key in terms:
@@ -853,8 +856,129 @@ def test_class_head_numpy_path_takes_a_stack_axis(case, small):
 def test_class_head_is_one_node_and_its_terms_stay_outside_it():
     p, args = _class_case()
     leaf = ad.Tensor(p, requires_grad=True)
-    total, terms = class_terms_batch(leaf, *args)
+    total, terms = class_terms_batch(leaf, *args)  # the terms' values alone
     assert list(terms) == list(CLASS_TERMS)
     assert total.parents == (leaf,)
-    assert all(node.parents == (leaf,) for node in terms.values())
+    assert not any(isinstance(value, ad.Tensor) for value in terms.values())
     assert ad._topo_order(total) == [leaf, total]
+    total, nodes = class_terms_batch(leaf, *args, term_nodes=True)
+    assert all(node.parents == (leaf,) for node in nodes.values())
+    assert [_bits(node) for node in nodes.values()] == [_bits(v) for v in terms.values()]
+    assert ad._topo_order(total) == [leaf, total]
+
+
+# --- stacked row blocks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_rows", [6, 8, 9, 16, 32])
+def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
+    # a block taken from a stack is contiguous, so numpy sums its rows in the
+    # order it sums one entry's rows: entry b has the bits of the call on b
+    rng = SeededRng(50)
+    stack = np.stack([_probability_rows(rng, n_rows + 5, 4) for _ in range(3)])
+    idx = np.asarray(rng.permutation(n_rows + 5))[:n_rows]
+    labels = np.asarray(rng.integers(0, 4, size=n_rows), dtype=np.int64)
+    heads = (entropy_alignment, kld_uniform_batch, lambda p: cross_entropy_batch(p, labels))
+    for head in heads:
+        stacked = head(ad.take_rows(stack, idx))
+        for b in range(3):
+            assert _bits(stacked[b]) == _bits(head(ad.take_rows(stack[b], idx)))
+    args = (slice(0, 2), labels[:2], slice(2, 5), 5 + np.sort(idx[idx < n_rows]),
+            np.zeros(int(np.sum(idx < n_rows)), dtype=np.int64),
+            {"ce": 1.0, "align": 0.1, "fixmatch": 1.0, "kld": 0.37})
+    stacked_total, _ = class_terms_batch(stack, *args)
+    for b in range(3):
+        assert _bits(stacked_total[b]) == _bits(class_terms_batch(stack[b], *args)[0])
+    feats = np.asarray(rng.normal(size=(3, n_rows + 5, 4)))
+    keys, bank = unit_rows(rng, n_rows, 4), unit_rows(rng, 5, 4)
+    classifier = np.asarray(rng.normal(size=(3, 4)))
+    stacked = contrastive_branch(feats, idx, classifier, 0.5, "rerep", keys, (keys,), bank, 0.3)
+    for b in range(3):
+        assert _bits(stacked[b]) == _bits(contrastive_branch(
+            feats[b], idx, classifier, 0.5, "rerep", keys, (keys,), bank, 0.3))
+
+
+# --- the fused contrastive branch ---------------------------------------------------------
+#
+# contrastive_branch must give the bits of the chain it replaced in the
+# trainer: take_rows of the query rows, contrast_rows, and the loss head.
+
+def _branch_chain(f, rows, classifier, t_re, mode, k_pos, k_den, bank, t_co, w_unit=None):
+    queries = contrast_rows(ad.take_rows(f, rows), classifier, t_re, mode)
+    if len(k_den) == 1:
+        return contrastive_batch(queries, k_pos, bank, t_co)
+    return mixlrco_batch(queries, k_pos, *k_den, bank, t_co)
+
+
+def _branch_case(head, mode, bank_rows, seed=60, n_feats=20, n_rows=9):
+    """Feature rows, the args of contrastive_branch after them, and a stack of
+    feature rows. The query rows are unique and out of order."""
+    rng = SeededRng(seed)
+    d, k = 5, 3
+    f = np.asarray(rng.normal(size=(n_feats, d)))
+    rows = np.asarray(rng.permutation(n_feats))[:n_rows]
+    classifier = np.asarray(rng.normal(size=(k, d)))
+    if head == "contrastive":
+        keys = unit_rows(rng, n_rows, d)
+        k_pos, k_den = keys, (keys,)
+    else:
+        k_t, k_s = unit_rows(rng, n_rows, d), unit_rows(rng, n_rows, d)
+        lam = np.asarray(rng.uniform(0.5, 1.0, size=n_rows))
+        k_pos, k_den = lam[:, None] * k_t + (1.0 - lam)[:, None] * k_s, (k_t, k_s)
+    bank = unit_rows(rng, bank_rows, d) if bank_rows else np.zeros((0, d))
+    stack = np.stack([f, *(np.asarray(rng.normal(size=f.shape)) for _ in range(2))])
+    return f, (rows, classifier, 0.4, mode, k_pos, k_den, bank, 0.3), stack
+
+
+BRANCH_CASES = [(head, mode, bank_rows) for head in ("contrastive", "mix")
+                for mode in ("rerep", "raw") for bank_rows in (6, 0)]
+
+
+@pytest.mark.parametrize("head,mode,bank_rows", BRANCH_CASES)
+def test_contrastive_branch_equals_the_chain_bit_for_bit(head, mode, bank_rows):
+    f, args, stack = _branch_case(head, mode, bank_rows)
+    unit = unit_last(args[1])[0]
+    for w_unit in (None, unit):
+        fused = functools.partial(contrastive_branch, w_unit=w_unit)
+        # values on the plain and stacked numpy paths and on the graph
+        for x in (f, stack, ad.Tensor(f, requires_grad=True)):
+            assert _bits(fused(x, *args)) == _bits(_branch_chain(x, *args))
+        grads = []
+        for build in (fused, _branch_chain):
+            leaf = ad.Tensor(f.copy(), requires_grad=True)
+            node = build(leaf, *args)
+            node.backward()
+            grads.append(leaf.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.any(np.delete(grads[0], args[0], axis=0))  # rows not read get 0
+        if bank_rows == 0 and head == "contrastive":  # the positive is the whole partition
+            assert float(fused(f, *args)) == 0.0 and not np.any(grads[0])
+    # on a stack, entry b has the bits of the call on b alone
+    stacked = contrastive_branch(stack, *args)
+    for b in range(3):
+        assert _bits(stacked[b]) == _bits(contrastive_branch(stack[b], *args))
+
+
+def test_contrastive_branch_after_another_consumer_of_the_rows():
+    # the branch adds into a gradient the rows already hold, as take_rows did
+    f, args, _ = _branch_case("mix", "rerep", 6)
+    grads = []
+    for build in (contrastive_branch, _branch_chain):
+        leaf = ad.Tensor(f.copy(), requires_grad=True)
+        other = ad.Tensor(np.add.reduce(f * f, axis=None), (leaf,),
+                          lambda g, leaf=leaf: leaf.accumulate(2.0 * g * leaf.value))
+        ad.weighted_sum(((other, 0.25), (build(leaf, *args), 0.5))).backward()
+        grads.append(leaf.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_contrastive_branch_is_one_node_and_leaves_the_classifier_alone():
+    f, (rows, classifier, *rest), _ = _branch_case("mix", "rerep", 6)
+    leaf = ad.Tensor(f, requires_grad=True)
+    w = ad.Tensor(classifier, requires_grad=True)
+    node = contrastive_branch(leaf, rows, w, *rest)
+    assert node.parents == (leaf,)
+    node.backward()
+    assert w.grad is None and np.any(leaf.grad != 0.0)
+    with pytest.raises(ValueError, match="unknown rerep mode"):
+        contrastive_branch(f, rows, classifier, 0.4, "cosine", *rest[1:])

@@ -113,10 +113,10 @@ def test_state_arrays_stay_views_of_params():
     assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]
 
 
-# The autodiff ops that only the reference chains of tests/test_autodiff.py
-# call: the fused nodes (model.features_of, model.probs_of,
-# losses.re_represent_batch) replaced them in training, one node per head.
-REFERENCE_OPS = ("add", "matmul", "tanh", "softmax_rows", "detach")
+# The autodiff ops that only the reference chains of the tests call: the
+# fused nodes (model.features_of, model.probs_of, losses.re_represent_batch,
+# losses.contrastive_branch) replaced them in training, one node per head.
+REFERENCE_OPS = ("add", "matmul", "tanh", "softmax_rows", "take_rows", "detach")
 
 
 def _reference_op_uses(source: str) -> list[int]:
@@ -142,8 +142,9 @@ def test_no_reference_autodiff_op_is_called_in_the_package():
     assert not found, found
     sample = ("h = ad.add(ad.matmul(x, w), b)\ny = autodiff.tanh(h)\nz = ad.take_rows(y, i)\n"
               "from .autodiff import detach\nfrom . import autodiff as ad\n"
-              "w = ad.value_of(np.add(a, b))\nq = other.softmax_rows(z, 1.0)\n")
-    assert _reference_op_uses(sample) == [1, 1, 2, 4]
+              "w = ad.value_of(np.add(a, b))\nq = other.softmax_rows(z, 1.0)\n"
+              "r = ad.row_block(y, i)\n")
+    assert _reference_op_uses(sample) == [1, 1, 2, 3, 4]
 
 
 # Top-level functions and classes of src/lrco that no other code there names,
@@ -156,10 +157,15 @@ UNNAMED_ALLOWED = {
                        "nodes against it (ROADMAP 1 (d) retires it)",
     "autodiff.matmul": "reference op, as detach",
     "autodiff.softmax_rows": "reference op, as detach",
+    "autodiff.take_rows": "reference op, as detach; contrastive_branch and probs_of take "
+                          "their rows themselves",
     "losses.make_pseudo_label": "perfbench/spans.py wraps it by name (ROADMAP 1 (a))",
     "losses.entropy_alignment": "reference head: class_terms_batch keeps the bits of its "
                                 "chain; perfbench/spans.py wraps it by name",
     "losses.kld_uniform_batch": "reference head, as entropy_alignment",
+    "losses.contrastive_batch": "reference head: contrastive_branch keeps the bits of its "
+                                "chain; perfbench/spans.py wraps it by name",
+    "losses.mixlrco_batch": "reference head, as contrastive_batch",
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import os
 import sys
@@ -412,13 +413,17 @@ def test_objective_terms_equal_on_both_dispatch_paths():
             assert float(terms["contrastive"]) > 0.0, method
 
 
-def chain_step_objective(model_like, sb, cfg):
-    """step_objective as it was before the fused class head: take_rows of each
-    row block, the single heads, and one weighted_sum over every term. The
-    reference the fused head keeps the bits of."""
+def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
+    """step_objective as it was before the fused heads: probs_of on a
+    take_rows node of the rows before the mixes, take_rows of each row
+    block, the single heads, the queries by contrast_rows on a take_rows
+    node, and one weighted_sum over every term. The reference the fused
+    heads keep the bits of."""
     reads = trainer.METHOD_TERMS[cfg.method]
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
-    feats, probs, rows = trainer.stacked_forward(model_like, sb, cfg)
+    feats, _, rows = trainer.stacked_forward(model_like, sb, cfg)
+    probs = probs_of(model_like, feats if "mix" not in rows
+                     else ad.take_rows(feats, np.arange(rows["mix"][0])))
     probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
     terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
     weighted = [(terms["ce"], 1.0)]
@@ -439,8 +444,10 @@ def chain_step_objective(model_like, sb, cfg):
         if cfg.lambda_kld > 0:
             weighted.append((terms["kld"], cfg.lambda_kld))
 
+    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
+
     def queries(f_rows):
-        return L.contrast_rows(f_rows, model_like.classifier, model_like.t_re, cfg.rerep_mode)
+        return L.contrast_rows(f_rows, classifier, model_like.t_re, cfg.rerep_mode)
 
     if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
             and len(sb.bank_snapshot) > 0):
@@ -465,6 +472,11 @@ CHAIN_CASES = {
     "lambda_align=0": (None, False, {"lambda_align": 0.0}),
     "lambda_kld=0": (None, False, {"lambda_kld": 0.0}),
     "labeled target rows": (None, True, {}),
+    "raw queries": (None, False, {"rerep_mode": "raw"}),
+    "high selection": (None, False, {"sample_selection": "high"}),
+    "all selection": (None, False, {"sample_selection": "all"}),
+    "raw queries, high selection": (None, False, {"rerep_mode": "raw", "sample_selection": "high"}),
+    "raw queries, all selection": (None, False, {"rerep_mode": "raw", "sample_selection": "all"}),
 }
 
 
@@ -482,21 +494,48 @@ def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
     sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x, cfg, AUG, tau,
                       step=1)
 
-    def bits(objective, model_like):
-        total, terms = objective(model_like, sb, cfg)
-        return [np.asarray(ad.value_of(v)).tobytes() for v in (total, *terms.values())]
-
-    # values on the graph and on the plain and stacked numpy paths
     rng = SeededRng(7)
     stack = student.params + 1e-3 * np.asarray(rng.normal(size=(3, student.params.size)))
-    for model_like in (student, lift_params(student), with_param_vector(student, stack)):
-        assert bits(step_objective, model_like) == bits(chain_step_objective, model_like)
-    # the total's gradient, then each term's
-    for key in ("total", *LOSS_KEYS[1:]):
-        grads = [compute_gradients(student, lambda m, objective=objective: (
-            objective(m, sb, cfg)[0] if key == "total" else objective(m, sb, cfg)[1][key]))
-            for objective in (step_objective, chain_step_objective)]
-        assert grads[0].tobytes() == grads[1].tobytes(), key
+    # the finite-difference harness's frozen classifier, which is not the model's
+    frozen = student.classifier + 1e-3 * np.asarray(rng.normal(size=student.classifier.shape))
+    for frozen_classifier in (None, frozen):
+        fused = functools.partial(step_objective, frozen_classifier=frozen_classifier,
+                                  term_nodes=True)
+        chain = functools.partial(chain_step_objective, frozen_classifier=frozen_classifier)
+
+        def bits(objective, model_like):
+            total, terms = objective(model_like, sb, cfg)
+            return [np.asarray(ad.value_of(v)).tobytes() for v in (total, *terms.values())]
+
+        # values on the graph and on the plain and stacked numpy paths
+        for model_like in (student, lift_params(student), with_param_vector(student, stack)):
+            assert bits(fused, model_like) == bits(chain, model_like)
+        # the total's gradient, then each term's
+        for key in ("total", *LOSS_KEYS[1:]):
+            grads = [compute_gradients(student, lambda m, objective=objective: (
+                objective(m, sb, cfg)[0] if key == "total" else objective(m, sb, cfg)[1][key]))
+                for objective in (fused, chain)]
+            assert grads[0].tobytes() == grads[1].tobytes(), key
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_training_objective_builds_no_class_term_node(method):
+    # the training step reads the class terms' values only; the contrastive
+    # term is the one term in the total's graph
+    cfg, student, sb = split_step(method)
+    params = lift_params(student)
+    total, terms = step_objective(params, sb, cfg)
+    graph = {id(node) for node in ad._topo_order(total)}
+    for key, value in terms.items():
+        if key == "contrastive" and method in ("lrco", "mixlrco"):
+            assert id(value) in graph, key
+        elif not (key == "ce" and method == "source_only"):  # there, ce is the total
+            assert not isinstance(value, ad.Tensor), key
+    total.backward()
+    with_nodes = lift_params(student)
+    total_nodes, _ = step_objective(with_nodes, sb, cfg, term_nodes=True)
+    total_nodes.backward()
+    assert params.grad.tobytes() == with_nodes.grad.tobytes()
 
 
 def test_objective_decreases_after_one_sgd_step():
@@ -625,21 +664,21 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
 # Graph nodes a training step builds (Tensor constructions) over three steps
 # of tiny_setup at tau 0.999. The parameter leaves are lifted once, before the
 # first step, so they are not counted. Step 1 has an empty bank, so no
-# contrastive term is built on it. The MLP forward (features_of), each loss
-# head, each cosine head (probs_of, re_represent_batch) and each weighted sum
-# of terms is one node; so is each class term that class_terms_batch returns
-# beside its total, outside the total's graph. A new node per step shows up
-# here.
+# contrastive term is built on it. The MLP forward (features_of), the class
+# probabilities (probs_of), the class terms (class_terms_batch, or the one
+# cross_entropy_batch of source_only), the contrastive branch
+# (contrastive_branch) and the weighted sum of the two are one node each. A
+# new node per step shows up here.
 NODES_PER_STEP = {
     "source_only": [3, 3, 3],
-    "baseline": [5, 5, 5],
-    "strong": [7, 7, 7],
-    "lrco": [7, 11, 11],
-    "mixlrco": [7, 12, 12],
+    "baseline": [3, 3, 3],
+    "strong": [3, 3, 3],
+    "lrco": [3, 5, 5],
+    "mixlrco": [3, 5, 5],
 }
 # The nodes of step 2's backward graph, the leaves aside: what the backward
-# pass walks. Every class term is in the one class_terms_batch node.
-BACKWARD_NODES = {"source_only": 3, "baseline": 3, "strong": 3, "lrco": 7, "mixlrco": 8}
+# pass walks. Every node a step builds is in it.
+BACKWARD_NODES = {"source_only": 3, "baseline": 3, "strong": 3, "lrco": 5, "mixlrco": 5}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -660,8 +699,9 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
         train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
     assert counts == NODES_PER_STEP[method]
-    assert max(NODES_PER_STEP["mixlrco"]) <= 12  # a re-pin may not exceed this
-    assert BACKWARD_NODES["mixlrco"] <= 8 and BACKWARD_NODES["lrco"] <= 7
+    assert counts[1] == BACKWARD_NODES[method]  # no node outside the backward graph
+    assert max(NODES_PER_STEP["mixlrco"]) <= 5  # a re-pin may not exceed this
+    assert BACKWARD_NODES["mixlrco"] <= 5 and BACKWARD_NODES["lrco"] <= 5
 
 
 def _all_nodes_topo_order(root):
