@@ -103,48 +103,41 @@ def _build_instance(index: int, seed: int):
         return prepare_step(student, teacher, bank, lab_x, lab_y, lab_src,
                             unl_x, cfg, augment, tau_for(step), step)
 
-    cfg_rerep = base_cfg
-    cfg_raw = replace(base_cfg, rerep_mode="raw")
-    cfg_mix = replace(base_cfg, method="mixlrco")
-    cfg_strong = replace(base_cfg, method="strong")
-
-    sb_rerep = prep(cfg_rerep, 1)
-    sb_raw = prep(cfg_raw, 2)
-    sb_mix = prep(cfg_mix, 3)
+    cfgs = {"strong": replace(base_cfg, method="strong"), "rerep": base_cfg,
+            "raw": replace(base_cfg, rerep_mode="raw"),
+            "mix": replace(base_cfg, method="mixlrco")}
+    steps = {"strong": 1, "rerep": 1, "raw": 2, "mix": 3}  # strong sees rerep's views
 
     return {
         "student": student,
         "teacher": teacher,
         "n_classes": n_classes,
         "feature_dim": feature_dim,
-        "cfgs": {"rerep": cfg_rerep, "raw": cfg_raw, "mix": cfg_mix,
-                 "strong": cfg_strong},
-        "batches": {"rerep": sb_rerep, "raw": sb_raw, "mix": sb_mix},
+        "cfgs": cfgs,
+        "batches": {key: prep(cfg, steps[key]) for key, cfg in cfgs.items()},
         "frozen_classifier": student.classifier.copy(),
     }
 
 
-# (config, prepared batch, ((check, key of its term in step_objective), ...)):
-# every check differentiates a term of the trainer's own objective, and the
-# checks on one prepared step share one finite-difference pass, which
-# evaluates every perturbed parameter vector in one stacked call.
+# (config and its prepared batch, ((check, key of its term in step_objective),
+# ...)): every check differentiates a term of the trainer's own objective,
+# and the checks on one prepared step share one finite-difference pass,
+# which evaluates every perturbed parameter vector in one stacked call.
 _CHECKS = (
-    ("strong", "rerep", (("labeled_ce", "ce"), ("alignment_entropy", "align"),
-                         ("fixmatch", "fixmatch"), ("uniform_kld", "kld"),
-                         ("objective_strong", "total"))),
-    ("rerep", "rerep", (("contrastive_rerep", "contrastive"),
-                        ("objective_lrco", "total"))),
-    ("raw", "raw", (("contrastive_raw", "contrastive"),)),
-    ("mix", "mix", (("contrastive_mix", "contrastive"),
-                    ("objective_mixlrco", "total"))),
+    ("strong", (("labeled_ce", "ce"), ("alignment_entropy", "align"),
+                ("fixmatch", "fixmatch"), ("uniform_kld", "kld"),
+                ("objective_strong", "total"))),
+    ("rerep", (("contrastive_rerep", "contrastive"), ("objective_lrco", "total"))),
+    ("raw", (("contrastive_raw", "contrastive"),)),
+    ("mix", (("contrastive_mix", "contrastive"), ("objective_mixlrco", "total"))),
 )
 
 
 def _objective_terms(m, inst, check) -> dict:
     """step_objective's terms and total for one _CHECKS entry, with the
     instance's frozen classifier; on the graph each term is a node of its own."""
-    cfg_key, batch_key, _ = check
-    total, terms = step_objective(m, inst["batches"][batch_key], inst["cfgs"][cfg_key],
+    key = check[0]
+    total, terms = step_objective(m, inst["batches"][key], inst["cfgs"][key],
                                   frozen_classifier=inst["frozen_classifier"], term_nodes=True)
     return {**terms, "total": total}
 
@@ -155,7 +148,7 @@ def values_at(inst, check, vecs: np.ndarray) -> np.ndarray:
     has the bits of vector b alone. A term the step leaves at zero is zero
     in every row."""
     terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, check)
-    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for _, key in check[2]],
+    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for _, key in check[1]],
                     axis=-1)
 
 
@@ -166,7 +159,7 @@ def check_instance(index: int, seed: int = 0, h: float = 1e-5) -> InstanceResult
     errors: dict[str, float] = {}
     for check in _CHECKS:
         numeric = finite_diff_grad(functools.partial(values_at, inst, check), base_vec, h=h)
-        for column, (name, key) in enumerate(check[2]):
+        for column, (name, key) in enumerate(check[1]):
             analytic = compute_gradients(student,
                                          lambda m: _objective_terms(m, inst, check)[key])
             errors[name] = relative_grad_error(analytic, numeric[:, column])

@@ -146,64 +146,65 @@ class FitResult:
 # Step preparation -------------------------------------------------------------
 
 @dataclass
-class MixSelection:
-    """Mixes of the step's low-confidence rows: row i blends low_idx[i] with
-    a source row drawn for it, with target weight lam_prime[i]."""
-
-    lam_prime: np.ndarray
-    x_mix: np.ndarray
-    k_mix: np.ndarray
-    k_target: np.ndarray
-    k_source: np.ndarray
-
-
-@dataclass
 class StepBatch:
-    """Every input a step consumes, with all randomness already drawn."""
+    """A step's whole plan, with all randomness already drawn; only
+    prepare_step decides it, and step_objective carries it out.
 
-    labeled_weak: np.ndarray
+    ``x`` is the student's one forward input: the views the method reads,
+    stacked, and ``rows`` maps each view to its row slice of x, in the order
+    labeled, unlabeled_weak, unlabeled_strong, mix. ``query_rows`` are the
+    rows of x the contrastive term queries, against the positive keys
+    ``k_pos`` and the denominator keys ``k_den``; None when the step has no
+    contrastive term."""
+
+    x: np.ndarray
+    rows: dict[str, slice]
     labeled_y: np.ndarray
-    unlabeled_weak: np.ndarray
-    unlabeled_strong: np.ndarray
     pseudo: np.ndarray  # int64 hard label of each unlabeled row
     high_idx: np.ndarray
     low_idx: np.ndarray
     sel_idx: np.ndarray
     keys_sel: np.ndarray
     bank_snapshot: np.ndarray
-    mix: MixSelection | None
+    query_rows: slice | np.ndarray | None
+    k_pos: np.ndarray | None
+    k_den: tuple
 
 
 def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                  lab_x: np.ndarray, lab_y: np.ndarray, lab_is_source: np.ndarray,
                  unl_x: np.ndarray, cfg: TrainConfig, augment: AugmentSpec,
                  tau: float, step: int) -> StepBatch:
-    """Draw views, pseudo-label with the teacher, split by confidence, and
-    stage the contrastive inputs for one step.
+    """Draw views, pseudo-label with the teacher, split by confidence, stage
+    the contrastive inputs and stack the student's input for one step.
 
     Only what the method's METHOD_TERMS read is built: "align" draws the
     unlabeled weak view, "fixmatch" the strong view and the teacher pass,
     "bank" or "mix" stages keys, and "mix" builds the mixes. A skipped view
-    has no rows and a skipped index array is empty int64."""
+    has no entry in rows and a skipped index array is empty int64. A method
+    that reads the labeled view alone gets it as x, as it is; the others'
+    bits depend on the stacking, since a BLAS product's rounding depends on
+    its row count."""
     base = SeededRng(cfg.seed)
 
     def view(augment_fn, x: np.ndarray, purpose: str) -> np.ndarray:
         return augment_fn(x, augment, base.substream(f"augment-{purpose}-{step}"))
 
     reads = METHOD_TERMS[cfg.method]
-    no_rows = np.zeros((0, unl_x.shape[1]))
-    labeled_weak = view(weak_augment, lab_x, "labeled")
-    unl_weak = view(weak_augment, unl_x, "unlabeled-weak") if "align" in reads else no_rows
-    unl_strong = (view(strong_augment, unl_x, "unlabeled-strong") if "fixmatch" in reads
-                  else no_rows)
+    views = {"labeled": view(weak_augment, lab_x, "labeled")}
+    if "align" in reads:
+        views["unlabeled_weak"] = view(weak_augment, unl_x, "unlabeled-weak")
+    if "fixmatch" in reads:
+        views["unlabeled_strong"] = view(strong_augment, unl_x, "unlabeled-strong")
 
     bank_snapshot = bank.snapshot()
     # When a mix can happen, the teacher sees the unlabeled weak view stacked
     # with the labeled weak view, once, and mix partners take their rows from it.
     can_mix = "mix" in reads and cfg.lambda_co > 0 and len(bank_snapshot) > 0
-    n_u = len(unl_weak)
     if "fixmatch" in reads:
-        teacher_in = np.concatenate((unl_weak, labeled_weak)) if can_mix else unl_weak
+        unl_weak = views["unlabeled_weak"]
+        n_u = len(unl_weak)
+        teacher_in = np.concatenate((unl_weak, views["labeled"])) if can_mix else unl_weak
         teacher_feats = np.asarray(features_of(teacher, teacher_in), dtype=np.float64)
         teacher_unit = unit_classifier(teacher)  # for the pseudo-labels and the keys
         teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u],
@@ -224,7 +225,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     # rows, then for a mix the low rows (unless they are the selected ones)
     # and the partners' labeled rows.
     key_rows = [sel_idx] if "bank" in reads or "mix" in reads else []
-    mix = partners = None
+    partners = None
     source_pool = lab_is_source.nonzero()[0] if can_mix else ()
     if len(low_idx) > 0 and len(source_pool) > 0:
         mix_rng = base.substream(f"mix-{step}")
@@ -234,7 +235,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         lam_prime = L.draw_mix(cfg.alpha, mix_rng, len(low_idx),
                                dominant=cfg.mixup_mode != "no_dominance")
         partner_strong = view(strong_augment, lab_x[partners], "mix-source")
-        x_mix = L.blend(lam_prime, unl_strong[low_idx], partner_strong)
+        views["mix"] = L.blend(lam_prime, views["unlabeled_strong"][low_idx], partner_strong)
         if sel_idx is not low_idx:
             key_rows.append(low_idx)
         key_rows.append(n_u + partners)
@@ -244,110 +245,72 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         keys_sel = keys[:len(sel_idx)]
     else:
         keys_sel = np.zeros((0, teacher.feature_dim))
+
+    rows, start = {}, 0
+    for name, v in views.items():
+        rows[name] = slice(start, start + len(v))
+        start += len(v)
+    query_rows, k_pos, k_den = None, None, ()
     if partners is not None:  # the low rows' keys come just before the partners'
         k_target = keys[len(keys) - 2 * len(low_idx):len(keys) - len(low_idx)]
         k_source = keys[len(keys) - len(low_idx):]
-        k_mix = L.blend(lam_prime, k_target, k_source)
-        mix = MixSelection(lam_prime=lam_prime, x_mix=x_mix, k_mix=k_mix,
-                           k_target=k_target, k_source=k_source)
-
+        query_rows, k_pos = rows["mix"], L.blend(lam_prime, k_target, k_source)
+        k_den = (k_target, k_source)
+    elif ("bank" in reads and cfg.lambda_co > 0 and len(sel_idx) > 0
+            and len(bank_snapshot) > 0):
+        query_rows = rows["unlabeled_strong"].start + sel_idx
+        k_pos, k_den = keys_sel, (keys_sel,)
     return StepBatch(
-        labeled_weak=labeled_weak, labeled_y=lab_y, unlabeled_weak=unl_weak,
-        unlabeled_strong=unl_strong, pseudo=pseudo, high_idx=high_idx,
-        low_idx=low_idx, sel_idx=sel_idx, keys_sel=keys_sel,
-        bank_snapshot=bank_snapshot, mix=mix,
+        x=views["labeled"] if len(views) == 1 else np.concatenate(list(views.values())),
+        rows=rows, labeled_y=lab_y, pseudo=pseudo, high_idx=high_idx, low_idx=low_idx,
+        sel_idx=sel_idx, keys_sel=keys_sel, bank_snapshot=bank_snapshot,
+        query_rows=query_rows, k_pos=k_pos, k_den=k_den,
     )
-
-
-def stacked_forward(model_like, sb: StepBatch, cfg: TrainConfig, classifier_unit=None):
-    """The student's one forward pass for a prepared step.
-
-    The views the method reads are stacked (labeled weak, unlabeled weak,
-    unlabeled strong, then the mixes) and go through features_of once;
-    every row but the mixes goes through probs_of once, by row range, so the
-    classifier is normalized once (``classifier_unit`` passes to probs_of).
-    Returns (feats, probs, rows): rows maps each stacked view to the int64
-    indices of its rows in feats, and probs holds the same rows up to the
-    mixes. A method without "align" reads the labeled view alone, which goes
-    in as it is. The others' bits depend on the stacking, since a BLAS
-    product's rounding depends on its row count.
-    """
-    reads = METHOD_TERMS[cfg.method]
-    views = {"labeled": sb.labeled_weak}
-    if "align" in reads:
-        views["unlabeled_weak"] = sb.unlabeled_weak
-    if "fixmatch" in reads:
-        views["unlabeled_strong"] = sb.unlabeled_strong
-    if "mix" in reads and cfg.lambda_co > 0 and sb.mix is not None:
-        views["mix"] = sb.mix.x_mix
-    rows, start = {}, 0
-    for name, x in views.items():
-        rows[name] = np.arange(start, start + len(x))
-        start += len(x)
-    if len(views) == 1:
-        feats = features_of(model_like, sb.labeled_weak)
-        return feats, probs_of(model_like, feats, classifier_unit=classifier_unit), rows
-    feats = features_of(model_like, np.concatenate(list(views.values())))
-    read = None
-    if "mix" in views:  # no probability of a mix row is read
-        read = slice(0, start - len(views["mix"]))
-    return feats, probs_of(model_like, feats, read, classifier_unit), rows
 
 
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
                    frozen_classifier=None, term_nodes: bool = False):
-    """Assemble the method's total objective for a prepared step.
+    """Assemble a prepared step's total objective.
 
     Works on a ModelState (plain evaluation) or ParamTensors (training graph).
     Returns (total, terms) where terms maps LOSS_KEYS minus "total" to scalars.
-    Every term takes its rows of the one stacked_forward pass by offset.
+    Every term takes its rows of the one pass over sb.x by sb.rows; every row
+    but the mixes goes through probs_of once, by row range, and the model's
+    classifier is normalized once, for the probabilities and the queries.
     On the graph, the contrastive term is a node of the total's graph and
     the class terms are plain values, unless ``term_nodes`` asks for each
     as a node of its own, to differentiate it alone (class_terms_batch).
     ``frozen_classifier`` is only for the finite-difference harness.
     """
-    reads = METHOD_TERMS[cfg.method]
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
-    contrasts = "bank" in reads or "mix" in reads
-
-    # Queries go through the detached classifier; the finite-difference
-    # harness substitutes a fixed weight array for it, so the numeric check
-    # differentiates the same function the stop-gradient defines. The
-    # model's own classifier is normalized once, for the probabilities and
-    # the queries; a frozen one normalizes itself in the queries.
-    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
-    unit = (unit_classifier(model_like)
-            if contrasts and frozen_classifier is None and cfg.rerep_mode == "rerep" else None)
-
-    feats, probs, rows = stacked_forward(model_like, sb, cfg, unit)
-    strong = rows.get("unlabeled_strong")  # strong[i]: the stacked row of strong-view row i
-    if "align" in reads:
-        # More than one class term: one node for them all. The labeled rows
-        # come first in the stack, the unlabeled weak rows next.
-        n_l, n_u = len(sb.labeled_weak), len(sb.unlabeled_weak)
-        high = strong[sb.high_idx] if "fixmatch" in reads else sb.high_idx
+    rows = sb.rows
+    unit = unit_classifier(model_like)
+    feats = features_of(model_like, sb.x)
+    probs = probs_of(model_like, feats,  # no probability of a mix row is read
+                     slice(0, rows["mix"].start) if "mix" in rows else None, unit)
+    if "unlabeled_weak" in rows:
+        # More than one class term: one node for them all. The high rows are
+        # strong-view rows, which follow the unlabeled weak rows.
         class_total, class_terms = L.class_terms_batch(
-            probs, slice(0, n_l), sb.labeled_y, slice(n_l, n_l + n_u),
-            high, sb.pseudo[sb.high_idx],
+            probs, rows["labeled"], sb.labeled_y, rows["unlabeled_weak"],
+            rows["unlabeled_weak"].stop + sb.high_idx, sb.pseudo[sb.high_idx],
             {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld},
             term_nodes)
         terms.update(class_terms)
     else:
         class_total = terms["ce"] = L.cross_entropy_batch(probs, sb.labeled_y)
-
-    def contrastive(query_rows, k_pos, k_den):
-        return L.contrastive_branch(feats, query_rows, classifier, model_like.t_re,
-                                    cfg.rerep_mode, k_pos, k_den, sb.bank_snapshot, cfg.t_co,
-                                    None if unit is None else unit[0])
-
-    if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
-            and len(sb.bank_snapshot) > 0):
-        terms["contrastive"] = contrastive(strong[sb.sel_idx], sb.keys_sel, (sb.keys_sel,))
-    elif "mix" in rows:  # stacked only for "mix" with lambda_co > 0 and a mix staged
-        terms["contrastive"] = contrastive(rows["mix"], sb.mix.k_mix,
-                                           (sb.mix.k_target, sb.mix.k_source))
-    else:
+    if sb.query_rows is None:
         return class_total, terms
+
+    # Queries go through the detached classifier; the finite-difference
+    # harness substitutes a fixed weight array for it, which the queries
+    # normalize themselves, so the numeric check differentiates the same
+    # function the stop-gradient defines.
+    classifier, w_unit = ((model_like.classifier, unit[0]) if frozen_classifier is None
+                          else (frozen_classifier, None))
+    terms["contrastive"] = L.contrastive_branch(
+        feats, sb.query_rows, classifier, model_like.t_re, cfg.rerep_mode, sb.k_pos,
+        sb.k_den, sb.bank_snapshot, cfg.t_co, w_unit)
     return ad.weighted_sum(((class_total, 1.0), (terms["contrastive"], cfg.lambda_co))), terms
 
 

@@ -207,7 +207,7 @@ def test_04_contrastive_gradient_skips_classifier():
                           cfg, AugmentSpec(), tau=0.999999, step=1)
         assert len(sb.sel_idx) >= 1
         if method == "mixlrco":
-            assert sb.mix is not None
+            assert sb.query_rows == sb.rows["mix"]
         params = lift_params(student)
         _, terms = step_objective(params, sb, cfg)
         assert isinstance(terms["contrastive"], ad.Tensor)

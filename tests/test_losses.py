@@ -231,7 +231,8 @@ def _split_step(n, seed, tau):
     sb = prepare_step(teacher, teacher, MemoryBank(4), lab_x,
                       np.zeros(4, dtype=np.int64), np.ones(4, dtype=bool), unl_x,
                       cfg, AugmentSpec(), tau, step=1)
-    maxp = np.max(probs_of(teacher, features_of(teacher, sb.unlabeled_weak)), axis=1)
+    maxp = np.max(probs_of(teacher, features_of(teacher, sb.x[sb.rows["unlabeled_weak"]])),
+                  axis=1)
     return sb, maxp, teacher
 
 
@@ -499,8 +500,10 @@ def _mix_step(n_rows, seed):
     """A mixlrco prepare_step whose n_rows target rows are all low-confidence.
 
     The augmentations are switched off, so the mixed rows blend the raw target
-    rows with the raw rows of their source partners. The partners are drawn
-    again here from the step's mix substream, as an independent oracle.
+    rows with the raw rows of their source partners. The partners and the
+    target weights are drawn again here from the step's mix substream, as an
+    independent oracle. Returns (the step, the target weights, the target
+    rows, the partners' rows).
     """
     cfg = TrainConfig(method="mixlrco", seed=seed)
     mc = ModelConfig(input_dim=2, hidden_dims=(6,), feature_dim=5, n_classes=4,
@@ -515,28 +518,31 @@ def _mix_step(n_rows, seed):
                            scale_jitter=0.0)
     sb = prepare_step(teacher, teacher, bank, lab_x, np.zeros(8, dtype=np.int64),
                       np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1)
-    assert sb.mix is not None and len(sb.low_idx) == n_rows
-    partners = SeededRng(seed).substream("mix-1").integers(0, len(lab_x), size=n_rows)
-    return sb.mix, unl_x[sb.low_idx], lab_x[np.asarray(partners)]
+    assert sb.query_rows == sb.rows["mix"] and len(sb.low_idx) == n_rows
+    rng = SeededRng(seed).substream("mix-1")
+    partners = rng.integers(0, len(lab_x), size=n_rows)
+    lam_prime = draw_mix(cfg.alpha, rng, n_rows)
+    return sb, lam_prime, unl_x[sb.low_idx], lab_x[np.asarray(partners)]
 
 
 def test_build_mix_pair_endpoint_and_midpoint(monkeypatch):
-    # MixSelection built by the trainer, with the mixing weight pinned
+    # the mixes the trainer builds, with the mixing weight pinned
     from lrco import losses
     for lam_p in (1.0, 0.5):
         monkeypatch.setattr(losses, "draw_mix",
                             lambda alpha, rng, n, dominant=True: np.full(n, lam_p))
-        mix, x_t, x_s = _mix_step(3, seed=15)
+        sb, _, x_t, x_s = _mix_step(3, seed=15)
+        x_mix, (k_target, _) = sb.x[sb.rows["mix"]], sb.k_den
         if lam_p == 1.0:
-            np.testing.assert_allclose(mix.x_mix, x_t, atol=1e-15)
-            np.testing.assert_allclose(mix.k_mix, mix.k_target, atol=1e-15)
+            np.testing.assert_allclose(x_mix, x_t, atol=1e-15)
+            np.testing.assert_allclose(sb.k_pos, k_target, atol=1e-15)
         else:
-            np.testing.assert_allclose(mix.x_mix, 0.5 * (x_t + x_s), atol=1e-15)
+            np.testing.assert_allclose(x_mix, 0.5 * (x_t + x_s), atol=1e-15)
 
 
 def test_k_mix_norm_at_most_one_not_renormalized():
-    mix, _, _ = _mix_step(50, seed=16)
-    for k_mix, k_t, k_s, lam_p in zip(mix.k_mix, mix.k_target, mix.k_source, mix.lam_prime):
+    sb, lam_prime, _, _ = _mix_step(50, seed=16)
+    for k_mix, k_t, k_s, lam_p in zip(sb.k_pos, *sb.k_den, lam_prime):
         norm = np.linalg.norm(k_mix)
         assert norm <= 1.0 + 1e-12
         same_key = np.allclose(k_t, k_s, atol=1e-12)

@@ -1,8 +1,9 @@
 """The benchmark's tracer patches lrco from outside, by attribute name; every
 name it patches must exist, and restoring must put every original back. The
-package decides what a method does from trainer.METHOD_TERMS alone, only
-model.py builds a state's arrays, no autodiff op that a fused node replaced is
-called again, and no top-level function or class is left that nothing names."""
+package decides what a method does from trainer.METHOD_TERMS alone, which
+only the config check and the step's plan read, only model.py builds a
+state's arrays, no autodiff op that a fused node replaced is called again,
+and no top-level function or class is left that nothing names."""
 
 import ast
 import importlib
@@ -70,6 +71,38 @@ def test_no_method_name_is_compared_outside_the_terms_table():
     assert not found, found
     sample = 'a = m in ("x", "lrco")\nb = m < 2\nc = "strong" != m\nd = {"lrco"} == m\n'
     assert _method_name_compares(sample) == [1, 3, 4]
+
+
+def _method_terms_readers(source: str) -> list[str]:
+    """The dotted names of the functions and classes whose code reads the
+    name METHOD_TERMS, "<module>" for a top-level statement."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "METHOD_TERMS"
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_the_step_plan_reads_the_terms_table():
+    # prepare_step decides a step's plan from METHOD_TERMS and records it in
+    # the StepBatch; a step that reads the table again decides it twice
+    source = (ROOT / "src" / "lrco" / "trainer.py").read_text(encoding="utf-8")
+    readers = _method_terms_readers(source)
+    assert set(readers) <= {"<module>", "TrainConfig.validate", "prepare_step"}, readers
+    sample = ("METHOD_TERMS = {}\nA = tuple(m for m in METHOD_TERMS)\n\n"
+              "class C:\n    def validate(self):\n        return METHOD_TERMS\n\n"
+              "def f():\n    def g():\n        return METHOD_TERMS['x']\n    return g\n\n"
+              "def h(terms=METHOD_TERMS):\n    return terms\n")
+    assert _method_terms_readers(sample) == ["<module>", "C.validate", "f.g", "h"]
 
 
 STATE_ARRAYS = ("weights", "biases", "classifier")

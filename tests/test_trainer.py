@@ -54,6 +54,22 @@ def tiny_setup(method="mixlrco", seed=0, **overrides):
     return cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x
 
 
+def view_of(sb, name):
+    """The rows of a prepared step's stacked input that hold one view."""
+    return sb.x[sb.rows[name]]
+
+
+def redrawn_mix(cfg, sb, lab_src, step=1):
+    """(partners, target weights) of a step's mixes, drawn again from the
+    step's mix substream: the oracle of what prepare_step drew."""
+    rng = SeededRng(cfg.seed).substream(f"mix-{step}")
+    pool = lab_src.nonzero()[0]
+    partners = pool[np.asarray(rng.integers(0, len(pool), size=len(sb.low_idx)))]
+    lam_prime = L.draw_mix(cfg.alpha, rng, len(sb.low_idx),
+                           dominant=cfg.mixup_mode != "no_dominance")
+    return partners, lam_prime
+
+
 def small_benchmark(seed=0, **kw):
     spec = BenchmarkSpec(n_classes=3, input_dim=2, n_per_class_source=12,
                          n_per_class_target=12, noise_sigma=0.15, seed=seed, **kw)
@@ -109,12 +125,12 @@ def test_prepare_step_deterministic():
                      cfg, AUG, cfg.tau, step=1)
     b = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                      cfg, AUG, cfg.tau, step=1)
-    np.testing.assert_array_equal(a.labeled_weak, b.labeled_weak)
-    np.testing.assert_array_equal(a.unlabeled_strong, b.unlabeled_strong)
+    np.testing.assert_array_equal(a.x, b.x)
+    assert a.rows == b.rows
     np.testing.assert_array_equal(a.sel_idx, b.sel_idx)
     c = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                      cfg, AUG, cfg.tau, step=2)
-    assert not np.array_equal(a.labeled_weak, c.labeled_weak)
+    assert not np.array_equal(view_of(a, "labeled"), view_of(c, "labeled"))
 
 
 def teacher_probs_at_step_1(cfg, teacher, unl_x):
@@ -155,7 +171,7 @@ def test_prepare_step_keys_only_for_contrastive_methods():
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
         assert sb.keys_sel.shape[0] == 0
-        assert sb.mix is None
+        assert "mix" not in sb.rows and sb.query_rows is None
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
     assert sb.keys_sel.shape[0] == len(sb.sel_idx)
@@ -166,30 +182,37 @@ def test_prepare_step_keys_only_for_contrastive_methods():
 def test_prepare_step_mix_needs_bank_and_low_samples():
     cfg, student, teacher, bank, *rest = tiny_setup(method="mixlrco")
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
-    assert sb.mix is None  # empty bank on the first step
+    assert "mix" not in sb.rows  # empty bank on the first step
 
     bank.push_batch(np.eye(5)[:3])
     sb2 = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
     if len(sb2.low_idx) > 0:
-        assert sb2.mix is not None
-        m = sb2.mix
-        assert len(m.lam_prime) == len(sb2.low_idx)
-        assert np.all(m.lam_prime >= 0.5)
+        assert "mix" in sb2.rows and sb2.query_rows == sb2.rows["mix"]
+        _, lam_prime = redrawn_mix(cfg, sb2, rest[2])
+        assert len(view_of(sb2, "mix")) == len(sb2.low_idx)
+        assert np.all(lam_prime >= 0.5)
+        k_target, k_source = sb2.k_den
         np.testing.assert_allclose(
-            m.k_mix,
-            m.lam_prime[:, None] * m.k_target + (1 - m.lam_prime)[:, None] * m.k_source,
+            sb2.k_pos,
+            lam_prime[:, None] * k_target + (1 - lam_prime)[:, None] * k_source,
             atol=1e-15,
         )
         # mixed keys are not renormalized
-        assert np.all(np.linalg.norm(m.k_mix, axis=1) <= 1.0 + 1e-12)
+        assert np.all(np.linalg.norm(sb2.k_pos, axis=1) <= 1.0 + 1e-12)
 
 
 def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
     # count the views and the teacher's forward calls prepare_step makes, by
-    # the array or model each call receives first; the last case is a mixlrco
-    # step that mixes, which still runs the teacher once
-    for method, banked in [(method, False) for method in METHODS] + [("mixlrco", True)]:
-        cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(method=method)
+    # the array or model each call receives first, for every method, with
+    # and without the contrastive weight, on an empty and a filled bank; a
+    # mixlrco step that mixes still runs the teacher once. The plan it
+    # records decides the contrastive term alone.
+    cases = [(method, lambda_co, banked) for method in METHODS
+             for lambda_co in (0.0, 0.5) for banked in (False, True)]
+    for method, lambda_co, banked in cases:
+        case = (method, lambda_co, banked)
+        cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(
+            method=method, lambda_co=lambda_co)
         if banked:
             bank.push_batch(np.eye(5)[:2])
         calls = []
@@ -211,30 +234,52 @@ def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
 
         reads_unlabeled = method != "source_only"
         reads_split = method in PSEUDO_LABEL_METHODS
-        assert n("weak_augment", lab_x) == 1, method
-        assert n("weak_augment", unl_x) == reads_unlabeled, method
-        assert n("strong_augment", unl_x) == reads_split, method
-        assert n("features_of", teacher) == n("probs_of", teacher) == reads_split, method
-        assert (sb.mix is not None) == banked, method
+        mixes = method == "mixlrco" and lambda_co > 0 and banked
+        assert n("weak_augment", lab_x) == 1, case
+        assert n("weak_augment", unl_x) == reads_unlabeled, case
+        assert n("strong_augment", unl_x) == reads_split, case
+        assert n("features_of", teacher) == n("probs_of", teacher) == reads_split, case
         # a mix also draws the partners' strong view
-        assert len(calls) == 1 + reads_unlabeled + 3 * reads_split + banked, (method, calls)
+        assert len(calls) == 1 + reads_unlabeled + 3 * reads_split + mixes, (case, calls)
 
-        # a view that is drawn comes from its own substream, as before
-        np.testing.assert_array_equal(sb.labeled_weak, weak_augment(
+        # the drawn views, stacked in order, each from its own substream
+        names = (["labeled"] + ["unlabeled_weak"] * reads_unlabeled
+                 + ["unlabeled_strong"] * reads_split + ["mix"] * mixes)
+        assert list(sb.rows) == names, case
+        np.testing.assert_array_equal(
+            np.concatenate([np.arange(len(sb.x))[r] for r in sb.rows.values()]),
+            np.arange(len(sb.x)))
+        np.testing.assert_array_equal(view_of(sb, "labeled"), weak_augment(
             lab_x, AUG, SeededRng(cfg.seed).substream("augment-labeled-1")))
         if reads_unlabeled:
-            np.testing.assert_array_equal(sb.unlabeled_weak, weak_augment(
+            np.testing.assert_array_equal(view_of(sb, "unlabeled_weak"), weak_augment(
                 unl_x, AUG, SeededRng(cfg.seed).substream("augment-unlabeled-weak-1")))
-        else:
-            assert sb.unlabeled_weak.dtype == np.float64
-            assert sb.unlabeled_weak.shape == (0, unl_x.shape[1])
         if not reads_split:
-            assert sb.unlabeled_strong.dtype == np.float64
-            assert sb.unlabeled_strong.shape == (0, unl_x.shape[1])
             for idx in (sb.pseudo, sb.high_idx, sb.low_idx, sb.sel_idx):
-                assert idx.dtype == np.int64 and idx.shape == (0,), method
+                assert idx.dtype == np.int64 and idx.shape == (0,), case
             assert sb.keys_sel.shape == (0, teacher.feature_dim)
-            assert sb.mix is None
+
+        # the contrastive term: lrco queries the selected strong rows, with
+        # a weight and a bank, and mixlrco the mixes; none otherwise
+        total, terms = step_objective(student, sb, cfg)
+        class_total = terms["ce"]  # the class terms, added as class_terms_batch adds them
+        for key, weight in (("align", cfg.lambda_align), ("fixmatch", 1.0),
+                            ("kld", cfg.lambda_kld)):
+            class_total = class_total + terms[key] * weight
+        no_term = float(terms["contrastive"]) == 0.0 and float(total) == float(class_total)
+        assert (sb.query_rows is None) == no_term, case
+        if method == "lrco" and lambda_co > 0 and banked:
+            np.testing.assert_array_equal(
+                sb.query_rows, sb.rows["unlabeled_strong"].start + sb.sel_idx)
+        elif mixes:
+            assert sb.query_rows == sb.rows["mix"], case
+        else:
+            assert sb.query_rows is None, case
+
+    # gradcheck's strong check runs on a filled bank with a contrastive
+    # weight, and its batch still queries nothing
+    from lrco.gradcheck import _build_instance
+    assert _build_instance(0, seed=0)["batches"]["strong"].query_rows is None
 
 
 @pytest.mark.parametrize("rerep_mode", REREP_MODES)
@@ -247,29 +292,27 @@ def test_one_teacher_pass_keys_match_per_pass_references(rerep_mode, selection):
     bank.push_batch(np.eye(5)[:2])
     sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                       cfg, AUG, 0.999, step=1)
-    assert len(sb.low_idx) > 0 and len(sb.high_idx) > 0 and sb.mix is not None
-    mix_rng = SeededRng(cfg.seed).substream("mix-1")
-    pool = lab_src.nonzero()[0]
-    partners = pool[np.asarray(mix_rng.integers(0, len(pool), size=len(sb.low_idx)))]
+    assert len(sb.low_idx) > 0 and len(sb.high_idx) > 0 and "mix" in sb.rows
+    partners, lam_prime = redrawn_mix(cfg, sb, lab_src)
 
     def keys(x, idx):
         return L.contrast_rows(features_of(teacher, x)[idx], teacher.classifier,
                                teacher.t_re, rerep_mode)
 
-    for got, want in ((sb.keys_sel, keys(sb.unlabeled_weak, sb.sel_idx)),
-                      (sb.mix.k_target, keys(sb.unlabeled_weak, sb.low_idx)),
-                      (sb.mix.k_source, keys(sb.labeled_weak, partners))):
+    unl_weak, lab_weak = view_of(sb, "unlabeled_weak"), view_of(sb, "labeled")
+    for got, want in ((sb.keys_sel, keys(unl_weak, sb.sel_idx)),
+                      (sb.k_den[0], keys(unl_weak, sb.low_idx)),
+                      (sb.k_den[1], keys(lab_weak, partners))):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(
-        sb.mix.k_mix, L.blend(sb.mix.lam_prime, sb.mix.k_target, sb.mix.k_source))
+    np.testing.assert_array_equal(sb.k_pos, L.blend(lam_prime, *sb.k_den))
 
 
 def test_prepare_step_mix_skipped_when_lambda_co_zero():
     cfg, student, teacher, bank, *rest = tiny_setup(method="mixlrco", lambda_co=0.0)
     bank.push_batch(np.eye(5)[:2])
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
-    assert sb.mix is None
+    assert "mix" not in sb.rows and sb.query_rows is None
 
 
 def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
@@ -295,10 +338,10 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
     for step in range(1, 7):
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                           cfg, AUG, 1.0, step)  # every row is low, so every row mixes
-        assert sb.mix is not None
+        assert "mix" in sb.rows
         n_low += len(sb.low_idx)
         np.testing.assert_array_equal(sb.labeled_y, lab_y)
-        probs = probs_of(student, features_of(student, sb.labeled_weak))
+        probs = probs_of(student, features_of(student, view_of(sb, "labeled")))
         ce = step_objective(student, sb, cfg)[1]["ce"]
         np.testing.assert_allclose(ce, L.cross_entropy_batch(probs, lab_y), rtol=1e-12)
         assert ce != L.cross_entropy_batch(probs[lab_src], lab_y[lab_src])
@@ -340,28 +383,27 @@ def split_step(method):
                       cfg, AUG, tau, step=1)
     if method in PSEUDO_LABEL_METHODS:
         assert len(sb.high_idx) > 0 and len(sb.low_idx) > 0
-    assert (sb.mix is not None) == (method == "mixlrco")
+    assert ("mix" in sb.rows) == (method == "mixlrco")
     return cfg, student, sb
 
 
 def test_stacked_forward_rows_match_per_view_passes():
-    views = {"labeled": lambda sb: sb.labeled_weak,
-             "unlabeled_weak": lambda sb: sb.unlabeled_weak,
-             "unlabeled_strong": lambda sb: sb.unlabeled_strong,
-             "mix": lambda sb: sb.mix.x_mix}
+    # the one pass over the stacked input gives each view's rows the values
+    # of a pass over that view alone, up to the rounding of the row count
+    views = ("labeled", "unlabeled_weak", "unlabeled_strong", "mix")
     for method, n_views in (("baseline", 2), ("strong", 3), ("lrco", 3), ("mixlrco", 4)):
         cfg, student, sb = split_step(method)
-        feats, probs, rows = trainer.stacked_forward(student, sb, cfg)
-        assert list(rows) == list(views)[:n_views], method
-        np.testing.assert_array_equal(np.concatenate(list(rows.values())),
-                                      np.arange(len(feats)))
-        for name, idx in rows.items():
-            per_view = features_of(student, views[name](sb))
-            np.testing.assert_allclose(feats[idx], per_view, rtol=0, atol=1e-12)
-            if name != "mix":
-                np.testing.assert_allclose(probs[idx], probs_of(student, per_view),
-                                           rtol=0, atol=1e-12)
-        assert len(probs) == len(feats) - len(rows.get("mix", ())), method
+        assert list(sb.rows) == list(views)[:n_views], method
+        np.testing.assert_array_equal(
+            np.concatenate([np.arange(len(sb.x))[r] for r in sb.rows.values()]),
+            np.arange(len(sb.x)))
+        feats = features_of(student, sb.x)
+        probs = probs_of(student, feats)
+        for name, rows in sb.rows.items():
+            per_view = features_of(student, sb.x[rows])
+            np.testing.assert_allclose(feats[rows], per_view, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs[rows], probs_of(student, per_view),
+                                       rtol=0, atol=1e-12)
 
 
 def test_objective_terms_match_one_pass_per_view():
@@ -376,23 +418,22 @@ def test_objective_terms_match_one_pass_per_view():
         def queries_on(x):
             return L.contrast_rows(features_of(m, x), m.classifier, m.t_re, cfg.rerep_mode)
 
-        p_lab, p_unl = probs_on(sb.labeled_weak), probs_on(sb.unlabeled_weak)
+        p_lab, p_unl = (probs_on(view_of(sb, v)) for v in ("labeled", "unlabeled_weak"))
         n_l, n_u = len(p_lab), len(p_unl)
         expected = {"ce": L.cross_entropy_batch(p_lab, sb.labeled_y),
                     "align": (n_l * L.entropy_alignment(p_lab)
                               + n_u * L.entropy_alignment(p_unl)) / (n_l + n_u)}
         if method != "baseline":
-            p_high = probs_on(sb.unlabeled_strong)[sb.high_idx]
+            p_high = probs_on(view_of(sb, "unlabeled_strong"))[sb.high_idx]
             expected["fixmatch"] = L.cross_entropy_batch(p_high, sb.pseudo[sb.high_idx])
             expected["kld"] = L.kld_uniform_batch(p_high)
         if method == "lrco":
             expected["contrastive"] = L.contrastive_batch(
-                queries_on(sb.unlabeled_strong[sb.sel_idx]), sb.keys_sel,
+                queries_on(view_of(sb, "unlabeled_strong")[sb.sel_idx]), sb.keys_sel,
                 sb.bank_snapshot, cfg.t_co)
         if method == "mixlrco":
             expected["contrastive"] = L.mixlrco_batch(
-                queries_on(sb.mix.x_mix), sb.mix.k_mix, sb.mix.k_target,
-                sb.mix.k_source, sb.bank_snapshot, cfg.t_co)
+                queries_on(view_of(sb, "mix")), sb.k_pos, *sb.k_den, sb.bank_snapshot, cfg.t_co)
         _, terms = step_objective(m, sb, cfg)
         for key in terms:
             assert abs(float(terms[key]) - float(expected.get(key, 0.0))) <= 1e-12, (method, key)
@@ -421,14 +462,15 @@ def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
     heads keep the bits of."""
     reads = trainer.METHOD_TERMS[cfg.method]
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
-    feats, _, rows = trainer.stacked_forward(model_like, sb, cfg)
+    feats = features_of(model_like, sb.x)
+    rows = {name: np.arange(len(sb.x))[r] for name, r in sb.rows.items()}
     probs = probs_of(model_like, feats if "mix" not in rows
                      else ad.take_rows(feats, np.arange(rows["mix"][0])))
     probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
     terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
     weighted = [(terms["ce"], 1.0)]
     if "align" in reads:
-        n_l, n_u = len(sb.labeled_weak), len(sb.unlabeled_weak)
+        n_l, n_u = len(rows["labeled"]), len(rows["unlabeled_weak"])
         ent_l = L.entropy_alignment(probs_lab)
         ent_u = L.entropy_alignment(ad.take_rows(probs, rows["unlabeled_weak"]))
         terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
@@ -457,8 +499,8 @@ def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
         weighted.append((terms["contrastive"], cfg.lambda_co))
     if "mix" in rows:
         terms["contrastive"] = L.mixlrco_batch(
-            queries(ad.take_rows(feats, rows["mix"])), sb.mix.k_mix, sb.mix.k_target,
-            sb.mix.k_source, sb.bank_snapshot, cfg.t_co)
+            queries(ad.take_rows(feats, rows["mix"])), sb.k_pos, *sb.k_den,
+            sb.bank_snapshot, cfg.t_co)
         weighted.append((terms["contrastive"], cfg.lambda_co))
     return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted), terms
 
@@ -654,7 +696,7 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
         for step in (1, 2, 3):
             sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step)
             train_step(params, teacher, bank, velocities, sb, cfg, tau, step)
-            mixed += sb.mix is not None
+            mixed += "mix" in sb.rows
     finally:
         sys.setprofile(None)
     assert calls == []
