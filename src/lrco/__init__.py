@@ -26,7 +26,7 @@ from .membank import MemoryBank
 from .model import ModelConfig, ModelState, clone_state, ema_update, init_model
 from .numerics import SeededRng, sample_beta
 from .trainer import (
-    EvalMetrics, FitResult, StepReport, TrainConfig, evaluate, fit,
+    EvalMetrics, FitResult, TrainConfig, evaluate, fit,
     load_checkpoint, save_checkpoint,
 )
 
@@ -37,7 +37,7 @@ __all__ = [
     "DegenerateFeatureError", "EvalMetrics", "FitResult", "LrcoError",
     "MemoryBank", "ModelConfig", "ModelSection", "ModelState",
     "OutputSection", "PseudoLabel", "RunConfig", "Sample", "SeededRng",
-    "ShapeMismatchError", "ShiftBenchmark", "SimilarityReport", "StepReport",
+    "ShapeMismatchError", "ShiftBenchmark", "SimilarityReport",
     "TrainConfig", "TrainingDivergedError", "apply_overrides",
     "canonical_text", "clone_state", "config_hash", "contrastive_batch",
     "default_run_config", "draw_mix", "ema_update", "entropy_alignment",

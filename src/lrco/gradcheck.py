@@ -91,6 +91,7 @@ def _build_instance(index: int, seed: int):
         sample_selection="low", rerep_mode="rerep",
     )
 
+    @functools.cache  # strong and rerep prepare the same step
     def tau_for(step: int) -> float:
         weak = weak_augment(
             unl_x, augment,

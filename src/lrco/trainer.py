@@ -104,19 +104,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class StepReport:
-    """What one optimizer step did."""
-
-    step: int
-    method: str
-    losses: dict[str, float]
-    n_high: int
-    n_low: int
-    bank_size: int
-    tau: float
-
-
-@dataclass(frozen=True)
 class EvalMetrics:
     accuracy: float
     per_class: dict[int, float]
@@ -332,8 +319,9 @@ def sgd_step(state: ModelState, grads: np.ndarray, velocities: np.ndarray,
 
 def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
                velocities: np.ndarray, sb: StepBatch,
-               cfg: TrainConfig, tau: float, step: int) -> StepReport:
-    """One optimizer step: backprop, SGD update, EMA update, bank push.
+               cfg: TrainConfig, step: int) -> dict[str, float]:
+    """One optimizer step: backprop, SGD update, EMA update, bank push. It
+    returns the step's loss values, one per LOSS_KEYS key.
 
     ``params`` is the student lifted once by lift_params, before the first
     step: its leaves view the student's params, which the update changes in
@@ -358,12 +346,7 @@ def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
     ema_update(teacher, student, cfg.ema_decay)
     if sb.keys_sel.shape[0] > 0:  # prepare_step stages keys only for the bank's methods
         bank.push_batch(sb.keys_sel)
-
-    return StepReport(
-        step=step, method=cfg.method, losses=loss_values,
-        n_high=int(len(sb.high_idx)), n_low=int(len(sb.low_idx)),
-        bank_size=len(bank), tau=tau,
-    )
+    return loss_values
 
 
 def adjust_tau(high_fraction: float, tau: float, cfg: TrainConfig) -> float:
@@ -660,13 +643,12 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 run.student, run.teacher, run.bank, lab_x[lab_idx], lab_y[lab_idx],
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
             )
-            report = train_step(params, run.teacher, run.bank, run.velocities, sb, cfg,
-                                tau, step)
+            losses = train_step(params, run.teacher, run.bank, run.velocities, sb, cfg, step)
             n_u = len(sb.pseudo)
-            tau = adjust_tau(report.n_high / n_u if n_u else 0.0, tau, cfg)
+            tau = adjust_tau(len(sb.high_idx) / n_u if n_u else 0.0, tau, cfg)
 
             if evaluates_at(step):
-                eval_both(step, report.losses)
+                eval_both(step, losses)
             if (out_dir is not None and cfg.checkpoint_interval > 0
                     and step % cfg.checkpoint_interval == 0 and step < cfg.total_steps):
                 save_checkpoint(f"{out_dir}/checkpoint_step{step}.npz",

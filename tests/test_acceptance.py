@@ -7,8 +7,9 @@ top-k direction, ablation degradation, and run determinism.  Each test
 prints one ``ACCEPTANCE <nn> <name>: PASS (...)`` line with the measured
 numbers, so ``pytest -v -s tests/test_acceptance.py`` reads as a checklist.
 
-Training-based checks share module-scoped fixtures so every configuration
-is trained exactly once.
+Training-based checks read their fits from the session cache of
+conftest.py, which the golden digests share, so every configuration is
+trained once per session.
 """
 
 import dataclasses
@@ -48,13 +49,13 @@ METHODS = ("source_only", "baseline", "strong", "lrco", "mixlrco")
 RECORD_TOL = 0.5  # points; recorded medians must match a fresh measurement
 
 
-def _fit_run(seed, **train_overrides):
-    bench = generate_shift_benchmark(dataclasses.replace(BASE.data, seed=seed))
-    cfg = dataclasses.replace(BASE.train, seed=seed, **train_overrides)
-    t0 = time.perf_counter()
-    res = fit(bench, BASE.augment, cfg, hidden_dims=BASE.model.hidden_dims,
-              feature_dim=BASE.model.feature_dim)
-    return bench, res, time.perf_counter() - t0
+def _fit_run(trained, seed, data=None, **train_overrides):
+    """(benchmark, FitResult, seconds) of the default config at ``seed``,
+    with ``data`` (a dict) and ``train_overrides`` applied, from the session
+    cache of conftest.py."""
+    return trained(dataclasses.replace(
+        BASE, data=dataclasses.replace(BASE.data, seed=seed, **(data or {})),
+        train=dataclasses.replace(BASE.train, seed=seed, **train_overrides)))
 
 
 def _final_target_acc(res) -> float:
@@ -62,35 +63,29 @@ def _final_target_acc(res) -> float:
 
 
 @pytest.fixture(scope="module")
-def benchmark_runs():
+def benchmark_runs(trained):
     """(method, seed) -> (benchmark, FitResult, seconds) on the default config."""
-    return {(m, s): _fit_run(s, method=m) for m in METHODS for s in SEEDS}
+    return {(m, s): _fit_run(trained, s, method=m) for m in METHODS for s in SEEDS}
 
 
 @pytest.fixture(scope="module")
-def ablation_runs():
+def ablation_runs(trained):
     return {
         "high_confidence_positives": {
-            s: _fit_run(s, method="lrco", sample_selection="high") for s in SEEDS},
+            s: _fit_run(trained, s, method="lrco", sample_selection="high") for s in SEEDS},
         "raw_features": {
-            s: _fit_run(s, method="lrco", rerep_mode="raw") for s in SEEDS},
+            s: _fit_run(trained, s, method="lrco", rerep_mode="raw") for s in SEEDS},
         "no_dominance_mixup": {
-            s: _fit_run(s, method="mixlrco", mixup_mode="no_dominance") for s in SEEDS},
+            s: _fit_run(trained, s, method="mixlrco", mixup_mode="no_dominance")
+            for s in SEEDS},
     }
 
 
 @pytest.fixture(scope="module")
-def wide_benchmark_runs():
+def wide_benchmark_runs(trained):
     """Strong-baseline runs on a 12-class variant so k=1..10 is informative."""
-    runs = {}
-    for seed in SEEDS:
-        spec = dataclasses.replace(BASE.data, n_classes=12, input_dim=12, seed=seed)
-        bench = generate_shift_benchmark(spec)
-        cfg = dataclasses.replace(BASE.train, method="strong", seed=seed)
-        res = fit(bench, BASE.augment, cfg, hidden_dims=BASE.model.hidden_dims,
-                  feature_dim=BASE.model.feature_dim)
-        runs[seed] = (bench, res)
-    return runs
+    return {s: _fit_run(trained, s, data=dict(n_classes=12, input_dim=12), method="strong")[:2]
+            for s in SEEDS}
 
 
 def _median(runs, method) -> float:

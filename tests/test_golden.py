@@ -11,20 +11,16 @@ any value that differs from the default. A setting is a ``train.*`` key
 unless it names its section. Each method runs with the defaults; the other
 cases pin the non-default values of the ablation switches, the dynamic
 threshold, and the semi-supervised setting (labeled target rows in the
-labeled pool). Each case trains on the benchmark of its own data config.
+labeled pool). Each case trains on the benchmark of its own data config,
+through the session cache in conftest.py that the acceptance grids share.
 """
 
-import hashlib
-
-import numpy as np
 import pytest
 
+from conftest import trajectory_digest
 from lrco.config import apply_overrides, default_run_config
-from lrco.data import generate_shift_benchmark
-from lrco.model import state_arrays
 from lrco.trainer import (
     METHOD_TERMS, METHODS, MIXUP_MODES, PSEUDO_LABEL_METHODS, REREP_MODES, SAMPLE_SELECTIONS,
-    fit, metric_record_line,
 )
 
 # Recorded with Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31 (x86-64).
@@ -57,37 +53,9 @@ def golden_config(case: str):
     ])
 
 
-def trajectory_digest(result) -> str:
-    h = hashlib.sha256()
-    for prefix, state in (("student/", result.student), ("teacher/", result.teacher)):
-        for name, arr in state_arrays(state, prefix).items():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    h.update(b"bank")
-    h.update(np.ascontiguousarray(result.bank.snapshot(), dtype=np.float64).tobytes())
-    for rec in result.history:
-        h.update((metric_record_line(rec) + "\n").encode())
-    return h.hexdigest()[:16]
-
-
-@pytest.fixture(scope="module")
-def benchmark_of():
-    """The benchmark of a data config, generated once per config."""
-    cache = {}
-
-    def get(spec):
-        if spec not in cache:
-            cache[spec] = generate_shift_benchmark(spec)
-        return cache[spec]
-
-    return get
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
-def test_trajectory_digest_unchanged(case, benchmark_of):
-    cfg = golden_config(case)
-    result = fit(benchmark_of(cfg.data), cfg.augment, cfg.train,
-                 hidden_dims=cfg.model.hidden_dims, feature_dim=cfg.model.feature_dim)
+def test_trajectory_digest_unchanged(case, trained):
+    _, result, _ = trained(golden_config(case))
     assert result.steps_run == 600
     assert trajectory_digest(result) == GOLDEN_DIGESTS[case]
 

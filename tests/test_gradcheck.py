@@ -1,6 +1,7 @@
 import numpy as np
 
 from lrco import autodiff as ad
+from lrco import gradcheck
 from lrco import losses as L
 from lrco.gradcheck import (
     _CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
@@ -21,6 +22,21 @@ def test_instances_cover_the_size_grid():
         inst = _build_instance(index, seed=0)
         sizes.add((inst["n_classes"], inst["feature_dim"]))
     assert sizes == {(2, 3), (2, 8), (5, 3), (5, 8)}
+
+
+def test_tau_is_picked_once_per_prepared_step(monkeypatch):
+    # the checks prepare three distinct steps (strong and rerep share step 1),
+    # and the teacher pass that picks a step's tau runs once for each
+    calls = []
+    features_of = gradcheck.features_of
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return features_of(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "features_of", counted)
+    _build_instance(0, seed=0)
+    assert len(calls) == 3
 
 
 def test_every_term_checked_per_instance():

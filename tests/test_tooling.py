@@ -3,7 +3,8 @@ name it patches must exist, and restoring must put every original back. The
 package decides what a method does from trainer.METHOD_TERMS alone, which
 only the config check and the step's plan read, only model.py builds a
 state's arrays, no autodiff op that a fused node replaced is called again,
-and no top-level function or class is left that nothing names."""
+no top-level function or class is left that nothing names, and the golden
+and acceptance tests train through the shared cache."""
 
 import ast
 import importlib
@@ -242,3 +243,29 @@ def test_every_top_level_definition_is_named_or_listed():
               "b": "from a import C\nimport a\nx = a.h\n\ndef h():\n    pass\n",
               "__init__": "from .a import f\n"}
     assert _unnamed_definitions(sample) == ["a.f", "a.g"]
+
+
+def _fit_calls(source: str, allowed=()) -> list[int]:
+    """Line numbers of the calls of fit, as a name or an attribute, outside
+    the top-level functions named in ``allowed``."""
+    tree = ast.parse(source)
+    skip = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in allowed]
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fit"
+                  and not any(node.lineno in lines for lines in skip))
+
+
+def test_golden_and_acceptance_fits_go_through_the_session_cache():
+    # a fit there would train a config that the cache in conftest.py may
+    # already hold; ACCEPTANCE 10 tests a second fit and a resume, so it
+    # trains its own
+    tests = ROOT / "tests"
+    assert _fit_calls((tests / "test_golden.py").read_text(encoding="utf-8")) == []
+    assert _fit_calls((tests / "test_acceptance.py").read_text(encoding="utf-8"),
+                      allowed=("test_10_determinism_and_resume",)) == []
+    sample = ("r = fit(b, a, c)\n\ndef t():\n    return trainer.fit(b, a, c)\n\n"
+              "def u():\n    fit(b, a, c)\n    fitted(b)\n")
+    assert _fit_calls(sample) == [1, 4, 7]
+    assert _fit_calls(sample, allowed=("u",)) == [1, 4]

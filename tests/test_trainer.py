@@ -345,7 +345,7 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
         ce = step_objective(student, sb, cfg)[1]["ce"]
         np.testing.assert_allclose(ce, L.cross_entropy_batch(probs, lab_y), rtol=1e-12)
         assert ce != L.cross_entropy_batch(probs[lab_src], lab_y[lab_src])
-        train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
+        train_step(params, teacher, bank, velocities, sb, cfg, step)
 
     partners = [np.flatnonzero((lab_x == row).all(axis=1)) for row in np.concatenate(partner_rows)]
     assert len(partners) == n_low > 0
@@ -590,7 +590,7 @@ def test_objective_decreases_after_one_sgd_step():
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
         before = float(step_objective(student, sb, cfg)[0])
         velocities = init_velocities(student)
-        train_step(lift_params(student), teacher, bank, velocities, sb, cfg, tau=0.5, step=1)
+        train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
         after = float(step_objective(student, sb, cfg)[0])
         assert after < before, f"{method}: {after} !< {before}"
 
@@ -616,20 +616,17 @@ def test_contrastive_gradient_never_touches_classifier():
 def test_report_counts_and_loss_keys():
     cfg, student, teacher, bank, *rest = tiny_setup(method="strong")
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
-    rep = train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
-                     tau=0.5, step=1)
-    assert rep.n_high + rep.n_low == 8
-    assert set(rep.losses) == set(LOSS_KEYS)
-    assert rep.method == "strong"
-    assert rep.tau == 0.5
+    losses = train_step(lift_params(student), teacher, bank, init_velocities(student), sb,
+                        cfg, step=1)
+    assert len(sb.high_idx) + len(sb.low_idx) == 8
+    assert set(losses) == set(LOSS_KEYS)
 
 
 def test_ema_update_applied_after_sgd():
     cfg, student, teacher, bank, *rest = tiny_setup(method="baseline")
     teacher_before = clone_state(teacher)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
-    train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
-               cfg.tau, step=1)
+    train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg, step=1)
     # teacher must now be the EMA of its old self with the *updated* student
     expected_w0 = 0.99 * teacher_before.weights[0] + 0.01 * student.weights[0]
     np.testing.assert_array_equal(teacher.weights[0], expected_w0)
@@ -642,7 +639,7 @@ def test_bank_pushes_only_contrastive_methods():
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
         train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
-                   tau=0.5, step=1)
+                   step=1)
         if grows:
             assert len(bank) == len(sb.sel_idx)
         else:
@@ -655,7 +652,7 @@ def test_diverged_run_raises_with_diagnostics():
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
     with pytest.raises(TrainingDivergedError, match="step 1"):
         train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
-                   cfg.tau, step=1)
+                   step=1)
 
 
 # --- the step's hot path -----------------------------------------------------------------
@@ -695,7 +692,7 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
     try:
         for step in (1, 2, 3):
             sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step)
-            train_step(params, teacher, bank, velocities, sb, cfg, tau, step)
+            train_step(params, teacher, bank, velocities, sb, cfg, step)
             mixed += "mix" in sb.rows
     finally:
         sys.setprofile(None)
@@ -739,7 +736,7 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
     for step in (1, 2, 3):
         counts.append(0)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
-        train_step(params, teacher, bank, velocities, sb, cfg, 1.0, step)
+        train_step(params, teacher, bank, velocities, sb, cfg, step)
     assert counts == NODES_PER_STEP[method]
     assert counts[1] == BACKWARD_NODES[method]  # no node outside the backward graph
     assert max(NODES_PER_STEP["mixlrco"]) <= 5  # a re-pin may not exceed this
@@ -767,7 +764,7 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     cfg, student, teacher, bank, *rest = tiny_setup(method=method)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1)
     params = lift_params(student)
-    train_step(params, teacher, bank, init_velocities(student), sb, cfg, 0.999, step=1)
+    train_step(params, teacher, bank, init_velocities(student), sb, cfg, step=1)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2)
     total, _ = step_objective(params, sb, cfg)
     order = ad._topo_order(total)
@@ -788,7 +785,7 @@ def test_steps_on_one_lift_equal_steps_that_each_lift_afresh(method):
         for step in (1, 2, 3):
             sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
             train_step(lift_params(student) if lift_each_step else params, teacher, bank,
-                       velocities, sb, cfg, 0.999, step)
+                       velocities, sb, cfg, step)
         runs.append((student.params, teacher.params, velocities, bank.snapshot()))
     for once, afresh in zip(*runs):
         assert once.shape == afresh.shape and once.tobytes() == afresh.tobytes()
@@ -937,7 +934,7 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1)
-    train_step(lift_params(student), teacher, bank, velocities, sb, cfg, tau=0.7, step=1)
+    train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash=""))
@@ -962,7 +959,7 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step)
-        train_step(params, teacher, bank, velocities, sb, cfg, tau=0.7, step=step)
+        train_step(params, teacher, bank, velocities, sb, cfg, step=step)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=2, tau=0.7, seed=cfg.seed,
@@ -981,7 +978,7 @@ def test_every_checkpoint_field_survives_save_and_load(tmp_path):
     params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step)
-        train_step(params, teacher, bank, velocities, sb, cfg, tau=0.99, step=step)
+        train_step(params, teacher, bank, velocities, sb, cfg, step=step)
     assert len(bank) > 0 and not states_allclose(student, teacher)
     base = Checkpoint(student=teacher, teacher=teacher,
                       velocities=init_velocities(student), bank=MemoryBank(cfg.bank_capacity),
