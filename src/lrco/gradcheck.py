@@ -22,7 +22,7 @@ from .model import (
     probs_of, with_param_vector,
 )
 from .numerics import SeededRng, finite_diff_grad, relative_grad_error, normalize_last
-from .trainer import TrainConfig, prepare_step, step_objective
+from .trainer import StepStreams, TrainConfig, prepare_step, step_objective
 
 TERM_NAMES = (
     "labeled_ce",
@@ -91,23 +91,23 @@ def _build_instance(index: int, seed: int):
         sample_selection="low", rerep_mode="rerep",
     )
 
+    cfgs = {"strong": replace(base_cfg, method="strong"), "rerep": base_cfg,
+            "raw": replace(base_cfg, rerep_mode="raw"),
+            "mix": replace(base_cfg, method="mixlrco")}
+    steps = {"strong": 1, "rerep": 1, "raw": 2, "mix": 3}  # strong sees rerep's views
+    # The four prepared steps and tau_for draw from one table of the
+    # instance's step streams, as the steps of one run do.
+    streams = StepStreams(base_cfg.seed, max(steps.values()))
+
     @functools.cache  # strong and rerep prepare the same step
     def tau_for(step: int) -> float:
-        weak = weak_augment(
-            unl_x, augment,
-            SeededRng(base_cfg.seed).substream(f"augment-unlabeled-weak-{step}"),
-        )
+        weak = weak_augment(unl_x, augment, streams("augment-unlabeled-weak", step))
         probs = np.asarray(probs_of(teacher, features_of(teacher, weak)))
         return _split_tau(probs.max(axis=1))
 
     def prep(cfg: TrainConfig, step: int):
         return prepare_step(student, teacher, bank, lab_x, lab_y, lab_src,
-                            unl_x, cfg, augment, tau_for(step), step)
-
-    cfgs = {"strong": replace(base_cfg, method="strong"), "rerep": base_cfg,
-            "raw": replace(base_cfg, rerep_mode="raw"),
-            "mix": replace(base_cfg, method="mixlrco")}
-    steps = {"strong": 1, "rerep": 1, "raw": 2, "mix": 3}  # strong sees rerep's views
+                            unl_x, cfg, augment, tau_for(step), step, streams=streams)
 
     return {
         "student": student,

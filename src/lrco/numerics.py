@@ -2,16 +2,20 @@
 
 Everything here is deliberately small and boring: row-wise temperature
 softmax, l2 normalization and log-sum-exp, a Beta sampler built from Gamma
-draws, plus a central-difference gradient used as the independent check on
-every analytic gradient in the package.
+draws, numpy's SeedSequence mixing vectorized over many entropy rows, plus a
+central-difference gradient used as the independent check on every analytic
+gradient in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Callable
+import struct
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateFeatureError
 
@@ -86,20 +90,144 @@ def _uint32_words(n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words, hash multipliers for filling the pool (A) and reading it
+# out (B), and the two multipliers of the pairwise mix.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 values c_0 = init, c_(i+1) = c_i * mult mod 2**32 that a
+    SeedSequence hash constant takes: hash i xors with c_i, then multiplies
+    by c_(i+1)."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+@functools.cache
+def _mixing_plan(n_words: int) -> tuple:
+    """_pool_states' hash constants for rows of n_words >= 4 words, split by
+    its steps: the (xor, mul) arrays of the fill and of the readout, and per
+    mixing step the word it reads, the pool words it writes and their
+    (xor, mul) arrays."""
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + (n_words - _POOL) * _POOL)
+    fill = (a[:_POOL], a[1:_POOL + 1])
+    mixing, k = [], _POOL
+    for src in range(_POOL):  # pool word src into each other pool word, in order
+        dst = np.array([d for d in range(_POOL) if d != src])
+        mixing.append((src, dst, a[k:k + _POOL - 1], a[k + 1:k + _POOL]))
+        k += _POOL - 1
+    extra = []
+    for src in range(_POOL, n_words):  # each further word into all four
+        extra.append((src, a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        k += _POOL
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    return fill, mixing, extra, (b[:-1], b[1:])
+
+
+def _hashed(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each row of an
+    (N, L) uint32 matrix with L >= 4, every row taken as all L of its words.
+
+    SeedSequence hashes the first four words into its pool, mixes every pool
+    word into every other, then mixes each further word into all four, and
+    reads the pool out twice through a second hash. Every hash constant
+    depends only on how many hashes came before, so each loop of the scalar
+    code runs here as one array operation over the rows (and over the pool
+    words that no step of it reads back). uint32 arrays wrap on overflow
+    without a warning, as the scalar code's C arithmetic does."""
+    fill, mixing, extra, readout = _mixing_plan(entropy.shape[1])
+    pool = _hashed(entropy[:, :_POOL], *fill)
+    for src, dst, xor, mul in mixing:
+        pool[:, dst] = _mixed(pool[:, dst], _hashed(pool[:, src:src + 1], xor, mul))
+    for src, xor, mul in extra:
+        pool = _mixed(pool, _hashed(entropy[:, src:src + 1], xor, mul))
+    out = _hashed(np.concatenate((pool, pool), axis=1), *readout)
+    # Two uint32 words per uint64, low word first, as SeedSequence joins them.
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def seed_states(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The (N, 4) uint64 PCG64 seed states of N entropy rows, row i equal to
+    np.random.SeedSequence(rows[i]).generate_state(4, np.uint64) bit for bit.
+
+    Each row is a tuple of 1 or more uint32 words. Rows are grouped by word
+    count and each group is derived in one vectorized pass. A row of fewer
+    than four words is filled out with zero words, as SeedSequence fills its
+    pool, so all rows of up to four words form one group."""
+    widths = [max(len(row), _POOL) for row in rows]
+    width = max(widths, default=_POOL)
+    entropy = np.array([row + (0,) * (width - len(row)) for row in rows],
+                       dtype=np.uint32).reshape(len(rows), width)
+    if min(widths, default=width) == width:
+        return _pool_states(entropy)
+    states = np.empty((len(rows), _POOL), dtype=np.uint64)
+    row_widths = np.array(widths)
+    for w in set(widths):
+        idx = (row_widths == w).nonzero()[0]
+        states[idx] = _pool_states(entropy[idx, :w])
+    return states
+
+
+class _DerivedSeed(ISeedSequence):
+    """A seed sequence whose PCG64 seed state is already derived: PCG64 asks
+    its seed sequence for generate_state(4, np.uint64) once, and gets it."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("a derived seed holds a PCG64 state: 4 uint64 words")
+        return self.state
+
+
+_KEY_WORDS = struct.Struct("<II")
+
+
+def _key_words(label: str) -> tuple[int, ...]:
+    """The uint32 words of a label's 64-bit key, its little-endian blake2b
+    digest: _uint32_words of the key, one word when the key is below 2**32."""
+    low, high = _KEY_WORDS.unpack(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest())
+    return (low, high) if high else (low,)
+
+
 class SeededRng:
     """Deterministic random stream with labeled sub-stream derivation.
 
     A run owns a single root stream; every consumer (augmentation, shuffling,
     mix draws, init) derives its own child via substream(label), so streams
     never interleave and the whole run is reproducible from one 64-bit seed.
+    A stream is a pure function of its seed and its labels, so substreams
+    derives many children in one pass, each equal to its substream(label).
     """
 
-    def __init__(self, seed: int, _words: tuple[int, ...] | None = None):
+    def __init__(self, seed: int, _words: tuple[int, ...] | None = None,
+                 _state: np.ndarray | None = None):
         self.seed = int(seed)
         # numpy's SeedSequence((seed, *keys)) seeds from each int's
         # little-endian uint32 words, joined; keeping them lets a substream
         # append its key's words and the generator skip that conversion.
         self._words = _uint32_words(self.seed) if _words is None else _words
+        # The PCG64 seed state of those words, when seed_states derived it.
+        self._state = _state
         self._generator: np.random.Generator | None = None
 
     @property
@@ -107,18 +235,27 @@ class SeededRng:
         """Built on the first draw, so a stream used only to derive
         substreams never seeds a generator of its own."""
         if self._generator is None:
-            entropy = np.array(self._words, dtype=np.uint32)
-            self._generator = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy))
-            )
+            seed = (np.random.SeedSequence(np.array(self._words, dtype=np.uint32))
+                    if self._state is None else _DerivedSeed(self._state))
+            self._generator = np.random.Generator(np.random.PCG64(seed))
         return self._generator
 
     def substream(self, label: str) -> "SeededRng":
         """Derive an independent child stream keyed by a stable label hash."""
-        key = int.from_bytes(
-            hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little"
-        )
-        return SeededRng(self.seed, self._words + _uint32_words(key))
+        return SeededRng(self.seed, self._words + _key_words(label))
+
+    def substream_seeds(self, labels: Sequence[str]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The entropy words of substream(label) for each label, and their
+        (N, 4) PCG64 seed states, derived in one seed_states pass.
+        SeededRng(self.seed, words[i], states[i]) is substream(labels[i])."""
+        words = [self._words + _key_words(label) for label in labels]
+        return words, seed_states(words)
+
+    def substreams(self, labels: Sequence[str]) -> list["SeededRng"]:
+        """[substream(label) for label in labels], child for child, with
+        every child's generator seeding derived in one vectorized pass."""
+        words, states = self.substream_seeds(labels)
+        return [SeededRng(self.seed, w, state) for w, state in zip(words, states)]
 
     # Draw helpers; all delegate to the underlying generator.
 

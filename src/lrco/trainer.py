@@ -6,6 +6,8 @@ Determinism contract: every random consumer derives a dedicated sub-stream
 keyed by (purpose, step) or (purpose, epoch) from the run seed, so two runs
 with the same config produce bit-identical parameter trajectories and metric
 files, and a checkpoint-resume continues exactly where the original run was.
+StepStreams seeds a run's step streams in blocks of steps; a stream's bits
+depend only on its seed and label, never on the block it was seeded in.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class StepBatch:
 def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                  lab_x: np.ndarray, lab_y: np.ndarray, lab_is_source: np.ndarray,
                  unl_x: np.ndarray, cfg: TrainConfig, augment: AugmentSpec,
-                 tau: float, step: int) -> StepBatch:
+                 tau: float, step: int, *, streams: StepStreams | None = None) -> StepBatch:
     """Draw views, pseudo-label with the teacher, split by confidence, stage
     the contrastive inputs and stack the student's input for one step.
 
@@ -171,11 +173,17 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     has no entry in rows and a skipped index array is empty int64. A method
     that reads the labeled view alone gets it as x, as it is; the others'
     bits depend on the stacking, since a BLAS product's rounding depends on
-    its row count."""
-    base = SeededRng(cfg.seed)
+    its row count.
+
+    Every draw comes from the run's stream of (purpose, step), out of
+    ``streams``; without one, the step seeds its own streams alone."""
+    if streams is None:
+        streams = StepStreams(cfg.seed, step)
+    elif streams.seed != cfg.seed:
+        raise ValueError(f"streams of seed {streams.seed} for a run of seed {cfg.seed}")
 
     def view(augment_fn, x: np.ndarray, purpose: str) -> np.ndarray:
-        return augment_fn(x, augment, base.substream(f"augment-{purpose}-{step}"))
+        return augment_fn(x, augment, streams(f"augment-{purpose}", step))
 
     reads = METHOD_TERMS[cfg.method]
     views = {"labeled": view(weak_augment, lab_x, "labeled")}
@@ -215,7 +223,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     partners = None
     source_pool = lab_is_source.nonzero()[0] if can_mix else ()
     if len(low_idx) > 0 and len(source_pool) > 0:
-        mix_rng = base.substream(f"mix-{step}")
+        mix_rng = streams("mix", step)
         partners = source_pool[
             np.asarray(mix_rng.integers(0, len(source_pool), size=len(low_idx)))
         ]
@@ -390,7 +398,40 @@ def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
                        mean_confidence=mean_confidence)
 
 
-# Batch scheduling ------------------------------------------------------------------
+# Batch scheduling and step streams ------------------------------------------------
+
+# Steps whose streams of one purpose StepStreams seeds in one pass.
+STREAM_BLOCK = 128
+
+
+class StepStreams:
+    """A run's stream of (purpose, step): SeededRng(seed).substream(
+    f"{purpose}-{step}"), bit for bit, wherever block boundaries fall.
+
+    A lookup outside its purpose's current block seeds that purpose for the
+    next STREAM_BLOCK steps, at most up to ``last_step``, in one
+    substream_seeds pass. Only the block's entropy words and seed states are
+    kept, and each lookup builds a fresh stream from them, so asking twice
+    for one (purpose, step) gives the same draws twice, and no generator
+    outlives its step."""
+
+    def __init__(self, seed: int, last_step: int):
+        self._root = SeededRng(seed)
+        self.seed = self._root.seed
+        self.last_step = last_step
+        self._blocks: dict[str, tuple[int, list, np.ndarray]] = {}
+
+    def __call__(self, purpose: str, step: int) -> SeededRng:
+        first, words, states = self._blocks.get(purpose, (step, (), ()))
+        i = step - first
+        if not 0 <= i < len(words):
+            first, i = step, 0
+            n = max(1, min(STREAM_BLOCK, self.last_step - step + 1))
+            words, states = self._root.substream_seeds(
+                [f"{purpose}-{s}" for s in range(step, step + n)])
+            self._blocks[purpose] = (first, words, states)
+        return SeededRng(self.seed, words[i], states[i])
+
 
 class _EpochCycler:
     """Stateless batch indexing: the batch for any step is a pure function of
@@ -601,6 +642,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     tau, start_step = run.tau, run.step
     params = lift_params(run.student)  # once: every step trains these leaves
 
+    streams = StepStreams(cfg.seed, cfg.total_steps)
     lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, cfg.seed, "labeled")
     unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, cfg.seed, "unlabeled")
     eval_splits = (("source", (benchmark.source_x, benchmark.source_y)),
@@ -642,6 +684,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
             sb = prepare_step(
                 run.student, run.teacher, run.bank, lab_x[lab_idx], lab_y[lab_idx],
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
+                streams=streams,
             )
             losses = train_step(params, run.teacher, run.bank, run.velocities, sb, cfg, step)
             n_u = len(sb.pseudo)

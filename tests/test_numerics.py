@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from lrco.errors import DegenerateFeatureError
 from lrco.numerics import (
-    SeededRng, _uint32_words, finite_diff_grad, logsumexp_last, norm_last, normalize_last,
-    relative_grad_error, sample_beta, softmax_last,
+    SeededRng, _key_words, _uint32_words, finite_diff_grad, logsumexp_last, norm_last,
+    normalize_last, relative_grad_error, sample_beta, seed_states, softmax_last,
 )
 
 finite_vectors = st.lists(
@@ -171,25 +172,90 @@ def _pcg_state(rng: SeededRng) -> dict:
     return rng._gen.bit_generator.state
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])
 def test_rng_state_equals_seedsequence_of_the_entropy_tuple(seed):
     # SeedSequence((seed, *keys)) joins each int's little-endian uint32 words
-    # (0 gives one zero word); seeding from the kept words gives its state
+    # (0 gives one zero word); seeding from the kept words gives its state,
+    # on substream's path and on the batched one of substreams and seed_states
     root = SeededRng(seed)
     assert _pcg_state(root) == np.random.PCG64(np.random.SeedSequence((seed,))).state
     keys = []
-    stream = root
+    stream = batched = root
     for label in ("augment", "mix-3"):
         stream = stream.substream(label)
+        batched = batched.substreams(["other", label])[1]
         keys.append(int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(),
                                    "little"))
         expected = np.random.PCG64(np.random.SeedSequence((seed, *keys))).state
         assert _pcg_state(stream) == expected, label
+        assert _pcg_state(batched) == expected, label
+        assert batched._words == stream._words
     # keys below 2**32 are one word; no label of a test hashes to one
-    for lineage in ((5,), (0, 2**32 + 3), (2**32 - 1, 7, 2**63)):
-        words = _uint32_words(seed) + sum((_uint32_words(k) for k in lineage), ())
+    lineages = ((5,), (0, 2**32 + 3), (2**32 - 1, 7, 2**63))
+    words = [_uint32_words(seed) + sum((_uint32_words(k) for k in lineage), ())
+             for lineage in lineages]
+    for lineage, w, state in zip(lineages, words, seed_states(words)):
         expected = np.random.PCG64(np.random.SeedSequence((seed, *lineage))).state
-        assert _pcg_state(SeededRng(seed, words)) == expected, lineage
+        assert _pcg_state(SeededRng(seed, w)) == expected, lineage
+        assert _pcg_state(SeededRng(seed, w, state)) == expected, lineage
+
+
+uint32_words = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(uint32_words, min_size=1, max_size=8).map(tuple),
+                min_size=1, max_size=12))
+def test_seed_states_equal_seedsequence_row_for_row(rows):
+    # rows of 1 to 8 words in one batch: one group of rows up to the 4-word
+    # pool, zero-filled, and one group per longer word count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = seed_states(rows)
+    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+    for row, state in zip(rows, states):
+        expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
+        assert state.tobytes() == expected.tobytes(), row
+
+
+def _label_key(label: str) -> int:
+    return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
+
+
+def test_seed_states_cover_long_seeds_and_one_word_keys():
+    # a three-word seed makes entropy longer than the 4-word pool; a key
+    # below 2**32 is one word (no test label hashes to one, so it is built
+    # through _words); one batch holds rows of 4, 5 and 6 words
+    seed = 2**64 + 2**40 + 9
+    seed_words = SeededRng(seed)._words
+    short_key, label = 2**31 + 5, "mix-2"
+    rows = [seed_words + (short_key,), seed_words + _key_words(label),
+            seed_words + (short_key,) + _key_words(label)]
+    lineages = [(short_key,), (_label_key(label),), (short_key, _label_key(label))]
+    assert [len(row) for row in rows] == [4, 5, 6]
+    for row, state, lineage in zip(rows, seed_states(rows), lineages):
+        expected = np.random.PCG64(np.random.SeedSequence((seed, *lineage))).state
+        assert _pcg_state(SeededRng(seed, row, state)) == expected, lineage
+    # substreams of the one-word-key stream, past the pool too
+    parent = SeededRng(seed, rows[0])
+    for child, name in zip(parent.substreams(["a", label]), ["a", label]):
+        expected = np.random.PCG64(
+            np.random.SeedSequence((seed, short_key, _label_key(name)))).state
+        assert _pcg_state(child) == expected, name
+
+
+def test_substreams_equal_substream_child_for_child():
+    root = SeededRng(17).substream("parent")
+    labels = ["a", "b", "a", "mix-600"]
+    for child, label in zip(root.substreams(labels), labels):
+        oracle = root.substream(label)
+        assert child.seed == oracle.seed and child._words == oracle._words
+        assert np.array_equal(child.normal(size=6), oracle.normal(size=6))
+        # a child derives its own substreams as the oracle does
+        assert np.array_equal(child.substream("x").uniform(size=3),
+                              oracle.substream("x").uniform(size=3))
+    assert root.substreams([]) == []
+    assert seed_states([]).shape == (0, 4)
 
 
 def test_rng_words_split_an_int_as_seedsequence_does():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import trajectory_digest
 from lrco import autodiff as ad
 from lrco import losses as L
 from lrco import trainer
@@ -22,8 +23,8 @@ from lrco.model import (
 )
 from lrco.numerics import SeededRng
 from lrco.trainer import (
-    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, TrainConfig, _EpochCycler,
-    adjust_tau,
+    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, StepStreams, TrainConfig,
+    _EpochCycler, adjust_tau,
     evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
     metrics_header_lines, prepare_step, save_checkpoint, sgd_step, step_objective,
     train_step,
@@ -875,6 +876,89 @@ def test_cycler_batch_size_capped_at_n():
     cyc = _EpochCycler(n=3, batch_size=8, seed=0, purpose="labeled")
     assert cyc.batch_size == 3
     assert sorted(cyc.batch_for_step(1).tolist()) == [0, 1, 2]
+
+
+# --- step streams -------------------------------------------------------------------------
+
+def test_step_streams_equal_the_substream_of_purpose_and_step(monkeypatch):
+    monkeypatch.setattr(trainer, "STREAM_BLOCK", 4)
+    table = StepStreams(seed=7, last_step=10)
+    # out of order, twice over, across blocks and past the last step
+    for purpose, step in [("mix", 3), ("augment-labeled", 1), ("mix", 3), ("mix", 4),
+                          ("mix", 5), ("mix", 2), ("augment-labeled", 10), ("mix", 12)]:
+        oracle = SeededRng(7).substream(f"{purpose}-{step}")
+        stream = table(purpose, step)
+        assert stream._words == oracle._words
+        assert np.array_equal(stream.normal(size=5), oracle.normal(size=5)), (purpose, step)
+
+
+def test_prepare_step_refuses_streams_of_another_seed():
+    cfg, student, teacher, bank, *rest = tiny_setup(seed=1)
+    with pytest.raises(ValueError, match="seed 2"):
+        prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, 1,
+                     streams=StepStreams(2, 10))
+
+
+def _stream_block_fit(monkeypatch, block, resume_at=None):
+    """A 10-step tiny mixlrco fit with STREAM_BLOCK set to block, straight or
+    resumed from a checkpoint written at step resume_at."""
+    monkeypatch.setattr(trainer, "STREAM_BLOCK", block)
+    bench = small_benchmark(seed=3)
+    cfg = TrainConfig(method="mixlrco", total_steps=10, batch_labeled=8,
+                      batch_unlabeled=8, eval_interval=2, seed=3)
+    kw = dict(hidden_dims=(6,), feature_dim=5)
+    if resume_at is None:
+        return fit(bench, AUG, cfg, **kw)
+    with tempfile.TemporaryDirectory() as tmp:
+        fit(bench, AUG, dataclasses.replace(cfg, total_steps=resume_at), out_dir=tmp, **kw)
+        return fit(bench, AUG, cfg, resume_from=os.path.join(tmp, "checkpoint_final.npz"),
+                   **kw)
+
+
+def test_stream_block_size_never_changes_a_bit(monkeypatch):
+    digests = {block: trajectory_digest(_stream_block_fit(monkeypatch, block))
+               for block in (1, 4, trainer.STREAM_BLOCK)}
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("resume_at", [4, 6])  # at a block boundary and inside a block
+def test_resume_across_stream_blocks_is_bit_identical(monkeypatch, resume_at):
+    straight = _stream_block_fit(monkeypatch, 4)
+    resumed = _stream_block_fit(monkeypatch, 4, resume_at=resume_at)
+    assert resumed.steps_run == 10 - resume_at
+    for a, b in ((resumed.student, straight.student), (resumed.teacher, straight.teacher)):
+        assert a.params.tobytes() == b.params.tobytes()
+    assert resumed.bank.snapshot().tobytes() == straight.bank.snapshot().tobytes()
+    assert repr(resumed.final_tau) == repr(straight.final_tau)
+
+
+def test_fit_seeds_no_seed_sequence_inside_prepare_step(monkeypatch):
+    # every step stream comes from the run's table, seeded by seed_states;
+    # numpy's SeedSequence stays only outside the step (init, epoch shuffles)
+    built = {True: 0, False: 0}  # by whether prepare_step was running
+    in_step = [False]
+    mixed = []
+    seed_sequence, prepare = np.random.SeedSequence, trainer.prepare_step
+
+    def counting_seed_sequence(*args, **kwargs):
+        built[in_step[0]] += 1
+        return seed_sequence(*args, **kwargs)
+
+    def watched_prepare(*args, **kwargs):
+        in_step[0] = True
+        try:
+            sb = prepare(*args, **kwargs)
+        finally:
+            in_step[0] = False
+        mixed.append("mix" in sb.rows)
+        return sb
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(trainer, "prepare_step", watched_prepare)
+    fit(small_benchmark(), AUG, TrainConfig(method="mixlrco", total_steps=20, batch_labeled=8,
+                                            batch_unlabeled=8), hidden_dims=(6,), feature_dim=5)
+    assert len(mixed) == 20 and any(mixed)  # the mix streams were drawn too
+    assert built[False] > 0 and built[True] == 0, built
 
 
 # --- lambda_co = 0 reduction ------------------------------------------------------------
