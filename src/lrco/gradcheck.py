@@ -21,8 +21,10 @@ from .model import (
     ModelConfig, compute_gradients, features_of, get_param_vector, init_model,
     probs_of, with_param_vector,
 )
-from .numerics import SeededRng, finite_diff_grad, relative_grad_error, normalize_last
-from .trainer import StepStreams, TrainConfig, prepare_step, step_objective
+from .numerics import (
+    SeededRng, StepStreams, finite_diff_grad, relative_grad_error, normalize_last,
+)
+from .trainer import TrainConfig, prepare_step, step_objective
 
 TERM_NAMES = (
     "labeled_ce",

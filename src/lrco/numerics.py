@@ -2,9 +2,10 @@
 
 Everything here is deliberately small and boring: row-wise temperature
 softmax, l2 normalization and log-sum-exp, a Beta sampler built from Gamma
-draws, numpy's SeedSequence mixing vectorized over many entropy rows, plus a
-central-difference gradient used as the independent check on every analytic
-gradient in the package.
+draws, numpy's SeedSequence mixing vectorized over many entropy rows and a
+run's table of keyed streams seeded with it, plus a central-difference
+gradient used as the independent check on every analytic gradient in the
+package.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ class SeededRng:
     A run owns a single root stream; every consumer (augmentation, shuffling,
     mix draws, init) derives its own child via substream(label), so streams
     never interleave and the whole run is reproducible from one 64-bit seed.
-    A stream is a pure function of its seed and its labels, so substreams
-    derives many children in one pass, each equal to its substream(label).
+    A stream is a pure function of its seed and its labels, so StepStreams
+    seeds a run's many children in one pass, each equal to substream(label).
     """
 
     def __init__(self, seed: int, _words: tuple[int, ...] | None = None,
@@ -244,19 +245,6 @@ class SeededRng:
         """Derive an independent child stream keyed by a stable label hash."""
         return SeededRng(self.seed, self._words + _key_words(label))
 
-    def substream_seeds(self, labels: Sequence[str]) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """The entropy words of substream(label) for each label, and their
-        (N, 4) PCG64 seed states, derived in one seed_states pass.
-        SeededRng(self.seed, words[i], states[i]) is substream(labels[i])."""
-        words = [self._words + _key_words(label) for label in labels]
-        return words, seed_states(words)
-
-    def substreams(self, labels: Sequence[str]) -> list["SeededRng"]:
-        """[substream(label) for label in labels], child for child, with
-        every child's generator seeding derived in one vectorized pass."""
-        words, states = self.substream_seeds(labels)
-        return [SeededRng(self.seed, w, state) for w, state in zip(words, states)]
-
     # Draw helpers; all delegate to the underlying generator.
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
@@ -273,6 +261,41 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+
+# Steps whose streams of one purpose StepStreams seeds in one pass.
+STREAM_BLOCK = 128
+
+
+class StepStreams:
+    """A run's stream of (purpose, step): SeededRng(seed).substream(
+    f"{purpose}-{step}"), bit for bit, wherever block boundaries fall. A
+    step counts training steps for the step streams and epochs for the
+    shuffles.
+
+    A lookup outside its purpose's current block seeds that purpose for the
+    next STREAM_BLOCK steps, at most up to ``last_step``, in one seed_states
+    pass. Only the block's entropy words and seed states are kept, and each
+    lookup builds a fresh stream from them, so asking twice for one
+    (purpose, step) gives the same draws twice, and no generator outlives
+    its step."""
+
+    def __init__(self, seed: int, last_step: int):
+        self.seed = int(seed)
+        self.last_step = last_step
+        self._words = _uint32_words(self.seed)
+        self._blocks: dict[str, tuple[int, list, np.ndarray]] = {}
+
+    def __call__(self, purpose: str, step: int) -> SeededRng:
+        first, words, states = self._blocks.get(purpose, (step, (), ()))
+        i = step - first
+        if not 0 <= i < len(words):
+            first, i = step, 0
+            n = max(1, min(STREAM_BLOCK, self.last_step - step + 1))
+            words = [self._words + _key_words(f"{purpose}-{s}") for s in range(step, step + n)]
+            states = seed_states(words)
+            self._blocks[purpose] = (first, words, states)
+        return SeededRng(self.seed, words[i], states[i])
 
 
 # Redraw rounds sample_beta allows a row whose two Gamma draws underflowed.

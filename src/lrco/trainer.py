@@ -6,8 +6,9 @@ Determinism contract: every random consumer derives a dedicated sub-stream
 keyed by (purpose, step) or (purpose, epoch) from the run seed, so two runs
 with the same config produce bit-identical parameter trajectories and metric
 files, and a checkpoint-resume continues exactly where the original run was.
-StepStreams seeds a run's step streams in blocks of steps; a stream's bits
-depend only on its seed and label, never on the block it was seeded in.
+One numerics.StepStreams table per run seeds the step streams and the epoch
+shuffles in blocks; a stream's bits depend only on its seed and label, never
+on the block it was seeded in.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import (
     lift_params, probs_of, state_arrays, state_from_arrays, tape_from, unit_classifier,
     with_param_vector,
 )
-from .numerics import SeededRng
+from .numerics import SeededRng, StepStreams
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 # The terms each method adds to its objective, in the order the total adds
@@ -163,7 +164,7 @@ class StepBatch:
 def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                  lab_x: np.ndarray, lab_y: np.ndarray, lab_is_source: np.ndarray,
                  unl_x: np.ndarray, cfg: TrainConfig, augment: AugmentSpec,
-                 tau: float, step: int, *, streams: StepStreams | None = None) -> StepBatch:
+                 tau: float, step: int, *, streams: StepStreams) -> StepBatch:
     """Draw views, pseudo-label with the teacher, split by confidence, stage
     the contrastive inputs and stack the student's input for one step.
 
@@ -176,10 +177,8 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     its row count.
 
     Every draw comes from the run's stream of (purpose, step), out of
-    ``streams``; without one, the step seeds its own streams alone."""
-    if streams is None:
-        streams = StepStreams(cfg.seed, step)
-    elif streams.seed != cfg.seed:
+    ``streams``."""
+    if streams.seed != cfg.seed:
         raise ValueError(f"streams of seed {streams.seed} for a run of seed {cfg.seed}")
 
     def view(augment_fn, x: np.ndarray, purpose: str) -> np.ndarray:
@@ -348,8 +347,7 @@ def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
                 f"bank={len(sb.bank_snapshot)}"
             )
 
-    if isinstance(total, ad.Tensor):
-        total.backward()
+    total.backward()
     sgd_step(student, tape_from(params), velocities, cfg.learning_rate, cfg.momentum)
     ema_update(teacher, student, cfg.ema_decay)
     if sb.keys_sel.shape[0] > 0:  # prepare_step stages keys only for the bank's methods
@@ -398,49 +396,18 @@ def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
                        mean_confidence=mean_confidence)
 
 
-# Batch scheduling and step streams ------------------------------------------------
-
-# Steps whose streams of one purpose StepStreams seeds in one pass.
-STREAM_BLOCK = 128
-
-
-class StepStreams:
-    """A run's stream of (purpose, step): SeededRng(seed).substream(
-    f"{purpose}-{step}"), bit for bit, wherever block boundaries fall.
-
-    A lookup outside its purpose's current block seeds that purpose for the
-    next STREAM_BLOCK steps, at most up to ``last_step``, in one
-    substream_seeds pass. Only the block's entropy words and seed states are
-    kept, and each lookup builds a fresh stream from them, so asking twice
-    for one (purpose, step) gives the same draws twice, and no generator
-    outlives its step."""
-
-    def __init__(self, seed: int, last_step: int):
-        self._root = SeededRng(seed)
-        self.seed = self._root.seed
-        self.last_step = last_step
-        self._blocks: dict[str, tuple[int, list, np.ndarray]] = {}
-
-    def __call__(self, purpose: str, step: int) -> SeededRng:
-        first, words, states = self._blocks.get(purpose, (step, (), ()))
-        i = step - first
-        if not 0 <= i < len(words):
-            first, i = step, 0
-            n = max(1, min(STREAM_BLOCK, self.last_step - step + 1))
-            words, states = self._root.substream_seeds(
-                [f"{purpose}-{s}" for s in range(step, step + n)])
-            self._blocks[purpose] = (first, words, states)
-        return SeededRng(self.seed, words[i], states[i])
-
+# Batch scheduling -----------------------------------------------------------------
 
 class _EpochCycler:
     """Stateless batch indexing: the batch for any step is a pure function of
-    (seed, purpose, step), which is what makes resume bit-exact."""
+    (seed, purpose, step), which is what makes resume bit-exact. Epoch e's
+    order is a permutation drawn from the run's stream of
+    (f"shuffle-{purpose}", e)."""
 
-    def __init__(self, n: int, batch_size: int, seed: int, purpose: str):
+    def __init__(self, n: int, batch_size: int, streams: StepStreams, purpose: str):
         self.n = n
         self.batch_size = min(batch_size, n)
-        self.seed = seed
+        self.streams = streams
         self.purpose = purpose
         self.batches_per_epoch = max(1, math.ceil(n / self.batch_size))
         self._cached_epoch = -1
@@ -448,8 +415,7 @@ class _EpochCycler:
 
     def _perm(self, epoch: int) -> np.ndarray:
         if epoch != self._cached_epoch:
-            stream = SeededRng(self.seed).substream(f"shuffle-{self.purpose}-{epoch}")
-            self._cached_perm = stream.permutation(self.n)
+            self._cached_perm = self.streams(f"shuffle-{self.purpose}", epoch).permutation(self.n)
             self._cached_epoch = epoch
         return self._cached_perm
 
@@ -643,8 +609,8 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
     params = lift_params(run.student)  # once: every step trains these leaves
 
     streams = StepStreams(cfg.seed, cfg.total_steps)
-    lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, cfg.seed, "labeled")
-    unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, cfg.seed, "unlabeled")
+    lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, streams, "labeled")
+    unl_cycler = _EpochCycler(len(unl_x), cfg.batch_unlabeled, streams, "unlabeled")
     eval_splits = (("source", (benchmark.source_x, benchmark.source_y)),
                    ("target", benchmark.target_eval_samples()))
 

@@ -36,7 +36,7 @@ from lrco.model import (
     ModelConfig, clone_state, ema_update, features_of, init_model, lift_params,
     probs_of, state_arrays,
 )
-from lrco.numerics import SeededRng, normalize_last, softmax_last
+from lrco.numerics import SeededRng, StepStreams, normalize_last, softmax_last
 from lrco.trainer import (
     TrainConfig, fit, load_checkpoint, metric_record_line, prepare_step,
     step_objective,
@@ -199,7 +199,8 @@ def test_04_contrastive_gradient_skips_classifier():
         bank.push_batch(np.eye(5)[:4])
         # tau just below 1 forces (nearly) every sample into the low group
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                          cfg, AugmentSpec(), tau=0.999999, step=1)
+                          cfg, AugmentSpec(), tau=0.999999, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         assert len(sb.sel_idx) >= 1
         if method == "mixlrco":
             assert sb.query_rows == sb.rows["mix"]
@@ -227,7 +228,7 @@ def test_05_structural_invariants():
     probs = np.asarray(probs_of(teacher, features_of(teacher, weak)))
     for tau in (0.4, 0.6, 0.9):
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                          cfg, AugmentSpec(), tau=tau, step=1)
+                          cfg, AugmentSpec(), tau=tau, step=1, streams=StepStreams(cfg.seed, 1))
         merged = np.sort(np.concatenate([sb.high_idx, sb.low_idx]))
         assert np.array_equal(merged, np.arange(len(sb.pseudo)))
         assert np.array_equal(sb.pseudo, np.argmax(probs, axis=1))

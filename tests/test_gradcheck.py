@@ -140,6 +140,20 @@ def test_mix_instance_exercises_mix_branch():
     assert built >= 3  # nearly always present; never all missing
 
 
+def test_every_prepared_batch_has_both_groups_and_its_contrastive_term():
+    # a term zero on both sides passes its check vacuously: each batch of the
+    # suite's instances splits into high and low rows at the tau picked from
+    # the weak view tau_for draws, which must be the view the step stacks
+    for seed in (0, 1):
+        for index in range(20):
+            batches = _build_instance(index, seed=seed)["batches"]
+            for key, sb in batches.items():
+                assert len(sb.high_idx) > 0 and len(sb.low_idx) > 0, (seed, index, key)
+                if key != "strong":
+                    assert sb.query_rows is not None, (seed, index, key)
+            assert "mix" in batches["mix"].rows, (seed, index)
+
+
 def test_masked_strong_view_instances_complete():
     # with zero initial biases, these instances met a fully masked strong view
     # whose zero feature could not be normalized

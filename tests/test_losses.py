@@ -16,7 +16,8 @@ from lrco.losses import (
 from lrco.membank import MemoryBank
 from lrco.model import ModelConfig, features_of, init_model, probs_of
 from lrco.numerics import (
-    NORM_EPS, SeededRng, finite_diff_grad, norm_last, relative_grad_error, sample_beta, unit_last,
+    NORM_EPS, SeededRng, StepStreams, finite_diff_grad, norm_last, relative_grad_error,
+    sample_beta, unit_last,
 )
 from lrco.trainer import TrainConfig, prepare_step, step_objective
 
@@ -230,7 +231,7 @@ def _split_step(n, seed, tau):
     unl_x = np.asarray(rng.normal(size=(n, 2)))
     sb = prepare_step(teacher, teacher, MemoryBank(4), lab_x,
                       np.zeros(4, dtype=np.int64), np.ones(4, dtype=bool), unl_x,
-                      cfg, AugmentSpec(), tau, step=1)
+                      cfg, AugmentSpec(), tau, step=1, streams=StepStreams(cfg.seed, 1))
     maxp = np.max(probs_of(teacher, features_of(teacher, sb.x[sb.rows["unlabeled_weak"]])),
                   axis=1)
     return sb, maxp, teacher
@@ -517,7 +518,8 @@ def _mix_step(n_rows, seed):
     no_noise = AugmentSpec(sigma_weak=0.0, sigma_strong=0.0, mask_prob=0.0,
                            scale_jitter=0.0)
     sb = prepare_step(teacher, teacher, bank, lab_x, np.zeros(8, dtype=np.int64),
-                      np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1)
+                      np.ones(8, dtype=bool), unl_x, cfg, no_noise, tau=1.0, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     assert sb.query_rows == sb.rows["mix"] and len(sb.low_idx) == n_rows
     rng = SeededRng(seed).substream("mix-1")
     partners = rng.integers(0, len(lab_x), size=n_rows)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from lrco.errors import DegenerateFeatureError
 from lrco.numerics import (
-    SeededRng, _key_words, _uint32_words, finite_diff_grad, logsumexp_last, norm_last,
-    normalize_last, relative_grad_error, sample_beta, seed_states, softmax_last,
+    SeededRng, StepStreams, _key_words, _uint32_words, finite_diff_grad, logsumexp_last,
+    norm_last, normalize_last, relative_grad_error, sample_beta, seed_states, softmax_last,
 )
 
 finite_vectors = st.lists(
@@ -172,24 +172,28 @@ def _pcg_state(rng: SeededRng) -> dict:
     return rng._gen.bit_generator.state
 
 
+def _label_key(label: str) -> int:
+    return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])
 def test_rng_state_equals_seedsequence_of_the_entropy_tuple(seed):
     # SeedSequence((seed, *keys)) joins each int's little-endian uint32 words
     # (0 gives one zero word); seeding from the kept words gives its state,
-    # on substream's path and on the batched one of substreams and seed_states
+    # on substream's path and on the batched one of StepStreams and seed_states
     root = SeededRng(seed)
     assert _pcg_state(root) == np.random.PCG64(np.random.SeedSequence((seed,))).state
     keys = []
-    stream = batched = root
+    stream = root
     for label in ("augment", "mix-3"):
         stream = stream.substream(label)
-        batched = batched.substreams(["other", label])[1]
-        keys.append(int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(),
-                                   "little"))
+        keys.append(_label_key(label))
         expected = np.random.PCG64(np.random.SeedSequence((seed, *keys))).state
         assert _pcg_state(stream) == expected, label
-        assert _pcg_state(batched) == expected, label
-        assert batched._words == stream._words
+    batched = StepStreams(seed, 5)("mix", 3)  # the first of mix-3, mix-4, mix-5
+    expected = np.random.PCG64(np.random.SeedSequence((seed, _label_key("mix-3")))).state
+    assert _pcg_state(batched) == expected
+    assert batched._words == root.substream("mix-3")._words
     # keys below 2**32 are one word; no label of a test hashes to one
     lineages = ((5,), (0, 2**32 + 3), (2**32 - 1, 7, 2**63))
     words = [_uint32_words(seed) + sum((_uint32_words(k) for k in lineage), ())
@@ -218,10 +222,6 @@ def test_seed_states_equal_seedsequence_row_for_row(rows):
         assert state.tobytes() == expected.tobytes(), row
 
 
-def _label_key(label: str) -> int:
-    return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
-
-
 def test_seed_states_cover_long_seeds_and_one_word_keys():
     # a three-word seed makes entropy longer than the 4-word pool; a key
     # below 2**32 is one word (no test label hashes to one, so it is built
@@ -238,23 +238,26 @@ def test_seed_states_cover_long_seeds_and_one_word_keys():
         assert _pcg_state(SeededRng(seed, row, state)) == expected, lineage
     # substreams of the one-word-key stream, past the pool too
     parent = SeededRng(seed, rows[0])
-    for child, name in zip(parent.substreams(["a", label]), ["a", label]):
+    for name in ("a", label):
         expected = np.random.PCG64(
             np.random.SeedSequence((seed, short_key, _label_key(name)))).state
-        assert _pcg_state(child) == expected, name
+        assert _pcg_state(parent.substream(name)) == expected, name
+    # the long seed's stream table, whose rows are 5 words
+    expected = np.random.PCG64(np.random.SeedSequence((seed, _label_key(label)))).state
+    assert _pcg_state(StepStreams(seed, 4)("mix", 2)) == expected
 
 
 def test_substreams_equal_substream_child_for_child():
-    root = SeededRng(17).substream("parent")
-    labels = ["a", "b", "a", "mix-600"]
-    for child, label in zip(root.substreams(labels), labels):
-        oracle = root.substream(label)
+    # the streams a table seeds in one batched pass are, child for child, the
+    # substreams of the run's root stream
+    table, root = StepStreams(seed=17, last_step=600), SeededRng(17)
+    for purpose, step in [("a", 1), ("b", 1), ("a", 1), ("mix", 600)]:
+        child, oracle = table(purpose, step), root.substream(f"{purpose}-{step}")
         assert child.seed == oracle.seed and child._words == oracle._words
         assert np.array_equal(child.normal(size=6), oracle.normal(size=6))
         # a child derives its own substreams as the oracle does
         assert np.array_equal(child.substream("x").uniform(size=3),
                               oracle.substream("x").uniform(size=3))
-    assert root.substreams([]) == []
     assert seed_states([]).shape == (0, 4)
 
 

@@ -181,10 +181,10 @@ def test_no_reference_autodiff_op_is_called_in_the_package():
     assert _reference_op_uses(sample) == [1, 1, 2, 3, 4]
 
 
-# Top-level functions and classes of src/lrco that no other code there names,
-# each with the reason it stays. A fused node that leaves the code it
-# replaced behind, uncalled, fails the test below until that code goes or is
-# listed here.
+# Top-level functions and classes of src/lrco, and public methods of its
+# classes, that no other code there names, each with the reason it stays. A
+# fused node that leaves the code it replaced behind, uncalled, fails the
+# test below until that code goes or is listed here.
 UNNAMED_ALLOWED = {
     "cli.main": "the console entry point",
     "autodiff.detach": "reference op: the chains in tests/test_autodiff.py check the fused "
@@ -200,14 +200,16 @@ UNNAMED_ALLOWED = {
     "losses.contrastive_batch": "reference head: contrastive_branch keeps the bits of its "
                                 "chain; perfbench/spans.py wraps it by name",
     "losses.mixlrco_batch": "reference head, as contrastive_batch",
+    "numerics._DerivedSeed.generate_state": "numpy's ISeedSequence protocol: PCG64 calls it",
 }
 
 
 def _unnamed_definitions(sources: dict) -> list:
     """module.name of each top-level function or class in ``sources`` (module
-    name -> source) that no code outside its own definition names, as a name,
-    an attribute or an imported name. __init__ is left out: its re-exports
-    would name everything it exports."""
+    name -> source), and module.Class.name of each public method of a
+    top-level class, that no code outside its own definition names, as a
+    name, an attribute or an imported name. __init__ is left out: its
+    re-exports would name everything it exports."""
     trees = {mod: ast.parse(text) for mod, text in sources.items() if mod != "__init__"}
     named: dict = {}  # name -> [(module, line)]
     for mod, tree in trees.items():
@@ -221,13 +223,20 @@ def _unnamed_definitions(sources: dict) -> list:
             else:
                 continue
             named.setdefault(name, []).append((mod, getattr(node, "lineno", 0)))
-    found = []
+    definitions = []  # (module, dotted name, node)
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                inside = range(node.lineno, node.end_lineno + 1)
-                if all(m == mod and line in inside for m, line in named.get(node.name, ())):
-                    found.append(f"{mod}.{node.name}")
+                definitions.append((mod, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(mod, f"{node.name}.{item.name}", item) for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")]
+    found = []
+    for mod, dotted, node in definitions:
+        inside = range(node.lineno, node.end_lineno + 1)
+        if all(m == mod and line in inside for m, line in named.get(node.name, ())):
+            found.append(f"{mod}.{dotted}")
     return sorted(found)
 
 
@@ -237,12 +246,15 @@ def test_every_top_level_definition_is_named_or_listed():
     found = _unnamed_definitions(sources)
     assert not set(found) - set(UNNAMED_ALLOWED), found
     for entry in UNNAMED_ALLOWED:  # the list names no code that is gone
-        mod, name = entry.split(".")
+        mod, *_, name = entry.split(".")
         assert f"def {name}(" in sources[mod], entry
     sample = {"a": "def f():\n    return f()\n\ndef g():\n    return h()\n\nclass C:\n    pass\n",
               "b": "from a import C\nimport a\nx = a.h\n\ndef h():\n    pass\n",
+              "c": ("class D:\n    def m(self):\n        return self.m()\n\n"
+                    "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n\n"
+                    "    def __call__(self):\n        pass\n\nD().n()\n"),
               "__init__": "from .a import f\n"}
-    assert _unnamed_definitions(sample) == ["a.f", "a.g"]
+    assert _unnamed_definitions(sample) == ["a.f", "a.g", "c.D.m"]
 
 
 def _fit_calls(source: str, allowed=()) -> list[int]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import trajectory_digest
 from lrco import autodiff as ad
 from lrco import losses as L
-from lrco import trainer
+from lrco import numerics, trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
@@ -21,9 +21,9 @@ from lrco.model import (
     ModelConfig, clone_state, compute_gradients, ema_update, features_of, init_model, probs_of,
     state_arrays, state_from_arrays, with_param_vector,
 )
-from lrco.numerics import SeededRng
+from lrco.numerics import SeededRng, StepStreams
 from lrco.trainer import (
-    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, StepStreams, TrainConfig,
+    LOSS_KEYS, METHODS, PSEUDO_LABEL_METHODS, REREP_MODES, Checkpoint, TrainConfig,
     _EpochCycler, adjust_tau,
     evaluate, fit, init_velocities, lift_params, load_checkpoint, metric_record_line,
     metrics_header_lines, prepare_step, save_checkpoint, sgd_step, step_objective,
@@ -123,14 +123,14 @@ def test_t_re_override():
 def test_prepare_step_deterministic():
     cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup()
     a = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                     cfg, AUG, cfg.tau, step=1)
+                     cfg, AUG, cfg.tau, step=1, streams=StepStreams(cfg.seed, 1))
     b = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                     cfg, AUG, cfg.tau, step=1)
+                     cfg, AUG, cfg.tau, step=1, streams=StepStreams(cfg.seed, 1))
     np.testing.assert_array_equal(a.x, b.x)
     assert a.rows == b.rows
     np.testing.assert_array_equal(a.sel_idx, b.sel_idx)
     c = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                     cfg, AUG, cfg.tau, step=2)
+                     cfg, AUG, cfg.tau, step=2, streams=StepStreams(cfg.seed, 2))
     assert not np.array_equal(view_of(a, "labeled"), view_of(c, "labeled"))
 
 
@@ -148,7 +148,7 @@ def test_prepare_step_confidence_partition():
     n = unl_x.shape[0]
     for tau in (cfg.tau, float(np.median(probs.max(axis=1)))):
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                          cfg, AUG, tau, step=1)
+                          cfg, AUG, tau, step=1, streams=StepStreams(cfg.seed, 1))
         assert sb.pseudo.dtype == np.int64 and sb.pseudo.shape == (n,)
         np.testing.assert_array_equal(sb.pseudo, np.argmax(probs, axis=1))
         confident = probs.max(axis=1) > tau
@@ -163,18 +163,21 @@ def test_prepare_step_selection_modes():
         confident = teacher_probs_at_step_1(cfg, teacher, rest[-1]).max(axis=1) > 0.5
         expected = {"high": np.flatnonzero(confident), "low": np.flatnonzero(~confident),
                     "all": np.arange(len(confident))}[mode]
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         np.testing.assert_array_equal(sb.sel_idx, expected)
 
 
 def test_prepare_step_keys_only_for_contrastive_methods():
     for method in ("source_only", "baseline", "strong"):
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         assert sb.keys_sel.shape[0] == 0
         assert "mix" not in sb.rows and sb.query_rows is None
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     assert sb.keys_sel.shape[0] == len(sb.sel_idx)
     np.testing.assert_allclose(np.linalg.norm(sb.keys_sel, axis=1),
                                np.ones(len(sb.sel_idx)), atol=1e-9)
@@ -182,11 +185,13 @@ def test_prepare_step_keys_only_for_contrastive_methods():
 
 def test_prepare_step_mix_needs_bank_and_low_samples():
     cfg, student, teacher, bank, *rest = tiny_setup(method="mixlrco")
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     assert "mix" not in sb.rows  # empty bank on the first step
 
     bank.push_batch(np.eye(5)[:3])
-    sb2 = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb2 = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                       streams=StepStreams(cfg.seed, 1))
     if len(sb2.low_idx) > 0:
         assert "mix" in sb2.rows and sb2.query_rows == sb2.rows["mix"]
         _, lam_prime = redrawn_mix(cfg, sb2, rest[2])
@@ -228,7 +233,7 @@ def test_prepare_step_builds_only_what_the_method_reads(monkeypatch):
             for name in ("features_of", "probs_of", "weak_augment", "strong_augment"):
                 m.setattr(trainer, name, counting(name, getattr(trainer, name)))
             sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                              cfg, AUG, 0.999, step=1)
+                              cfg, AUG, 0.999, step=1, streams=StepStreams(cfg.seed, 1))
 
         def n(name, first):
             return sum(1 for c, a in calls if c == name and a is first)
@@ -292,7 +297,7 @@ def test_one_teacher_pass_keys_match_per_pass_references(rerep_mode, selection):
         method="mixlrco", rerep_mode=rerep_mode, sample_selection=selection)
     bank.push_batch(np.eye(5)[:2])
     sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                      cfg, AUG, 0.999, step=1)
+                      cfg, AUG, 0.999, step=1, streams=StepStreams(cfg.seed, 1))
     assert len(sb.low_idx) > 0 and len(sb.high_idx) > 0 and "mix" in sb.rows
     partners, lam_prime = redrawn_mix(cfg, sb, lab_src)
 
@@ -312,7 +317,8 @@ def test_one_teacher_pass_keys_match_per_pass_references(rerep_mode, selection):
 def test_prepare_step_mix_skipped_when_lambda_co_zero():
     cfg, student, teacher, bank, *rest = tiny_setup(method="mixlrco", lambda_co=0.0)
     bank.push_batch(np.eye(5)[:2])
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     assert "mix" not in sb.rows and sb.query_rows is None
 
 
@@ -336,9 +342,9 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
     monkeypatch.setattr(trainer, "strong_augment", recording)
     velocities = init_velocities(student)
     params = lift_params(student)
-    for step in range(1, 7):
+    for step in range(1, 7):  # tau 1: every row is low, so every row mixes
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                          cfg, AUG, 1.0, step)  # every row is low, so every row mixes
+                          cfg, AUG, 1.0, step, streams=StepStreams(cfg.seed, step))
         assert "mix" in sb.rows
         n_low += len(sb.low_idx)
         np.testing.assert_array_equal(sb.labeled_y, lab_y)
@@ -363,7 +369,8 @@ def test_objective_terms_by_method():
         ("strong", {"ce", "align", "fixmatch", "kld"}),
     ):
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         total, terms = step_objective(student, sb, cfg)
         assert float(total) > 0.0
         for key in ("ce", "align", "fixmatch", "kld", "contrastive"):
@@ -381,7 +388,7 @@ def split_step(method):
     bank.push_batch(np.eye(5)[:3])
     tau = float(np.median(teacher_probs_at_step_1(cfg, teacher, unl_x).max(axis=1)))
     sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                      cfg, AUG, tau, step=1)
+                      cfg, AUG, tau, step=1, streams=StepStreams(cfg.seed, 1))
     if method in PSEUDO_LABEL_METHODS:
         assert len(sb.high_idx) > 0 and len(sb.low_idx) > 0
     assert ("mix" in sb.rows) == (method == "mixlrco")
@@ -535,7 +542,7 @@ def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
     if target_rows:
         lab_src = np.arange(len(lab_src)) % 2 == 0
     sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x, cfg, AUG, tau,
-                      step=1)
+                      step=1, streams=StepStreams(cfg.seed, 1))
 
     rng = SeededRng(7)
     stack = student.params + 1e-3 * np.asarray(rng.normal(size=(3, student.params.size)))
@@ -588,7 +595,8 @@ def test_objective_decreases_after_one_sgd_step():
         cfg, student, teacher, bank, *rest = tiny_setup(
             method=method, learning_rate=1e-3)
         bank.push_batch(np.eye(5)[:3])  # give the contrastive branch negatives
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         before = float(step_objective(student, sb, cfg)[0])
         velocities = init_velocities(student)
         train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
@@ -600,7 +608,8 @@ def test_contrastive_gradient_never_touches_classifier():
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     bank.push_batch(np.eye(5)[:4])
     # tau just under 1 makes nearly every sample low-confidence
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.999999, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.999999, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     assert len(sb.sel_idx) >= 1
     params = lift_params(student)
     _, terms = step_objective(params, sb, cfg)
@@ -616,7 +625,8 @@ def test_contrastive_gradient_never_touches_classifier():
 
 def test_report_counts_and_loss_keys():
     cfg, student, teacher, bank, *rest = tiny_setup(method="strong")
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     losses = train_step(lift_params(student), teacher, bank, init_velocities(student), sb,
                         cfg, step=1)
     assert len(sb.high_idx) + len(sb.low_idx) == 8
@@ -626,7 +636,8 @@ def test_report_counts_and_loss_keys():
 def test_ema_update_applied_after_sgd():
     cfg, student, teacher, bank, *rest = tiny_setup(method="baseline")
     teacher_before = clone_state(teacher)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg, step=1)
     # teacher must now be the EMA of its old self with the *updated* student
     expected_w0 = 0.99 * teacher_before.weights[0] + 0.01 * student.weights[0]
@@ -638,7 +649,8 @@ def test_bank_pushes_only_contrastive_methods():
     for method, grows in (("source_only", False), ("baseline", False),
                           ("strong", False), ("lrco", True), ("mixlrco", True)):
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
+                          streams=StepStreams(cfg.seed, 1))
         train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                    step=1)
         if grows:
@@ -650,7 +662,8 @@ def test_bank_pushes_only_contrastive_methods():
 def test_diverged_run_raises_with_diagnostics():
     cfg, student, teacher, bank, *rest = tiny_setup(method="baseline")
     student.weights[0][0, 0] = np.nan
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     with pytest.raises(TrainingDivergedError, match="step 1"):
         train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
                    step=1)
@@ -692,7 +705,8 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides):
     sys.setprofile(watch)
     try:
         for step in (1, 2, 3):
-            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step)
+            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step,
+                              streams=StepStreams(cfg.seed, step))
             train_step(params, teacher, bank, velocities, sb, cfg, step)
             mixed += "mix" in sb.rows
     finally:
@@ -736,7 +750,8 @@ def test_nodes_per_step_are_pinned(method, monkeypatch):
     monkeypatch.setattr(ad.Tensor, "__init__", counted)
     for step in (1, 2, 3):
         counts.append(0)
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step,
+                          streams=StepStreams(cfg.seed, step))
         train_step(params, teacher, bank, velocities, sb, cfg, step)
     assert counts == NODES_PER_STEP[method]
     assert counts[1] == BACKWARD_NODES[method]  # no node outside the backward graph
@@ -763,10 +778,12 @@ def _all_nodes_topo_order(root):
 def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     # a parameter with several consumers sums its gradients in this order
     cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     params = lift_params(student)
     train_step(params, teacher, bank, init_velocities(student), sb, cfg, step=1)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2,
+                      streams=StepStreams(cfg.seed, 2))
     total, _ = step_objective(params, sb, cfg)
     order = ad._topo_order(total)
     assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
@@ -784,7 +801,8 @@ def test_steps_on_one_lift_equal_steps_that_each_lift_afresh(method):
         velocities = init_velocities(student)
         params = lift_params(student)
         for step in (1, 2, 3):
-            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step)
+            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step,
+                              streams=StepStreams(cfg.seed, step))
             train_step(lift_params(student) if lift_each_step else params, teacher, bank,
                        velocities, sb, cfg, step)
         runs.append((student.params, teacher.params, velocities, bank.snapshot()))
@@ -853,7 +871,7 @@ def test_evaluate_rejects_empty():
 # --- epoch cycling ------------------------------------------------------------------------
 
 def test_cycler_covers_each_epoch_exactly_once():
-    cyc = _EpochCycler(n=10, batch_size=4, seed=0, purpose="labeled")
+    cyc = _EpochCycler(n=10, batch_size=4, streams=StepStreams(0, 10), purpose="labeled")
     assert cyc.batches_per_epoch == 3
     seen = np.concatenate([cyc.batch_for_step(s) for s in (1, 2, 3)])
     assert sorted(seen.tolist()) == list(range(10))
@@ -863,25 +881,39 @@ def test_cycler_covers_each_epoch_exactly_once():
 
 
 def test_cycler_is_stateless_in_step():
-    a = _EpochCycler(n=10, batch_size=4, seed=3, purpose="unlabeled")
-    b = _EpochCycler(n=10, batch_size=4, seed=3, purpose="unlabeled")
+    a = _EpochCycler(n=10, batch_size=4, streams=StepStreams(3, 10), purpose="unlabeled")
+    b = _EpochCycler(n=10, batch_size=4, streams=StepStreams(3, 10), purpose="unlabeled")
     # query out of order; results only depend on the step number
     for step in (5, 1, 9, 2, 9):
         np.testing.assert_array_equal(a.batch_for_step(step), b.batch_for_step(step))
-    c = _EpochCycler(n=10, batch_size=4, seed=3, purpose="labeled")
+    c = _EpochCycler(n=10, batch_size=4, streams=StepStreams(3, 10), purpose="labeled")
     assert not np.array_equal(a.batch_for_step(1), c.batch_for_step(1))
 
 
 def test_cycler_batch_size_capped_at_n():
-    cyc = _EpochCycler(n=3, batch_size=8, seed=0, purpose="labeled")
+    cyc = _EpochCycler(n=3, batch_size=8, streams=StepStreams(0, 10), purpose="labeled")
     assert cyc.batch_size == 3
     assert sorted(cyc.batch_for_step(1).tolist()) == [0, 1, 2]
+
+
+def test_cycler_epoch_order_is_the_shuffle_substream_of_the_epoch(monkeypatch):
+    # the oracle is the stream label fit has always shuffled with; epochs are
+    # asked out of order, again, and across the table's blocks of 3
+    monkeypatch.setattr(numerics, "STREAM_BLOCK", 3)
+    n, batch = 7, 3
+    for purpose in ("labeled", "unlabeled"):
+        cyc = _EpochCycler(n=n, batch_size=batch, streams=StepStreams(5, 40), purpose=purpose)
+        for epoch in (4, 0, 2, 3, 7, 2, 9, 1):
+            oracle = SeededRng(5).substream(f"shuffle-{purpose}-{epoch}").permutation(n)
+            order = np.concatenate([cyc.batch_for_step(epoch * cyc.batches_per_epoch + slot)
+                                    for slot in (1, 2, 3)])
+            assert order.tobytes() == oracle.tobytes(), (purpose, epoch)
 
 
 # --- step streams -------------------------------------------------------------------------
 
 def test_step_streams_equal_the_substream_of_purpose_and_step(monkeypatch):
-    monkeypatch.setattr(trainer, "STREAM_BLOCK", 4)
+    monkeypatch.setattr(numerics, "STREAM_BLOCK", 4)
     table = StepStreams(seed=7, last_step=10)
     # out of order, twice over, across blocks and past the last step
     for purpose, step in [("mix", 3), ("augment-labeled", 1), ("mix", 3), ("mix", 4),
@@ -902,7 +934,7 @@ def test_prepare_step_refuses_streams_of_another_seed():
 def _stream_block_fit(monkeypatch, block, resume_at=None):
     """A 10-step tiny mixlrco fit with STREAM_BLOCK set to block, straight or
     resumed from a checkpoint written at step resume_at."""
-    monkeypatch.setattr(trainer, "STREAM_BLOCK", block)
+    monkeypatch.setattr(numerics, "STREAM_BLOCK", block)
     bench = small_benchmark(seed=3)
     cfg = TrainConfig(method="mixlrco", total_steps=10, batch_labeled=8,
                       batch_unlabeled=8, eval_interval=2, seed=3)
@@ -917,7 +949,7 @@ def _stream_block_fit(monkeypatch, block, resume_at=None):
 
 def test_stream_block_size_never_changes_a_bit(monkeypatch):
     digests = {block: trajectory_digest(_stream_block_fit(monkeypatch, block))
-               for block in (1, 4, trainer.STREAM_BLOCK)}
+               for block in (1, 4, numerics.STREAM_BLOCK)}
     assert len(set(digests.values())) == 1, digests
 
 
@@ -933,8 +965,8 @@ def test_resume_across_stream_blocks_is_bit_identical(monkeypatch, resume_at):
 
 
 def test_fit_seeds_no_seed_sequence_inside_prepare_step(monkeypatch):
-    # every step stream comes from the run's table, seeded by seed_states;
-    # numpy's SeedSequence stays only outside the step (init, epoch shuffles)
+    # every step stream and epoch shuffle comes from the run's table, seeded
+    # by seed_states; numpy's SeedSequence seeds the init stream alone
     built = {True: 0, False: 0}  # by whether prepare_step was running
     in_step = [False]
     mixed = []
@@ -953,12 +985,13 @@ def test_fit_seeds_no_seed_sequence_inside_prepare_step(monkeypatch):
         mixed.append("mix" in sb.rows)
         return sb
 
+    bench = small_benchmark()  # generating it seeds streams of its own
+    cfg = TrainConfig(method="mixlrco")  # the default 600 steps: 300 epochs of each pool
     monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
     monkeypatch.setattr(trainer, "prepare_step", watched_prepare)
-    fit(small_benchmark(), AUG, TrainConfig(method="mixlrco", total_steps=20, batch_labeled=8,
-                                            batch_unlabeled=8), hidden_dims=(6,), feature_dim=5)
-    assert len(mixed) == 20 and any(mixed)  # the mix streams were drawn too
-    assert built[False] > 0 and built[True] == 0, built
+    fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5)
+    assert len(mixed) == cfg.total_steps == 600 and any(mixed)  # the mix streams were drawn too
+    assert built == {True: 0, False: 1}, built
 
 
 # --- lambda_co = 0 reduction ------------------------------------------------------------
@@ -1017,7 +1050,8 @@ def test_flat_sgd_and_ema_equal_the_per_array_updates_bitwise():
 def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1)
+    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1,
+                      streams=StepStreams(cfg.seed, 1))
     train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
@@ -1042,7 +1076,8 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     velocities = init_velocities(student)
     params = lift_params(student)
     for step in (1, 2):
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step,
+                          streams=StepStreams(cfg.seed, step))
         train_step(params, teacher, bank, velocities, sb, cfg, step=step)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
@@ -1061,7 +1096,8 @@ def test_every_checkpoint_field_survives_save_and_load(tmp_path):
     velocities = init_velocities(student)
     params = lift_params(student)
     for step in (1, 2):
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step)
+        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step,
+                          streams=StepStreams(cfg.seed, step))
         train_step(params, teacher, bank, velocities, sb, cfg, step=step)
     assert len(bank) > 0 and not states_allclose(student, teacher)
     base = Checkpoint(student=teacher, teacher=teacher,
