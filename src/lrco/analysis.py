@@ -38,8 +38,6 @@ class SimilarityReport:
     cross: dict[str, float]
     within_scaled: dict[str, float]
     cross_scaled: dict[str, float]
-    scale_within: float
-    scale_cross: float
     degenerate: tuple[str, ...]
 
 
@@ -100,8 +98,7 @@ def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityRepor
     }
     return SimilarityReport(
         within=within, cross=cross, within_scaled=within_scaled,
-        cross_scaled=cross_scaled, scale_within=scale_w, scale_cross=scale_c,
-        degenerate=tuple(degenerate),
+        cross_scaled=cross_scaled, degenerate=tuple(degenerate),
     )
 
 
@@ -187,7 +184,7 @@ def mixed_topk_curves(state: ModelState, x_target_high: np.ndarray,
     group with randomly drawn source samples."""
     if x_source.shape[0] == 0:
         raise ValueError("need source samples to build mixes")
-    rng = SeededRng(seed).substream("analysis-mix")
+    rng = SeededRng(seed, "analysis-mix")
     curves: dict[str, np.ndarray] = {}
     for name, block in (("high_mix", x_target_high), ("low_mix", x_target_low)):
         if block.shape[0] == 0:

@@ -86,14 +86,14 @@ class ShiftBenchmark:
         return x, y, np.arange(len(y)) < len(self.source_y)
 
 
-def _class_centers(spec: BenchmarkSpec, rng: SeededRng) -> np.ndarray:
+def _class_centers(spec: BenchmarkSpec) -> np.ndarray:
     k, d = spec.n_classes, spec.input_dim
     if d == 2:
         angles = 2.0 * np.pi * np.arange(k) / k
         return spec.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # Higher dimensions: centers are radius-scaled rows of a random orthonormal
     # frame, so they sit at equal pairwise angles.
-    gauss = rng.normal(size=(d, d))
+    gauss = SeededRng(spec.seed, "benchmark", "frame").normal(size=(d, d))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))  # canonical sign, deterministic
     return spec.radius * q[:k]
@@ -112,15 +112,14 @@ def _rotation_first_two(angle_deg: float, dim: int) -> np.ndarray:
 def generate_shift_benchmark(spec: BenchmarkSpec) -> ShiftBenchmark:
     """Draw the source and target splits for a spec; same spec, same bytes."""
     spec.validate()
-    root = SeededRng(spec.seed).substream("benchmark")
-    centers = _class_centers(spec, root.substream("frame"))
+    centers = _class_centers(spec)
     rot = _rotation_first_two(spec.shift_angle_deg, spec.input_dim)
     translation = spec.translation_vector()
     target_centers = centers @ rot.T + translation
 
     def draw_split(stream: str, per_class: int) -> tuple[np.ndarray, np.ndarray]:
         y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), per_class)
-        noise = root.substream(stream).normal(size=(len(y), spec.input_dim))
+        noise = SeededRng(spec.seed, "benchmark", stream).normal(size=(len(y), spec.input_dim))
         return centers[y] + spec.noise_sigma * noise, y
 
     source_x, source_y = draw_split("source", spec.n_per_class_source)

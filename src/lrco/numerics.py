@@ -210,57 +210,34 @@ def _key_words(label: str) -> tuple[int, ...]:
     return (low, high) if high else (low,)
 
 
-class SeededRng:
-    """Deterministic random stream with labeled sub-stream derivation.
+class SeededRng(np.random.Generator):
+    """numpy's Generator on a PCG64 stream named by a seed and labels.
 
-    A run owns a single root stream; every consumer (augmentation, shuffling,
-    mix draws, init) derives its own child via substream(label), so streams
-    never interleave and the whole run is reproducible from one 64-bit seed.
-    A stream is a pure function of its seed and its labels, so StepStreams
-    seeds a run's many children in one pass, each equal to substream(label).
+    SeededRng(seed, *labels) is seeded by numpy's SeedSequence((seed, *keys)),
+    each key the 64-bit hash of a label. Every consumer (augmentation,
+    shuffling, mix draws, init) names its own stream, so streams never
+    interleave and the whole run is reproducible from one 64-bit seed.
+    substream(label) names a child by one more label: SeededRng(seed, "a",
+    "b") is SeededRng(seed, "a").substream("b"). StepStreams seeds a run's
+    many streams in one pass, each equal to the one its labels name.
     """
 
-    def __init__(self, seed: int, _words: tuple[int, ...] | None = None,
+    def __init__(self, seed: int, *labels: str, _words: tuple[int, ...] | None = None,
                  _state: np.ndarray | None = None):
         self.seed = int(seed)
-        # numpy's SeedSequence((seed, *keys)) seeds from each int's
-        # little-endian uint32 words, joined; keeping them lets a substream
-        # append its key's words and the generator skip that conversion.
-        self._words = _uint32_words(self.seed) if _words is None else _words
-        # The PCG64 seed state of those words, when seed_states derived it.
-        self._state = _state
-        self._generator: np.random.Generator | None = None
-
-    @property
-    def _gen(self) -> np.random.Generator:
-        """Built on the first draw, so a stream used only to derive
-        substreams never seeds a generator of its own."""
-        if self._generator is None:
-            seed = (np.random.SeedSequence(np.array(self._words, dtype=np.uint32))
-                    if self._state is None else _DerivedSeed(self._state))
-            self._generator = np.random.Generator(np.random.PCG64(seed))
-        return self._generator
+        # SeedSequence((seed, *keys)) seeds from each int's little-endian
+        # uint32 words, joined; keeping them lets a substream append its
+        # label's words, and seeding skip that conversion.
+        words = _uint32_words(self.seed) if _words is None else _words
+        self._words = words + sum(map(_key_words, labels), ())
+        # _state: the PCG64 seed state of those words, when seed_states derived it.
+        super().__init__(np.random.PCG64(
+            np.random.SeedSequence(np.array(self._words, dtype=np.uint32))
+            if _state is None else _DerivedSeed(_state)))
 
     def substream(self, label: str) -> "SeededRng":
-        """Derive an independent child stream keyed by a stable label hash."""
-        return SeededRng(self.seed, self._words + _key_words(label))
-
-    # Draw helpers; all delegate to the underlying generator.
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def standard_gamma(self, shape_param: float, size=None):
-        return self._gen.standard_gamma(shape_param, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        """The child stream named by one more label."""
+        return SeededRng(self.seed, label, _words=self._words)
 
 
 # Steps whose streams of one purpose StepStreams seeds in one pass.
@@ -268,10 +245,9 @@ STREAM_BLOCK = 128
 
 
 class StepStreams:
-    """A run's stream of (purpose, step): SeededRng(seed).substream(
-    f"{purpose}-{step}"), bit for bit, wherever block boundaries fall. A
-    step counts training steps for the step streams and epochs for the
-    shuffles.
+    """A run's stream of (purpose, step): SeededRng(seed, f"{purpose}-{step}"),
+    bit for bit, wherever block boundaries fall. A step counts training
+    steps for the step streams and epochs for the shuffles.
 
     A lookup outside its purpose's current block seeds that purpose for the
     next STREAM_BLOCK steps, at most up to ``last_step``, in one seed_states
@@ -295,7 +271,7 @@ class StepStreams:
             words = [self._words + _key_words(f"{purpose}-{s}") for s in range(step, step + n)]
             states = seed_states(words)
             self._blocks[purpose] = (first, words, states)
-        return SeededRng(self.seed, words[i], states[i])
+        return SeededRng(self.seed, _words=words[i], _state=states[i])
 
 
 # Redraw rounds sample_beta allows a row whose two Gamma draws underflowed.

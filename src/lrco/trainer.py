@@ -595,13 +595,12 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
         resumed_header = metrics_header_lines(n_classes, run.config_hash, run.seed)
         run = replace(run, **stamp)
     else:
-        init_rng = SeededRng(cfg.seed).substream("init")
         model_cfg = ModelConfig(
             input_dim=benchmark.spec.input_dim, hidden_dims=tuple(hidden_dims),
             feature_dim=feature_dim, n_classes=n_classes,
             t_ce=cfg.t_ce, t_re=cfg.resolved_t_re(),
         )
-        student = init_model(model_cfg, init_rng)
+        student = init_model(model_cfg, SeededRng(cfg.seed, "init"))
         run = Checkpoint(student=student, teacher=clone_state(student),
                          velocities=init_velocities(student),
                          bank=MemoryBank(cfg.bank_capacity), step=0, tau=cfg.tau, **stamp)

@@ -42,7 +42,7 @@ def test_similarity_scaled_all_is_exactly_one():
     rep = similarity_stats(vecs, labels, conf)
     assert rep.within_scaled["all"] == 1.0  # exact: x / x
     assert rep.cross_scaled["all"] == 1.0
-    assert rep.scale_within == rep.within["all"]
+    assert rep.within_scaled["high"] == rep.within["high"] / rep.within["all"]
 
 
 def test_similarity_permutation_invariant():
@@ -83,7 +83,7 @@ def test_similarity_validates_inputs():
 def test_similarity_all_degenerate_not_fatal():
     rep = similarity_stats(np.array([[1.0, 0.0]]), [0], [True])
     assert set(rep.degenerate) == set(GROUPS)
-    assert np.isnan(rep.scale_within)
+    assert np.isnan(rep.within["all"])
     assert np.isnan(rep.within_scaled["all"])
 
 

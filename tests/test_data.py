@@ -118,6 +118,21 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a.source_x, c.source_x)
 
 
+@pytest.mark.parametrize("input_dim,drawn", [(2, 3), (8, 4)])
+def test_generation_seeds_only_the_streams_it_draws_from(monkeypatch, input_dim, drawn):
+    # one numpy SeedSequence per stream that draws: the noise of the three
+    # splits, and above 2-D the random frame of the class centers
+    seed_sequence, built = np.random.SeedSequence, [0]
+
+    def counting_seed_sequence(*args, **kwargs):
+        built[0] += 1
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    generate_shift_benchmark(BenchmarkSpec(n_classes=3, input_dim=input_dim))
+    assert built[0] == drawn
+
+
 def test_zero_shift_means_matched_domains():
     spec = BenchmarkSpec(shift_angle_deg=0.0)
     bench = generate_shift_benchmark(spec)

@@ -169,7 +169,7 @@ def test_rng_nested_substreams_reproducible():
 
 
 def _pcg_state(rng: SeededRng) -> dict:
-    return rng._gen.bit_generator.state
+    return rng.bit_generator.state
 
 
 def _label_key(label: str) -> int:
@@ -190,6 +190,8 @@ def test_rng_state_equals_seedsequence_of_the_entropy_tuple(seed):
         keys.append(_label_key(label))
         expected = np.random.PCG64(np.random.SeedSequence((seed, *keys))).state
         assert _pcg_state(stream) == expected, label
+    # the labels named in one call
+    assert _pcg_state(SeededRng(seed, "augment", "mix-3")) == expected
     batched = StepStreams(seed, 5)("mix", 3)  # the first of mix-3, mix-4, mix-5
     expected = np.random.PCG64(np.random.SeedSequence((seed, _label_key("mix-3")))).state
     assert _pcg_state(batched) == expected
@@ -200,8 +202,8 @@ def test_rng_state_equals_seedsequence_of_the_entropy_tuple(seed):
              for lineage in lineages]
     for lineage, w, state in zip(lineages, words, seed_states(words)):
         expected = np.random.PCG64(np.random.SeedSequence((seed, *lineage))).state
-        assert _pcg_state(SeededRng(seed, w)) == expected, lineage
-        assert _pcg_state(SeededRng(seed, w, state)) == expected, lineage
+        assert _pcg_state(SeededRng(seed, _words=w)) == expected, lineage
+        assert _pcg_state(SeededRng(seed, _words=w, _state=state)) == expected, lineage
 
 
 uint32_words = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
@@ -235,9 +237,9 @@ def test_seed_states_cover_long_seeds_and_one_word_keys():
     assert [len(row) for row in rows] == [4, 5, 6]
     for row, state, lineage in zip(rows, seed_states(rows), lineages):
         expected = np.random.PCG64(np.random.SeedSequence((seed, *lineage))).state
-        assert _pcg_state(SeededRng(seed, row, state)) == expected, lineage
+        assert _pcg_state(SeededRng(seed, _words=row, _state=state)) == expected, lineage
     # substreams of the one-word-key stream, past the pool too
-    parent = SeededRng(seed, rows[0])
+    parent = SeededRng(seed, _words=rows[0])
     for name in ("a", label):
         expected = np.random.PCG64(
             np.random.SeedSequence((seed, short_key, _label_key(name)))).state
