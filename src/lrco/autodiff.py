@@ -70,9 +70,16 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Depth-first post-order over the nodes that require a gradient. A
+    """Depth-first post-order over the op nodes that require a gradient. A
     parameter with several consumers sums its gradients in this order, so
-    the order is part of every result's bits."""
+    the order is part of every result's bits.
+
+    A leaf (a node without parents) is never pushed: it has no backward
+    function, and it gets its gradient from its consumers' ``accumulate``
+    calls, which run in the order of those consumers. A leaf pushed among a
+    node's parents would come off the stack, be emitted and push nothing, so
+    leaving it out keeps every op node's position in the order, for any
+    graph. The root is kept, leaf or not."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)] if root.requires_grad else []
@@ -86,7 +93,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if parent.requires_grad:
+            if parent.requires_grad and parent.parents:
                 stack.append((parent, False))
     return order
 

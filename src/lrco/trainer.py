@@ -58,6 +58,10 @@ MIXUP_MODES = ("dominant", "no_dominance")
 LOSS_KEYS = ("total", "ce", "align", "fixmatch", "kld", "contrastive")
 
 _FMT = "{:.17g}".format
+# The pseudo-labels and confidence split of a step without a teacher pass:
+# one shared empty int64 array, read-only so that no step can change it.
+NO_ROWS = np.zeros(0, dtype=np.int64)
+NO_ROWS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -204,10 +208,10 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u],
                                             classifier_unit=teacher_unit), dtype=np.float64)
         pseudo, flags = L.pseudo_labels(teacher_probs, tau)
+        high_idx = flags.nonzero()[0]
+        low_idx = (~flags).nonzero()[0]
     else:
-        pseudo, flags = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    high_idx = flags.nonzero()[0]
-    low_idx = (~flags).nonzero()[0]
+        pseudo = high_idx = low_idx = NO_ROWS
     if cfg.sample_selection == "low":
         sel_idx = low_idx
     elif cfg.sample_selection == "high":

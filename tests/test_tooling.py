@@ -4,10 +4,12 @@ package decides what a method does from trainer.METHOD_TERMS alone, which
 only the config check and the step's plan read, only model.py builds a
 state's arrays, no autodiff op that a fused node replaced is called again,
 no top-level function or class is left that nothing names, and the golden
-and acceptance tests train through the shared cache."""
+and acceptance tests train through the shared cache. Every committed
+BENCH_*.json record parses and carries the keys that all of them share."""
 
 import ast
 import importlib
+import json
 import pathlib
 
 from lrco import (
@@ -281,3 +283,18 @@ def test_golden_and_acceptance_fits_go_through_the_session_cache():
               "def u():\n    fit(b, a, c)\n    fitted(b)\n")
     assert _fit_calls(sample) == [1, 4, 7]
     assert _fit_calls(sample, allowed=("u",)) == [1, 4]
+
+
+# The keys every perf record at the root carries: what was measured, against
+# which parent, by which command and protocol, on which machine, and the claim.
+BENCH_KEYS = ("topic", "parent_commit", "command", "protocol", "environment", "claim")
+
+
+def test_every_bench_record_parses_and_has_the_shared_keys():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(record, dict), path.name
+        missing = [key for key in BENCH_KEYS if key not in record]
+        assert not missing, (path.name, missing)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 import os
 import sys
 import tempfile
@@ -181,6 +182,27 @@ def test_prepare_step_keys_only_for_contrastive_methods():
     assert sb.keys_sel.shape[0] == len(sb.sel_idx)
     np.testing.assert_allclose(np.linalg.norm(sb.keys_sel, axis=1),
                                np.ones(len(sb.sel_idx)), atol=1e-9)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_teacherless_steps_share_one_read_only_empty_plan(method):
+    # a method without a teacher pass gets the same read-only empty int64
+    # array for the pseudo-labels and both halves of the split on every
+    # step; a teacher method gets fresh arrays on each
+    cfg, student, teacher, bank, *rest = tiny_setup(method=method)
+    plans = [prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step,
+                          streams=StepStreams(cfg.seed, step)) for step in (1, 2, 3)]
+    arrays = [a for sb in plans for a in (sb.pseudo, sb.high_idx, sb.low_idx)]
+    if method in PSEUDO_LABEL_METHODS:
+        assert len({id(a) for a in arrays}) == len(arrays)
+        assert all(a is not trainer.NO_ROWS and a.flags.writeable for a in arrays)
+        return
+    assert all(a is trainer.NO_ROWS for a in arrays)
+    empty = plans[0].pseudo
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert not empty.flags.writeable
+    with pytest.raises(ValueError):
+        empty[...] = 1
 
 
 def test_prepare_step_mix_needs_bank_and_low_samples():
@@ -798,9 +820,49 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
                       streams=StepStreams(cfg.seed, 2))
     total, _ = step_objective(params, sb, cfg)
     order = ad._topo_order(total)
-    assert [id(n) for n in order] == [id(n) for n in _all_nodes_topo_order(total)]
-    # the step's backward graph, then the leaves lifted before it
-    assert len(order) == BACKWARD_NODES[method] + len(state_arrays(student))
+    # the op nodes of the walk over every node, in its order; no leaf
+    ops = [n for n in _all_nodes_topo_order(total) if n.parents]
+    assert [id(n) for n in order] == [id(n) for n in ops]
+    assert len(order) == BACKWARD_NODES[method]
+
+
+def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_order(
+        monkeypatch):
+    # the gradient-sum-order case: a leaf's gradient is the sum of its
+    # consumers' contributions in the order the walk runs them, and with three
+    # of them that order shows in the bits
+    rng = SeededRng(7)
+    x0, w0 = rng.normal(size=(6, 4)), rng.normal(size=(4, 4))
+    contributions = []
+    accumulate = ad.Tensor.accumulate
+
+    def recorded(self, g):
+        if self.parents == () and self.value.shape == x0.shape:
+            contributions.append(np.array(g))
+        accumulate(self, g)
+
+    def leaf_grads():
+        x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
+        h, t, s = ad.matmul(x, w), ad.tanh(x), ad.softmax_rows(x, 1.0)  # x's consumers
+        z = ad.weighted_sum([(ad.tanh(h), 0.7), (t, -1.3), (s, 2.1)])
+        L.cross_entropy_batch(ad.softmax_rows(z, 0.5), np.arange(6) % 4).backward()
+        return x.grad.tobytes(), w.grad.tobytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(ad.Tensor, "accumulate", recorded)
+        leaf_free = leaf_grads()
+    # the case tells the orders apart: some other order of the three sums
+    # gives other bits
+    assert len(contributions) == 3
+    sums = set()
+    for order in itertools.permutations(contributions):
+        total = order[0] + 0.0
+        for g in order[1:]:
+            total += g
+        sums.add(total.tobytes())
+    assert len(sums) > 1
+    monkeypatch.setattr(ad, "_topo_order", _all_nodes_topo_order)
+    assert leaf_free == leaf_grads()
 
 
 @pytest.mark.parametrize("method", METHODS)
