@@ -13,6 +13,9 @@ stacked as (B, 1, d)), entry b of the result has the bits of the call on
 entry b alone, and an input without the axis is shared by every entry. The
 finite-difference oracle uses it to evaluate every perturbed parameter
 vector in one call. The graph path takes unstacked values only.
+
+The unfused ops whose chains training runs as one node each (add, matmul,
+tanh, softmax_rows, take_rows, detach) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ def lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
-# Backward formulas of softmax_rows and normalize_rows. The fused nodes of the
-# cosine heads (model.probs_of, losses.re_represent_batch) replay those ops'
-# chains with them, so a fused node keeps the chain's bits.
+# Backward formulas of a row softmax and of normalize_rows. The fused nodes of
+# the cosine heads (model.probs_of, losses.re_represent_batch) replay those
+# ops' chains with them, so a fused node keeps the chain's bits.
 
 def positive_temperature(temperature) -> float:
     t = float(temperature)
@@ -122,7 +125,8 @@ def positive_temperature(temperature) -> float:
 
 
 def softmax_grad(g, y, t: float) -> np.ndarray:
-    """What softmax_rows passes to its input when its output y gets g."""
+    """What a temperature-t softmax over the last axis passes to its input
+    when its output y gets g."""
     inner = np.add.reduce(g * y, axis=-1, keepdims=True)
     return y * (g - inner) / t
 
@@ -150,35 +154,6 @@ def row_block(x: np.ndarray, idx) -> np.ndarray:
     return rows if rows.ndim == 2 else np.ascontiguousarray(rows)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape of the operand it belongs to."""
-    g = np.asarray(g)
-    while g.ndim > len(shape):
-        g = np.add.reduce(g, axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = np.add.reduce(g, axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-# add, matmul, tanh, softmax_rows, take_rows and detach: the fused nodes
-# replay their chains (model.features_of, model.probs_of,
-# losses.re_represent_batch, losses.contrastive_branch), and only the tests'
-# reference chains call them.
-
-def add(a, b):
-    y = value_of(a) + value_of(b)
-    if not (is_tensor(a) or is_tensor(b)):
-        return y
-    a, b = lift(a), lift(b)
-
-    def backward_fn(g):
-        a.accumulate(_unbroadcast(g, a.value.shape))
-        b.accumulate(_unbroadcast(g, b.value.shape))
-
-    return Tensor(y, (a, b), backward_fn)
-
-
 def weighted_sum(pairs):
     """Sum of w * x over (x, w) pairs, x a term and w a plain python
     constant, accumulated left to right; x gets g * w."""
@@ -197,63 +172,9 @@ def weighted_sum(pairs):
     return Tensor(y, tuple(x for x, _ in pairs), backward_fn)
 
 
-def matmul(a, b, transpose_b: bool = False):
-    bv = value_of(b)
-    y = value_of(a) @ (bv.mT if transpose_b else bv)
-    if not (is_tensor(a) or is_tensor(b)):
-        return y
-    a, b = lift(a), lift(b)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.value if transpose_b else g @ b.value.T)
-        if b.requires_grad:
-            b.accumulate(g.T @ a.value if transpose_b else a.value.T @ g)
-
-    return Tensor(y, (a, b), backward_fn)
-
-
-def tanh(a):
-    y = np.tanh(value_of(a))
-    if not is_tensor(a):
-        return y
-    return Tensor(y, (a,), lambda g: a.accumulate(g * (1.0 - y * y)))
-
-
-def softmax_rows(a, temperature: float):
-    """Temperature softmax along the last axis (1-D vector or rows of a matrix)."""
-    t = positive_temperature(temperature)
-    y = numerics.softmax_last(value_of(a), t)
-    if not is_tensor(a):
-        return y
-    return Tensor(y, (a,), lambda g: a.accumulate(softmax_grad(g, y, t)))
-
-
 def normalize_rows(a):
     """l2-normalize along the last axis; degenerate rows raise."""
     y, norms = numerics.unit_last(value_of(a))
     if not is_tensor(a):
         return y
     return Tensor(y, (a,), lambda g: a.accumulate(normalize_grad(g, y, norms)))
-
-
-def take_rows(a, idx):
-    """Select rows by index (repeats allowed; gradients accumulate)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    y = row_block(value_of(a), idx)
-    if not is_tensor(a):
-        return y
-
-    def backward_fn(g):
-        z = np.zeros(a.value.shape)
-        np.add.at(z, idx, g)
-        a.accumulate(z)
-
-    return Tensor(y, (a,), backward_fn)
-
-
-def detach(a):
-    """Stop gradients: the value flows forward, nothing flows back."""
-    if not is_tensor(a):
-        return value_of(a)
-    return Tensor(a.value, requires_grad=False)

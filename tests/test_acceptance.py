@@ -41,7 +41,7 @@ from lrco.trainer import (
     TrainConfig, fit, load_checkpoint, metric_record_line, prepare_step,
     step_objective,
 )
-from test_trainer import states_allclose
+from oracles import states_allclose, unit_rows
 
 BASE = default_run_config()
 SEEDS = ref.BENCHMARK_SEEDS
@@ -120,11 +120,6 @@ def _unit(rng, d):
     return v / np.linalg.norm(v)
 
 
-def _unit_rows(rng, n, d):
-    m = rng.normal(size=(n, d))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
 def test_02_losses_match_logsumexp_oracle():
     rng = np.random.default_rng(20260818)
     worst_single = worst_mix = 0.0
@@ -132,7 +127,7 @@ def test_02_losses_match_logsumexp_oracle():
         d = int(rng.integers(2, 9))
         n_bank = int(rng.integers(1, 17))
         t = float(rng.uniform(0.1, 1.0))
-        bank = _unit_rows(rng, n_bank, d)
+        bank = unit_rows(rng, n_bank, d)
         q = _unit(rng, d)
 
         k = _unit(rng, d)
@@ -169,7 +164,7 @@ def test_03_mix_loss_is_nonnegative():
         k_mix = lam_prime * k_t + (1.0 - lam_prime) * k_s
         value = float(L.mixlrco_batch(q.reshape(1, -1), k_mix.reshape(1, -1),
                                       k_t.reshape(1, -1), k_s.reshape(1, -1),
-                                      _unit_rows(rng, n_bank, d), t))
+                                      unit_rows(rng, n_bank, d), t))
         smallest = min(smallest, value)
         assert value >= 0.0
     print(f"ACCEPTANCE 03 mix-loss-nonnegative: PASS (10000 instances, "

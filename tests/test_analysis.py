@@ -9,11 +9,7 @@ from lrco.analysis import (
 )
 from lrco.model import ModelConfig, features_of, init_model
 from lrco.numerics import SeededRng
-
-
-def unit_rows(rng, n, d):
-    raw = np.asarray(rng.normal(size=(n, d)))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+from oracles import unit_rows
 
 
 # --- similarity statistics -------------------------------------------------------

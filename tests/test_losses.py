@@ -1,6 +1,7 @@
 import functools
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,7 @@ from lrco.numerics import (
     sample_beta, unit_last,
 )
 from lrco.trainer import TrainConfig, prepare_step, step_objective
-
-
-def unit_rows(rng, n, d):
-    raw = np.asarray(rng.normal(size=(n, d)))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+from oracles import unit_rows
 
 
 def logsumexp_direct(v):
@@ -761,14 +758,14 @@ CLASS_TERMS = ("ce", "align", "fixmatch", "kld")  # in the order the total adds 
 def _class_chain(p, labeled, labels, unlabeled, high, pseudo, weights):
     """(total, terms) of the chain on probability rows p (plain, a stack or a
     Tensor): the reference class_terms_batch keeps the bits of."""
-    lab = ad.take_rows(p, np.arange(labeled.start, labeled.stop))
-    unl = ad.take_rows(p, np.arange(unlabeled.start, unlabeled.stop))
+    lab = oracles.take_rows(p, np.arange(labeled.start, labeled.stop))
+    unl = oracles.take_rows(p, np.arange(unlabeled.start, unlabeled.stop))
     n_l, n_u = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
     terms = {"ce": cross_entropy_batch(lab, labels),
              "align": ad.weighted_sum(((entropy_alignment(lab), n_l / (n_l + n_u)),
                                        (entropy_alignment(unl), n_u / (n_l + n_u))))}
     if len(high) > 0:
-        rows = ad.take_rows(p, high)
+        rows = oracles.take_rows(p, high)
         terms["fixmatch"] = cross_entropy_batch(rows, pseudo)
         terms["kld"] = kld_uniform_batch(rows)
     pairs = [(terms[t], weights[t]) for t in CLASS_TERMS if t in terms and weights[t] > 0]
@@ -888,9 +885,9 @@ def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
     labels = np.asarray(rng.integers(0, 4, size=n_rows), dtype=np.int64)
     heads = (entropy_alignment, kld_uniform_batch, lambda p: cross_entropy_batch(p, labels))
     for head in heads:
-        stacked = head(ad.take_rows(stack, idx))
+        stacked = head(oracles.take_rows(stack, idx))
         for b in range(3):
-            assert _bits(stacked[b]) == _bits(head(ad.take_rows(stack[b], idx)))
+            assert _bits(stacked[b]) == _bits(head(oracles.take_rows(stack[b], idx)))
     args = (slice(0, 2), labels[:2], slice(2, 5), 5 + np.sort(idx[idx < n_rows]),
             np.zeros(int(np.sum(idx < n_rows)), dtype=np.int64),
             {"ce": 1.0, "align": 0.1, "fixmatch": 1.0, "kld": 0.37})
@@ -912,7 +909,7 @@ def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
 # trainer: take_rows of the query rows, contrast_rows, and the loss head.
 
 def _branch_chain(f, rows, classifier, t_re, mode, k_pos, k_den, bank, t_co, w_unit=None):
-    queries = contrast_rows(ad.take_rows(f, rows), classifier, t_re, mode)
+    queries = contrast_rows(oracles.take_rows(f, rows), classifier, t_re, mode)
     if len(k_den) == 1:
         return contrastive_batch(queries, k_pos, bank, t_co)
     return mixlrco_batch(queries, k_pos, *k_den, bank, t_co)

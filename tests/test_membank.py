@@ -3,11 +3,7 @@ import pytest
 
 from lrco.membank import MemoryBank
 from lrco.numerics import SeededRng
-
-
-def unit_rows(rng, n, d):
-    raw = np.asarray(rng.normal(size=(n, d)))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+from oracles import unit_rows
 
 
 def test_empty_bank_basics():

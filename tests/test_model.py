@@ -11,7 +11,7 @@ from lrco.model import (
     state_from_arrays, with_param_vector,
 )
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
-from test_trainer import states_allclose
+from oracles import states_allclose
 
 
 def forward_one(m, x):

@@ -2,16 +2,19 @@
 name it patches must exist, and restoring must put every original back. The
 package decides what a method does from trainer.METHOD_TERMS alone, which
 only the config check and the step's plan read, only model.py builds a
-state's arrays, no autodiff op that a fused node replaced is called again,
-no top-level function or class is left that nothing names, and the golden
-and acceptance tests train through the shared cache. Every committed
-BENCH_*.json record parses and carries the keys that all of them share."""
+state's arrays, no top-level function or class is left that nothing names,
+every function of tests/oracles.py has a test that uses it, __all__ lists
+the package's public imports, and the golden and acceptance tests train
+through the shared cache. Every committed BENCH_*.json record parses and
+carries the keys that all of them share."""
 
 import ast
 import importlib
+import inspect
 import json
 import pathlib
 
+import lrco
 from lrco import (
     analysis, autodiff, cli, data, gradcheck, losses, membank, model, numerics,
     trainer,
@@ -149,52 +152,12 @@ def test_state_arrays_stay_views_of_params():
     assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]
 
 
-# The autodiff ops that only the reference chains of the tests call: the
-# fused nodes (model.features_of, model.probs_of, losses.re_represent_batch,
-# losses.contrastive_branch) replaced them in training, one node per head.
-REFERENCE_OPS = ("add", "matmul", "tanh", "softmax_rows", "take_rows", "detach")
-
-
-def _reference_op_uses(source: str) -> list[int]:
-    """Line numbers of the calls ad.<op>(...) or autodiff.<op>(...) and of
-    the imports of such an op from the autodiff module."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = node.func.value
-            if (node.func.attr in REFERENCE_OPS and isinstance(owner, ast.Name)
-                    and owner.id in ("ad", "autodiff")):
-                found.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
-            if any(alias.name in REFERENCE_OPS for alias in node.names):
-                found.append(node.lineno)
-    return sorted(found)
-
-
-def test_no_reference_autodiff_op_is_called_in_the_package():
-    # each such call would add a node per op back to a training step
-    found = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
-             for line in _reference_op_uses(path.read_text(encoding="utf-8"))]
-    assert not found, found
-    sample = ("h = ad.add(ad.matmul(x, w), b)\ny = autodiff.tanh(h)\nz = ad.take_rows(y, i)\n"
-              "from .autodiff import detach\nfrom . import autodiff as ad\n"
-              "w = ad.value_of(np.add(a, b))\nq = other.softmax_rows(z, 1.0)\n"
-              "r = ad.row_block(y, i)\n")
-    assert _reference_op_uses(sample) == [1, 1, 2, 3, 4]
-
-
 # Top-level functions and classes of src/lrco, and public methods of its
 # classes, that no other code there names, each with the reason it stays. A
 # fused node that leaves the code it replaced behind, uncalled, fails the
 # test below until that code goes or is listed here.
 UNNAMED_ALLOWED = {
     "cli.main": "the console entry point",
-    "autodiff.detach": "reference op: the chains in tests/test_autodiff.py check the fused "
-                       "nodes against it (ROADMAP 1 (d) retires it)",
-    "autodiff.matmul": "reference op, as detach",
-    "autodiff.softmax_rows": "reference op, as detach",
-    "autodiff.take_rows": "reference op, as detach; contrastive_branch and probs_of take "
-                          "their rows themselves",
     "losses.make_pseudo_label": "perfbench/spans.py wraps it by name (ROADMAP 1 (a))",
     "losses.entropy_alignment": "reference head: class_terms_batch keeps the bits of its "
                                 "chain; perfbench/spans.py wraps it by name",
@@ -206,6 +169,17 @@ UNNAMED_ALLOWED = {
 }
 
 
+def _names(tree):
+    """(name, line) of each name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, getattr(node, "lineno", 0)
+
+
 def _unnamed_definitions(sources: dict) -> list:
     """module.name of each top-level function or class in ``sources`` (module
     name -> source), and module.Class.name of each public method of a
@@ -215,16 +189,8 @@ def _unnamed_definitions(sources: dict) -> list:
     trees = {mod: ast.parse(text) for mod, text in sources.items() if mod != "__init__"}
     named: dict = {}  # name -> [(module, line)]
     for mod, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            named.setdefault(name, []).append((mod, getattr(node, "lineno", 0)))
+        for name, line in _names(tree):
+            named.setdefault(name, []).append((mod, line))
     definitions = []  # (module, dotted name, node)
     for mod, tree in trees.items():
         for node in tree.body:
@@ -257,6 +223,37 @@ def test_every_top_level_definition_is_named_or_listed():
                     "    def __call__(self):\n        pass\n\nD().n()\n"),
               "__init__": "from .a import f\n"}
     assert _unnamed_definitions(sample) == ["a.f", "a.g", "c.D.m"]
+
+
+def _unused_oracles(oracle_source: str, test_sources) -> list[str]:
+    """The top-level functions and classes of ``oracle_source`` that none of
+    ``test_sources`` names, as a name, an attribute or an imported name."""
+    named = {name for text in test_sources for name, _ in _names(ast.parse(text))}
+    return sorted(node.name for node in ast.parse(oracle_source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in named)
+
+
+def test_every_oracle_is_used_by_a_test():
+    # tests/oracles.py holds the reference ops and the shared helpers; one
+    # that no test names any more checks nothing
+    tests = ROOT / "tests"
+    found = _unused_oracles((tests / "oracles.py").read_text(encoding="utf-8"),
+                            [path.read_text(encoding="utf-8")
+                             for path in sorted(tests.glob("test_*.py"))])
+    assert not found, found
+    sample = ("def f():\n    return g()\n\ndef g():\n    pass\n\n"
+              "def h():\n    pass\n\nclass C:\n    pass\n")
+    assert _unused_oracles(sample, ["import oracles\nx = oracles.f\n",
+                                    "from oracles import h as k\n"]) == ["C", "g"]
+
+
+def test_the_public_list_equals_the_public_imports():
+    # __init__ writes the package's public names twice: as its imports and
+    # as __all__
+    public = {name for name, value in vars(lrco).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(lrco.__all__) == sorted(public)
 
 
 def _fit_calls(source: str, allowed=()) -> list[int]:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,14 +31,9 @@ from lrco.trainer import (
     metrics_header_lines, prepare_step, save_checkpoint, sgd_step, step_objective,
     train_step,
 )
+from oracles import states_allclose
 
 AUG = AugmentSpec()
-
-
-def states_allclose(a, b) -> bool:
-    """Whether two states have equal shapes and equal values."""
-    x, y = state_arrays(a), state_arrays(b)
-    return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
 
 
 def tiny_setup(method="mixlrco", seed=0, **overrides):
@@ -495,21 +491,21 @@ def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
     feats = features_of(model_like, sb.x)
     rows = {name: np.arange(len(sb.x))[r] for name, r in sb.rows.items()}
     probs = probs_of(model_like, feats if "mix" not in rows
-                     else ad.take_rows(feats, np.arange(rows["mix"][0])))
-    probs_lab = probs if len(rows) == 1 else ad.take_rows(probs, rows["labeled"])
+                     else oracles.take_rows(feats, np.arange(rows["mix"][0])))
+    probs_lab = probs if len(rows) == 1 else oracles.take_rows(probs, rows["labeled"])
     terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
     weighted = [(terms["ce"], 1.0)]
     if "align" in reads:
         n_l, n_u = len(rows["labeled"]), len(rows["unlabeled_weak"])
         ent_l = L.entropy_alignment(probs_lab)
-        ent_u = L.entropy_alignment(ad.take_rows(probs, rows["unlabeled_weak"]))
+        ent_u = L.entropy_alignment(oracles.take_rows(probs, rows["unlabeled_weak"]))
         terms["align"] = ad.weighted_sum(((ent_l, n_l / (n_l + n_u)),
                                           (ent_u, n_u / (n_l + n_u))))
         if cfg.lambda_align > 0:
             weighted.append((terms["align"], cfg.lambda_align))
     strong = rows.get("unlabeled_strong")
     if "fixmatch" in reads and len(sb.high_idx) > 0:
-        probs_high = ad.take_rows(probs, strong[sb.high_idx])
+        probs_high = oracles.take_rows(probs, strong[sb.high_idx])
         terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
         terms["kld"] = L.kld_uniform_batch(probs_high)
         weighted.append((terms["fixmatch"], 1.0))
@@ -524,12 +520,12 @@ def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
     if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
             and len(sb.bank_snapshot) > 0):
         terms["contrastive"] = L.contrastive_batch(
-            queries(ad.take_rows(feats, strong[sb.sel_idx])), sb.keys_sel,
+            queries(oracles.take_rows(feats, strong[sb.sel_idx])), sb.keys_sel,
             sb.bank_snapshot, cfg.t_co)
         weighted.append((terms["contrastive"], cfg.lambda_co))
     if "mix" in rows:
         terms["contrastive"] = L.mixlrco_batch(
-            queries(ad.take_rows(feats, rows["mix"])), sb.k_pos, *sb.k_den,
+            queries(oracles.take_rows(feats, rows["mix"])), sb.k_pos, *sb.k_den,
             sb.bank_snapshot, cfg.t_co)
         weighted.append((terms["contrastive"], cfg.lambda_co))
     return terms["ce"] if len(weighted) == 1 else ad.weighted_sum(weighted), terms
@@ -843,9 +839,9 @@ def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_orde
 
     def leaf_grads():
         x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
-        h, t, s = ad.matmul(x, w), ad.tanh(x), ad.softmax_rows(x, 1.0)  # x's consumers
-        z = ad.weighted_sum([(ad.tanh(h), 0.7), (t, -1.3), (s, 2.1)])
-        L.cross_entropy_batch(ad.softmax_rows(z, 0.5), np.arange(6) % 4).backward()
+        h, t, s = oracles.matmul(x, w), oracles.tanh(x), oracles.softmax_rows(x, 1.0)  # x's consumers
+        z = ad.weighted_sum([(oracles.tanh(h), 0.7), (t, -1.3), (s, 2.1)])
+        L.cross_entropy_batch(oracles.softmax_rows(z, 0.5), np.arange(6) % 4).backward()
         return x.grad.tobytes(), w.grad.tobytes()
 
     with monkeypatch.context() as m:
