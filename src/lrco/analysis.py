@@ -15,10 +15,8 @@ from .losses import (
 )
 from .losses import re_represent_batch  # noqa: F401 (unused; perfbench patches it here)
 from .model import ModelState, features_of, probs_of
-from .numerics import SeededRng
+from .numerics import SeededRng, float_text
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
-
-_FMT = "{:.17g}".format
 
 GROUPS = ("high", "low", "all")
 MIN_PROJECTION_ROWS = 3
@@ -86,19 +84,14 @@ def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityRepor
         if len(idx) < 2 or len(set(gy.tolist())) < 2 or not np.isfinite(w) or not np.isfinite(c):
             degenerate.append(name)
 
-    scale_w = within["all"]
-    scale_c = cross["all"]
-    within_scaled = {
-        g: (v / scale_w if np.isfinite(scale_w) and scale_w != 0 else float("nan"))
-        for g, v in within.items()
-    }
-    cross_scaled = {
-        g: (v / scale_c if np.isfinite(scale_c) and scale_c != 0 else float("nan"))
-        for g, v in cross.items()
-    }
+    def scaled(values: dict[str, float]) -> dict[str, float]:
+        scale = values["all"]
+        usable = np.isfinite(scale) and scale != 0
+        return {g: v / scale if usable else float("nan") for g, v in values.items()}
+
     return SimilarityReport(
-        within=within, cross=cross, within_scaled=within_scaled,
-        cross_scaled=cross_scaled, degenerate=tuple(degenerate),
+        within=within, cross=cross, within_scaled=scaled(within),
+        cross_scaled=scaled(cross), degenerate=tuple(degenerate),
     )
 
 
@@ -203,57 +196,44 @@ def analysis_filename(kind: str, run_id: str, step: int, split: str) -> str:
     return f"{kind}_run-{run_id}_step-{step}_{split}.csv"
 
 
-def _write_lines(path, lines) -> None:
+def _write_table(path, meta: str, header: list[str], rows: list[list[str]]) -> None:
+    """One CSV table: the ``# meta`` line when ``meta`` is set, the header,
+    then one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        if meta:
+            fh.write(f"# {meta}\n")
+        for cells in (header, *rows):
+            fh.write(",".join(cells) + "\n")
 
 
 def write_similarity_csv(path, report: SimilarityReport, meta: str = "") -> None:
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append("group,within,cross,within_scaled,cross_scaled,degenerate")
-    for g in GROUPS:
-        lines.append(",".join([
-            g, _FMT(report.within[g]), _FMT(report.cross[g]),
-            _FMT(report.within_scaled[g]), _FMT(report.cross_scaled[g]),
-            "1" if g in report.degenerate else "0",
-        ]))
-    _write_lines(path, lines)
+    stats = ("within", "cross", "within_scaled", "cross_scaled")  # fields of the report
+    rows = [[g, *(float_text(getattr(report, f)[g]) for f in stats),
+             "1" if g in report.degenerate else "0"] for g in GROUPS]
+    _write_table(path, meta, ["group", *stats, "degenerate"], rows)
 
 
 def write_topk_csv(path, curves: dict[str, np.ndarray], meta: str = "") -> None:
     names = list(curves)
     if not names:
         raise ValueError("no curves to write")
-    k_max = len(next(iter(curves.values())))
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append(",".join(["k"] + names))
-    for k in range(k_max):
-        lines.append(",".join([str(k + 1)] + [_FMT(curves[n][k]) for n in names]))
-    _write_lines(path, lines)
+    rows = [[str(k + 1), *(float_text(curves[n][k]) for n in names)]
+            for k in range(len(curves[names[0]]))]
+    _write_table(path, meta, ["k", *names], rows)
 
 
 def write_projection_csv(path, coords: np.ndarray, labels=None, confident=None,
                          meta: str = "") -> None:
     coords = np.asarray(coords, dtype=np.float64)
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
     header = ["x", "y"]
+    rows = [[float_text(coords[i, 0]), float_text(coords[i, 1])]
+            for i in range(coords.shape[0])]
     if labels is not None:
         header.append("label")
+        for i, row in enumerate(rows):
+            row.append(str(int(labels[i])))
     if confident is not None:
         header.append("confident")
-    lines.append(",".join(header))
-    for i in range(coords.shape[0]):
-        row = [_FMT(coords[i, 0]), _FMT(coords[i, 1])]
-        if labels is not None:
-            row.append(str(int(labels[i])))
-        if confident is not None:
+        for i, row in enumerate(rows):
             row.append("1" if confident[i] else "0")
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    _write_table(path, meta, header, rows)

@@ -152,7 +152,7 @@ def _cmd_train(args) -> int:
     # A refused resume must leave --out as it was, so check it before writing.
     resume = None if args.resume is None else checkpoint_for(args.resume, bench, dhash)
     out = _resolve_out(args.out)
-    with open(os.path.join(out, "config_used.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "config_used.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_text(cfg))
     result = fit(
         bench, cfg.augment, cfg.train,

@@ -17,6 +17,7 @@ from .analysis import analysis_filename
 from .data import AugmentSpec, BenchmarkSpec
 from .errors import ConfigError, check_domains, within
 from .model import ModelConfig
+from .numerics import float_text
 from .trainer import TrainConfig
 
 # The most entries of one array a config may ask for (a signed 32-bit count).
@@ -245,7 +246,7 @@ def _render_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return "{:.17g}".format(value)
+        return float_text(value)
     if isinstance(value, tuple):
         return ",".join(_render_value(v) for v in value)
     if isinstance(value, str):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, check_domains, within
-from .numerics import SeededRng
+from .numerics import SeededRng, float_text
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def save_dataset(path, domain: str, x: np.ndarray, labels: np.ndarray | None, *,
     tags = ["-"] * len(x) if labels is None else [str(int(v)) for v in labels]
     lines = [f"input_dim={x.shape[1]},K={n_classes},spec_hash={spec_hash}"]
     for tag, row in zip(tags, x.tolist()):
-        lines.append(f"{domain},{tag}," + ",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
+        lines.append(f"{domain},{tag}," + ",".join(map(float_text, row)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

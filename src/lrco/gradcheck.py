@@ -26,18 +26,23 @@ from .numerics import (
 )
 from .trainer import TrainConfig, prepare_step, step_objective
 
-TERM_NAMES = (
-    "labeled_ce",
-    "alignment_entropy",
-    "fixmatch",
-    "uniform_kld",
-    "contrastive_rerep",
-    "contrastive_raw",
-    "contrastive_mix",
-    "objective_strong",
-    "objective_lrco",
-    "objective_mixlrco",
-)
+# Each check, in print order: (prepared step of the instance, key of its term
+# in step_objective). Every check differentiates a term of the trainer's own
+# objective, and the checks on one prepared step share one finite-difference
+# pass, which evaluates every perturbed parameter vector in one stacked call.
+CHECKS = {
+    "labeled_ce": ("strong", "ce"),
+    "alignment_entropy": ("strong", "align"),
+    "fixmatch": ("strong", "fixmatch"),
+    "uniform_kld": ("strong", "kld"),
+    "contrastive_rerep": ("rerep", "contrastive"),
+    "contrastive_raw": ("raw", "contrastive"),
+    "contrastive_mix": ("mix", "contrastive"),
+    "objective_strong": ("strong", "total"),
+    "objective_lrco": ("rerep", "total"),
+    "objective_mixlrco": ("mix", "total"),
+}
+TERM_NAMES = tuple(CHECKS)
 
 _SIZE_GRID = ((2, 3), (2, 8), (5, 3), (5, 8))  # (n_classes, feature_dim)
 
@@ -114,61 +119,44 @@ def _build_instance(index: int, seed: int):
     return {
         "student": student,
         "teacher": teacher,
-        "n_classes": n_classes,
-        "feature_dim": feature_dim,
         "cfgs": cfgs,
         "batches": {key: prep(cfg, steps[key]) for key, cfg in cfgs.items()},
         "frozen_classifier": student.classifier.copy(),
     }
 
 
-# (config and its prepared batch, ((check, key of its term in step_objective),
-# ...)): every check differentiates a term of the trainer's own objective,
-# and the checks on one prepared step share one finite-difference pass,
-# which evaluates every perturbed parameter vector in one stacked call.
-_CHECKS = (
-    ("strong", (("labeled_ce", "ce"), ("alignment_entropy", "align"),
-                ("fixmatch", "fixmatch"), ("uniform_kld", "kld"),
-                ("objective_strong", "total"))),
-    ("rerep", (("contrastive_rerep", "contrastive"), ("objective_lrco", "total"))),
-    ("raw", (("contrastive_raw", "contrastive"),)),
-    ("mix", (("contrastive_mix", "contrastive"), ("objective_mixlrco", "total"))),
-)
-
-
-def _objective_terms(m, inst, check) -> dict:
-    """step_objective's terms and total for one _CHECKS entry, with the
+def _objective_terms(m, inst, step: str) -> dict:
+    """step_objective's terms and total on one prepared step, with the
     instance's frozen classifier; on the graph each term is a node of its own."""
-    key = check[0]
-    total, terms = step_objective(m, inst["batches"][key], inst["cfgs"][key],
+    total, terms = step_objective(m, inst["batches"][step], inst["cfgs"][step],
                                   frozen_classifier=inst["frozen_classifier"], term_nodes=True)
     return {**terms, "total": total}
 
 
-def values_at(inst, check, vecs: np.ndarray) -> np.ndarray:
-    """The checked terms of one _CHECKS entry at student parameter vectors:
+def values_at(inst, step: str, keys, vecs: np.ndarray) -> np.ndarray:
+    """The terms ``keys`` of one prepared step at student parameter vectors:
     a (P,) vector gives (K,) values, a (B, P) stack gives (B, K), and row b
     has the bits of vector b alone. A term the step leaves at zero is zero
     in every row."""
-    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, check)
-    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for _, key in check[1]],
-                    axis=-1)
+    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, step)
+    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for key in keys], axis=-1)
 
 
 def check_instance(index: int, seed: int = 0) -> InstanceResult:
     inst = _build_instance(index, seed)
     student = inst["student"]
     base_vec = get_param_vector(student)
-    errors: dict[str, float] = {}
-    for check in _CHECKS:
-        numeric = finite_diff_grad(functools.partial(values_at, inst, check), base_vec)
-        for column, (name, key) in enumerate(check[1]):
-            analytic = compute_gradients(student,
-                                         lambda m: _objective_terms(m, inst, check)[key])
-            errors[name] = relative_grad_error(analytic, numeric[:, column])
-    return InstanceResult(index=index, n_classes=inst["n_classes"],
-                          feature_dim=inst["feature_dim"],
-                          errors={name: errors[name] for name in TERM_NAMES})
+    numeric: dict[str, np.ndarray] = {}
+    for step in dict.fromkeys(step for step, _ in CHECKS.values()):
+        keys = {name: key for name, (at, key) in CHECKS.items() if at == step}
+        values = functools.partial(values_at, inst, step, tuple(keys.values()))
+        numeric.update(zip(keys, finite_diff_grad(values, base_vec).T))
+    errors = {}
+    for name, (step, key) in CHECKS.items():
+        analytic = compute_gradients(student, lambda m: _objective_terms(m, inst, step)[key])
+        errors[name] = relative_grad_error(analytic, numeric[name])
+    return InstanceResult(index=index, n_classes=student.n_classes,
+                          feature_dim=student.feature_dim, errors=errors)
 
 
 def run_gradient_suite(seed: int = 0, n_instances: int = 20) -> dict[str, float]:

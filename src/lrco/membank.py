@@ -58,8 +58,15 @@ class MemoryBank:
 
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "MemoryBank":
-        bank = cls(capacity=int(arrays["bank.capacity"]))
+        """The bank ``state_arrays`` wrote; a capacity not stored as an integer,
+        or more rows than the capacity, raises ValueError."""
+        capacity = np.asarray(arrays["bank.capacity"])
+        if capacity.dtype.kind not in "iu":
+            raise ValueError(f"bank capacity {capacity} is not stored as an integer")
+        bank = cls(capacity=int(capacity))
         contents = np.asarray(arrays["bank.contents"], dtype=np.float64)
+        if contents.ndim == 2 and len(contents) > bank.capacity:
+            raise ValueError(f"bank holds {len(contents)} rows, over its capacity {bank.capacity}")
         if contents.size:
             bank.push_batch(contents)
         elif contents.ndim == 2:

@@ -5,7 +5,7 @@ softmax, l2 normalization and log-sum-exp, a Beta sampler built from Gamma
 draws, numpy's SeedSequence mixing vectorized over many entropy rows and a
 run's table of keyed streams seeded with it, plus a central-difference
 gradient used as the independent check on every analytic gradient in the
-package.
+package, and the one text format of a written float.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from .errors import DegenerateFeatureError
 # Norm below which a vector has no usable direction. Callers get an error,
 # never a silently clamped result.
 NORM_EPS = 1e-12
+
+# The text of a float in every file the package writes: 17 significant digits
+# read back as the same float64.
+float_text = "{:.17g}".format
 
 
 # Row-wise workhorses shared with the autodiff and loss layers. They operate along the

@@ -35,7 +35,7 @@ from .model import (
     lift_params, probs_of, state_arrays, state_from_arrays, tape_from, unit_classifier,
     with_param_vector,
 )
-from .numerics import SeededRng, StepStreams
+from .numerics import SeededRng, StepStreams, float_text
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 # The terms each method adds to its objective, in the order the total adds
@@ -57,7 +57,6 @@ REREP_MODES = L.REREP_MODES
 MIXUP_MODES = ("dominant", "no_dominance")
 LOSS_KEYS = ("total", "ce", "align", "fixmatch", "kld", "contrastive")
 
-_FMT = "{:.17g}".format
 # The pseudo-labels and confidence split of a step without a teacher pass:
 # one shared empty int64 array, read-only so that no step can change it.
 NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -441,10 +440,9 @@ def metrics_header_lines(n_classes: int, config_hash: str, seed: int) -> list[st
 
 
 def metric_record_line(rec: MetricRecord) -> str:
-    parts = [str(rec.step), rec.split, _FMT(rec.accuracy), _FMT(rec.mean_confidence)]
-    parts += [_FMT(v) for v in rec.per_class]
-    parts += [_FMT(rec.losses[k]) for k in LOSS_KEYS]
-    return ",".join(parts)
+    values = [rec.accuracy, rec.mean_confidence, *rec.per_class]
+    values += [rec.losses[k] for k in LOSS_KEYS]
+    return ",".join([str(rec.step), rec.split, *map(float_text, values)])
 
 
 # Checkpoints ---------------------------------------------------------------------------

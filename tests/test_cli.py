@@ -15,6 +15,8 @@ from lrco.cli import (
 )
 from lrco.config import apply_overrides, default_run_config
 from lrco.data import benchmark_spec_hash
+from lrco.errors import DatasetFormatError
+from lrco.membank import MemoryBank
 from lrco.trainer import METHODS, load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
@@ -446,6 +448,28 @@ def test_checkpoint_arrays_that_form_no_model_exit_4(tmp_path, capsys, name, sha
                               f"({error}: "), err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_checkpoint_bank_over_its_capacity_or_fractional_exits_4(tmp_path, capsys):
+    # lrco never writes either bank: one holding more rows than its capacity
+    # loaded with the oldest rows dropped, and a capacity of n + 0.7 loaded as n
+    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    bank = MemoryBank.from_state_arrays(arrays).state_arrays()
+    n_rows = len(bank["bank.contents"])
+    assert n_rows >= 2
+    cases = {"over_capacity": np.array(n_rows - 1, dtype=np.int64),
+             "fractional_capacity": np.array(n_rows + 0.7)}
+    for name, capacity in cases.items():
+        bad = tmp_path / f"{name}.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **{**arrays, **bank, "bank.capacity": capacity})
+        with pytest.raises(DatasetFormatError, match=r"\(ValueError: bank "):
+            load_checkpoint(bad)
+        assert run_cli("eval", "--checkpoint", str(bad), *FAST) == EXIT_INVALID_CONFIG, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
+                              "(ValueError: bank "), err
 
 
 def test_every_documented_exit_code(tmp_path, capsys):

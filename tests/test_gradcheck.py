@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 
 from lrco import autodiff as ad
 from lrco import gradcheck
 from lrco import losses as L
 from lrco.gradcheck import (
-    _CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
+    CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
     values_at,
 )
 from lrco.model import get_param_vector, lift_params
@@ -20,7 +22,7 @@ def test_instances_cover_the_size_grid():
     sizes = set()
     for index in range(4):
         inst = _build_instance(index, seed=0)
-        sizes.add((inst["n_classes"], inst["feature_dim"]))
+        sizes.add((inst["student"].n_classes, inst["student"].feature_dim))
     assert sizes == {(2, 3), (2, 8), (5, 3), (5, 8)}
 
 
@@ -44,17 +46,37 @@ def test_every_term_checked_per_instance():
     assert set(result.errors) == set(TERM_NAMES)
 
 
+def test_one_finite_difference_pass_per_prepared_step(monkeypatch):
+    # the checks on one prepared step share one pass, whose function returns
+    # one column per CHECKS entry of that step, steps in order of first
+    # appearance in CHECKS
+    widths = []
+    finite_diff_grad = gradcheck.finite_diff_grad
+
+    def counted(f, p, *args, **kwargs):
+        def recorded(vecs):
+            values = f(vecs)
+            widths.append(values.shape[1:])
+            return values
+        return finite_diff_grad(recorded, p, *args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "finite_diff_grad", counted)
+    result = check_instance(0, seed=0)
+    per_step = Counter(step for step, _ in CHECKS.values())
+    assert widths == [(n,) for n in per_step.values()] == [(5,), (2,), (1,), (2,)]
+    assert list(result.errors) == list(TERM_NAMES)
+
+
 # The step_objective keys that carry each METHOD_TERMS term.
 TERM_KEYS = {"ce": ("ce",), "align": ("align",), "fixmatch": ("fixmatch", "kld"),
              "bank": ("contrastive",), "mix": ("contrastive",)}
 
 
 def test_checks_cover_every_method_term_and_pseudo_label_total():
-    # (method, key) for every key a _CHECKS entry differentiates, under the
+    # (method, key) for every key a CHECKS entry differentiates, under the
     # method of the entry's config
     cfgs = _build_instance(0, seed=0)["cfgs"]
-    checked = {(cfgs[cfg_key].method, key) for cfg_key, terms in _CHECKS
-               for _, key in terms}
+    checked = {(cfgs[step].method, key) for step, key in CHECKS.values()}
     assert set(TERM_KEYS) == {t for terms in METHOD_TERMS.values() for t in terms}
     for term, keys in TERM_KEYS.items():
         for key in keys:
@@ -173,8 +195,9 @@ def test_stacked_values_equal_a_per_vector_loop():
         stack = np.tile(base, (2 * n, 1))
         stack[np.arange(n), np.arange(n)] += h
         stack[n + np.arange(n), np.arange(n)] -= h
-        for check in _CHECKS:
-            stacked = values_at(inst, check, stack)
-            loop = np.array([values_at(inst, check, vec) for vec in stack])
-            assert stacked.shape == loop.shape == (2 * n, len(check[1]))
-            assert stacked.tobytes() == loop.tobytes(), (index, check[0])
+        for step in inst["batches"]:
+            keys = [key for s, key in CHECKS.values() if s == step]
+            stacked = values_at(inst, step, keys, stack)
+            loop = np.array([values_at(inst, step, keys, vec) for vec in stack])
+            assert stacked.shape == loop.shape == (2 * n, len(keys))
+            assert stacked.tobytes() == loop.tobytes(), (index, step)

@@ -4,8 +4,9 @@ package decides what a method does from trainer.METHOD_TERMS alone, which
 only the config check and the step's plan read, only model.py builds a
 state's arrays, no top-level function or class is left that nothing names,
 every function of tests/oracles.py has a test that uses it, __all__ lists
-the package's public imports, and the golden and acceptance tests train
-through the shared cache. Every committed BENCH_*.json record parses and
+the package's public imports, every written float and line ending goes
+through one format, and the golden and acceptance tests train through the
+shared cache. Every committed BENCH_*.json record parses and
 carries the keys that all of them share."""
 
 import ast
@@ -254,6 +255,54 @@ def test_the_public_list_equals_the_public_imports():
     public = {name for name, value in vars(lrco).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(lrco.__all__) == sorted(public)
+
+
+def _text_format_forks(sources: dict) -> list[tuple[str, int, str]]:
+    """(module, line, fork) of each ".17g" string outside the definition of
+    numerics.float_text, and of each call of the builtin open in a write mode
+    without "b" that does not pass newline="\\n"; a mode that is not a
+    constant counts as a write mode."""
+    def defines_float_text(node) -> bool:
+        targets = node.targets if isinstance(node, ast.Assign) else [node]
+        return any(getattr(t, "id", getattr(t, "name", None)) == "float_text" for t in targets)
+
+    found = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        own = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+               if mod == "numerics" and defines_float_text(node)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and ".17g" in str(node.value)
+                    and not any(node.lineno in lines for lines in own)):
+                found.append((mod, node.lineno, ".17g"))
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            newline = keywords.get("newline")
+            writes = mode is not None and (not isinstance(mode, ast.Constant) or (
+                set(str(mode.value)) & set("wax") and "b" not in str(mode.value)))
+            if writes and getattr(newline, "value", None) != "\n":
+                found.append((mod, node.lineno, "newline"))
+    return sorted(found)
+
+
+def test_written_text_has_one_float_format_and_one_newline():
+    # every file the package writes prints a float with numerics.float_text
+    # and ends its lines with "\n" on every platform; a writer that chose
+    # either again could fork the pinned bytes
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
+    assert _text_format_forks(sources) == []
+    sample = {"numerics": 'float_text = "{:.17g}".format\nx = f"{v:.17g}"\ny = float_text(v)\n',
+              "a": ('def f(v):\n    return "%.17g" % v\n\n'
+                    'with open(p, "w", encoding="utf-8") as fh:\n    pass\n'
+                    'open(p, "wb")\nopen(p, mode="a", newline="\\n")\n'
+                    'open(p, "w", newline="\\r\\n")\nopen(p)\nopen(p, "r")\n'
+                    'open(p, m)\nopen(p, "x", newline="\\n")\n')}
+    assert _text_format_forks(sample) == [("a", 2, ".17g"), ("a", 4, "newline"),
+                                          ("a", 8, "newline"), ("a", 11, "newline"),
+                                          ("numerics", 2, ".17g")]
 
 
 def _fit_calls(source: str, allowed=()) -> list[int]:
