@@ -322,10 +322,10 @@ def contrast_rows(f_rows, classifier, t_re: float, mode: str, w_unit=None):
 # _contrast_grad are that formula, which contrastive_batch, mixlrco_batch
 # and contrastive_branch all call.
 
-def _contrast_value(q, k_pos, k_den: tuple, bank_matrix, t_co: float):
+def _contrast_value(q, k_pos, k_den: tuple, bank, t_co: float):
     """(the mean loss of the unit query rows q, what _contrast_grad needs),
     after checking the rows: the queries and the denominator keys unit, a
-    blended positive key of norm <= 1, the bank rows unit."""
+    blended positive key of norm <= 1. The caller conforms the bank."""
     if not t_co > 0:
         raise ValueError("t_co must be positive")
     check_unit_rows(q, "queries")
@@ -336,7 +336,6 @@ def _contrast_value(q, k_pos, k_den: tuple, bank_matrix, t_co: float):
         check_unit_rows(k_den[1], "source keys")
         if not np.maximum.reduce(norm_last(k_pos), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
             raise InvalidRowsError("blended keys must have norm <= 1")
-    bank = _conform_bank(bank_matrix, q.shape[-1])
     inv_t = 1.0 / t_co
     dots = [np.add.reduce(q * k, axis=-1) for k in k_den]
     pos = dots[0] if len(k_den) == 1 else np.add.reduce(q * k_pos, axis=-1)
@@ -359,9 +358,9 @@ def _contrast_grad(g, k_pos, k_den: tuple, t_co: float, parts):
     return (g / (len(k_pos) * t_co)) * (weighted + w[:, m:] @ bank - k_pos)
 
 
-def _contrast_head(q_rows, k_pos, k_den: tuple, bank_matrix, t_co: float):
+def _contrast_head(q_rows, k_pos, k_den: tuple, bank, t_co: float):
     """The contrastive loss of query rows q_rows, one graph node on them."""
-    y, parts = _contrast_value(ad.value_of(q_rows), k_pos, k_den, bank_matrix, t_co)
+    y, parts = _contrast_value(ad.value_of(q_rows), k_pos, k_den, bank, t_co)
     if not ad.is_tensor(q_rows):
         return y
     return ad.Tensor(y, (q_rows,),
@@ -377,16 +376,24 @@ def contrastive_batch(q_rows, k_rows, bank_matrix, t_co: float):
     (g / (n T)) (w_i0 k_i + sum_j w_ij b_j - k_i).
     """
     k = ad.value_of(k_rows)
-    return _contrast_head(q_rows, k, (k,), bank_matrix, t_co)
+    bank = _checked_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
+    return _contrast_head(q_rows, k, (k,), bank, t_co)
 
 
-def _conform_bank(bank_matrix, dim: int) -> np.ndarray:
-    """Validate bank rows and give an empty bank the right column count."""
+def _shaped_bank(bank_matrix, dim: int) -> np.ndarray:
+    """The bank as an (n, dim) matrix, checked for shape only; an empty bank
+    gets dim columns."""
     bank = np.asarray(bank_matrix, dtype=np.float64)
     if bank.size == 0:
         return np.zeros((0, dim))
     if bank.ndim != 2 or bank.shape[1] != dim:
         raise ValueError("bank entries must match the query dimension")
+    return bank
+
+
+def _checked_bank(bank_matrix, dim: int) -> np.ndarray:
+    """_shaped_bank, after checking that every bank row is unit."""
+    bank = _shaped_bank(bank_matrix, dim)
     check_unit_rows(bank, "bank entries")
     return bank
 
@@ -401,7 +408,8 @@ def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
     with k_pos the same keys, and mixlrco_batch(queries, k_pos, *k_den,
     bank_matrix, t_co) when k_den holds the target and source keys and
     k_pos the blended ones. The classifier is a constant, as in
-    re_represent_batch.
+    re_represent_batch. The bank is a MemoryBank snapshot, whose rows were
+    checked when they were pushed, so only its shape is checked here.
 
     Its value and gradient keep the bits of the chain take_rows,
     contrast_rows and the loss head: the backward replays the head's
@@ -417,7 +425,7 @@ def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
         q, q_parts = _rerep_value(f, ad.value_of(classifier), t_re, w_unit)
     else:
         q, norms = unit_last(f)
-    y, parts = _contrast_value(q, k_pos, k_den, bank_matrix, t_co)
+    y, parts = _contrast_value(q, k_pos, k_den, _shaped_bank(bank_matrix, q.shape[-1]), t_co)
     if not ad.is_tensor(f_rows):
         return y
 
@@ -457,4 +465,5 @@ def mixlrco_batch(q_rows, k_mix, k_target, k_source,
     (g / (n T)) (w_t k_target_i + w_s k_source_i + sum_j w_j b_j - k_mix_i).
     """
     k_mix, k_target, k_source = (ad.value_of(k) for k in (k_mix, k_target, k_source))
-    return _contrast_head(q_rows, k_mix, (k_target, k_source), bank_matrix, t_co)
+    bank = _checked_bank(bank_matrix, ad.value_of(q_rows).shape[-1])
+    return _contrast_head(q_rows, k_mix, (k_target, k_source), bank, t_co)

@@ -1,4 +1,6 @@
-"""Fixed-capacity FIFO store of unit-normalized key vectors."""
+"""Fixed-capacity FIFO store of unit-normalized key vectors, the one gate for
+its rows: push_batch checks each row once as it enters, restored rows
+included, and the key array is never written, so a snapshot's rows are unit."""
 
 from __future__ import annotations
 
@@ -31,10 +33,10 @@ class MemoryBank:
     def push_batch(self, keys) -> None:
         """Append rows in order; earlier rows are evicted first when full."""
         keys = np.asarray(keys, dtype=np.float64)
-        if keys.size == 0:
-            return
         if keys.ndim != 2:
             raise ValueError("keys must be a matrix of row vectors")
+        if len(keys) == 0:
+            return
         if self.dim is not None and keys.shape[1] != self.dim:
             raise ValueError(
                 f"key dim {keys.shape[1]} does not match bank dim {self.dim}"
@@ -58,8 +60,10 @@ class MemoryBank:
 
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "MemoryBank":
-        """The bank ``state_arrays`` wrote; a capacity not stored as an integer,
-        or more rows than the capacity, raises ValueError."""
+        """The bank ``state_arrays`` wrote, its rows pushed; a capacity not
+        stored as an integer, more rows than the capacity or contents that are
+        not a matrix raise ValueError, and a row that is not unit
+        InvalidRowsError."""
         capacity = np.asarray(arrays["bank.capacity"])
         if capacity.dtype.kind not in "iu":
             raise ValueError(f"bank capacity {capacity} is not stored as an integer")
@@ -67,8 +71,7 @@ class MemoryBank:
         contents = np.asarray(arrays["bank.contents"], dtype=np.float64)
         if contents.ndim == 2 and len(contents) > bank.capacity:
             raise ValueError(f"bank holds {len(contents)} rows, over its capacity {bank.capacity}")
-        if contents.size:
-            bank.push_batch(contents)
-        elif contents.ndim == 2:
+        bank.push_batch(contents)
+        if not len(bank):  # an empty bank keeps the width it was saved with
             bank._rows = np.zeros(contents.shape)
         return bank

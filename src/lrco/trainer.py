@@ -393,7 +393,10 @@ def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
     probs = np.asarray(probs_of(state, features_of(state, x)), dtype=np.float64)
     preds = probs.argmax(axis=1)
     accuracy = _mean_of(preds == y)
-    per_class = {c: _mean_of(preds[y == c] == c) for c in sorted(set(y.tolist()))}
+    total = np.bincount(y)  # per class, correct / total is the division _mean_of makes
+    present = total.nonzero()[0]
+    correct = np.bincount(y[preds == y], minlength=len(total))[present]
+    per_class = dict(zip(present.tolist(), (correct / total[present]).tolist()))
     mean_confidence = _mean_of(np.maximum.reduce(probs, axis=1))
     return EvalMetrics(accuracy=accuracy, per_class=per_class,
                        mean_confidence=mean_confidence)

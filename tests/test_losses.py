@@ -108,6 +108,8 @@ def test_row_checks_reject_nan_rows():
         contrastive_batch(nan_row, unit, unit, 0.3)
     with pytest.raises(InvalidRowsError, match="bank entries must be unit-normalized"):
         contrastive_batch(unit, unit, nan_row, 0.3)
+    with pytest.raises(InvalidRowsError, match="bank entries must be unit-normalized"):
+        mixlrco_batch(unit, unit, unit, unit, nan_row, 0.3)
     with pytest.raises(InvalidRowsError, match="bank keys must be unit-normalized"):
         MemoryBank(4).push_batch(nan_row)
     # both a package error, which the CLI maps to an exit code, and the

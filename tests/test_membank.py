@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrco.errors import InvalidRowsError
 from lrco.membank import MemoryBank
 from lrco.numerics import SeededRng
 from oracles import unit_rows
@@ -121,6 +122,29 @@ def test_state_roundtrip_empty():
     clone = MemoryBank.from_state_arrays(bank.state_arrays())
     assert len(clone) == 0
     assert clone.capacity == 8
+
+
+def test_restore_refuses_what_a_push_refuses():
+    # the rows of a restored bank go through the push check, so a NaN row
+    # never reaches a snapshot; test_cli's NaN-bank resume is the CLI twin.
+    # Rows of width 0 have norm 0, and contents that are not a matrix hold
+    # no rows: both were restored unchecked before
+    bank = MemoryBank(capacity=6)
+    bank.push_batch(unit_rows(SeededRng(7), 4, 5))
+    arrays = bank.state_arrays()
+    arrays["bank.contents"][2, 1] = np.nan
+    with pytest.raises(InvalidRowsError, match="bank keys must be unit-normalized"):
+        MemoryBank.from_state_arrays(arrays)
+    capacity = arrays["bank.capacity"]
+    for contents, error in ((np.zeros((3, 0)), InvalidRowsError), (np.zeros(0), ValueError),
+                            (np.zeros((0, 0, 3)), ValueError)):
+        with pytest.raises(error):
+            MemoryBank.from_state_arrays({"bank.contents": contents, "bank.capacity": capacity})
+    with pytest.raises(ValueError, match="matrix of row vectors"):
+        bank.push_batch(np.zeros(0))
+    empty = MemoryBank.from_state_arrays({"bank.contents": np.zeros((0, 5)),
+                                          "bank.capacity": capacity})
+    assert len(empty) == 0 and empty.snapshot().shape == (0, 5)
 
 
 def test_default_capacity_is_512():

@@ -5,15 +5,18 @@ only the config check and the step's plan read, only model.py builds a
 state's arrays, no top-level function or class is left that nothing names,
 every function of tests/oracles.py has a test that uses it, __all__ lists
 the package's public imports, every written float and line ending goes
-through one format, and the golden and acceptance tests train through the
-shared cache. Every committed BENCH_*.json record parses and
-carries the keys that all of them share."""
+through one format, the golden and acceptance tests train through the
+shared cache, and only the step hands the contrastive branch its bank, whose
+rows the bank checked, while only the reference heads check a bank's rows.
+Every committed BENCH_*.json record parses and carries the keys that all of
+them share, and a claim's numeric fields equal what its raw pairs give."""
 
 import ast
 import importlib
 import inspect
 import json
 import pathlib
+import statistics
 
 import lrco
 from lrco import (
@@ -80,9 +83,10 @@ def test_no_method_name_is_compared_outside_the_terms_table():
     assert _method_name_compares(sample) == [1, 3, 4]
 
 
-def _method_terms_readers(source: str) -> list[str]:
-    """The dotted names of the functions and classes whose code reads the
-    name METHOD_TERMS, "<module>" for a top-level statement."""
+def _readers(source: str, name: str) -> list[str]:
+    """The dotted names of the functions and classes whose code reads
+    ``name``, as a name, an attribute or an imported name, "<module>" for a
+    top-level statement."""
     found = set()
 
     def visit(node, scope):
@@ -90,8 +94,10 @@ def _method_terms_readers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == "METHOD_TERMS"
-                    and isinstance(child.ctx, ast.Load)):
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.alias) and child.name == name)):
                 found.add(scope or "<module>")
             visit(child, scope)
 
@@ -103,13 +109,15 @@ def test_only_the_step_plan_reads_the_terms_table():
     # prepare_step decides a step's plan from METHOD_TERMS and records it in
     # the StepBatch; a step that reads the table again decides it twice
     source = (ROOT / "src" / "lrco" / "trainer.py").read_text(encoding="utf-8")
-    readers = _method_terms_readers(source)
+    readers = _readers(source, "METHOD_TERMS")
     assert set(readers) <= {"<module>", "TrainConfig.validate", "prepare_step"}, readers
     sample = ("METHOD_TERMS = {}\nA = tuple(m for m in METHOD_TERMS)\n\n"
               "class C:\n    def validate(self):\n        return METHOD_TERMS\n\n"
               "def f():\n    def g():\n        return METHOD_TERMS['x']\n    return g\n\n"
-              "def h(terms=METHOD_TERMS):\n    return terms\n")
-    assert _method_terms_readers(sample) == ["<module>", "C.validate", "f.g", "h"]
+              "def h(terms=METHOD_TERMS):\n    return terms\n\n"
+              "def k():\n    from trainer import METHOD_TERMS as t\n"
+              "    return trainer.METHOD_TERMS\n")
+    assert _readers(sample, "METHOD_TERMS") == ["<module>", "C.validate", "f.g", "h", "k"]
 
 
 STATE_ARRAYS = ("weights", "biases", "classifier")
@@ -224,6 +232,23 @@ def test_every_top_level_definition_is_named_or_listed():
                     "    def __call__(self):\n        pass\n\nD().n()\n"),
               "__init__": "from .a import f\n"}
     assert _unnamed_definitions(sample) == ["a.f", "a.g", "c.D.m"]
+
+
+def test_only_the_step_reads_the_branch_and_only_the_reference_heads_check_a_bank():
+    # contrastive_branch checks its bank's shape alone: its bank is the
+    # step's MemoryBank snapshot, whose rows the bank checked when they were
+    # pushed. The row-checking conform serves the reference heads, whose
+    # bank may be any matrix; a new user of either could let an unchecked
+    # row reach the loss
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
+
+    def readers(name):
+        return sorted(f"{mod}.{scope}" for mod, text in sources.items()
+                      for scope in _readers(text, name))
+
+    assert readers("contrastive_branch") == ["trainer.step_objective"]
+    assert readers("_checked_bank") == ["losses.contrastive_batch", "losses.mixlrco_batch"]
 
 
 def _unused_oracles(oracle_source: str, test_sources) -> list[str]:
@@ -344,3 +369,47 @@ def test_every_bench_record_parses_and_has_the_shared_keys():
         assert isinstance(record, dict), path.name
         missing = [key for key in BENCH_KEYS if key not in record]
         assert not missing, (path.name, missing)
+
+
+# The numeric fields of a claim, which its raw pairs must give.
+CLAIM_FIELDS = ("before", "after", "better", "pairs", "parent_iqr")
+
+
+def _claim_fields(record: dict, better: dict) -> dict:
+    """CLAIM_FIELDS recomputed from the raw pairs of claim.metric on
+    claim.workload: the parent and change medians, the pairs in which the
+    change is better (``better`` maps each metric to "lower" or "higher"),
+    the pair count and the parent's interquartile range (inclusive
+    quartiles); each median and the range rounded to 6 decimals."""
+    claim = record["claim"]
+    pairs = record["workloads"][claim["workload"]]["pairs"]
+    parent, change = ([pair[side][claim["metric"]] for pair in pairs]
+                      for side in ("parent", "change"))
+    sign = 1 if better[claim["metric"]] == "lower" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return {"before": round(statistics.median(parent), 6),
+            "after": round(statistics.median(change), 6),
+            "better": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs), "parent_iqr": round(q3 - q1, 6)}
+
+
+def test_every_numeric_claim_equals_what_its_pairs_give():
+    # a claim's numbers are copied from its pairs by hand; each record that
+    # carries them is recomputed, so a transcription error fails here
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    checked = 0
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        claim = record["claim"]
+        if isinstance(claim, dict) and set(CLAIM_FIELDS) & set(claim):
+            assert {key: claim.get(key) for key in CLAIM_FIELDS} == _claim_fields(
+                record, better), path.name
+            checked += 1
+    assert checked
+    sample = {"claim": {"metric": "m", "workload": "w"}, "workloads": {"w": {"pairs": [
+        {"parent": {"m": p}, "change": {"m": c}} for p, c in ((1.0, 0.5), (2.0, 2.5), (4.0, 3.0),
+                                                             (3.0, 3.0), (5.0, 1.0))]}}}
+    assert _claim_fields(sample, {"m": "lower"}) == {
+        "before": 3.0, "after": 2.5, "better": 3, "pairs": 5, "parent_iqr": 2.0}
+    assert _claim_fields(sample, {"m": "higher"})["better"] == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import trajectory_digest
 from lrco import autodiff as ad
 from lrco import losses as L
-from lrco import numerics, trainer
+from lrco import membank, numerics, trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
 from lrco.errors import ConfigError, TrainingDivergedError
 from lrco.membank import MemoryBank
@@ -938,6 +938,28 @@ def test_evaluate_rejects_empty():
         evaluate(student, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
+def test_per_class_accuracy_keeps_the_per_class_mean_bits(monkeypatch):
+    # the per-class accuracies are counted for all classes at once; each
+    # must keep the bits and the int key of the per-class mean it replaced,
+    # and only the classes present in y get one
+    rng = SeededRng(3, "per-class")
+    probs = {}
+    monkeypatch.setattr(trainer, "features_of", lambda state, x: x)
+    monkeypatch.setattr(trainer, "probs_of", lambda state, feats: probs["now"])
+    for _ in range(200):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 300))
+        classes = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        y = classes[rng.integers(0, len(classes), size=n)].astype(np.int64)
+        probs["now"] = rng.dirichlet(np.ones(k), size=n)
+        preds = probs["now"].argmax(axis=1)
+        want = {c: float(np.mean(preds[y == c] == c)) for c in sorted(set(y.tolist()))}
+        got = evaluate(None, np.zeros((n, 1)), y).per_class
+        assert list(got) == list(want)
+        assert all(type(c) is int for c in got)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 # --- epoch cycling ------------------------------------------------------------------------
 
 def test_cycler_covers_each_epoch_exactly_once():
@@ -1062,6 +1084,39 @@ def test_fit_seeds_no_seed_sequence_inside_prepare_step(monkeypatch):
     fit(bench, AUG, cfg, hidden_dims=(6,), feature_dim=5)
     assert len(mixed) == cfg.total_steps == 600 and any(mixed)  # the mix streams were drawn too
     assert built == {True: 0, False: 1}, built
+
+
+@pytest.mark.parametrize("method", ["lrco", "mixlrco"])
+def test_bank_rows_are_checked_once_when_pushed(monkeypatch, method):
+    # the bank is the one gate for its rows: each row is checked when it is
+    # pushed, and the contrastive branch checks its snapshot's shape only
+    checked, steps = [], []
+    check, prepare = L.check_unit_rows, trainer.prepare_step
+
+    def recording_check(x, name):
+        checked.append((ad.value_of(x), name))
+        check(x, name)
+
+    def watched_prepare(*args, **kwargs):
+        steps.append(prepare(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(L, "check_unit_rows", recording_check)
+    monkeypatch.setattr(membank, "check_unit_rows", recording_check)
+    monkeypatch.setattr(trainer, "prepare_step", watched_prepare)
+    cfg = TrainConfig(method=method, total_steps=40, batch_labeled=12, batch_unlabeled=12,
+                      bank_capacity=24, seed=2)
+    result = fit(small_benchmark(), AUG, cfg, hidden_dims=(6,), feature_dim=5)
+    snapshots = [sb.bank_snapshot for sb in steps if len(sb.bank_snapshot)]
+    assert any(sb.query_rows is not None for sb in steps)
+    assert len(result.bank) == cfg.bank_capacity and len(snapshots[-1]) == cfg.bank_capacity
+    assert not [name for x, name in checked
+                if any(np.shares_memory(x, snap) for snap in snapshots)]
+    assert "bank entries" not in {name for _, name in checked}
+    pushed = sum(len(sb.keys_sel) for sb in steps)
+    assert sum(len(x) for x, name in checked if name == "bank keys") == pushed > cfg.bank_capacity
+    for snap in snapshots:
+        assert np.all(np.abs(numerics.norm_last(snap) - 1.0) <= L.UNIT_NORM_TOL)
 
 
 # --- lambda_co = 0 reduction ------------------------------------------------------------
