@@ -80,8 +80,9 @@ def similarity_stats(features: np.ndarray, labels, confident) -> SimilarityRepor
         within[name] = w
         cross[name] = c
         # The statistic needs at least two samples spread over at least two
-        # classes; anything else is reported as degenerate, never fatal.
-        if len(idx) < 2 or len(set(gy.tolist())) < 2 or not np.isfinite(w) or not np.isfinite(c):
+        # classes; anything else has a NaN mean (the rows are unit) and is
+        # reported as degenerate, never fatal.
+        if not (np.isfinite(w) and np.isfinite(c)):
             degenerate.append(name)
 
     def scaled(values: dict[str, float]) -> dict[str, float]:
@@ -131,14 +132,9 @@ def pca_top2(features: np.ndarray):
     n_comp = min(2, vt.shape[0])
     components = np.zeros((2, d))
     components[:n_comp] = vt[:n_comp]
-    for row in range(2):
-        comp = components[row]
-        if np.any(comp != 0):
-            pivot = int(np.argmax(np.abs(comp)))
-            if comp[pivot] < 0:
-                components[row] = -comp
-        elif row < d:
-            components[row, row] = 1.0  # rank-deficient: axis-aligned fallback
+    for row, comp in enumerate(components):  # 1-wide features leave row 1 zero
+        if comp[np.argmax(np.abs(comp))] < 0:
+            components[row] = -comp
     coords = centered @ components.T
     return coords, components, s
 

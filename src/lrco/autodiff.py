@@ -26,26 +26,18 @@ from . import numerics
 
 
 class Tensor:
-    """A value in the computation graph. Leaves with requires_grad accumulate grads."""
+    """A value in the computation graph: a parameter leaf (no parents), whose
+    .grad sums what its consumers pass it, or an op node over other Tensors."""
 
-    __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "backward_fn")
 
-    def __init__(self, value, parents=(), backward_fn=None, requires_grad=None):
+    def __init__(self, value, parents=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents  # every op passes a tuple of Tensors
         self.backward_fn = backward_fn
-        if requires_grad is None:
-            requires_grad = False
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
-        self.requires_grad = bool(requires_grad)
         self.grad = None
 
     def accumulate(self, g) -> None:
-        if not self.requires_grad:
-            return
         if self.grad is None:
             # the bits of zeros + g, -0.0 -> +0.0 included, in a fresh array of
             # the value's shape (g may broadcast to it)
@@ -69,11 +61,11 @@ class Tensor:
         return float(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.value.shape}, parents={len(self.parents)})"
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Depth-first post-order over the op nodes that require a gradient. A
+    """Depth-first post-order over root and the op nodes under it. A
     parameter with several consumers sums its gradients in this order, so
     the order is part of every result's bits.
 
@@ -85,7 +77,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     graph. The root is kept, leaf or not."""
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)] if root.requires_grad else []
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -96,7 +88,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if parent.requires_grad and parent.parents:
+            if parent.parents:
                 stack.append((parent, False))
     return order
 
@@ -107,10 +99,6 @@ def is_tensor(x) -> bool:
 
 def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 # Backward formulas of a row softmax and of normalize_rows. The fused nodes of
@@ -138,13 +126,6 @@ def normalize_grad(g, y, norms) -> np.ndarray:
     return (g - inner * y) / norms
 
 
-def first_grad(g: np.ndarray) -> np.ndarray:
-    """g + 0.0, in place: the bits of a node's gradient after its first
-    accumulate (-0.0 becomes +0.0). g must be a fresh array of the node's
-    shape."""
-    return np.add(g, 0.0, out=g)
-
-
 def row_block(x: np.ndarray, idx) -> np.ndarray:
     """The rows idx of x (an index array or a slice), contiguous. On a
     (B, N, d) stack an index copy lays the row axis out outermost, and
@@ -156,14 +137,14 @@ def row_block(x: np.ndarray, idx) -> np.ndarray:
 
 def weighted_sum(pairs):
     """Sum of w * x over (x, w) pairs, x a term and w a plain python
-    constant, accumulated left to right; x gets g * w."""
+    constant, accumulated left to right; x gets g * w. A graph node when
+    any term is a Tensor, and then every term must be one."""
     pairs = [(x, float(w)) for x, w in pairs]
     y = value_of(pairs[0][0]) * pairs[0][1]
     for x, w in pairs[1:]:
         y = y + value_of(x) * w
     if not any(is_tensor(x) for x, _ in pairs):
         return y
-    pairs = [(lift(x), w) for x, w in pairs]
 
     def backward_fn(g):
         for x, w in pairs:

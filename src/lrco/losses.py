@@ -273,10 +273,9 @@ def _rerep_grad(g, parts):
     gets g: the chain normalize_rows, matmul(transpose_b), softmax_rows,
     matmul, normalize_rows, replayed from the top."""
     w, w_unit, t, f_unit, f_norms, attention, y, r_norms = parts
-    g_combined = ad.first_grad(ad.normalize_grad(g, y, r_norms))
-    g_att = ad.first_grad(g_combined @ w.T)
-    g_cos = ad.first_grad(ad.softmax_grad(g_att, attention, t))
-    return ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms)
+    g_att = ad.normalize_grad(g, y, r_norms) @ w.T
+    g_cos = ad.softmax_grad(g_att, attention, t)
+    return ad.normalize_grad(g_cos @ w_unit, f_unit, f_norms)
 
 
 def re_represent_batch(f_rows, classifier, t_re: float, w_unit=None):
@@ -430,7 +429,7 @@ def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
         return y
 
     def backward_fn(g):
-        g_q = ad.first_grad(_contrast_grad(g, k_pos, k_den, t_co, parts))
+        g_q = _contrast_grad(g, k_pos, k_den, t_co, parts)
         grad = np.zeros(f_all.shape)
         grad[rows] = (_rerep_grad(g_q, q_parts) if mode == "rerep"
                       else ad.normalize_grad(g_q, q, norms))

@@ -173,12 +173,10 @@ def features_of(model_like, x_rows):
 
     def backward_fn(g):
         for i in range(last, -1, -1):
-            g_pre = g + 0.0  # the matmul node's first accumulate
             biases[i].accumulate(np.add.reduce(g, axis=0))
-            weights[i].accumulate(hs[i].T @ g_pre)
+            weights[i].accumulate(hs[i].T @ g)
             if i:  # through the tanh node below, to the layer under it
-                g_t = ad.first_grad(g_pre @ weights[i].value.T)
-                g = ad.first_grad(g_t * (1.0 - hs[i] * hs[i]))
+                g = (g @ weights[i].value.T) * (1.0 - hs[i] * hs[i])
 
     return ad.Tensor(h, (*weights, *biases), backward_fn)
 
@@ -198,8 +196,9 @@ def probs_of(model_like, feature_rows, rows: slice | None = None, classifier_uni
     into that range of feature_rows, which the other rows leave at zero.
     ``classifier_unit`` is unit_classifier(model_like) when the caller has it.
 
-    One graph node, whose value serves both dispatch paths and the numpy
-    stack axis. Its backward replays the op chain (take_rows for a range),
+    A graph node when feature_rows is a Tensor, and then the classifier must
+    be one too; its value serves both dispatch paths and the numpy stack
+    axis. Its backward replays the op chain (take_rows for a range),
     normalize_rows (classifier and features), matmul(transpose_b),
     softmax_rows with the same expressions, into the feature rows and the
     classifier.
@@ -211,28 +210,25 @@ def probs_of(model_like, feature_rows, rows: slice | None = None, classifier_uni
     f_unit, f_norms = unit_last(f_all if rows is None else ad.row_block(f_all, rows))
     t = ad.positive_temperature(model_like.t_ce)
     y = softmax_last(f_unit @ w_unit.mT, t)
-    if not (ad.is_tensor(feature_rows) or ad.is_tensor(classifier)):
+    if not ad.is_tensor(feature_rows):
         return y
-    f, w = ad.lift(feature_rows), ad.lift(classifier)
 
     def backward_fn(g):
-        g_cos = ad.first_grad(ad.softmax_grad(g, y, t))
-        if f.requires_grad:
-            g_f = ad.normalize_grad(ad.first_grad(g_cos @ w_unit), f_unit, f_norms)
-            if rows is None:
-                f.accumulate(g_f)
-            else:
-                g_all = np.zeros(f_all.shape)
-                g_all[rows] = g_f
-                f.accumulate(g_all)
-        if w.requires_grad:
-            w.accumulate(ad.normalize_grad(ad.first_grad(g_cos.T @ f_unit), w_unit, w_norms))
+        g_cos = ad.softmax_grad(g, y, t)
+        g_f = ad.normalize_grad(g_cos @ w_unit, f_unit, f_norms)
+        if rows is None:
+            feature_rows.accumulate(g_f)
+        else:
+            g_all = np.zeros(f_all.shape)
+            g_all[rows] = g_f
+            feature_rows.accumulate(g_all)
+        classifier.accumulate(ad.normalize_grad(g_cos.T @ f_unit, w_unit, w_norms))
 
-    return ad.Tensor(y, (f, w), backward_fn)
+    return ad.Tensor(y, (feature_rows, classifier), backward_fn)
 
 
 def lift_params(m: ModelState) -> ParamTensors:
-    """Wrap every state array in a gradient-requiring tensor. Each leaf's
+    """Wrap every state array in a parameter leaf. Each leaf's
     grad starts as a zero view of one flat vector, so backward sums the
     gradients into it (0.0 + g has the bits of g + 0.0, -0.0 included).
 
@@ -242,7 +238,7 @@ def lift_params(m: ModelState) -> ParamTensors:
     is refilled with zeros before each (grad.fill(0.0) gives the bits of
     np.zeros)."""
     grad = np.zeros(m.params.shape)
-    leaves = [ad.Tensor(value, requires_grad=True) for value in state_arrays(m).values()]
+    leaves = [ad.Tensor(value) for value in state_arrays(m).values()]
     for leaf, grad_view in zip(leaves, _cut(grad, m.layout)):
         leaf.grad = grad_view
     return ParamTensors(weights=leaves[:-1:2], biases=leaves[1:-1:2], classifier=leaves[-1],

@@ -27,7 +27,7 @@ from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augme
 from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
 from .errors import (
     ConfigError, DatasetFormatError, LrcoError, ShapeMismatchError, TrainingDivergedError,
-    check_domains, within,
+    check_domains, inside, within,
 )
 from .membank import MemoryBank
 from .model import (
@@ -497,20 +497,28 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one raises DatasetFormatError.
-    A hash the file does not record loads as the field's default."""
+    """Read a checkpoint; a file that is not one, or whose model cannot run
+    (a temperature outside (0, inf), bank rows another width than the
+    features), raises DatasetFormatError. A hash the file does not record
+    loads as the field's default."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
+        for name in ("t_ce", "t_re"):
+            if not inside(meta[name], "(0, inf)"):
+                raise ValueError(f"{name} must lie in (0, inf), got {meta[name]!r}")
         student, teacher, velocity = (
             state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix=prefix)
             for prefix in ("student/", "teacher/", "velocity/"))
         if not student.layout == teacher.layout == velocity.layout:
             raise ShapeMismatchError("student, teacher and velocity arrays differ in shape")
+        bank = MemoryBank.from_state_arrays(arrays)
+        if bank.dim not in (None, student.feature_dim):
+            raise ShapeMismatchError(
+                f"bank rows are {bank.dim} wide, the features {student.feature_dim}")
         return Checkpoint(
-            student=student, teacher=teacher, velocities=velocity.params,
-            bank=MemoryBank.from_state_arrays(arrays),
+            student=student, teacher=teacher, velocities=velocity.params, bank=bank,
             **{name: cast(meta[name]) for name, cast in _META_FIELDS.items() if name in meta},
         )
     except FileNotFoundError:

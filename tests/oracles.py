@@ -9,6 +9,11 @@ package's own ops are: on plain numpy inputs it returns the value, leading
 stack axis included, and with at least one Tensor it wraps the same value in
 a graph node.
 
+The package builds no constant node: a training step's graph holds only
+parameter leaves and op nodes. The chains here lift their constant operands
+into parentless Tensors (lift, detach); such a constant gets a gradient like
+any leaf, and no test reads it.
+
 Also the helpers that several test modules share.
 """
 
@@ -16,9 +21,15 @@ import numpy as np
 
 from lrco import numerics
 from lrco.autodiff import (
-    Tensor, is_tensor, lift, positive_temperature, row_block, softmax_grad, value_of,
+    Tensor, is_tensor, positive_temperature, row_block, softmax_grad, value_of,
 )
 from lrco.model import state_arrays
+
+
+def lift(x) -> Tensor:
+    """x as a graph operand: a Tensor as it is, an array as a parentless
+    Tensor (a constant, whose gradient nothing reads)."""
+    return x if is_tensor(x) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -53,10 +64,8 @@ def matmul(a, b, transpose_b: bool = False):
     a, b = lift(a), lift(b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.value if transpose_b else g @ b.value.T)
-        if b.requires_grad:
-            b.accumulate(g.T @ a.value if transpose_b else a.value.T @ g)
+        a.accumulate(g @ b.value if transpose_b else g @ b.value.T)
+        b.accumulate(g.T @ a.value if transpose_b else a.value.T @ g)
 
     return Tensor(y, (a, b), backward_fn)
 
@@ -93,10 +102,11 @@ def take_rows(a, idx):
 
 
 def detach(a):
-    """Stop gradients: the value flows forward, nothing flows back."""
+    """Stop gradients: the value flows forward as a parentless Tensor, and
+    nothing flows back."""
     if not is_tensor(a):
         return value_of(a)
-    return Tensor(a.value, requires_grad=False)
+    return Tensor(a.value)
 
 
 def unit_rows(rng, n, d):

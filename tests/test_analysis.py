@@ -172,6 +172,16 @@ def test_pca_sign_convention_deterministic():
         assert row[int(np.argmax(np.abs(row)))] > 0
 
 
+def test_pca_of_one_wide_features_has_a_zero_second_component():
+    x = np.array([[0.5], [-2.0], [1.25], [3.0]])
+    coords, components, s = pca_top2(x)
+    centered = x - x.mean(axis=0, keepdims=True)
+    np.testing.assert_array_equal(components, [[1.0], [0.0]])
+    np.testing.assert_array_equal(coords[:, 0], centered[:, 0])
+    np.testing.assert_array_equal(coords[:, 1], np.zeros(4))
+    assert s.shape == (1,)
+
+
 def test_project_needs_three_samples():
     with pytest.raises(ValueError):
         project_2d(np.ones((2, 3)))

@@ -38,7 +38,7 @@ def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
     def scalar_of(arrays):
         return float(probe(build(*arrays)))
 
-    tensors = [ad.Tensor(x.copy(), requires_grad=True) for x in inputs]
+    tensors = [ad.Tensor(x.copy()) for x in inputs]
     probe(build(*tensors)).backward()
 
     for i, t in enumerate(tensors):
@@ -100,7 +100,7 @@ def test_normalize_rows_rejects_zero_row():
 def test_take_rows_repeated_indices_accumulate():
     # repeated rows must add their gradients, not overwrite
     idx = np.array([1, 1, 0])
-    t = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2), requires_grad=True)
+    t = ad.Tensor(np.arange(6, dtype=np.float64).reshape(3, 2))
     out = probe_sum(oracles.take_rows(t, idx), 1.0 / 6)
     out.backward()
     # each of the 6 selected entries carries 1/6
@@ -109,7 +109,7 @@ def test_take_rows_repeated_indices_accumulate():
 
 
 def test_detach_blocks_gradient():
-    t = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    t = ad.Tensor(np.array([[1.0, 2.0]]))
     out = probe_sum(oracles.matmul(oracles.detach(t), t, transpose_b=True), 1.0)
     out.backward()
     # d/dt (c . t) with c = detach(t) frozen at [1, 2]
@@ -123,7 +123,7 @@ def test_array_inputs_stay_plain_numpy():
 
 
 def test_diamond_graph_accumulates():
-    t = ad.Tensor(np.array([[3.0]]), requires_grad=True)
+    t = ad.Tensor(np.array([[3.0]]))
     four = np.array([[4.0]])
     y = oracles.add(oracles.matmul(t, t, transpose_b=True), oracles.matmul(t, four))  # t^2 + 4t
     probe_sum(y, 1.0).backward()
@@ -131,7 +131,7 @@ def test_diamond_graph_accumulates():
 
 
 def test_first_gradient_is_a_fresh_array():
-    t = ad.Tensor(np.zeros(3), requires_grad=True)
+    t = ad.Tensor(np.zeros(3))
     g = np.array([1.0, -0.0, 2.0])
     t.accumulate(g)
     assert not np.shares_memory(t.grad, g)
@@ -143,18 +143,17 @@ def test_first_gradient_is_a_fresh_array():
 
 
 def test_constant_operands_get_no_gradient():
-    w = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    bank = ad.Tensor(np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]), requires_grad=False)
+    w = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    bank = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
     sims = oracles.matmul(w, bank, transpose_b=True)
     probe_sum(sims, 0.125).backward()
     # d/dw of (w @ bank.T) summed and weighted by 1/8: the bank's column
     # sums over 8 in every row
-    np.testing.assert_array_equal(w.grad, np.tile(bank.value.sum(axis=0) / 8, (2, 1)))
-    assert bank.grad is None
+    np.testing.assert_array_equal(w.grad, np.tile(bank.sum(axis=0) / 8, (2, 1)))
 
 
 def test_backward_requires_scalar():
-    t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    t = ad.Tensor(np.ones((2, 2)))
     out = oracles.tanh(t)
     with pytest.raises(ValueError):
         out.backward()
@@ -163,7 +162,7 @@ def test_backward_requires_scalar():
 def test_second_backward_on_fresh_graph_matches():
     # building the same graph twice gives identical gradients (no state leak)
     def run():
-        t = ad.Tensor(np.array([[0.3, -0.2], [0.1, 0.9]]), requires_grad=True)
+        t = ad.Tensor(np.array([[0.3, -0.2], [0.1, 0.9]]))
         weights = np.array([[1.0, -1.0], [2.0, 0.5]])
         loss = probe_sum(oracles.softmax_rows(t, 0.5), weights)
         loss.backward()
@@ -317,8 +316,8 @@ def test_probs_of_gradient_reaches_features_and_classifier():
 def test_re_represent_gradient_reaches_the_features_only():
     w = np.asarray(SeededRng(35).normal(size=(4, 5)))
     check_op_gradient(lambda f: re_represent_batch(f, w, 0.3), (6, 5), seed=36)
-    f = ad.Tensor(np.asarray(SeededRng(37).normal(size=(6, 5))), requires_grad=True)
-    w_leaf = ad.Tensor(w, requires_grad=True)
+    f = ad.Tensor(np.asarray(SeededRng(37).normal(size=(6, 5))))
+    w_leaf = ad.Tensor(w)
     node = re_represent_batch(f, w_leaf, 0.3)
     assert node.parents == (f,)
     probe_sum(node, 1.0).backward()
@@ -348,7 +347,7 @@ def test_numpy_call_equals_graph_value(case):
     inputs = [np.asarray(rng.normal(size=s)) for s in shapes]
     plain = build(*inputs)
     assert isinstance(plain, np.ndarray)  # a Tensor is no ndarray
-    all_lifted = [ad.Tensor(x, requires_grad=True) for x in inputs]
+    all_lifted = [ad.Tensor(x) for x in inputs]
     first_lifted = all_lifted[:1] + inputs[1:]
     for args in (all_lifted, first_lifted):
         node = build(*args)
@@ -429,7 +428,7 @@ def _same_bits(ours, theirs):
 
 def _grad_through(op, x, g, *rest):
     """The gradient the leaf x receives when op's node gets g."""
-    leaf = ad.Tensor(x, requires_grad=True)
+    leaf = ad.Tensor(x)
     op(leaf, *rest).backward_fn(g)
     return leaf.grad
 

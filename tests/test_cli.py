@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import json
 import os
 import signal
 import subprocess
 import sys
 
 import numpy as np
+import oracles
 import pytest
 
 from lrco import cli, trainer
@@ -470,6 +472,50 @@ def test_checkpoint_bank_over_its_capacity_or_fractional_exits_4(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
                               "(ValueError: bank "), err
+
+
+def test_checkpoint_its_model_cannot_run_exits_4_in_every_command(tmp_path, capsys):
+    # each of these once loaded, then `train --resume`, `eval` or both
+    # exited 1 with a ValueError traceback: bank rows of another width than
+    # the features (5 here), and a temperature outside (0, inf)
+    run = tmp_path / "run"
+    assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
+    with np.load(run / "checkpoint_final.npz", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    narrow = oracles.unit_rows(np.random.default_rng(3), 7, 4)
+    cases = {"narrow_bank": ({"bank.contents": narrow},
+                             "ShapeMismatchError: bank rows are 4 wide, the features 5)")}
+    for name in ("t_ce", "t_re"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            text = json.dumps({**meta, name: value})
+            cases[f"{name}={value}"] = ({"meta": np.array(text)},
+                                        f"ValueError: {name} must lie in (0, inf), got ")
+
+    def contents(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+    before = contents(run)
+    out = tmp_path / "out"
+    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
+    for case, (entries, error) in cases.items():
+        bad = tmp_path / f"{case}.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **{**arrays, **entries})
+        with pytest.raises(DatasetFormatError):
+            load_checkpoint(bad)
+        for argv in (["train", "--out", str(run), "--resume", str(bad), *longer],
+                     ["train", "--out", str(out), "--resume", str(bad), *longer],
+                     ["eval", "--checkpoint", str(bad), *FAST],
+                     ["analyze", "--checkpoint", str(bad), "--out", str(out), *FAST]):
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_INVALID_CONFIG, (case, argv, err)
+            assert len(err.splitlines()) == 1, (case, argv, err)
+            assert err.startswith(f"error: invalid-config: {bad} is not a readable "
+                                  f"checkpoint ({error}"), (case, argv, err)
+        assert contents(run) == before, case
+        assert not out.exists(), case
 
 
 def test_every_documented_exit_code(tmp_path, capsys):

@@ -363,8 +363,8 @@ def test_re_represent_batch_unit_rows():
 
 def test_re_represent_detach_blocks_classifier_gradient():
     rng = SeededRng(5)
-    w = ad.Tensor(np.asarray(rng.normal(size=(3, 4))), requires_grad=True)
-    f = ad.Tensor(np.asarray(rng.normal(size=(2, 4))), requires_grad=True)
+    w = ad.Tensor(np.asarray(rng.normal(size=(3, 4))))
+    f = ad.Tensor(np.asarray(rng.normal(size=(2, 4))))
     keys, bank = unit_rows(rng, 2, 4), unit_rows(rng, 3, 4)
     out = contrastive_batch(re_represent_batch(f, w, t_re=0.5), keys, bank, 0.3)
     out.backward()
@@ -609,7 +609,7 @@ def test_mixlrco_batch_is_rowwise_mean():
 def test_losses_differentiable_through_tensors():
     # smoke: batch losses built on tensors backpropagate without error
     rng = SeededRng(20)
-    raw = ad.Tensor(np.asarray(rng.normal(size=(4, 6))), requires_grad=True)
+    raw = ad.Tensor(np.asarray(rng.normal(size=(4, 6))))
     q = ad.normalize_rows(raw)
     k = unit_rows(rng, 4, 6)
     bank = unit_rows(rng, 7, 6)
@@ -662,7 +662,7 @@ def _head_gradients(build, x, free):
         points[:, free] = stack
         return build(points)
 
-    leaf = ad.Tensor(x.copy(), requires_grad=True)
+    leaf = ad.Tensor(x.copy())
     build(leaf).backward()
     return leaf.grad, finite_diff_grad(f, x[free])
 
@@ -701,7 +701,7 @@ def test_head_with_an_empty_bank():
     cases = _head_cases(bank_rows=0)
     # InfoNCE: the positive is the whole partition function
     build, q = cases["contrastive_batch"]
-    leaf = ad.Tensor(q.copy(), requires_grad=True)
+    leaf = ad.Tensor(q.copy())
     value = build(leaf)
     value.backward()
     assert float(value) == 0.0 and float(build(q)) == 0.0
@@ -717,7 +717,7 @@ def test_head_with_an_empty_bank():
 def test_head_numpy_call_equals_graph_value(head):
     build, x = _head_cases()[head]
     plain = np.asarray(build(x))
-    node = build(ad.Tensor(x, requires_grad=True))
+    node = build(ad.Tensor(x))
     assert isinstance(node, ad.Tensor)
     assert plain.shape == node.value.shape == ()
     assert plain.tobytes() == node.value.tobytes()
@@ -739,9 +739,9 @@ def test_head_numpy_path_accepts_a_stack_axis(head):
 
 def test_contrastive_heads_write_only_into_the_queries():
     rng = SeededRng(32)
-    q, keys, k_t, k_s, bank = (ad.Tensor(unit_rows(rng, 3, 4), requires_grad=True)
+    q, keys, k_t, k_s, bank = (ad.Tensor(unit_rows(rng, 3, 4))
                                for _ in range(5))
-    k_mix = ad.Tensor(0.5 * (k_t.value + k_s.value), requires_grad=True)
+    k_mix = ad.Tensor(0.5 * (k_t.value + k_s.value))
     contrastive_batch(q, keys, bank.value, 0.3).backward()
     mixlrco_batch(q, k_mix, k_t, k_s, bank.value, 0.3).backward()
     assert q.grad is not None and np.any(q.grad != 0.0)
@@ -817,7 +817,7 @@ def test_class_head_equals_the_chain_bit_for_bit(case):
         assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
 
     def grad_of(build, key):
-        leaf = ad.Tensor(p.copy(), requires_grad=True)
+        leaf = ad.Tensor(p.copy())
         total, terms = build(leaf, *args)
         node = total if key is None else terms[key]
         assert isinstance(node, ad.Tensor)
@@ -862,7 +862,7 @@ def test_class_head_numpy_path_takes_a_stack_axis(case, small):
 
 def test_class_head_is_one_node_and_its_terms_stay_outside_it():
     p, args = _class_case()
-    leaf = ad.Tensor(p, requires_grad=True)
+    leaf = ad.Tensor(p)
     total, terms = class_terms_batch(leaf, *args)  # the terms' values alone
     assert list(terms) == list(CLASS_TERMS)
     assert total.parents == (leaf,)
@@ -948,11 +948,11 @@ def test_contrastive_branch_equals_the_chain_bit_for_bit(head, mode, bank_rows):
     for w_unit in (None, unit):
         fused = functools.partial(contrastive_branch, w_unit=w_unit)
         # values on the plain and stacked numpy paths and on the graph
-        for x in (f, stack, ad.Tensor(f, requires_grad=True)):
+        for x in (f, stack, ad.Tensor(f)):
             assert _bits(fused(x, *args)) == _bits(_branch_chain(x, *args))
         grads = []
         for build in (fused, _branch_chain):
-            leaf = ad.Tensor(f.copy(), requires_grad=True)
+            leaf = ad.Tensor(f.copy())
             node = build(leaf, *args)
             node.backward()
             grads.append(leaf.grad)
@@ -971,7 +971,7 @@ def test_contrastive_branch_after_another_consumer_of_the_rows():
     f, args, _ = _branch_case("mix", "rerep", 6)
     grads = []
     for build in (contrastive_branch, _branch_chain):
-        leaf = ad.Tensor(f.copy(), requires_grad=True)
+        leaf = ad.Tensor(f.copy())
         other = ad.Tensor(np.add.reduce(f * f, axis=None), (leaf,),
                           lambda g, leaf=leaf: leaf.accumulate(2.0 * g * leaf.value))
         ad.weighted_sum(((other, 0.25), (build(leaf, *args), 0.5))).backward()
@@ -981,8 +981,8 @@ def test_contrastive_branch_after_another_consumer_of_the_rows():
 
 def test_contrastive_branch_is_one_node_and_leaves_the_classifier_alone():
     f, (rows, classifier, *rest), _ = _branch_case("mix", "rerep", 6)
-    leaf = ad.Tensor(f, requires_grad=True)
-    w = ad.Tensor(classifier, requires_grad=True)
+    leaf = ad.Tensor(f)
+    w = ad.Tensor(classifier)
     node = contrastive_branch(leaf, rows, w, *rest)
     assert node.parents == (leaf,)
     node.backward()

@@ -6,8 +6,9 @@ state's arrays, no top-level function or class is left that nothing names,
 every function of tests/oracles.py has a test that uses it, __all__ lists
 the package's public imports, every written float and line ending goes
 through one format, the golden and acceptance tests train through the
-shared cache, and only the step hands the contrastive branch its bank, whose
-rows the bank checked, while only the reference heads check a bank's rows.
+shared cache, only the step hands the contrastive branch its bank, whose
+rows the bank checked, while only the reference heads check a bank's rows,
+and lift_params builds the only parameter leaves.
 Every committed BENCH_*.json record parses and carries the keys that all of
 them share, and a claim's numeric fields equal what its raw pairs give."""
 
@@ -159,6 +160,50 @@ def test_state_arrays_stay_views_of_params():
               "self.weights = w\n")
     assert _state_array_rebinds(sample, in_model=False) == [1, 2, 3, 4, 6]
     assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]
+
+
+def _leaf_builders(source: str) -> list[str]:
+    """The dotted name of the function or class, "<module>" at top level, of
+    each call of Tensor (as a name or an attribute) that passes no parents
+    (none, or an empty tuple) or no backward function (none, or None): each
+    builds a node without a backward, a leaf."""
+    found = []
+
+    def missing(arg) -> bool:
+        return (arg is None or (isinstance(arg, ast.Constant) and arg.value is None)
+                or (isinstance(arg, ast.Tuple) and not arg.elts))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Tensor"):
+                given = dict(zip(("value", "parents", "backward_fn"), child.args))
+                given.update((kw.arg, kw.value) for kw in child.keywords)
+                if missing(given.get("parents")) or missing(given.get("backward_fn")):
+                    found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_parameter_leaves_come_only_from_lift_params():
+    # a step's graph holds parameter leaves and op nodes only; a leaf built
+    # anywhere else would be a constant node, which nothing differentiates
+    found = {path.stem: scopes for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
+             if (scopes := _leaf_builders(path.read_text(encoding="utf-8")))}
+    assert found == {"model": ["lift_params"]}, found
+    sample = ("a = ad.Tensor(x)\n\n"
+              "def f(x):\n    return Tensor(x, (x,), g)\n\n"
+              "def g(x):\n    return ad.Tensor(x, parents=(x,))\n\n"
+              "class C:\n    def h(self, x):\n        return ad.Tensor(x, (), fn)\n\n"
+              "def k(x):\n    return ad.Tensor(x, backward_fn=fn, parents=(x,))\n\n"
+              "def m(x):\n    def n():\n        return ad.Tensor(x, (x,), None)\n"
+              "    return n, isinstance(x, ad.Tensor)\n")
+    assert _leaf_builders(sample) == ["<module>", "C.h", "g", "m.n"]
 
 
 # Top-level functions and classes of src/lrco, and public methods of its
@@ -394,19 +439,21 @@ def _claim_fields(record: dict, better: dict) -> dict:
 
 
 def test_every_numeric_claim_equals_what_its_pairs_give():
-    # a claim's numbers are copied from its pairs by hand; each record that
-    # carries them is recomputed, so a transcription error fails here
+    # a claim's numbers are copied from its pairs by hand; every record whose
+    # claimed workload keeps pairs must carry them, and each is recomputed,
+    # so a transcription error, or a new record without them, fails here
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    checked = 0
+    checked = []
     for path in sorted(ROOT.glob("BENCH_*.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
         claim = record["claim"]
-        if isinstance(claim, dict) and set(CLAIM_FIELDS) & set(claim):
+        kept = record.get("workloads", {})
+        if isinstance(claim, dict) and "pairs" in kept.get(claim["workload"], {}):
             assert {key: claim.get(key) for key in CLAIM_FIELDS} == _claim_fields(
                 record, better), path.name
-            checked += 1
-    assert checked
+            checked.append(path.name)
+    assert len(checked) >= 9 and "BENCH_bank_check.json" in checked, checked
     sample = {"claim": {"metric": "m", "workload": "w"}, "workloads": {"w": {"pairs": [
         {"parent": {"m": p}, "change": {"m": c}} for p, c in ((1.0, 0.5), (2.0, 2.5), (4.0, 3.0),
                                                              (3.0, 3.0), (5.0, 1.0))]}}}

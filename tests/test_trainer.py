@@ -17,7 +17,7 @@ from lrco import autodiff as ad
 from lrco import losses as L
 from lrco import membank, numerics, trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
-from lrco.errors import ConfigError, TrainingDivergedError
+from lrco.errors import ConfigError, DatasetFormatError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
     ModelConfig, clone_state, compute_gradients, ema_update, features_of, init_model, probs_of,
@@ -797,7 +797,7 @@ def _all_nodes_topo_order(root):
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-        elif id(node) not in seen and node.requires_grad:
+        elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((parent, False) for parent in node.parents)
@@ -838,7 +838,7 @@ def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_orde
         accumulate(self, g)
 
     def leaf_grads():
-        x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
+        x, w = ad.Tensor(x0), ad.Tensor(w0)
         h, t, s = oracles.matmul(x, w), oracles.tanh(x), oracles.softmax_rows(x, 1.0)  # x's consumers
         z = ad.weighted_sum([(oracles.tanh(h), 0.7), (t, -1.3), (s, 2.1)])
         L.cross_entropy_batch(oracles.softmax_rows(z, 0.5), np.arange(6) % 4).backward()
@@ -1250,6 +1250,33 @@ def test_every_checkpoint_field_survives_save_and_load(tmp_path):
         ck = load_checkpoint(path)
         assert same(getattr(ck, name), value), name
         assert not same(getattr(base, name), value), name
+
+
+def test_load_refuses_a_checkpoint_its_model_cannot_run(tmp_path):
+    # each of these once loaded, then ended the first step or evaluation on
+    # a ValueError traceback: bank rows of another width than the features,
+    # and a temperature outside (0, inf)
+    cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
+    base = Checkpoint(student=student, teacher=teacher, velocities=init_velocities(student),
+                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash="")
+    narrow = MemoryBank(cfg.bank_capacity)
+    narrow.push_batch(oracles.unit_rows(SeededRng(3), 7, student.feature_dim - 1))
+    cases = {"narrow_bank": (dataclasses.replace(base, bank=narrow),
+                             "ShapeMismatchError: bank rows are 4 wide, the features 5")}
+    for name in ("t_ce", "t_re"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            bad = dataclasses.replace(student, **{name: value})
+            cases[f"{name}={value}"] = (dataclasses.replace(base, student=bad),
+                                        f"ValueError: {name} must lie in (0, inf)")
+    good = tmp_path / "good.npz"
+    save_checkpoint(good, base)
+    assert load_checkpoint(good).bank.dim is None  # an empty bank loads
+    for case, (ckpt, error) in cases.items():
+        path = tmp_path / f"{case}.npz"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(DatasetFormatError) as info:
+            load_checkpoint(path)
+        assert f"is not a readable checkpoint ({error}" in str(info.value), case
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
