@@ -105,13 +105,6 @@ def value_of(x) -> np.ndarray:
 # the cosine heads (model.probs_of, losses.re_represent_batch) replay those
 # ops' chains with them, so a fused node keeps the chain's bits.
 
-def positive_temperature(temperature) -> float:
-    t = float(temperature)
-    if not t > 0:
-        raise ValueError("temperature must be positive")
-    return t
-
-
 def softmax_grad(g, y, t: float) -> np.ndarray:
     """What a temperature-t softmax over the last axis passes to its input
     when its output y gets g."""

@@ -262,10 +262,9 @@ def _rerep_value(f, w, t_re: float, w_unit=None):
     f_unit, f_norms = unit_last(f)
     if w_unit is None:
         w_unit = unit_last(w)[0]
-    t = ad.positive_temperature(t_re)
-    attention = softmax_last(f_unit @ w_unit.mT, t)
+    attention = softmax_last(f_unit @ w_unit.mT, t_re)
     y, r_norms = unit_last(attention @ w)
-    return y, (w, w_unit, t, f_unit, f_norms, attention, y, r_norms)
+    return y, (w, w_unit, t_re, f_unit, f_norms, attention, y, r_norms)
 
 
 def _rerep_grad(g, parts):
@@ -286,7 +285,7 @@ def re_represent_batch(f_rows, classifier, t_re: float, w_unit=None):
         classifier: classifier weight matrix, one raw row per class. It is a
             constant: no gradient flows into the classifier through this
             path; only the feature side learns.
-        t_re: attention temperature.
+        t_re: a model's attention temperature, checked by its ModelState.
         w_unit: the classifier's unit rows, when the caller normalized it
             already; computed here otherwise.
 
@@ -302,8 +301,8 @@ def re_represent_batch(f_rows, classifier, t_re: float, w_unit=None):
 def contrast_rows(f_rows, classifier, t_re: float, mode: str, w_unit=None):
     """The unit vectors the contrastive losses compare: teacher keys, student
     queries and the analysis vectors. "rerep" re-represents the feature rows
-    through the classifier rows (whose unit rows w_unit may pass in), "raw"
-    only normalizes them."""
+    through the classifier rows (whose unit rows w_unit may pass in) at the
+    model's t_re, checked by its state; "raw" only normalizes them."""
     if mode == "rerep":
         return re_represent_batch(f_rows, classifier, t_re, w_unit)
     if mode == "raw":
@@ -407,8 +406,9 @@ def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
     with k_pos the same keys, and mixlrco_batch(queries, k_pos, *k_den,
     bank_matrix, t_co) when k_den holds the target and source keys and
     k_pos the blended ones. The classifier is a constant, as in
-    re_represent_batch. The bank is a MemoryBank snapshot, whose rows were
-    checked when they were pushed, so only its shape is checked here.
+    re_represent_batch. t_re is the model's, checked by its ModelState, and
+    the bank a MemoryBank snapshot, whose rows were checked when they were
+    pushed, so only the bank's shape is checked here.
 
     Its value and gradient keep the bits of the chain take_rows,
     contrast_rows and the loss head: the backward replays the head's

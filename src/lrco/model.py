@@ -22,14 +22,14 @@ from .numerics import SeededRng, softmax_last, unit_last
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description used by init_model."""
+    """Architecture description used by init_model, whose state checks the temperatures."""
 
     input_dim: int = within("[1, 2147483647]")
     hidden_dims: tuple[int, ...] = within("[1, 2147483647]")
     feature_dim: int = within("[2, 2147483647]")
     n_classes: int = within("[2, 2147483647]")
-    t_ce: float = within("(0, inf)")
-    t_re: float = within("(0, inf)")
+    t_ce: float
+    t_re: float
 
     def validate(self) -> None:
         check_domains(self)
@@ -44,14 +44,15 @@ class ModelConfig:
 class ModelState:
     """All learnable arrays, as views of one float64 vector params cut by
     layout (each array's shape, in state_arrays order), plus the two
-    temperatures. weights[i] has shape (d_in, d_out) so a batch forward is
-    x @ W + b; classifier has shape (n_classes, feature_dim). A (B, P) params
-    is a stack of B states for the numpy forward path (see _cut)."""
+    temperatures, which every state refuses outside (0, inf) when built.
+    weights[i] has shape (d_in, d_out) so a batch forward is x @ W + b;
+    classifier has shape (n_classes, feature_dim). A (B, P) params is a
+    stack of B states for the numpy forward path (see _cut)."""
 
     params: np.ndarray
     layout: tuple[tuple[int, ...], ...]
-    t_ce: float
-    t_re: float
+    t_ce: float = within("(0, inf)")
+    t_re: float = within("(0, inf)")
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
     classifier: np.ndarray = field(init=False, repr=False)
@@ -61,6 +62,7 @@ class ModelState:
         self.t_ce, self.t_re = float(self.t_ce), float(self.t_re)
         views = _cut(self.params, self.layout)
         self.weights, self.biases, self.classifier = views[:-1:2], views[1:-1:2], views[-1]
+        check_domains(self)  # after the views: it reads every field
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views from params, so they stay views
@@ -81,7 +83,7 @@ class ModelState:
 
 @dataclass
 class ParamTensors:
-    """Autodiff view of a ModelState; duck-compatible with it for forward code."""
+    """Autodiff view of a checked ModelState; duck-compatible with it for forward code."""
 
     weights: list[ad.Tensor]
     biases: list[ad.Tensor]
@@ -208,7 +210,7 @@ def probs_of(model_like, feature_rows, rows: slice | None = None, classifier_uni
                        else classifier_unit)
     f_all = ad.value_of(feature_rows)
     f_unit, f_norms = unit_last(f_all if rows is None else ad.row_block(f_all, rows))
-    t = ad.positive_temperature(model_like.t_ce)
+    t = model_like.t_ce
     y = softmax_last(f_unit @ w_unit.mT, t)
     if not ad.is_tensor(feature_rows):
         return y

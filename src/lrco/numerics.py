@@ -179,8 +179,6 @@ def seed_states(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
     width = max(widths, default=_POOL)
     entropy = np.array([row + (0,) * (width - len(row)) for row in rows],
                        dtype=np.uint32).reshape(len(rows), width)
-    if min(widths, default=width) == width:
-        return _pool_states(entropy)
     states = np.empty((len(rows), _POOL), dtype=np.uint64)
     row_widths = np.array(widths)
     for w in set(widths):

@@ -13,6 +13,7 @@ on the block it was seeded in.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augme
 from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
 from .errors import (
     ConfigError, DatasetFormatError, LrcoError, ShapeMismatchError, TrainingDivergedError,
-    check_domains, inside, within,
+    check_domains, within,
 )
 from .membank import MemoryBank
 from .model import (
@@ -405,32 +406,20 @@ def evaluate(state: ModelState, x: np.ndarray, y: np.ndarray) -> EvalMetrics:
 # Batch scheduling -----------------------------------------------------------------
 
 class _EpochCycler:
-    """Stateless batch indexing: the batch for any step is a pure function of
-    (seed, purpose, step), which is what makes resume bit-exact. Epoch e's
-    order is a permutation drawn from the run's stream of
-    (f"shuffle-{purpose}", e)."""
+    """Stateless batch indexing over n >= 1 rows: the batch for any step is a
+    pure function of (seed, purpose, step), which is what makes resume
+    bit-exact. Epoch e's order is a permutation drawn from the run's stream
+    of (f"shuffle-{purpose}", e); the last epoch's is kept."""
 
     def __init__(self, n: int, batch_size: int, streams: StepStreams, purpose: str):
-        self.n = n
         self.batch_size = min(batch_size, n)
-        self.streams = streams
-        self.purpose = purpose
-        self.batches_per_epoch = max(1, math.ceil(n / self.batch_size))
-        self._cached_epoch = -1
-        self._cached_perm: np.ndarray | None = None
-
-    def _perm(self, epoch: int) -> np.ndarray:
-        if epoch != self._cached_epoch:
-            self._cached_perm = self.streams(f"shuffle-{self.purpose}", epoch).permutation(self.n)
-            self._cached_epoch = epoch
-        return self._cached_perm
+        self.batches_per_epoch = math.ceil(n / self.batch_size)
+        self._perm = functools.lru_cache(maxsize=1)(
+            lambda epoch: streams(f"shuffle-{purpose}", epoch).permutation(n))
 
     def batch_for_step(self, step: int) -> np.ndarray:
-        ordinal = step - 1
-        epoch = ordinal // self.batches_per_epoch
-        slot = ordinal % self.batches_per_epoch
-        perm = self._perm(epoch)
-        return perm[slot * self.batch_size : (slot + 1) * self.batch_size]
+        epoch, slot = divmod(step - 1, self.batches_per_epoch)
+        return self._perm(epoch)[slot * self.batch_size:(slot + 1) * self.batch_size]
 
 
 # Metrics serialization ---------------------------------------------------------------
@@ -452,18 +441,22 @@ def metric_record_line(rec: MetricRecord) -> str:
 
 @dataclass
 class Checkpoint:
-    """Everything a run continues from; fit trains its arrays in place."""
+    """Everything a run continues from; fit trains its arrays in place. Every
+    record, replace()'s too, refuses a step, tau or seed outside its domain."""
 
     student: ModelState
     teacher: ModelState
     velocities: np.ndarray  # laid out like student.params
     bank: MemoryBank
-    step: int
-    tau: float
-    seed: int
+    step: int = within("[0, inf)")
+    tau: float = within("(0, 1)")
+    seed: int = within("[0, inf)")
     config_hash: str
     dynamics_hash: str = ""
     spec_hash: str = ""
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
 
 # The record's scalar fields, kept in the checkpoint's JSON "meta" entry.
@@ -497,17 +490,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one, or whose model cannot run
-    (a temperature outside (0, inf), bank rows another width than the
-    features), raises DatasetFormatError. A hash the file does not record
-    loads as the field's default."""
+    """Read a checkpoint; a file that is not one, whose model cannot run (bank
+    rows another width than the features), whose states or record refuse a
+    value it records, or whose meta holds a value that its field's type
+    would change (a step of 1.5), raises DatasetFormatError. A hash the file
+    does not record loads as the field's default."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
-        for name in ("t_ce", "t_re"):
-            if not inside(meta[name], "(0, inf)"):
-                raise ValueError(f"{name} must lie in (0, inf), got {meta[name]!r}")
         student, teacher, velocity = (
             state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix=prefix)
             for prefix in ("student/", "teacher/", "velocity/"))
@@ -517,10 +508,14 @@ def load_checkpoint(path) -> Checkpoint:
         if bank.dim not in (None, student.feature_dim):
             raise ShapeMismatchError(
                 f"bank rows are {bank.dim} wide, the features {student.feature_dim}")
-        return Checkpoint(
+        ckpt = Checkpoint(
             student=student, teacher=teacher, velocities=velocity.params, bank=bank,
             **{name: cast(meta[name]) for name, cast in _META_FIELDS.items() if name in meta},
         )
+        for name, cast in _META_FIELDS.items():
+            if name in meta and getattr(ckpt, name) != meta[name]:
+                raise ValueError(f"{name} must be of type {cast.__name__}, got {meta[name]!r}")
+        return ckpt
     except FileNotFoundError:
         raise
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile,

@@ -477,7 +477,9 @@ def test_checkpoint_bank_over_its_capacity_or_fractional_exits_4(tmp_path, capsy
 def test_checkpoint_its_model_cannot_run_exits_4_in_every_command(tmp_path, capsys):
     # each of these once loaded, then `train --resume`, `eval` or both
     # exited 1 with a ValueError traceback: bank rows of another width than
-    # the features (5 here), and a temperature outside (0, inf)
+    # the features (5 here), and a temperature outside (0, inf); with a tau
+    # outside (0, 1), a fractional step or a negative seed all three exited
+    # 0, and with a negative step `train --resume` exited 1 on a TypeError
     run = tmp_path / "run"
     assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
     with np.load(run / "checkpoint_final.npz", allow_pickle=False) as npz:
@@ -486,11 +488,9 @@ def test_checkpoint_its_model_cannot_run_exits_4_in_every_command(tmp_path, caps
     narrow = oracles.unit_rows(np.random.default_rng(3), 7, 4)
     cases = {"narrow_bank": ({"bank.contents": narrow},
                              "ShapeMismatchError: bank rows are 4 wide, the features 5)")}
-    for name in ("t_ce", "t_re"):
-        for value in (0.0, -1.0, float("nan"), float("inf")):
-            text = json.dumps({**meta, name: value})
-            cases[f"{name}={value}"] = ({"meta": np.array(text)},
-                                        f"ValueError: {name} must lie in (0, inf), got ")
+    for name, value, error in oracles.REFUSED_META:
+        text = json.dumps({**meta, name: value})
+        cases[f"{name}={value}"] = ({"meta": np.array(text)}, error)
 
     def contents(root):
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}

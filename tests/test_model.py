@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from lrco.errors import ShapeMismatchError
+from lrco.errors import ConfigError, ShapeMismatchError
 from lrco.model import (
     ModelConfig, clone_state, compute_gradients, ema_update,
     features_of, get_param_vector, init_model, probs_of, state_arrays,
@@ -72,8 +72,8 @@ def test_config_validation():
         small_config(n_classes=1).validate()
     with pytest.raises(ValueError):
         small_config(feature_dim=1).validate()
-    with pytest.raises(ValueError):
-        small_config(t_ce=0.0).validate()
+    with pytest.raises(ValueError):  # the state init_model builds checks the temperatures
+        init_model(small_config(t_ce=0.0), SeededRng(0))
 
 
 def test_forward_zero_weights_gives_zero_feature():
@@ -225,6 +225,29 @@ def test_pickle_and_deepcopy_keep_the_arrays_views_of_params(restore):
         assert np.shares_memory(arr, got.params)
     got.params += 1.0  # what an optimizer step does: every array moves
     assert states_allclose(got, with_param_vector(m, get_param_vector(m) + 1.0))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["t_ce", "t_re"])
+def test_every_state_refuses_a_temperature_outside_its_domain(name, value):
+    m = init_model(small_config(hidden_dims=(4, 3)), SeededRng(8))
+    temperatures = {"t_ce": m.t_ce, "t_re": m.t_re, name: value}
+    bent = clone_state(m)
+    setattr(bent, name, value)  # what no constructor lets through
+    builds = (
+        lambda: init_model(small_config(**temperatures), SeededRng(8)),
+        lambda: state_from_arrays(state_arrays(m), **temperatures),
+        lambda: with_param_vector(bent, get_param_vector(m)),
+        lambda: with_param_vector(bent, np.stack([get_param_vector(m)] * 2)),
+        lambda: clone_state(bent),
+        lambda: pickle.loads(pickle.dumps(bent)),
+    )
+    for make in builds:
+        with pytest.raises(ConfigError, match=rf"^{name} must lie in \(0, inf\), got "):
+            make()
+    for restore in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
+        got = restore(m)  # a state that passed the check passes it again
+        assert states_allclose(got, m) and (got.t_ce, got.t_re) == (m.t_ce, m.t_re)
 
 
 def test_state_arrays_roundtrip():

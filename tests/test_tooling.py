@@ -206,6 +206,47 @@ def test_parameter_leaves_come_only_from_lift_params():
     assert _leaf_builders(sample) == ["<module>", "C.h", "g", "m.n"]
 
 
+def _declared_domains(source: str) -> dict[str, bool]:
+    """For each class in ``source`` with a field declared by within(...),
+    whether its validate or its __post_init__ calls check_domains (as a name
+    or an attribute), the only code that enforces a declared domain."""
+
+    def called(node) -> str | None:
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)
+                and called(item.value) == "within" for item in node.body):
+            found[node.name] = any(
+                isinstance(item, ast.FunctionDef) and item.name in ("validate", "__post_init__")
+                and any(isinstance(call, ast.Call) and called(call) == "check_domains"
+                        for call in ast.walk(item))
+                for item in node.body)
+    return found
+
+
+def test_every_declared_domain_is_checked():
+    # a within(...) field is a promise that check_domains keeps: a record
+    # that declares a domain and never checks it lets any value through
+    declared = {f"{path.stem}.{name}": checked
+                for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
+                for name, checked in _declared_domains(path.read_text(encoding="utf-8")).items()}
+    assert {"model.ModelState", "trainer.Checkpoint", "trainer.TrainConfig"} <= declared.keys()
+    assert [name for name, checked in declared.items() if not checked] == [], declared
+    sample = ("class A:\n    x: int = within('[0, 1]')\n\n"
+              "    def validate(self, prefix=''):\n        check_domains(self, prefix)\n\n"
+              "class B:\n    x: float = errors.within('(0, 1)', 0.5)\n\n"
+              "    def __post_init__(self):\n        errors.check_domains(self)\n\n"
+              "class C:\n    x: int = within('[0, 1]')\n    y: int = 3\n\n"
+              "class D:\n    x: int = within('[0, 1]')\n\n"
+              "    def check(self):\n        check_domains(self)\n\n"
+              "class E:\n    x: int = field(default=0)\n\n"
+              "    def validate(self):\n        pass\n")
+    assert _declared_domains(sample) == {"A": True, "B": True, "C": False, "D": False}
+
+
 # Top-level functions and classes of src/lrco, and public methods of its
 # classes, that no other code there names, each with the reason it stays. A
 # fused node that leaves the code it replaced behind, uncalled, fails the
