@@ -60,17 +60,11 @@ class MemoryBank:
 
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "MemoryBank":
-        """The bank ``state_arrays`` wrote, its rows pushed; a capacity not
-        stored as an integer, more rows than the capacity or contents that are
-        not a matrix raise ValueError, and a row that is not unit
-        InvalidRowsError."""
-        capacity = np.asarray(arrays["bank.capacity"])
-        if capacity.dtype.kind not in "iu":
-            raise ValueError(f"bank capacity {capacity} is not stored as an integer")
-        bank = cls(capacity=int(capacity))
+        """A bank of the stored capacity with the stored rows pushed: contents
+        that are not a matrix raise ValueError, a row that is not unit
+        InvalidRowsError. load_checkpoint refuses what does not read back."""
+        bank = cls(capacity=int(arrays["bank.capacity"]))
         contents = np.asarray(arrays["bank.contents"], dtype=np.float64)
-        if contents.ndim == 2 and len(contents) > bank.capacity:
-            raise ValueError(f"bank holds {len(contents)} rows, over its capacity {bank.capacity}")
         bank.push_batch(contents)
         if not len(bank):  # an empty bank keeps the width it was saved with
             bank._rows = np.zeros(contents.shape)

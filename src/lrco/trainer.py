@@ -442,7 +442,8 @@ def metric_record_line(rec: MetricRecord) -> str:
 @dataclass
 class Checkpoint:
     """Everything a run continues from; fit trains its arrays in place. Every
-    record, replace()'s too, refuses a step, tau or seed outside its domain."""
+    record, replace()'s too, refuses a step, tau or seed outside its domain,
+    and a teacher, velocities or bank rows not laid out like the student."""
 
     student: ModelState
     teacher: ModelState
@@ -457,6 +458,12 @@ class Checkpoint:
 
     def __post_init__(self) -> None:
         check_domains(self)
+        if (self.teacher.layout != self.student.layout
+                or self.velocities.shape != self.student.params.shape):
+            raise ShapeMismatchError("student, teacher and velocity arrays differ in shape")
+        if self.bank.dim not in (None, self.student.feature_dim):
+            raise ShapeMismatchError(
+                f"bank rows are {self.bank.dim} wide, the features {self.student.feature_dim}")
 
 
 # The record's scalar fields, kept in the checkpoint's JSON "meta" entry.
@@ -464,24 +471,27 @@ _META_FIELDS = {"step": int, "tau": float, "seed": int, "config_hash": str,
                 "dynamics_hash": str, "spec_hash": str}
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Self-describing binary dump; round-trips bit-exactly."""
-    arrays: dict[str, np.ndarray] = {}
-    arrays.update(state_arrays(ckpt.student, prefix="student/"))
-    arrays.update(state_arrays(ckpt.teacher, prefix="teacher/"))
-    arrays.update(state_arrays(with_param_vector(ckpt.student, ckpt.velocities),
-                               prefix="velocity/"))
-    arrays.update(ckpt.bank.state_arrays())
+def _entries(ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    """Every entry of the file that records ``ckpt``, by name, in the order
+    it is written: the one declaration of the checkpoint format."""
+    entries = {**state_arrays(ckpt.student, "student/"), **state_arrays(ckpt.teacher, "teacher/"),
+               **state_arrays(with_param_vector(ckpt.student, ckpt.velocities), "velocity/"),
+               **ckpt.bank.state_arrays()}
     meta = {name: cast(getattr(ckpt, name)) for name, cast in _META_FIELDS.items()}
     meta.update(format=1, t_ce=ckpt.student.t_ce, t_re=ckpt.student.t_re)
-    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+    entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
+    return entries
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Self-describing binary dump of ``_entries(ckpt)``; round-trips bit-exactly."""
     # Write a temporary file next to the target and rename it into place, so
     # an interrupted write never leaves a truncated checkpoint under `path`.
     # np.savez gets a file handle because it appends ".npz" to a bare name.
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, **_entries(ckpt))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -490,36 +500,31 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one, whose model cannot run (bank
-    rows another width than the features), whose states or record refuse a
-    value it records, or whose meta holds a value that its field's type
-    would change (a step of 1.5), raises DatasetFormatError. A hash the file
-    does not record loads as the field's default."""
+    """Read a checkpoint. A file loads only if saving the record it describes
+    writes it back entry for entry: the same names, dtypes and values. Any
+    other file, or one whose record refuses a value, raises DatasetFormatError."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(str(arrays.pop("meta")))
+        meta = json.loads(str(arrays["meta"]))
         student, teacher, velocity = (
             state_from_arrays(arrays, meta["t_ce"], meta["t_re"], prefix=prefix)
             for prefix in ("student/", "teacher/", "velocity/"))
-        if not student.layout == teacher.layout == velocity.layout:
-            raise ShapeMismatchError("student, teacher and velocity arrays differ in shape")
-        bank = MemoryBank.from_state_arrays(arrays)
-        if bank.dim not in (None, student.feature_dim):
-            raise ShapeMismatchError(
-                f"bank rows are {bank.dim} wide, the features {student.feature_dim}")
-        ckpt = Checkpoint(
-            student=student, teacher=teacher, velocities=velocity.params, bank=bank,
-            **{name: cast(meta[name]) for name, cast in _META_FIELDS.items() if name in meta},
-        )
-        for name, cast in _META_FIELDS.items():
-            if name in meta and getattr(ckpt, name) != meta[name]:
-                raise ValueError(f"{name} must be of type {cast.__name__}, got {meta[name]!r}")
+        ckpt = Checkpoint(student=student, teacher=teacher, velocities=velocity.params,
+                          bank=MemoryBank.from_state_arrays(arrays),
+                          **{name: cast(meta[name]) for name, cast in _META_FIELDS.items()})
+        saved = _entries(ckpt)
+        if saved.keys() != arrays.keys():
+            raise ValueError(f"entries {sorted(saved.keys() ^ arrays.keys())} are missing or extra")
+        for name, entry in saved.items():
+            # array_equal counts a NaN unequal to itself, so no NaN reads back
+            if entry.dtype != arrays[name].dtype or not np.array_equal(entry, arrays[name]):
+                raise ValueError(f"entry {name} does not read back as saved")
         return ckpt
     except FileNotFoundError:
         raise
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile,
-            LrcoError) as exc:
+            OverflowError, LrcoError) as exc:
         raise DatasetFormatError(
             f"{path} is not a readable checkpoint ({type(exc).__name__}: {exc})"
         ) from exc

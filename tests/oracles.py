@@ -14,10 +14,8 @@ parameter leaves and op nodes. The chains here lift their constant operands
 into parentless Tensors (lift, detach); such a constant gets a gradient like
 any leaf, and no test reads it.
 
-Also the helpers and the cases that several test modules share.
+Also the helpers that several test modules share.
 """
-
-import math
 
 import numpy as np
 
@@ -122,15 +120,3 @@ def states_allclose(a, b) -> bool:
     x, y = state_arrays(a), state_arrays(b)
     return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
 
-
-# (meta key, value, the start of the error load_checkpoint names) of each
-# recorded value that a checkpoint's ModelState or its Checkpoint refuses
-REFUSED_META = (
-    *((name, value, f"ConfigError: {name} must lie in (0, inf), got ")
-      for name in ("t_ce", "t_re") for value in (0.0, -1.0, math.nan, math.inf)),
-    *(("tau", value, "ConfigError: tau must lie in (0, 1), got ")
-      for value in (0.0, 1.0, -3.0, 7.0, math.nan)),
-    ("step", -3, "ConfigError: step must lie in [0, inf), got "),
-    ("step", 1.5, "ValueError: step must be of type int, got "),
-    ("seed", -1, "ConfigError: seed must lie in [0, inf), got "),
-)

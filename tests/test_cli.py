@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -18,7 +20,6 @@ from lrco.cli import (
 from lrco.config import apply_overrides, default_run_config
 from lrco.data import benchmark_spec_hash
 from lrco.errors import DatasetFormatError
-from lrco.membank import MemoryBank
 from lrco.trainer import METHODS, load_checkpoint, save_checkpoint
 
 # small but real settings so CLI runs stay fast
@@ -34,10 +35,16 @@ FAST = [
     "--set", "model.hidden_dims=6",
     "--set", "model.feature_dim=5",
 ]
+LONGER = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def contents(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
 
 
 def test_usage_errors_exit_2(capsys):
@@ -171,10 +178,8 @@ def test_train_then_eval_roundtrip(tmp_path, capsys):
 def test_train_resume_from_checkpoint(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
-    longer = [a if a != "train.total_steps=4" else "train.total_steps=6"
-              for a in FAST]
     code = run_cli("train", "--out", str(tmp_path / "run2"),
-                   "--resume", str(out / "checkpoint_final.npz"), *longer)
+                   "--resume", str(out / "checkpoint_final.npz"), *LONGER)
     assert code == EXIT_OK
     assert "steps=2" in capsys.readouterr().out
 
@@ -295,10 +300,6 @@ def test_checkpoint_of_another_input_dim_exits_4_in_every_command(tmp_path, caps
 def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
     run = tmp_path / "run"
     assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
-
-    def contents(root):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
-
     before = contents(run)
     refusals = ((EXIT_INVALID_CONFIG, run / "checkpoint_final.npz"),
                 (EXIT_MISSING_FILE, run / "no_such_checkpoint.npz"))
@@ -313,41 +314,6 @@ def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
                    *FAST) == EXIT_MISSING_FILE
     assert not fresh.exists()
     capsys.readouterr()
-
-
-def test_resume_refuses_a_checkpoint_whose_bank_holds_nan(tmp_path, capsys):
-    ckpt = train_fast(tmp_path, capsys)
-    ck = load_checkpoint(ckpt)
-    contents = ck.bank.snapshot().copy()
-    assert len(contents) > 0
-    contents[0, 0] = np.nan
-    ck.bank._rows = contents
-    bad = tmp_path / "nan_bank.npz"
-    save_checkpoint(bad, ck)
-    out = tmp_path / "resumed"
-    code = run_cli("train", "--out", str(out), "--resume", str(bad), *FAST)
-    err = capsys.readouterr().err
-    assert code == EXIT_INVALID_CONFIG, err
-    assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
-                          "(InvalidRowsError: bank keys must be unit-normalized"), err
-    assert not out.exists()
-
-
-def test_nan_teacher_probabilities_exit_numeric(tmp_path, capsys):
-    # a NaN teacher weight gives NaN probability rows, which the pseudo-label
-    # check refuses as an LrcoError
-    ckpt = train_fast(tmp_path, capsys)
-    ck = load_checkpoint(ckpt)
-    ck.teacher.weights[0][0, 0] = np.nan
-    bad = tmp_path / "nan_teacher.npz"
-    save_checkpoint(bad, ck)
-    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
-    code = run_cli("train", "--out", str(tmp_path / "resumed"), "--resume", str(bad),
-                   *longer)
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERIC, err
-    assert "error: runtime: probs must be a valid probability vector" in err
-    assert "Traceback" not in err
 
 
 # What `eval` prints for the final checkpoint of a FAST run, recorded before
@@ -393,129 +359,158 @@ def test_eval_and_analyze_refuse_checkpoint_of_another_benchmark(tmp_path, capsy
     assert not (tmp_path / "analysis").exists()
 
 
-def test_corrupt_checkpoint_exits_4_naming_the_path(tmp_path, capsys):
-    good = train_fast(tmp_path, capsys)
-    text = tmp_path / "text.npz"
-    text.write_text("not a checkpoint\n")
-    truncated = tmp_path / "truncated.npz"
-    with open(good, "rb") as fh:
-        truncated.write_bytes(fh.read(200))
-    empty = tmp_path / "empty.npz"
-    empty.write_bytes(b"")
-    no_meta = tmp_path / "no_meta.npz"
-    with open(no_meta, "wb") as fh:
-        np.savez(fh, x=np.zeros(3))
-    for bad in (text, truncated, empty, no_meta):
-        for argv in (["eval", "--checkpoint", str(bad)],
-                     ["train", "--out", str(tmp_path / "resumed"), "--resume", str(bad)]):
-            assert run_cli(*argv, *FAST) == EXIT_INVALID_CONFIG, argv
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: invalid-config: {bad} is not a readable "
-                                  "checkpoint"), err
+# The entries of a FAST checkpoint, in the order save_checkpoint writes them.
+CHECKPOINT_ENTRIES = (
+    *(f"{prefix}{array}" for prefix in ("student/", "teacher/", "velocity/")
+      for array in ("layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias", "classifier")),
+    "bank.contents", "bank.capacity", "meta",
+)
+UNIT = "InvalidRowsError: bank keys must be unit-normalized"
+NO_MODEL = "ShapeMismatchError: arrays of shapes "
 
 
-# Checkpoint arrays that do not form one model, each written over a good
-# checkpoint as (name, shape, the error named), a shape of None deleting the
-# entry. Before the student, teacher and velocity entries had to follow one
-# layout, each of them made `train --resume`, `eval` or both exit 1 with a
-# traceback.
-MISSHAPEN_ENTRIES = {
-    "no_velocity_classifier": ("velocity/classifier", None, "KeyError"),
-    "velocity_layer0_weight_3x3": ("velocity/layer0.weight", (3, 3), "ShapeMismatchError"),
-    "teacher_classifier_5x7": ("teacher/classifier", (5, 7), "ShapeMismatchError"),
-    "student_layer1_weight_16x7": ("student/layer1.weight", (16, 7), "ShapeMismatchError"),
-}
+def unread(name: str) -> str:
+    """The error of a file whose entry ``name`` does not read back as saved."""
+    return f"ValueError: entry {name} does not read back as saved"
 
 
-@pytest.mark.parametrize("name, shape, error", MISSHAPEN_ENTRIES.values(),
-                         ids=list(MISSHAPEN_ENTRIES))
-def test_checkpoint_arrays_that_form_no_model_exit_4(tmp_path, capsys, name, shape, error):
-    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    if shape is None:
-        del arrays[name]
+def with_nan(array):
+    array = array.copy()
+    array.flat[0] = np.nan
+    return array
+
+
+def meta_with(**changes):
+    """An edit of the meta entry: its JSON with ``changes`` set, a change to
+    None deleting its key."""
+    def edit(meta):
+        record = {**json.loads(str(meta)), **changes}
+        return np.array(json.dumps({k: v for k, v in record.items() if v is not None}))
+    return edit
+
+
+def npz_bytes(arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+# (meta key, value, the start of the error load_checkpoint names) of each
+# recorded value that a checkpoint's ModelState or its Checkpoint refuses
+REFUSED_META = (
+    *((name, value, f"ConfigError: {name} must lie in (0, inf), got ")
+      for name in ("t_ce", "t_re") for value in (0.0, -1.0, math.nan, math.inf)),
+    *(("tau", value, "ConfigError: tau must lie in (0, 1), got ")
+      for value in (0.0, 1.0, -3.0, 7.0, math.nan)),
+    ("step", -3, "ConfigError: step must lie in [0, inf), got "),
+    ("step", 1.5, unread("meta")),
+    ("seed", -1, "ConfigError: seed must lie in [0, inf), got "),
+)
+
+# Each row: the edits of the step-2 checkpoint of a FAST run (entry name ->
+# a function of the saved array giving the new one, or None to delete the
+# entry), or a function of the file's bytes giving the refused file's bytes;
+# and the start of the error load_checkpoint names. Each of these files once
+# loaded and ran, or was refused by a check of its own; each now exits 4 in
+# every command, as save_checkpoint would not write it.
+CHECKPOINT_SWEEP = [
+    # test_resume_refuses_a_checkpoint_whose_bank_holds_nan: nan-bank.contents;
+    # test_nan_teacher_probabilities_exit_numeric: nan-teacher/layer0.weight,
+    # which exited 5 on the first resumed step while such a file still loaded
+    *(pytest.param({name: with_nan}, UNIT if name == "bank.contents" else unread(name),
+                   id=f"nan-{name}") for name in CHECKPOINT_ENTRIES[:-2]),
+    *(pytest.param({name: lambda array: array.astype(bool)},
+                   {"bank.contents": UNIT, "bank.capacity": unread("bank.contents"),
+                    "meta": "JSONDecodeError: Expecting value"}.get(name, unread(name)),
+                   id=f"bool-{name}") for name in CHECKPOINT_ENTRIES),
+    # test_checkpoint_arrays_that_form_no_model_exit_4[no_velocity_classifier]:
+    # no-velocity/classifier
+    *(pytest.param({name: None}, NO_MODEL if name.endswith(".weight") else f"KeyError: '{name}'",
+                   id=f"no-{name}") for name in CHECKPOINT_ENTRIES),
+    # test_checkpoint_its_model_cannot_run_exits_4_in_every_command and
+    # test_load_refuses_a_checkpoint_its_model_cannot_run: the meta-* rows
+    # of REFUSED_META, and narrow-bank
+    *(pytest.param({"meta": meta_with(**{name: value})}, error, id=f"meta-{name}={value}")
+      for name, value, error in REFUSED_META),
+    *(pytest.param({"meta": meta_with(**change)}, unread("meta"), id=f"meta-{key}")
+      for key, change in (("format=99", {"format": 99}), ("no-format", {"format": None}),
+                          ("t_ce=true", {"t_ce": True}), ("t_re='0.5'", {"t_re": "0.5"}),
+                          ("step=true", {"step": True}), ("seed=2.0", {"seed": 2.0}),
+                          ("unknown-key", {"note": "x"}))),
+    pytest.param({"meta": meta_with(spec_hash=None)}, "KeyError: 'spec_hash'",
+                 id="meta-no-spec_hash"),
+    # test_corrupt_checkpoint_exits_4_naming_the_path: only-an-unknown-entry
+    # (its no_meta file), text, truncated and empty
+    pytest.param({"x": lambda _: np.zeros(3)}, "ValueError: entries ['x'] are missing or extra",
+                 id="unknown-entry"),
+    pytest.param(lambda raw: npz_bytes({"x": np.zeros(3)}), "KeyError: 'meta'",
+                 id="only-an-unknown-entry"),
+    pytest.param(lambda raw: b"not a checkpoint\n", "ValueError: ", id="text"),
+    pytest.param(lambda raw: raw[:200], "BadZipFile: ", id="truncated"),
+    pytest.param(lambda raw: b"", "EOFError: ", id="empty"),
+    pytest.param({"bank.contents": lambda _: oracles.unit_rows(np.random.default_rng(3), 7, 4)},
+                 "ShapeMismatchError: bank rows are 4 wide, the features 5", id="narrow-bank"),
+    # test_checkpoint_bank_over_its_capacity_or_fractional_exits_4
+    pytest.param({"bank.capacity": lambda _: np.array(1, dtype=np.int64)},
+                 unread("bank.contents"), id="bank-over-capacity"),
+    pytest.param({"bank.capacity": lambda capacity: capacity + 0.7}, unread("bank.capacity"),
+                 id="fractional-capacity"),
+    pytest.param({"bank.capacity": lambda _: np.array(1e308)}, "OverflowError: ",
+                 id="capacity-no-int64-holds"),
+    # test_checkpoint_arrays_that_form_no_model_exit_4, its other three ids
+    *(pytest.param({name: lambda _, shape=shape: np.ones(shape)}, NO_MODEL, id=f"{name}-{shape}")
+      for name, shape in (("velocity/layer0.weight", (3, 3)), ("teacher/classifier", (5, 7)),
+                          ("student/layer1.weight", (16, 7)))),
+    # a layer chain of its own, but not the student's: Checkpoint refuses it
+    pytest.param({"teacher/layer0.weight": lambda _: np.ones((3, 7)),
+                  "teacher/layer0.bias": lambda _: np.ones(7),
+                  "teacher/layer1.weight": lambda _: np.ones((7, 5))},
+                 "ShapeMismatchError: student, teacher and velocity arrays differ in shape",
+                 id="teacher-of-another-width"),
+]
+
+
+@pytest.fixture(scope="module")
+def step2_checkpoint(tmp_path_factory):
+    """A FAST run's directory and what it held, and the entries and bytes of
+    its step-2 checkpoint, whose bank holds keys."""
+    run = tmp_path_factory.mktemp("sweep") / "run"
+    assert run_cli("train", "--out", str(run), *FAST,
+                   "--set", "train.checkpoint_interval=2") == EXIT_OK
+    raw = (run / "checkpoint_step2.npz").read_bytes()
+    with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    assert tuple(arrays) == CHECKPOINT_ENTRIES and len(arrays["bank.contents"]) >= 2
+    return run, contents(run), arrays, raw
+
+
+@pytest.mark.parametrize("edits, error", CHECKPOINT_SWEEP)
+def test_a_checkpoint_save_would_not_write_exits_4(tmp_path, capsys, step2_checkpoint,
+                                                   edits, error):
+    run, before, arrays, raw = step2_checkpoint
+    bad, out = tmp_path / "bad.npz", tmp_path / "out"
+    if callable(edits):
+        bad.write_bytes(edits(raw))
     else:
-        arrays[name] = np.ones(shape)
-    bad = tmp_path / "bad.npz"
-    with open(bad, "wb") as fh:
-        np.savez(fh, **arrays)
-    out = tmp_path / "resumed"
-    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
-    for argv in (["train", "--out", str(out), "--resume", str(bad), *longer],
-                 ["eval", "--checkpoint", str(bad), *FAST]):
+        edited = {name: edit(arrays.get(name)) if edit else None for name, edit in edits.items()}
+        bad.write_bytes(npz_bytes({name: array for name, array in {**arrays, **edited}.items()
+                                   if array is not None}))
+    message = f"{bad} is not a readable checkpoint ({error}"
+    with pytest.raises(DatasetFormatError) as info:
+        load_checkpoint(bad)
+    assert str(info.value).startswith(message), str(info.value)
+    capsys.readouterr()
+    for argv in (["train", "--out", str(run), "--resume", str(bad), *LONGER],
+                 ["train", "--out", str(out), "--resume", str(bad), *LONGER],
+                 ["eval", "--checkpoint", str(bad), *FAST],
+                 ["analyze", "--checkpoint", str(bad), "--out", str(out), *FAST]):
         code = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == EXIT_INVALID_CONFIG, (argv, err)
-        assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
-                              f"({error}: "), err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert err.startswith(f"error: invalid-config: {message}"), (argv, err)
+    assert contents(run) == before
     assert not out.exists()
-
-
-def test_checkpoint_bank_over_its_capacity_or_fractional_exits_4(tmp_path, capsys):
-    # lrco never writes either bank: one holding more rows than its capacity
-    # loaded with the oldest rows dropped, and a capacity of n + 0.7 loaded as n
-    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    bank = MemoryBank.from_state_arrays(arrays).state_arrays()
-    n_rows = len(bank["bank.contents"])
-    assert n_rows >= 2
-    cases = {"over_capacity": np.array(n_rows - 1, dtype=np.int64),
-             "fractional_capacity": np.array(n_rows + 0.7)}
-    for name, capacity in cases.items():
-        bad = tmp_path / f"{name}.npz"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **{**arrays, **bank, "bank.capacity": capacity})
-        with pytest.raises(DatasetFormatError, match=r"\(ValueError: bank "):
-            load_checkpoint(bad)
-        assert run_cli("eval", "--checkpoint", str(bad), *FAST) == EXIT_INVALID_CONFIG, name
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid-config: {bad} is not a readable checkpoint "
-                              "(ValueError: bank "), err
-
-
-def test_checkpoint_its_model_cannot_run_exits_4_in_every_command(tmp_path, capsys):
-    # each of these once loaded, then `train --resume`, `eval` or both
-    # exited 1 with a ValueError traceback: bank rows of another width than
-    # the features (5 here), and a temperature outside (0, inf); with a tau
-    # outside (0, 1), a fractional step or a negative seed all three exited
-    # 0, and with a negative step `train --resume` exited 1 on a TypeError
-    run = tmp_path / "run"
-    assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
-    with np.load(run / "checkpoint_final.npz", allow_pickle=False) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    meta = json.loads(str(arrays["meta"]))
-    narrow = oracles.unit_rows(np.random.default_rng(3), 7, 4)
-    cases = {"narrow_bank": ({"bank.contents": narrow},
-                             "ShapeMismatchError: bank rows are 4 wide, the features 5)")}
-    for name, value, error in oracles.REFUSED_META:
-        text = json.dumps({**meta, name: value})
-        cases[f"{name}={value}"] = ({"meta": np.array(text)}, error)
-
-    def contents(root):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
-
-    before = contents(run)
-    out = tmp_path / "out"
-    longer = [a if a != "train.total_steps=4" else "train.total_steps=6" for a in FAST]
-    for case, (entries, error) in cases.items():
-        bad = tmp_path / f"{case}.npz"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **{**arrays, **entries})
-        with pytest.raises(DatasetFormatError):
-            load_checkpoint(bad)
-        for argv in (["train", "--out", str(run), "--resume", str(bad), *longer],
-                     ["train", "--out", str(out), "--resume", str(bad), *longer],
-                     ["eval", "--checkpoint", str(bad), *FAST],
-                     ["analyze", "--checkpoint", str(bad), "--out", str(out), *FAST]):
-            code = run_cli(*argv)
-            err = capsys.readouterr().err
-            assert code == EXIT_INVALID_CONFIG, (case, argv, err)
-            assert len(err.splitlines()) == 1, (case, argv, err)
-            assert err.startswith(f"error: invalid-config: {bad} is not a readable "
-                                  f"checkpoint ({error}"), (case, argv, err)
-        assert contents(run) == before, case
-        assert not out.exists(), case
 
 
 def test_every_documented_exit_code(tmp_path, capsys):

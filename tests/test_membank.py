@@ -126,7 +126,7 @@ def test_state_roundtrip_empty():
 
 def test_restore_refuses_what_a_push_refuses():
     # the rows of a restored bank go through the push check, so a NaN row
-    # never reaches a snapshot; test_cli's NaN-bank resume is the CLI twin.
+    # never reaches a snapshot (the CLI twin: test_cli's row nan-bank.contents).
     # Rows of width 0 have norm 0, and contents that are not a matrix hold
     # no rows: both were restored unchecked before
     bank = MemoryBank(capacity=6)

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import inspect
 import itertools
-import json
 import os
 import sys
 import tempfile
@@ -18,7 +17,7 @@ from lrco import autodiff as ad
 from lrco import losses as L
 from lrco import membank, numerics, trainer
 from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak_augment
-from lrco.errors import ConfigError, DatasetFormatError, TrainingDivergedError
+from lrco.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
     ModelConfig, clone_state, compute_gradients, ema_update, features_of, init_model, probs_of,
@@ -1253,34 +1252,25 @@ def test_every_checkpoint_field_survives_save_and_load(tmp_path):
         assert not same(getattr(base, name), value), name
 
 
-def test_load_refuses_a_checkpoint_its_model_cannot_run(tmp_path):
-    # each of these once loaded, then ended the first step or evaluation on
-    # a ValueError traceback: bank rows of another width than the features,
-    # and a temperature outside (0, inf); a tau outside (0, 1), a fractional
-    # step or a negative seed trained on, and a negative step ended the
-    # first resumed step on a TypeError traceback
+def test_a_record_refuses_arrays_not_laid_out_like_its_student():
+    # load_checkpoint checked these itself, so fit's record and replace()
+    # went unchecked; each record now checks them when it is built
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
-    base = Checkpoint(student=student, teacher=teacher, velocities=init_velocities(student),
-                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash="")
+    fields = dict(student=student, teacher=teacher, velocities=init_velocities(student),
+                  bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash="")
+    base = Checkpoint(**fields)
+    wide = init_model(ModelConfig(input_dim=2, hidden_dims=(7,), feature_dim=5, n_classes=3,
+                                  t_ce=student.t_ce, t_re=student.t_re), SeededRng(1))
     narrow = MemoryBank(cfg.bank_capacity)
     narrow.push_batch(oracles.unit_rows(SeededRng(3), 7, student.feature_dim - 1))
-    save_checkpoint(tmp_path / "narrow_bank.npz", dataclasses.replace(base, bank=narrow))
-    cases = {"narrow_bank": "ShapeMismatchError: bank rows are 4 wide, the features 5"}
-    good = tmp_path / "good.npz"
-    save_checkpoint(good, base)
-    assert load_checkpoint(good).bank.dim is None  # an empty bank loads
-    # a record no state or Checkpoint can hold is written by rewriting the meta
-    with np.load(good, allow_pickle=False) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    meta = json.loads(str(arrays["meta"]))
-    for name, value, error in oracles.REFUSED_META:
-        with open(tmp_path / f"{name}={value}.npz", "wb") as fh:
-            np.savez(fh, **{**arrays, "meta": np.array(json.dumps({**meta, name: value}))})
-        cases[f"{name}={value}"] = error
-    for case, error in cases.items():
-        with pytest.raises(DatasetFormatError) as info:
-            load_checkpoint(tmp_path / f"{case}.npz")
-        assert f"is not a readable checkpoint ({error}" in str(info.value), case
+    for change, error in (({"teacher": wide}, "arrays differ in shape"),
+                          ({"velocities": np.zeros(student.params.size + 1)},
+                           "arrays differ in shape"),
+                          ({"bank": narrow}, "bank rows are 4 wide, the features 5")):
+        with pytest.raises(ShapeMismatchError, match=error):
+            Checkpoint(**{**fields, **change})
+        with pytest.raises(ShapeMismatchError, match=error):
+            dataclasses.replace(base, **change)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
