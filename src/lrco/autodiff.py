@@ -1,21 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-Every op in this module is dual-dispatch and computes its output value once,
-from the values of its inputs. Called on plain numpy inputs it returns that
-value (so evaluation code pays no graph overhead); called with at least one
-Tensor it wraps the same value in a graph node. The numpy path, which the
-finite-difference oracle runs, and the graph path, which training
-differentiates, therefore share one forward formula.
-
-The numpy path also takes a leading stack axis: when an input is a (B, ...)
-stack of its usual values (a vector that broadcasts against every row is
-stacked as (B, 1, d)), entry b of the result has the bits of the call on
-entry b alone, and an input without the axis is shared by every entry. The
-finite-difference oracle uses it to evaluate every perturbed parameter
-vector in one call. The graph path takes unstacked values only.
-
-The unfused ops whose chains training runs as one node each (add, matmul,
-tanh, softmax_rows, take_rows, detach) live in tests/oracles.py.
+A Tensor is a parameter leaf (model.lift_params) or an op node over other
+Tensors. A training step builds one node over the parameter leaves, whose
+backward runs the step's whole chain written out once
+(trainer.step_objective). The ops whose chain it replays (add, matmul,
+tanh, softmax_rows, take_rows, detach, weighted_sum) live in
+tests/oracles.py; normalize_rows, like the single loss heads, returns a
+plain value on arrays, stacked ones included, and a node on a Tensor.
 """
 
 from __future__ import annotations
@@ -46,10 +37,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output, filling .grad on reachable leaves."""
+        """Backpropagate from a scalar output into .grad of reachable leaves;
+        the op nodes under it start from none, so roots may share them."""
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
+        for node in order:
+            node.grad = None
         self.grad = np.array(1.0)
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
@@ -101,9 +95,9 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-# Backward formulas of a row softmax and of normalize_rows. The fused nodes of
-# the cosine heads (model.probs_of, losses.re_represent_batch) replay those
-# ops' chains with them, so a fused node keeps the chain's bits.
+# Backward formulas of a row softmax and of normalize_rows. The gradients of
+# the cosine heads (model.probs_vjp, losses.re_represent_batch) replay those
+# ops' chains with them, so they keep the chain's bits.
 
 def softmax_grad(g, y, t: float) -> np.ndarray:
     """What a temperature-t softmax over the last axis passes to its input
@@ -126,24 +120,6 @@ def row_block(x: np.ndarray, idx) -> np.ndarray:
     the contiguous block gives entry b the bits of the unstacked call."""
     rows = x[..., idx, :]
     return rows if rows.ndim == 2 else np.ascontiguousarray(rows)
-
-
-def weighted_sum(pairs):
-    """Sum of w * x over (x, w) pairs, x a term and w a plain python
-    constant, accumulated left to right; x gets g * w. A graph node when
-    any term is a Tensor, and then every term must be one."""
-    pairs = [(x, float(w)) for x, w in pairs]
-    y = value_of(pairs[0][0]) * pairs[0][1]
-    for x, w in pairs[1:]:
-        y = y + value_of(x) * w
-    if not any(is_tensor(x) for x, _ in pairs):
-        return y
-
-    def backward_fn(g):
-        for x, w in pairs:
-            x.accumulate(g * w)
-
-    return Tensor(y, tuple(x for x, _ in pairs), backward_fn)
 
 
 def normalize_rows(a):

@@ -125,12 +125,14 @@ def _build_instance(index: int, seed: int):
     }
 
 
-def _objective_terms(m, inst, step: str) -> dict:
-    """step_objective's terms and total on one prepared step, with the
-    instance's frozen classifier; on the graph each term is a node of its own."""
+def _objective_terms(m, inst, step: str, keys) -> list:
+    """The terms ``keys`` of step_objective ("total" among them) on one
+    prepared step, with the instance's frozen classifier; on the graph each
+    is a node of its own, all from one forward pass."""
     total, terms = step_objective(m, inst["batches"][step], inst["cfgs"][step],
                                   frozen_classifier=inst["frozen_classifier"], term_nodes=True)
-    return {**terms, "total": total}
+    terms["total"] = total
+    return [terms[key] for key in keys]
 
 
 def values_at(inst, step: str, keys, vecs: np.ndarray) -> np.ndarray:
@@ -138,23 +140,26 @@ def values_at(inst, step: str, keys, vecs: np.ndarray) -> np.ndarray:
     a (P,) vector gives (K,) values, a (B, P) stack gives (B, K), and row b
     has the bits of vector b alone. A term the step leaves at zero is zero
     in every row."""
-    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, step)
-    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for key in keys], axis=-1)
+    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, step, keys)
+    return np.stack([np.broadcast_to(term, vecs.shape[:-1]) for term in terms], axis=-1)
 
 
 def check_instance(index: int, seed: int = 0) -> InstanceResult:
+    """Every check's relative error on one instance; the checks on a prepared
+    step share one finite-difference pass and one forward pass of the graph."""
     inst = _build_instance(index, seed)
     student = inst["student"]
     base_vec = get_param_vector(student)
     numeric: dict[str, np.ndarray] = {}
+    analytic: dict[str, np.ndarray] = {}
     for step in dict.fromkeys(step for step, _ in CHECKS.values()):
-        keys = {name: key for name, (at, key) in CHECKS.items() if at == step}
-        values = functools.partial(values_at, inst, step, tuple(keys.values()))
-        numeric.update(zip(keys, finite_diff_grad(values, base_vec).T))
-    errors = {}
-    for name, (step, key) in CHECKS.items():
-        analytic = compute_gradients(student, lambda m: _objective_terms(m, inst, step)[key])
-        errors[name] = relative_grad_error(analytic, numeric[name])
+        names = [name for name, (at, _) in CHECKS.items() if at == step]
+        keys = tuple(CHECKS[name][1] for name in names)
+        values = functools.partial(values_at, inst, step, keys)
+        numeric.update(zip(names, finite_diff_grad(values, base_vec).T))
+        analytic.update(zip(names, compute_gradients(
+            student, functools.partial(_objective_terms, inst=inst, step=step, keys=keys))))
+    errors = {name: relative_grad_error(analytic[name], numeric[name]) for name in CHECKS}
     return InstanceResult(index=index, n_classes=student.n_classes,
                           feature_dim=student.feature_dim, errors=errors)
 

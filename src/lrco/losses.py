@@ -1,21 +1,18 @@
 """Loss terms: supervised, consistency, and the low-confidence contrastive family.
 
-All functions are pure and dual-dispatch. Called with plain numpy they return
-plain values; called with autodiff tensors they return graph nodes, so the
-trainer differentiates through them directly. Contrastive quantities are
-evaluated in the log domain via log-sum-exp; probabilities entering a log are
-clamped below at LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
+All functions are pure. Contrastive quantities are evaluated in the log
+domain via log-sum-exp; probabilities entering a log are clamped below at
+LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
 
-Each loss head (cross_entropy_batch, entropy_alignment, kld_uniform_batch,
-class_terms_batch, contrastive_batch, mixlrco_batch, contrastive_branch) is
-one graph node with a closed-form gradient. It computes its value once, from
-plain values, for both dispatch paths; the numpy path also takes a leading
-stack axis, as the autodiff ops do. Its backward writes only into its one
-differentiable input, the probability rows, the queries or the feature rows
-the queries are made from: classifiers, keys, blended keys and bank rows are
-constants. class_terms_batch fuses the supervised and consistency terms, and
-contrastive_branch the student's queries and its contrastive loss; the single
-heads share their value and gradient formulas and are their reference.
+The training step's parts (cross_entropy_vjp, class_terms_batch,
+contrastive_branch) return their value, with a leading stack axis when
+given one, and a gradient function, which the trainer's step node calls.
+The single heads (cross_entropy_batch, entropy_alignment,
+kld_uniform_batch, contrastive_batch, mixlrco_batch, re_represent_batch)
+share their formulas and are their reference: plain values on arrays, one
+graph node on a Tensor. Each gradient goes only into the probability rows
+or the feature rows the queries are made from: classifiers, keys, blended
+keys and bank rows are constants.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
 -log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
@@ -139,24 +136,28 @@ def _kld_grad(g, p):
     return -(g / (n * n_classes)) * ((p > LOG_FLOOR) / np.maximum(p, LOG_FLOOR))
 
 
-def cross_entropy_batch(p_rows, labels):
-    """Mean negative log probability over a batch of probability rows.
-
-    The gradient of p[i, y_i] is -g / (n p[i, y_i]), 0 at or below LOG_FLOOR;
-    every other entry gets 0.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    p = ad.value_of(p_rows)
+def cross_entropy_vjp(p: np.ndarray, labels: np.ndarray):
+    """(mean negative log probability of the rows of p at their integer
+    labels, grad): on unstacked rows, grad(g) is the gradient on p when the
+    mean gets g. The gradient of p[i, y_i] is -g / (n p[i, y_i]), 0 at or
+    below LOG_FLOOR; every other entry gets 0."""
     y, picked = _ce_value(p, labels)
+
+    def grad(g):
+        out = np.zeros(p.shape)
+        out[np.arange(len(labels)), labels] = _ce_grad(g, picked)
+        return out
+
+    return y, grad
+
+
+def cross_entropy_batch(p_rows, labels):
+    """Mean negative log probability over a batch of probability rows, with
+    the gradient of cross_entropy_vjp."""
+    y, grad = cross_entropy_vjp(ad.value_of(p_rows), np.asarray(labels, dtype=np.int64))
     if not ad.is_tensor(p_rows):
         return y
-
-    def backward_fn(g):
-        grad = np.zeros(p.shape)
-        grad[np.arange(len(labels)), labels] = _ce_grad(g, picked)
-        p_rows.accumulate(grad)
-
-    return ad.Tensor(y, (p_rows,), backward_fn)
+    return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(grad(g)))
 
 
 def entropy_alignment(p_rows):
@@ -184,10 +185,10 @@ def kld_uniform_batch(p_rows):
     return ad.Tensor(y, (p_rows,), lambda g: p_rows.accumulate(_kld_grad(g, p)))
 
 
-def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
-                      high, pseudo, weights: dict, term_nodes: bool = False):
+def class_terms_batch(p: np.ndarray, labeled: slice, labels, unlabeled: slice,
+                      high, pseudo, weights: dict):
     """The supervised and consistency terms of an objective, read from one
-    matrix of probability rows: (total, terms).
+    matrix of probability rows: (total, terms, grad).
 
     terms maps each term that is built to its value, in this order:
     - "ce": cross_entropy_batch of the ``labeled`` rows against ``labels``;
@@ -197,18 +198,15 @@ def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
       empty: cross_entropy_batch of those rows against ``pseudo``, and
       kld_uniform_batch of them.
     total is the sum of weights[term] * value over the built terms whose
-    weight is positive, added up in that order, as weighted_sum adds.
+    weight is positive, added up in that order, as a weighted sum adds.
 
-    With a Tensor, total is one graph node on p_rows. Its backward writes
-    each row block once, in the order the single heads' chain gave their
-    gradients: the labeled rows (CE, then entropy), the unlabeled rows, the
-    high rows (CE, then KLD). The terms are plain values, unless
-    ``term_nodes`` asks for each as a node of its own on p_rows, outside
-    total's graph, with the same backward and that term's weight alone, for
-    differentiating the terms one at a time. The bits are those of the
-    chain of take_rows, the single heads and weighted_sum.
+    grad(g, term_weights) is the gradient on p of g times the sum of
+    term_weights[term] * terms[term] (by default, total's weights). It
+    writes each row block once, in the chain's order: the labeled rows (CE,
+    then entropy), the unlabeled rows, the high rows (CE, then KLD). The
+    bits are those of the chain of take_rows, the single heads and a
+    weighted sum.
     """
-    p = ad.value_of(p_rows)
     p_lab, p_unl = ad.row_block(p, labeled), ad.row_block(p, unlabeled)
     n_lab, n_unl = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
     share_lab, share_unl = n_lab / (n_lab + n_unl), n_unl / (n_lab + n_unl)
@@ -224,31 +222,26 @@ def class_terms_batch(p_rows, labeled: slice, labels, unlabeled: slice,
     total = None
     for t, w in in_total.items():
         total = terms[t] * w if total is None else total + terms[t] * w
-    if not ad.is_tensor(p_rows):
-        return total, terms
 
-    def backward(g, term_weights):
+    def grad(g, term_weights=in_total):
         g = float(g)
-        grad = np.zeros(p.shape)
+        out = np.zeros(p.shape)
         w = term_weights.get("ce")
         if w:
-            grad[np.arange(labeled.start, labeled.stop), labels] = _ce_grad(g * w, picked_lab)
+            out[np.arange(labeled.start, labeled.stop), labels] = _ce_grad(g * w, picked_lab)
         w = term_weights.get("align")
         if w:
-            grad[labeled] += _entropy_grad(g * w * share_lab, p_lab, log_lab)
-            grad[unlabeled] = _entropy_grad(g * w * share_unl, p_unl, log_unl)
+            out[labeled] += _entropy_grad(g * w * share_lab, p_lab, log_lab)
+            out[unlabeled] = _entropy_grad(g * w * share_unl, p_unl, log_unl)
         w = term_weights.get("fixmatch")
         if w:
-            grad[high, pseudo] = _ce_grad(g * w, picked_high)
+            out[high, pseudo] = _ce_grad(g * w, picked_high)
         w = term_weights.get("kld")
         if w:
-            grad[high] += _kld_grad(g * w, p_high)
-        p_rows.accumulate(grad)
+            out[high] += _kld_grad(g * w, p_high)
+        return out
 
-    if term_nodes:
-        terms = {t: ad.Tensor(v, (p_rows,), lambda g, t=t: backward(g, {t: 1.0}))
-                 for t, v in terms.items()}
-    return ad.Tensor(total, (p_rows,), lambda g: backward(g, in_total)), terms
+    return total, terms, grad
 
 
 # Classifier-weight re-representation ----------------------------------------
@@ -396,9 +389,9 @@ def _checked_bank(bank_matrix, dim: int) -> np.ndarray:
     return bank
 
 
-def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
+def contrastive_branch(f_rows: np.ndarray, rows, classifier, t_re: float, mode: str,
                        k_pos, k_den: tuple, bank_matrix, t_co: float, w_unit=None):
-    """The student's contrastive branch as one graph node on the feature rows.
+    """The student's contrastive branch from its feature rows: (loss, grad).
 
     The queries are the rows ``rows`` (unique int64 indices) of f_rows, made
     unit by contrast_rows(_, classifier, t_re, mode, w_unit). The loss is
@@ -410,32 +403,24 @@ def contrastive_branch(f_rows, rows, classifier, t_re: float, mode: str,
     the bank a MemoryBank snapshot, whose rows were checked when they were
     pushed, so only the bank's shape is checked here.
 
-    Its value and gradient keep the bits of the chain take_rows,
-    contrast_rows and the loss head: the backward replays the head's
-    gradient, the query rows' first accumulate, their gradient formula, and
-    writes the result into the selected rows of a zero gradient by
-    assignment, as take_rows's add.at does when the indices are unique.
+    grad(g) is the gradient of the rows ``rows`` when the loss gets g. Added
+    into those rows of a feature gradient, as take_rows's add.at adds, it
+    keeps the bits of the chain take_rows, contrast_rows and the loss head.
     """
     if mode not in REREP_MODES:
         raise ValueError(f"unknown rerep mode {mode!r}; choose from {REREP_MODES}")
-    f_all = ad.value_of(f_rows)
-    f = ad.row_block(f_all, rows)
+    f = ad.row_block(f_rows, rows)
     if mode == "rerep":
         q, q_parts = _rerep_value(f, ad.value_of(classifier), t_re, w_unit)
     else:
         q, norms = unit_last(f)
     y, parts = _contrast_value(q, k_pos, k_den, _shaped_bank(bank_matrix, q.shape[-1]), t_co)
-    if not ad.is_tensor(f_rows):
-        return y
 
-    def backward_fn(g):
+    def grad(g):
         g_q = _contrast_grad(g, k_pos, k_den, t_co, parts)
-        grad = np.zeros(f_all.shape)
-        grad[rows] = (_rerep_grad(g_q, q_parts) if mode == "rerep"
-                      else ad.normalize_grad(g_q, q, norms))
-        f_rows.accumulate(grad)
+        return _rerep_grad(g_q, q_parts) if mode == "rerep" else ad.normalize_grad(g_q, q, norms)
 
-    return ad.Tensor(y, (f_rows,), backward_fn)
+    return y, grad
 
 
 # Cross-domain mixing ----------------------------------------------------------

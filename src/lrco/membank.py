@@ -61,10 +61,11 @@ class MemoryBank:
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "MemoryBank":
         """A bank of the stored capacity with the stored rows pushed: contents
-        that are not a matrix raise ValueError, a row that is not unit
-        InvalidRowsError. load_checkpoint refuses what does not read back."""
+        that are not a matrix raise ValueError, complex ones TypeError, a row
+        that is not unit InvalidRowsError. load_checkpoint refuses what does
+        not read back."""
         bank = cls(capacity=int(arrays["bank.capacity"]))
-        contents = np.asarray(arrays["bank.contents"], dtype=np.float64)
+        contents = np.asarray(arrays["bank.contents"]).astype(np.float64, casting="same_kind")
         bank.push_batch(contents)
         if not len(bank):  # an empty bank keeps the width it was saved with
             bank._rows = np.zeros(contents.shape)

@@ -83,7 +83,7 @@ class ModelState:
 
 @dataclass
 class ParamTensors:
-    """Autodiff view of a checked ModelState; duck-compatible with it for forward code."""
+    """Autodiff view of a checked ModelState: a parameter leaf per array."""
 
     weights: list[ad.Tensor]
     biases: list[ad.Tensor]
@@ -92,6 +92,7 @@ class ParamTensors:
     t_re: float
     grad: np.ndarray | None = None  # the flat vector the leaves' grads are views of
     state: ModelState | None = None  # the state whose params the leaves' values view
+    leaves: tuple[ad.Tensor, ...] = ()  # every leaf, in state_arrays order
 
 
 def _mlp_layout(dims: tuple[int, ...], n_classes: int) -> tuple[tuple[int, ...], ...]:
@@ -148,85 +149,72 @@ def clone_state(m: ModelState) -> ModelState:
     return ModelState(m.params.copy(), m.layout, m.t_ce, m.t_re)
 
 
-def features_of(model_like, x_rows):
-    """Batch feature forward pass: h @ W + b through each layer, with tanh
-    between layers and none after the last.
-
-    One graph node when the model holds tensors (ParamTensors), whose parents
-    are the weight and bias leaves; the input rows are a constant. On a
-    ModelState, stacked ones included, it returns the value as a plain array.
-    Its backward replays the op chain matmul, add, tanh layer by layer with
-    the same expressions, from the top layer down.
-    """
-    weights, biases = model_like.weights, model_like.biases
-    graph = ad.is_tensor(weights[0])
-    h = ad.value_of(x_rows)
+def features_vjp(m: ModelState, x_rows):
+    """(features, grad): the batch feature forward pass of a state (stacked
+    ones included), h @ W + b through each layer with tanh between layers
+    and none after the last; on an unstacked state, grad(g) lists the
+    gradients of m's weights and biases, in state_arrays order, when the
+    features get g. It replays the op chain matmul, add, tanh with the same
+    expressions, from the top layer down."""
+    h = np.asarray(x_rows, dtype=np.float64)
     hs = [h]  # each layer's input, then the features
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if graph:
-            w, b = w.value, b.value
+    last = len(m.weights) - 1
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         h = h @ w + b
         if i < last:
             h = np.tanh(h)
         hs.append(h)
-    if not graph:
-        return h
 
-    def backward_fn(g):
+    def grad(g):
+        out = [None] * (2 * last + 2)
         for i in range(last, -1, -1):
-            biases[i].accumulate(np.add.reduce(g, axis=0))
-            weights[i].accumulate(hs[i].T @ g)
-            if i:  # through the tanh node below, to the layer under it
-                g = (g @ weights[i].value.T) * (1.0 - hs[i] * hs[i])
+            out[2 * i + 1] = np.add.reduce(g, axis=0)
+            out[2 * i] = hs[i].T @ g
+            if i:  # through the tanh below, to the layer under it
+                g = (g @ m.weights[i].T) * (1.0 - hs[i] * hs[i])
+        return out
 
-    return ad.Tensor(h, (*weights, *biases), backward_fn)
-
-
-def unit_classifier(model_like) -> tuple[np.ndarray, np.ndarray]:
-    """(unit rows, norms) of the model's classifier, computed once a step for
-    every reader of it: probs_of and the re-represented rows."""
-    return unit_last(ad.value_of(model_like.classifier))
+    return h, grad
 
 
-def probs_of(model_like, feature_rows, rows: slice | None = None, classifier_unit=None):
-    """Cosine-head class probabilities for a batch of raw features: the
-    temperature-t_ce softmax of the cosines between each feature row and each
-    classifier row.
+def features_of(m: ModelState, x_rows) -> np.ndarray:
+    """The features of features_vjp alone."""
+    return features_vjp(m, x_rows)[0]
 
-    ``rows`` reads only that range of the feature rows; their gradient goes
-    into that range of feature_rows, which the other rows leave at zero.
-    ``classifier_unit`` is unit_classifier(model_like) when the caller has it.
 
-    A graph node when feature_rows is a Tensor, and then the classifier must
-    be one too; its value serves both dispatch paths and the numpy stack
-    axis. Its backward replays the op chain (take_rows for a range),
+def probs_vjp(m: ModelState, feature_rows: np.ndarray, rows: slice | None = None,
+              classifier_unit=None):
+    """(probabilities, grad): the temperature-t_ce softmax of the cosines
+    between each raw feature row and each classifier row, stacks included;
+    on unstacked values, grad(g) is (the classifier's gradient, the feature
+    rows' gradient) when the probabilities get g, replaying the op chain
     normalize_rows (classifier and features), matmul(transpose_b),
-    softmax_rows with the same expressions, into the feature rows and the
-    classifier.
+    softmax_rows with the same expressions.
+
+    ``rows`` reads only that range of the feature rows, as take_rows would;
+    the other rows get a zero gradient. ``classifier_unit`` is
+    unit_last(m.classifier) when the caller has it.
     """
-    classifier = model_like.classifier
-    w_unit, w_norms = (unit_last(ad.value_of(classifier)) if classifier_unit is None
-                       else classifier_unit)
-    f_all = ad.value_of(feature_rows)
-    f_unit, f_norms = unit_last(f_all if rows is None else ad.row_block(f_all, rows))
-    t = model_like.t_ce
-    y = softmax_last(f_unit @ w_unit.mT, t)
-    if not ad.is_tensor(feature_rows):
-        return y
+    w_unit, w_norms = unit_last(m.classifier) if classifier_unit is None else classifier_unit
+    f_unit, f_norms = unit_last(feature_rows if rows is None
+                                else ad.row_block(feature_rows, rows))
+    y = softmax_last(f_unit @ w_unit.mT, m.t_ce)
 
-    def backward_fn(g):
-        g_cos = ad.softmax_grad(g, y, t)
+    def grad(g):
+        g_cos = ad.softmax_grad(g, y, m.t_ce)
         g_f = ad.normalize_grad(g_cos @ w_unit, f_unit, f_norms)
-        if rows is None:
-            feature_rows.accumulate(g_f)
-        else:
-            g_all = np.zeros(f_all.shape)
+        if rows is not None:
+            g_all = np.zeros(feature_rows.shape)
             g_all[rows] = g_f
-            feature_rows.accumulate(g_all)
-        classifier.accumulate(ad.normalize_grad(g_cos.T @ f_unit, w_unit, w_norms))
+            g_f = g_all
+        return ad.normalize_grad(g_cos.T @ f_unit, w_unit, w_norms), g_f
 
-    return ad.Tensor(y, (feature_rows, classifier), backward_fn)
+    return y, grad
+
+
+def probs_of(m: ModelState, feature_rows: np.ndarray, classifier_unit=None):
+    """The class probabilities of probs_vjp alone, for every feature row."""
+    return probs_vjp(m, feature_rows, classifier_unit=classifier_unit)[0]
 
 
 def lift_params(m: ModelState) -> ParamTensors:
@@ -240,11 +228,12 @@ def lift_params(m: ModelState) -> ParamTensors:
     is refilled with zeros before each (grad.fill(0.0) gives the bits of
     np.zeros)."""
     grad = np.zeros(m.params.shape)
-    leaves = [ad.Tensor(value) for value in state_arrays(m).values()]
+    leaves = tuple(ad.Tensor(value) for value in state_arrays(m).values())
     for leaf, grad_view in zip(leaves, _cut(grad, m.layout)):
         leaf.grad = grad_view
-    return ParamTensors(weights=leaves[:-1:2], biases=leaves[1:-1:2], classifier=leaves[-1],
-                        t_ce=m.t_ce, t_re=m.t_re, grad=grad, state=m)
+    return ParamTensors(weights=list(leaves[:-1:2]), biases=list(leaves[1:-1:2]),
+                        classifier=leaves[-1], t_ce=m.t_ce, t_re=m.t_re, grad=grad, state=m,
+                        leaves=leaves)
 
 
 def tape_from(params: ParamTensors) -> np.ndarray:
@@ -252,18 +241,23 @@ def tape_from(params: ParamTensors) -> np.ndarray:
     return params.grad
 
 
-def compute_gradients(m: ModelState, loss_fn) -> np.ndarray:
+def compute_gradients(m: ModelState, loss_fn):
     """Exact reverse-mode gradients of loss_fn(params) with respect to m, as
-    one vector laid out like m.params.
+    one vector laid out like m.params; loss_fn receives a ParamTensors view.
 
-    loss_fn receives a ParamTensors view and must return a scalar. A loss
-    that never touches the parameters (a plain number) yields zero gradients.
+    loss_fn returns a scalar, or a list of them: then one vector per root,
+    each backpropagated into a gradient vector refilled with zeros, so one
+    forward pass serves every root. A plain number yields zero gradients.
     """
     params = lift_params(m)
     loss = loss_fn(params)
-    if isinstance(loss, ad.Tensor):
-        loss.backward()
-    return tape_from(params)
+    grads = []
+    for root in loss if isinstance(loss, list) else [loss]:
+        params.grad.fill(0.0)
+        if isinstance(root, ad.Tensor):
+            root.backward()
+        grads.append(tape_from(params).copy())
+    return grads if isinstance(loss, list) else grads[0]
 
 
 def ema_update(teacher: ModelState, student: ModelState, decay: float) -> ModelState:
@@ -316,10 +310,11 @@ def state_arrays(m: ModelState, prefix: str = "") -> dict[str, np.ndarray]:
 def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
                       prefix: str = "") -> ModelState:
     """A state holding a copy of the arrays named like state_arrays(_, prefix);
-    arrays that do not form one model raise ShapeMismatchError."""
+    arrays that do not form one model raise ShapeMismatchError, and complex
+    ones, which float64 does not hold by kind, TypeError."""
     n_layers = next(i for i in itertools.count() if f"{prefix}layer{i}.weight" not in arrays)
     layer_names, classifier_name = _array_names(prefix, n_layers)
-    picked = [np.asarray(arrays[name], dtype=np.float64)
+    picked = [np.asarray(arrays[name]).astype(np.float64, casting="same_kind")
               for name in (*itertools.chain(*layer_names), classifier_name)]
     return ModelState(np.concatenate([arr.ravel() for arr in picked]),
                       tuple(arr.shape for arr in picked), t_ce, t_re)
@@ -327,7 +322,7 @@ def state_from_arrays(arrays: dict[str, np.ndarray], t_ce: float, t_re: float,
 
 __all__ = [
     "ModelConfig", "ModelState", "ParamTensors",
-    "init_model", "clone_state", "features_of", "probs_of", "unit_classifier",
+    "init_model", "clone_state", "features_of", "features_vjp", "probs_of", "probs_vjp",
     "lift_params", "tape_from", "compute_gradients", "ema_update",
     "get_param_vector", "with_param_vector", "state_arrays",
     "state_from_arrays",

@@ -32,11 +32,11 @@ from .errors import (
 )
 from .membank import MemoryBank
 from .model import (
-    ModelConfig, ModelState, ParamTensors, clone_state, ema_update, features_of, init_model,
-    lift_params, probs_of, state_arrays, state_from_arrays, tape_from, unit_classifier,
+    ModelConfig, ModelState, ParamTensors, clone_state, ema_update, features_of, features_vjp,
+    init_model, lift_params, probs_of, probs_vjp, state_arrays, state_from_arrays, tape_from,
     with_param_vector,
 )
-from .numerics import SeededRng, StepStreams, float_text
+from .numerics import SeededRng, StepStreams, float_text, unit_last
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
 # The terms each method adds to its objective, in the order the total adds
@@ -204,7 +204,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
         n_u = len(unl_weak)
         teacher_in = np.concatenate((unl_weak, views["labeled"])) if can_mix else unl_weak
         teacher_feats = np.asarray(features_of(teacher, teacher_in), dtype=np.float64)
-        teacher_unit = unit_classifier(teacher)  # for the pseudo-labels and the keys
+        teacher_unit = unit_last(teacher.classifier)  # for the pseudo-labels and the keys
         teacher_probs = np.asarray(probs_of(teacher, teacher_feats[:n_u],
                                             classifier_unit=teacher_unit), dtype=np.float64)
         pseudo, flags = L.pseudo_labels(teacher_probs, tau)
@@ -268,48 +268,83 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
                    frozen_classifier=None, term_nodes: bool = False):
-    """Assemble a prepared step's total objective.
+    """A prepared step's objective: (total, terms), terms mapping LOSS_KEYS
+    but "total" to scalars, on a ModelState (stacked ones included) or on
+    ParamTensors. Every term takes its rows of the one pass over sb.x by
+    sb.rows; every row but the mixes goes through the probabilities once, by
+    row range, and the classifier is normalized once. ``frozen_classifier``
+    is only for the finite-difference harness.
 
-    Works on a ModelState (plain evaluation) or ParamTensors (training graph).
-    Returns (total, terms) where terms maps LOSS_KEYS minus "total" to scalars.
-    Every term takes its rows of the one pass over sb.x by sb.rows; every row
-    but the mixes goes through probs_of once, by row range, and the model's
-    classifier is normalized once, for the probabilities and the queries.
-    On the graph, the contrastive term is a node of the total's graph and
-    the class terms are plain values, unless ``term_nodes`` asks for each
-    as a node of its own, to differentiate it alone (class_terms_batch).
-    ``frozen_classifier`` is only for the finite-difference harness.
+    On ParamTensors, total is one node over the parameter leaves, whose
+    backward runs the step's chain written out once, in the order the walk
+    of the per-op graph gave: the class terms into the probabilities, they
+    into the classifier and the features, the contrastive term (at
+    lambda_co) added into the features, then the MLP, top layer down. The
+    contrastive term is a node too, its chain alone; the class terms are
+    plain values, or with ``term_nodes`` a node each, to differentiate one
+    at a time.
     """
+    graph = isinstance(model_like, ParamTensors)
+    m = model_like.state if graph else model_like
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
     rows = sb.rows
-    unit = unit_classifier(model_like)
-    feats = features_of(model_like, sb.x)
-    probs = probs_of(model_like, feats,  # no probability of a mix row is read
-                     slice(0, rows["mix"].start) if "mix" in rows else None, unit)
+    unit = unit_last(m.classifier)
+    feats, feats_grad = features_vjp(m, sb.x)
+    probs, probs_grad = probs_vjp(m, feats,  # no probability of a mix row is read
+                                  slice(0, rows["mix"].start) if "mix" in rows else None, unit)
     if "unlabeled_weak" in rows:
-        # More than one class term: one node for them all. The high rows are
-        # strong-view rows, which follow the unlabeled weak rows.
-        class_total, class_terms = L.class_terms_batch(
+        # More than one class term: one function for them all. The high rows
+        # are strong-view rows, which follow the unlabeled weak rows.
+        total, class_terms, class_grad = L.class_terms_batch(
             probs, rows["labeled"], sb.labeled_y, rows["unlabeled_weak"],
             rows["unlabeled_weak"].stop + sb.high_idx, sb.pseudo[sb.high_idx],
-            {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld},
-            term_nodes)
+            {"ce": 1.0, "align": cfg.lambda_align, "fixmatch": 1.0, "kld": cfg.lambda_kld})
         terms.update(class_terms)
     else:
-        class_total = terms["ce"] = L.cross_entropy_batch(probs, sb.labeled_y)
-    if sb.query_rows is None:
-        return class_total, terms
+        total, class_grad = L.cross_entropy_vjp(probs, sb.labeled_y)
+        terms["ce"] = total
+    lambda_co = 0.0
+    if sb.query_rows is not None:
+        # Queries go through the detached classifier; the finite-difference
+        # harness substitutes a fixed weight array for it, which the queries
+        # normalize themselves, so the numeric check differentiates the same
+        # function the stop-gradient defines.
+        classifier, w_unit = ((m.classifier, unit[0]) if frozen_classifier is None
+                              else (frozen_classifier, None))
+        terms["contrastive"], contrastive_grad = L.contrastive_branch(
+            feats, sb.query_rows, classifier, m.t_re, cfg.rerep_mode, sb.k_pos,
+            sb.k_den, sb.bank_snapshot, cfg.t_co, w_unit)
+        lambda_co = cfg.lambda_co
+        total = total + terms["contrastive"] * lambda_co
+    if not graph:
+        return total, terms
 
-    # Queries go through the detached classifier; the finite-difference
-    # harness substitutes a fixed weight array for it, which the queries
-    # normalize themselves, so the numeric check differentiates the same
-    # function the stop-gradient defines.
-    classifier, w_unit = ((model_like.classifier, unit[0]) if frozen_classifier is None
-                          else (frozen_classifier, None))
-    terms["contrastive"] = L.contrastive_branch(
-        feats, sb.query_rows, classifier, model_like.t_re, cfg.rerep_mode, sb.k_pos,
-        sb.k_den, sb.bank_snapshot, cfg.t_co, w_unit)
-    return ad.weighted_sum(((class_total, 1.0), (terms["contrastive"], cfg.lambda_co))), terms
+    leaves = model_like.leaves  # the MLP's, then the classifier
+
+    def node(value, class_part, w_co: float) -> ad.Tensor:
+        """A node whose backward is the chain from g times the class terms
+        class_part differentiates plus w_co times the contrastive term."""
+        def backward_fn(g):
+            if class_part is None:
+                g_f = np.zeros(feats.shape)
+            else:
+                g_w, g_f = probs_grad(class_part(g))
+                leaves[-1].accumulate(g_w)
+            if w_co:
+                g_f[sb.query_rows] += contrastive_grad(g * w_co)
+            for leaf, g_leaf in zip(leaves, feats_grad(g_f)):
+                leaf.accumulate(g_leaf)
+
+        return ad.Tensor(value, leaves if class_part else leaves[:-1], backward_fn)
+
+    if sb.query_rows is not None:
+        terms["contrastive"] = node(terms["contrastive"], None, 1.0)
+    if term_nodes:
+        parts = ({t: functools.partial(class_grad, term_weights={t: 1.0}) for t in class_terms}
+                 if "unlabeled_weak" in rows else {"ce": class_grad})
+        for t, part in parts.items():
+            terms[t] = node(terms[t], part, 0.0)
+    return node(total, class_grad, lambda_co), terms
 
 
 # Optimizer ---------------------------------------------------------------------
@@ -504,7 +539,8 @@ def load_checkpoint(path) -> Checkpoint:
     writes it back entry for entry: the same names, dtypes and values. Any
     other file, or one whose record refuses a value, raises DatasetFormatError."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # np.load on a path leaves the file open when the zip is truncated
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays["meta"]))
         student, teacher, velocity = (

@@ -1,10 +1,11 @@
 """Reference code that only the tests run.
 
-The unfused autodiff ops add, matmul, tanh, softmax_rows, take_rows and
-detach: training runs each chain of them as one fused node
-(model.features_of, model.probs_of, losses.re_represent_batch,
-losses.contrastive_branch), and the tests check every fused node, bit for
-bit, against the chain it replaced. Each op is dual-dispatch, as the
+The unfused autodiff ops add, matmul, tanh, softmax_rows, take_rows, detach
+and weighted_sum: a training step runs their chain as one node, whose
+backward calls the gradient functions of its parts (model.features_vjp,
+model.probs_vjp, losses.class_terms_batch, losses.contrastive_branch), and
+the tests check every part and the step, bit for bit, against the chain it
+replaced. Each op is dual-dispatch, as the
 package's own ops are: on plain numpy inputs it returns the value, leading
 stack axis included, and with at least one Tensor it wraps the same value in
 a graph node.
@@ -20,7 +21,7 @@ Also the helpers that several test modules share.
 import numpy as np
 
 from lrco import numerics
-from lrco.autodiff import Tensor, is_tensor, row_block, softmax_grad, value_of
+from lrco.autodiff import Tensor, is_tensor, normalize_rows, row_block, softmax_grad, value_of
 from lrco.model import state_arrays
 
 
@@ -101,12 +102,51 @@ def take_rows(a, idx):
     return Tensor(y, (a,), backward_fn)
 
 
+def weighted_sum(pairs):
+    """Sum of w * x over (x, w) pairs, x a term and w a plain python
+    constant, accumulated left to right; x gets g * w. A graph node when
+    any term is a Tensor, and then every term must be one."""
+    pairs = [(x, float(w)) for x, w in pairs]
+    y = value_of(pairs[0][0]) * pairs[0][1]
+    for x, w in pairs[1:]:
+        y = y + value_of(x) * w
+    if not any(is_tensor(x) for x, _ in pairs):
+        return y
+
+    def backward_fn(g):
+        for x, w in pairs:
+            x.accumulate(g * w)
+
+    return Tensor(y, tuple(x for x, _ in pairs), backward_fn)
+
+
 def detach(a):
     """Stop gradients: the value flows forward as a parentless Tensor, and
     nothing flows back."""
     if not is_tensor(a):
         return value_of(a)
     return Tensor(a.value)
+
+
+def features_chain(model_like, x_rows):
+    """The MLP forward as the op chain matmul, add, tanh, layer by layer: the
+    reference of model.features_vjp."""
+    h = x_rows  # the first matmul lifts it into a constant node
+    last = len(model_like.weights) - 1
+    for i, (w, b) in enumerate(zip(model_like.weights, model_like.biases)):
+        h = add(matmul(h, w), b)
+        if i < last:
+            h = tanh(h)
+    return h
+
+
+def probs_chain(model_like, feature_rows):
+    """The cosine head as the op chain normalize_rows (features and
+    classifier), matmul(transpose_b), softmax_rows: the reference of
+    model.probs_vjp."""
+    w_norm = normalize_rows(model_like.classifier)
+    logits = matmul(normalize_rows(feature_rows), w_norm, transpose_b=True)
+    return softmax_rows(logits, model_like.t_ce)
 
 
 def unit_rows(rng, n, d):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import oracles
 import pytest
@@ -7,8 +9,8 @@ from lrco import numerics
 from lrco.errors import DegenerateFeatureError
 from lrco.losses import entropy_alignment, re_represent_batch
 from lrco.model import (
-    ModelConfig, ParamTensors, features_of, get_param_vector, init_model, lift_params,
-    probs_of, state_arrays, tape_from, with_param_vector,
+    ModelConfig, features_of, features_vjp, get_param_vector, init_model, lift_params,
+    probs_of, probs_vjp, state_arrays, tape_from, with_param_vector,
 )
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
 
@@ -61,8 +63,8 @@ def test_add_broadcast_bias():
 
 
 def test_weighted_sum():
-    check_op_gradient(lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5))
-    check_op_gradient(lambda a, b, c: ad.weighted_sum(((a, 1.0), (b, 0.5), (c, 4.0))),
+    check_op_gradient(lambda a, b: oracles.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5))
+    check_op_gradient(lambda a, b, c: oracles.weighted_sum(((a, 1.0), (b, 0.5), (c, 4.0))),
                       (), (), ())
 
 
@@ -70,7 +72,7 @@ def test_weighted_sum_adds_left_to_right():
     # the bits of (x0 w0 + x1 w1) + x2 w2; another grouping rounds otherwise
     x = [np.float64(0.1), np.float64(1e16), np.float64(-1e16)]
     w = [1.0, 0.3, 0.3]
-    assert ad.weighted_sum(zip(x, w)) == (x[0] * w[0] + x[1] * w[1]) + x[2] * w[2]
+    assert oracles.weighted_sum(zip(x, w)) == (x[0] * w[0] + x[1] * w[1]) + x[2] * w[2]
 
 
 def test_matmul_plain_and_transposed():
@@ -185,24 +187,41 @@ def test_composite_network_gradient():
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
 
-# The MLP forward and the cosine heads are one node each. Each must equal,
-# bit for bit, the op chain it replaces: its value on plain arrays, on the
-# numpy stack axis and in the graph, and the gradient of every leaf behind it.
+# The MLP forward and the cosine heads: each must equal, bit for bit, the op
+# chain it replaces: its value on plain arrays, on the numpy stack axis and in
+# the graph, and the gradient of every leaf behind it. In the graph, the MLP
+# and the class probabilities run as nodes built on their gradient functions,
+# as the step's node calls them.
 
-def features_chain(model_like, x_rows):
-    h = x_rows  # the first matmul lifts it into a constant node
-    last = len(model_like.weights) - 1
-    for i, (w, b) in enumerate(zip(model_like.weights, model_like.biases)):
-        h = oracles.add(oracles.matmul(h, w), b)
-        if i < last:
-            h = oracles.tanh(h)
-    return h
+def features_node(params, x_rows):
+    """model.features_vjp on a lifted state as one node on its weight and
+    bias leaves, which gets their gradients as the step's node gets them."""
+    feats, grad = features_vjp(params.state, x_rows)
+    leaves = params.leaves[:-1]
+
+    def backward_fn(g):
+        for leaf, g_leaf in zip(leaves, grad(g)):
+            leaf.accumulate(g_leaf)
+
+    return ad.Tensor(feats, leaves, backward_fn)
 
 
-def probs_chain(model_like, feature_rows):
-    w_norm = ad.normalize_rows(model_like.classifier)
-    logits = oracles.matmul(ad.normalize_rows(feature_rows), w_norm, transpose_b=True)
-    return oracles.softmax_rows(logits, model_like.t_ce)
+def probs_node(classifier, t_ce, feature_rows):
+    """model.probs_vjp as one node on the feature rows and the classifier
+    leaf, which get their gradients as the step's node passes them."""
+    y, grad = probs_vjp(SimpleNamespace(classifier=classifier.value, t_ce=t_ce),
+                        feature_rows.value)
+
+    def backward_fn(g):
+        g_w, g_f = grad(g)
+        feature_rows.accumulate(g_f)
+        classifier.accumulate(g_w)
+
+    return ad.Tensor(y, (feature_rows, classifier), backward_fn)
+
+
+def _rerep(m, f):
+    return re_represent_batch(f, m.classifier, m.t_re)
 
 
 def re_represent_chain(f_rows, classifier, t_re):
@@ -212,10 +231,12 @@ def re_represent_chain(f_rows, classifier, t_re):
     return ad.normalize_rows(oracles.matmul(attention, w))
 
 
+# head -> (its numpy value, its graph node, the chain)
 HEADS = {
-    "features_of": (features_of, features_chain),
-    "probs_of": (probs_of, probs_chain),
-    "re_represent_batch": (lambda m, f: re_represent_batch(f, m.classifier, m.t_re),
+    "features_of": (features_of, features_node, oracles.features_chain),
+    "probs_of": (probs_of, lambda p, f: probs_node(p.classifier, p.t_ce, f),
+                 oracles.probs_chain),
+    "re_represent_batch": (_rerep, _rerep,
                            lambda m, f: re_represent_chain(f, m.classifier, m.t_re)),
 }
 HEAD_HIDDEN_DIMS = ((), (6,), (6, 4))
@@ -237,7 +258,7 @@ def _head_input(head, m, x):
 
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_fused_head_equals_its_op_chain_on_plain_arrays(head):
-    fused, chain = HEADS[head]
+    fused, _, chain = HEADS[head]
     for hidden_dims in HEAD_HIDDEN_DIMS:
         m, x = _head_setup(30, hidden_dims)
         inputs = _head_input(head, m, x)
@@ -265,7 +286,7 @@ def test_fused_head_equals_its_op_chain_in_the_graph(head):
     # the feature rows feed a cosine head twice, through two row selections,
     # and a third consumer, so their gradient sums in the order the chain
     # gave it; for features_of, the head under test makes those rows
-    fused, chain = HEADS[head]
+    _, fused, chain = HEADS[head]
     idx = np.array([0, 2, 3, 3, 6])
     weights = np.asarray(SeededRng(33).normal(size=(12, 5 if head == "re_represent_batch" else 4)))
     for hidden_dims in HEAD_HIDDEN_DIMS:
@@ -274,14 +295,14 @@ def test_fused_head_equals_its_op_chain_in_the_graph(head):
         def run(build):
             params = lift_params(m)
             if head == "features_of":
-                feats, cosine_head = build(params, x), probs_of
+                feats, cosine_head = build(params, x), HEADS["probs_of"][1]
             else:
-                feats, cosine_head = features_of(params, x), build
+                feats, cosine_head = features_node(params, x), build
             out = cosine_head(params, feats)
             picked = cosine_head(params, oracles.take_rows(feats, idx))
-            loss = ad.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
-                                    (probe_sum(picked, weights[7:]), 0.5),
-                                    (probe_sum(feats, 0.01), 1.0)))
+            loss = oracles.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
+                                         (probe_sum(picked, weights[7:]), 0.5),
+                                         (probe_sum(feats, 0.01), 1.0)))
             loss.backward()
             return feats, out, state_arrays(with_param_vector(m, tape_from(params)))
 
@@ -296,21 +317,21 @@ def test_fused_head_equals_its_op_chain_in_the_graph(head):
             assert not np.any(grads_f["classifier"])
 
 
-def test_features_of_is_one_node_on_the_parameter_leaves():
+def test_features_vjp_gives_the_features_and_a_gradient_per_weight_and_bias():
     m, x = _head_setup(34, (6, 4))
-    params = lift_params(m)
-    node = features_of(params, x)
-    assert node.parents == (*params.weights, *params.biases)
-    assert isinstance(features_of(m, x), np.ndarray)
-
-
-def _head_params(classifier, t):
-    return ParamTensors(weights=[], biases=[], classifier=classifier, t_ce=t, t_re=t)
+    feats, grad = features_vjp(m, x)
+    assert _same_bits(feats, features_of(m, x))
+    grads = grad(np.asarray(SeededRng(35).normal(size=feats.shape)))
+    assert [g.shape for g in grads] == [a.shape for a in list(state_arrays(m).values())[:-1]]
 
 
 def test_probs_of_gradient_reaches_features_and_classifier():
-    check_op_gradient(lambda f, w: probs_of(_head_params(w, 0.4), f), (6, 5), (4, 5),
-                      seed=34)
+    def probs(f, w):
+        if ad.is_tensor(f):
+            return probs_node(w, 0.4, f)
+        return probs_of(SimpleNamespace(classifier=w, t_ce=0.4), f)
+
+    check_op_gradient(probs, (6, 5), (4, 5), seed=34)
 
 
 def test_re_represent_gradient_reaches_the_features_only():
@@ -329,7 +350,7 @@ def test_re_represent_gradient_reaches_the_features_only():
 # node's value.
 DUAL_DISPATCH_CASES = {
     "add": (oracles.add, (3, 4), (4,)),
-    "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
+    "weighted_sum": (lambda a, b: oracles.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "matmul": (oracles.matmul, (3, 4), (4, 5)),
     "matmul-transpose_b": (lambda a, b: oracles.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
     "tanh": (oracles.tanh, (4, 4)),
@@ -363,7 +384,7 @@ STACKED_CASES = {
     "matmul": (oracles.matmul, (4, 3), (3, 5)),
     "matmul-transpose_b": (lambda a, b: oracles.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
     "tanh": (oracles.tanh, (4, 4)),
-    "weighted_sum": (lambda a, b: ad.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
+    "weighted_sum": (lambda a, b: oracles.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
     "softmax_rows": (lambda a: oracles.softmax_rows(a, 0.7), (4, 6)),
     "normalize_rows": (ad.normalize_rows, (5, 3)),
     "take_rows": (lambda a: oracles.take_rows(a, [1, 1, 0, 1]), (3, 4)),

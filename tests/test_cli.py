@@ -423,6 +423,13 @@ CHECKPOINT_SWEEP = [
                    {"bank.contents": UNIT, "bank.capacity": unread("bank.contents"),
                     "meta": "JSONDecodeError: Expecting value"}.get(name, unread(name)),
                    id=f"bool-{name}") for name in CHECKPOINT_ENTRIES),
+    # complex entries, whose cast to float64 dropped the imaginary part with a
+    # numpy warning on stderr before the error line
+    *(pytest.param({name: lambda array, dtype=dtype: array.astype(dtype)},
+                   "TypeError: int() argument" if name == "bank.capacity"
+                   else f"TypeError: Cannot cast array data from dtype('{dtype}')",
+                   id=f"{dtype}-{name}")
+      for dtype in ("complex128", "complex64") for name in CHECKPOINT_ENTRIES[:-1]),
     # test_checkpoint_arrays_that_form_no_model_exit_4[no_velocity_classifier]:
     # no-velocity/classifier
     *(pytest.param({name: None}, NO_MODEL if name.endswith(".weight") else f"KeyError: '{name}'",
@@ -484,6 +491,7 @@ def step2_checkpoint(tmp_path_factory):
     return run, contents(run), arrays, raw
 
 
+@pytest.mark.filterwarnings("error")  # pytest would record a warning, not print it
 @pytest.mark.parametrize("edits, error", CHECKPOINT_SWEEP)
 def test_a_checkpoint_save_would_not_write_exits_4(tmp_path, capsys, step2_checkpoint,
                                                    edits, error):

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ from lrco.gradcheck import (
     CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
     values_at,
 )
-from lrco.model import get_param_vector, lift_params
+from lrco.model import ParamTensors, compute_gradients, get_param_vector, lift_params
+from lrco.numerics import finite_diff_grad, relative_grad_error
 from lrco.trainer import METHOD_TERMS, PSEUDO_LABEL_METHODS, step_objective
 
 
@@ -65,6 +67,32 @@ def test_one_finite_difference_pass_per_prepared_step(monkeypatch):
     per_step = Counter(step for step, _ in CHECKS.values())
     assert widths == [(n,) for n in per_step.values()] == [(5,), (2,), (1,), (2,)]
     assert list(result.errors) == list(TERM_NAMES)
+
+
+def test_one_lift_and_forward_pass_per_prepared_step(monkeypatch):
+    # the checks on one prepared step share one lift of the student and one
+    # forward pass, whose term nodes are backpropagated in turn, each from a
+    # zeroed gradient vector: the errors are those of one pass per check
+    lifts = []
+    objective = gradcheck.step_objective
+
+    def counted(m, sb, cfg, **kwargs):
+        if isinstance(m, ParamTensors):
+            lifts.append((id(m), id(sb)))
+        return objective(m, sb, cfg, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "step_objective", counted)
+    result = check_instance(0, seed=0)
+    steps = list(dict.fromkeys(step for step, _ in CHECKS.values()))
+    assert len(lifts) == len(set(lifts)) == len(steps) == 4
+    monkeypatch.undo()
+    inst = _build_instance(0, seed=0)
+    for name, (step, key) in CHECKS.items():
+        alone = compute_gradients(inst["student"], lambda m, step=step, key=key: (
+            gradcheck._objective_terms(m, inst, step, (key,))[0]))
+        numeric = finite_diff_grad(functools.partial(values_at, inst, step, (key,)),
+                                   get_param_vector(inst["student"]))[:, 0]
+        assert relative_grad_error(alone, numeric) == result.errors[name], name
 
 
 # The step_objective keys that carry each METHOD_TERMS term.

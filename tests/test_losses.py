@@ -1,4 +1,3 @@
-import functools
 
 import numpy as np
 import oracles
@@ -752,7 +751,8 @@ def test_contrastive_heads_write_only_into_the_queries():
 #
 # class_terms_batch must give the bits of the chain it replaced in the
 # trainer: take_rows of each row block, the single heads, and weighted_sum for
-# the alignment term and for the total.
+# the alignment term and for the total; its gradient, summed into a leaf, the
+# bits of the chain's gradient of that leaf.
 
 CLASS_TERMS = ("ce", "align", "fixmatch", "kld")  # in the order the total adds them
 
@@ -764,14 +764,14 @@ def _class_chain(p, labeled, labels, unlabeled, high, pseudo, weights):
     unl = oracles.take_rows(p, np.arange(unlabeled.start, unlabeled.stop))
     n_l, n_u = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
     terms = {"ce": cross_entropy_batch(lab, labels),
-             "align": ad.weighted_sum(((entropy_alignment(lab), n_l / (n_l + n_u)),
-                                       (entropy_alignment(unl), n_u / (n_l + n_u))))}
+             "align": oracles.weighted_sum(((entropy_alignment(lab), n_l / (n_l + n_u)),
+                                            (entropy_alignment(unl), n_u / (n_l + n_u))))}
     if len(high) > 0:
         rows = oracles.take_rows(p, high)
         terms["fixmatch"] = cross_entropy_batch(rows, pseudo)
         terms["kld"] = kld_uniform_batch(rows)
     pairs = [(terms[t], weights[t]) for t in CLASS_TERMS if t in terms and weights[t] > 0]
-    return (pairs[0][0] if len(pairs) == 1 else ad.weighted_sum(pairs)), terms
+    return (pairs[0][0] if len(pairs) == 1 else oracles.weighted_sum(pairs)), terms
 
 
 def _class_case(seed=40, n_high=9, floor=False, sizes=(9, 10, 12), **weights):
@@ -809,29 +809,24 @@ def _bits(x) -> bytes:
 @pytest.mark.parametrize("case", sorted(CLASS_CASES))
 def test_class_head_equals_the_chain_bit_for_bit(case):
     p, args = _class_case(**CLASS_CASES[case])
-    fused_total, fused_terms = class_terms_batch(p, *args)
+    fused_total, fused_terms, fused_grad = class_terms_batch(p, *args)
     chain_total, chain_terms = _class_chain(p, *args)
     assert list(fused_terms) == list(chain_terms)
     assert _bits(fused_total) == _bits(chain_total)
     for key in chain_terms:
         assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
 
-    def grad_of(build, key):
-        leaf = ad.Tensor(p.copy())
-        total, terms = build(leaf, *args)
-        node = total if key is None else terms[key]
-        assert isinstance(node, ad.Tensor)
-        node.backward()
-        return node.value, leaf.grad
-
     # the total's gradient, then each term's on its own
-    with_term_nodes = functools.partial(class_terms_batch, term_nodes=True)
     for key in (None, *chain_terms):
-        (fused_value, fused_grad), (chain_value, chain_grad) = (
-            grad_of(build, key) for build in (with_term_nodes, _class_chain))
-        assert _bits(fused_value) == _bits(chain_value) == _bits(
-            fused_total if key is None else fused_terms[key]), key
-        assert fused_grad.tobytes() == chain_grad.tobytes(), key
+        leaf = ad.Tensor(p.copy())
+        leaf.accumulate(fused_grad(np.array(1.0)) if key is None
+                        else fused_grad(np.array(1.0), {key: 1.0}))
+        chain_leaf = ad.Tensor(p.copy())
+        total, terms = _class_chain(chain_leaf, *args)
+        node = total if key is None else terms[key]
+        node.backward()
+        assert _bits(node) == _bits(fused_total if key is None else fused_terms[key]), key
+        assert leaf.grad.tobytes() == chain_leaf.grad.tobytes(), key
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -847,31 +842,28 @@ def test_class_head_numpy_path_takes_a_stack_axis(case, small):
     p, args = _class_case(**kw)
     rng = SeededRng(41)
     stack = np.stack([p, *(_probability_rows(rng, *p.shape) for _ in range(2))])
-    fused_total, fused_terms = class_terms_batch(stack, *args)
+    fused_total, fused_terms, _ = class_terms_batch(stack, *args)
     chain_total, chain_terms = _class_chain(stack, *args)
     assert _bits(fused_total) == _bits(chain_total)
     assert fused_total.shape == (3,)
     for key in chain_terms:
         assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
     for b in range(3):
-        total, terms = class_terms_batch(stack[b], *args)
+        total, terms, _ = class_terms_batch(stack[b], *args)
         assert _bits(fused_total[b]) == _bits(total)
         for key in terms:
             assert _bits(fused_terms[key][b]) == _bits(terms[key]), key
 
 
-def test_class_head_is_one_node_and_its_terms_stay_outside_it():
-    p, args = _class_case()
-    leaf = ad.Tensor(p)
-    total, terms = class_terms_batch(leaf, *args)  # the terms' values alone
-    assert list(terms) == list(CLASS_TERMS)
-    assert total.parents == (leaf,)
-    assert not any(isinstance(value, ad.Tensor) for value in terms.values())
-    assert ad._topo_order(total) == [total]
-    total, nodes = class_terms_batch(leaf, *args, term_nodes=True)
-    assert all(node.parents == (leaf,) for node in nodes.values())
-    assert [_bits(node) for node in nodes.values()] == [_bits(v) for v in terms.values()]
-    assert ad._topo_order(total) == [total]
+def test_class_head_gives_plain_terms_and_the_totals_gradient_by_default():
+    for case, kw in CLASS_CASES.items():
+        p, args = _class_case(**kw)
+        total, terms, grad = class_terms_batch(p, *args)
+        assert list(terms) == [t for t in CLASS_TERMS if t in terms], case
+        assert not any(isinstance(value, ad.Tensor) for value in (total, *terms.values()))
+        in_total = {t: w for t, w in args[-1].items() if t in terms and w > 0}
+        assert grad(1.0).shape == p.shape
+        assert grad(1.0).tobytes() == grad(1.0, in_total).tobytes(), case
 
 
 # --- stacked row blocks ----------------------------------------------------------------
@@ -893,22 +885,30 @@ def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
     args = (slice(0, 2), labels[:2], slice(2, 5), 5 + np.sort(idx[idx < n_rows]),
             np.zeros(int(np.sum(idx < n_rows)), dtype=np.int64),
             {"ce": 1.0, "align": 0.1, "fixmatch": 1.0, "kld": 0.37})
-    stacked_total, _ = class_terms_batch(stack, *args)
+    stacked_total, *_ = class_terms_batch(stack, *args)
     for b in range(3):
         assert _bits(stacked_total[b]) == _bits(class_terms_batch(stack[b], *args)[0])
     feats = np.asarray(rng.normal(size=(3, n_rows + 5, 4)))
     keys, bank = unit_rows(rng, n_rows, 4), unit_rows(rng, 5, 4)
     classifier = np.asarray(rng.normal(size=(3, 4)))
-    stacked = contrastive_branch(feats, idx, classifier, 0.5, "rerep", keys, (keys,), bank, 0.3)
+    stacked, _ = contrastive_branch(feats, idx, classifier, 0.5, "rerep", keys, (keys,), bank,
+                                    0.3)
     for b in range(3):
         assert _bits(stacked[b]) == _bits(contrastive_branch(
-            feats[b], idx, classifier, 0.5, "rerep", keys, (keys,), bank, 0.3))
+            feats[b], idx, classifier, 0.5, "rerep", keys, (keys,), bank, 0.3)[0])
 
 
 # --- the fused contrastive branch ---------------------------------------------------------
 #
 # contrastive_branch must give the bits of the chain it replaced in the
-# trainer: take_rows of the query rows, contrast_rows, and the loss head.
+# trainer: take_rows of the query rows, contrast_rows, and the loss head. Its
+# gradient of the query rows, added into those rows of a feature gradient as
+# the step's node adds it, has the bits of the chain's gradient of the rows.
+
+def _branch_grad(grad, rows, g_f, g):
+    """g_f, a feature gradient, after the step's node adds grad(g) into its rows."""
+    g_f[rows] += grad(g)
+    return g_f
 
 def _branch_chain(f, rows, classifier, t_re, mode, k_pos, k_den, bank, t_co, w_unit=None):
     queries = contrast_rows(oracles.take_rows(f, rows), classifier, t_re, mode)
@@ -946,46 +946,42 @@ def test_contrastive_branch_equals_the_chain_bit_for_bit(head, mode, bank_rows):
     f, args, stack = _branch_case(head, mode, bank_rows)
     unit = unit_last(args[1])[0]
     for w_unit in (None, unit):
-        fused = functools.partial(contrastive_branch, w_unit=w_unit)
+        value, grad = contrastive_branch(f, *args, w_unit=w_unit)
         # values on the plain and stacked numpy paths and on the graph
-        for x in (f, stack, ad.Tensor(f)):
-            assert _bits(fused(x, *args)) == _bits(_branch_chain(x, *args))
-        grads = []
-        for build in (fused, _branch_chain):
-            leaf = ad.Tensor(f.copy())
-            node = build(leaf, *args)
-            node.backward()
-            grads.append(leaf.grad)
-        assert grads[0].tobytes() == grads[1].tobytes()
-        assert not np.any(np.delete(grads[0], args[0], axis=0))  # rows not read get 0
+        assert _bits(value) == _bits(_branch_chain(f, *args)) == _bits(
+            _branch_chain(ad.Tensor(f), *args))
+        assert _bits(contrastive_branch(stack, *args, w_unit=w_unit)[0]) == _bits(
+            _branch_chain(stack, *args))
+        fused = _branch_grad(grad, args[0], np.zeros(f.shape), np.array(1.0))
+        leaf = ad.Tensor(f.copy())
+        _branch_chain(leaf, *args).backward()
+        assert fused.tobytes() == leaf.grad.tobytes()
+        assert not np.any(np.delete(fused, args[0], axis=0))  # rows not read get 0
         if bank_rows == 0 and head == "contrastive":  # the positive is the whole partition
-            assert float(fused(f, *args)) == 0.0 and not np.any(grads[0])
+            assert float(value) == 0.0 and not np.any(fused)
     # on a stack, entry b has the bits of the call on b alone
-    stacked = contrastive_branch(stack, *args)
+    stacked, _ = contrastive_branch(stack, *args)
     for b in range(3):
-        assert _bits(stacked[b]) == _bits(contrastive_branch(stack[b], *args))
+        assert _bits(stacked[b]) == _bits(contrastive_branch(stack[b], *args)[0])
 
 
 def test_contrastive_branch_after_another_consumer_of_the_rows():
     # the branch adds into a gradient the rows already hold, as take_rows did
     f, args, _ = _branch_case("mix", "rerep", 6)
-    grads = []
-    for build in (contrastive_branch, _branch_chain):
-        leaf = ad.Tensor(f.copy())
-        other = ad.Tensor(np.add.reduce(f * f, axis=None), (leaf,),
-                          lambda g, leaf=leaf: leaf.accumulate(2.0 * g * leaf.value))
-        ad.weighted_sum(((other, 0.25), (build(leaf, *args), 0.5))).backward()
-        grads.append(leaf.grad)
-    assert grads[0].tobytes() == grads[1].tobytes()
+    _, grad = contrastive_branch(f, *args)
+    fused = _branch_grad(grad, args[0], 2.0 * 0.25 * f, 0.5)
+    leaf = ad.Tensor(f.copy())
+    other = ad.Tensor(np.add.reduce(f * f, axis=None), (leaf,),
+                      lambda g: leaf.accumulate(2.0 * g * leaf.value))
+    oracles.weighted_sum(((other, 0.25), (_branch_chain(leaf, *args), 0.5))).backward()
+    assert fused.tobytes() == leaf.grad.tobytes()
 
 
-def test_contrastive_branch_is_one_node_and_leaves_the_classifier_alone():
+def test_contrastive_branch_gives_its_query_rows_alone_a_gradient():
+    # the classifier is a constant: the gradient is the query rows' only
     f, (rows, classifier, *rest), _ = _branch_case("mix", "rerep", 6)
-    leaf = ad.Tensor(f)
-    w = ad.Tensor(classifier)
-    node = contrastive_branch(leaf, rows, w, *rest)
-    assert node.parents == (leaf,)
-    node.backward()
-    assert w.grad is None and np.any(leaf.grad != 0.0)
+    _, grad = contrastive_branch(f, rows, classifier, *rest)
+    g_rows = grad(1.0)
+    assert g_rows.shape == (len(rows), f.shape[1]) and np.any(g_rows != 0.0)
     with pytest.raises(ValueError, match="unknown rerep mode"):
         contrastive_branch(f, rows, classifier, 0.4, "cosine", *rest[1:])

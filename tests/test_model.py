@@ -11,7 +11,7 @@ from lrco.model import (
     state_from_arrays, with_param_vector,
 )
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
-from oracles import states_allclose
+from oracles import features_chain, probs_chain, states_allclose
 
 
 def forward_one(m, x):
@@ -271,7 +271,7 @@ def test_compute_gradients_vs_finite_difference():
 
     def loss_fn(params):
         from lrco.losses import cross_entropy_batch
-        return cross_entropy_batch(probs_of(params, features_of(params, x)), y)
+        return cross_entropy_batch(probs_chain(params, features_chain(params, x)), y)
 
     analytic = compute_gradients(m, loss_fn)
 
@@ -292,7 +292,28 @@ def test_teacher_untouched_without_ema():
 
     def loss_fn(params):
         from lrco.losses import entropy_alignment
-        return entropy_alignment(probs_of(params, features_of(params, x)))
+        return entropy_alignment(probs_chain(params, features_chain(params, x)))
 
     compute_gradients(m, loss_fn)
     assert np.array_equal(get_param_vector(teacher), before)
+
+
+def test_compute_gradients_of_several_roots_equals_one_call_each():
+    # one forward pass, each root backpropagated from a zeroed vector; a
+    # vector left unzeroed between roots would move the second and third
+    from lrco.losses import cross_entropy_batch, entropy_alignment, kld_uniform_batch
+    m = init_model(small_config(n_classes=3), SeededRng(13))
+    x = np.asarray(SeededRng(14).normal(size=(4, 3)))
+    heads = (lambda p: cross_entropy_batch(p, np.array([0, 2, 1, 2])), entropy_alignment,
+             kld_uniform_batch, lambda p: 0.5)
+
+    def roots(params, picked=range(len(heads))):
+        probs = probs_chain(params, features_chain(params, x))
+        return [heads[i](probs) for i in picked]
+
+    together = compute_gradients(m, roots)
+    assert len(together) == len(heads)
+    for i, grads in enumerate(together):
+        alone = compute_gradients(m, lambda params, i=i: roots(params, [i])[0])
+        assert grads.tobytes() == alone.tobytes(), i
+    assert not np.any(together[-1])

@@ -10,7 +10,9 @@ shared cache, only the step hands the contrastive branch its bank, whose
 rows the bank checked, while only the reference heads check a bank's rows,
 and lift_params builds the only parameter leaves.
 Every committed BENCH_*.json record parses and carries the keys that all of
-them share, and a claim's numeric fields equal what its raw pairs give."""
+them share, a claim's numeric fields equal what its raw pairs give, and the
+bench ledger lists every record. A traced short run gives the untraced
+digests."""
 
 import ast
 import importlib
@@ -18,6 +20,8 @@ import inspect
 import json
 import pathlib
 import statistics
+import subprocess
+import sys
 
 import lrco
 from lrco import (
@@ -51,6 +55,34 @@ def test_perfbench_patches_existing_names_and_restores_them(monkeypatch):
         assert set(now) == set(saved), owner
         changed = [name for name in saved if now[name] is not saved[name]]
         assert not changed, (owner, changed)
+
+
+def test_perfbench_traced_runs_give_the_untraced_digests(monkeypatch, tmp_path):
+    # the tracer reads some names only when a wrapped function runs:
+    # model.ParamTensors in its forward spans, and prepare_step's positional
+    # teacher (args[1]) and cfg (args[7]). A short fit of each method and one
+    # gradcheck instance run them, with the step clock and the tracer
+    # installed, and must give the untraced digests, as the benchmark's own
+    # neutrality check (run.check_tracing_neutral) asks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    runs = {method: workloads.TrainWorkload(method, 1, 0, workloads.TINY, str(tmp_path))
+            .neutrality_case() for method in trainer.METHODS}
+    runs["gradcheck"] = lambda: repr(gradcheck.check_instance(0).errors)
+    plain = {name: run() for name, run in runs.items()}
+    tracer, patcher = spans.Tracer(), spans.Patcher()
+    try:
+        spans.StepClock().install(patcher)
+        spans.install_tracing(tracer, patcher)
+        traced = {name: run() for name, run in runs.items()}
+    finally:
+        patcher.restore()
+    assert traced == plain
+    # the call-time lookups ran: a forward span named by its argument's type,
+    # and the teacher passes of the methods that read pseudo-labels
+    assert {"model.features_of.numpy", "trainer.prepare_step"} <= set(tracer.names)
+    assert tracer.counts["trainer.teacher_pass_used"] > 0
 
 
 def test_perfbench_pseudo_label_readers_match_the_trainer(monkeypatch):
@@ -254,6 +286,8 @@ def test_every_declared_domain_is_checked():
 UNNAMED_ALLOWED = {
     "cli.main": "the console entry point",
     "losses.make_pseudo_label": "perfbench/spans.py wraps it by name (ROADMAP 1 (a))",
+    "losses.cross_entropy_batch": "reference head: the step's node keeps the bits of its "
+                                  "chain; perfbench/spans.py wraps it by name",
     "losses.entropy_alignment": "reference head: class_terms_batch keeps the bits of its "
                                 "chain; perfbench/spans.py wraps it by name",
     "losses.kld_uniform_batch": "reference head, as entropy_alignment",
@@ -501,3 +535,22 @@ def test_every_numeric_claim_equals_what_its_pairs_give():
     assert _claim_fields(sample, {"m": "lower"}) == {
         "before": 3.0, "after": 2.5, "better": 3, "pairs": 5, "parent_iqr": 2.0}
     assert _claim_fields(sample, {"m": "higher"})["better"] == 1
+
+
+def test_bench_ledger_lists_every_record_once():
+    # one line per record; a claim whose pairs are not kept says so
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_ledger.py")],
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    names = sorted(path.name for path in ROOT.glob("BENCH_*.json"))
+    assert sorted(line.split()[0] for line in lines) == names
+    assert "BENCH_step_node.json" in names
+    unpaired = sorted(line.split()[0] for line in lines if line.endswith("no pairs kept"))
+    assert unpaired == [f"BENCH_{topic}.json" for topic in (
+        "hotpath", "loss_heads", "numpy_dispatch", "stacked_fd", "stacked_forward",
+        "teacher_skip")]
+    for line in lines:
+        record = json.loads((ROOT / line.split()[0]).read_text(encoding="utf-8"))
+        if isinstance(record["claim"], dict):
+            assert line.split()[1:3] == [record["claim"]["workload"],
+                                         record["claim"]["metric"]], line
