@@ -5,8 +5,9 @@ single process driven by a config file (defaults used when none is given),
 with individual keys overridable via repeated --set section.key=value flags.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 invalid config or data
-format (an unreadable --config, an unusable --out, a corrupt checkpoint, or
-one that trainer.checkpoint_for refuses for the benchmark, included),
+format (an unreadable --config, an unusable --out or a file under it that
+cannot be written, a corrupt checkpoint, or one that trainer.checkpoint_for
+refuses for the benchmark, included),
 5 numeric/runtime failure (an allocation the machine cannot hold included).
 """
 
@@ -263,6 +264,10 @@ def main(argv=None) -> int:
         return EXIT_MISSING_FILE
     except (ConfigError, DatasetFormatError) as exc:
         _fail_line("invalid-config", str(exc))
+        return EXIT_INVALID_CONFIG
+    except OSError as exc:  # reads convert their own, so a write under --out failed
+        _fail_line("invalid-config",
+                   f"a file under --out cannot be written ({type(exc).__name__}: {exc})")
         return EXIT_INVALID_CONFIG
     except (TrainingDivergedError, DegenerateFeatureError, ShapeMismatchError,
             FloatingPointError) as exc:

@@ -4,9 +4,12 @@ import io
 import json
 import math
 import os
+import shlex
+import shutil
 import signal
 import subprocess
 import sys
+from string import Template
 
 import numpy as np
 import oracles
@@ -43,15 +46,9 @@ def run_cli(*argv):
 
 
 def contents(root):
-    """Every file under root, by its path relative to root, with its bytes."""
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
-
-
-def test_usage_errors_exit_2(capsys):
-    assert run_cli() == EXIT_USAGE
-    assert run_cli("no-such-command") == EXIT_USAGE
-    assert run_cli("train") == EXIT_USAGE  # --out is required
-    capsys.readouterr()
+    """Every path under root, relative to root, with its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 def test_gen_data_writes_four_files(tmp_path, capsys):
@@ -156,31 +153,21 @@ def test_train_writes_outputs_and_prints_summary(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 2  # header x2 + evals at steps 2 and 4
 
 
-def test_train_then_eval_roundtrip(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
+def test_train_then_eval_roundtrip(capsys, fast_run):
+    ckpt = str(fast_run / "checkpoint_final.npz")
     capsys.readouterr()
-    code = run_cli("eval", "--checkpoint", str(out / "checkpoint_final.npz"),
-                   "--split", "both", *FAST)
-    assert code == EXIT_OK
+    assert run_cli("eval", "--checkpoint", ckpt, "--split", "both", *FAST) == EXIT_OK
     msg = capsys.readouterr().out
     assert "split=source accuracy=" in msg
     assert "split=target accuracy=" in msg
     assert "class0=" in msg
-
-    code = run_cli("eval", "--checkpoint", str(out / "checkpoint_final.npz"),
-                   "--split", "target", *FAST)
-    msg = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "split=source" not in msg
+    assert run_cli("eval", "--checkpoint", ckpt, "--split", "target", *FAST) == EXIT_OK
+    assert "split=source" not in capsys.readouterr().out
 
 
-def test_train_resume_from_checkpoint(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
-    code = run_cli("train", "--out", str(tmp_path / "run2"),
-                   "--resume", str(out / "checkpoint_final.npz"), *LONGER)
-    assert code == EXIT_OK
+def test_train_resume_from_checkpoint(tmp_path, capsys, fast_run):
+    assert run_cli("train", "--out", str(tmp_path / "run2"),
+                   "--resume", str(fast_run / "checkpoint_final.npz"), *LONGER) == EXIT_OK
     assert "steps=2" in capsys.readouterr().out
 
 
@@ -204,10 +191,9 @@ def test_resumed_metrics_equal_straight_run_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_resume_into_another_runs_directory_keeps_none_of_its_rows(tmp_path, capsys):
+def test_resume_into_another_runs_directory_keeps_none_of_its_rows(tmp_path, capsys, fast_run):
     every2 = [*FAST, "--set", "train.checkpoint_interval=2"]
-    straight, other = tmp_path / "straight", tmp_path / "other"
-    assert run_cli("train", "--out", str(straight), *every2) == EXIT_OK
+    straight, other = fast_run, tmp_path / "other"
     assert run_cli("train", "--out", str(other), *every2,
                    "--set", "train.seed=5") == EXIT_OK
     # the other run has the same columns but another seed and config hash
@@ -221,11 +207,9 @@ def test_resume_into_another_runs_directory_keeps_none_of_its_rows(tmp_path, cap
     assert (other / "metrics.csv").read_text().splitlines() == lines[:2] + lines[4:]
 
 
-def test_analyze_writes_three_tables(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
+def test_analyze_writes_three_tables(tmp_path, capsys, fast_run):
     adir = tmp_path / "analysis"
-    code = run_cli("analyze", "--checkpoint", str(out / "checkpoint_final.npz"),
+    code = run_cli("analyze", "--checkpoint", str(fast_run / "checkpoint_final.npz"),
                    "--out", str(adir), *FAST)
     assert code == EXIT_OK
     assert "wrote 3 analysis tables" in capsys.readouterr().out
@@ -242,80 +226,6 @@ def test_analyze_writes_three_tables(tmp_path, capsys):
     assert "feature_mode=rerep" in sim
 
 
-def test_resume_refuses_checkpoint_without_dynamics_hash(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
-    ck = load_checkpoint(out / "checkpoint_final.npz")
-    unhashed = tmp_path / "unhashed.npz"
-    save_checkpoint(unhashed, dataclasses.replace(ck, dynamics_hash=""))
-    capsys.readouterr()
-    code = run_cli("train", "--out", str(tmp_path / "run2"), "--resume", str(unhashed),
-                   *FAST)
-    assert code == EXIT_INVALID_CONFIG
-    assert "no dynamics hash" in capsys.readouterr().err
-
-
-def test_resume_refuses_checkpoint_of_another_shape(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
-    capsys.readouterr()
-    ckpt = out / "checkpoint_final.npz"
-    # each override also changes the spec hash, which is checked first; the
-    # shape refusal of a checkpoint naming this benchmark is pinned below
-    for override in ("data.input_dim=4", "data.n_classes=2"):
-        code = run_cli("train", "--out", str(tmp_path / "run2"),
-                       "--resume", str(ckpt), *FAST, "--set", override)
-        assert code == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid-config: checkpoint {ckpt} was trained on "
-                              f"benchmark spec_hash={load_checkpoint(ckpt).spec_hash}, "
-                              "the benchmark has spec_hash="), (override, err)
-
-
-def test_checkpoint_of_another_input_dim_exits_4_in_every_command(tmp_path, capsys):
-    # the spec hash is this benchmark's, but every layer0.weight has a 4th
-    # input row; eval and analyze once exited 1 with a matmul traceback, and
-    # analyze had created --out by then
-    with np.load(train_fast(tmp_path, capsys), allow_pickle=False) as npz:
-        arrays = {key: npz[key] for key in npz.files}
-    for prefix in ("student/", "teacher/", "velocity/"):
-        weight = arrays[prefix + "layer0.weight"]
-        arrays[prefix + "layer0.weight"] = np.vstack([weight, weight[:1]])
-    wide = tmp_path / "wide.npz"
-    with open(wide, "wb") as fh:
-        np.savez(fh, **arrays)
-    out = tmp_path / "out"
-    for argv in (["train", "--out", str(out), "--resume", str(wide)],
-                 ["eval", "--checkpoint", str(wide)],
-                 ["analyze", "--checkpoint", str(wide), "--out", str(out)]):
-        code = run_cli(*argv, *FAST)
-        err = capsys.readouterr().err
-        assert code == EXIT_INVALID_CONFIG, (argv, err)
-        assert err.splitlines() == [
-            "error: invalid-config: checkpoint model has input_dim=4 n_classes=3, "
-            "the benchmark has input_dim=3 n_classes=3"], (argv, err)
-        assert not out.exists(), argv
-
-
-def test_refused_resume_leaves_the_run_directory_untouched(tmp_path, capsys):
-    run = tmp_path / "run"
-    assert run_cli("train", "--out", str(run), *FAST) == EXIT_OK
-    before = contents(run)
-    refusals = ((EXIT_INVALID_CONFIG, run / "checkpoint_final.npz"),
-                (EXIT_MISSING_FILE, run / "no_such_checkpoint.npz"))
-    for expected, ckpt in refusals:
-        code = run_cli("train", "--out", str(run), "--resume", str(ckpt), *FAST,
-                       "--set", "train.lambda_co=0.7")
-        assert code == expected, ckpt
-        assert contents(run) == before, ckpt
-    # a refused resume into a new directory does not create it
-    fresh = tmp_path / "fresh"
-    assert run_cli("train", "--out", str(fresh), "--resume", str(run / "nope.npz"),
-                   *FAST) == EXIT_MISSING_FILE
-    assert not fresh.exists()
-    capsys.readouterr()
-
-
 # What `eval` prints for the final checkpoint of a FAST run, recorded before
 # checkpoints named their benchmark (same platform as GEN_DATA_SHA256).
 FAST_EVAL_LINES = [
@@ -326,37 +236,13 @@ FAST_EVAL_LINES = [
 ]
 
 
-def train_fast(tmp_path, capsys) -> str:
-    out = tmp_path / "run"
-    assert run_cli("train", "--out", str(out), *FAST) == EXIT_OK
-    capsys.readouterr()
-    return str(out / "checkpoint_final.npz")
-
-
-def test_eval_on_the_training_benchmark_prints_recorded_lines(tmp_path, capsys):
-    ckpt = train_fast(tmp_path, capsys)
+def test_eval_on_the_training_benchmark_prints_recorded_lines(capsys, fast_run):
+    ckpt = str(fast_run / "checkpoint_final.npz")
     spec = apply_overrides(default_run_config(), FAST[1::2]).data
     assert load_checkpoint(ckpt).spec_hash == benchmark_spec_hash(spec)
+    capsys.readouterr()
     assert run_cli("eval", "--checkpoint", ckpt, *FAST) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == FAST_EVAL_LINES
-
-
-def test_eval_and_analyze_refuse_checkpoint_of_another_benchmark(tmp_path, capsys):
-    ckpt = train_fast(tmp_path, capsys)
-    ck = load_checkpoint(ckpt)
-    unnamed = str(tmp_path / "unnamed.npz")  # the same model, naming no benchmark
-    save_checkpoint(unnamed, dataclasses.replace(ck, spec_hash=""))
-    cases = ((ckpt, "data.seed=7", ck.spec_hash), (ckpt, "data.input_dim=6", ck.spec_hash),
-             (unnamed, "data.seed=0", "(none recorded)"))
-    for path, override, trained_on in cases:
-        for command in (["eval"], ["analyze", "--out", str(tmp_path / "analysis")]):
-            code = run_cli(*command, "--checkpoint", path, *FAST, "--set", override)
-            err = capsys.readouterr().err
-            assert code == EXIT_INVALID_CONFIG, (command, override)
-            assert err.startswith(f"error: invalid-config: checkpoint {path} was trained "
-                                  f"on benchmark spec_hash={trained_on}, "), err
-            assert "Traceback" not in err
-    assert not (tmp_path / "analysis").exists()
 
 
 # The entries of a FAST checkpoint, in the order save_checkpoint writes them.
@@ -478,17 +364,22 @@ CHECKPOINT_SWEEP = [
 
 
 @pytest.fixture(scope="module")
-def step2_checkpoint(tmp_path_factory):
-    """A FAST run's directory and what it held, and the entries and bytes of
-    its step-2 checkpoint, whose bank holds keys."""
-    run = tmp_path_factory.mktemp("sweep") / "run"
+def fast_run(tmp_path_factory):
+    """A FAST run that also checkpoints at step 2; tests only read it."""
+    run = tmp_path_factory.mktemp("fast") / "run"
     assert run_cli("train", "--out", str(run), *FAST,
                    "--set", "train.checkpoint_interval=2") == EXIT_OK
-    raw = (run / "checkpoint_step2.npz").read_bytes()
+    return run
+
+
+@pytest.fixture(scope="module")
+def step2_checkpoint(fast_run):
+    """The FAST run, what it held, and the entries and bytes of its step-2 checkpoint."""
+    raw = (fast_run / "checkpoint_step2.npz").read_bytes()
     with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
     assert tuple(arrays) == CHECKPOINT_ENTRIES and len(arrays["bank.contents"]) >= 2
-    return run, contents(run), arrays, raw
+    return fast_run, contents(fast_run), arrays, raw
 
 
 @pytest.mark.filterwarnings("error")  # pytest would record a warning, not print it
@@ -521,284 +412,291 @@ def test_a_checkpoint_save_would_not_write_exits_4(tmp_path, capsys, step2_check
     assert not out.exists()
 
 
-def test_every_documented_exit_code(tmp_path, capsys):
-    corrupt = tmp_path / "corrupt.npz"
-    corrupt.write_text("not a checkpoint\n")
-    cases = [
-        (EXIT_OK, ["gradcheck", "--instances", "1"], ""),
-        (EXIT_USAGE, ["eval"], "required: --checkpoint"),
-        (EXIT_USAGE, ["gradcheck", "--instances", "0"],
-         "argument --instances: must lie in [1, inf), got 0"),
-        (EXIT_USAGE, ["gradcheck", "--instances", "-3"],
-         "argument --instances: must lie in [1, inf), got -3"),
-        (EXIT_USAGE, ["gradcheck", "--seed", "-1"],
-         "argument --seed: must lie in [0, inf), got -1"),
-        *((EXIT_USAGE, ["gradcheck", "--tolerance", value],
-           f"argument --tolerance: must lie in (0, inf), got {shown}")
-          for value, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-0.5", "-0.5"))),
-        (EXIT_USAGE, ["gradcheck", "--instances", "abc"],
-         "argument --instances: expected an integer, got 'abc'"),
-        (EXIT_USAGE, ["gradcheck", "--seed", "1.5"],
-         "argument --seed: expected an integer, got '1.5'"),
-        (EXIT_USAGE, ["gradcheck", "--tolerance", "x"],
-         "argument --tolerance: expected a number, got 'x'"),
-        (EXIT_MISSING_FILE, ["eval", "--checkpoint", str(tmp_path / "nope.npz")],
-         "error: missing-file:"),
-        (EXIT_INVALID_CONFIG, ["eval", "--checkpoint", str(corrupt)],
-         "error: invalid-config:"),
-        (EXIT_NUMERIC, ["gradcheck", "--instances", "1", "--tolerance", "1e-30"], ""),
-    ]
-    for expected, argv, err_part in cases:
-        assert run_cli(*argv) == expected, argv
-        err = capsys.readouterr().err
-        assert err_part in err and "Traceback" not in err, (argv, err)
-        # argparse words a failing type as "invalid <function name> value: ..."
-        assert " value: " not in err, (argv, err)
+# Setup helpers of REFUSALS: each builds in tmp_path what its row needs,
+# given the module's FAST run, which it only reads.
+def file_at(name, data=None):
+    """Write ``data`` at tmp_path/name, or make a directory there when None."""
+    def setup(tmp, run, monkeypatch):
+        path = tmp / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+    return setup
 
 
-def test_tiny_mix_alpha_exits_numeric(tmp_path, capsys):
-    # Beta(1e-300, 1e-300) has no float64 draw: both Gamma draws of every row
-    # underflow to 0. The mix draw gives up after its bounded redraws, well
-    # inside the alarm, instead of spinning.
+def copy_run(tmp, run, monkeypatch):
+    shutil.copytree(run, tmp / "run")
+
+
+def checkpoint_with(name, **changes):
+    """The run's final checkpoint with ``changes``, saved as tmp_path/name."""
+    def setup(tmp, run, monkeypatch):
+        ck = load_checkpoint(run / "checkpoint_final.npz")
+        save_checkpoint(tmp / name, dataclasses.replace(ck, **changes))
+    return setup
+
+
+def wide_checkpoint(tmp, run, monkeypatch):
+    """The final checkpoint with a 4th input row in every layer0.weight: the
+    benchmark's spec hash on a model of another input dimension."""
+    with np.load(run / "checkpoint_final.npz", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    for prefix in ("student/", "teacher/", "velocity/"):
+        weight = arrays[prefix + "layer0.weight"]
+        arrays[prefix + "layer0.weight"] = np.vstack([weight, weight[:1]])
+    (tmp / "wide.npz").write_bytes(npz_bytes(arrays))
+
+
+def two_class_run(tmp, run, monkeypatch):
+    # no checkpoint of a three-class run reaches analyze's row count check
+    assert run_cli("train", "--out", str(tmp / "small"), *shlex.split(TWO_ROWS)) == EXIT_OK
+
+
+def raising(owner, name, error):
+    """Patch ``owner.name`` to raise ``error``, a failure too costly to cause."""
+    def setup(tmp, run, monkeypatch):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(owner, name, fail)
+    return setup
+
+
+def refusal(row_id, argv, code, error, setup=None, partial=False):
+    """A row of REFUSALS; ``partial``: the command fails once it has written under --out."""
+    return pytest.param(argv, code, error, setup, partial, id=row_id)
+
+
+FAST_ARGS = " ".join(FAST)
+TRAIN = f"train --out $tmp/out {FAST_ARGS}"
+ANALYZE = f"analyze --checkpoint $run/checkpoint_final.npz --out $tmp/out {FAST_ARGS}"
+TWO_ROWS = f"{FAST_ARGS} --set data.n_classes=2 --set data.n_per_class_target=1"
+IS_A_DIRECTORY = "(IsADirectoryError: [Errno 21] Is a directory:"
+READERS = ("eval --checkpoint", "analyze --out $tmp/out --checkpoint",
+           "train --out $tmp/out --resume")
+UNABLE = "Unable to allocate 272. GiB for an array with shape (36507222016,) and data type float64"
+
+# Each row: one `lrco` command line, split as a shell would, and the one
+# line it prints on stderr (None: nothing, as gradcheck prints its table on
+# stdout); exit 2 rows give argparse's last line, after its usage. Both may
+# name $tmp (the test's tmp_path), $run (the FAST run) and $pid.
+REFUSALS = [
+    refusal("no-command", "", EXIT_USAGE,
+            "lrco: error: the following arguments are required: command"),
+    refusal("unknown-command", "no-such-command", EXIT_USAGE,
+            "lrco: error: argument command: invalid choice: 'no-such-command' (choose from "
+            "'gen-data', 'train', 'eval', 'analyze', 'gradcheck')"),
+    refusal("train-without-out", "train", EXIT_USAGE,
+            "lrco train: error: the following arguments are required: --out"),
+    refusal("eval-without-checkpoint", "eval", EXIT_USAGE,
+            "lrco eval: error: the following arguments are required: --checkpoint"),
+    # a gradcheck flag outside its domain, or not a number; argparse's own
+    # "invalid <function name> value:" wording would name a private helper
+    *(refusal(f"gradcheck-{flag}={value}", f"gradcheck --{flag} {value}", EXIT_USAGE,
+              f"lrco gradcheck: error: argument --{flag}: {message}")
+      for flag, value, message in (
+          ("instances", "0", "must lie in [1, inf), got 0"),
+          ("instances", "-3", "must lie in [1, inf), got -3"),
+          ("seed", "-1", "must lie in [0, inf), got -1"),
+          *(("tolerance", value, f"must lie in (0, inf), got {shown}")
+            for value, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-0.5", "-0.5"))),
+          ("instances", "abc", "expected an integer, got 'abc'"),
+          ("seed", "1.5", "expected an integer, got '1.5'"),
+          ("tolerance", "x", "expected a number, got 'x'"))),
+    refusal("eval-corrupt-checkpoint", "eval --checkpoint $tmp/corrupt.npz", EXIT_INVALID_CONFIG,
+            "error: invalid-config: $tmp/corrupt.npz is not a readable checkpoint (ValueError: "
+            "This file contains pickled (object) data. If you trust the file you can load it "
+            "unsafely using the `allow_pickle=` keyword argument or `pickle.load()`.)",
+            file_at("corrupt.npz", b"not a checkpoint\n")),
+    refusal("gradcheck-pass", "gradcheck --instances 1", EXIT_OK, None),
+    refusal("gradcheck-fail", "gradcheck --instances 1 --tolerance 1e-30", EXIT_NUMERIC, None),
+    # missing files; a refused resume leaves --out as it was, or absent
+    *(refusal(row_id, f"{argv} {path}", EXIT_MISSING_FILE,
+              f"error: missing-file: [Errno 2] No such file or directory: '{path}'", setup)
+      for row_id, argv, path, setup in (
+          ("eval-missing-checkpoint", "eval --checkpoint", "$tmp/nope.npz", None),
+          ("train-missing-config", "train --out $tmp/out --config", "$tmp/ghost.txt", None),
+          ("resume-missing-checkpoint", f"train --out $tmp/run {FAST_ARGS} --set "
+           "train.lambda_co=0.7 --resume", "$tmp/run/no_such_checkpoint.npz", copy_run),
+          ("resume-missing-checkpoint-into-new-out", f"{TRAIN} --resume", "$run/nope.npz", None))),
+    # a --config that cannot be read, or holds a value outside its domain
+    *(refusal(f"config-{name}", f"train --out $tmp/out --config $tmp/{name}", EXIT_INVALID_CONFIG,
+              f"error: invalid-config: {message}", file_at(name, data))
+      for name, data, message in (
+          ("a_directory", None, "$tmp/a_directory is not a readable config file "
+           f"{IS_A_DIRECTORY} '$tmp/a_directory')"),
+          ("binary.txt", b"train.seed = \xff\n", "$tmp/binary.txt is not a readable config file "
+           "(UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 13: invalid "
+           "start byte)"),
+          ("bad.txt", b"train.method = teleport\n", "train.method must be one of ('source_only', "
+           "'baseline', 'strong', 'lrco', 'mixlrco'), got 'teleport'"))),
+    # an --out that exists as a file or lies under one
+    refusal("gen-data-out-under-a-file", f"gen-data --out $tmp/blocker/sub {FAST_ARGS}",
+            EXIT_INVALID_CONFIG, "error: invalid-config: --out $tmp/blocker/sub is not a usable "
+            "directory (NotADirectoryError: [Errno 20] Not a directory: '$tmp/blocker/sub')",
+            file_at("blocker", b"a file\n")),
+    *(refusal(f"{argv.split()[0]}-out-a-file", argv.replace("$tmp/out", "$tmp/blocker"),
+              EXIT_INVALID_CONFIG, "error: invalid-config: --out $tmp/blocker is not a usable "
+              "directory (FileExistsError: [Errno 17] File exists: '$tmp/blocker')",
+              file_at("blocker", b"a file\n")) for argv in (TRAIN, ANALYZE)),
+    # a key outside its domain, refused before --out is made
+    *(refusal(row_id, argv, EXIT_INVALID_CONFIG, f"error: invalid-config: {message}")
+      for row_id, argv, message in (
+          ("gen-data-data.n_classes=1", "gen-data --out $tmp/out --set data.n_classes=1",
+           "data.n_classes must lie in [2, 2147483647], got 1"),
+          ("gen-data-data.seed=-1", "gen-data --out $tmp/out --set data.seed=-1",
+           "data.seed must lie in [0, inf), got -1"),
+          ("removed-rerep_mode", f"{TRAIN} --set train.rerep_mode=rerep_nodetach",
+           "train.rerep_mode must be one of ('rerep', 'raw'), got 'rerep_nodetach'"),
+          ("removed-mixup_mode", f"{TRAIN} --set train.mixup_mode=high_confidence",
+           "train.mixup_mode must be one of ('dominant', 'no_dominance'), got 'high_confidence'"),
+          ("removed-feature_dim=1", f"{TRAIN} --set model.feature_dim=1",
+           "model.feature_dim must lie in [2, 2147483647], got 1"),
+          *((f"dynamic-tau-{method}",
+             f"{TRAIN} --set train.method={method} --set train.dynamic_tau=true",
+             "dynamic_tau needs a method that reads tau, one of ('strong', 'lrco', 'mixlrco'); "
+             f"{method!r} does not") for method in ("source_only", "baseline")))),
+    # a run id that config_used.txt, one key a line, could not give back
+    *(refusal(f"run-id-{name}", f"{TRAIN} --set 'output.run_id={run_id}'", EXIT_INVALID_CONFIG,
+              "error: invalid-config: output.run_id must be nonempty, of printable characters "
+              f"without whitespace, commas or slashes, got {run_id!r}")
+      for name, run_id in (("newline", "a\nb"), ("crlf", "a\r\nb"), ("tab", "a\tb"),
+                           ("vertical-tab", "a\x0bb"), ("line-separator", "a\u2028b"),
+                           ("nul", "a\x00b"), ("space", "a b"))),
+    # a run id too long for analyze's table names: a file name holds 255 bytes
+    *(refusal(f"run-id-of-{n_bytes}-bytes", f"{ANALYZE} --set output.run_id={run_id}",
+              EXIT_INVALID_CONFIG, "error: invalid-config: output.run_id must be at most 204 "
+              f"bytes in UTF-8, to fit the file names of analyze's tables, got {n_bytes} bytes")
+      for run_id, n_bytes in (("a" * 300, 300), ("a" * 205, 205), ("\u00e9" * 103, 206))),
+    # a size past 2**31 - 1, refused before anything is allocated; on a
+    # circle (input_dim=2) any class count meets the cross-field rule
+    *(refusal(f"huge-{command}-{key}", f"{command} --out $tmp/out --set {key}={10**30}"
+              + (" --set data.input_dim=2" if key == "data.n_classes" else ""),
+              EXIT_INVALID_CONFIG,
+              f"error: invalid-config: {key} must lie in [{low}, 2147483647], got "
+              f"{(10**30,) if key == 'model.hidden_dims' else 10**30}")
+      for command, key, low in (
+          ("gen-data", "data.n_per_class_source", 1), ("train", "data.n_per_class_target", 1),
+          ("train", "data.n_labeled_target_per_class", 0), ("train", "data.input_dim", 2),
+          ("train", "model.hidden_dims", 1), ("train", "model.feature_dim", 2),
+          ("train", "train.bank_capacity", 1), ("gen-data", "data.n_classes", 2))),
+    # a size inside its key's domain whose arrays would not fit in one
+    *(refusal(f"no-array-holds-{command}-{setting}", f"{command} --out $tmp/out --set {setting}",
+              EXIT_INVALID_CONFIG, f"error: invalid-config: {what} would hold {n} entries; an "
+              "array holds at most 2147483647")
+      for command, setting, what, n in (
+          ("train", "model.hidden_dims=2147483647", "the model's parameter vector", 36507222047),
+          ("gen-data", "data.input_dim=2147483647", "the model's parameter vector", 34359738544),
+          ("train", "data.n_per_class_source=2147483647", "the source split (data.n_classes * "
+           "data.n_per_class_source rows of data.input_dim)", 85899345880),
+          ("gen-data", "data.input_dim=46341",
+           "the (data.input_dim, data.input_dim) class frame and shift rotation", 2147488281))),
+    refusal("analyze-two-target-rows", "analyze --checkpoint $tmp/small/checkpoint_final.npz "
+            f"--out $tmp/out {TWO_ROWS}", EXIT_INVALID_CONFIG, "error: invalid-config: analyze "
+            "needs at least 3 target rows to project, the benchmark has 2", two_class_run),
+    # a checkpoint of another benchmark, or of a model of another shape
+    *(refusal(f"{argv.split()[0]}-{path.split('/')[-1]}-{override}",
+              f"{argv} {path} {FAST_ARGS} --set {override}", EXIT_INVALID_CONFIG,
+              f"error: invalid-config: checkpoint {path} was trained on benchmark "
+              f"spec_hash={trained_on}, the benchmark has spec_hash={spec_hash}", setup)
+      for path, override, trained_on, spec_hash, setup in (
+          ("$run/checkpoint_final.npz", "data.seed=7", "5bb447d9a923", "9da488d911d0", None),
+          ("$run/checkpoint_final.npz", "data.input_dim=6", "5bb447d9a923", "325583a5d0a8", None),
+          ("$run/checkpoint_final.npz", "data.input_dim=4", "5bb447d9a923", "abb6c8ac6909", None),
+          ("$run/checkpoint_final.npz", "data.n_classes=2", "5bb447d9a923", "615ff0fbf59e", None),
+          ("$tmp/unnamed.npz", "data.seed=0", "(none recorded)", "5bb447d9a923",
+           checkpoint_with("unnamed.npz", spec_hash="")))
+      for argv in READERS),
+    *(refusal(f"{argv.split()[0]}-wide-checkpoint", f"{argv} $tmp/wide.npz {FAST_ARGS}",
+              EXIT_INVALID_CONFIG, "error: invalid-config: checkpoint model has input_dim=4 "
+              "n_classes=3, the benchmark has input_dim=3 n_classes=3", wide_checkpoint)
+      for argv in READERS),
+    *(refusal(row_id, argv, EXIT_INVALID_CONFIG,
+              f"error: invalid-config: checkpoint was written by a different config ({hashes})",
+              setup)
+      for row_id, argv, hashes, setup in (
+          ("resume-another-config", f"train --out $tmp/run {FAST_ARGS} --set train.lambda_co=0.7 "
+           "--resume $tmp/run/checkpoint_final.npz", "3f5e3a6f53f5 != cc0b82250a4e", copy_run),
+          ("resume-no-dynamics-hash", f"{TRAIN} --resume $tmp/unhashed.npz",
+           "no dynamics hash != 3f5e3a6f53f5", checkpoint_with("unhashed.npz", dynamics_hash="")))),
+    # numeric and runtime failures of a run that has begun writing --out
+    *(refusal(row_id, f"{TRAIN} --set train.method={method} --set {setting}", EXIT_NUMERIC,
+              f"error: numeric: {message}", partial=True)
+      for row_id, method, setting, message in (
+          ("tiny-mix-alpha", "mixlrco", "train.alpha=1e-300", "sample_beta: alpha=1e-300 is too "
+           "small to draw from: both Gamma draws of a row underflowed to 0 on 1000 redraws"),
+          *((f"diverging-{method}", method, "train.learning_rate=1e200",
+             "cannot normalize vector whose norm overflows to inf") for method in METHODS))),
+    refusal("train-unable-to-allocate", TRAIN, EXIT_NUMERIC, f"error: runtime: {UNABLE}",
+            raising(trainer, "init_model", MemoryError(UNABLE)), partial=True),
+    # gen-data builds the benchmark before it makes --out
+    refusal("gen-data-out-of-memory", f"gen-data --out $tmp/out {FAST_ARGS}", EXIT_NUMERIC,
+            "error: runtime: out of memory",
+            raising(cli, "generate_shift_benchmark", MemoryError())),
+    # a file under --out that cannot be written: those written before it stay
+    *(refusal(f"{argv.split()[0]}-{name}-write-fails", argv, EXIT_INVALID_CONFIG,
+              "error: invalid-config: a file under --out cannot be written "
+              f"{IS_A_DIRECTORY} '$tmp/out/{name}{detail}')", file_at(f"out/{name}"), partial=True)
+      for argv, name, detail in (
+          (f"gen-data --out $tmp/out {FAST_ARGS}", "source.txt", ""),
+          (TRAIN, "config_used.txt", ""),
+          (TRAIN, "metrics.csv", ""),
+          (f"{TRAIN} --set train.checkpoint_interval=2", "checkpoint_step2.npz",
+           ".$pid.tmp' -> '$tmp/out/checkpoint_step2.npz"),
+          (ANALYZE, "projection_run-run0_step-4_target.csv", ""))),
+]
+
+
+@pytest.mark.filterwarnings("error")  # pytest would record a warning, not print it
+@pytest.mark.parametrize("argv, code, error, setup, partial", REFUSALS)
+def test_refusal(tmp_path, capsys, monkeypatch, fast_run, argv, code, error, setup, partial):
+    names = dict(tmp=tmp_path, run=fast_run, pid=os.getpid())
+    argv = shlex.split(argv)
+    # --out lies in tmp_path, so the snapshots of tmp_path below hold it
+    assert "--out" not in argv or argv[argv.index("--out") + 1].startswith("$tmp/")
+    if setup:
+        setup(tmp_path, fast_run, monkeypatch)
+    before = contents(tmp_path)
+    capsys.readouterr()
+
     def timed_out(signum, frame):
-        raise AssertionError("lrco train did not end within 30 s")
+        raise AssertionError("lrco did not end within 30 s")
 
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
     try:
-        code = run_cli("train", "--out", str(tmp_path / "o"), *FAST,
-                       "--set", "train.method=mixlrco", "--set", "train.alpha=1e-300")
+        exit_code = main([Template(arg).substitute(names) for arg in argv])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERIC, err
-    assert "error: numeric: sample_beta: alpha=1e-300 is too small" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("method", METHODS)
-def test_diverging_run_exits_numeric(tmp_path, capsys, method):
-    # at this learning rate the features overflow after one step: their
-    # norm is inf, and normalizing by it would give zero rows, which read as
-    # uniform predictions (or fail the unit-norm check as a ValueError)
-    code = run_cli("train", "--out", str(tmp_path / "o"), *FAST,
-                   "--set", f"train.method={method}",
-                   "--set", "train.learning_rate=1e200")
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERIC, err
-    assert "error: numeric: cannot normalize vector whose norm overflows to inf" in err
-    assert "Traceback" not in err
-
-
-def test_missing_files_exit_3(tmp_path, capsys):
-    code = run_cli("eval", "--checkpoint", str(tmp_path / "nope.npz"))
-    assert code == EXIT_MISSING_FILE
-    assert "error: missing-file:" in capsys.readouterr().err
-    code = run_cli("train", "--out", str(tmp_path / "o"),
-                   "--config", str(tmp_path / "ghost.txt"))
-    assert code == EXIT_MISSING_FILE
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("name, contents, error", [
-    ("a_directory", None, "IsADirectoryError"),
-    ("binary.txt", b"train.seed = \xff\n", "UnicodeDecodeError"),
-])
-def test_unreadable_config_exits_4(tmp_path, capsys, name, contents, error):
-    config = tmp_path / name
-    if contents is None:
-        config.mkdir()
+    out, err = capsys.readouterr()
+    assert exit_code == code, err
+    assert "Traceback" not in err, err
+    if error is None:
+        assert err == ""
+    elif code == EXIT_USAGE:
+        assert out == "" and err.startswith("usage: lrco") and " value: " not in err, err
+        assert err.splitlines()[-1] == error, err
     else:
-        config.write_bytes(contents)
-    out = tmp_path / "out"
-    code = run_cli("train", "--out", str(out), "--config", str(config))
-    err = capsys.readouterr().err
-    assert code == EXIT_INVALID_CONFIG, err
-    assert err.startswith(f"error: invalid-config: {config} is not a readable config file "
-                          f"({error}: "), err
-    assert not out.exists()
+        assert out == "" and err == Template(error).substitute(names) + "\n", err
+    after = contents(tmp_path)  # partial: what the command wrote before it failed stays
+    assert before.items() <= after.items() if partial else after == before
+    assert not any(p.suffix == ".tmp" for p in after)
 
 
-@pytest.mark.parametrize("command, out, error", [
-    ("gen-data", "blocker/sub", "NotADirectoryError"),
-    ("train", "blocker", "FileExistsError"),
-    ("analyze", "blocker", "FileExistsError"),
-])
-def test_unusable_out_exits_4_before_writing(tmp_path, capsys, command, out, error):
-    rest = ["--checkpoint", train_fast(tmp_path, capsys)] if command == "analyze" else []
-    blocker = tmp_path / "blocker"
-    blocker.write_text("a file\n")
-    before = sorted(tmp_path.rglob("*"))
-    code = run_cli(command, "--out", str(tmp_path / out), *rest, *FAST)
-    err = capsys.readouterr().err
-    assert code == EXIT_INVALID_CONFIG, err
-    assert err.startswith(f"error: invalid-config: --out {tmp_path / out} is not a usable "
-                          f"directory ({error}: "), err
-    assert sorted(tmp_path.rglob("*")) == before
-    assert blocker.read_text() == "a file\n"
-
-
-def test_invalid_config_exits_4(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("train.method = teleport\n")
-    code = run_cli("train", "--out", str(tmp_path / "o"), "--config", str(bad))
-    assert code == EXIT_INVALID_CONFIG
-    assert "error: invalid-config:" in capsys.readouterr().err
-    for setting in ("data.n_classes=1", "data.seed=-1"):
-        out = tmp_path / setting
-        assert run_cli("gen-data", "--out", str(out), "--set", setting) == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid-config: {setting.split('=')[0]} must lie in ")
-        assert "Traceback" not in err and not out.exists()
-
-
-@pytest.mark.parametrize("command,key", [
-    ("gen-data", "data.n_per_class_source"), ("train", "data.n_per_class_target"),
-    ("train", "data.n_labeled_target_per_class"), ("train", "data.input_dim"),
-    ("train", "model.hidden_dims"), ("train", "model.feature_dim"),
-    ("train", "train.bank_capacity"), ("gen-data", "data.n_classes"),
-])
-def test_huge_integer_sizes_exit_4(tmp_path, capsys, command, key):
-    # a size past 2**31 - 1 is refused before anything is allocated or written;
-    # on a circle (input_dim=2) any class count meets the cross-field rule
-    out = tmp_path / "out"
-    partner = ["--set", "data.input_dim=2"] if key == "data.n_classes" else []
-    assert run_cli(command, "--out", str(out), "--set", f"{key}={10**30}", *partner) \
-        == EXIT_INVALID_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: invalid-config: {key} must lie in [") and "2147483647]" in err
-    assert "Traceback" not in err and not out.exists()
-
-
-@pytest.mark.parametrize("command, setting, what", [
-    ("train", "model.hidden_dims=2147483647", "the model's parameter vector"),
-    ("gen-data", "data.input_dim=2147483647", "the model's parameter vector"),
-    ("train", "data.n_per_class_source=2147483647", "the source split"),
-    ("gen-data", "data.input_dim=46341", "the (data.input_dim, data.input_dim) class frame"),
-])
-def test_sizes_no_array_can_hold_exit_4(tmp_path, capsys, command, setting, what):
-    # each size lies inside its key's domain, but the arrays it sets would
-    # not fit in one array; the rule refuses it before anything is allocated
-    out = tmp_path / "out"
-    assert run_cli(command, "--out", str(out), "--set", setting) == EXIT_INVALID_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: invalid-config: {what}"), err
-    assert err.endswith("an array holds at most 2147483647\n"), err
-    assert "Traceback" not in err and not out.exists()
-
-
-def test_an_allocation_the_machine_cannot_hold_exits_5(tmp_path, capsys, monkeypatch):
-    # a size inside every rule may still be more than the machine holds; the
-    # failing allocation is monkeypatched in, never made
-    def unable(*args, **kwargs):
-        raise MemoryError("Unable to allocate 272. GiB for an array with shape "
-                          "(36507222016,) and data type float64")
-
-    def bare(*args, **kwargs):
-        raise MemoryError()
-
-    monkeypatch.setattr(trainer, "init_model", unable)
-    assert run_cli("train", "--out", str(tmp_path / "train"), *FAST) == EXIT_NUMERIC
-    assert capsys.readouterr().err == ("error: runtime: Unable to allocate 272. GiB for an "
-                                       "array with shape (36507222016,) and data type "
-                                       "float64\n")
-    # gen-data builds the benchmark before it makes --out
-    monkeypatch.setattr(cli, "generate_shift_benchmark", bare)
-    out = tmp_path / "data"
-    assert run_cli("gen-data", "--out", str(out), *FAST) == EXIT_NUMERIC
-    assert capsys.readouterr().err == "error: runtime: out of memory\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("run_id", ["a\nb", "a\r\nb", "a\tb", "a\x0bb", "a\u2028b",
-                                    "a\x00b", "a b"],
-                         ids=["newline", "crlf", "tab", "vertical-tab", "line-separator",
-                              "nul", "space"])
-def test_run_id_that_config_used_cannot_give_back_exits_4(tmp_path, capsys, run_id):
-    # config_used.txt holds one key per line, stripped on reading, so such an
-    # id would write a file that --config cannot load
-    out = tmp_path / "out"
-    assert run_cli("train", "--out", str(out), *FAST, "--set", f"output.run_id={run_id}") \
-        == EXIT_INVALID_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-config: output.run_id must be nonempty, of "
-                          "printable characters without whitespace, commas or slashes, "
-                          f"got {run_id!r}"), err
-    assert not out.exists()
-
-
-def test_run_id_too_long_for_analyze_file_names_exits_4(tmp_path, capsys):
-    # analyze names each table {kind}_run-{id}_step-{step}_{split}.csv, and a
-    # file name holds at most 255 bytes; an id longer than 204 bytes once
-    # exited 1 with an OSError traceback, after making --out
-    ckpt = train_fast(tmp_path, capsys)
-    for run_id, n_bytes in (("a" * 300, 300), ("a" * 205, 205), ("\u00e9" * 103, 206)):
-        out = tmp_path / f"analysis-{n_bytes}"
-        code = run_cli("analyze", "--checkpoint", ckpt, "--out", str(out), *FAST,
-                       "--set", f"output.run_id={run_id}")
-        assert code == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "error: invalid-config: output.run_id must be at most 204 bytes in UTF-8, to "
-            f"fit the file names of analyze's tables, got {n_bytes} bytes"], err
-        assert "Traceback" not in err and not out.exists()
-    run_id = "\u00e9" * 102  # 204 bytes, at the step with the most digits
+def test_run_id_of_204_bytes_fits_analyze_file_names(tmp_path, capsys, fast_run):
+    # 204 bytes, at the step with the most digits: the longest table name
+    run_id = "\u00e9" * 102
     ckpt_far = tmp_path / "far.npz"
-    save_checkpoint(ckpt_far, dataclasses.replace(load_checkpoint(ckpt), step=2**63 - 1))
+    save_checkpoint(ckpt_far, dataclasses.replace(
+        load_checkpoint(fast_run / "checkpoint_final.npz"), step=2**63 - 1))
     out = tmp_path / "analysis"
     assert run_cli("analyze", "--checkpoint", str(ckpt_far), "--out", str(out), *FAST,
                    "--set", f"output.run_id={run_id}") == EXIT_OK
     capsys.readouterr()
     assert sorted(os.listdir(out)) == [f"{kind}_run-{run_id}_step-{2**63 - 1}_target.csv"
                                        for kind in ("projection", "similarity", "topk")]
-
-
-def test_removed_config_values_exit_4(tmp_path, capsys):
-    for setting, message in (("train.rerep_mode=rerep_nodetach",
-                              "train.rerep_mode must be one of ('rerep', 'raw'), "
-                              "got 'rerep_nodetach'"),
-                             ("train.mixup_mode=high_confidence",
-                              "train.mixup_mode must be one of ('dominant', 'no_dominance'), "
-                              "got 'high_confidence'"),
-                             ("model.feature_dim=1",
-                              "model.feature_dim must lie in [2, 2147483647], got 1")):
-        out = tmp_path / setting
-        assert run_cli("train", "--out", str(out), *FAST, "--set", setting) \
-            == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid-config:") and message in err, err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-
-def test_dynamic_tau_refused_for_methods_that_ignore_tau(tmp_path, capsys):
-    for method in ("source_only", "baseline"):
-        out = tmp_path / method
-        code = run_cli("train", "--out", str(out), *FAST, "--set", f"train.method={method}",
-                       "--set", "train.dynamic_tau=true")
-        assert code == EXIT_INVALID_CONFIG
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "error: invalid-config: dynamic_tau needs a method that reads tau, "
-            f"one of ('strong', 'lrco', 'mixlrco'); {method!r} does not"], err
-        assert not out.exists()
-
-
-def test_analyze_refuses_fewer_than_three_target_rows(tmp_path, capsys):
-    small = [*FAST, "--set", "data.n_classes=2", "--set", "data.n_per_class_target=1"]
-    assert run_cli("train", "--out", str(tmp_path / "run"), *small) == EXIT_OK
-    capsys.readouterr()
-    adir = tmp_path / "analysis"
-    code = run_cli("analyze", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.npz"),
-                   "--out", str(adir), *small)
-    assert code == EXIT_INVALID_CONFIG
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "error: invalid-config: analyze needs at least 3 target rows to project, "
-        "the benchmark has 2"], err
-    assert not adir.exists()
 
 
 def test_output_root_env_var(tmp_path, capsys, monkeypatch):
