@@ -10,9 +10,11 @@ given one, and a gradient function, which the trainer's step node calls.
 The single heads (cross_entropy_batch, entropy_alignment,
 kld_uniform_batch, contrastive_batch, mixlrco_batch, re_represent_batch)
 share their formulas and are their reference: plain values on arrays, one
-graph node on a Tensor. Each gradient goes only into the probability rows
-or the feature rows the queries are made from: classifiers, keys, blended
-keys and bank rows are constants.
+graph node on a Tensor. The contrastive heads check their query, key and
+bank rows; contrastive_branch, whose rows the step builds unit, checks none
+of them. Each gradient goes only into the probability rows or the feature
+rows the queries are made from: classifiers, keys, blended keys and bank
+rows are constants.
 
 Temperature-scaled similarity h(a, b) = exp(a.b / T) never appears literally:
 -log(h_pos / sum(h)) is computed as logsumexp(sims / T) - pos / T.
@@ -315,25 +317,17 @@ def contrast_rows(f_rows, classifier, t_re: float, mode: str, w_unit=None):
 
 def _contrast_value(q, k_pos, k_den: tuple, bank, t_co: float):
     """(the mean loss of the unit query rows q, what _contrast_grad needs),
-    after checking the rows: the queries and the denominator keys unit, a
-    blended positive key of norm <= 1. The caller conforms the bank."""
-    if not t_co > 0:
-        raise ValueError("t_co must be positive")
-    check_unit_rows(q, "queries")
-    if len(k_den) == 1:
-        check_unit_rows(k_den[0], "keys")
-    else:
-        check_unit_rows(k_den[0], "target keys")
-        check_unit_rows(k_den[1], "source keys")
-        if not np.maximum.reduce(norm_last(k_pos), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
-            raise InvalidRowsError("blended keys must have norm <= 1")
-    inv_t = 1.0 / t_co
-    dots = [np.add.reduce(q * k, axis=-1) for k in k_den]
-    pos = dots[0] if len(k_den) == 1 else np.add.reduce(q * k_pos, axis=-1)
-    den = np.concatenate([*(d[..., None] for d in dots), q @ bank.mT], axis=-1) * inv_t
-    n = q.shape[-2]
+    unchecked. The scaled similarities fill one buffer: a column per
+    denominator key, then the bank product."""
+    m = len(k_den)
+    den = np.empty((*q.shape[:-1], m + len(bank)))
+    for j, k in enumerate(k_den):
+        np.add.reduce(q * k, axis=-1, out=den[..., j])
+    np.matmul(q, bank.mT, out=den[..., m:])
+    den *= 1.0 / t_co
+    pos = den[..., 0] if m == 1 else np.add.reduce(q * k_pos, axis=-1) * (1.0 / t_co)
     lse, e, s = logsumexp_last(den)
-    return np.add.reduce(lse - pos * inv_t, axis=-1) / n, (bank, e, s)
+    return np.add.reduce(lse - pos, axis=-1) / q.shape[-2], (bank, e, s)
 
 
 def _contrast_grad(g, k_pos, k_den: tuple, t_co: float, parts):
@@ -350,7 +344,19 @@ def _contrast_grad(g, k_pos, k_den: tuple, t_co: float, parts):
 
 
 def _contrast_head(q_rows, k_pos, k_den: tuple, bank, t_co: float):
-    """The contrastive loss of query rows q_rows, one graph node on them."""
+    """The contrastive loss of query rows q_rows, one graph node on them,
+    after checking the rows: the queries and the denominator keys unit, a
+    blended positive key of norm <= 1. The caller checks the bank."""
+    if not t_co > 0:
+        raise ValueError("t_co must be positive")
+    check_unit_rows(q_rows, "queries")
+    if len(k_den) == 1:
+        check_unit_rows(k_den[0], "keys")
+    else:
+        check_unit_rows(k_den[0], "target keys")
+        check_unit_rows(k_den[1], "source keys")
+        if not np.maximum.reduce(norm_last(k_pos), axis=None, initial=0.0) <= 1.0 + UNIT_NORM_TOL:
+            raise InvalidRowsError("blended keys must have norm <= 1")
     y, parts = _contrast_value(ad.value_of(q_rows), k_pos, k_den, bank, t_co)
     if not ad.is_tensor(q_rows):
         return y
@@ -399,9 +405,12 @@ def contrastive_branch(f_rows: np.ndarray, rows, classifier, t_re: float, mode: 
     with k_pos the same keys, and mixlrco_batch(queries, k_pos, *k_den,
     bank_matrix, t_co) when k_den holds the target and source keys and
     k_pos the blended ones. The classifier is a constant, as in
-    re_represent_batch. t_re is the model's, checked by its ModelState, and
-    the bank a MemoryBank snapshot, whose rows were checked when they were
-    pushed, so only the bank's shape is checked here.
+    re_represent_batch; t_re and t_co are checked by the model's state and
+    the run's config. Only the bank's shape is checked, as the rows are unit
+    by construction: the queries come from unit_last, the keys from
+    prepare_step's contrast_rows, blended keys are convex blends of them,
+    and the bank is a MemoryBank snapshot, whose rows were checked when
+    they were pushed. A NaN in them makes the loss NaN, not an error.
 
     grad(g) is the gradient of the rows ``rows`` when the loss gets g. Added
     into those rows of a feature gradient, as take_rows's add.at adds, it

@@ -7,8 +7,9 @@ every function of tests/oracles.py has a test that uses it, __all__ lists
 the package's public imports, every written float and line ending goes
 through one format, the golden and acceptance tests train through the
 shared cache, only the step hands the contrastive branch its bank, whose
-rows the bank checked, while only the reference heads check a bank's rows,
-and lift_params builds the only parameter leaves.
+rows the bank checked, and only prepare_step builds its keys, while only
+the reference heads check query, key and bank rows, and lift_params builds
+the only parameter leaves.
 Every committed BENCH_*.json record parses and carries the keys that all of
 them share, a claim's numeric fields equal what its raw pairs give, and the
 bench ledger lists every record. A traced short run gives the untraced
@@ -116,21 +117,24 @@ def test_no_method_name_is_compared_outside_the_terms_table():
     assert _method_name_compares(sample) == [1, 3, 4]
 
 
-def _readers(source: str, name: str) -> list[str]:
+def _readers(source: str, name: str, called: bool = False) -> list[str]:
     """The dotted names of the functions and classes whose code reads
     ``name``, as a name, an attribute or an imported name, "<module>" for a
-    top-level statement."""
+    top-level statement; with ``called``, those whose code calls it."""
     found = set()
+
+    def reads(node):
+        return ((isinstance(node, ast.Name) and node.id == name
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name))
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if ((isinstance(child, ast.Name) and child.id == name
-                 and isinstance(child.ctx, ast.Load))
-                    or (isinstance(child, ast.Attribute) and child.attr == name)
-                    or (isinstance(child, ast.alias) and child.name == name)):
+            if (isinstance(child, ast.Call) and reads(child.func)) if called else reads(child):
                 found.add(scope or "<module>")
             visit(child, scope)
 
@@ -359,16 +363,23 @@ def test_only_the_step_reads_the_branch_and_only_the_reference_heads_check_a_ban
     # step's MemoryBank snapshot, whose rows the bank checked when they were
     # pushed. The row-checking conform serves the reference heads, whose
     # bank may be any matrix; a new user of either could let an unchecked
-    # row reach the loss
+    # row reach the loss. The branch checks no query or key row either: its
+    # keys come from contrast_rows in prepare_step, the only place a
+    # StepBatch is built, and in losses.py only the reference heads' check
+    # and the bank conform read check_unit_rows
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
 
-    def readers(name):
+    def readers(name, called=False):
         return sorted(f"{mod}.{scope}" for mod, text in sources.items()
-                      for scope in _readers(text, name))
+                      for scope in _readers(text, name, called))
 
     assert readers("contrastive_branch") == ["trainer.step_objective"]
     assert readers("_checked_bank") == ["losses.contrastive_batch", "losses.mixlrco_batch"]
+    assert readers("StepBatch", called=True) == ["trainer.prepare_step"]
+    assert _readers(sources["losses"], "check_unit_rows") == ["_checked_bank", "_contrast_head"]
+    sample = "def a(x: S) -> S:\n    return x\n\ndef b():\n    return m.S(1)\n"
+    assert (_readers(sample, "S"), _readers(sample, "S", called=True)) == (["a", "b"], ["b"])
 
 
 def _unused_oracles(oracle_source: str, test_sources) -> list[str]:

@@ -689,6 +689,21 @@ def test_diverged_run_raises_with_diagnostics():
                    step=1)
 
 
+@pytest.mark.parametrize("method", ["lrco", "mixlrco"])
+def test_a_nan_query_is_a_diverged_step_not_a_row_error(method):
+    # the contrastive branch checks no query or key row, as the step builds
+    # them unit: a NaN that reaches them is a NaN term, and the step ends as
+    # a diverged run, not as an InvalidRowsError
+    cfg, student, sb = split_step(method)
+    student.weights[0][0, 0] = np.nan
+    assert sb.query_rows is not None and np.all(np.isfinite(sb.k_pos))
+    _, terms = step_objective(student, sb, cfg)
+    assert np.isnan(terms["contrastive"])
+    with pytest.raises(TrainingDivergedError, match="step 1"):
+        train_step(lift_params(student), clone_state(student), MemoryBank(cfg.bank_capacity),
+                   init_velocities(student), sb, cfg, step=1)
+
+
 # --- the step's hot path -----------------------------------------------------------------
 
 # numpy's Python wrappers (np.sum, ndarray.mean, np.expand_dims, zeros_like, ...)
