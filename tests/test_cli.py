@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import shlex
 import shutil
 import signal
@@ -410,6 +412,20 @@ def test_a_checkpoint_save_would_not_write_exits_4(tmp_path, capsys, step2_check
         assert err.startswith(f"error: invalid-config: {message}"), (argv, err)
     assert contents(run) == before
     assert not out.exists()
+
+
+def test_every_meta_refusal_the_readme_lists_is_a_sweep_row():
+    # README lists the meta values of another JSON type that a load refuses;
+    # each example there must be a row of CHECKPOINT_SWEEP, as "key": value
+    # with its quotes made single (so "t_re": "0.5" is meta-t_re='0.5')
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    refusals = readme[readme.index("The rule refuses:"):]
+    examples = re.findall(r'`"(\w+)": ([^`]+)`', refusals[:refusals.index("\n\n")])
+    assert examples
+    rows = {param.id for param in CHECKPOINT_SWEEP}
+    assert [f"meta-{key}={value}" for key, value in examples
+            if f"meta-{key}={value}".replace('"', "'") not in rows] == []
 
 
 # Setup helpers of REFUSALS: each builds in tmp_path what its row needs,

@@ -1,28 +1,24 @@
 """The benchmark's tracer patches lrco from outside, by attribute name; every
-name it patches must exist, and restoring must put every original back. The
-package decides what a method does from trainer.METHOD_TERMS alone, which
-only the config check and the step's plan read, only model.py builds a
-state's arrays, no top-level function or class is left that nothing names,
-every function of tests/oracles.py has a test that uses it, __all__ lists
-the package's public imports, every written float and line ending goes
-through one format, the golden and acceptance tests train through the
-shared cache, only the step hands the contrastive branch its bank, whose
-rows the bank checked, and only prepare_step builds its keys, while only
-the reference heads check query, key and bank rows, and lift_params builds
-the only parameter leaves.
-Every committed BENCH_*.json record parses and carries the keys that all of
-them share, a claim's numeric fields equal what its raw pairs give, and the
-bench ledger lists every record. A traced short run gives the untraced
-digests."""
+name it patches must exist, restoring must put every original back, and a
+traced short run gives the untraced digests. The rules over the syntax trees
+of src/lrco and tests/ are the rows of SOURCE_RULES, each with its reason.
+__all__ lists the package's public imports. Every committed BENCH_*.json
+record parses and carries the keys that all of them share, a claim's numeric
+fields equal what its raw pairs give, the bench ledger lists every record,
+and every record README.md names exists."""
 
 import ast
+import collections
 import importlib
 import inspect
 import json
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
+
+import pytest
 
 import lrco
 from lrco import (
@@ -94,7 +90,56 @@ def test_perfbench_pseudo_label_readers_match_the_trainer(monkeypatch):
     assert spans.PSEUDO_LABEL_READERS == set(trainer.PSEUDO_LABEL_METHODS)
 
 
-def _method_name_compares(source: str) -> list[int]:
+PACKAGE, TESTS = ROOT / "src" / "lrco", ROOT / "tests"
+# each file of the package and of the tests, read and parsed once per session
+SOURCES = {path: path.read_text(encoding="utf-8")
+           for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])}
+TREES = {path: ast.parse(text) for path, text in SOURCES.items()}
+
+
+def _scoped(tree, scope=""):
+    """(scope, node) of each node below ``tree``: the dotted name of the
+    innermost function or class around it, "<module>" at top level. A
+    definition's arguments, annotations and decorators are inside it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(node, f"{scope}.{node.name}" if scope else node.name)
+        else:
+            yield scope or "<module>", node
+            yield from _scoped(node, scope)
+
+
+def _called(node) -> str | None:
+    """The name a call calls, as a name or an attribute; None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _lines(*nodes) -> set[int]:
+    """The line numbers that the given definitions span."""
+    return {line for node in nodes for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def _names(tree):
+    """(name, line) of each name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, getattr(node, "lineno", 0)
+
+
+def _per_module(find):
+    """find(module, tree, *args) over each module of trees, kept where it finds something."""
+    def each(trees, *args):
+        return {mod: found for mod, tree in trees.items() if (found := find(mod, tree, *args))}
+    return each
+
+
+@_per_module
+def _method_name_compares(mod, tree) -> list[int]:
     """Line numbers of the comparisons with a method name as an operand, as
     a string constant or inside a tuple, list or set display."""
     def names_a_method(node) -> bool:
@@ -102,65 +147,28 @@ def _method_name_compares(source: str) -> list[int]:
             return any(map(names_a_method, node.elts))
         return isinstance(node, ast.Constant) and node.value in trainer.METHODS
 
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Compare)
             and any(map(names_a_method, [node.left, *node.comparators]))]
 
 
-def test_no_method_name_is_compared_outside_the_terms_table():
-    # a method's behaviour is read from METHOD_TERMS; a comparison with a
-    # method's name would decide it a second time
-    found = {path.name: lines for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
-             if (lines := _method_name_compares(path.read_text(encoding="utf-8")))}
-    assert not found, found
-    sample = 'a = m in ("x", "lrco")\nb = m < 2\nc = "strong" != m\nd = {"lrco"} == m\n'
-    assert _method_name_compares(sample) == [1, 3, 4]
-
-
-def _readers(source: str, name: str, called: bool = False) -> list[str]:
+@_per_module
+def _readers(mod, tree, name, called=False) -> list[str]:
     """The dotted names of the functions and classes whose code reads
     ``name``, as a name, an attribute or an imported name, "<module>" for a
     top-level statement; with ``called``, those whose code calls it."""
-    found = set()
-
     def reads(node):
         return ((isinstance(node, ast.Name) and node.id == name
                  and isinstance(node.ctx, ast.Load))
                 or (isinstance(node, ast.Attribute) and node.attr == name)
                 or (isinstance(node, ast.alias) and node.name == name))
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if (isinstance(child, ast.Call) and reads(child.func)) if called else reads(child):
-                found.add(scope or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+    return sorted({scope for scope, node in _scoped(tree)
+                   if (_called(node) == name if called else reads(node))})
 
 
-def test_only_the_step_plan_reads_the_terms_table():
-    # prepare_step decides a step's plan from METHOD_TERMS and records it in
-    # the StepBatch; a step that reads the table again decides it twice
-    source = (ROOT / "src" / "lrco" / "trainer.py").read_text(encoding="utf-8")
-    readers = _readers(source, "METHOD_TERMS")
-    assert set(readers) <= {"<module>", "TrainConfig.validate", "prepare_step"}, readers
-    sample = ("METHOD_TERMS = {}\nA = tuple(m for m in METHOD_TERMS)\n\n"
-              "class C:\n    def validate(self):\n        return METHOD_TERMS\n\n"
-              "def f():\n    def g():\n        return METHOD_TERMS['x']\n    return g\n\n"
-              "def h(terms=METHOD_TERMS):\n    return terms\n\n"
-              "def k():\n    from trainer import METHOD_TERMS as t\n"
-              "    return trainer.METHOD_TERMS\n")
-    assert _readers(sample, "METHOD_TERMS") == ["<module>", "C.validate", "f.g", "h", "k"]
-
-
-STATE_ARRAYS = ("weights", "biases", "classifier")
-
-
-def _state_array_rebinds(source: str, in_model: bool) -> list[int]:
+@_per_module
+def _state_array_rebinds(mod, tree) -> list[int]:
     """Line numbers of the calls of ModelState and of the assignments to an
     attribute weights, biases or classifier. In model.py, ModelState setting
     its own views (self.<name> = ...) and its constructor calls are allowed."""
@@ -169,124 +177,61 @@ def _state_array_rebinds(source: str, in_model: bool) -> list[int]:
             return [t for elt in node.elts for t in targets(elt)]
         return [node.value if isinstance(node, ast.Starred) else node]
 
+    in_model = mod == "model"
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and not in_model:
-            func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "ModelState":
-                found.append(node.lineno)
+    for node in ast.walk(tree):
+        if _called(node) == "ModelState" and not in_model:
+            found.append(node.lineno)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in (t for each in assigned for t in targets(each)):
-                if (isinstance(target, ast.Attribute) and target.attr in STATE_ARRAYS
+                if (isinstance(target, ast.Attribute)
+                        and target.attr in ("weights", "biases", "classifier")
                         and not (in_model and getattr(target.value, "id", None) == "self")):
                     found.append(node.lineno)
     return sorted(found)
 
 
-def test_state_arrays_stay_views_of_params():
-    # a state's weights, biases and classifier are views of its params, which
-    # SGD and the EMA update; rebinding one would detach it from params
-    found = {path.name: lines for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
-             if (lines := _state_array_rebinds(path.read_text(encoding="utf-8"),
-                                               path.name == "model.py"))}
-    assert not found, found
-    sample = ("s = model.ModelState(p, l, 1.0, 1.0)\nm.weights = w\n"
-              "a, m.classifier = c, d\nm.biases += b\nm.classifier[...] = c\n"
-              "self.weights = w\n")
-    assert _state_array_rebinds(sample, in_model=False) == [1, 2, 3, 4, 6]
-    assert _state_array_rebinds(sample, in_model=True) == [2, 3, 4]
-
-
-def _leaf_builders(source: str) -> list[str]:
+@_per_module
+def _leaf_builders(mod, tree) -> list[str]:
     """The dotted name of the function or class, "<module>" at top level, of
     each call of Tensor (as a name or an attribute) that passes no parents
     (none, or an empty tuple) or no backward function (none, or None): each
     builds a node without a backward, a leaf."""
-    found = []
-
     def missing(arg) -> bool:
         return (arg is None or (isinstance(arg, ast.Constant) and arg.value is None)
                 or (isinstance(arg, ast.Tuple) and not arg.elts))
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Tensor"):
-                given = dict(zip(("value", "parents", "backward_fn"), child.args))
-                given.update((kw.arg, kw.value) for kw in child.keywords)
-                if missing(given.get("parents")) or missing(given.get("backward_fn")):
-                    found.append(scope or "<module>")
-            visit(child, scope)
+    def builds_a_leaf(call) -> bool:
+        given = dict(zip(("value", "parents", "backward_fn"), call.args))
+        given.update((kw.arg, kw.value) for kw in call.keywords)
+        return missing(given.get("parents")) or missing(given.get("backward_fn"))
 
-    visit(ast.parse(source), "")
-    return sorted(found)
+    return sorted(scope for scope, node in _scoped(tree)
+                  if _called(node) == "Tensor" and builds_a_leaf(node))
 
 
-def test_parameter_leaves_come_only_from_lift_params():
-    # a step's graph holds parameter leaves and op nodes only; a leaf built
-    # anywhere else would be a constant node, which nothing differentiates
-    found = {path.stem: scopes for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
-             if (scopes := _leaf_builders(path.read_text(encoding="utf-8")))}
-    assert found == {"model": ["lift_params"]}, found
-    sample = ("a = ad.Tensor(x)\n\n"
-              "def f(x):\n    return Tensor(x, (x,), g)\n\n"
-              "def g(x):\n    return ad.Tensor(x, parents=(x,))\n\n"
-              "class C:\n    def h(self, x):\n        return ad.Tensor(x, (), fn)\n\n"
-              "def k(x):\n    return ad.Tensor(x, backward_fn=fn, parents=(x,))\n\n"
-              "def m(x):\n    def n():\n        return ad.Tensor(x, (x,), None)\n"
-              "    return n, isinstance(x, ad.Tensor)\n")
-    assert _leaf_builders(sample) == ["<module>", "C.h", "g", "m.n"]
-
-
-def _declared_domains(source: str) -> dict[str, bool]:
-    """For each class in ``source`` with a field declared by within(...),
-    whether its validate or its __post_init__ calls check_domains (as a name
-    or an attribute), the only code that enforces a declared domain."""
-
-    def called(node) -> str | None:
-        return getattr(node.func, "id", getattr(node.func, "attr", None))
-
+@_per_module
+def _declared_domains(mod, tree) -> dict[str, bool]:
+    """For each class with a field declared by within(...), whether its
+    validate or its __post_init__ calls check_domains (as a name or an
+    attribute), the only code that enforces a declared domain."""
     found = {}
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
-                isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)
-                and called(item.value) == "within" for item in node.body):
+                isinstance(item, ast.AnnAssign) and _called(item.value) == "within"
+                for item in node.body):
             found[node.name] = any(
                 isinstance(item, ast.FunctionDef) and item.name in ("validate", "__post_init__")
-                and any(isinstance(call, ast.Call) and called(call) == "check_domains"
-                        for call in ast.walk(item))
+                and any(_called(call) == "check_domains" for call in ast.walk(item))
                 for item in node.body)
     return found
-
-
-def test_every_declared_domain_is_checked():
-    # a within(...) field is a promise that check_domains keeps: a record
-    # that declares a domain and never checks it lets any value through
-    declared = {f"{path.stem}.{name}": checked
-                for path in sorted((ROOT / "src" / "lrco").glob("*.py"))
-                for name, checked in _declared_domains(path.read_text(encoding="utf-8")).items()}
-    assert {"model.ModelState", "trainer.Checkpoint", "trainer.TrainConfig"} <= declared.keys()
-    assert [name for name, checked in declared.items() if not checked] == [], declared
-    sample = ("class A:\n    x: int = within('[0, 1]')\n\n"
-              "    def validate(self, prefix=''):\n        check_domains(self, prefix)\n\n"
-              "class B:\n    x: float = errors.within('(0, 1)', 0.5)\n\n"
-              "    def __post_init__(self):\n        errors.check_domains(self)\n\n"
-              "class C:\n    x: int = within('[0, 1]')\n    y: int = 3\n\n"
-              "class D:\n    x: int = within('[0, 1]')\n\n"
-              "    def check(self):\n        check_domains(self)\n\n"
-              "class E:\n    x: int = field(default=0)\n\n"
-              "    def validate(self):\n        pass\n")
-    assert _declared_domains(sample) == {"A": True, "B": True, "C": False, "D": False}
 
 
 # Top-level functions and classes of src/lrco, and public methods of its
 # classes, that no other code there names, each with the reason it stays. A
 # fused node that leaves the code it replaced behind, uncalled, fails the
-# test below until that code goes or is listed here.
+# unnamed-definitions rule until that code goes or is listed here.
 UNNAMED_ALLOWED = {
     "cli.main": "the console entry point",
     "losses.make_pseudo_label": "perfbench/spans.py wraps it by name (ROADMAP 1 (a))",
@@ -302,24 +247,14 @@ UNNAMED_ALLOWED = {
 }
 
 
-def _names(tree):
-    """(name, line) of each name, attribute and imported name in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name, getattr(node, "lineno", 0)
-
-
-def _unnamed_definitions(sources: dict) -> list:
-    """module.name of each top-level function or class in ``sources`` (module
-    name -> source), and module.Class.name of each public method of a
-    top-level class, that no code outside its own definition names, as a
-    name, an attribute or an imported name. __init__ is left out: its
-    re-exports would name everything it exports."""
-    trees = {mod: ast.parse(text) for mod, text in sources.items() if mod != "__init__"}
+def _unnamed_definitions(trees, allowed=()) -> list[str]:
+    """module.name of each top-level function or class in ``trees``, and
+    module.Class.name of each public method of a top-level class, that no
+    code outside its own definition names, as a name, an attribute or an
+    imported name, and that ``allowed`` does not list; and each entry of
+    ``allowed`` whose module defines no function of its name. __init__ is
+    left out: its re-exports would name everything it exports."""
+    trees = {mod: tree for mod, tree in trees.items() if mod != "__init__"}
     named: dict = {}  # name -> [(module, line)]
     for mod, tree in trees.items():
         for name, line in _names(tree):
@@ -333,87 +268,25 @@ def _unnamed_definitions(sources: dict) -> list:
                 definitions += [(mod, f"{node.name}.{item.name}", item) for item in node.body
                                 if isinstance(item, ast.FunctionDef)
                                 and not item.name.startswith("_")]
-    found = []
-    for mod, dotted, node in definitions:
-        inside = range(node.lineno, node.end_lineno + 1)
-        if all(m == mod and line in inside for m, line in named.get(node.name, ())):
-            found.append(f"{mod}.{dotted}")
-    return sorted(found)
+    found = {f"{mod}.{dotted}" for mod, dotted, node in definitions
+             if all(m == mod and line in _lines(node) for m, line in named.get(node.name, ()))}
+    defined = {(mod, node.name) for mod, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    gone = {entry for entry in allowed
+            if (entry.split(".")[0], entry.split(".")[-1]) not in defined}
+    return sorted((found - set(allowed)) | gone)
 
 
-def test_every_top_level_definition_is_named_or_listed():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
-    found = _unnamed_definitions(sources)
-    assert not set(found) - set(UNNAMED_ALLOWED), found
-    for entry in UNNAMED_ALLOWED:  # the list names no code that is gone
-        mod, *_, name = entry.split(".")
-        assert f"def {name}(" in sources[mod], entry
-    sample = {"a": "def f():\n    return f()\n\ndef g():\n    return h()\n\nclass C:\n    pass\n",
-              "b": "from a import C\nimport a\nx = a.h\n\ndef h():\n    pass\n",
-              "c": ("class D:\n    def m(self):\n        return self.m()\n\n"
-                    "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n\n"
-                    "    def __call__(self):\n        pass\n\nD().n()\n"),
-              "__init__": "from .a import f\n"}
-    assert _unnamed_definitions(sample) == ["a.f", "a.g", "c.D.m"]
+def _unused_oracles(trees) -> list[str]:
+    """The top-level functions and classes of the module oracles that no
+    test module (test_*) names, as a name, an attribute or an imported name."""
+    named = {name for mod, tree in trees.items() if mod.startswith("test_")
+             for name, _ in _names(tree)}
+    return sorted(node.name for node in trees["oracles"].body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named)
 
 
-def test_only_the_step_reads_the_branch_and_only_the_reference_heads_check_a_bank():
-    # contrastive_branch checks its bank's shape alone: its bank is the
-    # step's MemoryBank snapshot, whose rows the bank checked when they were
-    # pushed. The row-checking conform serves the reference heads, whose
-    # bank may be any matrix; a new user of either could let an unchecked
-    # row reach the loss. The branch checks no query or key row either: its
-    # keys come from contrast_rows in prepare_step, the only place a
-    # StepBatch is built, and in losses.py only the reference heads' check
-    # and the bank conform read check_unit_rows
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
-
-    def readers(name, called=False):
-        return sorted(f"{mod}.{scope}" for mod, text in sources.items()
-                      for scope in _readers(text, name, called))
-
-    assert readers("contrastive_branch") == ["trainer.step_objective"]
-    assert readers("_checked_bank") == ["losses.contrastive_batch", "losses.mixlrco_batch"]
-    assert readers("StepBatch", called=True) == ["trainer.prepare_step"]
-    assert _readers(sources["losses"], "check_unit_rows") == ["_checked_bank", "_contrast_head"]
-    sample = "def a(x: S) -> S:\n    return x\n\ndef b():\n    return m.S(1)\n"
-    assert (_readers(sample, "S"), _readers(sample, "S", called=True)) == (["a", "b"], ["b"])
-
-
-def _unused_oracles(oracle_source: str, test_sources) -> list[str]:
-    """The top-level functions and classes of ``oracle_source`` that none of
-    ``test_sources`` names, as a name, an attribute or an imported name."""
-    named = {name for text in test_sources for name, _ in _names(ast.parse(text))}
-    return sorted(node.name for node in ast.parse(oracle_source).body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in named)
-
-
-def test_every_oracle_is_used_by_a_test():
-    # tests/oracles.py holds the reference ops and the shared helpers; one
-    # that no test names any more checks nothing
-    tests = ROOT / "tests"
-    found = _unused_oracles((tests / "oracles.py").read_text(encoding="utf-8"),
-                            [path.read_text(encoding="utf-8")
-                             for path in sorted(tests.glob("test_*.py"))])
-    assert not found, found
-    sample = ("def f():\n    return g()\n\ndef g():\n    pass\n\n"
-              "def h():\n    pass\n\nclass C:\n    pass\n")
-    assert _unused_oracles(sample, ["import oracles\nx = oracles.f\n",
-                                    "from oracles import h as k\n"]) == ["C", "g"]
-
-
-def test_the_public_list_equals_the_public_imports():
-    # __init__ writes the package's public names twice: as its imports and
-    # as __all__
-    public = {name for name, value in vars(lrco).items()
-              if not name.startswith("_") and not inspect.ismodule(value)}
-    assert sorted(lrco.__all__) == sorted(public)
-
-
-def _text_format_forks(sources: dict) -> list[tuple[str, int, str]]:
+def _text_format_forks(trees) -> list[tuple[str, int, str]]:
     """(module, line, fork) of each ".17g" string outside the definition of
     numerics.float_text, and of each call of the builtin open in a write mode
     without "b" that does not pass newline="\\n"; a mode that is not a
@@ -423,13 +296,12 @@ def _text_format_forks(sources: dict) -> list[tuple[str, int, str]]:
         return any(getattr(t, "id", getattr(t, "name", None)) == "float_text" for t in targets)
 
     found = []
-    for mod, text in sources.items():
-        tree = ast.parse(text)
-        own = [range(node.lineno, node.end_lineno + 1) for node in tree.body
-               if mod == "numerics" and defines_float_text(node)]
+    for mod, tree in trees.items():
+        own = _lines(*(node for node in tree.body
+                       if mod == "numerics" and defines_float_text(node)))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and ".17g" in str(node.value)
-                    and not any(node.lineno in lines for lines in own)):
+                    and node.lineno not in own):
                 found.append((mod, node.lineno, ".17g"))
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
                 continue
@@ -443,49 +315,158 @@ def _text_format_forks(sources: dict) -> list[tuple[str, int, str]]:
     return sorted(found)
 
 
-def test_written_text_has_one_float_format_and_one_newline():
-    # every file the package writes prints a float with numerics.float_text
-    # and ends its lines with "\n" on every platform; a writer that chose
-    # either again could fork the pinned bytes
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src" / "lrco").glob("*.py"))}
-    assert _text_format_forks(sources) == []
-    sample = {"numerics": 'float_text = "{:.17g}".format\nx = f"{v:.17g}"\ny = float_text(v)\n',
-              "a": ('def f(v):\n    return "%.17g" % v\n\n'
-                    'with open(p, "w", encoding="utf-8") as fh:\n    pass\n'
-                    'open(p, "wb")\nopen(p, mode="a", newline="\\n")\n'
-                    'open(p, "w", newline="\\r\\n")\nopen(p)\nopen(p, "r")\n'
-                    'open(p, m)\nopen(p, "x", newline="\\n")\n')}
-    assert _text_format_forks(sample) == [("a", 2, ".17g"), ("a", 4, "newline"),
-                                          ("a", 8, "newline"), ("a", 11, "newline"),
-                                          ("numerics", 2, ".17g")]
-
-
-def _fit_calls(source: str, allowed=()) -> list[int]:
-    """Line numbers of the calls of fit, as a name or an attribute, outside
-    the top-level functions named in ``allowed``."""
-    tree = ast.parse(source)
-    skip = [range(node.lineno, node.end_lineno + 1) for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in allowed]
+def _fit_calls(trees, module, allowed=()) -> list[int]:
+    """Line numbers of the calls of fit, as a name or an attribute, in
+    ``module`` outside its top-level functions named in ``allowed``."""
+    tree = trees[module]
+    skip = _lines(*(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name in allowed))
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fit"
-                  and not any(node.lineno in lines for lines in skip))
+                  if _called(node) == "fit" and node.lineno not in skip)
 
 
-def test_golden_and_acceptance_fits_go_through_the_session_cache():
-    # a fit there would train a config that the cache in conftest.py may
-    # already hold; ACCEPTANCE 10 tests a second fit and a resume, so it
-    # trains its own
-    tests = ROOT / "tests"
-    assert _fit_calls((tests / "test_golden.py").read_text(encoding="utf-8")) == []
-    assert _fit_calls((tests / "test_acceptance.py").read_text(encoding="utf-8"),
-                      allowed=("test_10_determinism_and_resume",)) == []
-    sample = ("r = fit(b, a, c)\n\ndef t():\n    return trainer.fit(b, a, c)\n\n"
-              "def u():\n    fit(b, a, c)\n    fitted(b)\n")
-    assert _fit_calls(sample) == [1, 4, 7]
-    assert _fit_calls(sample, allowed=("u",)) == [1, 4]
+# A row of SOURCE_RULES: a rule over the syntax trees of one directory's
+# modules (module name -> tree), with its reason. For each (args, result) of
+# package, find(trees, *args) on that directory gives the result; for each of
+# expected, find on the parsed sample (module name -> source) does.
+Rule = collections.namedtuple("Rule", "id why scope find package sample expected")
 
+
+SOURCE_RULES = [
+    Rule("method-names",
+         "a method's behaviour is read from METHOD_TERMS; a comparison with a method's "
+         "name would decide it a second time",
+         PACKAGE, _method_name_compares, {(): {}},
+         {"a": 'a = m in ("x", "lrco")\nb = m < 2\nc = "strong" != m\nd = {"lrco"} == m\n'},
+         {(): {"a": [1, 3, 4]}}),
+    Rule("terms-readers",
+         "the config check and prepare_step read METHOD_TERMS; prepare_step decides a "
+         "step's plan from it and records it in the StepBatch, and a step that reads the "
+         "table again decides it twice",
+         PACKAGE, _readers,
+         {("METHOD_TERMS",): {"trainer": ["<module>", "TrainConfig.validate", "prepare_step"]}},
+         {"a": ("METHOD_TERMS = {}\nA = tuple(m for m in METHOD_TERMS)\n\n"
+                "class C:\n    def validate(self):\n        return METHOD_TERMS\n\n"
+                "def f():\n    def g():\n        return METHOD_TERMS['x']\n    return g\n\n"
+                "def h(terms=METHOD_TERMS):\n    return terms\n\n"
+                "def k():\n    from trainer import METHOD_TERMS as t\n"
+                "    return trainer.METHOD_TERMS\n")},
+         {("METHOD_TERMS",): {"a": ["<module>", "C.validate", "f.g", "h", "k"]}}),
+    Rule("state-views",
+         "a state's weights, biases and classifier are views of its params, which SGD and "
+         "the EMA update; rebinding one would detach it from params",
+         PACKAGE, _state_array_rebinds, {(): {}},
+         dict.fromkeys(("a", "model"), "s = model.ModelState(p, l, 1.0, 1.0)\nm.weights = w\n"
+                       "a, m.classifier = c, d\nm.biases += b\nm.classifier[...] = c\n"
+                       "self.weights = w\n"),
+         {(): {"a": [1, 2, 3, 4, 6], "model": [2, 3, 4]}}),
+    Rule("parameter-leaves",
+         "a step's graph holds parameter leaves and op nodes only; a leaf built anywhere "
+         "but lift_params would be a constant node, which nothing differentiates",
+         PACKAGE, _leaf_builders, {(): {"model": ["lift_params"]}},
+         {"a": ("a = ad.Tensor(x)\n\n"
+                "def f(x):\n    return Tensor(x, (x,), g)\n\n"
+                "def g(x):\n    return ad.Tensor(x, parents=(x,))\n\n"
+                "class C:\n    def h(self, x):\n        return ad.Tensor(x, (), fn)\n\n"
+                "def k(x):\n    return ad.Tensor(x, backward_fn=fn, parents=(x,))\n\n"
+                "def m(x):\n    def n():\n        return ad.Tensor(x, (x,), None)\n"
+                "    return n, isinstance(x, ad.Tensor)\n")},
+         {(): {"a": ["<module>", "C.h", "g", "m.n"]}}),
+    Rule("declared-domains",
+         "a within(...) field is a promise that check_domains keeps: a record that declares "
+         "a domain and never checks it lets any value through",
+         PACKAGE, _declared_domains,
+         {(): {"config": {"ModelSection": True},
+               "data": {"BenchmarkSpec": True, "AugmentSpec": True},
+               "model": {"ModelConfig": True, "ModelState": True},
+               "trainer": {"TrainConfig": True, "Checkpoint": True}}},
+         {"a": ("class A:\n    x: int = within('[0, 1]')\n\n"
+                "    def validate(self, prefix=''):\n        check_domains(self, prefix)\n\n"
+                "class B:\n    x: float = errors.within('(0, 1)', 0.5)\n\n"
+                "    def __post_init__(self):\n        errors.check_domains(self)\n\n"
+                "class C:\n    x: int = within('[0, 1]')\n    y: int = 3\n\n"
+                "class D:\n    x: int = within('[0, 1]')\n\n"
+                "    def check(self):\n        check_domains(self)\n\n"
+                "class E:\n    x: int = field(default=0)\n\n"
+                "    def validate(self):\n        pass\n")},
+         {(): {"a": {"A": True, "B": True, "C": False, "D": False}}}),
+    Rule("unnamed-definitions",
+         "code that nothing names does nothing; a fused node that leaves the code it "
+         "replaced behind, uncalled, fails until that code goes or UNNAMED_ALLOWED lists "
+         "it, and UNNAMED_ALLOWED names no code that is gone",
+         PACKAGE, _unnamed_definitions, {(tuple(UNNAMED_ALLOWED),): []},
+         {"a": "def f():\n    return f()\n\ndef g():\n    return h()\n\nclass C:\n    pass\n",
+          "b": "from a import C\nimport a\nx = a.h\n\ndef h():\n    pass\n",
+          "c": ("class D:\n    def m(self):\n        return self.m()\n\n"
+                "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n\n"
+                "    def __call__(self):\n        pass\n\nD().n()\n"),
+          "__init__": "from .a import f\n"},
+         {(): ["a.f", "a.g", "c.D.m"]}),
+    Rule("bank-gate",
+         "contrastive_branch checks only its bank's shape: its bank is the step's MemoryBank "
+         "snapshot, whose rows were checked when pushed, and its keys come from prepare_step, "
+         "the only place a StepBatch is built. The row-checking conform and check_unit_rows "
+         "serve the reference heads, whose bank may be any matrix, the bank's push and the "
+         "analysis; a new user of either could let an unchecked row reach the loss",
+         PACKAGE, _readers,
+         {("contrastive_branch",): {"trainer": ["step_objective"]},
+          ("_checked_bank",): {"losses": ["contrastive_batch", "mixlrco_batch"]},
+          ("StepBatch", True): {"trainer": ["prepare_step"]},
+          ("check_unit_rows",): {"analysis": ["<module>", "similarity_stats"],
+                                 "losses": ["_checked_bank", "_contrast_head"],
+                                 "membank": ["<module>", "MemoryBank.push_batch"]}},
+         {"a": "def a(x: S) -> S:\n    return x\n\ndef b():\n    return m.S(1)\n"},
+         {("S",): {"a": ["a", "b"]}, ("S", True): {"a": ["b"]}}),
+    Rule("oracles-used",
+         "tests/oracles.py holds the reference ops and the shared helpers; one that no test "
+         "names any more checks nothing",
+         TESTS, _unused_oracles, {(): []},
+         {"oracles": ("def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                      "def h():\n    pass\n\nclass C:\n    pass\n"),
+          "test_a": "import oracles\nx = oracles.f\n", "test_b": "from oracles import h as k\n"},
+         {(): ["C", "g"]}),
+    Rule("text-format",
+         "every file the package writes prints a float with numerics.float_text and ends "
+         'its lines with "\\n" on every platform; a writer that chose either again could '
+         "fork the pinned bytes",
+         PACKAGE, _text_format_forks, {(): []},
+         {"numerics": 'float_text = "{:.17g}".format\nx = f"{v:.17g}"\ny = float_text(v)\n',
+          "a": ('def f(v):\n    return "%.17g" % v\n\n'
+                'with open(p, "w", encoding="utf-8") as fh:\n    pass\n'
+                'open(p, "wb")\nopen(p, mode="a", newline="\\n")\n'
+                'open(p, "w", newline="\\r\\n")\nopen(p)\nopen(p, "r")\n'
+                'open(p, m)\nopen(p, "x", newline="\\n")\n')},
+         {(): [("a", 2, ".17g"), ("a", 4, "newline"), ("a", 8, "newline"),
+               ("a", 11, "newline"), ("numerics", 2, ".17g")]}),
+    Rule("cached-fits",
+         "a fit in the golden or acceptance tests would train a config that the cache in "
+         "conftest.py may already hold; ACCEPTANCE 10 tests a second fit and a resume, so "
+         "it trains its own",
+         TESTS, _fit_calls,
+         {("test_golden",): [],
+          ("test_acceptance", ("test_10_determinism_and_resume",)): []},
+         {"a": ("r = fit(b, a, c)\n\ndef t():\n    return trainer.fit(b, a, c)\n\n"
+                "def u():\n    fit(b, a, c)\n    fitted(b)\n")},
+         {("a",): [1, 4, 7], ("a", ("u",)): [1, 4]}),
+]
+
+
+@pytest.mark.parametrize("rule", SOURCE_RULES, ids=lambda rule: rule.id)
+def test_source_rule(rule):
+    trees = {path.stem: tree for path, tree in TREES.items() if path.parent == rule.scope}
+    sample = {mod: ast.parse(text) for mod, text in rule.sample.items()}
+    for args, found in rule.package.items():
+        assert rule.find(trees, *args) == found, (args, rule.why)
+    for args, found in rule.expected.items():
+        assert rule.find(sample, *args) == found, args
+
+
+def test_the_public_list_equals_the_public_imports():
+    # __init__ writes the package's public names twice: as its imports and
+    # as __all__
+    public = {name for name, value in vars(lrco).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(lrco.__all__) == sorted(public)
 
 # The keys every perf record at the root carries: what was measured, against
 # which parent, by which command and protocol, on which machine, and the claim.
@@ -500,6 +481,14 @@ def test_every_bench_record_parses_and_has_the_shared_keys():
         assert isinstance(record, dict), path.name
         missing = [key for key in BENCH_KEYS if key not in record]
         assert not missing, (path.name, missing)
+
+
+def test_every_record_the_readme_names_exists():
+    # README cites the record of each measured change; a record renamed or
+    # dropped would leave its citation pointing at nothing
+    cited = set(re.findall(r"BENCH_(\w+)\.json", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert cited
+    assert sorted(topic for topic in cited if not (ROOT / f"BENCH_{topic}.json").exists()) == []
 
 
 # The numeric fields of a claim, which its raw pairs must give.
