@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 A Tensor is a parameter leaf (model.lift_params) or an op node over other
-Tensors. A training step builds one node over the parameter leaves, whose
-backward runs the step's whole chain written out once
-(trainer.step_objective). The ops whose chain it replays (add, matmul,
-tanh, softmax_rows, take_rows, detach, weighted_sum) live in
-tests/oracles.py; normalize_rows, like the single loss heads, returns a
-plain value on arrays, stacked ones included, and a node on a Tensor.
+Tensors. No command builds one: training and gradcheck differentiate with
+the backward trainer.step_objective writes out once, and only the tests
+build graphs, with step_objective's nodes over the leaves or the ops whose
+chain that backward replays (add, matmul, tanh, softmax_rows, take_rows,
+detach, weighted_sum, in tests/oracles.py). normalize_rows, like the single
+loss heads, returns a plain value on arrays, stacked ones included, and a
+node on a Tensor.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Finite-difference verification of every loss term and training objective.
 
 Each randomized instance builds a tiny model pair (student + independent
-teacher) and prepared step batches, and compares reverse-mode gradients of
-the terms ``trainer.step_objective`` returns against central finite
-differences over the full parameter vector. Terms whose re-representation
-weights are stop-gradients are checked against the function with those
-weights frozen — the function the analytic gradient actually differentiates.
+teacher) and prepared step batches, and compares the gradients of the terms
+``trainer.step_objective`` returns, from the backward that train_step
+calls, against central finite differences over the full parameter vector.
+Terms whose re-representation weights are stop-gradients are checked
+against the function with those weights frozen — the function the analytic
+gradient actually differentiates.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 from .data import AugmentSpec, weak_augment
 from .membank import MemoryBank
 from .model import (
-    ModelConfig, compute_gradients, features_of, get_param_vector, init_model,
-    probs_of, with_param_vector,
+    ModelConfig, features_of, get_param_vector, init_model, probs_of, with_param_vector,
 )
+from .model import compute_gradients  # noqa: F401 (unused; perfbench patches it here)
 from .numerics import (
     SeededRng, StepStreams, finite_diff_grad, relative_grad_error, normalize_last,
 )
@@ -125,41 +126,36 @@ def _build_instance(index: int, seed: int):
     }
 
 
-def _objective_terms(m, inst, step: str, keys) -> list:
-    """The terms ``keys`` of step_objective ("total" among them) on one
-    prepared step, with the instance's frozen classifier; on the graph each
-    is a node of its own, all from one forward pass."""
-    total, terms = step_objective(m, inst["batches"][step], inst["cfgs"][step],
-                                  frozen_classifier=inst["frozen_classifier"], term_nodes=True)
-    terms["total"] = total
-    return [terms[key] for key in keys]
-
-
 def values_at(inst, step: str, keys, vecs: np.ndarray) -> np.ndarray:
-    """The terms ``keys`` of one prepared step at student parameter vectors:
-    a (P,) vector gives (K,) values, a (B, P) stack gives (B, K), and row b
-    has the bits of vector b alone. A term the step leaves at zero is zero
-    in every row."""
-    terms = _objective_terms(with_param_vector(inst["student"], vecs), inst, step, keys)
-    return np.stack([np.broadcast_to(term, vecs.shape[:-1]) for term in terms], axis=-1)
+    """The terms ``keys`` of step_objective ("total" among them) on one
+    prepared step, with the instance's frozen classifier, at student
+    parameter vectors: a (P,) vector gives (K,) values, a (B, P) stack gives
+    (B, K), and row b has the bits of vector b alone. A term the step leaves
+    at zero is zero in every row."""
+    total, terms = step_objective(with_param_vector(inst["student"], vecs), inst["batches"][step],
+                                  inst["cfgs"][step], frozen_classifier=inst["frozen_classifier"])
+    terms["total"] = total
+    return np.stack([np.broadcast_to(terms[key], vecs.shape[:-1]) for key in keys], axis=-1)
 
 
 def check_instance(index: int, seed: int = 0) -> InstanceResult:
     """Every check's relative error on one instance; the checks on a prepared
-    step share one finite-difference pass and one forward pass of the graph."""
+    step share one finite-difference pass and one forward pass, whose
+    backward, the one train_step calls, gives each check's gradient."""
     inst = _build_instance(index, seed)
     student = inst["student"]
     base_vec = get_param_vector(student)
-    numeric: dict[str, np.ndarray] = {}
-    analytic: dict[str, np.ndarray] = {}
+    errors = dict.fromkeys(CHECKS, 0.0)  # in print order
     for step in dict.fromkeys(step for step, _ in CHECKS.values()):
         names = [name for name, (at, _) in CHECKS.items() if at == step]
         keys = tuple(CHECKS[name][1] for name in names)
-        values = functools.partial(values_at, inst, step, keys)
-        numeric.update(zip(names, finite_diff_grad(values, base_vec).T))
-        analytic.update(zip(names, compute_gradients(
-            student, functools.partial(_objective_terms, inst=inst, step=step, keys=keys))))
-    errors = {name: relative_grad_error(analytic[name], numeric[name]) for name in CHECKS}
+        numeric = finite_diff_grad(functools.partial(values_at, inst, step, keys), base_vec).T
+        backward = step_objective(student, inst["batches"][step], inst["cfgs"][step],
+                                  frozen_classifier=inst["frozen_classifier"], with_grad=True)[2]
+        for name, key, fd in zip(names, keys, numeric):
+            analytic = np.zeros(base_vec.shape)
+            backward(key, analytic)
+            errors[name] = relative_grad_error(analytic, fd)
     return InstanceResult(index=index, n_classes=student.n_classes,
                           feature_dim=student.feature_dim, errors=errors)
 

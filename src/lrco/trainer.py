@@ -32,10 +32,11 @@ from .errors import (
 )
 from .membank import MemoryBank
 from .model import (
-    ModelConfig, ModelState, ParamTensors, clone_state, ema_update, features_of, features_vjp,
-    init_model, lift_params, probs_of, probs_vjp, state_arrays, state_from_arrays, tape_from,
+    ModelConfig, ModelState, ParamTensors, _cut, clone_state, ema_update, features_of,
+    features_vjp, init_model, probs_of, probs_vjp, state_arrays, state_from_arrays,
     with_param_vector,
 )
+from .model import lift_params, tape_from  # noqa: F401 (unused; perfbench patches them here)
 from .numerics import SeededRng, StepStreams, float_text, unit_last
 from .numerics import normalize_last  # noqa: F401 (unused; perfbench patches it here)
 
@@ -267,7 +268,7 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
 
 
 def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
-                   frozen_classifier=None, term_nodes: bool = False):
+                   frozen_classifier=None, with_grad: bool = False):
     """A prepared step's objective: (total, terms), terms mapping LOSS_KEYS
     but "total" to scalars, on a ModelState (stacked ones included) or on
     ParamTensors. Every term takes its rows of the one pass over sb.x by
@@ -275,14 +276,16 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     row range, and the classifier is normalized once. ``frozen_classifier``
     is only for the finite-difference harness.
 
-    On ParamTensors, total is one node over the parameter leaves, whose
-    backward runs the step's chain written out once, in the order the walk
-    of the per-op graph gave: the class terms into the probabilities, they
-    into the classifier and the features, the contrastive term (at
-    lambda_co) added into the features, then the MLP, top layer down. The
-    contrastive term is a node too, its chain alone; the class terms are
-    plain values, or with ``term_nodes`` a node each, to differentiate one
-    at a time.
+    ``with_grad`` adds backward(key, out, g=1.0), on an unstacked state: it
+    adds g times the gradient of "total", or of one built term, into out, a
+    flat vector laid out like params (a term not built adds nothing). It
+    runs the step's chain once, in the order the walk of the per-op graph
+    gave: the class terms (all for "total", one, or none for "contrastive")
+    into the probabilities, they into the classifier and the features, the
+    contrastive term (at lambda_co in the total) added into its query rows,
+    then the MLP, top layer down. train_step and gradcheck call it; on
+    ParamTensors, for the tests' graphs, total and each built term are one
+    node over the leaves whose backward is backward(key, params.grad, g).
     """
     graph = isinstance(model_like, ParamTensors)
     m = model_like.state if graph else model_like
@@ -316,35 +319,39 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
             sb.k_den, sb.bank_snapshot, cfg.t_co, w_unit)
         lambda_co = cfg.lambda_co
         total = total + terms["contrastive"] * lambda_co
-    if not graph:
+    if not (graph or with_grad):
         return total, terms
 
-    leaves = model_like.leaves  # the MLP's, then the classifier
-
-    def node(value, class_part, w_co: float) -> ad.Tensor:
-        """A node whose backward is the chain from g times the class terms
-        class_part differentiates plus w_co times the contrastive term."""
-        def backward_fn(g):
-            if class_part is None:
-                g_f = np.zeros(feats.shape)
-            else:
-                g_w, g_f = probs_grad(class_part(g))
-                leaves[-1].accumulate(g_w)
-            if w_co:
-                g_f[sb.query_rows] += contrastive_grad(g * w_co)
-            for leaf, g_leaf in zip(leaves, feats_grad(g_f)):
-                leaf.accumulate(g_leaf)
-
-        return ad.Tensor(value, leaves if class_part else leaves[:-1], backward_fn)
-
+    # (class part, contrastive weight) of each key the step builds
+    parts = ({t: (functools.partial(class_grad, term_weights={t: 1.0}), 0.0) for t in class_terms}
+             if "unlabeled_weak" in rows else {"ce": (class_grad, 0.0)})
+    parts["total"] = (class_grad, lambda_co)
     if sb.query_rows is not None:
-        terms["contrastive"] = node(terms["contrastive"], None, 1.0)
-    if term_nodes:
-        parts = ({t: functools.partial(class_grad, term_weights={t: 1.0}) for t in class_terms}
-                 if "unlabeled_weak" in rows else {"ce": class_grad})
-        for t, part in parts.items():
-            terms[t] = node(terms[t], part, 0.0)
-    return node(total, class_grad, lambda_co), terms
+        parts["contrastive"] = (None, 1.0)
+
+    def backward(key: str, out: np.ndarray, g=1.0) -> None:
+        if key not in parts:
+            return
+        class_part, w_co = parts[key]
+        views = _cut(out, m.layout)  # the MLP's arrays, then the classifier
+        if class_part is None:
+            g_f = np.zeros(feats.shape)
+        else:
+            g_w, g_f = probs_grad(class_part(g))
+            views[-1] += g_w
+        if w_co:
+            g_f[sb.query_rows] += contrastive_grad(g * w_co)
+        for view, g_view in zip(views, feats_grad(g_f)):
+            view += g_view
+
+    if graph:
+        def node(key, value) -> ad.Tensor:
+            return ad.Tensor(value, model_like.leaves,
+                             lambda g: backward(key, model_like.grad, g))
+
+        terms.update((key, node(key, terms[key])) for key in parts if key != "total")
+        total = node("total", total)
+    return (total, terms, backward) if with_grad else (total, terms)
 
 
 # Optimizer ---------------------------------------------------------------------
@@ -363,18 +370,12 @@ def sgd_step(state: ModelState, grads: np.ndarray, velocities: np.ndarray,
 
 # Single training step ------------------------------------------------------------
 
-def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
+def train_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
                velocities: np.ndarray, sb: StepBatch,
                cfg: TrainConfig, step: int) -> dict[str, float]:
     """One optimizer step: backprop, SGD update, EMA update, bank push. It
-    returns the step's loss values, one per LOSS_KEYS key.
-
-    ``params`` is the student lifted once by lift_params, before the first
-    step: its leaves view the student's params, which the update changes in
-    place, and its gradient vector is zeroed here before each backward."""
-    student = params.state
-    params.grad.fill(0.0)
-    total, terms = step_objective(params, sb, cfg)
+    returns the step's loss values, one per LOSS_KEYS key."""
+    total, terms, backward = step_objective(student, sb, cfg, with_grad=True)
 
     loss_values = {k: float(v) for k, v in terms.items()}
     loss_values["total"] = float(total)
@@ -386,8 +387,9 @@ def train_step(params: ParamTensors, teacher: ModelState, bank: MemoryBank,
                 f"bank={len(sb.bank_snapshot)}"
             )
 
-    total.backward()
-    sgd_step(student, tape_from(params), velocities, cfg.learning_rate, cfg.momentum)
+    grads = np.zeros(student.params.shape)
+    backward("total", grads)
+    sgd_step(student, grads, velocities, cfg.learning_rate, cfg.momentum)
     ema_update(teacher, student, cfg.ema_decay)
     if sb.keys_sel.shape[0] > 0:  # prepare_step stages keys only for the bank's methods
         bank.push_batch(sb.keys_sel)
@@ -654,7 +656,6 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                          velocities=init_velocities(student),
                          bank=MemoryBank(cfg.bank_capacity), step=0, tau=cfg.tau, **stamp)
     tau, start_step = run.tau, run.step
-    params = lift_params(run.student)  # once: every step trains these leaves
 
     streams = StepStreams(cfg.seed, cfg.total_steps)
     lab_cycler = _EpochCycler(len(lab_x), cfg.batch_labeled, streams, "labeled")
@@ -700,7 +701,7 @@ def fit(benchmark: ShiftBenchmark, augment: AugmentSpec, cfg: TrainConfig, *,
                 lab_is_source[lab_idx], unl_x[unl_idx], cfg, augment, tau, step,
                 streams=streams,
             )
-            losses = train_step(params, run.teacher, run.bank, run.velocities, sb, cfg, step)
+            losses = train_step(run.student, run.teacher, run.bank, run.velocities, sb, cfg, step)
             n_u = len(sb.pseudo)
             tau = adjust_tau(len(sb.high_idx) / n_u if n_u else 0.0, tau, cfg)
 

@@ -368,7 +368,7 @@ def test_numpy_call_equals_graph_value(case):
     inputs = [np.asarray(rng.normal(size=s)) for s in shapes]
     plain = build(*inputs)
     assert isinstance(plain, np.ndarray)  # a Tensor is no ndarray
-    all_lifted = [ad.Tensor(x) for x in inputs]
+    all_lifted = [oracles.lift(x) for x in inputs]
     first_lifted = all_lifted[:1] + inputs[1:]
     for args in (all_lifted, first_lifted):
         node = build(*args)

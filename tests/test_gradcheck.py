@@ -10,7 +10,7 @@ from lrco.gradcheck import (
     CHECKS, TERM_NAMES, _build_instance, _split_tau, check_instance, run_gradient_suite,
     values_at,
 )
-from lrco.model import ParamTensors, compute_gradients, get_param_vector, lift_params
+from lrco.model import get_param_vector, lift_params
 from lrco.numerics import finite_diff_grad, relative_grad_error
 from lrco.trainer import METHOD_TERMS, PSEUDO_LABEL_METHODS, step_objective
 
@@ -69,29 +69,31 @@ def test_one_finite_difference_pass_per_prepared_step(monkeypatch):
     assert list(result.errors) == list(TERM_NAMES)
 
 
-def test_one_lift_and_forward_pass_per_prepared_step(monkeypatch):
-    # the checks on one prepared step share one lift of the student and one
-    # forward pass, whose term nodes are backpropagated in turn, each from a
-    # zeroed gradient vector: the errors are those of one pass per check
-    lifts = []
+def test_one_backward_forward_pass_per_prepared_step(monkeypatch):
+    # the checks on one prepared step share one forward pass with its
+    # backward, which each check calls into its own zeroed vector: the
+    # errors are those of a fresh backward of each check's key alone
+    passes = []
     objective = gradcheck.step_objective
 
     def counted(m, sb, cfg, **kwargs):
-        if isinstance(m, ParamTensors):
-            lifts.append((id(m), id(sb)))
+        if kwargs.get("with_grad"):
+            passes.append((id(m), id(sb)))
         return objective(m, sb, cfg, **kwargs)
 
     monkeypatch.setattr(gradcheck, "step_objective", counted)
     result = check_instance(0, seed=0)
     steps = list(dict.fromkeys(step for step, _ in CHECKS.values()))
-    assert len(lifts) == len(set(lifts)) == len(steps) == 4
+    assert len(passes) == len(set(passes)) == len(steps) == 4
     monkeypatch.undo()
     inst = _build_instance(0, seed=0)
+    student = inst["student"]
     for name, (step, key) in CHECKS.items():
-        alone = compute_gradients(inst["student"], lambda m, step=step, key=key: (
-            gradcheck._objective_terms(m, inst, step, (key,))[0]))
+        alone = np.zeros(student.params.shape)
+        step_objective(student, inst["batches"][step], inst["cfgs"][step],
+                       frozen_classifier=inst["frozen_classifier"], with_grad=True)[2](key, alone)
         numeric = finite_diff_grad(functools.partial(values_at, inst, step, (key,)),
-                                   get_param_vector(inst["student"]))[:, 0]
+                                   get_param_vector(student))[:, 0]
         assert relative_grad_error(alone, numeric) == result.errors[name], name
 
 

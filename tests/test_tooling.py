@@ -82,6 +82,39 @@ def test_perfbench_traced_runs_give_the_untraced_digests(monkeypatch, tmp_path):
     assert tracer.counts["trainer.teacher_pass_used"] > 0
 
 
+def test_every_unused_import_is_a_name_perfbench_patches(monkeypatch):
+    # the package imports some names it never calls ("noqa: F401") because
+    # install_tracing replaces them there, by name; each such import must
+    # name an attribute the tracer replaces on that same module, so one
+    # kept after its wrap is gone fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    replaced = set()
+
+    class Logged(spans.Patcher):
+        def replace(self, owner, attr, make):
+            replaced.add((owner, attr))
+            super().replace(owner, attr, make)
+
+    patcher = Logged()
+    try:
+        spans.StepClock().install(patcher)
+        spans.install_tracing(spans.Tracer(), patcher)
+    finally:
+        patcher.restore()
+    kept = {}  # (module, line) -> the names that import brings in
+    for path, tree in TREES.items():
+        lines = SOURCES[path].splitlines()
+        for node in ast.walk(tree):
+            if (path.parent == PACKAGE and isinstance(node, ast.ImportFrom)
+                    and any("# noqa: F401" in lines[i - 1] for i in _lines(node))):
+                kept[path.stem, node.lineno] = [alias.name for alias in node.names]
+    assert len(kept) == 8 and sum(map(len, kept.values())) == 10
+    stale = [(mod, name) for (mod, _), names in kept.items() for name in names
+             if (importlib.import_module(f"lrco.{mod}"), name) not in replaced]
+    assert stale == []
+
+
 def test_perfbench_pseudo_label_readers_match_the_trainer(monkeypatch):
     # trainer.teacher_use_ratio counts a teacher pass as used when its
     # method is one the benchmark lists; the trainer runs it for exactly those
@@ -235,8 +268,8 @@ def _declared_domains(mod, tree) -> dict[str, bool]:
 UNNAMED_ALLOWED = {
     "cli.main": "the console entry point",
     "losses.make_pseudo_label": "perfbench/spans.py wraps it by name (ROADMAP 1 (a))",
-    "losses.cross_entropy_batch": "reference head: the step's node keeps the bits of its "
-                                  "chain; perfbench/spans.py wraps it by name",
+    "losses.cross_entropy_batch": "reference head: the step's backward keeps the bits of "
+                                  "its chain; perfbench/spans.py wraps it by name",
     "losses.entropy_alignment": "reference head: class_terms_batch keeps the bits of its "
                                 "chain; perfbench/spans.py wraps it by name",
     "losses.kld_uniform_batch": "reference head, as entropy_alignment",
@@ -361,8 +394,9 @@ SOURCE_RULES = [
                        "self.weights = w\n"),
          {(): {"a": [1, 2, 3, 4, 6], "model": [2, 3, 4]}}),
     Rule("parameter-leaves",
-         "a step's graph holds parameter leaves and op nodes only; a leaf built anywhere "
-         "but lift_params would be a constant node, which nothing differentiates",
+         "no command builds a graph; the tests' graphs over step_objective hold parameter "
+         "leaves and op nodes only, and a leaf built anywhere but lift_params would be a "
+         "constant node, which nothing differentiates",
          PACKAGE, _leaf_builders, {(): {"model": ["lift_params"]}},
          {"a": ("a = ad.Tensor(x)\n\n"
                 "def f(x):\n    return Tensor(x, (x,), g)\n\n"

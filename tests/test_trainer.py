@@ -359,7 +359,6 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
 
     monkeypatch.setattr(trainer, "strong_augment", recording)
     velocities = init_velocities(student)
-    params = lift_params(student)
     for step in range(1, 7):  # tau 1: every row is low, so every row mixes
         sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                           cfg, AUG, 1.0, step, streams=StepStreams(cfg.seed, step))
@@ -370,7 +369,7 @@ def test_labeled_target_rows_enter_the_ce_batch_but_never_mix(monkeypatch):
         ce = step_objective(student, sb, cfg)[1]["ce"]
         np.testing.assert_allclose(ce, L.cross_entropy_batch(probs, lab_y), rtol=1e-12)
         assert ce != L.cross_entropy_batch(probs[lab_src], lab_y[lab_src])
-        train_step(params, teacher, bank, velocities, sb, cfg, step)
+        train_step(student, teacher, bank, velocities, sb, cfg, step)
 
     partners = [np.flatnonzero((lab_x == row).all(axis=1)) for row in np.concatenate(partner_rows)]
     assert len(partners) == n_low > 0
@@ -568,8 +567,7 @@ def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
     # the finite-difference harness's frozen classifier, which is not the model's
     frozen = student.classifier + 1e-3 * np.asarray(rng.normal(size=student.classifier.shape))
     for frozen_classifier in (None, frozen):
-        fused = functools.partial(step_objective, frozen_classifier=frozen_classifier,
-                                  term_nodes=True)
+        fused = functools.partial(step_objective, frozen_classifier=frozen_classifier)
         chain = functools.partial(chain_step_objective, frozen_classifier=frozen_classifier)
 
         def bits(objective, model_like):
@@ -579,33 +577,37 @@ def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
         # values on the graph and on the plain and stacked numpy paths
         for model_like in (student, lift_params(student), with_param_vector(student, stack)):
             assert bits(fused, model_like) == bits(chain, model_like)
-        # the total's gradient, then each term's
-        for key in ("total", *LOSS_KEYS[1:]):
-            grads = [compute_gradients(student, lambda m, objective=objective: (
-                objective(m, sb, cfg)[0] if key == "total" else objective(m, sb, cfg)[1][key]))
-                for objective in (fused, chain)]
-            assert grads[0].tobytes() == grads[1].tobytes(), key
+        # the total's gradient, then each term's, from the backward train_step calls
+        backward = fused(student, sb, cfg, with_grad=True)[2]
+        for key in LOSS_KEYS:
+            grad = np.zeros(student.params.shape)
+            backward(key, grad)
+            expected = compute_gradients(student, lambda m: (
+                chain(m, sb, cfg)[0] if key == "total" else chain(m, sb, cfg)[1][key]))
+            assert grad.tobytes() == expected.tobytes(), key
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_training_objective_builds_no_class_term_node(method):
-    # the training step reads the class terms' values only; the total's
-    # graph is the total alone, and the contrastive term, which ACCEPTANCE 04
-    # backpropagates alone, is a node of its own outside it
+def test_graph_view_nodes_backpropagate_the_step_backward(method):
+    # on ParamTensors, the total and each term the step builds is one node
+    # over the leaves, whose walk is itself alone, and whose gradient is
+    # the bits of the step's backward of its key; unbuilt terms stay plain
     cfg, student, sb = split_step(method)
     params = lift_params(student)
-    total, terms = step_objective(params, sb, cfg)
-    assert ad._topo_order(total) == [total]
-    for key, value in terms.items():
-        if key == "contrastive" and method in ("lrco", "mixlrco"):
-            assert isinstance(value, ad.Tensor) and ad._topo_order(value) == [value], key
-        else:
-            assert not isinstance(value, ad.Tensor), key
-    total.backward()
-    with_nodes = lift_params(student)
-    total_nodes, _ = step_objective(with_nodes, sb, cfg, term_nodes=True)
-    total_nodes.backward()
-    assert params.grad.tobytes() == with_nodes.grad.tobytes()
+    total, terms, backward = step_objective(params, sb, cfg, with_grad=True)
+    built = {"total": total, **{key: v for key, v in terms.items() if isinstance(v, ad.Tensor)}}
+    assert {"total", "ce"} <= set(built)
+    assert ("contrastive" in built) == (method in ("lrco", "mixlrco"))
+    for key in LOSS_KEYS:
+        expected = np.zeros(student.params.shape)
+        backward(key, expected)
+        if key not in built:
+            assert not isinstance(terms[key], ad.Tensor) and not expected.any(), key
+            continue
+        assert ad._topo_order(built[key]) == [built[key]], key
+        params.grad.fill(0.0)
+        built[key].backward()
+        assert params.grad.tobytes() == expected.tobytes(), key
 
 
 def test_objective_decreases_after_one_sgd_step():
@@ -619,7 +621,7 @@ def test_objective_decreases_after_one_sgd_step():
                           streams=StepStreams(cfg.seed, 1))
         before = float(step_objective(student, sb, cfg)[0])
         velocities = init_velocities(student)
-        train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
+        train_step(student, teacher, bank, velocities, sb, cfg, step=1)
         after = float(step_objective(student, sb, cfg)[0])
         assert after < before, f"{method}: {after} !< {before}"
 
@@ -647,7 +649,7 @@ def test_report_counts_and_loss_keys():
     cfg, student, teacher, bank, *rest = tiny_setup(method="strong")
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
                       streams=StepStreams(cfg.seed, 1))
-    losses = train_step(lift_params(student), teacher, bank, init_velocities(student), sb,
+    losses = train_step(student, teacher, bank, init_velocities(student), sb,
                         cfg, step=1)
     assert len(sb.high_idx) + len(sb.low_idx) == 8
     assert set(losses) == set(LOSS_KEYS)
@@ -658,7 +660,7 @@ def test_ema_update_applied_after_sgd():
     teacher_before = clone_state(teacher)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
                       streams=StepStreams(cfg.seed, 1))
-    train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg, step=1)
+    train_step(student, teacher, bank, init_velocities(student), sb, cfg, step=1)
     # teacher must now be the EMA of its old self with the *updated* student
     expected_w0 = 0.99 * teacher_before.weights[0] + 0.01 * student.weights[0]
     np.testing.assert_array_equal(teacher.weights[0], expected_w0)
@@ -671,7 +673,7 @@ def test_bank_pushes_only_contrastive_methods():
         cfg, student, teacher, bank, *rest = tiny_setup(method=method)
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.5, step=1,
                           streams=StepStreams(cfg.seed, 1))
-        train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
+        train_step(student, teacher, bank, init_velocities(student), sb, cfg,
                    step=1)
         if grows:
             assert len(bank) == len(sb.sel_idx)
@@ -685,7 +687,7 @@ def test_diverged_run_raises_with_diagnostics():
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, cfg.tau, step=1,
                       streams=StepStreams(cfg.seed, 1))
     with pytest.raises(TrainingDivergedError, match="step 1"):
-        train_step(lift_params(student), teacher, bank, init_velocities(student), sb, cfg,
+        train_step(student, teacher, bank, init_velocities(student), sb, cfg,
                    step=1)
 
 
@@ -700,7 +702,7 @@ def test_a_nan_query_is_a_diverged_step_not_a_row_error(method):
     _, terms = step_objective(student, sb, cfg)
     assert np.isnan(terms["contrastive"])
     with pytest.raises(TrainingDivergedError, match="step 1"):
-        train_step(lift_params(student), clone_state(student), MemoryBank(cfg.bank_capacity),
+        train_step(student, clone_state(student), MemoryBank(cfg.bank_capacity),
                    init_velocities(student), sb, cfg, step=1)
 
 
@@ -723,7 +725,6 @@ _RNG_DRAWS = ("uniform", "normal", "standard_gamma", "integers", "permutation")
 def test_step_calls_no_numpy_python_wrapper(method, overrides, monkeypatch):
     cfg, student, teacher, bank, *rest = tiny_setup(method=method, **overrides)
     velocities = init_velocities(student)
-    params = lift_params(student)
     tau = 0.999  # both confidence groups are non-empty on every step
     calls = []
     drawing = [0]  # the draws running now
@@ -754,7 +755,7 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides, monkeypatch):
         for step in (1, 2, 3):
             sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau, step,
                               streams=StepStreams(cfg.seed, step))
-            train_step(params, teacher, bank, velocities, sb, cfg, step)
+            train_step(student, teacher, bank, velocities, sb, cfg, step)
             mixed += "mix" in sb.rows
     finally:
         sys.setprofile(None)
@@ -762,51 +763,33 @@ def test_step_calls_no_numpy_python_wrapper(method, overrides, monkeypatch):
     assert mixed == (2 if method == "mixlrco" else 0)  # the mix path ran
 
 
-# Graph nodes a training step builds (Tensor constructions) over three steps
-# of tiny_setup at tau 0.999. The parameter leaves are lifted once, before the
-# first step, so they are not counted. The total is one node over the leaves,
-# and so is the contrastive term, which ACCEPTANCE 04 backpropagates alone;
-# step 1 has an empty bank, so no contrastive term is built on it. A new node
-# per step shows up here.
-NODES_PER_STEP = {
-    "source_only": [1, 1, 1],
-    "baseline": [1, 1, 1],
-    "strong": [1, 1, 1],
-    "lrco": [1, 2, 2],
-    "mixlrco": [1, 2, 2],
-}
-# The nodes each step's backward pass walks, the leaves aside: the total alone.
-BACKWARD_NODES = {"source_only": 1, "baseline": 1, "strong": 1, "lrco": 1, "mixlrco": 1}
-
-
 @pytest.mark.parametrize("method", METHODS)
-def test_nodes_per_step_are_pinned(method, monkeypatch):
-    cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-    velocities = init_velocities(student)
-    params = lift_params(student)
-    counts, walked = [], []
-    init, topo_order = ad.Tensor.__init__, ad._topo_order
+def test_nodes_per_step_are_pinned(method, tmp_path, monkeypatch):
+    # pinned at none: a training step writes its gradient through
+    # step_objective's backward, so a fit, fresh or resumed, constructs no
+    # Tensor, walks no graph and lifts no student. tau 0.999 makes the
+    # contrastive methods build their term
+    calls = []
 
-    def counted(self, *args, **kwargs):
-        counts[-1] += 1
-        init(self, *args, **kwargs)
+    def recorded(owner, attr):
+        fn = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args, **kw: calls.append(attr) or fn(*args, **kw))
 
-    def walk(root):
-        order = topo_order(root)
-        walked.append(len(order))
-        return order
-
-    monkeypatch.setattr(ad.Tensor, "__init__", counted)
-    monkeypatch.setattr(ad, "_topo_order", walk)
-    for step in (1, 2, 3):
-        counts.append(0)
-        sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step,
-                          streams=StepStreams(cfg.seed, step))
-        train_step(params, teacher, bank, velocities, sb, cfg, step)
-    assert counts == NODES_PER_STEP[method]
-    assert walked == [BACKWARD_NODES[method]] * 3
-    assert max(NODES_PER_STEP["mixlrco"]) <= 2  # a re-pin may not exceed these
-    assert set(BACKWARD_NODES.values()) == {1}
+    recorded(ad.Tensor, "__init__")
+    recorded(ad, "_topo_order")
+    recorded(trainer, "lift_params")
+    recorded(L, "contrastive_branch")
+    cfg = TrainConfig(method=method, tau=0.999, total_steps=4, batch_labeled=12,
+                      batch_unlabeled=12)
+    kw = dict(hidden_dims=(6,), feature_dim=5)
+    fit(small_benchmark(), AUG, dataclasses.replace(cfg, total_steps=2), out_dir=str(tmp_path),
+        **kw)
+    resumed = fit(small_benchmark(), AUG, cfg, resume_from=str(tmp_path / "checkpoint_final.npz"),
+                  **kw)
+    assert resumed.steps_run == 2
+    contrastive = ["contrastive_branch"] * calls.count("contrastive_branch")
+    assert calls == contrastive
+    assert bool(contrastive) == (method in ("lrco", "mixlrco"))
 
 
 def _all_nodes_topo_order(root):
@@ -831,7 +814,7 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1,
                       streams=StepStreams(cfg.seed, 1))
     params = lift_params(student)
-    train_step(params, teacher, bank, init_velocities(student), sb, cfg, step=1)
+    train_step(student, teacher, bank, init_velocities(student), sb, cfg, step=1)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2,
                       streams=StepStreams(cfg.seed, 2))
     total, _ = step_objective(params, sb, cfg)
@@ -839,7 +822,7 @@ def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
     # the op nodes of the walk over every node, in its order; no leaf
     ops = [n for n in _all_nodes_topo_order(total) if n.parents]
     assert [id(n) for n in order] == [id(n) for n in ops]
-    assert len(order) == BACKWARD_NODES[method]
+    assert len(order) == 1
 
 
 def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_order(
@@ -879,40 +862,6 @@ def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_orde
     assert len(sums) > 1
     monkeypatch.setattr(ad, "_topo_order", _all_nodes_topo_order)
     assert leaf_free == leaf_grads()
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_steps_on_one_lift_equal_steps_that_each_lift_afresh(method):
-    # a gradient vector left unzeroed between steps, or a leaf that stopped
-    # viewing student.params, would move these bits on step 2 or 3
-    runs = []
-    for lift_each_step in (False, True):
-        cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-        velocities = init_velocities(student)
-        params = lift_params(student)
-        for step in (1, 2, 3):
-            sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step,
-                              streams=StepStreams(cfg.seed, step))
-            train_step(lift_params(student) if lift_each_step else params, teacher, bank,
-                       velocities, sb, cfg, step)
-        runs.append((student.params, teacher.params, velocities, bank.snapshot()))
-    for once, afresh in zip(*runs):
-        assert once.shape == afresh.shape and once.tobytes() == afresh.tobytes()
-
-
-def test_fit_lifts_the_student_once_fresh_and_resumed(tmp_path, monkeypatch):
-    bench = small_benchmark()
-    cfg = TrainConfig(method="mixlrco", total_steps=4, batch_labeled=12, batch_unlabeled=12)
-    kw = dict(hidden_dims=(6,), feature_dim=5)
-    lifted = []
-    lift = trainer.lift_params
-    monkeypatch.setattr(trainer, "lift_params", lambda m: lifted.append(m) or lift(m))
-    fresh = fit(bench, AUG, dataclasses.replace(cfg, total_steps=2), out_dir=str(tmp_path),
-                **kw)
-    assert len(lifted) == 1 and lifted[0] is fresh.student
-    resumed = fit(bench, AUG, cfg, resume_from=str(tmp_path / "checkpoint_final.npz"), **kw)
-    assert resumed.steps_run == 2
-    assert len(lifted) == 2 and lifted[1] is resumed.student
 
 
 # --- dynamic threshold -----------------------------------------------------------------
@@ -1197,7 +1146,7 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
     velocities = init_velocities(student)
     sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=1,
                       streams=StepStreams(cfg.seed, 1))
-    train_step(lift_params(student), teacher, bank, velocities, sb, cfg, step=1)
+    train_step(student, teacher, bank, velocities, sb, cfg, step=1)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=1, tau=0.7, seed=cfg.seed, config_hash=""))
@@ -1219,11 +1168,10 @@ def test_each_state_array_is_a_view_of_its_own_flat_vector(tmp_path):
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
-    params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.7, step=step,
                           streams=StepStreams(cfg.seed, step))
-        train_step(params, teacher, bank, velocities, sb, cfg, step=step)
+        train_step(student, teacher, bank, velocities, sb, cfg, step=step)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, Checkpoint(student=student, teacher=teacher, velocities=velocities,
                                      bank=bank, step=2, tau=0.7, seed=cfg.seed,
@@ -1239,11 +1187,10 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
 def test_every_checkpoint_field_survives_save_and_load(tmp_path):
     cfg, student, teacher, bank, *rest = tiny_setup(method="lrco")
     velocities = init_velocities(student)
-    params = lift_params(student)
     for step in (1, 2):
         sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, tau=0.99, step=step,
                           streams=StepStreams(cfg.seed, step))
-        train_step(params, teacher, bank, velocities, sb, cfg, step=step)
+        train_step(student, teacher, bank, velocities, sb, cfg, step=step)
     assert len(bank) > 0 and not states_allclose(student, teacher)
     base = Checkpoint(student=teacher, teacher=teacher,
                       velocities=init_velocities(student), bank=MemoryBank(cfg.bank_capacity),
