@@ -864,6 +864,20 @@ def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_orde
     assert leaf_free == leaf_grads()
 
 
+def test_fit_lifts_no_student_fresh_or_resumed(tmp_path, monkeypatch):
+    bench = small_benchmark()
+    cfg = TrainConfig(method="mixlrco", total_steps=4, batch_labeled=12, batch_unlabeled=12)
+    kw = dict(hidden_dims=(6,), feature_dim=5)
+    lifted = []
+    lift = trainer.lift_params
+    monkeypatch.setattr(trainer, "lift_params", lambda m: lifted.append(m) or lift(m))
+    fresh = fit(bench, AUG, dataclasses.replace(cfg, total_steps=2), out_dir=str(tmp_path),
+                **kw)
+    assert fresh.steps_run == 2 and lifted == []
+    resumed = fit(bench, AUG, cfg, resume_from=str(tmp_path / "checkpoint_final.npz"), **kw)
+    assert resumed.steps_run == 2 and lifted == []
+
+
 # --- dynamic threshold -----------------------------------------------------------------
 
 def test_adjust_tau_static_by_default():
