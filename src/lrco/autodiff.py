@@ -2,12 +2,12 @@
 
 A Tensor is a parameter leaf (model.lift_params) or an op node over other
 Tensors. No command builds one: training and gradcheck differentiate with
-the backward trainer.step_objective writes out once, and only the tests
-build graphs, with step_objective's nodes over the leaves or the ops whose
-chain that backward replays (add, matmul, tanh, softmax_rows, take_rows,
-detach, weighted_sum, in tests/oracles.py). normalize_rows, like the single
-loss heads, returns a plain value on arrays, stacked ones included, and a
-node on a Tensor.
+the backward trainer.step_objective writes out once. Only the tests build
+graphs, in tests/oracles.py: the ops whose chain that backward replays (add,
+matmul, tanh, softmax_rows, take_rows, detach, weighted_sum), and a step's
+graph view (step_nodes), whose nodes over the leaves call that backward.
+normalize_rows, like the single loss heads, returns a plain value on arrays,
+stacked ones included, and a node on a Tensor.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ LOG_FLOOR = 1e-12, where the clamped log's derivative is 0.
 
 The training step's parts (cross_entropy_vjp, class_terms_batch,
 contrastive_branch) return their value, with a leading stack axis when
-given one, and a gradient function, which the trainer's step node calls.
+given one, and a gradient function, which the step's backward calls.
 The single heads (cross_entropy_batch, entropy_alignment,
 kld_uniform_batch, contrastive_batch, mixlrco_batch, re_represent_batch)
 share their formulas and are their reference: plain values on arrays, one

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import losses as L
 from .data import AugmentSpec, ShiftBenchmark, benchmark_spec_hash, strong_augment, weak_augment
 from .data import pack_inputs, pack_labels  # noqa: F401 (unused; perfbench patches them here)
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .membank import MemoryBank
 from .model import (
-    ModelConfig, ModelState, ParamTensors, _cut, clone_state, ema_update, features_of,
+    ModelConfig, ModelState, _cut, clone_state, ema_update, features_of,
     features_vjp, init_model, probs_of, probs_vjp, state_arrays, state_from_arrays,
     with_param_vector,
 )
@@ -267,14 +266,14 @@ def prepare_step(student: ModelState, teacher: ModelState, bank: MemoryBank,
     )
 
 
-def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
+def step_objective(m: ModelState, sb: StepBatch, cfg: TrainConfig, *,
                    frozen_classifier=None, with_grad: bool = False):
     """A prepared step's objective: (total, terms), terms mapping LOSS_KEYS
-    but "total" to scalars, on a ModelState (stacked ones included) or on
-    ParamTensors. Every term takes its rows of the one pass over sb.x by
-    sb.rows; every row but the mixes goes through the probabilities once, by
-    row range, and the classifier is normalized once. ``frozen_classifier``
-    is only for the finite-difference harness.
+    but "total" to scalars, on a ModelState, stacked ones included. Every
+    term takes its rows of the one pass over sb.x by sb.rows; every row but
+    the mixes goes through the probabilities once, by row range, and the
+    classifier is normalized once. ``frozen_classifier`` is only for the
+    finite-difference harness.
 
     ``with_grad`` adds backward(key, out, g=1.0), on an unstacked state: it
     adds g times the gradient of "total", or of one built term, into out, a
@@ -283,12 +282,8 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
     gave: the class terms (all for "total", one, or none for "contrastive")
     into the probabilities, they into the classifier and the features, the
     contrastive term (at lambda_co in the total) added into its query rows,
-    then the MLP, top layer down. train_step and gradcheck call it; on
-    ParamTensors, for the tests' graphs, total and each built term are one
-    node over the leaves whose backward is backward(key, params.grad, g).
+    then the MLP, top layer down. train_step and gradcheck call it.
     """
-    graph = isinstance(model_like, ParamTensors)
-    m = model_like.state if graph else model_like
     terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
     rows = sb.rows
     unit = unit_last(m.classifier)
@@ -319,7 +314,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
             sb.k_den, sb.bank_snapshot, cfg.t_co, w_unit)
         lambda_co = cfg.lambda_co
         total = total + terms["contrastive"] * lambda_co
-    if not (graph or with_grad):
+    if not with_grad:
         return total, terms
 
     # (class part, contrastive weight) of each key the step builds
@@ -344,14 +339,7 @@ def step_objective(model_like, sb: StepBatch, cfg: TrainConfig, *,
         for view, g_view in zip(views, feats_grad(g_f)):
             view += g_view
 
-    if graph:
-        def node(key, value) -> ad.Tensor:
-            return ad.Tensor(value, model_like.leaves,
-                             lambda g: backward(key, model_like.grad, g))
-
-        terms.update((key, node(key, terms[key])) for key in parts if key != "total")
-        total = node("total", total)
-    return (total, terms, backward) if with_grad else (total, terms)
+    return total, terms, backward
 
 
 # Optimizer ---------------------------------------------------------------------

@@ -8,21 +8,10 @@ from lrco import autodiff as ad
 from lrco import numerics
 from lrco.errors import DegenerateFeatureError
 from lrco.losses import entropy_alignment, re_represent_batch
-from lrco.model import (
-    ModelConfig, features_of, features_vjp, get_param_vector, init_model, lift_params,
-    probs_of, probs_vjp, state_arrays, tape_from, with_param_vector,
-)
+from lrco.model import ModelConfig, features_of, features_vjp, init_model, probs_of, state_arrays
 from lrco.numerics import SeededRng, finite_diff_grad, relative_grad_error
-
-
-def probe_sum(x, weights):
-    """A test-local scalar node: the sum of x * weights over every entry, so
-    x gets g * weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    y = np.add.reduce((ad.value_of(x) * w).ravel())
-    if not ad.is_tensor(x):
-        return y
-    return ad.Tensor(y, (x,), lambda g: x.accumulate(g * w))
+from oracles import probe_sum, same_bits
+from test_chains import entry
 
 
 def check_op_gradient(build, *shapes, seed=0, tol=1e-6):
@@ -187,140 +176,22 @@ def test_composite_network_gradient():
     check_op_gradient(build, (3, 4), (4,), (5, 4), seed=6, tol=1e-5)
 
 
-# The MLP forward and the cosine heads: each must equal, bit for bit, the op
-# chain it replaces: its value on plain arrays, on the numpy stack axis and in
-# the graph, and the gradient of every leaf behind it. In the graph, the MLP
-# and the class probabilities run as nodes built on their gradient functions,
-# as the step's node calls them.
-
-def features_node(params, x_rows):
-    """model.features_vjp on a lifted state as one node on its weight and
-    bias leaves, which gets their gradients as the step's node gets them."""
-    feats, grad = features_vjp(params.state, x_rows)
-    leaves = params.leaves[:-1]
-
-    def backward_fn(g):
-        for leaf, g_leaf in zip(leaves, grad(g)):
-            leaf.accumulate(g_leaf)
-
-    return ad.Tensor(feats, leaves, backward_fn)
-
-
-def probs_node(classifier, t_ce, feature_rows):
-    """model.probs_vjp as one node on the feature rows and the classifier
-    leaf, which get their gradients as the step's node passes them."""
-    y, grad = probs_vjp(SimpleNamespace(classifier=classifier.value, t_ce=t_ce),
-                        feature_rows.value)
-
-    def backward_fn(g):
-        g_w, g_f = grad(g)
-        feature_rows.accumulate(g_f)
-        classifier.accumulate(g_w)
-
-    return ad.Tensor(y, (feature_rows, classifier), backward_fn)
-
-
-def _rerep(m, f):
-    return re_represent_batch(f, m.classifier, m.t_re)
-
-
-def re_represent_chain(f_rows, classifier, t_re):
-    w = oracles.detach(classifier)
-    attention = oracles.softmax_rows(
-        oracles.matmul(ad.normalize_rows(f_rows), ad.normalize_rows(w), transpose_b=True), t_re)
-    return ad.normalize_rows(oracles.matmul(attention, w))
-
-
-# head -> (its numpy value, its graph node, the chain)
-HEADS = {
-    "features_of": (features_of, features_node, oracles.features_chain),
-    "probs_of": (probs_of, lambda p, f: probs_node(p.classifier, p.t_ce, f),
-                 oracles.probs_chain),
-    "re_represent_batch": (_rerep, _rerep,
-                           lambda m, f: re_represent_chain(f, m.classifier, m.t_re)),
-}
-HEAD_HIDDEN_DIMS = ((), (6,), (6, 4))
-
-
-def _head_setup(seed, hidden_dims):
-    cfg = ModelConfig(input_dim=3, hidden_dims=hidden_dims, feature_dim=5, n_classes=4,
-                      t_ce=0.05, t_re=0.3)
-    m = init_model(cfg, SeededRng(seed))
-    x = np.asarray(SeededRng(seed + 1).normal(size=(7, 3)))
-    return m, x
-
-
-def _head_input(head, m, x):
-    """What the head reads: the input rows for features_of, the features of
-    m for a cosine head."""
-    return x if head == "features_of" else features_of(m, x)
-
-
-@pytest.mark.parametrize("head", sorted(HEADS))
-def test_fused_head_equals_its_op_chain_on_plain_arrays(head):
-    fused, _, chain = HEADS[head]
-    for hidden_dims in HEAD_HIDDEN_DIMS:
-        m, x = _head_setup(30, hidden_dims)
-        inputs = _head_input(head, m, x)
-        assert _same_bits(fused(m, inputs), chain(m, inputs)), hidden_dims
-        # the numpy stack axis: stacked parameters, and stacked inputs
-        # against shared parameters
-        stack = get_param_vector(m) + np.asarray(SeededRng(31).normal(size=(3, 1))) * 0.1
-        stacked = with_param_vector(m, stack)
-        stacked_in = _head_input(head, stacked, x)
-        if head == "features_of":  # the input rows are shared; stack them too
-            stacked_rows = x + np.asarray(SeededRng(32).normal(size=(3, 1, 1))) * 0.1
-        else:
-            stacked_rows = stacked_in
-        assert _same_bits(fused(stacked, stacked_in), chain(stacked, stacked_in)), hidden_dims
-        assert _same_bits(fused(m, stacked_rows), chain(m, stacked_rows)), hidden_dims
-        for b in range(3):
-            single = with_param_vector(m, stack[b])
-            assert _same_bits(fused(stacked, stacked_in)[b],
-                              fused(single, _head_input(head, single, x))), hidden_dims
-            assert _same_bits(fused(m, stacked_rows)[b], fused(m, stacked_rows[b])), hidden_dims
-
-
-@pytest.mark.parametrize("head", sorted(HEADS))
-def test_fused_head_equals_its_op_chain_in_the_graph(head):
-    # the feature rows feed a cosine head twice, through two row selections,
-    # and a third consumer, so their gradient sums in the order the chain
-    # gave it; for features_of, the head under test makes those rows
-    _, fused, chain = HEADS[head]
-    idx = np.array([0, 2, 3, 3, 6])
-    weights = np.asarray(SeededRng(33).normal(size=(12, 5 if head == "re_represent_batch" else 4)))
-    for hidden_dims in HEAD_HIDDEN_DIMS:
-        m, x = _head_setup(32, hidden_dims)
-
-        def run(build):
-            params = lift_params(m)
-            if head == "features_of":
-                feats, cosine_head = build(params, x), HEADS["probs_of"][1]
-            else:
-                feats, cosine_head = features_node(params, x), build
-            out = cosine_head(params, feats)
-            picked = cosine_head(params, oracles.take_rows(feats, idx))
-            loss = oracles.weighted_sum(((probe_sum(out, weights[:7]), 1.0),
-                                         (probe_sum(picked, weights[7:]), 0.5),
-                                         (probe_sum(feats, 0.01), 1.0)))
-            loss.backward()
-            return feats, out, state_arrays(with_param_vector(m, tape_from(params)))
-
-        feats_f, out_f, grads_f = run(fused)
-        feats_c, out_c, grads_c = run(chain)
-        assert _same_bits(feats_f.value, feats_c.value), hidden_dims
-        assert _same_bits(out_f.value, out_c.value), hidden_dims
-        assert list(grads_f) == list(grads_c)
-        for name in grads_f:
-            assert _same_bits(grads_f[name], grads_c[name]), (hidden_dims, name)
-        if head == "re_represent_batch":
-            assert not np.any(grads_f["classifier"])
+# The chain comparisons of the ops, the MLP forward and the cosine heads run
+# from the one table in test_chains.py, under the ids they had before it.
+test_fused_head_equals_its_op_chain_on_plain_arrays = entry(
+    "test_fused_head_equals_its_op_chain_on_plain_arrays")
+test_fused_head_equals_its_op_chain_in_the_graph = entry(
+    "test_fused_head_equals_its_op_chain_in_the_graph")
+test_numpy_call_equals_graph_value = entry("test_numpy_call_equals_graph_value")
+test_numpy_path_accepts_a_stack_axis = entry("test_numpy_path_accepts_a_stack_axis")
 
 
 def test_features_vjp_gives_the_features_and_a_gradient_per_weight_and_bias():
-    m, x = _head_setup(34, (6, 4))
+    cfg = ModelConfig(input_dim=3, hidden_dims=(6, 4), feature_dim=5, n_classes=4,
+                      t_ce=0.05, t_re=0.3)
+    m, x = init_model(cfg, SeededRng(34)), np.asarray(SeededRng(35).normal(size=(7, 3)))
     feats, grad = features_vjp(m, x)
-    assert _same_bits(feats, features_of(m, x))
+    assert same_bits(feats, features_of(m, x))
     grads = grad(np.asarray(SeededRng(35).normal(size=feats.shape)))
     assert [g.shape for g in grads] == [a.shape for a in list(state_arrays(m).values())[:-1]]
 
@@ -328,7 +199,7 @@ def test_features_vjp_gives_the_features_and_a_gradient_per_weight_and_bias():
 def test_probs_of_gradient_reaches_features_and_classifier():
     def probs(f, w):
         if ad.is_tensor(f):
-            return probs_node(w, 0.4, f)
+            return oracles.probs_node(SimpleNamespace(classifier=w, t_ce=0.4), f)
         return probs_of(SimpleNamespace(classifier=w, t_ce=0.4), f)
 
     check_op_gradient(probs, (6, 5), (4, 5), seed=34)
@@ -343,64 +214,6 @@ def test_re_represent_gradient_reaches_the_features_only():
     assert node.parents == (f,)
     probe_sum(node, 1.0).backward()
     assert w_leaf.grad is None and np.any(f.grad != 0.0)
-
-
-# Every op, called on arrays and on Tensors, with the variants of each: the
-# numpy path must return a plain array with exactly the bits of the graph
-# node's value.
-DUAL_DISPATCH_CASES = {
-    "add": (oracles.add, (3, 4), (4,)),
-    "weighted_sum": (lambda a, b: oracles.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
-    "matmul": (oracles.matmul, (3, 4), (4, 5)),
-    "matmul-transpose_b": (lambda a, b: oracles.matmul(a, b, transpose_b=True), (3, 4), (5, 4)),
-    "tanh": (oracles.tanh, (4, 4)),
-    "softmax_rows": (lambda a: oracles.softmax_rows(a, 0.7), (4, 6)),
-    "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "take_rows-repeated": (lambda a: oracles.take_rows(a, [1, 1, 0, 1]), (3, 4)),
-    "detach": (oracles.detach, (2, 3)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(DUAL_DISPATCH_CASES))
-def test_numpy_call_equals_graph_value(case):
-    build, *shapes = DUAL_DISPATCH_CASES[case]
-    rng = SeededRng(11)
-    inputs = [np.asarray(rng.normal(size=s)) for s in shapes]
-    plain = build(*inputs)
-    assert isinstance(plain, np.ndarray)  # a Tensor is no ndarray
-    all_lifted = [oracles.lift(x) for x in inputs]
-    first_lifted = all_lifted[:1] + inputs[1:]
-    for args in (all_lifted, first_lifted):
-        node = build(*args)
-        assert isinstance(node, ad.Tensor)
-        assert plain.shape == node.value.shape and plain.dtype == node.value.dtype
-        assert np.array_equal(plain, node.value)
-
-
-# The numpy path with a leading stack axis of 3 on every input: entry b of
-# the stacked call must have the bits of the call on entry b alone.
-STACKED_CASES = {
-    "add-bias_row": (oracles.add, (4, 5), (1, 5)),
-    "matmul": (oracles.matmul, (4, 3), (3, 5)),
-    "matmul-transpose_b": (lambda a, b: oracles.matmul(a, b, transpose_b=True), (4, 3), (5, 3)),
-    "tanh": (oracles.tanh, (4, 4)),
-    "weighted_sum": (lambda a, b: oracles.weighted_sum(((a, 0.3), (b, -2.5))), (2, 5), (2, 5)),
-    "softmax_rows": (lambda a: oracles.softmax_rows(a, 0.7), (4, 6)),
-    "normalize_rows": (ad.normalize_rows, (5, 3)),
-    "take_rows": (lambda a: oracles.take_rows(a, [1, 1, 0, 1]), (3, 4)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(STACKED_CASES))
-def test_numpy_path_accepts_a_stack_axis(case):
-    build, *shapes = STACKED_CASES[case]
-    rng = SeededRng(13)
-    stacks = [np.asarray(rng.normal(size=(3,) + s)) for s in shapes]
-    stacked = build(*stacks)
-    for b in range(3):
-        single = build(*[s[b] for s in stacks])
-        assert stacked[b].shape == single.shape
-        assert stacked[b].tobytes() == single.tobytes()
 
 
 def test_stacked_operand_meets_an_unstacked_one():
@@ -441,12 +254,6 @@ def _old_unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _same_bits(ours, theirs):
-    ours, theirs = np.asarray(ours), np.asarray(theirs)
-    return (ours.shape == theirs.shape and ours.dtype == theirs.dtype
-            and ours.tobytes() == theirs.tobytes())
-
-
 def _grad_through(op, x, g, *rest):
     """The gradient the leaf x receives when op's node gets g."""
     leaf = ad.Tensor(x)
@@ -460,13 +267,13 @@ def test_row_functions_keep_the_wrapper_formula_bits(kind):
     z = v / 0.3
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    assert _same_bits(numerics.softmax_last(v, 0.3), e / np.sum(e, axis=-1, keepdims=True))
+    assert same_bits(numerics.softmax_last(v, 0.3), e / np.sum(e, axis=-1, keepdims=True))
     m = np.max(v, axis=-1, keepdims=True)
     lse, e_lse, s_lse = numerics.logsumexp_last(v)
-    assert _same_bits(lse, np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
+    assert same_bits(lse, np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(v - m), axis=-1)))
     # the contrastive heads' backward reads its softmax from these parts
-    assert _same_bits(e_lse / s_lse, numerics.softmax_last(v, 1.0))
-    assert _same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
+    assert same_bits(e_lse / s_lse, numerics.softmax_last(v, 1.0))
+    assert same_bits(numerics.norm_last(v), np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
 
 
 @pytest.mark.parametrize("kind", ["1d", "2d", "2d-fortran", "stacked"])
@@ -477,12 +284,12 @@ def test_backward_closures_keep_the_wrapper_formula_bits(kind):
 
     y = numerics.softmax_last(v, 0.3)
     inner = np.sum(g_full * y, axis=-1, keepdims=True)
-    assert _same_bits(_grad_through(oracles.softmax_rows, v, g_full, 0.3),
+    assert same_bits(_grad_through(oracles.softmax_rows, v, g_full, 0.3),
                       y * (g_full - inner) / 0.3 + 0.0)
 
     unit, norms = numerics.unit_last(v)
     inner = np.sum(g_full * unit, axis=-1, keepdims=True)
-    assert _same_bits(_grad_through(ad.normalize_rows, v, g_full),
+    assert same_bits(_grad_through(ad.normalize_rows, v, g_full),
                       (g_full - inner * unit) / norms + 0.0)
 
 
@@ -493,4 +300,4 @@ def test_backward_closures_keep_the_wrapper_formula_bits(kind):
 ])
 def test_unbroadcast_keeps_the_wrapper_formula_bits(g_shape, shape):
     g = np.random.default_rng(26).normal(size=g_shape) * 1e3
-    assert _same_bits(oracles._unbroadcast(g, shape), _old_unbroadcast(g, shape))
+    assert same_bits(oracles._unbroadcast(g, shape), _old_unbroadcast(g, shape))

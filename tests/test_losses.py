@@ -9,7 +9,7 @@ from lrco import autodiff as ad
 from lrco.data import AugmentSpec
 from lrco.errors import InvalidRowsError, LrcoError
 from lrco.losses import (
-    UNIT_NORM_TOL, check_probability_rows, check_unit_rows, class_terms_batch, contrast_rows,
+    UNIT_NORM_TOL, check_probability_rows, check_unit_rows, class_terms_batch,
     contrastive_batch, contrastive_branch, cross_entropy_batch, draw_mix, entropy_alignment,
     kld_uniform_batch, make_pseudo_label, mixlrco_batch, pseudo_labels, re_represent_batch,
 )
@@ -21,6 +21,7 @@ from lrco.numerics import (
 )
 from lrco.trainer import TrainConfig, prepare_step, step_objective
 from oracles import unit_rows
+from test_chains import branch_cases, entry, loss_head_args
 
 
 def logsumexp_direct(v):
@@ -622,31 +623,12 @@ def test_losses_differentiable_through_tensors():
 # Each head is one node whose backward writes a closed-form gradient into its
 # one differentiable input: the probability rows, or the queries.
 
-def _probability_rows(rng, n, k):
-    logits = np.asarray(rng.normal(size=(n, k))) * 1.5
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _head_cases(seed=30, bank_rows=5):
+def _head_cases(bank_rows=5):
     """head name -> (build, x): build maps the head's differentiable input
     (plain, a Tensor, or a (B, ...) stack) to the head's value; x is a
     point to evaluate it at."""
-    rng = SeededRng(seed)
-    n, k, d = 4, 3, 5
-    p = _probability_rows(rng, n, k)
-    labels = np.array([2, 0, 0, 1])
-    q, keys, k_t, k_s = (unit_rows(rng, n, d) for _ in range(4))
-    lam = 0.5 + 0.5 * np.asarray(rng.uniform(size=n))
-    k_mix = lam[:, None] * k_t + (1.0 - lam)[:, None] * k_s
-    bank = unit_rows(rng, bank_rows, d) if bank_rows else np.zeros((0, d))
-    return {
-        "cross_entropy_batch": (lambda x: cross_entropy_batch(x, labels), p),
-        "entropy_alignment": (entropy_alignment, p),
-        "kld_uniform_batch": (kld_uniform_batch, p),
-        "contrastive_batch": (lambda x: contrastive_batch(x, keys, bank, 0.3), q),
-        "mixlrco_batch": (lambda x: mixlrco_batch(x, k_mix, k_t, k_s, bank, 0.3), q),
-    }
+    return {head.__name__: (lambda x, head=head, rest=args[1:]: head(x, *rest), args[0])
+            for head, args in loss_head_args(bank_rows).items()}
 
 
 CONTRASTIVE_HEADS = ("contrastive_batch", "mixlrco_batch")
@@ -712,28 +694,18 @@ def test_head_with_an_empty_bank():
     assert relative_grad_error(analytic, numeric) < 1e-7
 
 
-@pytest.mark.parametrize("head", sorted(_head_cases()))
-def test_head_numpy_call_equals_graph_value(head):
-    build, x = _head_cases()[head]
-    plain = np.asarray(build(x))
-    node = build(ad.Tensor(x))
-    assert isinstance(node, ad.Tensor)
-    assert plain.shape == node.value.shape == ()
-    assert plain.tobytes() == node.value.tobytes()
-
-
-@pytest.mark.parametrize("head", sorted(_head_cases()))
-def test_head_numpy_path_accepts_a_stack_axis(head):
-    build, x = _head_cases()[head]
-    rng = SeededRng(31)
-    if head in CONTRASTIVE_HEADS:
-        stack = np.stack([unit_rows(rng, *x.shape) for _ in range(3)])
-    else:
-        stack = np.stack([_probability_rows(rng, *x.shape) for _ in range(3)])
-    stacked = build(stack)
-    assert stacked.shape == (3,)
-    for b in range(3):
-        assert stacked[b].tobytes() == np.asarray(build(stack[b])).tobytes()
+# The heads' numpy calls against their graph values, and the fused class head
+# and contrastive branch against their chains, run from the one table in
+# test_chains.py, under the ids they had before it.
+test_head_numpy_call_equals_graph_value = entry("test_head_numpy_call_equals_graph_value")
+test_head_numpy_path_accepts_a_stack_axis = entry("test_head_numpy_path_accepts_a_stack_axis")
+test_class_head_equals_the_chain_bit_for_bit = entry("test_class_head_equals_the_chain_bit_for_bit")
+test_class_head_numpy_path_takes_a_stack_axis = entry(
+    "test_class_head_numpy_path_takes_a_stack_axis")
+test_class_head_gives_plain_terms_and_the_totals_gradient_by_default = entry(
+    "test_class_head_gives_plain_terms_and_the_totals_gradient_by_default")
+test_contrastive_branch_equals_the_chain_bit_for_bit = entry(
+    "test_contrastive_branch_equals_the_chain_bit_for_bit")
 
 
 def test_contrastive_heads_write_only_into_the_queries():
@@ -747,126 +719,10 @@ def test_contrastive_heads_write_only_into_the_queries():
     assert all(t.grad is None for t in (keys, k_t, k_s, k_mix))
 
 
-# --- the fused class head ------------------------------------------------------------
-#
-# class_terms_batch must give the bits of the chain it replaced in the
-# trainer: take_rows of each row block, the single heads, and weighted_sum for
-# the alignment term and for the total; its gradient, summed into a leaf, the
-# bits of the chain's gradient of that leaf.
-
-CLASS_TERMS = ("ce", "align", "fixmatch", "kld")  # in the order the total adds them
-
-
-def _class_chain(p, labeled, labels, unlabeled, high, pseudo, weights):
-    """(total, terms) of the chain on probability rows p (plain, a stack or a
-    Tensor): the reference class_terms_batch keeps the bits of."""
-    lab = oracles.take_rows(p, np.arange(labeled.start, labeled.stop))
-    unl = oracles.take_rows(p, np.arange(unlabeled.start, unlabeled.stop))
-    n_l, n_u = labeled.stop - labeled.start, unlabeled.stop - unlabeled.start
-    terms = {"ce": cross_entropy_batch(lab, labels),
-             "align": oracles.weighted_sum(((entropy_alignment(lab), n_l / (n_l + n_u)),
-                                            (entropy_alignment(unl), n_u / (n_l + n_u))))}
-    if len(high) > 0:
-        rows = oracles.take_rows(p, high)
-        terms["fixmatch"] = cross_entropy_batch(rows, pseudo)
-        terms["kld"] = kld_uniform_batch(rows)
-    pairs = [(terms[t], weights[t]) for t in CLASS_TERMS if t in terms and weights[t] > 0]
-    return (pairs[0][0] if len(pairs) == 1 else oracles.weighted_sum(pairs)), terms
-
-
-def _class_case(seed=40, n_high=9, floor=False, sizes=(9, 10, 12), **weights):
-    """Probability rows stacked as the trainer stacks them (labeled, unlabeled
-    weak and strong rows, in ``sizes``) and the other arguments of
-    class_terms_batch. By default every block has 8 rows or more, where
-    numpy's sums depend on the memory layout of what they add."""
-    rng = SeededRng(seed)
-    (n_lab, n_unl, n_strong), k = sizes, 3
-    p = _probability_rows(rng, n_lab + n_unl + n_strong, k)
-    labels = np.asarray(rng.integers(0, k, size=n_lab), dtype=np.int64)
-    high = n_lab + n_unl + np.sort(np.asarray(rng.permutation(n_strong))[:n_high])
-    pseudo = p[high].argmax(axis=1)
-    if floor:  # a picked entry, an entropy entry and a high entry at or below LOG_FLOOR
-        p[[0, 5, high[0]], [labels[0], 1, pseudo[0]]] = [0.0, 1e-15, 1e-13]
-    w = {"ce": 1.0, "align": 0.1, "fixmatch": 1.0, "kld": 0.37, **weights}
-    return p, (slice(0, n_lab), labels, slice(n_lab, n_lab + n_unl), high, pseudo, w)
-
-
-CLASS_CASES = {
-    "every term": {},
-    "no high-confidence rows": {"n_high": 0},
-    "every strong row high": {"n_high": 12},
-    "lambda_align=0": {"align": 0.0},
-    "lambda_kld=0": {"kld": 0.0},
-    "ce alone in the total": {"n_high": 0, "align": 0.0},
-    "entries at the log floor": {"floor": True},
-}
-
+# --- stacked row blocks ----------------------------------------------------------------
 
 def _bits(x) -> bytes:
     return np.asarray(ad.value_of(x)).tobytes()
-
-
-@pytest.mark.parametrize("case", sorted(CLASS_CASES))
-def test_class_head_equals_the_chain_bit_for_bit(case):
-    p, args = _class_case(**CLASS_CASES[case])
-    fused_total, fused_terms, fused_grad = class_terms_batch(p, *args)
-    chain_total, chain_terms = _class_chain(p, *args)
-    assert list(fused_terms) == list(chain_terms)
-    assert _bits(fused_total) == _bits(chain_total)
-    for key in chain_terms:
-        assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
-
-    # the total's gradient, then each term's on its own
-    for key in (None, *chain_terms):
-        leaf = ad.Tensor(p.copy())
-        leaf.accumulate(fused_grad(np.array(1.0)) if key is None
-                        else fused_grad(np.array(1.0), {key: 1.0}))
-        chain_leaf = ad.Tensor(p.copy())
-        total, terms = _class_chain(chain_leaf, *args)
-        node = total if key is None else terms[key]
-        node.backward()
-        assert _bits(node) == _bits(fused_total if key is None else fused_terms[key]), key
-        assert leaf.grad.tobytes() == chain_leaf.grad.tobytes(), key
-
-
-@pytest.mark.parametrize("small", [False, True])
-@pytest.mark.parametrize("case", sorted(CLASS_CASES))
-def test_class_head_numpy_path_takes_a_stack_axis(case, small):
-    # the stacked call finite differences make has the chain's bits on the
-    # stack, and each entry has the bits of the call on that entry alone,
-    # with blocks of fewer than 8 rows, as in the gradcheck instances, and
-    # with more, where the sums over a block's rows depend on its layout
-    kw = dict(CLASS_CASES[case])
-    if small:
-        kw.update(sizes=(4, 6, 6), n_high=min(kw.get("n_high", 3), 6))
-    p, args = _class_case(**kw)
-    rng = SeededRng(41)
-    stack = np.stack([p, *(_probability_rows(rng, *p.shape) for _ in range(2))])
-    fused_total, fused_terms, _ = class_terms_batch(stack, *args)
-    chain_total, chain_terms = _class_chain(stack, *args)
-    assert _bits(fused_total) == _bits(chain_total)
-    assert fused_total.shape == (3,)
-    for key in chain_terms:
-        assert _bits(fused_terms[key]) == _bits(chain_terms[key]), key
-    for b in range(3):
-        total, terms, _ = class_terms_batch(stack[b], *args)
-        assert _bits(fused_total[b]) == _bits(total)
-        for key in terms:
-            assert _bits(fused_terms[key][b]) == _bits(terms[key]), key
-
-
-def test_class_head_gives_plain_terms_and_the_totals_gradient_by_default():
-    for case, kw in CLASS_CASES.items():
-        p, args = _class_case(**kw)
-        total, terms, grad = class_terms_batch(p, *args)
-        assert list(terms) == [t for t in CLASS_TERMS if t in terms], case
-        assert not any(isinstance(value, ad.Tensor) for value in (total, *terms.values()))
-        in_total = {t: w for t, w in args[-1].items() if t in terms and w > 0}
-        assert grad(1.0).shape == p.shape
-        assert grad(1.0).tobytes() == grad(1.0, in_total).tobytes(), case
-
-
-# --- stacked row blocks ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n_rows", [6, 8, 9, 16, 32])
@@ -874,7 +730,7 @@ def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
     # a block taken from a stack is contiguous, so numpy sums its rows in the
     # order it sums one entry's rows: entry b has the bits of the call on b
     rng = SeededRng(50)
-    stack = np.stack([_probability_rows(rng, n_rows + 5, 4) for _ in range(3)])
+    stack = np.stack([oracles.probability_rows(rng, n_rows + 5, 4) for _ in range(3)])
     idx = np.asarray(rng.permutation(n_rows + 5))[:n_rows]
     labels = np.asarray(rng.integers(0, 4, size=n_rows), dtype=np.int64)
     heads = (entropy_alignment, kld_uniform_batch, lambda p: cross_entropy_batch(p, labels))
@@ -899,89 +755,30 @@ def test_stacked_row_blocks_have_each_entrys_bits(n_rows):
 
 
 # --- the fused contrastive branch ---------------------------------------------------------
-#
-# contrastive_branch must give the bits of the chain it replaced in the
-# trainer: take_rows of the query rows, contrast_rows, and the loss head. Its
-# gradient of the query rows, added into those rows of a feature gradient as
-# the step's node adds it, has the bits of the chain's gradient of the rows.
 
 def _branch_grad(grad, rows, g_f, g):
-    """g_f, a feature gradient, after the step's node adds grad(g) into its rows."""
+    """g_f, a feature gradient, after the step's backward adds grad(g) into its rows."""
     g_f[rows] += grad(g)
     return g_f
-
-def _branch_chain(f, rows, classifier, t_re, mode, k_pos, k_den, bank, t_co, w_unit=None):
-    queries = contrast_rows(oracles.take_rows(f, rows), classifier, t_re, mode)
-    if len(k_den) == 1:
-        return contrastive_batch(queries, k_pos, bank, t_co)
-    return mixlrco_batch(queries, k_pos, *k_den, bank, t_co)
-
-
-def _branch_case(head, mode, bank_rows, seed=60, n_feats=20, n_rows=9):
-    """Feature rows, the args of contrastive_branch after them, and a stack of
-    feature rows. The query rows are unique and out of order."""
-    rng = SeededRng(seed)
-    d, k = 5, 3
-    f = np.asarray(rng.normal(size=(n_feats, d)))
-    rows = np.asarray(rng.permutation(n_feats))[:n_rows]
-    classifier = np.asarray(rng.normal(size=(k, d)))
-    if head == "contrastive":
-        keys = unit_rows(rng, n_rows, d)
-        k_pos, k_den = keys, (keys,)
-    else:
-        k_t, k_s = unit_rows(rng, n_rows, d), unit_rows(rng, n_rows, d)
-        lam = np.asarray(rng.uniform(0.5, 1.0, size=n_rows))
-        k_pos, k_den = lam[:, None] * k_t + (1.0 - lam)[:, None] * k_s, (k_t, k_s)
-    bank = unit_rows(rng, bank_rows, d) if bank_rows else np.zeros((0, d))
-    stack = np.stack([f, *(np.asarray(rng.normal(size=f.shape)) for _ in range(2))])
-    return f, (rows, classifier, 0.4, mode, k_pos, k_den, bank, 0.3), stack
-
-
-BRANCH_CASES = [(head, mode, bank_rows) for head in ("contrastive", "mix")
-                for mode in ("rerep", "raw") for bank_rows in (6, 0)]
-
-
-@pytest.mark.parametrize("head,mode,bank_rows", BRANCH_CASES)
-def test_contrastive_branch_equals_the_chain_bit_for_bit(head, mode, bank_rows):
-    f, args, stack = _branch_case(head, mode, bank_rows)
-    unit = unit_last(args[1])[0]
-    for w_unit in (None, unit):
-        value, grad = contrastive_branch(f, *args, w_unit=w_unit)
-        # values on the plain and stacked numpy paths and on the graph
-        assert _bits(value) == _bits(_branch_chain(f, *args)) == _bits(
-            _branch_chain(ad.Tensor(f), *args))
-        assert _bits(contrastive_branch(stack, *args, w_unit=w_unit)[0]) == _bits(
-            _branch_chain(stack, *args))
-        fused = _branch_grad(grad, args[0], np.zeros(f.shape), np.array(1.0))
-        leaf = ad.Tensor(f.copy())
-        _branch_chain(leaf, *args).backward()
-        assert fused.tobytes() == leaf.grad.tobytes()
-        assert not np.any(np.delete(fused, args[0], axis=0))  # rows not read get 0
-        if bank_rows == 0 and head == "contrastive":  # the positive is the whole partition
-            assert float(value) == 0.0 and not np.any(fused)
-    # on a stack, entry b has the bits of the call on b alone
-    stacked, _ = contrastive_branch(stack, *args)
-    for b in range(3):
-        assert _bits(stacked[b]) == _bits(contrastive_branch(stack[b], *args)[0])
 
 
 def test_contrastive_branch_after_another_consumer_of_the_rows():
     # the branch adds into a gradient the rows already hold, as take_rows did
-    f, args, _ = _branch_case("mix", "rerep", 6)
+    f, *args = branch_cases("mix", "rerep", 6)[0].args
     _, grad = contrastive_branch(f, *args)
     fused = _branch_grad(grad, args[0], 2.0 * 0.25 * f, 0.5)
     leaf = ad.Tensor(f.copy())
     other = ad.Tensor(np.add.reduce(f * f, axis=None), (leaf,),
                       lambda g: leaf.accumulate(2.0 * g * leaf.value))
-    oracles.weighted_sum(((other, 0.25), (_branch_chain(leaf, *args), 0.5))).backward()
+    oracles.weighted_sum(((other, 0.25), (oracles.branch_chain(leaf, *args), 0.5))).backward()
     assert fused.tobytes() == leaf.grad.tobytes()
 
 
 def test_contrastive_branch_gives_its_query_rows_alone_a_gradient():
     # the classifier is a constant: the gradient is the query rows' only
-    f, (rows, classifier, *rest), _ = _branch_case("mix", "rerep", 6)
+    f, rows, classifier, *rest = branch_cases("mix", "rerep", 6)[0].args
     _, grad = contrastive_branch(f, rows, classifier, *rest)
     g_rows = grad(1.0)
     assert g_rows.shape == (len(rows), f.shape[1]) and np.any(g_rows != 0.0)
     with pytest.raises(ValueError, match="unknown rerep mode"):
-        contrastive_branch(f, rows, classifier, 0.4, "cosine", *rest[1:])
+        contrastive_branch(f, rows, classifier, 0.4, "cosine", *rest[2:])

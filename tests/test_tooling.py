@@ -245,6 +245,22 @@ def _leaf_builders(mod, tree) -> list[str]:
 
 
 @_per_module
+def _imports_module(mod, tree, name) -> bool:
+    """Whether the module imports the package module ``name``: as ``import
+    ...name``, ``from .name import ...``, or ``from . import name`` (or from
+    lrco)."""
+    def imports(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[-1] == name for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (
+            (node.module or "").split(".")[-1] == name
+            or (node.module in (None, "lrco") and any(alias.name == name
+                                                     for alias in node.names)))
+
+    return any(map(imports, ast.walk(tree)))
+
+
+@_per_module
 def _declared_domains(mod, tree) -> dict[str, bool]:
     """For each class with a field declared by within(...), whether its
     validate or its __post_init__ calls check_domains (as a name or an
@@ -394,9 +410,9 @@ SOURCE_RULES = [
                        "self.weights = w\n"),
          {(): {"a": [1, 2, 3, 4, 6], "model": [2, 3, 4]}}),
     Rule("parameter-leaves",
-         "no command builds a graph; the tests' graphs over step_objective hold parameter "
-         "leaves and op nodes only, and a leaf built anywhere but lift_params would be a "
-         "constant node, which nothing differentiates",
+         "no command builds a graph; the tests' graphs, their chains and a step's graph view "
+         "(oracles.step_nodes), hold parameter leaves and op nodes only, and a leaf built "
+         "anywhere but lift_params would be a constant node, which nothing differentiates",
          PACKAGE, _leaf_builders, {(): {"model": ["lift_params"]}},
          {"a": ("a = ad.Tensor(x)\n\n"
                 "def f(x):\n    return Tensor(x, (x,), g)\n\n"
@@ -406,6 +422,16 @@ SOURCE_RULES = [
                 "def m(x):\n    def n():\n        return ad.Tensor(x, (x,), None)\n"
                 "    return n, isinstance(x, ad.Tensor)\n")},
          {(): {"a": ["<module>", "C.h", "g", "m.n"]}}),
+    Rule("engine-importers",
+         "no command builds a graph: training and gradcheck differentiate through "
+         "step_objective's backward. The graph engine serves the lifted leaves and the "
+         "dual-dispatch heads of model and losses; any other module that imports it could "
+         "put a graph on a command's path again",
+         PACKAGE, _imports_module, {("autodiff",): {"losses": True, "model": True}},
+         {"a": "from . import autodiff as ad\n", "b": "from .autodiff import Tensor\n",
+          "c": "import lrco.autodiff\n", "d": "from lrco import autodiff\n",
+          "e": "from .model import autodiff_grad\nfrom lrco import model\nimport autodiffx\n"},
+         {("autodiff",): {"a": True, "b": True, "c": True, "d": True}}),
     Rule("declared-domains",
          "a within(...) field is a promise that check_domains keeps: a record that declares "
          "a domain and never checks it lets any value through",

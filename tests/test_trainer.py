@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import itertools
 import os
@@ -20,7 +19,7 @@ from lrco.data import AugmentSpec, BenchmarkSpec, generate_shift_benchmark, weak
 from lrco.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
 from lrco.membank import MemoryBank
 from lrco.model import (
-    ModelConfig, clone_state, compute_gradients, ema_update, features_of, init_model, probs_of,
+    ModelConfig, clone_state, ema_update, features_of, init_model, probs_of,
     state_arrays, state_from_arrays, with_param_vector,
 )
 from lrco.numerics import SeededRng, StepStreams
@@ -31,25 +30,10 @@ from lrco.trainer import (
     metrics_header_lines, prepare_step, save_checkpoint, sgd_step, step_objective,
     train_step,
 )
-from oracles import states_allclose
+from oracles import states_allclose, teacher_probs_at_step_1, tiny_setup
+from test_chains import entry, step_cases
 
 AUG = AugmentSpec()
-
-
-def tiny_setup(method="mixlrco", seed=0, **overrides):
-    cfg = TrainConfig(method=method, seed=seed, batch_labeled=8,
-                      batch_unlabeled=8, total_steps=10, **overrides)
-    model_cfg = ModelConfig(input_dim=2, hidden_dims=(6,), feature_dim=5,
-                            n_classes=3, t_ce=cfg.t_ce, t_re=cfg.resolved_t_re())
-    student = init_model(model_cfg, SeededRng(seed).substream("init"))
-    teacher = clone_state(student)
-    bank = MemoryBank(cfg.bank_capacity)
-    rng = SeededRng(seed + 100)
-    lab_x = np.asarray(rng.normal(size=(8, 2)))
-    lab_y = np.asarray(rng.integers(0, 3, size=8))
-    lab_src = np.ones(8, dtype=bool)
-    unl_x = np.asarray(rng.normal(size=(8, 2)))
-    return cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x
 
 
 def view_of(sb, name):
@@ -129,14 +113,6 @@ def test_prepare_step_deterministic():
     c = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
                      cfg, AUG, cfg.tau, step=2, streams=StepStreams(cfg.seed, 2))
     assert not np.array_equal(view_of(a, "labeled"), view_of(c, "labeled"))
-
-
-def teacher_probs_at_step_1(cfg, teacher, unl_x):
-    """The teacher's probabilities on step 1's weak view, drawn again from
-    the same substream: the oracle of the pseudo-labels and the split."""
-    weak = weak_augment(unl_x, AUG,
-                        SeededRng(cfg.seed).substream("augment-unlabeled-weak-1"))
-    return np.asarray(probs_of(teacher, features_of(teacher, weak)))
 
 
 def test_prepare_step_confidence_partition():
@@ -400,12 +376,9 @@ def test_objective_terms_by_method():
 
 def split_step(method):
     """Step 1 of tiny_setup with a bank holding rows and tau at the median
-    teacher confidence, so the high and low groups and the mixes are built."""
-    cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(method=method)
-    bank.push_batch(np.eye(5)[:3])
-    tau = float(np.median(teacher_probs_at_step_1(cfg, teacher, unl_x).max(axis=1)))
-    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x,
-                      cfg, AUG, tau, step=1, streams=StepStreams(cfg.seed, 1))
+    teacher confidence, so the high and low groups and the mixes are built:
+    the split case of the step rows in test_chains.py."""
+    student, sb, cfg, _ = step_cases(method)[0].args
     if method in PSEUDO_LABEL_METHODS:
         assert len(sb.high_idx) > 0 and len(sb.low_idx) > 0
     assert ("mix" in sb.rows) == (method == "mixlrco")
@@ -464,150 +437,15 @@ def test_objective_terms_match_one_pass_per_view():
             assert abs(float(terms[key]) - float(expected.get(key, 0.0))) <= 1e-12, (method, key)
 
 
-def test_objective_terms_equal_on_both_dispatch_paths():
-    # the stacked pass and its row offsets run on plain arrays and on the
-    # training graph alike, so the two give the same bits
-    for method in METHODS:
-        cfg, student, sb = split_step(method)
-        total, terms = step_objective(student, sb, cfg)
-        graph_total, graph_terms = step_objective(lift_params(student), sb, cfg)
-        assert isinstance(graph_total, ad.Tensor)
-        for key in terms:
-            assert float(graph_terms[key]) == float(terms[key]), (method, key)
-        assert float(graph_total) == float(total), method
-        if method in ("lrco", "mixlrco"):
-            assert float(terms["contrastive"]) > 0.0, method
-
-
-def chain_step_objective(model_like, sb, cfg, frozen_classifier=None):
-    """step_objective as it was before the fused heads and the step's node,
-    built from the reference ops and heads alone: the MLP and the class
-    probabilities as op chains, the latter on a take_rows node of the rows
-    before the mixes, take_rows of each row block, the single heads, the
-    queries by contrast_rows on a take_rows node, and one weighted_sum over
-    every term. The reference the step keeps the bits of."""
-    reads = trainer.METHOD_TERMS[cfg.method]
-    terms = dict.fromkeys(LOSS_KEYS[1:], 0.0)
-    feats = oracles.features_chain(model_like, sb.x)
-    rows = {name: np.arange(len(sb.x))[r] for name, r in sb.rows.items()}
-    probs = oracles.probs_chain(model_like, feats if "mix" not in rows
-                                else oracles.take_rows(feats, np.arange(rows["mix"][0])))
-    probs_lab = probs if len(rows) == 1 else oracles.take_rows(probs, rows["labeled"])
-    terms["ce"] = L.cross_entropy_batch(probs_lab, sb.labeled_y)
-    weighted = [(terms["ce"], 1.0)]
-    if "align" in reads:
-        n_l, n_u = len(rows["labeled"]), len(rows["unlabeled_weak"])
-        ent_l = L.entropy_alignment(probs_lab)
-        ent_u = L.entropy_alignment(oracles.take_rows(probs, rows["unlabeled_weak"]))
-        terms["align"] = oracles.weighted_sum(((ent_l, n_l / (n_l + n_u)),
-                                               (ent_u, n_u / (n_l + n_u))))
-        if cfg.lambda_align > 0:
-            weighted.append((terms["align"], cfg.lambda_align))
-    strong = rows.get("unlabeled_strong")
-    if "fixmatch" in reads and len(sb.high_idx) > 0:
-        probs_high = oracles.take_rows(probs, strong[sb.high_idx])
-        terms["fixmatch"] = L.cross_entropy_batch(probs_high, sb.pseudo[sb.high_idx])
-        terms["kld"] = L.kld_uniform_batch(probs_high)
-        weighted.append((terms["fixmatch"], 1.0))
-        if cfg.lambda_kld > 0:
-            weighted.append((terms["kld"], cfg.lambda_kld))
-
-    classifier = model_like.classifier if frozen_classifier is None else frozen_classifier
-
-    def queries(f_rows):
-        return L.contrast_rows(f_rows, classifier, model_like.t_re, cfg.rerep_mode)
-
-    if ("bank" in reads and cfg.lambda_co > 0 and len(sb.sel_idx) > 0
-            and len(sb.bank_snapshot) > 0):
-        terms["contrastive"] = L.contrastive_batch(
-            queries(oracles.take_rows(feats, strong[sb.sel_idx])), sb.keys_sel,
-            sb.bank_snapshot, cfg.t_co)
-        weighted.append((terms["contrastive"], cfg.lambda_co))
-    if "mix" in rows:
-        terms["contrastive"] = L.mixlrco_batch(
-            queries(oracles.take_rows(feats, rows["mix"])), sb.k_pos, *sb.k_den,
-            sb.bank_snapshot, cfg.t_co)
-        weighted.append((terms["contrastive"], cfg.lambda_co))
-    return terms["ce"] if len(weighted) == 1 else oracles.weighted_sum(weighted), terms
-
-
-# (tau, labeled rows from the target domain, TrainConfig overrides); tau None
-# is split_step's median teacher confidence
-CHAIN_CASES = {
-    "split": (None, False, {}),
-    "no high-confidence rows": (1.0, False, {}),
-    "every row high": (0.0, False, {}),
-    "lambda_align=0": (None, False, {"lambda_align": 0.0}),
-    "lambda_kld=0": (None, False, {"lambda_kld": 0.0}),
-    "labeled target rows": (None, True, {}),
-    "raw queries": (None, False, {"rerep_mode": "raw"}),
-    "high selection": (None, False, {"sample_selection": "high"}),
-    "all selection": (None, False, {"sample_selection": "all"}),
-    "raw queries, high selection": (None, False, {"rerep_mode": "raw", "sample_selection": "high"}),
-    "raw queries, all selection": (None, False, {"rerep_mode": "raw", "sample_selection": "all"}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-@pytest.mark.parametrize("method", METHODS)
-def test_objective_equals_the_single_head_chain_bit_for_bit(method, case):
-    tau, target_rows, overrides = CHAIN_CASES[case]
-    cfg, student, teacher, bank, lab_x, lab_y, lab_src, unl_x = tiny_setup(
-        method=method, **overrides)
-    bank.push_batch(np.eye(5)[:3])
-    if tau is None:
-        tau = float(np.median(teacher_probs_at_step_1(cfg, teacher, unl_x).max(axis=1)))
-    if target_rows:
-        lab_src = np.arange(len(lab_src)) % 2 == 0
-    sb = prepare_step(student, teacher, bank, lab_x, lab_y, lab_src, unl_x, cfg, AUG, tau,
-                      step=1, streams=StepStreams(cfg.seed, 1))
-
-    rng = SeededRng(7)
-    stack = student.params + 1e-3 * np.asarray(rng.normal(size=(3, student.params.size)))
-    # the finite-difference harness's frozen classifier, which is not the model's
-    frozen = student.classifier + 1e-3 * np.asarray(rng.normal(size=student.classifier.shape))
-    for frozen_classifier in (None, frozen):
-        fused = functools.partial(step_objective, frozen_classifier=frozen_classifier)
-        chain = functools.partial(chain_step_objective, frozen_classifier=frozen_classifier)
-
-        def bits(objective, model_like):
-            total, terms = objective(model_like, sb, cfg)
-            return [np.asarray(ad.value_of(v)).tobytes() for v in (total, *terms.values())]
-
-        # values on the graph and on the plain and stacked numpy paths
-        for model_like in (student, lift_params(student), with_param_vector(student, stack)):
-            assert bits(fused, model_like) == bits(chain, model_like)
-        # the total's gradient, then each term's, from the backward train_step calls
-        backward = fused(student, sb, cfg, with_grad=True)[2]
-        for key in LOSS_KEYS:
-            grad = np.zeros(student.params.shape)
-            backward(key, grad)
-            expected = compute_gradients(student, lambda m: (
-                chain(m, sb, cfg)[0] if key == "total" else chain(m, sb, cfg)[1][key]))
-            assert grad.tobytes() == expected.tobytes(), key
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_graph_view_nodes_backpropagate_the_step_backward(method):
-    # on ParamTensors, the total and each term the step builds is one node
-    # over the leaves, whose walk is itself alone, and whose gradient is
-    # the bits of the step's backward of its key; unbuilt terms stay plain
-    cfg, student, sb = split_step(method)
-    params = lift_params(student)
-    total, terms, backward = step_objective(params, sb, cfg, with_grad=True)
-    built = {"total": total, **{key: v for key, v in terms.items() if isinstance(v, ad.Tensor)}}
-    assert {"total", "ce"} <= set(built)
-    assert ("contrastive" in built) == (method in ("lrco", "mixlrco"))
-    for key in LOSS_KEYS:
-        expected = np.zeros(student.params.shape)
-        backward(key, expected)
-        if key not in built:
-            assert not isinstance(terms[key], ad.Tensor) and not expected.any(), key
-            continue
-        assert ad._topo_order(built[key]) == [built[key]], key
-        params.grad.fill(0.0)
-        built[key].backward()
-        assert params.grad.tobytes() == expected.tobytes(), key
+# The step's values and its backward against the chain it replaced, and its
+# graph view, run from the one table in test_chains.py, under the ids they had
+# before it.
+test_objective_equals_the_single_head_chain_bit_for_bit = entry(
+    "test_objective_equals_the_single_head_chain_bit_for_bit")
+test_graph_view_nodes_backpropagate_the_step_backward = entry(
+    "test_graph_view_nodes_backpropagate_the_step_backward")
+test_topo_order_is_the_order_of_a_walk_over_every_node = entry(
+    "test_topo_order_is_the_order_of_a_walk_over_every_node")
 
 
 def test_objective_decreases_after_one_sgd_step():
@@ -634,9 +472,9 @@ def test_contrastive_gradient_never_touches_classifier():
                       streams=StepStreams(cfg.seed, 1))
     assert len(sb.sel_idx) >= 1
     params = lift_params(student)
-    _, terms = step_objective(params, sb, cfg)
+    _, terms = oracles.step_nodes(params, sb, cfg)
     term = terms["contrastive"]
-    assert isinstance(term, ad.Tensor)
+    assert sb.query_rows is not None
     term.backward()
     grad = params.classifier.grad
     assert grad is None or np.all(grad == 0.0)
@@ -792,39 +630,6 @@ def test_nodes_per_step_are_pinned(method, tmp_path, monkeypatch):
     assert bool(contrastive) == (method in ("lrco", "mixlrco"))
 
 
-def _all_nodes_topo_order(root):
-    """The traversal that pushes every parent and skips those without a
-    gradient when popped: the order the golden digests were recorded with."""
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((parent, False) for parent in node.parents)
-    return order
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_topo_order_is_the_order_of_a_walk_over_every_node(method):
-    # a parameter with several consumers sums its gradients in this order
-    cfg, student, teacher, bank, *rest = tiny_setup(method=method)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=1,
-                      streams=StepStreams(cfg.seed, 1))
-    params = lift_params(student)
-    train_step(student, teacher, bank, init_velocities(student), sb, cfg, step=1)
-    sb = prepare_step(student, teacher, bank, *rest, cfg, AUG, 0.999, step=2,
-                      streams=StepStreams(cfg.seed, 2))
-    total, _ = step_objective(params, sb, cfg)
-    order = ad._topo_order(total)
-    # the op nodes of the walk over every node, in its order; no leaf
-    ops = [n for n in _all_nodes_topo_order(total) if n.parents]
-    assert [id(n) for n in order] == [id(n) for n in ops]
-    assert len(order) == 1
-
-
 def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_order(
         monkeypatch):
     # the gradient-sum-order case: a leaf's gradient is the sum of its
@@ -860,7 +665,7 @@ def test_leaf_with_three_consumers_sums_its_gradients_in_the_all_node_walks_orde
             total += g
         sums.add(total.tobytes())
     assert len(sums) > 1
-    monkeypatch.setattr(ad, "_topo_order", _all_nodes_topo_order)
+    monkeypatch.setattr(ad, "_topo_order", oracles.all_nodes_topo_order)
     assert leaf_free == leaf_grads()
 
 
